@@ -28,20 +28,20 @@ from repro.partition.recursive import recursive_partition
 
 def allrow_greedy_plan(graph: Graph, num_workers: int) -> PartitionPlan:
     """Partition every tensor along its first (row/batch) dimension."""
-    start = time.time()
+    start = time.perf_counter()
     cost_model = CommunicationCostModel(graph)
     tensor_dims = {name: 0 for name in graph.tensors}
     cost, strategies = cost_model.assignment_cost(tensor_dims, num_workers)
     plan = single_dimension_plan(
         tensor_dims, strategies, num_workers, cost, "allrow-greedy"
     )
-    plan.search_time_seconds = time.time() - start
+    plan.search_time_seconds = time.perf_counter() - start
     return plan
 
 
 def spartan_plan(graph: Graph, num_workers: int) -> PartitionPlan:
     """Greedy largest-tensor-first partitioning (Spartan's heuristic)."""
-    start = time.time()
+    start = time.perf_counter()
     cost_model = CommunicationCostModel(graph)
     tensor_dims: Dict[str, int] = {name: 0 for name in graph.tensors}
 
@@ -77,7 +77,7 @@ def spartan_plan(graph: Graph, num_workers: int) -> PartitionPlan:
 
     cost, strategies = cost_model.assignment_cost(tensor_dims, num_workers)
     plan = single_dimension_plan(tensor_dims, strategies, num_workers, cost, "spartan")
-    plan.search_time_seconds = time.time() - start
+    plan.search_time_seconds = time.perf_counter() - start
     return plan
 
 
@@ -85,7 +85,7 @@ def equalchop_plan(
     graph: Graph, num_workers: int, *, coarse: Optional[CoarsenedGraph] = None
 ) -> PartitionPlan:
     """Tofu's DP restricted to chopping each tensor along one dimension."""
-    start = time.time()
+    start = time.perf_counter()
     if coarse is None:
         coarse = coarsen(graph)
     cost_model = CommunicationCostModel(graph)
@@ -93,7 +93,7 @@ def equalchop_plan(
     plan = PartitionPlan(
         num_workers=num_workers,
         steps=[step],
-        search_time_seconds=time.time() - start,
+        search_time_seconds=time.perf_counter() - start,
         algorithm="equalchop",
     )
     return plan

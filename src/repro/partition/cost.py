@@ -14,6 +14,13 @@ operators in a large model (e.g. the repeated residual blocks of WResNet-152)
 share a single profile and evaluating an assignment reduces to a handful of
 arithmetic operations — this is what keeps the DP and the recursive search
 fast (Table 1).
+
+A node's cost depends only on its profile and the partition dimensions of
+the tensors it touches, so :meth:`NodeProfile.best_strategy` memoises the
+winning ``(axis, fetch, redistribute)`` per dims tuple on the profile
+itself.  :meth:`CommunicationCostModel.node_cost`,
+:meth:`~CommunicationCostModel.node_cost_detail` and the DP's group pricing
+all read that one memo, so every structurally identical node shares it.
 """
 
 from __future__ import annotations
@@ -50,13 +57,53 @@ class StrategyProfile:
     outputs: List[Tuple[int, float, int]]
 
 
+#: Memo sentinel: a memoised result is never ``None``, but spelling the miss
+#: out keeps zero and infinite costs from ever reading as one.
+_MISSING = object()
+
+
 @dataclass
 class NodeProfile:
-    """All strategy profiles for one operator shape signature."""
+    """All strategy profiles for one operator shape signature.
+
+    ``best`` memoises :meth:`best_strategy` by dims tuple; it lives and dies
+    with the profile, so :meth:`CommunicationCostModel.set_shapes` clears it
+    together with the profiles.
+    """
 
     signature: Tuple
     parts: int
+    num_inputs: int = 0
     strategies: List[StrategyProfile] = field(default_factory=list)
+    best: Dict[Tuple[int, ...], Tuple[str, float, float]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+
+    def best_strategy(self, dims: Tuple[int, ...]) -> Tuple[str, float, float]:
+        """``(axis, fetch bytes, redistribute bytes)`` of the cheapest strategy.
+
+        ``dims`` holds the partition dimension of every input, then every
+        output, of a node with this profile.  Ties go to the first strategy
+        with the minimum ``fetch + redistribute``.
+        """
+        result = self.best.get(dims, _MISSING)
+        if result is _MISSING:
+            in_dims = dims[: self.num_inputs]
+            out_dims = dims[self.num_inputs :]
+            best_index = 0
+            best_cost = float("inf")
+            costs = []
+            for index, strategy in enumerate(self.strategies):
+                fetch, redistribute = _strategy_cost(
+                    strategy, in_dims, out_dims, self.parts
+                )
+                costs.append((fetch, redistribute))
+                if fetch + redistribute < best_cost:
+                    best_cost = fetch + redistribute
+                    best_index = index
+            result = (self.strategies[best_index].axis, *costs[best_index])
+            self.best[dims] = result
+        return result
 
 
 class CommunicationCostModel:
@@ -84,15 +131,14 @@ class CommunicationCostModel:
         self.shapes: Dict[str, Tuple[int, ...]] = dict(shapes)
         self._profiles: Dict[Tuple, NodeProfile] = {}
         self._node_profile: Dict[Tuple[str, int], NodeProfile] = {}
-        self._node_cost_cache: Dict[Tuple, Tuple[str, float]] = {}
 
     # ----------------------------------------------------------- shapes API
     def set_shapes(self, shapes: Mapping[str, Tuple[int, ...]]) -> None:
-        """Replace the working shapes (invalidates all cached profiles)."""
+        """Replace the working shapes (invalidates all cached profiles and,
+        with them, their cost memos)."""
         self.shapes = dict(shapes)
         self._profiles.clear()
         self._node_profile.clear()
-        self._node_cost_cache.clear()
 
     def tensor_bytes(self, tensor: str) -> float:
         spec = self.graph.tensor(tensor)
@@ -143,7 +189,9 @@ class CommunicationCostModel:
 
     def _build_profile(self, node: OpNode, signature: Tuple, parts: int) -> NodeProfile:
         opdef = get_op(node.op)
-        profile = NodeProfile(signature=signature, parts=parts)
+        profile = NodeProfile(
+            signature=signature, parts=parts, num_inputs=len(node.inputs)
+        )
 
         out_entries: List[Tuple[int, float, int]] = []
         for position, out in enumerate(node.outputs):
@@ -250,29 +298,10 @@ class CommunicationCostModel:
         node touches.  The returned cost is the total bytes communicated by
         the whole group of ``parts`` workers for this operator.
         """
-        node = self.graph.node(node_name)
-        key_dims = tuple(
-            tensor_dims.get(t, 0) for t in node.inputs
-        ) + tuple(tensor_dims.get(t, 0) for t in node.outputs)
-        cache_key = (node_name, parts, key_dims)
-        cached = self._node_cost_cache.get(cache_key)
-        if cached is not None:
-            return cached
-
-        profile = self.node_profile(node_name, parts)
-        in_dims = [tensor_dims.get(t, 0) for t in node.inputs]
-        out_dims = [tensor_dims.get(t, 0) for t in node.outputs]
-        best_axis = profile.strategies[0].axis
-        best_cost = float("inf")
-        for strategy in profile.strategies:
-            fetch, redistribute = _strategy_cost(strategy, in_dims, out_dims, parts)
-            cost = fetch + redistribute
-            if cost < best_cost:
-                best_cost = cost
-                best_axis = strategy.axis
-        result = (best_axis, best_cost)
-        self._node_cost_cache[cache_key] = result
-        return result
+        axis, fetch, redistribute = self.node_cost_detail(
+            node_name, tensor_dims, parts
+        )
+        return axis, fetch + redistribute
 
     def node_cost_detail(
         self,
@@ -284,16 +313,10 @@ class CommunicationCostModel:
         and output-redistribution/reduction bytes (used by the partitioned
         graph generator to place reduction traffic)."""
         node = self.graph.node(node_name)
-        profile = self.node_profile(node_name, parts)
-        in_dims = [tensor_dims.get(t, 0) for t in node.inputs]
-        out_dims = [tensor_dims.get(t, 0) for t in node.outputs]
-        best: Optional[Tuple[str, float, float]] = None
-        for strategy in profile.strategies:
-            fetch, redistribute = _strategy_cost(strategy, in_dims, out_dims, parts)
-            if best is None or fetch + redistribute < best[1] + best[2]:
-                best = (strategy.axis, fetch, redistribute)
-        assert best is not None
-        return best
+        dims = tuple(tensor_dims.get(t, 0) for t in node.inputs) + tuple(
+            tensor_dims.get(t, 0) for t in node.outputs
+        )
+        return self.node_profile(node_name, parts).best_strategy(dims)
 
     def assignment_cost(
         self,

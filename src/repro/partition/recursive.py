@@ -55,7 +55,7 @@ def recursive_partition(
             bit-identical to the serial path, so it never changes the answer
             — only the wall-clock share one large request holds.
     """
-    start = time.time()
+    start = time.perf_counter()
     if num_workers < 1:
         raise PartitionError(f"invalid worker count {num_workers}")
     if factors is None:
@@ -94,7 +94,7 @@ def recursive_partition(
     plan = PartitionPlan(
         num_workers=num_workers,
         steps=steps,
-        search_time_seconds=time.time() - start,
+        search_time_seconds=time.perf_counter() - start,
         algorithm="tofu-recursive" if allow_reduction else "tofu-no-reduction",
     )
     return plan

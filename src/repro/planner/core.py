@@ -187,11 +187,11 @@ class Planner:
         candidates = candidate_factorizations(num_workers)
         if len(candidates) == 1:
             return spec.search(graph, num_workers, factors=candidates[0], **options)
-        start = time.time()
+        start = time.perf_counter()
         plan = search_candidates(
             spec, graph, num_workers, candidates, options, jobs=self.config.jobs
         )
-        plan.search_time_seconds = time.time() - start
+        plan.search_time_seconds = time.perf_counter() - start
         return plan
 
     # ------------------------------------------------------------- simulate

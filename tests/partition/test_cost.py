@@ -127,6 +127,37 @@ class TestProfilesAndShapes:
         p2 = cm.node_profile("mm2", 2)
         assert p1 is p2  # same shape signature -> shared profile
 
+    def test_one_memo_serves_cost_and_detail(self):
+        g, a, w, out = _matmul_graph(m=8, k=1024, n=8)
+        cm = CommunicationCostModel(g)
+        dims = {a: 1, w: 0, out: 0}
+        axis, cost = cm.node_cost("mm", dims, 2)
+        profile = cm.node_profile("mm", 2)
+        assert profile.best == {(1, 0, 0): cm.node_cost_detail("mm", dims, 2)}
+        memo_axis, fetch, redistribute = profile.best[(1, 0, 0)]
+        assert (memo_axis, fetch + redistribute) == (axis, cost)
+
+    def test_zero_cost_memo_entries_are_hits(self):
+        b = GraphBuilder()
+        x = b.data("x", (64, 64))
+        y = b.relu(x, name="act")
+        g = b.finish()
+        cm = CommunicationCostModel(g)
+        assert cm.node_cost("act", {x: 0, y: 0}, 4)[1] == 0.0
+        profile = cm.node_profile("act", 4)
+        profile.best[(0, 0)] = ("memoised", 0.0, 0.0)
+        assert cm.node_cost("act", {x: 0, y: 0}, 4) == ("memoised", 0.0)
+
+    def test_set_shapes_drops_the_cost_memo(self):
+        g, a, w, out = _matmul_graph()
+        cm = CommunicationCostModel(g)
+        cm.node_cost("mm", {a: 1, w: 1, out: 1}, 2)
+        stale = cm.node_profile("mm", 2)
+        cm.set_shapes({a: (32, 16), w: (16, 8), out: (32, 8)})
+        fresh = cm.node_profile("mm", 2)
+        assert fresh is not stale
+        assert fresh.best == {}
+
     def test_tensor_bytes(self):
         g, a, w, out = _matmul_graph(m=8, k=8, n=8)
         cm = CommunicationCostModel(g)
