@@ -47,7 +47,6 @@ from repro.planner.core import Planner
 from repro.runtime.core import Executor
 from repro.sim.device import ClusterSpec, DeviceSpec, MachineSpec, k80_8gpu_machine
 from repro.sim.engine import clear_compiled_cache
-from repro.strategy import auto_candidates
 from repro.tuner import Tuner
 
 BENCH_FORMAT = "tofu-bench-tuner"
@@ -83,10 +82,22 @@ def _tight_rnn():
     return graph, machine
 
 
+# The pre-tuner ``auto`` grid on an 8-device machine: both leaves, every
+# divisor replica-group and stage count, and the composed dp/pipeline/tofu
+# chains, one schedule and micro-batch count.
+LEGACY_GRID = (
+    "tofu", "single", "dp:2/tofu", "dp:4/tofu", "dp:8/tofu",
+    "pipeline:2:1f1b:4", "pipeline:4:1f1b:4", "pipeline:8:1f1b:4",
+    "dp:2/pipeline:2:1f1b:4/tofu", "dp:2/pipeline:4:1f1b:4/tofu",
+    "dp:4/pipeline:2:1f1b:4/tofu",
+)
+
+
 def _legacy_sweep(graph, machine):
     """The pre-tuner ``auto`` behaviour: fully compile and simulate every
     candidate of the fixed grid, skipping the ones that fail."""
-    pool = auto_candidates(machine)
+    assert machine.num_devices == 8, "LEGACY_GRID is the 8-device grid"
+    pool = LEGACY_GRID
     start = time.perf_counter()
     best = None
     for candidate in pool:

@@ -55,16 +55,22 @@ def main() -> None:
             f"(backend {run.backend})"
         )
 
-    # 5. Not sure how to split?  strategy="auto" sweeps composed strategies
-    #    (replica groups x stages x the tofu leaf) and keeps the fastest —
-    #    never slower than plain tofu, which is always in the candidate set.
+    # 5. Not sure how to split?  strategy="auto" runs the autotuner over
+    #    composed strategies (replica groups x stages x schedules x the tofu
+    #    leaf) and keeps the fastest — never slower than plain tofu, which
+    #    always leads the candidate grid.
     best = repro.compile(graph, "auto", machine)
     print("\n== auto sweep ==")
-    for entry in best.metadata["auto_sweep"]:
-        verdict = entry.get("error") or (
-            "oom" if entry["oom"] else f"{entry['iteration_time'] * 1e3:.1f} ms"
-        )
-        print(f"  {entry['strategy']:<28} {verdict}")
+    for outcome in best.metadata["tuner"]["outcomes"]:
+        if outcome["status"] == "skipped":
+            continue
+        if outcome["status"] != "evaluated":
+            verdict = f"{outcome['status']}: {outcome['reason']}"
+        else:
+            verdict = "oom" if outcome["oom"] else (
+                f"{outcome['iteration_time'] * 1e3:.1f} ms"
+            )
+        print(f"  {outcome['strategy']:<28} {verdict}")
     print(f"auto picked: {best.strategy_text}")
     print(f"throughput: {best.throughput(bundle.batch_size):.1f} samples/s")
 

@@ -15,15 +15,8 @@ callers that need the subsystems directly.
 
 import repro.ops  # noqa: F401  (registers the operator library on import)
 
-from repro.api import (
-    CompiledModel,
-    SimulationReport,
-    compile,
-    describe_operator,
-    partition_and_simulate,
-    partition_graph,
-)
-from repro.compiler import compile_model
+from repro.compiler import CompiledModel, compile, compile_model
+from repro.interval.strategies import describe_operator
 from repro.planner import (
     Planner,
     PlannerConfig,
@@ -35,6 +28,7 @@ from repro.runtime import (
     Executor,
     ExecutorConfig,
     LoweredProgram,
+    SimulationReport,
     available_execution_backends,
     default_executor,
     register_execution_backend,
@@ -108,8 +102,6 @@ __all__ = [
     "dp",
     "machines",
     "parse_strategy",
-    "partition_and_simulate",
-    "partition_graph",
     "pipeline",
     "placement",
     "register_backend",

@@ -11,7 +11,6 @@ from repro.baselines.evaluation import (
     evaluate_strategy,
     evaluate_swapping,
     evaluate_tofu,
-    round_robin_placement,
 )
 from repro.baselines.partition_algos import (
     ALGORITHMS,
@@ -37,7 +36,6 @@ __all__ = [
     "evaluate_swapping",
     "evaluate_tofu",
     "icml18_plan",
-    "round_robin_placement",
     "spartan_plan",
     "tofu_plan",
 ]

@@ -5,39 +5,39 @@ its own batch size the way the paper does: the Ideal baseline uses the batch
 that saturates a GPU regardless of memory, while SmallBatch / Op-Placement /
 Tofu use the largest batch that fits (Sec 7.1, "Baseline and Alternatives").
 
-Execution goes through the :class:`repro.runtime.Executor` facade: each
-system maps onto one registered execution backend (``single-device``,
-``swap``, ``placement``, ``tofu-partitioned``, ``pipeline``, ``hybrid``), so
-the evaluators only decide batch sizes and read the simulated verdicts.
-
-The parallel alternatives (pipeline, hybrid — and any composed strategy)
-route through :func:`evaluate_strategy`, which compiles a
-:class:`repro.strategy.Strategy` expression per candidate batch via
-``repro.compile`` and runs the same largest-batch-that-fits search as the
-paper's baselines.
+Every system is a :mod:`repro.strategy` expression compiled by
+``repro.compile``: Ideal and SmallBatch are ``single``, swapping is
+``swap``, Operator Placement is ``placement``, Tofu is ``tofu``, and the
+parallel alternatives are ``pipeline`` / ``dp`` compositions
+(:func:`evaluate_strategy` takes any expression).  What differs per system
+is only how the batch size is chosen.  Ideal and swapping run each GPU's
+share of the global batch; every other system goes through one search,
+:func:`_search_batch`, which halves a starting batch until the compiled
+program fits device memory and simulates only that one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Optional, Union
 
 from repro.errors import StrategyError
 from repro.graph.memory_planner import plan_memory
 from repro.models.layers import ModelBundle
-from repro.partition.plan import PartitionPlan
-from repro.runtime import Executor
-from repro.runtime.passes import full_layer_assignment, round_robin_layer_placement
+from repro.runtime import Executor, LoweredProgram, SimulationReport
+from repro.runtime.passes import full_layer_assignment
 from repro.sim.device import MachineSpec, k80_8gpu_machine
+from repro.sim.engine import SimResult
 from repro.strategy import Strategy, dp, parse_strategy
 from repro.strategy import pipeline as pipeline_strategy
 from repro.strategy import placement as placement_strategy
 from repro.strategy import single as single_strategy
 from repro.strategy import swap as swap_strategy
 from repro.strategy import tofu as tofu_strategy
-from repro.strategy import weight_shards
+from repro.strategy.lowering import persistent_bytes
 
 BuildFn = Callable[[int], ModelBundle]
+Lower = Callable[[ModelBundle], LoweredProgram]
 GiB = 1 << 30
 
 
@@ -81,18 +81,164 @@ def _estimate_max_batch(
     return _round_down_pow2(probe_batch * scale)
 
 
-def round_robin_placement(bundle: ModelBundle, num_devices: int) -> Dict[str, int]:
-    """Round-robin layers across devices; backward/optimiser nodes follow
-    their forward layer (the Operator-Placement policy of Sec 7.1).
+def _memoized_build_fn(build_fn: BuildFn) -> BuildFn:
+    """Cache bundles by batch size, so a probe and the batch search share
+    one graph build per batch instead of rebuilding."""
+    bundles: Dict[int, ModelBundle] = {}
 
-    Delegates to the runtime's shared policy pass
-    (:func:`repro.runtime.passes.round_robin_layer_placement`), which the
-    ``placement`` strategy leaf also uses."""
-    return round_robin_layer_placement(bundle.graph, num_devices)
+    def build(batch_size: int) -> ModelBundle:
+        if batch_size not in bundles:
+            bundles[batch_size] = build_fn(batch_size)
+        return bundles[batch_size]
+
+    return build
 
 
 # ---------------------------------------------------------------------------
-# Ideal
+# The shared machinery: lower a strategy, pick a batch, simulate
+# ---------------------------------------------------------------------------
+def _lowering(
+    strategy: Strategy,
+    machine: MachineSpec,
+    *,
+    planner: Optional["Planner"] = None,
+    backend_options: Optional[Dict[str, object]] = None,
+) -> Lower:
+    """``bundle -> program``: plan (when the strategy needs a plan) and
+    lower ``strategy`` through ``repro.compile``, without simulating."""
+    # Imported here: repro.baselines is a dependency of the planner's backend
+    # registry, so a module-level import of the compiler would be circular.
+    from repro.compiler import compile_model
+
+    def lower(bundle: ModelBundle) -> LoweredProgram:
+        return compile_model(
+            bundle.graph, strategy, machine, planner=planner,
+            backend_options=backend_options, lower_only=True,
+        ).program
+
+    return lower
+
+
+def _report(
+    system: str,
+    bundle: ModelBundle,
+    batch: int,
+    program: LoweredProgram,
+    result: SimResult,
+    *,
+    replicas: int = 1,
+    notes: str = "",
+) -> SystemResult:
+    """``program``'s simulated ``result`` as ``replicas`` copies of
+    ``batch`` samples each."""
+    extras: Dict[str, float] = {"comm_gib_per_iter": program.total_comm_bytes / GiB}
+    if program.schedule is not None:
+        report = SimulationReport(
+            plan=program.plan, partitioned=program.partitioned,
+            result=result, program=program,
+        )
+        extras["num_stages"] = float(program.num_stages)
+        extras["num_microbatches"] = float(program.num_microbatches)
+        extras["bubble_fraction"] = report.bubble_fraction()
+    if "replica_groups" in program.stats:
+        extras["replica_groups"] = program.stats["replica_groups"]
+    if program.plan is not None:
+        extras["search_time_s"] = program.plan.search_time_seconds
+    return SystemResult(
+        system=system,
+        model=bundle.name,
+        batch_size=replicas * batch,
+        iteration_time=result.iteration_time,
+        throughput=0.0 if result.oom else replicas * batch / result.iteration_time,
+        oom=result.oom,
+        comm_fraction=result.comm_fraction(),
+        per_device_memory_gib=program.per_device_peak_bytes / GiB,
+        notes=notes,
+        extras=extras,
+    )
+
+
+def _probe_batch(global_batch: int, machine: MachineSpec) -> int:
+    return min(global_batch, max(machine.num_devices, 8))
+
+
+def _first_batch(
+    build_fn: BuildFn,
+    global_batch: int,
+    machine: MachineSpec,
+    lower: Lower,
+    strategy: Strategy,
+    *,
+    flat_from_global: bool = True,
+) -> int:
+    """Where the batch search starts: lower a small probe batch, split its
+    per-device peak into persistent state (:func:`persistent_bytes`) and a
+    batch-proportional rest, and extrapolate to device capacity.
+
+    When the persistent estimate swallows the probe's whole peak, memory
+    barely scales with batch: with ``flat_from_global`` the search starts
+    at the full batch and halves away any over-estimate, without it the
+    search starts at the probe batch (what the Tofu and Op-Placement
+    baselines have always done).
+    """
+    capacity = machine.device(0).memory_bytes
+    probe_batch = _probe_batch(global_batch, machine)
+    probe = build_fn(probe_batch)
+    persistent = persistent_bytes(probe.weight_bytes(), strategy, machine)
+    activation = lower(probe).per_device_peak_bytes - persistent
+    if activation <= 0 and flat_from_global:
+        return global_batch
+    return min(
+        global_batch,
+        max(
+            1,
+            _estimate_max_batch(
+                probe_batch, persistent, max(0.0, activation), capacity
+            ),
+        ),
+    )
+
+
+def _search_batch(
+    system: str,
+    build_fn: BuildFn,
+    batch: int,
+    machine: MachineSpec,
+    lower: Lower,
+    *,
+    model: str,
+    replicas: int = 1,
+    notes: str = "",
+) -> SystemResult:
+    """The largest batch that fits: halve ``batch`` until the program
+    ``lower`` builds for it fits device memory, then simulate that program.
+
+    ``model`` names the result when no batch fits.
+    """
+    capacity = machine.device(0).memory_bytes
+    while batch >= 1:
+        bundle = build_fn(batch)
+        program = lower(bundle)
+        if program.per_device_peak_bytes <= capacity:
+            result = Executor().simulate(program)
+            return _report(
+                system, bundle, batch, program, result,
+                replicas=replicas, notes=notes,
+            )
+        batch //= 2
+    return SystemResult(
+        system=system,
+        model=model,
+        batch_size=0,
+        iteration_time=float("inf"),
+        throughput=0.0,
+        oom=True,
+        notes=f"{notes} exceeds GPU memory at any batch size".strip(),
+    )
+
+
+# ---------------------------------------------------------------------------
+# The Sec 7 systems
 # ---------------------------------------------------------------------------
 def evaluate_ideal(
     build_fn: BuildFn,
@@ -106,122 +252,115 @@ def evaluate_ideal(
     """
     machine = machine or k80_8gpu_machine()
     num = machine.num_devices
-    per_gpu_batch = max(1, global_batch // num)
-    bundle = build_fn(per_gpu_batch)
-    report = Executor().run(
-        bundle.graph,
-        machine=machine,
-        backend="single-device",
-        backend_options={"check_memory": False},
-    )
-    throughput = num * per_gpu_batch / report.result.iteration_time
-    return SystemResult(
-        system="ideal",
-        model=bundle.name,
-        batch_size=per_gpu_batch * num,
-        iteration_time=report.result.iteration_time,
-        throughput=throughput,
-        per_device_memory_gib=report.program.per_device_peak_bytes / GiB,
-        notes="memory limit ignored",
+    batch = max(1, global_batch // num)
+    bundle = build_fn(batch)
+    program = _lowering(
+        single_strategy(), machine, backend_options={"check_memory": False}
+    )(bundle)
+    return _report(
+        "ideal", bundle, batch, program, Executor().simulate(program),
+        replicas=num, notes="memory limit ignored",
     )
 
 
-# ---------------------------------------------------------------------------
-# SmallBatch
-# ---------------------------------------------------------------------------
 def evaluate_smallbatch(
     build_fn: BuildFn,
     global_batch: int,
     machine: Optional[MachineSpec] = None,
 ) -> SystemResult:
-    """Fit the whole model on one GPU by shrinking the mini-batch."""
+    """Fit the whole model on one GPU by shrinking the mini-batch.
+
+    The search starts from the memory planner's own split of the per-GPU
+    batch into persistent and batch-scaled bytes, and every GPU runs one
+    replica of the batch found.
+    """
     machine = machine or k80_8gpu_machine()
     num = machine.num_devices
-    capacity = machine.device(0).memory_bytes
+    build_fn = _memoized_build_fn(build_fn)
     probe_batch = max(1, global_batch // num)
-    bundle = build_fn(probe_batch)
-    plan = plan_memory(bundle.graph)
+    plan = plan_memory(build_fn(probe_batch).graph)
     batch = _estimate_max_batch(
-        probe_batch, plan.persistent_bytes, plan.pool_bytes, capacity
+        probe_batch, plan.persistent_bytes, plan.pool_bytes,
+        machine.device(0).memory_bytes,
     )
-    batch = min(batch, probe_batch)
-    while batch >= 1:
-        bundle = build_fn(batch)
-        plan = plan_memory(bundle.graph)
-        if plan.peak_bytes <= capacity:
-            break
-        batch //= 2
-    if batch < 1:
-        return SystemResult(
-            system="smallbatch",
-            model=bundle.name,
-            batch_size=0,
-            iteration_time=float("inf"),
-            throughput=0.0,
-            oom=True,
-            notes="model weights exceed single-GPU memory at any batch size",
-        )
-    report = Executor().run(
-        bundle.graph,
-        machine=machine,
-        backend="single-device",
-        backend_options={"check_memory": False},
-    )
-    throughput = num * batch / report.result.iteration_time
-    return SystemResult(
-        system="smallbatch",
-        model=bundle.name,
-        batch_size=batch * num,
-        iteration_time=report.result.iteration_time,
-        throughput=throughput,
-        per_device_memory_gib=plan.peak_bytes / GiB,
+    return _search_batch(
+        "smallbatch", build_fn, min(batch, probe_batch), machine,
+        _lowering(single_strategy(), machine),
+        model=build_fn(probe_batch).name, replicas=num,
     )
 
 
-# ---------------------------------------------------------------------------
-# Swapping
-# ---------------------------------------------------------------------------
 def evaluate_swapping(
     build_fn: BuildFn,
     global_batch: int,
     machine: Optional[MachineSpec] = None,
 ) -> SystemResult:
-    """LRU swapping with prefetch; all GPUs share the host link (Sec 7.1)."""
+    """LRU swapping with prefetch; all GPUs share the host link (Sec 7.1).
+
+    Transfers overlap compute, so the communication fraction is the part of
+    the iteration the compute does not cover.
+    """
     machine = machine or k80_8gpu_machine()
     num = machine.num_devices
-    per_gpu_batch = max(1, global_batch // num)
-    bundle = build_fn(per_gpu_batch)
-    report = Executor().run(
-        bundle.graph,
-        machine=machine,
-        backend="swap",
-        backend_options={"concurrent_gpus": num},
-    )
-    result = report.result
-    throughput = 0.0 if result.oom else num * per_gpu_batch / result.iteration_time
+    batch = max(1, global_batch // num)
+    bundle = build_fn(batch)
+    program = _lowering(
+        swap_strategy(), machine, backend_options={"concurrent_gpus": num}
+    )(bundle)
+    result = Executor().simulate(program)
     comm_fraction = 0.0
     if result.iteration_time > 0 and not result.oom:
         comm_fraction = min(
             1.0, max(0.0, 1.0 - result.compute_time / result.iteration_time)
         )
-    return SystemResult(
-        system="swap",
-        model=bundle.name,
-        batch_size=per_gpu_batch * num,
-        iteration_time=result.iteration_time,
-        throughput=throughput,
-        oom=result.oom,
+    return replace(
+        _report("swap", bundle, batch, program, result, replicas=num),
         comm_fraction=comm_fraction,
         extras={
-            "swapped_in_gib": report.program.stats["swapped_in_bytes"] / GiB,
-            "swapped_out_gib": report.program.stats["swapped_out_bytes"] / GiB,
+            "swapped_in_gib": program.stats["swapped_in_bytes"] / GiB,
+            "swapped_out_gib": program.stats["swapped_out_bytes"] / GiB,
         },
     )
 
 
-# ---------------------------------------------------------------------------
-# Operator placement
-# ---------------------------------------------------------------------------
+def _evaluate(
+    system: str,
+    build_fn: BuildFn,
+    global_batch: int,
+    machine: MachineSpec,
+    strategy: Strategy,
+    *,
+    planner: Optional["Planner"] = None,
+    flat_from_global: bool = True,
+    adjust: Optional[Callable[[LoweredProgram], None]] = None,
+) -> SystemResult:
+    """The batch search for one strategy: probe, extrapolate, halve.
+
+    ``adjust`` edits each searched program in place before its memory check
+    and simulation (never the probe's).
+    """
+    from repro.planner import Planner
+
+    build_fn = _memoized_build_fn(build_fn)
+    lower = _lowering(strategy, machine, planner=planner or Planner())
+
+    def lower_adjusted(bundle: ModelBundle) -> LoweredProgram:
+        program = lower(bundle)
+        if adjust is not None:
+            adjust(program)
+        return program
+
+    batch = _first_batch(
+        build_fn, global_batch, machine, lower, strategy,
+        flat_from_global=flat_from_global,
+    )
+    return _search_batch(
+        system, build_fn, batch, machine, lower_adjusted,
+        model=build_fn(_probe_batch(global_batch, machine)).name,
+        notes=f"strategy {strategy}",
+    )
+
+
 def evaluate_opplacement(
     build_fn: BuildFn,
     global_batch: int,
@@ -235,175 +374,46 @@ def evaluate_opplacement(
     ``overhead_factor > 1`` models frameworks without in-place gradient
     aggregation (the TensorFlow comparison of Table 3): every kernel pays the
     extra memory traffic of materialising aggregation buffers.  The factor is
-    applied between the lowering and simulation stages of the executor.
+    applied between lowering and simulation, after the batch-size probe.
     """
-    machine = machine or k80_8gpu_machine()
-    executor = Executor()
-    num = machine.num_devices
-    capacity = machine.device(0).memory_bytes
 
-    def lower(bundle: ModelBundle):
-        return executor.lower(
-            bundle.graph,
-            machine=machine,
-            backend="placement",
-            backend_options={
-                "device_of_node": round_robin_placement(bundle, num)
-            },
-        )
+    def add_overhead(program: LoweredProgram) -> None:
+        for task in program.tasks.values():
+            task.duration *= overhead_factor
+        program.per_device_memory = {
+            d: int(m * min(overhead_factor, 1.5))
+            for d, m in program.per_device_memory.items()
+        }
 
-    # Probe at a small batch to estimate how per-device memory scales, then
-    # evaluate only the candidate batch sizes that might fit.
-    probe_batch = min(global_batch, max(num, 8))
-    probe = build_fn(probe_batch)
-    probe_memory = max(lower(probe).per_device_memory.values(), default=0)
-    persistent = 3.0 * probe.weight_bytes() / num
-    activation = max(0.0, probe_memory - persistent)
-    batch = min(
-        global_batch,
-        max(1, _estimate_max_batch(probe_batch, persistent, activation, capacity)),
-    )
-
-    while batch >= 1:
-        bundle = build_fn(batch)
-        program = lower(bundle)
-        if overhead_factor != 1.0:
-            for task in program.tasks.values():
-                task.duration *= overhead_factor
-            program.per_device_memory = {
-                d: int(m * min(overhead_factor, 1.5))
-                for d, m in program.per_device_memory.items()
-            }
-        if program.per_device_peak_bytes <= capacity:
-            result = executor.simulate(program, machine)
-            throughput = batch / result.iteration_time
-            return SystemResult(
-                system=system_name,
-                model=bundle.name,
-                batch_size=batch,
-                iteration_time=result.iteration_time,
-                throughput=throughput,
-                comm_fraction=result.comm_fraction(),
-                per_device_memory_gib=program.per_device_peak_bytes / GiB,
-            )
-        batch //= 2
-    return SystemResult(
-        system=system_name,
-        model=build_fn(probe_batch).name,
-        batch_size=0,
-        iteration_time=float("inf"),
-        throughput=0.0,
-        oom=True,
-        notes="per-device layer weights exceed GPU memory at any batch size",
+    return _evaluate(
+        system_name, build_fn, global_batch, machine or k80_8gpu_machine(),
+        placement_strategy(), flat_from_global=False,
+        adjust=add_overhead if overhead_factor != 1.0 else None,
     )
 
 
-# ---------------------------------------------------------------------------
-# Tofu
-# ---------------------------------------------------------------------------
 def evaluate_tofu(
     build_fn: BuildFn,
     global_batch: int,
     machine: Optional[MachineSpec] = None,
     *,
-    plan_fn: Optional[Callable[[ModelBundle, int], PartitionPlan]] = None,
     planner: Optional["Planner"] = None,
-    backend: str = "tofu",
+    backend: Optional[str] = None,
     system_name: str = "tofu",
-    fuse_remote_fetch: bool = True,
-    add_control_dependencies: bool = True,
-    spread_reduction: bool = True,
 ) -> SystemResult:
     """Partition the graph across all GPUs with Tofu and simulate it.
 
-    Planning goes through the planner subsystem: ``backend`` selects any
-    registered search algorithm (the Figure 10 alternatives included) and
-    ``planner`` can supply a shared plan cache.  ``plan_fn`` remains as an
-    escape hatch for fully custom planning.  Execution goes through the
-    runtime subsystem's ``tofu-partitioned`` backend.
+    The batch search over ``tofu(backend)``: ``backend`` selects any
+    registered search algorithm (the Figure 10 alternatives included;
+    ``None`` is the planner's default) and ``planner`` can supply a shared
+    plan cache.
     """
-    # Imported here: repro.baselines is a dependency of the planner's backend
-    # registry, so a module-level import would be circular.
-    from repro.planner import Planner
-
-    machine = machine or k80_8gpu_machine()
-    executor = Executor()
-    num = machine.num_devices
-    capacity = machine.device(0).memory_bytes
-    if plan_fn is None:
-        shared_planner = planner or Planner()
-
-        def plan_fn(bundle: ModelBundle, workers: int) -> PartitionPlan:
-            return shared_planner.plan(
-                bundle.graph, workers, machine=machine, backend=backend
-            )
-    lowering_options = {
-        "fuse_remote_fetch": fuse_remote_fetch,
-        "add_control_dependencies": add_control_dependencies,
-        "spread_reduction": spread_reduction,
-    }
-
-    def lower(bundle: ModelBundle, plan: PartitionPlan):
-        return executor.lower(
-            bundle.graph,
-            plan=plan,
-            machine=machine,
-            backend="tofu-partitioned",
-            backend_options=lowering_options,
-        )
-
-    # Probe at a small batch to estimate how the per-device footprint scales
-    # with batch size, then evaluate only plausible batch sizes.
-    probe_batch = min(global_batch, max(num, 8))
-    probe = build_fn(probe_batch)
-    probe_program = lower(probe, plan_fn(probe, num))
-    persistent = 3.0 * probe.weight_bytes() / num
-    activation = max(0.0, probe_program.per_device_peak_bytes - persistent)
-    batch = min(
-        global_batch,
-        max(1, _estimate_max_batch(probe_batch, persistent, activation, capacity)),
-    )
-
-    last_bundle: Optional[ModelBundle] = None
-    while batch >= 1:
-        bundle = build_fn(batch)
-        last_bundle = bundle
-        plan = plan_fn(bundle, num)
-        program = lower(bundle, plan)
-        peak = program.per_device_peak_bytes
-        if peak <= capacity:
-            result = executor.simulate(program, machine)
-            throughput = batch / result.iteration_time
-            return SystemResult(
-                system=system_name,
-                model=bundle.name,
-                batch_size=batch,
-                iteration_time=result.iteration_time,
-                throughput=throughput,
-                oom=result.oom,
-                comm_fraction=result.comm_fraction(),
-                per_device_memory_gib=peak / GiB,
-                extras={
-                    "comm_gib_per_iter": program.total_comm_bytes / GiB,
-                    "search_time_s": plan.search_time_seconds,
-                },
-            )
-        batch //= 2
-    assert last_bundle is not None
-    return SystemResult(
-        system=system_name,
-        model=last_bundle.name,
-        batch_size=0,
-        iteration_time=float("inf"),
-        throughput=0.0,
-        oom=True,
-        notes="partitioned model exceeds aggregate GPU memory",
+    return _evaluate(
+        system_name, build_fn, global_batch, machine or k80_8gpu_machine(),
+        tofu_strategy(backend), planner=planner, flat_from_global=False,
     )
 
 
-# ---------------------------------------------------------------------------
-# Strategy expressions (pipeline / hybrid / any composition)
-# ---------------------------------------------------------------------------
 def evaluate_strategy(
     build_fn: BuildFn,
     global_batch: int,
@@ -416,118 +426,31 @@ def evaluate_strategy(
     """Evaluate any :mod:`repro.strategy` expression end to end.
 
     Compiles the strategy per candidate batch via ``repro.compile`` (plans
-    are cached under the full strategy key) and runs the same
-    largest-batch-that-fits search as the paper's baselines: probe at a
-    small batch, extrapolate the per-device footprint, halve on
-    over-estimates.
+    are cached under the full strategy key) and runs the largest-batch-
+    that-fits search: probe at a small batch, extrapolate the per-device
+    footprint, halve on over-estimates.
     """
-    from repro.compiler import compile_model
-    from repro.planner import Planner
-
-    machine = machine or k80_8gpu_machine()
     strategy = parse_strategy(strategy)
-    system_name = system_name or str(strategy)
-    planner = planner or Planner()
-    capacity = machine.device(0).memory_bytes
-    shards = weight_shards(strategy, machine)
-
-    def build(batch: int):
-        bundle = build_fn(batch)
-        # lower_only: plan + lower (the memory report) without pricing the
-        # simulation; only a candidate batch that fits gets simulated.
-        return bundle, compile_model(
-            bundle.graph, strategy, machine, planner=planner, lower_only=True
-        )
-
-    probe_batch = min(global_batch, max(machine.num_devices, 8))
-    probe, probe_model = build(probe_batch)
-    persistent = 3.0 * probe.weight_bytes() / shards
-    activation = probe_model.program.per_device_peak_bytes - persistent
-    if activation > 0:
-        batch = min(
-            global_batch,
-            max(1, _estimate_max_batch(probe_batch, persistent, activation, capacity)),
-        )
-    else:
-        # The persistent estimate swallowed the probe's peak: memory barely
-        # scales with batch, so try the full batch and let the halving loop
-        # handle an over-estimate.
-        batch = global_batch
-
-    last_bundle: Optional[ModelBundle] = None
-    while batch >= 1:
-        bundle, model = build(batch)
-        last_bundle = bundle
-        program = model.program
-        if program.per_device_peak_bytes <= capacity:
-            result = model.simulate().result
-            extras: Dict[str, float] = {
-                "comm_gib_per_iter": program.total_comm_bytes / GiB,
-            }
-            if program.schedule is not None:
-                extras["num_stages"] = float(program.num_stages)
-                extras["num_microbatches"] = float(program.num_microbatches)
-                extras["bubble_fraction"] = model.report.bubble_fraction()
-            if "replica_groups" in program.stats:
-                extras["replica_groups"] = program.stats["replica_groups"]
-            if model.plan is not None:
-                extras["search_time_s"] = model.plan.search_time_seconds
-            return SystemResult(
-                system=system_name,
-                model=bundle.name,
-                batch_size=batch,
-                iteration_time=result.iteration_time,
-                throughput=batch / result.iteration_time,
-                oom=result.oom,
-                comm_fraction=result.comm_fraction(),
-                per_device_memory_gib=program.per_device_peak_bytes / GiB,
-                notes=f"strategy {strategy}",
-                extras=extras,
-            )
-        batch //= 2
-    assert last_bundle is not None
-    return SystemResult(
-        system=system_name,
-        model=last_bundle.name,
-        batch_size=0,
-        iteration_time=float("inf"),
-        throughput=0.0,
-        oom=True,
-        notes=f"strategy {strategy} exceeds GPU memory at any batch size",
+    return _evaluate(
+        system_name or str(strategy), build_fn, global_batch,
+        machine or k80_8gpu_machine(), strategy, planner=planner,
     )
 
 
-def _memoized_build_fn(build_fn: BuildFn) -> BuildFn:
-    """Cache bundles by batch size, so the stage-count probe and the batch
-    search share one graph build per batch instead of rebuilding."""
-    bundles: Dict[int, ModelBundle] = {}
-
-    def build(batch_size: int) -> ModelBundle:
-        if batch_size not in bundles:
-            bundles[batch_size] = build_fn(batch_size)
-        return bundles[batch_size]
-
-    return build
-
-
 def _default_stage_count(
-    build_fn: BuildFn, global_batch: int, devices: int, probe_devices: int
+    build_fn: BuildFn, global_batch: int, devices: int, machine: MachineSpec
 ) -> int:
     """One stage per device, capped by the model's layer count (the pipeline
     backend's own default, computed up front so it can go in the strategy).
 
-    ``probe_devices`` sizes the probe batch the way the batch search does
-    (whole-machine device count), so a memoized ``build_fn`` shares the
-    bundle with the search's own probe.
+    The probe uses the batch search's probe batch, so a memoized
+    ``build_fn`` shares the bundle with the search's own probe.
     """
-    probe = build_fn(min(global_batch, max(probe_devices, 8)))
+    probe = build_fn(_probe_batch(global_batch, machine))
     num_layers = len(set(full_layer_assignment(probe.graph).values()))
     return max(1, min(devices, num_layers))
 
 
-# ---------------------------------------------------------------------------
-# Pipeline parallelism
-# ---------------------------------------------------------------------------
 def evaluate_pipeline(
     build_fn: BuildFn,
     global_batch: int,
@@ -540,16 +463,15 @@ def evaluate_pipeline(
 ) -> SystemResult:
     """GPipe/1F1B micro-batch pipelining, one stage per device.
 
-    A shim over :func:`evaluate_strategy` with
-    ``pipeline(stages, schedule, microbatches)``; the whole global batch
-    flows through the pipeline in micro-batches and the largest batch whose
-    bottleneck stage fits device memory wins.
+    ``evaluate_strategy`` with ``pipeline(stages, schedule, microbatches)``;
+    the whole global batch flows through the pipeline in micro-batches and
+    the largest batch whose bottleneck stage fits device memory wins.
     """
     machine = machine or k80_8gpu_machine()
     build_fn = _memoized_build_fn(build_fn)
     if num_stages is None:
         num_stages = _default_stage_count(
-            build_fn, global_batch, machine.num_devices, machine.num_devices
+            build_fn, global_batch, machine.num_devices, machine
         )
     return evaluate_strategy(
         build_fn,
@@ -560,11 +482,7 @@ def evaluate_pipeline(
     )
 
 
-# ---------------------------------------------------------------------------
-# Hybrid data + model parallelism
-# ---------------------------------------------------------------------------
 _INNER_LEAVES = {
-    "tofu-partitioned": tofu_strategy,
     "single-device": single_strategy,
     "placement": placement_strategy,
     "swap": swap_strategy,
@@ -579,27 +497,25 @@ def evaluate_hybrid(
     replica_groups: int = 2,
     inner: str = "tofu-partitioned",
     planner: Optional["Planner"] = None,
-    backend: str = "tofu",
+    backend: Optional[str] = None,
     system_name: str = "hybrid",
 ) -> SystemResult:
     """Data-parallel replica groups, each running Tofu partitioning (or any
     inner execution backend) on its share of the batch.
 
-    A shim over :func:`evaluate_strategy` with ``dp(groups) / inner`` —
-    ``inner`` accepts the execution-backend names the CLI exposes
-    (``tofu-partitioned``, ``pipeline``, ``single-device``, ...) or any
-    strategy expression.  Backends with no strategy-leaf spelling
-    (``data-parallel``, third-party plugins) evaluate through the hybrid
-    executor directly, exactly like the pre-strategy implementation.
+    ``evaluate_strategy`` with ``dp(groups) / inner``.  ``inner`` accepts
+    the execution-backend names the CLI exposes (``tofu-partitioned``,
+    ``pipeline``, ``single-device``, ...) or any strategy expression.  An
+    execution backend the strategy algebra cannot spell (``data-parallel``,
+    third-party plugins) is lowered through the ``hybrid`` executor directly,
+    under the same batch search.
     """
     machine = machine or k80_8gpu_machine()
     build_fn = _memoized_build_fn(build_fn)
     group_devices = max(1, machine.num_devices // max(1, replica_groups))
     if inner == "pipeline":
         leaf = pipeline_strategy(
-            _default_stage_count(
-                build_fn, global_batch, group_devices, machine.num_devices
-            )
+            _default_stage_count(build_fn, global_batch, group_devices, machine)
         )
     elif inner == "tofu-partitioned":
         leaf = tofu_strategy(backend)
@@ -609,93 +525,33 @@ def evaluate_hybrid(
         try:
             leaf = parse_strategy(inner)
         except StrategyError:
-            return _evaluate_hybrid_backend(
-                build_fn,
-                global_batch,
-                machine,
-                replica_groups=replica_groups,
-                inner=inner,
-                system_name=system_name,
-                group_devices=group_devices,
-            )
-    return evaluate_strategy(
-        build_fn,
-        global_batch,
-        machine,
-        strategy=dp(replica_groups) / leaf,
-        planner=planner,
-        system_name=system_name,
-    )
+            leaf = None
+    if leaf is not None:
+        return evaluate_strategy(
+            build_fn, global_batch, machine,
+            strategy=dp(replica_groups) / leaf, planner=planner,
+            system_name=system_name,
+        )
 
-
-def _evaluate_hybrid_backend(
-    build_fn: BuildFn,
-    global_batch: int,
-    machine: MachineSpec,
-    *,
-    replica_groups: int,
-    inner: str,
-    system_name: str,
-    group_devices: int,
-) -> SystemResult:
-    """Hybrid evaluation for inner *execution backends* the strategy algebra
-    cannot spell (``data-parallel``, entry-point plugins): the same
-    largest-batch-that-fits search, straight through the executor."""
     executor = Executor()
-    capacity = machine.device(0).memory_bytes
     options = {"replica_groups": replica_groups, "inner": inner}
 
-    def lower(bundle: ModelBundle):
+    def lower(bundle: ModelBundle) -> LoweredProgram:
         return executor.lower(
-            bundle.graph, machine=machine, backend="hybrid",
-            backend_options=options,
+            bundle.graph, machine=machine, backend="hybrid", backend_options=options,
         )
 
-    probe_batch = min(global_batch, max(machine.num_devices, 8))
-    probe = build_fn(probe_batch)
-    probe_program = lower(probe)
-    persistent = 3.0 * probe.weight_bytes() / group_devices
-    activation = probe_program.per_device_peak_bytes - persistent
-    if activation > 0:
-        batch = min(
-            global_batch,
-            max(1, _estimate_max_batch(probe_batch, persistent, activation, capacity)),
-        )
-    else:
-        batch = global_batch
-
-    last_bundle: Optional[ModelBundle] = None
-    while batch >= 1:
-        bundle = build_fn(batch)
-        last_bundle = bundle
-        program = lower(bundle)
-        if program.per_device_peak_bytes <= capacity:
-            result = executor.simulate(program, machine)
-            return SystemResult(
-                system=system_name,
-                model=bundle.name,
-                batch_size=batch,
-                iteration_time=result.iteration_time,
-                throughput=batch / result.iteration_time,
-                oom=result.oom,
-                comm_fraction=result.comm_fraction(),
-                per_device_memory_gib=program.per_device_peak_bytes / GiB,
-                notes=f"hybrid inner {inner}",
-                extras={
-                    "replica_groups": float(replica_groups),
-                    "comm_gib_per_iter": program.total_comm_bytes / GiB,
-                },
-            )
-        batch //= 2
-    assert last_bundle is not None
-    return SystemResult(
-        system=system_name,
-        model=last_bundle.name,
-        batch_size=0,
-        iteration_time=float("inf"),
-        throughput=0.0,
-        oom=True,
-        notes=f"hybrid inner {inner} exceeds GPU memory at any batch size",
+    # The inner backend is opaque to the footprint estimate: assume it
+    # shards the weights over its group's devices, like dp(groups) / tofu().
+    return _search_batch(
+        system_name, build_fn,
+        _first_batch(
+            build_fn, global_batch, machine, lower,
+            dp(replica_groups) / tofu_strategy(),
+        ),
+        machine, lower,
+        model=build_fn(_probe_batch(global_batch, machine)).name,
+        notes=f"hybrid inner {inner}",
     )
 
 

@@ -74,10 +74,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.api import describe_operator
-from repro.baselines.evaluation import round_robin_placement
-from repro.compiler import compile_model
+from repro.compiler import AUTO_MAX_CANDIDATES, compile_model
 from repro.errors import ReproError
+from repro.interval.strategies import describe_operator
 from repro.models.mlp import build_mlp
 from repro.models.resnet import build_wide_resnet
 from repro.models.rnn import build_rnn
@@ -90,6 +89,7 @@ from repro.runtime import (
     available_execution_backends,
     get_execution_backend,
 )
+from repro.runtime.passes import round_robin_layer_placement
 from repro.sim.device import (
     TOPOLOGY_PRESETS,
     cluster_of,
@@ -98,12 +98,12 @@ from repro.sim.device import (
     topology_preset,
 )
 from repro.strategy import (
-    auto_candidates,
     combinator_descriptions,
     lower_strategy,
     parse_strategy,
 )
 from repro.tdl.registry import GLOBAL_REGISTRY
+from repro.tuner import tuner_candidates
 
 
 def _build_model(args) -> "ModelBundle":
@@ -278,7 +278,7 @@ def _run_simulate(args) -> int:
         )
     options = {}
     if executor_name == "placement":
-        options["device_of_node"] = round_robin_placement(bundle, num_devices)
+        options["device_of_node"] = round_robin_layer_placement(bundle.graph, num_devices)
     elif executor_name == "pipeline":
         options = {
             "num_stages": args.stages,
@@ -340,8 +340,9 @@ def cmd_compile(args) -> int:
     strategy = text
     if text.lower() == "auto":
         if args.dry_run:
+            # The candidates the default autotuner budget admits.
             print("strategy: auto — candidate sweep:")
-            for candidate in auto_candidates(machine):
+            for candidate in tuner_candidates(machine)[:AUTO_MAX_CANDIDATES]:
                 print(f"  {candidate}")
             return 0
     else:
@@ -362,16 +363,18 @@ def cmd_compile(args) -> int:
     )
     print(model.summary())
     print(f"throughput: {model.throughput(bundle.batch_size):.1f} samples/s")
-    if "auto_sweep" in model.metadata:
+    if "tuner" in model.metadata:
         print("auto sweep:")
-        for entry in model.metadata["auto_sweep"]:
-            if "error" in entry:
-                print(f"  {entry['strategy']:<32} error: {entry['error']}")
+        for outcome in model.metadata["tuner"]["outcomes"]:
+            if outcome["status"] == "skipped":
+                continue
+            if outcome["status"] != "evaluated":
+                verdict = f"{outcome['status']}: {outcome['reason']}"
+            elif outcome["oom"]:
+                verdict = "oom"
             else:
-                verdict = "oom" if entry["oom"] else (
-                    f"{entry['iteration_time'] * 1e3:.2f} ms"
-                )
-                print(f"  {entry['strategy']:<32} {verdict}")
+                verdict = f"{outcome['iteration_time'] * 1e3:.2f} ms"
+            print(f"  {outcome['strategy']:<32} {verdict}")
     if args.save:
         model.save(args.save)
         print(f"saved: {args.save}")

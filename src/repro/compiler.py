@@ -31,12 +31,11 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Union
 
 from repro import perf
-from repro.errors import ExecutionError, PartitionError, StrategyError
+from repro.errors import StrategyError
 from repro.graph.graph import Graph
 from repro.partition.plan import PartitionPlan, plan_from_dict, plan_to_dict
 from repro.runtime.core import Executor, SimulationReport
@@ -195,8 +194,6 @@ class CompiledModel:
             "program": program_meta,
             "result": result_meta,
         }
-        if "auto_sweep" in self.metadata:
-            payload["auto_sweep"] = self.metadata["auto_sweep"]
         if "tuner" in self.metadata:
             payload["tuner"] = self.metadata["tuner"]
         return payload
@@ -212,8 +209,6 @@ class CompiledModel:
         metadata: Dict[str, object] = {}
         metadata.update(payload.get("program") or {})
         metadata.update(payload.get("result") or {})
-        if "auto_sweep" in payload:
-            metadata["auto_sweep"] = payload["auto_sweep"]
         if "tuner" in payload:
             metadata["tuner"] = payload["tuner"]
         plan_payload = payload.get("plan")
@@ -558,42 +553,9 @@ def _compile_auto(
     )
     best = result.best
     assert best is not None  # tune() raises when nothing is viable
-    # The legacy sweep record: one entry per attempted candidate (screened
-    # ones count as OOM with their reason; budget-skipped ones never ran
-    # and live only in metadata["tuner"]).
-    sweep: List[Dict[str, object]] = []
-    for outcome in result.outcomes:
-        if outcome.status == "evaluated":
-            sweep.append(
-                {
-                    "strategy": outcome.strategy,
-                    "iteration_time": outcome.iteration_time,
-                    "oom": outcome.oom,
-                }
-            )
-        elif outcome.status == "screened":
-            sweep.append(
-                {
-                    "strategy": outcome.strategy,
-                    "oom": True,
-                    "screened": outcome.reason,
-                }
-            )
-        elif outcome.status == "error":
-            sweep.append({"strategy": outcome.strategy, "error": outcome.reason})
-    best.metadata["auto_sweep"] = sweep
     best.metadata["tuner"] = result.to_dict()
     if executor is not None:
         # A profiling executor saw every candidate; re-snapshot so the
         # winner's profile covers the whole sweep.
         _attach_profile(best, executor)
     return best
-
-
-def warn_legacy_api(old: str, new: str) -> None:
-    """Deprecation pointer from a legacy surface to its strategy spelling."""
-    warnings.warn(
-        f"{old} is deprecated; use {new}",
-        DeprecationWarning,
-        stacklevel=3,
-    )

@@ -4,6 +4,7 @@ from repro.interval.analysis import AccessSummary, DimAccess, analyze, analyze_c
 from repro.interval.strategies import (
     PartitionStrategy,
     bind_extents,
+    describe_operator,
     discover_strategies,
     worker_input_elements,
     worker_output_elements,
@@ -19,6 +20,7 @@ __all__ = [
     "analyze",
     "analyze_cached",
     "bind_extents",
+    "describe_operator",
     "discover_strategies",
     "worker_input_elements",
     "worker_output_elements",

@@ -20,7 +20,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import NoStrategyError, TDLError
 from repro.interval.analysis import AccessSummary, analyze_cached
+from repro.ops.registry import get_op
 from repro.tdl.lang import TDLOperator
+from repro.tdl.registry import get_description
 
 
 @dataclass(frozen=True)
@@ -117,6 +119,23 @@ def discover_strategies(
             f"operator {summary.op_name!r} has no viable partition strategy"
         )
     return strategies
+
+
+def describe_operator(op_name: str) -> List[PartitionStrategy]:
+    """Partition strategies of a registered operator, from its TDL description.
+
+    Raises :class:`TDLError` naming the operator when it has no TDL
+    description — whether it is an undescribable operator class (Sec 4.1) or
+    an element-wise operator registered without one — and
+    :class:`UnknownOperatorError` when the name is not registered at all.
+    """
+    op = get_op(op_name)
+    description = get_description(op_name)
+    if description is None and op.elementwise:
+        description = op.tdl
+    if description is None:
+        raise TDLError(f"operator {op_name!r} has no TDL description")
+    return discover_strategies(description)
 
 
 # --------------------------------------------------------------------------

@@ -118,8 +118,8 @@ def plan_cache_key(
         "explore_factor_orders": bool(explore_factor_orders),
     }
     if strategy is not None:
-        # Only present for strategy-routed requests, so legacy callers (and
-        # their pre-existing on-disk stores) keep their exact keys.
+        # Only present for strategy-routed requests; a direct Planner.plan
+        # call (the CLI's `partition` command) is keyed without one.
         to_dict = getattr(strategy, "to_dict", None)
         fields["strategy"] = to_dict() if callable(to_dict) else strategy
     if cost_model is not None:

@@ -11,8 +11,8 @@ a production planner needs:
 * parallel candidate search (:mod:`repro.planner.parallel`) fanning
   alternative worker factorisations across a process pool.
 
-``repro.api`` keeps its original ``partition_graph`` / ``partition_and_simulate``
-signatures as thin shims over a process-wide default planner.
+``repro.compile`` plans through the process-wide :func:`default_planner`
+unless it is handed a planner of its own.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from repro.partition.plan import PartitionPlan, factorize_workers
 from repro.planner.backends import get_backend
 from repro.planner.cache import PlanCache, plan_cache_key
 from repro.planner.parallel import candidate_factorizations, search_candidates
-from repro.runtime.core import Executor, SimulationReport
-from repro.sim.device import Topology, k80_8gpu_machine
+from repro.runtime.core import SimulationReport
+from repro.sim.device import Topology
 
 __all__ = [
     "Planner",
@@ -113,8 +113,7 @@ class Planner:
         backend config) is cached; a second call with equal inputs returns an
         equal plan without re-running the search.  ``machine`` is part of the
         cache key even though the built-in backends are machine-agnostic (a
-        cost-model-aware backend need not be), so pass the same value to
-        ``plan`` and ``plan_and_simulate`` to share entries between them.
+        cost-model-aware backend need not be).
         ``strategy`` — the full :class:`repro.strategy.Strategy` when the
         request came through ``repro.compile`` — is folded into the cache key
         so differently-composed strategies never collide on one entry.
@@ -194,43 +193,6 @@ class Planner:
         plan.search_time_seconds = time.perf_counter() - start
         return plan
 
-    # ------------------------------------------------------------- simulate
-    def plan_and_simulate(
-        self,
-        graph: Graph,
-        num_workers: int = 8,
-        machine: Optional[Topology] = None,
-        *,
-        plan: Optional[PartitionPlan] = None,
-        backend: Optional[str] = None,
-        backend_options: Optional[Mapping[str, object]] = None,
-        fuse_remote_fetch: bool = True,
-        add_control_dependencies: bool = True,
-        spread_reduction: bool = True,
-    ) -> SimulationReport:
-        """Plan ``graph``, then lower and simulate it through the
-        :class:`repro.runtime.Executor` (``tofu-partitioned`` backend)."""
-        machine = machine or k80_8gpu_machine(num_workers)
-        if plan is None:
-            plan = self.plan(
-                graph,
-                num_workers,
-                machine=machine,
-                backend=backend,
-                backend_options=backend_options,
-            )
-        return Executor().run(
-            graph,
-            plan=plan,
-            machine=machine,
-            backend="tofu-partitioned",
-            backend_options={
-                "fuse_remote_fetch": fuse_remote_fetch,
-                "add_control_dependencies": add_control_dependencies,
-                "spread_reduction": spread_reduction,
-            },
-        )
-
     # ------------------------------------------------------------ utilities
     def cache_info(self) -> Dict[str, int]:
         """``{"hits": ..., "misses": ..., "size": ...}`` for this planner."""
@@ -245,11 +207,8 @@ _DEFAULT_PLANNER: Optional[Planner] = None
 
 
 def default_planner() -> Planner:
-    """The process-wide planner behind the ``repro.api`` shims.
-
-    Sharing one planner (and thus one cache) means every caller of the legacy
-    API benefits from memoised plans automatically.
-    """
+    """The process-wide planner ``repro.compile`` and the autotuner fall
+    back to, so repeated compiles share one plan cache."""
     global _DEFAULT_PLANNER
     if _DEFAULT_PLANNER is None:
         _DEFAULT_PLANNER = Planner()

@@ -376,7 +376,7 @@ _DEFAULT_EXECUTOR: Optional[Executor] = None
 
 
 def default_executor() -> Executor:
-    """The process-wide executor behind the legacy convenience entry points."""
+    """A process-wide executor, for callers that want one shared instance."""
     global _DEFAULT_EXECUTOR
     if _DEFAULT_EXECUTOR is None:
         _DEFAULT_EXECUTOR = Executor()

@@ -2,8 +2,7 @@
 
 Every execution backend lowers a dataflow graph to simulator tasks through
 the same small set of stages; keeping them here (instead of re-implementing
-them per builder, as the pre-refactor ``sim/tasks.py`` / ``partition/apply.py``
-did) makes each stage independently testable and reusable:
+them per backend) makes each stage independently testable and reusable:
 
 * **Topo scheduling** — :func:`scheduled_nodes` fixes the execution order;
   :func:`producer_deps` derives a node's compute dependencies from tensor
@@ -229,9 +228,9 @@ def round_robin_layer_placement(graph: Graph, num_devices: int) -> Dict[str, int
     """Round-robin layers across devices; backward/optimiser nodes follow
     their forward layer (the Operator-Placement policy of Sec 7.1).
 
-    The one authority for the policy: both the ``placement`` strategy leaf
-    and the Operator-Placement baseline evaluator delegate here, so they can
-    never silently diverge.
+    The one authority for the policy: the ``placement`` strategy leaf
+    (which the Operator-Placement baseline compiles) and the CLI's
+    ``simulate --executor placement`` both call it.
     """
     layer_of_node = full_layer_assignment(graph)
     return {

@@ -9,13 +9,6 @@ from repro.sim.costmodel import (
 from repro.sim.device import DeviceSpec, GiB, MachineSpec, k80_8gpu_machine, v100_machine
 from repro.sim.engine import HOST_DEVICE, SimResult, Task, TaskGraphSimulator
 from repro.sim.swap import SwapResult, simulate_with_swapping
-from repro.sim.tasks import (
-    data_parallel_tasks,
-    placement_memory,
-    placement_tasks,
-    single_device_memory,
-    single_device_tasks,
-)
 
 __all__ = [
     "CATEGORY_EFFICIENCY",
@@ -27,15 +20,10 @@ __all__ = [
     "SwapResult",
     "Task",
     "TaskGraphSimulator",
-    "data_parallel_tasks",
     "graph_compute_time",
     "k80_8gpu_machine",
     "kernel_time",
     "node_kernel_time",
-    "placement_memory",
-    "placement_tasks",
     "simulate_with_swapping",
-    "single_device_memory",
-    "single_device_tasks",
     "v100_machine",
 ]

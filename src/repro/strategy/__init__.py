@@ -7,7 +7,8 @@ string form (:func:`parse` / ``str``), dict serialization
 (:meth:`Strategy.to_dict` / :meth:`Strategy.from_dict`) and a content
 address (:meth:`Strategy.signature`).  :func:`repro.compile` interprets a
 strategy onto the planner + runtime machinery via
-:func:`lower_strategy`; ``strategy="auto"`` sweeps :func:`auto_candidates`.
+:func:`lower_strategy`; ``strategy="auto"`` hands the choice to the
+autotuner (:mod:`repro.tuner`).
 """
 
 from repro.strategy.algebra import (
@@ -25,7 +26,6 @@ from repro.strategy.algebra import (
     swap,
     tofu,
 )
-from repro.strategy.auto import auto_candidates
 from repro.strategy.lowering import StrategyLowering, lower_strategy, weight_shards
 
 # The root namespace re-exports the parser under an unambiguous name.
@@ -35,7 +35,6 @@ __all__ = [
     "PIPELINE_SCHEDULES",
     "Strategy",
     "StrategyLowering",
-    "auto_candidates",
     "combinator_descriptions",
     "combinator_names",
     "dp",

@@ -46,7 +46,7 @@ from repro.strategy.algebra import (
     normalize,
 )
 
-__all__ = ["StrategyLowering", "lower_strategy", "weight_shards"]
+__all__ = ["StrategyLowering", "lower_strategy", "persistent_bytes", "weight_shards"]
 
 
 @dataclass
@@ -96,14 +96,6 @@ class StrategyLowering:
         return "\n".join(parts)
 
 
-def _round_robin_placement(graph: Graph, num_devices: int) -> Dict[str, int]:
-    # Imported lazily: runtime.passes pulls in the cost model, which the
-    # pure algebra/parser path never needs.
-    from repro.runtime.passes import round_robin_layer_placement
-
-    return round_robin_layer_placement(graph, num_devices)
-
-
 def _lower_node(
     node: Strategy, machine: Topology, graph: Optional[Graph]
 ) -> StrategyLowering:
@@ -121,7 +113,11 @@ def _lower_node(
     if isinstance(node, Placement):
         options: Dict[str, object] = {}
         if graph is not None:
-            options["device_of_node"] = _round_robin_placement(
+            # Imported lazily: runtime.passes pulls in the cost model, which
+            # the pure algebra/parser path never needs.
+            from repro.runtime.passes import round_robin_layer_placement
+
+            options["device_of_node"] = round_robin_layer_placement(
                 graph, machine.num_devices
             )
         return StrategyLowering(node, "placement", options)
@@ -238,9 +234,8 @@ def weight_shards(strategy: Strategy, machine: Topology) -> int:
 
     ``machines`` scopes the hardware and ``dp`` replicates weights (no
     sharding); ``pipeline`` stages, ``tofu`` partitions, and layer-wise
-    ``placement`` split them.  The batch-search evaluators use this to
-    estimate the persistent per-device footprint (``3 W / shards``) before
-    probing.
+    ``placement`` split them.  :func:`persistent_bytes` divides the
+    persistent footprint by this count.
     """
     root = normalize(strategy)
     devices = machine.num_devices
@@ -259,3 +254,17 @@ def weight_shards(strategy: Strategy, machine: Topology) -> int:
             shards *= max(1, devices)
             devices = 1
     return max(1, shards)
+
+
+#: Persistent bytes per weight byte: the weight, its gradient and the
+#: optimiser history (the paper's 3W rule).
+PERSISTENT_FACTOR = 3.0
+
+
+def persistent_bytes(weight_bytes: float, strategy: Strategy, machine: Topology) -> float:
+    """Per-device persistent state of ``strategy``: ``3 W / shards``.
+
+    The footprint estimate both the autotuner's static screen and the
+    batch-search evaluators make before lowering anything.
+    """
+    return PERSISTENT_FACTOR * weight_bytes / weight_shards(strategy, machine)

@@ -1,11 +1,9 @@
 """Candidate generation over the full strategy algebra.
 
-Where :func:`repro.strategy.auto_candidates` enumerates a deliberately small
-fixed sweep (one schedule, one micro-batch count), the tuner's grid spans
-every axis the algebra exposes — machine scopes × replica groups × pipeline
-stage counts × micro-batch counts × schedules × partition-search backends —
-and relies on the tuner's staged screening plus an explicit
-:class:`repro.tuner.TunerBudget` to keep the sweep affordable.
+The grid spans every axis the strategy algebra exposes — machine scopes ×
+replica groups × pipeline stage counts × micro-batch counts × schedules ×
+partition-search backends — and relies on the tuner's staged screening plus
+an explicit :class:`repro.tuner.TunerBudget` to keep the sweep affordable.
 
 The grid is *heterogeneity-aware*: generation reads the per-machine device
 counts and aggregate speeds from the :class:`repro.sim.device.ClusterSpec`

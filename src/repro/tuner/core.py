@@ -47,7 +47,7 @@ from repro.planner.parallel import mp_context
 from repro.runtime.core import Executor
 from repro.sim.device import Topology, machine_from_dict, machine_to_dict
 from repro.strategy.algebra import Machines, Strategy, normalize, parse
-from repro.strategy.lowering import weight_shards
+from repro.strategy.lowering import persistent_bytes, weight_shards
 from repro.tuner.budget import TunerBudget
 from repro.tuner.candidates import (
     DEFAULT_MICROBATCHES,
@@ -66,10 +66,6 @@ from repro.tuner.result import (
 )
 
 __all__ = ["Tuner"]
-
-# The paper-style persistent footprint multiplier: weights + gradients +
-# optimiser state (the same 3 W / shards the batch-search evaluators use).
-PERSISTENT_FACTOR = 3.0
 
 
 def _machines_used(strategy: Strategy, machine: Topology) -> int:
@@ -95,8 +91,7 @@ def static_screen(
     capacity = max(
         machine.device(i).memory_bytes for i in range(machine.num_devices)
     )
-    shards = weight_shards(strategy, machine)
-    persistent = PERSISTENT_FACTOR * graph.weight_bytes() / shards
+    persistent = persistent_bytes(graph.weight_bytes(), strategy, machine)
     if persistent <= capacity:
         return None
     perf.count("tuner.screened")
@@ -108,7 +103,7 @@ def static_screen(
         reason=(
             f"memory-estimate: persistent weights need "
             f"{persistent / gib:.2f} GiB per device across "
-            f"{shards} shard(s), device capacity is "
+            f"{weight_shards(strategy, machine)} shard(s), device capacity is "
             f"{capacity / gib:.2f} GiB"
         ),
         machine_count=_machines_used(strategy, machine),

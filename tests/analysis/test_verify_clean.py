@@ -5,7 +5,6 @@ it must never reject what the compiler actually produces)."""
 
 import pytest
 
-from repro.baselines.evaluation import round_robin_placement
 from repro.models.mlp import build_mlp
 from repro.planner import Planner, PlannerConfig
 from repro.runtime import (
@@ -14,6 +13,7 @@ from repro.runtime import (
     available_execution_backends,
     get_execution_backend,
 )
+from repro.runtime.passes import round_robin_layer_placement
 from repro.sim.device import cluster_of, k80_8gpu_machine, slice_topology
 
 MACHINES = {
@@ -38,7 +38,7 @@ def _backend_inputs(backend, bundle, machine, schedule="1f1b"):
             bundle.graph, num_devices, machine=machine
         )
     if backend == "placement":
-        options["device_of_node"] = round_robin_placement(bundle, num_devices)
+        options["device_of_node"] = round_robin_layer_placement(bundle.graph, num_devices)
     elif backend == "pipeline":
         options = {
             "num_stages": 2, "num_microbatches": 4, "schedule": schedule,

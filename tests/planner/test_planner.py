@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro
 from repro.errors import PartitionError
 from repro.partition.plan import (
     PartitionPlan,
@@ -100,20 +101,11 @@ class TestBackendRegistry:
             )
 
     def test_unsupported_option_rejected_cleanly(self, mlp_bundle):
-        from repro.api import partition_graph
-
         with pytest.raises(PartitionError, match="does not accept option"):
-            partition_graph(
-                mlp_bundle.graph, 4, allow_reduction=False, backend="spartan"
+            Planner().plan(
+                mlp_bundle.graph, 4, backend="spartan",
+                backend_options={"allow_reduction": False},
             )
-
-    def test_allow_reduction_false_is_redundant_for_icml18(self, mlp_bundle):
-        from repro.api import partition_graph
-
-        plan = partition_graph(
-            mlp_bundle.graph, 4, allow_reduction=False, backend="icml18"
-        )
-        assert plan.algorithm == "icml18"
 
 
 # ---------------------------------------------------------------------------
@@ -314,15 +306,15 @@ class TestCandidateSearch:
 # ---------------------------------------------------------------------------
 class TestPlannerFacade:
     def test_plan_and_simulate(self, mlp_bundle):
-        report = Planner().plan_and_simulate(mlp_bundle.graph, 4)
+        report = repro.compile(mlp_bundle.graph, num_workers=4, planner=Planner()).report
         assert report.result.iteration_time > 0
         assert report.throughput(mlp_bundle.batch_size) > 0
 
     def test_plan_and_simulate_reuses_cached_plan(self, mlp_bundle, counting_backend):
         planner = Planner(PlannerConfig(backend="counting"))
         machine = k80_8gpu_machine(4)
-        planner.plan(mlp_bundle.graph, 4, machine=machine)
-        planner.plan_and_simulate(mlp_bundle.graph, 4, machine)
+        repro.compile(mlp_bundle.graph, "tofu", machine, planner=planner)
+        repro.compile(mlp_bundle.graph, "tofu", machine, planner=planner)
         assert counting_backend["n"] == 1
 
     def test_default_planner_is_a_singleton(self):

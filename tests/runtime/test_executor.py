@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro
 from repro.cli import main as cli_main
 from repro.planner import Planner
 from repro.runtime import (
@@ -115,8 +116,8 @@ class TestExecutorFacade:
         assert "LoweredProgram" in summary
 
     def test_planner_report_unchanged_shape(self, mlp_bundle):
-        """The planner's plan_and_simulate still yields plan + partitioned."""
-        report = Planner().plan_and_simulate(mlp_bundle.graph, 4, MACHINE)
+        """A planned compile's report still yields plan + partitioned."""
+        report = repro.compile(mlp_bundle.graph, "tofu", MACHINE, planner=Planner()).report
         assert report.plan is not None
         assert report.partitioned is not None
         assert "PartitionPlan" in report.summary()

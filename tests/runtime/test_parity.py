@@ -1,27 +1,27 @@
-"""Parity of the refactored runtime with the pre-refactor lowering paths.
+"""Parity of the :class:`Executor` facade with the hand-wired lowering paths.
 
-The acceptance bar for the runtime refactor: every execution style routed
-through ``Executor.run`` must reproduce the simulated iteration time and the
-peak-memory report of the original hand-wired builders, on both the MLP and
-the RNN fixtures.
+Every execution style routed through ``Executor.run`` (or ``repro.compile``)
+must reproduce the simulated iteration time and the peak-memory report of
+calling its lowering function and the simulator directly, on both the MLP
+and the RNN fixtures.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.api import partition_and_simulate
+import repro
 from repro.partition.apply import generate_partitioned_graph
 from repro.partition.recursive import recursive_partition
 from repro.runtime import Executor
+from repro.runtime.backends import (
+    lower_data_parallel,
+    lower_placement,
+    lower_single_device,
+)
 from repro.sim.device import k80_8gpu_machine
 from repro.sim.engine import TaskGraphSimulator
 from repro.sim.swap import simulate_with_swapping
-from repro.sim.tasks import (
-    data_parallel_tasks,
-    placement_tasks,
-    single_device_tasks,
-)
 from repro.models.mlp import build_mlp
 
 MACHINE = k80_8gpu_machine(4)
@@ -36,7 +36,7 @@ def bundle(request):
 
 class TestBackendParity:
     def test_single_device(self, bundle):
-        tasks = single_device_tasks(bundle.graph, MACHINE)
+        tasks = lower_single_device(bundle.graph, MACHINE).tasks
         direct = TaskGraphSimulator(MACHINE).run(tasks, check_memory=False)
         report = Executor().run(
             bundle.graph,
@@ -52,7 +52,8 @@ class TestBackendParity:
             node: bundle.layer_of_node.get(node, 0) % 4
             for node in bundle.graph.nodes
         }
-        tasks, memory = placement_tasks(bundle.graph, MACHINE, device_of_node)
+        program = lower_placement(bundle.graph, MACHINE, device_of_node=device_of_node)
+        tasks, memory = program.tasks, program.per_device_memory
         direct = TaskGraphSimulator(MACHINE).run(tasks, peak_memory=memory)
         report = Executor().run(
             bundle.graph,
@@ -65,7 +66,8 @@ class TestBackendParity:
         assert report.result.total_comm_bytes == direct.total_comm_bytes
 
     def test_data_parallel(self, bundle):
-        tasks, memory = data_parallel_tasks(bundle.graph, MACHINE)
+        program = lower_data_parallel(bundle.graph, MACHINE)
+        tasks, memory = program.tasks, program.per_device_memory
         direct = TaskGraphSimulator(MACHINE).run(tasks, peak_memory=memory)
         report = Executor().run(
             bundle.graph, machine=MACHINE, backend="data-parallel"
@@ -146,7 +148,7 @@ class TestFacadeParity:
         direct = TaskGraphSimulator(MACHINE).run(
             dist.tasks, peak_memory=dist.per_device_memory
         )
-        report = partition_and_simulate(bundle.graph, 4, MACHINE, plan=plan)
+        report = repro.compile(bundle.graph, "tofu", MACHINE, plan=plan).report
         assert report.result.iteration_time == direct.iteration_time
         assert report.result.peak_memory == dist.per_device_memory
 
@@ -161,7 +163,7 @@ class TestFacadeParity:
         # The fixture bundles have fixed batch sizes; pin the evaluator's
         # batch maths by calling with global batch = num * fixture batch.
         ideal = evaluate_ideal(lambda b: bundle, bundle.batch_size * num, machine)
-        tasks = single_device_tasks(bundle.graph, machine)
+        tasks = lower_single_device(bundle.graph, machine).tasks
         direct = TaskGraphSimulator(machine).run(tasks, check_memory=False)
         assert ideal.iteration_time == direct.iteration_time
         assert ideal.throughput == pytest.approx(

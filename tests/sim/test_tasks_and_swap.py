@@ -1,31 +1,31 @@
-"""Tests for task-graph builders and the swapping executor."""
+"""Tests for the task-graph lowering backends and the swapping executor."""
 
 import pytest
 
 from repro.graph.memory_planner import plan_memory
 from repro.models.mlp import build_mlp
+from repro.runtime.backends import (
+    lower_data_parallel,
+    lower_placement,
+    lower_single_device,
+    placement_memory_report,
+)
+from repro.runtime.passes import device_memory_report
 from repro.sim.device import k80_8gpu_machine
 from repro.sim.engine import TaskGraphSimulator
 from repro.sim.swap import simulate_with_swapping
-from repro.sim.tasks import (
-    data_parallel_tasks,
-    placement_memory,
-    placement_tasks,
-    single_device_memory,
-    single_device_tasks,
-)
 
 
 class TestSingleDevice:
     def test_tasks_match_nodes(self, mlp_bundle):
         machine = k80_8gpu_machine()
-        tasks = single_device_tasks(mlp_bundle.graph, machine)
+        tasks = lower_single_device(mlp_bundle.graph, machine).tasks
         assert set(tasks) == set(mlp_bundle.graph.nodes)
         result = TaskGraphSimulator(machine).run(tasks, check_memory=False)
         assert result.iteration_time > 0
 
     def test_memory_matches_planner(self, mlp_bundle):
-        memory = single_device_memory(mlp_bundle.graph)
+        memory = device_memory_report(mlp_bundle.graph, [0])
         assert memory[0] == plan_memory(mlp_bundle.graph).peak_bytes
 
 
@@ -36,7 +36,8 @@ class TestPlacement:
             node: mlp_bundle.layer_of_node.get(node, 0) % 4
             for node in mlp_bundle.graph.nodes
         }
-        tasks, memory = placement_tasks(mlp_bundle.graph, machine, device_of_node)
+        program = lower_placement(mlp_bundle.graph, machine, device_of_node=device_of_node)
+        tasks, memory = program.tasks, program.per_device_memory
         devices_used = {t.device for t in tasks.values()}
         assert len(devices_used) > 1
         result = TaskGraphSimulator(machine).run(tasks, peak_memory=memory)
@@ -49,7 +50,7 @@ class TestPlacement:
             node: mlp_bundle.layer_of_node.get(node, 0) % 4
             for node in mlp_bundle.graph.nodes
         }
-        memory = placement_memory(mlp_bundle.graph, device_of_node, 4)
+        memory = placement_memory_report(mlp_bundle.graph, device_of_node, 4)
         assert sum(memory.values()) == pytest.approx(
             plan_memory(mlp_bundle.graph).peak_bytes, rel=0.01
         )
@@ -57,14 +58,17 @@ class TestPlacement:
     def test_single_device_placement_has_no_comm(self, mlp_bundle):
         machine = k80_8gpu_machine(2)
         device_of_node = {node: 0 for node in mlp_bundle.graph.nodes}
-        tasks, _ = placement_tasks(mlp_bundle.graph, machine, device_of_node)
+        tasks = lower_placement(
+            mlp_bundle.graph, machine, device_of_node=device_of_node
+        ).tasks
         assert all(t.kind == "compute" for t in tasks.values())
 
 
 class TestDataParallel:
     def test_allreduce_volume(self, mlp_bundle):
         machine = k80_8gpu_machine(4)
-        tasks, memory = data_parallel_tasks(mlp_bundle.graph, machine)
+        program = lower_data_parallel(mlp_bundle.graph, machine)
+        tasks, memory = program.tasks, program.per_device_memory
         result = TaskGraphSimulator(machine).run(tasks, peak_memory=memory)
         weight_bytes = mlp_bundle.graph.weight_bytes()
         expected = 4 * 2 * (4 - 1) / 4 * weight_bytes

@@ -7,7 +7,6 @@ from repro.errors import StrategyError
 from repro.sim.device import k80_8gpu_machine
 from repro.strategy import (
     Strategy,
-    auto_candidates,
     dp,
     lower_strategy,
     normalize,
@@ -19,6 +18,7 @@ from repro.strategy import (
     tofu,
     weight_shards,
 )
+from repro.tuner import TunerBudget, tuner_candidates
 
 # A representative sample of the expression space (leaves, one wrapper,
 # composed chains, non-default parameters).
@@ -225,17 +225,20 @@ class TestLowering:
 
 
 class TestAutoCandidates:
+    """``strategy="auto"`` sweeps the autotuner's grid under a budget."""
+
     def test_always_contains_tofu_and_single(self):
-        candidates = auto_candidates(k80_8gpu_machine())
-        texts = {str(c) for c in candidates}
-        assert "tofu" in texts and "single" in texts
+        candidates = tuner_candidates(k80_8gpu_machine())
+        assert [str(c) for c in candidates[:2]] == ["tofu", "single"]
 
     def test_candidates_are_unique_and_bounded(self):
-        candidates = auto_candidates(k80_8gpu_machine(), max_candidates=5)
-        assert len(candidates) == 5
-        assert len({str(c) for c in candidates}) == 5
+        admitted, cut = TunerBudget(max_candidates=5).split(
+            tuner_candidates(k80_8gpu_machine())
+        )
+        assert len(admitted) == 5 and cut
+        assert len({str(c) for c in admitted}) == 5
 
     def test_composed_candidates_respect_device_divisibility(self):
         machine = k80_8gpu_machine(8)
-        for candidate in auto_candidates(machine):
+        for candidate in tuner_candidates(machine):
             lower_strategy(candidate, machine)  # must not raise

@@ -1,13 +1,12 @@
 """Tests for ``repro.compile``: backend parity, auto sweep, save/load,
-strategy-aware plan-cache keys, and the legacy-API deprecation path."""
+and strategy-aware plan-cache keys."""
 
 import warnings
 
 import pytest
 
 import repro
-from repro.api import partition_and_simulate
-from repro.compiler import CompiledModel, compile_model
+from repro.compiler import CompiledModel
 from repro.errors import StrategyError, TDLError, UnknownOperatorError
 from repro.planner import Planner, PlannerConfig, plan_cache_key
 from repro.partition.plan import factorize_workers
@@ -171,8 +170,8 @@ class TestAuto:
         )
         assert auto.iteration_time <= plain.iteration_time
         assert not auto.oom
-        sweep = auto.metadata["auto_sweep"]
-        assert any(entry["strategy"] == "tofu" for entry in sweep)
+        outcomes = auto.metadata["tuner"]["outcomes"]
+        assert any(outcome["strategy"] == "tofu" for outcome in outcomes)
 
     def test_auto_with_explicit_candidates(self, mlp_bundle):
         model = repro.compile(
@@ -180,15 +179,15 @@ class TestAuto:
             candidates=["single", dp(2) / tofu()],
         )
         assert str(model.strategy) in {"single", "dp:2/tofu"}
-        assert len(model.metadata["auto_sweep"]) == 2
+        assert len(model.metadata["tuner"]["outcomes"]) == 2
 
     def test_auto_records_failed_candidates(self, mlp_bundle):
         model = repro.compile(
             mlp_bundle.graph, "auto", MACHINE,
             candidates=["single", "pipeline:128:1f1b:4"],
         )
-        sweep = model.metadata["auto_sweep"]
-        assert any("error" in entry for entry in sweep)
+        outcomes = model.metadata["tuner"]["outcomes"]
+        assert any(outcome["status"] == "error" for outcome in outcomes)
         assert str(model.strategy) == "single"
 
     def test_auto_with_no_viable_candidate_raises(self, mlp_bundle):
@@ -284,18 +283,6 @@ class TestStrategyCacheKey:
         planner.plan(mlp_bundle.graph, 2, strategy=s1)
         assert planner.cache_info()["hits"] == 1
 
-    def test_partition_graph_keeps_legacy_cache_key(self, mlp_bundle):
-        """partition_graph shares cache entries with direct Planner.plan
-        calls (no machine, no strategy in the key) — pre-PR on-disk stores
-        stay warm across the upgrade."""
-        from repro.api import partition_graph
-
-        planner = Planner()
-        partition_graph(mlp_bundle.graph, 4, planner=planner)
-        before = planner.cache_info()["hits"]
-        planner.plan(mlp_bundle.graph, 4, backend="tofu")
-        assert planner.cache_info()["hits"] == before + 1
-
     def test_repeated_compile_hits_the_cache(self, mlp_bundle):
         planner = Planner()
         repro.compile(mlp_bundle.graph, "dp:2/tofu", MACHINE, planner=planner)
@@ -305,56 +292,16 @@ class TestStrategyCacheKey:
 
 
 class TestLegacyDeprecation:
-    def test_backend_kwarg_warns_and_matches_strategy(self, mlp_bundle):
-        with pytest.warns(DeprecationWarning, match='strategy="tofu:spartan"'):
-            legacy = partition_and_simulate(
-                mlp_bundle.graph, 4, backend="spartan"
-            )
-        model = compile_model(mlp_bundle.graph, "tofu:spartan", num_workers=4)
-        assert legacy.result.iteration_time == model.iteration_time
-
-    def test_execution_kwargs_warn_and_match_backend_options(self, mlp_bundle):
-        with pytest.warns(DeprecationWarning, match="backend_options"):
-            legacy = partition_and_simulate(
-                mlp_bundle.graph, 4, fuse_remote_fetch=False
-            )
-        model = compile_model(
-            mlp_bundle.graph, "tofu", num_workers=4,
-            backend_options={"fuse_remote_fetch": False},
-        )
-        assert legacy.result.iteration_time == model.iteration_time
+    """The pre-``compile`` entry points are gone, and so is every
+    deprecation path: a default compile warns about nothing."""
 
     def test_default_call_does_not_warn(self, mlp_bundle):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            report = partition_and_simulate(mlp_bundle.graph, 4)
+            report = repro.compile(mlp_bundle.graph, num_workers=4).report
         assert report.result.iteration_time > 0
-
-    def test_one_worker_keeps_tofu_partitioned_contract(self, mlp_bundle):
-        """Legacy parity: one worker still plans and runs tofu-partitioned
-        (the strategy lowering's single-device degeneration is compile-only),
-        and the execution kwargs stay accepted."""
-        report = partition_and_simulate(mlp_bundle.graph, 1)
-        assert report.plan is not None and report.plan.num_workers == 1
-        assert report.program.backend == "tofu-partitioned"
-        with pytest.warns(DeprecationWarning):
-            tweaked = partition_and_simulate(
-                mlp_bundle.graph, 1, fuse_remote_fetch=False
-            )
-        assert tweaked.program.backend == "tofu-partitioned"
-
-    def test_machine_mismatch_plans_against_callers_machine(self, mlp_bundle):
-        """Legacy semantics: workers=2 on an 8-device machine searches a
-        2-worker plan keyed on the caller's machine (shared cache entry)."""
-        planner = Planner()
-        machine = k80_8gpu_machine(8)
-        report = partition_and_simulate(
-            mlp_bundle.graph, 2, machine, planner=planner
-        )
-        assert report.plan.num_workers == 2
-        before = planner.cache_info()["hits"]
-        planner.plan(mlp_bundle.graph, 2, machine=machine, backend="tofu")
-        assert planner.cache_info()["hits"] == before + 1
+        assert not hasattr(repro, "partition_and_simulate")
+        assert not hasattr(repro, "partition_graph")
 
 
 class TestDescribeOperatorErrors:

@@ -14,7 +14,6 @@ from repro.planner import Planner, plan_cache_key
 from repro.sim.device import ClusterSpec, cluster_of, k80_8gpu_machine
 from repro.strategy import (
     Strategy,
-    auto_candidates,
     dp,
     lower_strategy,
     machines,
@@ -24,6 +23,7 @@ from repro.strategy import (
     tofu,
     weight_shards,
 )
+from repro.tuner import tuner_candidates
 
 CLUSTER = cluster_of(k80_8gpu_machine(2), 2)
 
@@ -186,13 +186,13 @@ class TestCompile:
 class TestAutoSweep:
     def test_flat_machine_candidates_unchanged(self):
         machine = k80_8gpu_machine(4)
-        candidates = [str(c) for c in auto_candidates(machine)]
+        candidates = [str(c) for c in tuner_candidates(machine)]
         assert "tofu" in candidates and "single" in candidates
         assert all("machines" not in c for c in candidates)
 
     def test_cluster_sweep_covers_machine_counts(self):
         four = cluster_of(k80_8gpu_machine(2), 4)
-        candidates = [str(c) for c in auto_candidates(four, max_candidates=32)]
+        candidates = [str(c) for c in tuner_candidates(four)]
         assert candidates[0] == "tofu"  # never lost to the budget
         assert "machines:2/tofu" in candidates
         assert "machines:4/tofu" in candidates
@@ -204,8 +204,8 @@ class TestAutoSweep:
             mlp_bundle.graph, "auto", CLUSTER,
             candidates=["tofu", "machines:2/dp:2/tofu"],
         )
-        sweep = model.metadata["auto_sweep"]
-        assert {entry["strategy"] for entry in sweep} == {
+        outcomes = model.metadata["tuner"]["outcomes"]
+        assert {outcome["strategy"] for outcome in outcomes} == {
             "tofu", "machines:2/dp:2/tofu",
         }
-        assert all("error" not in entry for entry in sweep)
+        assert all(outcome["status"] != "error" for outcome in outcomes)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro import describe_operator, partition_and_simulate, partition_graph
+import repro
+from repro import describe_operator
 from repro.cli import main as cli_main
 
 
@@ -21,31 +22,37 @@ class TestAPI:
             describe_operator("no_such_operator")
 
     def test_partition_graph(self, mlp_bundle):
-        plan = partition_graph(mlp_bundle.graph, 4)
+        plan = repro.compile(mlp_bundle.graph, num_workers=4, simulate=False).plan
         assert plan.num_workers == 4
         assert plan.total_comm_bytes >= 0
 
     def test_partition_and_simulate(self, mlp_bundle):
-        report = partition_and_simulate(mlp_bundle.graph, 4)
+        report = repro.compile(mlp_bundle.graph, num_workers=4).report
         assert report.result.iteration_time > 0
         assert report.throughput(mlp_bundle.batch_size) > 0
         assert "PartitionPlan" in report.summary()
 
     def test_partition_and_simulate_with_precomputed_plan(self, mlp_bundle):
-        plan = partition_graph(mlp_bundle.graph, 4)
-        report = partition_and_simulate(mlp_bundle.graph, 4, plan=plan)
+        plan = repro.compile(mlp_bundle.graph, num_workers=4, simulate=False).plan
+        # A program-cache hit would rebuild the plan object; lower afresh.
+        executor = repro.Executor(repro.ExecutorConfig(cache_programs=False))
+        report = repro.compile(
+            mlp_bundle.graph, num_workers=4, plan=plan, executor=executor
+        ).report
         assert report.plan is plan
 
     def test_partition_graph_with_alternative_backend(self, mlp_bundle):
-        plan = partition_graph(mlp_bundle.graph, 4, backend="spartan")
+        plan = repro.compile(
+            mlp_bundle.graph, "tofu:spartan", num_workers=4, simulate=False
+        ).plan
         assert plan.algorithm == "spartan"
 
     def test_partition_graph_goes_through_default_planner_cache(self, mlp_bundle):
         from repro.planner import default_planner
 
         before = default_planner().cache_info()["hits"]
-        partition_graph(mlp_bundle.graph, 2)
-        partition_graph(mlp_bundle.graph, 2)
+        repro.compile(mlp_bundle.graph, num_workers=2, simulate=False)
+        repro.compile(mlp_bundle.graph, num_workers=2, simulate=False)
         assert default_planner().cache_info()["hits"] >= before + 1
 
 

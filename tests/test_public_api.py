@@ -52,8 +52,6 @@ REPRO_EXPORTS = [
     "dp",
     "machines",
     "parse_strategy",
-    "partition_and_simulate",
-    "partition_graph",
     "pipeline",
     "placement",
     "register_backend",
@@ -68,7 +66,6 @@ STRATEGY_EXPORTS = [
     "PIPELINE_SCHEDULES",
     "Strategy",
     "StrategyLowering",
-    "auto_candidates",
     "combinator_descriptions",
     "combinator_names",
     "dp",

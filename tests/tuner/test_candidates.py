@@ -46,10 +46,10 @@ class TestGrid:
         assert "dp:2/pipeline:2:1f1b:4/tofu" in pool  # composed axis
 
     def test_grid_is_wider_than_the_legacy_auto_sweep(self):
-        from repro.strategy import auto_candidates
+        from repro.compiler import AUTO_MAX_CANDIDATES
 
         machine = k80_8gpu_machine(8)
-        assert len(tuner_candidates(machine)) > len(auto_candidates(machine))
+        assert len(tuner_candidates(machine)) > AUTO_MAX_CANDIDATES
 
     def test_search_backend_axis(self):
         pool = [

@@ -202,9 +202,9 @@ class TestCompileIntegration:
         model = repro_compile(
             graph, "auto", machine, tuner=Tuner(budget=BUDGET)
         )
-        sweep = model.metadata["auto_sweep"]
-        screened = [e for e in sweep if "screened" in e]
-        assert screened and all(e["oom"] for e in screened)
+        outcomes = model.metadata["tuner"]["outcomes"]
+        screened = [o for o in outcomes if o["status"] == "screened"]
+        assert screened and all(o["reason"] for o in screened)
 
 
 class TestProfile:

@@ -68,7 +68,6 @@ LAYERS = [
     "compiler",
     "tuner",
     "serve",
-    "api",
     "cli",
 ]
 RANK = {name: index for index, name in enumerate(LAYERS)}
