@@ -378,8 +378,10 @@ def evaluate_opplacement(
     """
 
     def add_overhead(program: LoweredProgram) -> None:
-        for task in program.tasks.values():
-            task.duration *= overhead_factor
+        for name, task in program.tasks.items():
+            program.tasks[name] = replace(
+                task, duration=task.duration * overhead_factor
+            )
         program.per_device_memory = {
             d: int(m * min(overhead_factor, 1.5))
             for d, m in program.per_device_memory.items()

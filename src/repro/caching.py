@@ -3,16 +3,16 @@
 Both content-addressed stores of the pipeline — the partition-plan cache
 (:mod:`repro.planner.cache`) and the lowered-program cache
 (:mod:`repro.runtime.cache`) — need exactly the same machinery: an in-memory
-LRU over JSON-serialisable payloads, an optional on-disk store (one file per
-key) with size accounting and least-recently-used eviction under a byte
-budget, hit/miss bookkeeping, and ``export``/``import`` bundles for moving a
-store between machines.  :class:`TwoTierCache` is that machinery, factored
-out once; the two caches subclass it with their payload codec and bundle
-format name.
+LRU, an optional on-disk store of JSON payloads (one file per key) with size
+accounting and least-recently-used eviction under a byte budget, hit/miss
+bookkeeping, and ``export``/``import`` bundles for moving a store between
+machines.  :class:`TwoTierCache` is that machinery, factored out once; the
+two caches subclass it with their entry codec and bundle format name.
 
 Content-address helpers (:func:`graph_signature`, :func:`machine_signature`,
 :func:`content_key`) also live here so both key schemes hash identical
-inputs identically.
+inputs identically.  :func:`graph_signature_scope` memoises graph
+signatures for the span of one compile.
 """
 
 from __future__ import annotations
@@ -25,7 +25,9 @@ import os
 import tempfile
 import threading
 from collections import OrderedDict
-from typing import Dict, Optional
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Any, Collection, Dict, Iterator, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.graph.graph import Graph
@@ -36,10 +38,44 @@ from repro.sim.device import Topology
 # ---------------------------------------------------------------------------
 # Content addressing
 # ---------------------------------------------------------------------------
+#: ``id(graph) -> (graph, signature)`` of the open :func:`graph_signature_scope`
+#: (``None`` outside one).  Holding the graph keeps its id from being reused
+#: while the scope is open.
+_SIGNATURES: ContextVar[Optional[Dict[int, Tuple[Graph, str]]]] = ContextVar(
+    "repro_graph_signatures", default=None
+)
+
+
+@contextmanager
+def graph_signature_scope() -> Iterator[None]:
+    """Memoise :func:`graph_signature` by graph identity while open.
+
+    ``repro.compile`` runs inside one, so its plan key, its program key and
+    every autotuner candidate share a single serialisation of the graph.
+    Graphs are mutable, so the memo lives exactly as long as the scope: a
+    graph edited between two compiles is serialised afresh.  A nested scope
+    reuses the outermost memo.  Also usable as a decorator.
+    """
+    if _SIGNATURES.get() is not None:
+        yield
+        return
+    token = _SIGNATURES.set({})
+    try:
+        yield
+    finally:
+        _SIGNATURES.reset(token)
+
+
 def graph_signature(graph: Graph) -> str:
     """Content hash of a graph (tensors, nodes, attrs, metadata)."""
+    memo = _SIGNATURES.get()
+    if memo is not None and id(graph) in memo:
+        return memo[id(graph)][1]
     payload = json.dumps(graph_to_dict(graph), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    signature = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    if memo is not None:
+        memo[id(graph)] = (graph, signature)
+    return signature
 
 
 def machine_signature(machine: Optional[Topology]) -> str:
@@ -68,8 +104,18 @@ def content_key(fields: Dict) -> str:
 # ---------------------------------------------------------------------------
 # The shared store
 # ---------------------------------------------------------------------------
+class _Payload:
+    """A memory-tier slot holding a payload not decoded yet (an entry
+    merged from a pool worker); the first lookup decodes it."""
+
+    __slots__ = ("payload",)
+
+    def __init__(self, payload: Dict):
+        self.payload = payload
+
+
 class TwoTierCache:
-    """In-memory LRU over JSON payload dicts, with an optional disk tier.
+    """In-memory LRU of entries, with an optional disk tier of payloads.
 
     Subclasses set three class attributes: ``export_format`` (the bundle
     format marker), ``export_version``, and ``payload_field`` (the JSON key
@@ -78,16 +124,19 @@ class TwoTierCache:
     pre-refactor on-disk layout byte-compatible), plus ``description`` for
     error messages.
 
-    Payloads are plain dictionaries; value↔payload conversion (e.g.
-    ``plan_to_dict``/``plan_from_dict``) belongs to the subclass, which keeps
-    the invariant that every hit reconstructs a fresh object — callers can
-    mutate what they get back without corrupting the store.
+    The memory tier holds *entries*; the disk tier, export bundles and
+    pool-worker deltas carry their JSON *payloads*.  :meth:`encode` and
+    :meth:`decode` convert between the two at that boundary only — the
+    default is the identity (entries are payload dicts, as for plans).
+    What a subclass hands out from an entry — a fresh object per hit, or
+    one sharing immutable parts — is its own contract.
 
     The store is thread-safe: one re-entrant lock guards the memory LRU and
     the disk accounting (eviction counter, budget sweeps), so the compile
     service's worker threads can share one cache.  Disk entry files were
     already safe (atomic tempfile + ``os.replace`` writes); the lock makes
-    the bookkeeping around them coherent too.
+    the bookkeeping around them coherent too.  Encoding and decoding run
+    outside the lock.
     """
 
     export_format: str = "tofu-cache"
@@ -105,8 +154,8 @@ class TwoTierCache:
         self.capacity = max(0, capacity)
         self.cache_dir = cache_dir
         self.max_bytes = max_bytes
-        self._memory: "OrderedDict[str, Dict]" = OrderedDict()
-        # Re-entrant: get_payload holds the lock while _memory_put runs.
+        self._memory: "OrderedDict[str, Any]" = OrderedDict()
+        # Re-entrant: info() holds the lock while hit_rate() takes it.
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
@@ -152,40 +201,74 @@ class TwoTierCache:
         """Total size of the on-disk store (0 without a disk tier)."""
         return sum(size for _, size, _ in self._disk_entries())
 
-    # ------------------------------------------------------------- payloads
-    def get_payload(self, key: str) -> Optional[Dict]:
-        """The stored payload under ``key`` (memory first, then disk)."""
+    # ---------------------------------------------------------------- codec
+    def encode(self, entry: Any) -> Dict:
+        """The JSON payload of a memory-tier entry (identity by default)."""
+        return entry
+
+    def decode(self, payload: Dict) -> Any:
+        """The memory-tier entry of a JSON payload (identity by default)."""
+        return payload
+
+    # -------------------------------------------------------------- entries
+    def get_entry(self, key: str) -> Optional[Any]:
+        """The stored entry under ``key`` (memory first, then the decoded
+        disk payload), or ``None`` on a miss."""
         with self._lock:
-            payload = self._memory.get(key)
-            if payload is not None:
+            entry = self._memory.get(key)
+            if entry is not None:
                 self._memory.move_to_end(key)
-                self.hits += 1
-                return payload
-            payload = self._disk_get(key)
-            if payload is not None:
-                self._memory_put(key, payload)
-                self.hits += 1
-                return payload
-            self.misses += 1
-            return None
-
-    def put_payload(self, key: str, payload: Dict) -> None:
-        """Store ``payload`` in both tiers."""
+            else:
+                payload = self._disk_get(key)
+                if payload is None:
+                    self.misses += 1
+                    return None
+                entry = _Payload(payload)
+            self.hits += 1
+        if entry.__class__ is not _Payload:
+            return entry
+        entry = self.decode(entry.payload)
         with self._lock:
-            self._memory_put(key, payload)
-            self._disk_put(key, payload)
+            self._memory_put(key, entry)
+        return entry
 
-    def snapshot_payloads(self) -> Dict[str, Dict]:
-        """A copy of every in-memory entry (``key -> payload``).
+    def put_entry(self, key: str, entry: Any) -> None:
+        """Store ``entry`` in memory and its payload on disk (the entry is
+        encoded only when a disk tier is configured)."""
+        payload = self.encode(entry) if self.cache_dir else None
+        with self._lock:
+            self._memory_put(key, entry)
+            if payload is not None:
+                self._disk_put(key, payload)
+
+    def snapshot_payloads(self, exclude: Collection[str] = ()) -> Dict[str, Dict]:
+        """The payload of every in-memory entry whose key is not in
+        ``exclude`` (``key -> payload``).
 
         This is the in-process counterpart of :meth:`export_to`: a pool
         worker snapshots the entries its searches produced and ships them
         back to the parent, which folds them in with
         :meth:`merge_payloads` — no disk tier required on either side.
-        Lookup counters are untouched.
+        ``exclude`` names entries already shipped, so they are not encoded
+        again.  Entries the codec cannot express are left out.  Lookup
+        counters are untouched.
         """
         with self._lock:
-            return dict(self._memory)
+            entries = [
+                (key, entry)
+                for key, entry in self._memory.items()
+                if key not in exclude
+            ]
+        payloads: Dict[str, Dict] = {}
+        for key, entry in entries:
+            if entry.__class__ is _Payload:
+                payloads[key] = entry.payload
+                continue
+            try:
+                payloads[key] = self.encode(entry)
+            except (TypeError, ValueError):
+                continue
+        return payloads
 
     def merge_payloads(self, payloads: Dict[str, Dict]) -> int:
         """Fold ``key -> payload`` entries into the store; returns how many
@@ -194,7 +277,8 @@ class TwoTierCache:
         Content addresses make key collisions equal-payload collisions, so
         entries already present are skipped rather than overwritten (the
         same policy as :meth:`import_from`).  New entries land in both
-        tiers.
+        tiers; the memory tier decodes each on its first lookup, so merged
+        entries nobody asks for are never decoded.
         """
         merged = 0
         with self._lock:
@@ -203,7 +287,7 @@ class TwoTierCache:
                     continue
                 if self._disk_get(key) is not None:
                     continue
-                self._memory_put(key, payload)
+                self._memory_put(key, _Payload(payload))
                 self._disk_put(key, payload)
                 merged += 1
         return merged
@@ -298,10 +382,10 @@ class TwoTierCache:
                         pass
 
     # ------------------------------------------------------------- internals
-    def _memory_put(self, key: str, payload: Dict) -> None:
+    def _memory_put(self, key: str, entry: Any) -> None:
         if self.capacity <= 0:
             return
-        self._memory[key] = payload
+        self._memory[key] = entry
         self._memory.move_to_end(key)
         while len(self._memory) > self.capacity:
             self._memory.popitem(last=False)

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Union
 
 from repro import perf
+from repro.caching import graph_signature_scope
 from repro.errors import StrategyError
 from repro.graph.graph import Graph
 from repro.partition.plan import PartitionPlan, plan_from_dict, plan_to_dict
@@ -293,6 +294,9 @@ def _attach_profile(model: CompiledModel, executor: Executor) -> None:
         model.metadata["profile"] = executor.profile_timer.snapshot()
 
 
+# One graph serialisation per compile: the plan key, the program key and
+# every autotuner candidate share the signature computed inside this scope.
+@graph_signature_scope()
 def compile(
     graph: Graph,
     strategy: Union[Strategy, str] = "tofu",

@@ -28,11 +28,11 @@ from repro.partition.plan import PartitionPlan
 from repro.partition.recursive import _shrink_shapes
 from repro.runtime.passes import (
     make_comm_task,
-    make_compute_task,
     memory_plan_of,
     producer_deps,
     scheduled_nodes,
 )
+from repro.sim.costmodel import node_kernel_times
 from repro.sim.device import Topology, as_cluster, k80_8gpu_machine
 from repro.sim.engine import Task
 
@@ -161,11 +161,28 @@ def generate_partitioned_graph(
     scale = 1.0 / num_devices
     launch_penalty = 0.0 if fuse_remote_fetch else 3 * machine.kernel_launch_overhead
 
-    topo = scheduled_nodes(graph)
+    # Everything about a node that does not depend on the device is derived
+    # once and shared by its k tasks: the producer list, the fetch
+    # dependency tuple, and the node's features (priced on every device).
+    device_specs = [machine.device(d) for d in range(num_devices)]
+    lowered_nodes = []
+    for node in scheduled_nodes(graph):
+        name = node.name
+        producers = producer_deps(graph, node)
+        lowered_nodes.append((
+            name,
+            producers,
+            # Remote regions come from every peer: the fetch waits for the
+            # producers on all devices (a conservative synchronisation).
+            tuple(f"{p}@{d}" for p in producers for d in range(num_devices)),
+            fetch_bytes[name] / num_devices,
+            reduce_bytes[name],
+            node_kernel_times(graph, name, device_specs, machine, scale=scale),
+        ))
+
     multi_machine = machine.num_machines > 1
     cluster = as_cluster(machine) if multi_machine else None
     for device in range(num_devices):
-        device_spec = machine.device(device)
         remote_peer = None
         if multi_machine:
             # Shards are spread uniformly over all workers, so the share of a
@@ -187,15 +204,12 @@ def generate_partitioned_graph(
                 )
         else:
             local_fraction = 1.0
-        for node in topo:
-            name = node.name
+        for name, producers, fetch_deps, node_fetch, node_reduce, durations in (
+            lowered_nodes
+        ):
             compute_name = f"{name}@{device}"
             deps: List[str] = []
 
-            producers = producer_deps(graph, node)
-
-            node_fetch = fetch_bytes[name] / num_devices
-            node_reduce = reduce_bytes[name]
             if spread_reduction:
                 node_reduce_dev = node_reduce / num_devices
             else:
@@ -203,9 +217,6 @@ def generate_partitioned_graph(
 
             comm_total = node_fetch + node_reduce_dev
             if comm_total > 0.0 and producers:
-                # Remote regions come from every peer: the fetch waits for the
-                # producers on all devices (a conservative synchronisation).
-                fetch_deps = [f"{p}@{d}" for p in producers for d in range(num_devices)]
                 fetch_name = f"{name}@{device}:fetch"
                 local_bytes = comm_total * local_fraction
                 if local_bytes > 0.0:
@@ -224,10 +235,12 @@ def generate_partitioned_graph(
                     deps.append(net_name)
             deps.extend(f"{p}@{device}" for p in producers)
 
-            tasks[compute_name] = make_compute_task(
-                graph, name, device, device_spec, machine,
-                deps=deps, scale=scale, extra_duration=launch_penalty,
-                task_name=compute_name,
+            tasks[compute_name] = Task(
+                name=compute_name,
+                device=device,
+                kind="compute",
+                duration=durations[device] + launch_penalty,
+                deps=tuple(deps),
             )
 
     return PartitionedGraph(

@@ -132,7 +132,11 @@ EXPORT_VERSION = 1
 
 
 class PlanCache(TwoTierCache):
-    """In-memory LRU over plan dictionaries, with an optional disk tier."""
+    """In-memory LRU over plan dictionaries, with an optional disk tier.
+
+    Entries are the plan payloads themselves (the identity codec), and
+    every hit decodes a fresh :class:`PartitionPlan`.
+    """
 
     export_format = EXPORT_FORMAT
     export_version = EXPORT_VERSION
@@ -142,7 +146,7 @@ class PlanCache(TwoTierCache):
     # ------------------------------------------------------------------ get
     def get(self, key: str) -> Optional[PartitionPlan]:
         """The cached plan under ``key``, or ``None`` on a miss."""
-        payload = self.get_payload(key)
+        payload = self.get_entry(key)
         if payload is None:
             return None
         return plan_from_dict(payload)
@@ -150,4 +154,4 @@ class PlanCache(TwoTierCache):
     # ------------------------------------------------------------------ put
     def put(self, key: str, plan: PartitionPlan) -> None:
         """Store ``plan`` under ``key`` in every enabled tier."""
-        self.put_payload(key, plan_to_dict(plan))
+        self.put_entry(key, plan_to_dict(plan))

@@ -29,7 +29,7 @@ Third-party backends can also be registered through the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError
 from repro.graph.graph import Graph
@@ -47,6 +47,7 @@ from repro.runtime.passes import (
     stage_memory_report,
 )
 from repro.runtime.program import LoweredProgram
+from repro.sim.costmodel import node_kernel_time
 from repro.sim.device import (
     MachineSpec,
     Topology,
@@ -522,15 +523,31 @@ def lower_pipeline(
     tasks: Dict[str, Task] = {}
     comm_total = [0.0]
 
+    # A node's input producers and its kernel price are the same in every
+    # micro-batch: derive them once per node, not once per emitted task.
+    # Optimiser nodes run once, on the accumulated full-batch gradient.
+    producers_of: Dict[str, List[Tuple[str, str]]] = {}
+    duration_of: Dict[str, float] = {}
+    for node in topo:
+        producers_of[node.name] = [
+            (tensor, graph.tensor(tensor).producer)
+            for tensor in node.inputs
+            if graph.tensor(tensor).producer is not None
+        ]
+        device = stage_devices[stages.stage_of_node[node.name]]
+        duration_of[node.name] = node_kernel_time(
+            graph, node.name, machine.device(device), machine,
+            scale=1.0 if node.name in optimizer_set else scale,
+        )
+
     def task_ref(producer: str, microbatch: int) -> str:
         if producer in optimizer_set:
             return producer
         return f"{producer}#mb{microbatch}"
 
-    def dep_for_input(tensor: str, stage: int, microbatch: int) -> Optional[str]:
-        producer = graph.tensor(tensor).producer
-        if producer is None:
-            return None
+    def dep_for_input(
+        tensor: str, producer: str, stage: int, microbatch: int
+    ) -> str:
         ref = task_ref(producer, microbatch)
         producer_stage = stages.stage_of_node[producer]
         if producer_stage == stage:
@@ -552,16 +569,13 @@ def lower_pipeline(
 
     prev_of_stage: List[Optional[str]] = [None] * num_stages
 
-    def emit_compute(node, stage: int, microbatch: int, node_scale: float) -> None:
+    def emit_compute(node, stage: int, microbatch: int) -> None:
         name = task_ref(node.name, microbatch)
         deps: List[str] = []
-        for tensor in node.inputs:
-            if node.name in optimizer_set and microbatch < 0:
+        for tensor, producer in producers_of[node.name]:
+            if microbatch < 0:
                 # Optimiser nodes consume the accumulated gradient: depend on
                 # every micro-batch's producer task.
-                producer = graph.tensor(tensor).producer
-                if producer is None:
-                    continue
                 if producer in optimizer_set:
                     deps.append(producer)
                 else:
@@ -569,29 +583,28 @@ def lower_pipeline(
                         task_ref(producer, m) for m in range(num_microbatches)
                     )
                 continue
-            dep = dep_for_input(tensor, stage, microbatch)
-            if dep is not None:
-                deps.append(dep)
-        device = stage_devices[stage]
-        task = make_compute_task(
-            graph, node.name, device, machine.device(device), machine,
-            deps=deps, scale=node_scale, task_name=name,
+            deps.append(dep_for_input(tensor, producer, stage, microbatch))
+        prev = prev_of_stage[stage]
+        tasks[name] = Task(
+            name=name,
+            device=stage_devices[stage],
+            kind="compute",
+            duration=duration_of[node.name],
+            deps=tuple(deps),
+            after=() if prev is None else (prev,),
         )
-        if prev_of_stage[stage] is not None:
-            task.after = (prev_of_stage[stage],)
-        tasks[name] = task
         prev_of_stage[stage] = name
 
     for stage in range(num_stages):
         for phase, microbatch in sched.slots_of_stage[stage]:
             group = fwd_of_stage if phase == "fwd" else bwd_of_stage
             for node in group[stage]:
-                emit_compute(node, stage, microbatch, scale)
+                emit_compute(node, stage, microbatch)
         # Weight update runs once per iteration, after the last backward
         # micro-batch of the stage (gradient accumulation rides on the
         # backward kernels' output writes, as the cost model assumes).
         for node in opt_of_stage[stage]:
-            emit_compute(node, stage, -1, 1.0)
+            emit_compute(node, stage, -1)
 
     stage_memory = stage_memory_report(
         graph,

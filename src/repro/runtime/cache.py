@@ -14,17 +14,24 @@ counters and no ``pass.*``/``lower.*`` stages at all.
 The two-tier machinery (in-memory LRU + on-disk JSON store with size
 accounting, LRU eviction under a byte budget, ``export``/``import`` bundles)
 is shared with the plan cache — see :class:`repro.caching.TwoTierCache`;
-this module adds the program payload codec
+this module adds the program codec
 (:func:`repro.runtime.program.program_to_dict`) and the program key scheme.
 
-Programs are stored as dictionaries and reconstructed on every hit, so
-callers can freely mutate the returned program — the Table 3 ablation
-scales task durations in place — without corrupting the cache.
+The memory tier holds lowered programs, not their JSON: a program's
+``Task`` objects are immutable values, so the cache keeps them by reference
+and every hit returns :meth:`LoweredProgram.copy` — a fresh program with a
+fresh ``name -> Task`` dict around the shared tasks.  Only the disk tier,
+``export``/``import`` bundles and autotuner worker deltas encode programs,
+in the unchanged version-1 payload format.  Callers edit a returned
+program by replacing tasks (the Table 3 ablation rescales durations with
+``program.tasks[name] = dataclasses.replace(task, duration=...)``);
+inserting, replacing or deleting entries of the returned dict never
+reaches the cache.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 from repro.caching import (
     TwoTierCache,
@@ -116,29 +123,40 @@ EXPORT_VERSION = 1
 
 
 class ProgramCache(TwoTierCache):
-    """In-memory LRU over program dictionaries, with an optional disk tier."""
+    """In-memory LRU over lowered programs, with an optional disk tier of
+    program payloads."""
 
     export_format = EXPORT_FORMAT
     export_version = EXPORT_VERSION
     payload_field = "program"
     description = "program cache"
 
+    def encode(self, entry: LoweredProgram) -> Dict:
+        """The version-1 JSON payload of a program (:func:`program_to_dict`)."""
+        return program_to_dict(entry)
+
+    def decode(self, payload: Dict) -> LoweredProgram:
+        """The program a version-1 payload encodes (:func:`program_from_dict`)."""
+        return program_from_dict(payload)
+
     # ------------------------------------------------------------------ get
     def get(self, key: str) -> Optional[LoweredProgram]:
-        """The cached program under ``key``, or ``None`` on a miss."""
-        payload = self.get_payload(key)
-        if payload is None:
+        """A copy of the cached program under ``key`` (sharing its tasks),
+        or ``None`` on a miss."""
+        program = self.get_entry(key)
+        if program is None:
             return None
-        return program_from_dict(payload)
+        return program.copy()
 
     # ------------------------------------------------------------------ put
     def put(self, key: str, program: LoweredProgram) -> None:
-        """Store ``program`` under ``key`` in every enabled tier."""
-        self.put_payload(key, program_to_dict(program))
+        """Store a copy of ``program`` under ``key`` in every enabled tier;
+        later edits to ``program``'s containers never reach the cache."""
+        self.put_entry(key, program.copy())
 
 
-#: Lowered programs are a few hundred KB of JSON each; 64 in-memory entries
-#: comfortably cover an `auto` sweep over both reference models.
+#: 64 in-memory programs comfortably cover an `auto` sweep over both
+#: reference models.
 DEFAULT_PROGRAM_CACHE_CAPACITY = 64
 
 _DEFAULT_PROGRAM_CACHE: Optional[ProgramCache] = None

@@ -8,8 +8,8 @@ and simulate that program under link contention on the modelled machine.
 
 The three stages are individually exposed (``lower`` → ``simulate`` → or
 ``run`` for both), so callers can inspect or adjust the lowered program —
-e.g. the framework-overhead ablation of Table 3 scales task durations between
-lowering and simulation.
+e.g. the framework-overhead ablation of Table 3 replaces every task with a
+rescaled copy between lowering and simulation.
 """
 
 from __future__ import annotations
@@ -44,8 +44,9 @@ class ExecutorConfig:
         backend_options: Default keyword options forwarded to the backend.
         cache_programs: Reuse lowered programs by content address (graph ×
             machine × backend × options × plan).  On by default; a hit
-            skips every lowering pass and reconstructs a fresh program that
-            simulates bit-identically to a cold lowering.
+            skips every lowering pass and returns a fresh program, sharing
+            the cached immutable tasks, that simulates bit-identically to a
+            cold lowering.
         program_cache_dir: Directory of an on-disk program store.  Unset,
             the executor shares the in-memory process-wide cache
             (:func:`repro.runtime.cache.default_program_cache`); set, it
@@ -224,9 +225,10 @@ class Executor:
         """Lower ``graph`` to a device-assigned task program (no simulation).
 
         With ``config.cache_programs`` (the default), a content-addressed
-        hit returns a reconstructed program without running any lowering
-        pass; requests whose options have no stable content address (e.g. a
-        pre-built coarsened graph) bypass the cache.
+        hit returns a fresh program sharing the cached (immutable) tasks
+        without running any lowering pass; requests whose options have no
+        stable content address (e.g. a pre-built coarsened graph) bypass
+        the cache.
 
         Kernel costing and comm pricing run under the configured cost model
         (``config.cost_model``; the default roofline defers to any model

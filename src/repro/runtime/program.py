@@ -12,7 +12,7 @@ backends and the :class:`repro.planner.Planner`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, Mapping, Optional
 
 from repro.sim.device import Link, Topology
@@ -33,7 +33,10 @@ class LoweredProgram:
     Attributes:
         backend: Name of the execution backend that produced the program.
         num_devices: Devices the program occupies.
-        tasks: Simulator task graph (compute tasks and comm tasks).
+        tasks: Simulator task graph (compute tasks and comm tasks).  The
+            ``Task`` values are immutable and may be shared with the program
+            cache; edit a program by replacing entries
+            (``tasks[name] = dataclasses.replace(task, ...)``).
         per_device_memory: Planned peak bytes per device index (the memory
             report the simulator checks against device capacity).
         total_comm_bytes: Aggregate communication volume of one iteration.
@@ -86,21 +89,23 @@ class LoweredProgram:
     # ------------------------------------------------------------- freezing
     @property
     def frozen(self) -> bool:
-        """Whether the program carries a trusted-immutable task handle."""
-        return self._frozen is not None
+        """Whether the program carries a frozen handle over its current task
+        dict (a handle left behind by reassigning ``tasks`` does not count)."""
+        return self._frozen is not None and self._frozen.tasks is self.tasks
 
     def freeze(self) -> "LoweredProgram":
-        """Mark the task graph trusted-immutable and return ``self``.
+        """Mark the task dict trusted-unchanging and return ``self``.
 
         Repeat simulations then skip the per-call content fingerprint
         (~11 ms at 20k tasks) — the warm-path headroom the profiling work
-        identified.  The caller promises not to mutate ``tasks`` while the
-        program stays frozen; a mutation behind a frozen handle silently
-        replays stale results.  Workflows that *do* mutate tasks (the
-        framework-overhead ablation scales durations in place) must
-        :meth:`thaw` first — or simply never freeze.
+        identified.  Tasks themselves are immutable; the caller promises not
+        to insert, replace or delete entries of ``tasks`` while the program
+        stays frozen, since an edit behind a frozen handle silently replays
+        stale results.  Reassigning ``program.tasks`` to a new dict is safe:
+        the handle is bound to the dict it froze and is ignored once
+        ``tasks`` points elsewhere.
         """
-        if self._frozen is None or self._frozen.tasks is not self.tasks:
+        if not self.frozen:
             self._frozen = FrozenTaskGraph(self.tasks)
         return self
 
@@ -112,8 +117,42 @@ class LoweredProgram:
     @property
     def simulation_tasks(self):
         """What the simulator should run: the frozen handle when one is set
-        (fingerprint reused), the raw task dict otherwise."""
-        return self._frozen if self._frozen is not None else self.tasks
+        over the current task dict (fingerprint reused), the raw task dict
+        otherwise — including after ``tasks`` was reassigned."""
+        return self._frozen if self.frozen else self.tasks
+
+    def copy(self) -> "LoweredProgram":
+        """A copy that shares every immutable value and owns every container.
+
+        The ``Task`` objects, plan, machine, schedule and the partitioned
+        detail's sharded graph are shared by reference; the task dict, the
+        memory report, ``stats`` and ``stage_of_node`` are fresh, so edits
+        to either program's containers never reach the other.  The copy
+        starts unfrozen.  This is what the program cache stores on a put
+        and returns on every hit.
+        """
+        tasks = dict(self.tasks)
+        partitioned = self.partitioned
+        if partitioned is not None:
+            # The partitioned detail shares the program's task dict, exactly
+            # as the tofu-partitioned backend builds it.
+            partitioned = replace(
+                partitioned,
+                tasks=tasks,
+                per_device_memory=dict(partitioned.per_device_memory),
+                fetch_bytes_per_node=dict(partitioned.fetch_bytes_per_node),
+                reduce_bytes_per_node=dict(partitioned.reduce_bytes_per_node),
+            )
+        return replace(
+            self,
+            tasks=tasks,
+            per_device_memory=dict(self.per_device_memory),
+            stats=dict(self.stats),
+            stage_of_node=(
+                None if self.stage_of_node is None else dict(self.stage_of_node)
+            ),
+            partitioned=partitioned,
+        )
 
     @property
     def per_device_peak_bytes(self) -> int:

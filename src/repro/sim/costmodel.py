@@ -14,16 +14,17 @@ This module is also the seam the pluggable cost-model subsystem
 :class:`OpSample` of operator features and, when a cost model is active
 (:data:`_ACTIVE_COST_MODEL`, set via ``repro.costmodel.use_cost_model`` or
 the ``cost_model`` knobs of the facades), defers pricing to it.  With no
-active model the original roofline arithmetic runs unchanged — that default
-path is the bit-exact behaviour every cache key and benchmark baseline
-assumes.
+active model the sample is priced by the roofline :func:`kernel_time` — that
+default path is the bit-exact behaviour every cache key and benchmark
+baseline assumes.  :func:`node_kernel_times` prices one sample on several
+devices, so lowering extracts each node's features once, not once per task.
 """
 
 from __future__ import annotations
 
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.graph.graph import Graph
 from repro.graph.shape_inference import node_bytes, node_flops
@@ -130,6 +131,43 @@ def node_sample(graph: Graph, node_name: str, *, scale: float = 1.0) -> OpSample
     )
 
 
+def node_kernel_times(
+    graph: Graph,
+    node_name: str,
+    devices: Sequence[DeviceSpec],
+    machine: MachineSpec,
+    *,
+    scale: float = 1.0,
+) -> List[float]:
+    """:func:`node_kernel_time` of one node on each of ``devices``.
+
+    The node's :class:`OpSample` is extracted once and priced per device,
+    which is how the lowering passes price a node that runs on every
+    worker (or in every micro-batch) without repeating the shape
+    arithmetic per emitted task.
+    """
+    node = graph.node(node_name)
+    if node.attrs.get("fused_accumulation"):
+        # Gradient accumulation rides on the producing kernel's output write
+        # (GEMM with beta=1); only the launch overhead remains.
+        return [machine.kernel_launch_overhead] * len(devices)
+    sample = node_sample(graph, node_name, scale=scale)
+    model = _ACTIVE_COST_MODEL.get()
+    if model is not None:
+        return [model.op_time(sample, device, machine) for device in devices]
+    return [
+        kernel_time(
+            sample.flops,
+            sample.mem_bytes,
+            device,
+            machine,
+            category=sample.category,
+            parallel_elements=sample.out_elements,
+        )
+        for device in devices
+    ]
+
+
 def node_kernel_time(
     graph: Graph,
     node_name: str,
@@ -145,35 +183,14 @@ def node_kernel_time(
     the same factor (the paper notes GPU kernels on very large tensors keep
     similar efficiency regardless of which dimension is split, Sec 5).
 
-    When a cost model is active (:func:`active_cost_model`), the node's
-    :class:`OpSample` is priced by ``model.op_time`` instead of the roofline
-    arithmetic below; the fused-accumulation special case stays here in both
-    paths because it is structural (the kernel does not launch separately),
-    not a pricing decision.
+    The node's :class:`OpSample` (:func:`node_sample`) is priced by the
+    active cost model's ``op_time`` (:func:`active_cost_model`) or, with no
+    active model, by the roofline :func:`kernel_time`.  The
+    fused-accumulation special case applies under both because it is
+    structural (the kernel does not launch separately), not a pricing
+    decision.
     """
-    node = graph.node(node_name)
-    if node.attrs.get("fused_accumulation"):
-        # Gradient accumulation rides on the producing kernel's output write
-        # (GEMM with beta=1); only the launch overhead remains.
-        return machine.kernel_launch_overhead
-    model = _ACTIVE_COST_MODEL.get()
-    if model is not None:
-        return model.op_time(
-            node_sample(graph, node_name, scale=scale), device, machine
-        )
-    flops = node_flops(graph, node_name) * scale
-    mem = node_bytes(graph, node_name) * scale
-    out_elems = sum(
-        graph.tensor(t).num_elements() for t in node.outputs
-    ) * scale
-    return kernel_time(
-        flops,
-        mem,
-        device,
-        machine,
-        category=category_of(node.op),
-        parallel_elements=out_elems,
-    )
+    return node_kernel_times(graph, node_name, (device,), machine, scale=scale)[0]
 
 
 def graph_compute_time(

@@ -82,9 +82,14 @@ def resolve_channel_link(
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Task:
-    """One schedulable unit.
+    """One schedulable unit — an immutable value.
+
+    Tasks are frozen so that lowered programs can share them by reference
+    (the program cache hands the same ``Task`` objects to every hit).  To
+    edit a program, replace the task in its dict:
+    ``program.tasks[name] = dataclasses.replace(task, duration=...)``.
 
     ``kind`` is ``"compute"`` (duration given directly) or ``"comm"``
     (duration derived from ``comm_bytes`` and the link bandwidth, plus the
@@ -324,9 +329,10 @@ class FrozenTaskGraph:
     so mutation between simulations is always caught — a safety that costs
     ~11 ms at 20k tasks and dominates the warm simulate path.  Freezing a
     task dict computes the fingerprint once and reuses it, trading that
-    safety for speed: the caller asserts the tasks will not change while the
-    handle is alive.  Mutating a task behind a frozen handle silently
-    replays the stale compiled graph — that is the contract, not a bug.
+    safety for speed: the caller asserts the dict will not change while the
+    handle is alive.  Inserting, replacing or deleting a task behind a
+    frozen handle silently replays the stale compiled graph — that is the
+    contract, not a bug.
     """
 
     __slots__ = ("tasks", "_fingerprint")
@@ -349,8 +355,8 @@ def task_graph_fingerprint(tasks: Dict[str, Task]) -> Tuple:
     which breaks topological ties).
 
     This runs on *every* :meth:`TaskGraphSimulator.run` call — it is what
-    makes caching compiled graphs safe against callers mutating task
-    durations between simulations (the ablation sweeps do exactly that) —
+    makes caching compiled graphs safe against callers replacing tasks
+    between simulations (the ablation sweeps rescale durations that way) —
     so it stays a single flat comprehension, and ``tuple()`` on the
     dependency fields is an identity no-op for pass-emitted tasks.
     """

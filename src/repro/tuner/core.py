@@ -32,6 +32,7 @@ import time
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro import compiler, perf
+from repro.caching import graph_signature_scope
 from repro.errors import (
     ExecutionError,
     OutOfMemoryError,
@@ -267,8 +268,7 @@ def _init_worker(graph_payload, machine_payload, plan_options, planner_payload):
 
 
 def _cache_delta(cache, shipped: set) -> Dict[str, Dict]:
-    payloads = cache.snapshot_payloads()
-    delta = {key: payload for key, payload in payloads.items() if key not in shipped}
+    delta = cache.snapshot_payloads(exclude=shipped)
     shipped.update(delta)
     return delta
 
@@ -340,6 +340,7 @@ class Tuner:
         self.incumbent: Optional[CandidateOutcome] = None
 
     # ----------------------------------------------------------------- tune
+    @graph_signature_scope()
     def tune(
         self,
         graph: Graph,

@@ -12,15 +12,26 @@ trivially equalise the two runs).
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
-from repro.costmodel import RooflineCostModel, default_roofline, use_cost_model
+from repro.costmodel import (
+    RooflineCostModel,
+    default_roofline,
+    resolve_cost_model,
+    use_cost_model,
+)
 from repro.partition.recursive import recursive_partition
 from repro.runtime import Executor, ExecutorConfig, available_execution_backends
 from repro.runtime.passes import round_robin_layer_placement
+from repro.sim.costmodel import node_kernel_time
 from repro.sim.device import k80_8gpu_machine
 
 MACHINE = k80_8gpu_machine(4)
+SAMPLE_TRACE = (
+    Path(__file__).resolve().parents[2] / "benchmarks" / "data" / "sample_trace.json"
+)
 
 
 def _backend_setup(name, graph):
@@ -84,6 +95,46 @@ def test_configured_roofline_is_bit_exact(mlp_bundle):
     assert a.result.iteration_time == b.result.iteration_time
     assert a.program.cost_model is None
     assert b.program.cost_model is None
+
+
+@pytest.mark.parametrize("backend", ["tofu-partitioned", "pipeline"])
+def test_per_node_pricing_matches_per_task_pricing(mlp_bundle, backend):
+    """Lowering prices each node once and reuses the price for all of its
+    tasks (every worker, every micro-batch); under a non-default model
+    that must equal pricing every task on its own."""
+    graph = mlp_bundle.graph
+    model = resolve_cost_model(f"table:trace={SAMPLE_TRACE}")
+    options, plan = _backend_setup(backend, graph)
+    program = Executor(
+        ExecutorConfig(cache_programs=False, cost_model=model)
+    ).lower(
+        graph, plan=plan, machine=MACHINE, backend=backend,
+        backend_options=options,
+    )
+    default = Executor(ExecutorConfig(cache_programs=False)).lower(
+        graph, plan=plan, machine=MACHINE, backend=backend,
+        backend_options=options,
+    )
+    compute = {
+        name: task for name, task in program.tasks.items()
+        if task.kind == "compute"
+    }
+    with use_cost_model(model):
+        for name, task in compute.items():
+            if backend == "tofu-partitioned":
+                node, scale = name.rsplit("@", 1)[0], 1.0 / plan.num_workers
+            elif "#mb" in name:
+                node = name.split("#mb")[0]
+                scale = 1.0 / options["num_microbatches"]
+            else:  # an optimiser node, run once on the full batch
+                node, scale = name, 1.0
+            assert task.duration == node_kernel_time(
+                graph, node, MACHINE.device(task.device), MACHINE, scale=scale
+            ), name
+    assert any(
+        default.tasks[name].duration != task.duration
+        for name, task in compute.items()
+    )
 
 
 def test_default_roofline_signature_is_stable():

@@ -31,8 +31,8 @@ class TestConcurrentMemoryTier:
             try:
                 for i in range(rounds):
                     key = f"k{(tid * rounds + i) % 32}"
-                    if cache.get_payload(key) is None:
-                        cache.put_payload(key, {"tid": tid, "i": i})
+                    if cache.get_entry(key) is None:
+                        cache.put_entry(key, {"tid": tid, "i": i})
             except Exception as exc:  # pragma: no cover - failure reporting
                 errors.append(exc)
 
@@ -49,7 +49,7 @@ class TestConcurrentMemoryTier:
 
         def worker(tid):
             for i in range(100):
-                cache.put_payload(f"t{tid}-{i}", {"value": i})
+                cache.put_entry(f"t{tid}-{i}", {"value": i})
 
         hammer(8, worker)
         assert len(cache) <= 8
@@ -57,9 +57,9 @@ class TestConcurrentMemoryTier:
     def test_hit_rate_reporting(self):
         cache = TwoTierCache(capacity=4)
         assert cache.hit_rate() == 0.0
-        cache.put_payload("a", {"x": 1})
-        assert cache.get_payload("a") == {"x": 1}
-        assert cache.get_payload("b") is None
+        cache.put_entry("a", {"x": 1})
+        assert cache.get_entry("a") == {"x": 1}
+        assert cache.get_entry("b") is None
         assert cache.hit_rate() == 0.5
         info = cache.info()
         assert info["hits"] == 1 and info["misses"] == 1
@@ -78,8 +78,8 @@ class TestConcurrentDiskTier:
             try:
                 for i in range(50):
                     key = f"t{tid}-{i % 10}"
-                    cache.put_payload(key, {"tid": tid, "payload": "x" * 64})
-                    cache.get_payload(key)
+                    cache.put_entry(key, {"tid": tid, "payload": "x" * 64})
+                    cache.get_entry(key)
             except Exception as exc:  # pragma: no cover - failure reporting
                 errors.append(exc)
 
@@ -93,13 +93,13 @@ class TestConcurrentDiskTier:
     def test_concurrent_readers_share_disk_entries(self, tmp_path):
         writer = TwoTierCache(capacity=2, cache_dir=str(tmp_path))
         for i in range(6):
-            writer.put_payload(f"k{i}", {"i": i})
+            writer.put_entry(f"k{i}", {"i": i})
         reader = TwoTierCache(capacity=2, cache_dir=str(tmp_path))
         seen = []
         lock = threading.Lock()
 
         def worker(tid):
-            value = reader.get_payload(f"k{tid % 6}")
+            value = reader.get_entry(f"k{tid % 6}")
             with lock:
                 seen.append(value)
 

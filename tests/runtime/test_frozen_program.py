@@ -7,6 +7,8 @@ always-fingerprint safety."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro import compile as repro_compile, perf
@@ -105,6 +107,27 @@ class TestProgramFreeze:
             assert second is not first
             assert second.tasks is program.tasks
         finally:
+            program.thaw()
+
+    def test_reassigned_tasks_bypass_a_stale_handle(self, compiled_mlp):
+        """Reassigning ``tasks`` is how a program is edited; a handle frozen
+        over the old dict must not keep replaying the old graph."""
+        program = compiled_mlp.program
+        original = program.tasks
+        executor = Executor()
+        before = executor.simulate(program)
+        try:
+            program.freeze()
+            program.tasks = {
+                name: dataclasses.replace(task, duration=task.duration * 2)
+                for name, task in original.items()
+            }
+            assert not program.frozen
+            assert program.simulation_tasks is program.tasks
+            after = executor.simulate(program)
+            assert after.iteration_time > before.iteration_time
+        finally:
+            program.tasks = original
             program.thaw()
 
 

@@ -6,13 +6,25 @@ The parity half mirrors ``test_cluster_parity``: every registered execution
 backend, on the bare machine and the one-machine cluster, must simulate a
 cache-hit program to *exactly* the result of the freshly lowered one —
 JSON round-trips floats through ``repr`` (shortest-exact), so no tolerance.
+
+The aliasing half pins the memory tier's sharing contract: hits share the
+cached (frozen) ``Task`` objects inside a fresh dict, and no edit of a
+returned program's containers ever reaches a later hit.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import shutil
+from pathlib import Path
+
 import pytest
 
+from repro.models.mlp import build_mlp
 from repro.partition.recursive import recursive_partition
+from repro.partition.plan import plan_from_dict
+from repro.planner import Planner
 from repro.runtime import (
     Executor,
     ExecutorConfig,
@@ -24,9 +36,12 @@ from repro.runtime import (
 )
 from repro.runtime.passes import round_robin_layer_placement
 from repro.sim.device import ClusterSpec, cluster_of, k80_8gpu_machine
+from repro.sim.engine import Task
+from repro.tuner import Tuner, TunerBudget
 
 MACHINE = k80_8gpu_machine(4)
 CLUSTER = ClusterSpec(machines=[MACHINE])
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 
 def _backend_setup(name, graph):
@@ -71,8 +86,9 @@ def test_cache_hit_simulates_bit_identically(bundle, backend, topology):
     info = executor.program_cache.info()
     assert info["hits"] == 1 and info["misses"] == 1
 
-    # A hit reconstructs a *fresh* program (mutation-safe), not an alias...
+    # A hit is a *fresh* program owning its containers, not an alias...
     assert hit is not fresh
+    assert hit.tasks is not fresh.tasks
     assert set(hit.tasks) == set(fresh.tasks)
     assert hit.per_device_memory == fresh.per_device_memory
     assert hit.stats == fresh.stats
@@ -211,8 +227,143 @@ def test_export_import_round_trip(tmp_path, mlp_bundle):
     key = lowered_cache_key(mlp_bundle.graph, MACHINE, "single-device", {})
     restored = target.get(key)
     assert restored is not None
+    assert restored.tasks == fresh.tasks
     simulator = Executor(ExecutorConfig(cache_programs=False))
     assert (
         simulator.simulate(restored, MACHINE)
         == simulator.simulate(fresh, MACHINE)
     )
+
+
+# ---------------------------------------------------------------- aliasing
+
+
+def _lowerer(graph, backend="tofu-partitioned"):
+    """``lower(executor)`` for one fixed request: the plan is searched once,
+    so every call addresses the same cache key."""
+    options, plan = _backend_setup(backend, graph)
+    return lambda executor: executor.lower(
+        graph, plan=plan, machine=MACHINE, backend=backend,
+        backend_options=options,
+    )
+
+
+def test_hit_shares_tasks_in_a_fresh_dict(mlp_bundle):
+    lower = _lowerer(mlp_bundle.graph)
+    executor = Executor(ExecutorConfig(program_cache_capacity=8))
+    fresh, hit, again = lower(executor), lower(executor), lower(executor)
+    assert len({id(fresh.tasks), id(hit.tasks), id(again.tasks)}) == 3
+    for name, task in fresh.tasks.items():
+        assert hit.tasks[name] is task
+        assert again.tasks[name] is task
+    # The partitioned detail keeps sharing its own program's dict.
+    assert hit.partitioned.tasks is hit.tasks
+    assert again.partitioned.tasks is again.tasks
+
+
+def test_edits_to_a_returned_program_never_reach_a_later_hit(mlp_bundle):
+    lower = _lowerer(mlp_bundle.graph)
+    executor = Executor(ExecutorConfig(program_cache_capacity=8))
+    fresh = lower(executor)
+    pristine = dict(fresh.tasks)
+    memory = dict(fresh.per_device_memory)
+    # Edit both the program that was put and a program a hit returned.
+    for program in (fresh, lower(executor)):
+        first, second = list(program.tasks)[:2]
+        task = program.tasks[first]
+        program.tasks[first] = dataclasses.replace(
+            task, duration=task.duration * 2
+        )
+        del program.tasks[second]
+        program.tasks["extra"] = Task(name="extra", device=0, duration=1.0)
+        program.per_device_memory[0] = 0
+        program.stats["extra"] = 1.0
+    later = lower(executor)
+    assert later.tasks == pristine
+    assert list(later.tasks) == list(pristine)
+    assert later.per_device_memory == memory
+    assert "extra" not in later.stats
+
+
+def test_task_fields_cannot_be_assigned(mlp_bundle):
+    program = _lowerer(mlp_bundle.graph)(
+        Executor(ExecutorConfig(program_cache_capacity=8))
+    )
+    task = next(iter(program.tasks.values()))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        task.duration = 0.0
+
+
+@pytest.mark.parametrize("backend", sorted(available_execution_backends()))
+def test_disk_tier_decodes_bit_identically(tmp_path, mlp_bundle, backend):
+    store = str(tmp_path / "store")
+    lower = _lowerer(mlp_bundle.graph, backend)
+    fresh = lower(Executor(ExecutorConfig(program_cache_dir=store)))
+    # A second executor over the same directory starts with an empty memory
+    # tier, so its hit decodes the disk payload.
+    reader = Executor(ExecutorConfig(program_cache_dir=store))
+    decoded = lower(reader)
+    assert reader.program_cache.info()["hits"] == 1
+    assert decoded.tasks == fresh.tasks
+    assert list(decoded.tasks) == list(fresh.tasks)
+    assert reader.simulate(decoded) == reader.simulate(fresh)
+    # The decoded program now lives in the memory tier: the next hit shares
+    # its tasks instead of decoding again.
+    again = lower(reader)
+    assert all(again.tasks[name] is task for name, task in decoded.tasks.items())
+
+
+def test_directory_written_by_the_v1_codec_still_hits(tmp_path):
+    """``tests/data/program_cache_v1`` holds two entries for a small MLP on
+    two K80s (a tofu-partitioned program and a 2-stage pipeline), written
+    when the memory tier still stored JSON payloads.  Their keys must still
+    address them, and they must decode to the programs a fresh lowering
+    produces.  A plan's key covers its recorded search time, so the tofu
+    request reuses the plan stored in its own entry."""
+    store = tmp_path / "store"
+    shutil.copytree(DATA / "program_cache_v1", store)
+    graph = build_mlp(
+        batch_size=8, input_dim=32, hidden_dim=64, num_layers=2, num_classes=16
+    ).graph
+    machine = k80_8gpu_machine(2)
+    payloads = [
+        json.loads(path.read_text(encoding="utf-8"))["program"]
+        for path in sorted(store.glob("*.json"))
+    ]
+    plan = next(
+        plan_from_dict(payload["plan"]) for payload in payloads
+        if payload["backend"] == "tofu-partitioned"
+    )
+    requests = [
+        {"plan": plan, "backend": "tofu-partitioned"},
+        {
+            "backend": "pipeline",
+            "backend_options": {"num_stages": 2, "num_microbatches": 2},
+        },
+    ]
+    reader = Executor(ExecutorConfig(program_cache_dir=str(store)))
+    cold = Executor(ExecutorConfig(cache_programs=False))
+    for request in requests:
+        hit = reader.lower(graph, machine=machine, **request)
+        fresh = cold.lower(graph, machine=machine, **request)
+        assert hit.tasks == fresh.tasks
+        assert cold.simulate(hit) == cold.simulate(fresh)
+    info = reader.program_cache.info()
+    assert info["hits"] == 2 and info["misses"] == 0
+
+
+def test_pooled_tuner_deltas_merge_and_the_parent_recompile_hits(mlp_bundle):
+    executor = Executor(ExecutorConfig(program_cache_capacity=64))
+    result = Tuner(budget=TunerBudget(max_candidates=4), jobs=2).tune(
+        mlp_bundle.graph, MACHINE, planner=Planner(), executor=executor
+    )
+    assert result.stats["cache_merged"]["programs"] > 0
+    # The parent lowered nothing itself: its one lookup, the winner's
+    # recompile, hit an entry a worker shipped back.
+    info = executor.program_cache.info()
+    assert info["hits"] == 1 and info["misses"] == 0
+    best = min(
+        (o for o in result.outcomes if o.viable),
+        key=lambda o: (o.iteration_time, o.index),
+    )
+    assert result.best.iteration_time == best.iteration_time

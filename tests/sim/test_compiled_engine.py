@@ -11,6 +11,8 @@ bare machine and a one-machine cluster.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.partition.recursive import recursive_partition
@@ -96,9 +98,9 @@ def test_one_topo_sort_per_unique_program(rnn_bundle):
 
 
 def test_mutated_program_recompiles(rnn_bundle):
-    """The cache is content-addressed: editing a task's duration changes the
-    fingerprint, so the mutated program compiles fresh (Table 3-style
-    ablations mutate durations in place and must never see stale timing)."""
+    """The cache is content-addressed: replacing a task with a longer one
+    changes the fingerprint, so the edited program compiles fresh (Table
+    3-style ablations rescale durations and must never see stale timing)."""
     program = Executor().lower(
         rnn_bundle.graph, machine=MACHINE, backend="single-device"
     )
@@ -106,8 +108,10 @@ def test_mutated_program_recompiles(rnn_bundle):
 
     clear_compiled_cache()
     before = simulator.run(program.tasks, check_memory=False)
-    victim = next(iter(program.tasks.values()))
-    victim.duration += 1.0
+    name, victim = next(iter(program.tasks.items()))
+    program.tasks[name] = dataclasses.replace(
+        victim, duration=victim.duration + 1.0
+    )
     after = simulator.run(program.tasks, check_memory=False)
 
     assert compiled_cache_info()["compiles"] == 2
