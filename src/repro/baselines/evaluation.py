@@ -332,12 +332,12 @@ def _evaluate(
     *,
     planner: Optional["Planner"] = None,
     flat_from_global: bool = True,
-    adjust: Optional[Callable[[LoweredProgram], None]] = None,
+    adjust: Optional[Callable[[LoweredProgram], LoweredProgram]] = None,
 ) -> SystemResult:
     """The batch search for one strategy: probe, extrapolate, halve.
 
-    ``adjust`` edits each searched program in place before its memory check
-    and simulation (never the probe's).
+    ``adjust`` maps each searched program to the edited program that is
+    memory-checked and simulated instead (never the probe's).
     """
     from repro.planner import Planner
 
@@ -346,9 +346,7 @@ def _evaluate(
 
     def lower_adjusted(bundle: ModelBundle) -> LoweredProgram:
         program = lower(bundle)
-        if adjust is not None:
-            adjust(program)
-        return program
+        return program if adjust is None else adjust(program)
 
     batch = _first_batch(
         build_fn, global_batch, machine, lower, strategy,
@@ -377,15 +375,16 @@ def evaluate_opplacement(
     applied between lowering and simulation, after the batch-size probe.
     """
 
-    def add_overhead(program: LoweredProgram) -> None:
-        for name, task in program.tasks.items():
-            program.tasks[name] = replace(
-                task, duration=task.duration * overhead_factor
-            )
-        program.per_device_memory = {
+    def add_overhead(program: LoweredProgram) -> LoweredProgram:
+        edited = program.replace_tasks({
+            name: replace(task, duration=task.duration * overhead_factor)
+            for name, task in program.tasks.items()
+        })
+        edited.per_device_memory = {
             d: int(m * min(overhead_factor, 1.5))
             for d, m in program.per_device_memory.items()
         }
+        return edited
 
     return _evaluate(
         system_name, build_fn, global_batch, machine or k80_8gpu_machine(),

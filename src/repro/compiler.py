@@ -146,18 +146,6 @@ class CompiledModel:
         self.metadata.update(_program_metadata(self.program, self.report))
         return self.report
 
-    def freeze(self) -> "CompiledModel":
-        """Mark the lowered program trusted-immutable and return ``self``.
-
-        Repeat :meth:`simulate` calls (and any direct
-        ``Executor.simulate(model.program)``) then skip the per-call task
-        fingerprint — see :meth:`repro.runtime.LoweredProgram.freeze` for
-        the contract.  A no-op for a metadata-only model (no program).
-        """
-        if self.program is not None:
-            self.program.freeze()
-        return self
-
     def summary(self) -> str:
         """One human-readable block: strategy, devices, timing, memory."""
         if self.report is not None:

@@ -18,7 +18,7 @@ reduce tasks.  The three optimisations of Sec 6 are modelled explicitly:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.graph.graph import Graph
 from repro.graph.node import OpNode
@@ -34,15 +34,18 @@ from repro.runtime.passes import (
 )
 from repro.sim.costmodel import node_kernel_times
 from repro.sim.device import Topology, as_cluster, k80_8gpu_machine
-from repro.sim.engine import Task
+from repro.sim.engine import Task, TaskGraphBuilder
 
 
 @dataclass
 class PartitionedGraph:
-    """Everything the simulator needs to execute a partitioned training step."""
+    """Everything the simulator needs to execute a partitioned training step.
+
+    ``tasks`` is the read-only task view of the dense task graph the
+    lowering emitted; the ``tofu-partitioned`` program shares it."""
 
     num_devices: int
-    tasks: Dict[str, Task]
+    tasks: Mapping[str, Task]
     per_device_memory: Dict[int, int]
     total_comm_bytes: float
     fetch_bytes_per_node: Dict[str, float]
@@ -157,7 +160,7 @@ def generate_partitioned_graph(
         d: memory_plan.peak_bytes + comm_buffer_bytes for d in range(num_devices)
     }
 
-    tasks: Dict[str, Task] = {}
+    builder = TaskGraphBuilder()
     scale = 1.0 / num_devices
     launch_penalty = 0.0 if fuse_remote_fetch else 3 * machine.kernel_launch_overhead
 
@@ -220,32 +223,29 @@ def generate_partitioned_graph(
                 fetch_name = f"{name}@{device}:fetch"
                 local_bytes = comm_total * local_fraction
                 if local_bytes > 0.0:
-                    tasks[fetch_name] = make_comm_task(
-                        fetch_name, device, local_bytes,
+                    make_comm_task(
+                        builder, fetch_name, device, local_bytes,
                         channel="p2p", deps=fetch_deps,
                     )
                     deps.append(fetch_name)
                 remote_bytes = comm_total - local_bytes
                 if remote_bytes > 0.0 and remote_peer is not None:
                     net_name = f"{name}@{device}:netfetch"
-                    tasks[net_name] = make_comm_task(
-                        net_name, device, remote_bytes, deps=fetch_deps,
+                    make_comm_task(
+                        builder, net_name, device, remote_bytes, deps=fetch_deps,
                         topology=cluster, src=remote_peer, dst=device,
                     )
                     deps.append(net_name)
             deps.extend(f"{p}@{device}" for p in producers)
 
-            tasks[compute_name] = Task(
-                name=compute_name,
-                device=device,
-                kind="compute",
-                duration=durations[device] + launch_penalty,
-                deps=tuple(deps),
+            builder.add(
+                compute_name, device, "compute",
+                durations[device] + launch_penalty, deps=deps,
             )
 
     return PartitionedGraph(
         num_devices=num_devices,
-        tasks=tasks,
+        tasks=builder.tasks,
         per_device_memory=per_device_memory,
         total_comm_bytes=total_comm,
         fetch_bytes_per_node=fetch_bytes,

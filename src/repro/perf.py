@@ -22,8 +22,7 @@ surfaces the snapshot as ``CompiledModel.metadata["profile"]``) and the CLI
   (``pass.topo_schedule``, ``lower.pipeline``, ``sim.run`` ...), recorded by
   :func:`stage` / :func:`timed`;
 * **counters** — named value accumulators (``plan_cache.hit``,
-  ``program_cache.miss``, ``sim.compiled_cache_hit`` ...), recorded by
-  :func:`count`.
+  ``program_cache.miss`` ...), recorded by :func:`count`.
 
 The warm-path acceptance check reads exactly this: a warm
 ``repro.compile()`` snapshot shows cache-hit counters and *no* ``pass.*`` or

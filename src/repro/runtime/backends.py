@@ -36,6 +36,7 @@ from repro.graph.graph import Graph
 from repro.plugins import BackendRegistry, keyword_option_names
 from repro.runtime.passes import (
     assign_pipeline_stages,
+    comm_time_override,
     device_memory_report,
     full_layer_assignment,
     make_comm_task,
@@ -54,7 +55,7 @@ from repro.sim.device import (
     slice_topology,
     slice_topology_range,
 )
-from repro.sim.engine import HOST_DEVICE, Task
+from repro.sim.engine import HOST_DEVICE, TaskGraphBuilder
 from repro.sim.swap import swap_residency_schedule
 
 
@@ -159,6 +160,7 @@ def available_execution_backends() -> List[str]:
 # Built-in backends
 # ---------------------------------------------------------------------------
 def _ring_reduce_task(
+    builder: TaskGraphBuilder,
     name: str,
     topology: Topology,
     device: int,
@@ -166,8 +168,8 @@ def _ring_reduce_task(
     reduce_bytes: float,
     *,
     deps: Sequence[str],
-) -> Task:
-    """One device's share of a ring all-reduce.
+) -> None:
+    """Emit one device's share of a ring all-reduce.
 
     In a ring each device sends every step over the same edge — the one
     towards its neighbour — so the whole per-device volume is priced on that
@@ -179,11 +181,14 @@ def _ring_reduce_task(
         topology.num_machines > 1
         and topology.machine_of(device) != topology.machine_of(neighbour)
     ):
-        return make_comm_task(
-            name, device, reduce_bytes, deps=deps,
+        make_comm_task(
+            builder, name, device, reduce_bytes, deps=deps,
             topology=topology, src=device, dst=neighbour,
         )
-    return make_comm_task(name, device, reduce_bytes, channel="p2p", deps=deps)
+    else:
+        make_comm_task(
+            builder, name, device, reduce_bytes, channel="p2p", deps=deps
+        )
 
 
 def lower_single_device(
@@ -196,10 +201,10 @@ def lower_single_device(
 ) -> LoweredProgram:
     """One compute task per node, all on the same device."""
     device_spec = machine.device(device)
-    tasks: Dict[str, Task] = {}
+    tasks = TaskGraphBuilder()
     for node in scheduled_nodes(graph):
-        tasks[node.name] = make_compute_task(
-            graph, node.name, device, device_spec, machine,
+        make_compute_task(
+            tasks, graph, node.name, device, device_spec, machine,
             deps=producer_deps(graph, node),
         )
     return LoweredProgram(
@@ -255,7 +260,7 @@ def lower_placement(
             "execution backend 'placement' needs a device_of_node mapping "
             "(node name -> device index)"
         )
-    tasks: Dict[str, Task] = {}
+    tasks = TaskGraphBuilder()
     total_comm = 0.0
     for node in scheduled_nodes(graph):
         device = device_of_node.get(node.name, 0)
@@ -272,15 +277,15 @@ def lower_placement(
                 copy_name = f"{tensor}@copy_to{device}"
                 if copy_name not in tasks:
                     copy_bytes = float(graph.tensor(tensor).size_bytes())
-                    tasks[copy_name] = make_comm_task(
-                        copy_name, device, copy_bytes,
+                    make_comm_task(
+                        tasks, copy_name, device, copy_bytes,
                         deps=[producer],
                         topology=machine, src=producer_device, dst=device,
                     )
                     total_comm += copy_bytes
                 deps.append(copy_name)
-        tasks[node.name] = make_compute_task(
-            graph, node.name, device, device_spec, machine, deps=deps
+        make_compute_task(
+            tasks, graph, node.name, device, device_spec, machine, deps=deps
         )
     memory = placement_memory_report(graph, device_of_node, machine.num_devices)
     return LoweredProgram(
@@ -305,7 +310,7 @@ def lower_data_parallel(
     num = machine.num_devices
     if weight_bytes is None:
         weight_bytes = float(graph.weight_bytes())
-    tasks: Dict[str, Task] = {}
+    tasks = TaskGraphBuilder()
     total_comm = 0.0
     scale = 1.0 / num
     topo = scheduled_nodes(graph)
@@ -313,16 +318,16 @@ def lower_data_parallel(
         device_spec = machine.device(device)
         for node in topo:
             deps = [f"{p}@{device}" for p in producer_deps(graph, node)]
-            tasks[f"{node.name}@{device}"] = make_compute_task(
-                graph, node.name, device, device_spec, machine,
+            make_compute_task(
+                tasks, graph, node.name, device, device_spec, machine,
                 deps=deps, scale=scale, task_name=f"{node.name}@{device}",
             )
         # Ring all-reduce of the gradients: 2 * (k-1)/k of the weight bytes
         # traverse the link towards each device's ring neighbour.
         last_node = list(graph.nodes)[-1]
         reduce_bytes = 2.0 * (num - 1) / num * weight_bytes
-        tasks[f"allreduce@{device}"] = _ring_reduce_task(
-            f"allreduce@{device}", machine, device, (device + 1) % num,
+        _ring_reduce_task(
+            tasks, f"allreduce@{device}", machine, device, (device + 1) % num,
             reduce_bytes, deps=[f"{last_node}@{device}"],
         )
         total_comm += reduce_bytes
@@ -366,7 +371,7 @@ def lower_swap(
     device_spec = machine.device(device_index)
     capacity = device_spec.memory_bytes
 
-    tasks: Dict[str, Task] = {}
+    tasks = TaskGraphBuilder()
     total_comm = 0.0
     prev_compute: Optional[str] = None
     prev_transfer: Optional[str] = None
@@ -379,16 +384,16 @@ def lower_swap(
             # All concurrent GPUs replay this transfer over the one shared
             # host link, so the aggregate link carries k times the bytes.
             link_bytes = moved * concurrent_gpus
-            tasks[transfer_name] = make_comm_task(
-                transfer_name, device_index, link_bytes,
+            make_comm_task(
+                tasks, transfer_name, device_index, link_bytes,
                 channel="cpu", deps=barrier,
             )
             total_comm += link_bytes
         compute_deps = list(barrier)
         if not prefetch and transfer_name is not None:
             compute_deps.append(transfer_name)
-        tasks[step.node] = make_compute_task(
-            graph, step.node, device_index, device_spec, machine,
+        make_compute_task(
+            tasks, graph, step.node, device_index, device_spec, machine,
             deps=compute_deps,
         )
         prev_compute = step.node
@@ -520,7 +525,7 @@ def lower_pipeline(
             bwd_of_stage[stage].append(node)
 
     scale = 1.0 / num_microbatches
-    tasks: Dict[str, Task] = {}
+    tasks = TaskGraphBuilder()
     comm_total = [0.0]
 
     # A node's input producers and its kernel price are the same in every
@@ -558,8 +563,8 @@ def lower_pipeline(
         copy_name = f"{tensor}@s{stage}#mb{microbatch}"
         if copy_name not in tasks:
             copy_bytes = float(graph.tensor(tensor).size_bytes()) * scale
-            tasks[copy_name] = make_comm_task(
-                copy_name, stage_devices[stage], copy_bytes, deps=[ref],
+            make_comm_task(
+                tasks, copy_name, stage_devices[stage], copy_bytes, deps=[ref],
                 topology=machine,
                 src=stage_devices[producer_stage],
                 dst=stage_devices[stage],
@@ -585,13 +590,9 @@ def lower_pipeline(
                 continue
             deps.append(dep_for_input(tensor, producer, stage, microbatch))
         prev = prev_of_stage[stage]
-        tasks[name] = Task(
-            name=name,
-            device=stage_devices[stage],
-            kind="compute",
-            duration=duration_of[node.name],
-            deps=tuple(deps),
-            after=() if prev is None else (prev,),
+        tasks.add(
+            name, stage_devices[stage], "compute", duration_of[node.name],
+            deps=deps, after=() if prev is None else (prev,),
         )
         prev_of_stage[stage] = name
 
@@ -726,7 +727,7 @@ def lower_hybrid(
         )
 
     scale = 1.0 / groups
-    tasks: Dict[str, Task] = {}
+    tasks = TaskGraphBuilder()
     memory: Dict[int, int] = {}
     multi_machine = machine.num_machines > 1
     # On one machine every group runs group 0's program at 1/G, so the
@@ -758,48 +759,49 @@ def lower_hybrid(
         def shifted(device: int) -> int:
             return device if device == HOST_DEVICE else device + offset
 
+        rows = group_program.task_graph.rows
         referenced = set()
-        for task in group_program.tasks.values():
-            referenced.update(task.deps)
-            referenced.update(task.after)
+        for row in rows:
+            referenced.update(row.deps)
+            referenced.update(row.after)
         group_sinks = [
-            f"{name}@grp{group}"
-            for name in group_program.tasks
-            if name not in referenced
+            f"{row.name}@grp{group}" for row in rows if row.name not in referenced
         ]
 
-        for name, task in group_program.tasks.items():
-            clone = f"{name}@grp{group}"
+        for row in rows:
             # A link-resolved transfer re-resolves on the full topology (the
             # group program numbers devices locally); channel-named
             # transfers shift implicitly, since the simulator resolves them
             # from the cloned task's device.
             link = src = dst = None
-            if task.link is not None and task.src_device is not None:
-                src = shifted(task.src_device)
+            if row.link is not None and row.src_device is not None:
+                src = shifted(row.src_device)
                 dst = shifted(
-                    task.dst_device if task.dst_device is not None
-                    else task.device
+                    row.dst_device if row.dst_device is not None else row.device
                 )
                 link = machine.link_between(src, dst)
-            tasks[clone] = Task(
-                name=clone,
-                device=shifted(task.device),
-                kind=task.kind,
-                duration=task.duration * scale,
-                comm_bytes=task.comm_bytes * scale,
-                channel=task.channel,
-                deps=tuple(f"{dep}@grp{group}" for dep in task.deps),
-                after=tuple(f"{dep}@grp{group}" for dep in task.after),
-                link=link,
-                src_device=src,
-                dst_device=dst,
+            comm_bytes = row.comm_bytes * scale
+            comm_time = row.comm_time
+            if row.kind == "comm":
+                # The clone moves scaled bytes, possibly over another link:
+                # the active cost model prices it afresh.
+                comm_time = comm_time_override(
+                    comm_bytes,
+                    link=link,
+                    channel=None if link is not None else row.channel,
+                )
+            tasks.add(
+                f"{row.name}@grp{group}", shifted(row.device), row.kind,
+                row.duration * scale, comm_bytes, row.channel,
+                tuple(f"{dep}@grp{group}" for dep in row.deps),
+                tuple(f"{dep}@grp{group}" for dep in row.after),
+                link, src, dst, comm_time,
             )
         neighbour_offset = ((group + 1) % groups) * group_devices
         for local_device in range(group_devices):
             reduce_name = f"allreduce@d{local_device}@grp{group}"
-            tasks[reduce_name] = _ring_reduce_task(
-                reduce_name, machine,
+            _ring_reduce_task(
+                tasks, reduce_name, machine,
                 offset + local_device, neighbour_offset + local_device,
                 reduce_bytes, deps=group_sinks,
             )

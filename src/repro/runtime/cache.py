@@ -17,16 +17,18 @@ is shared with the plan cache — see :class:`repro.caching.TwoTierCache`;
 this module adds the program codec
 (:func:`repro.runtime.program.program_to_dict`) and the program key scheme.
 
-The memory tier holds lowered programs, not their JSON: a program's
-``Task`` objects are immutable values, so the cache keeps them by reference
-and every hit returns :meth:`LoweredProgram.copy` — a fresh program with a
-fresh ``name -> Task`` dict around the shared tasks.  Only the disk tier,
-``export``/``import`` bundles and autotuner worker deltas encode programs,
-in the unchanged version-1 payload format.  Callers edit a returned
-program by replacing tasks (the Table 3 ablation rescales durations with
-``program.tasks[name] = dataclasses.replace(task, duration=...)``);
-inserting, replacing or deleting entries of the returned dict never
-reaches the cache.
+The memory tier holds lowered programs, not their JSON: a program's dense
+task graph (:class:`repro.sim.engine.TaskGraphBuilder`) is immutable once
+built, so the cache keeps it by reference and every hit returns
+:meth:`LoweredProgram.copy` — a fresh program (its own memory report and
+stats) around the shared dense form, together with the compiled form
+cached on it for the program's machine.  A warm hit therefore neither
+copies nor re-sorts a task graph.  Only the disk tier, ``export``/``import``
+bundles and autotuner worker deltas encode programs, in the unchanged
+version-1 payload format.  Callers edit a returned program with
+:meth:`LoweredProgram.replace_tasks`, which builds a new dense form (the
+Table 3 ablation rescales durations this way); nothing done to a returned
+program reaches the cache.
 """
 
 from __future__ import annotations
@@ -141,8 +143,8 @@ class ProgramCache(TwoTierCache):
 
     # ------------------------------------------------------------------ get
     def get(self, key: str) -> Optional[LoweredProgram]:
-        """A copy of the cached program under ``key`` (sharing its tasks),
-        or ``None`` on a miss."""
+        """A copy of the cached program under ``key`` (sharing its dense
+        task graph), or ``None`` on a miss."""
         program = self.get_entry(key)
         if program is None:
             return None

@@ -8,8 +8,9 @@ and simulate that program under link contention on the modelled machine.
 
 The three stages are individually exposed (``lower`` → ``simulate`` → or
 ``run`` for both), so callers can inspect or adjust the lowered program —
-e.g. the framework-overhead ablation of Table 3 replaces every task with a
-rescaled copy between lowering and simulation.
+e.g. the framework-overhead ablation of Table 3 swaps in rescaled copies of
+every task (``LoweredProgram.replace_tasks``) between lowering and
+simulation.
 """
 
 from __future__ import annotations
@@ -329,9 +330,10 @@ class Executor:
 
         ``machine`` defaults to the machine the program was lowered for —
         kernel durations and the memory report were priced on it, so
-        simulating on a different machine is an explicit choice.  A program
-        frozen with :meth:`LoweredProgram.freeze` simulates through its
-        trusted-immutable handle, skipping the per-call content fingerprint.
+        simulating on a different machine is an explicit choice.  The
+        program's dense form is compiled for a machine once and cached on
+        it (:meth:`LoweredProgram.dense_form`), so repeat simulations —
+        including of program-cache copies — only replay it.
         """
         with perf.activation(self.profile_timer):
             if machine is None:
@@ -339,8 +341,9 @@ class Executor:
             machine = self._resolve_machine(machine, program.plan)
             if check_memory is None:
                 check_memory = program.check_memory
+            # A program's task view compiles to its own cached dense form.
             return TaskGraphSimulator(machine).run(
-                program.simulation_tasks,
+                program.tasks,
                 peak_memory=program.per_device_memory,
                 check_memory=check_memory,
             )

@@ -11,7 +11,8 @@ them per backend) makes each stage independently testable and reusable:
   static memory planner (Sec 6, buffer reuse under control dependencies) and
   reports per-device peak bytes.
 * **Kernel-time costing** — :func:`make_compute_task` prices a node with the
-  roofline cost model (Sec 7.1) and emits its compute task.
+  roofline cost model (Sec 7.1) and emits its compute task into the
+  program's :class:`repro.sim.engine.TaskGraphBuilder`.
 * **Comm-task emission** — :func:`make_comm_task` emits a transfer priced by
   the actual edge it crosses: given the topology and the transfer's
   endpoints it resolves the :class:`repro.sim.device.Link`
@@ -46,7 +47,7 @@ from repro.graph.node import OpNode
 from repro.graph.scheduler import liveness, topo_schedule  # noqa: F401  (re-export)
 from repro.sim.costmodel import active_cost_model, node_kernel_time
 from repro.sim.device import DeviceSpec, MachineSpec, Topology
-from repro.sim.engine import CHANNELS, Task, validate_channel  # noqa: F401
+from repro.sim.engine import CHANNELS, TaskGraphBuilder, validate_channel  # noqa: F401
 
 
 @perf.timed("pass.scheduled_nodes")
@@ -66,6 +67,7 @@ def producer_deps(graph: Graph, node: OpNode) -> List[str]:
 
 
 def make_compute_task(
+    builder: TaskGraphBuilder,
     graph: Graph,
     node_name: str,
     device: int,
@@ -76,8 +78,9 @@ def make_compute_task(
     scale: float = 1.0,
     extra_duration: float = 0.0,
     task_name: Optional[str] = None,
-) -> Task:
-    """Kernel-time costing pass: one compute task priced by the roofline model.
+) -> None:
+    """Kernel-time costing pass: emit one compute task into ``builder``,
+    priced by the roofline model.
 
     ``scale`` shrinks the node's work to its per-device shard (1/k under
     partitioned or data-parallel execution); ``extra_duration`` adds fixed
@@ -87,16 +90,11 @@ def make_compute_task(
         node_kernel_time(graph, node_name, device_spec, machine, scale=scale)
         + extra_duration
     )
-    return Task(
-        name=task_name or node_name,
-        device=device,
-        kind="compute",
-        duration=duration,
-        deps=tuple(deps),
-    )
+    builder.add(task_name or node_name, device, "compute", duration, deps=deps)
 
 
 def make_comm_task(
+    builder: TaskGraphBuilder,
     name: str,
     device: int,
     comm_bytes: float,
@@ -106,8 +104,9 @@ def make_comm_task(
     topology: Optional[Topology] = None,
     src: Optional[int] = None,
     dst: Optional[int] = None,
-) -> Task:
-    """Comm-task emission pass: one transfer priced by the edge it crosses.
+) -> None:
+    """Comm-task emission pass: emit one transfer into ``builder``, priced
+    by the edge it crosses.
 
     Two spellings:
 
@@ -129,34 +128,24 @@ def make_comm_task(
     simulator skips the link-bandwidth arithmetic; the link still provides
     the contention queue.
     """
+    comm_bytes = float(comm_bytes)
     if topology is not None and src is not None:
         dst = device if dst is None else dst
         link = topology.link_between(src, dst)
-        return Task(
-            name=name,
-            device=device,
-            kind="comm",
-            comm_bytes=float(comm_bytes),
-            channel=link.kind,
-            deps=tuple(deps),
-            link=link,
-            src_device=src,
-            dst_device=dst,
-            comm_time=_comm_time_override(float(comm_bytes), link=link),
+        builder.add(
+            name, device, "comm", comm_bytes=comm_bytes, channel=link.kind,
+            deps=deps, link=link, src_device=src, dst_device=dst,
+            comm_time=comm_time_override(comm_bytes, link=link),
         )
+        return
     validate_channel(name, channel)
-    return Task(
-        name=name,
-        device=device,
-        kind="comm",
-        comm_bytes=float(comm_bytes),
-        channel=channel,
-        deps=tuple(deps),
-        comm_time=_comm_time_override(float(comm_bytes), channel=channel),
+    builder.add(
+        name, device, "comm", comm_bytes=comm_bytes, channel=channel,
+        deps=deps, comm_time=comm_time_override(comm_bytes, channel=channel),
     )
 
 
-def _comm_time_override(comm_bytes, *, link=None, channel=None):
+def comm_time_override(comm_bytes, *, link=None, channel=None):
     """The active cost model's price for one transfer, or ``None`` (the
     default link-bandwidth pricing)."""
     model = active_cost_model()

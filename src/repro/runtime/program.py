@@ -12,11 +12,18 @@ backends and the :class:`repro.planner.Planner`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, Mapping, Optional
 
 from repro.sim.device import Link, Topology
-from repro.sim.engine import FrozenTaskGraph, Task
+from repro.sim.engine import (
+    CompiledTaskGraph,
+    Task,
+    TaskGraphBuilder,
+    TaskRow,
+    TaskView,
+    task_view,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (apply uses passes)
     from repro.partition.apply import PartitionedGraph
@@ -33,10 +40,12 @@ class LoweredProgram:
     Attributes:
         backend: Name of the execution backend that produced the program.
         num_devices: Devices the program occupies.
-        tasks: Simulator task graph (compute tasks and comm tasks).  The
-            ``Task`` values are immutable and may be shared with the program
-            cache; edit a program by replacing entries
-            (``tasks[name] = dataclasses.replace(task, ...)``).
+        tasks: Simulator task graph (compute tasks and comm tasks): a
+            read-only ``name -> Task`` view, in emission order, of the
+            program's dense form (:attr:`task_graph`).  Backends pass a
+            :class:`repro.sim.engine.TaskGraphBuilder`; any other mapping is
+            fed through one.  The dense form is shared with the program
+            cache; edit a program with :meth:`replace_tasks`.
         per_device_memory: Planned peak bytes per device index (the memory
             report the simulator checks against device capacity).
         total_comm_bytes: Aggregate communication volume of one iteration.
@@ -67,7 +76,7 @@ class LoweredProgram:
 
     backend: str
     num_devices: int
-    tasks: Dict[str, Task]
+    tasks: Mapping[str, Task]
     per_device_memory: Dict[int, int]
     total_comm_bytes: float = 0.0
     check_memory: bool = True
@@ -80,61 +89,43 @@ class LoweredProgram:
     schedule: Optional["PipelineSchedule"] = None
     strategy: Optional[str] = None
     cost_model: Optional[str] = None
-    #: Set by :meth:`freeze`; never serialised (a reloaded program starts
-    #: unfrozen — whoever reconstructs it must opt in again).
-    _frozen: Optional[FrozenTaskGraph] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
-    # ------------------------------------------------------------- freezing
-    @property
-    def frozen(self) -> bool:
-        """Whether the program carries a frozen handle over its current task
-        dict (a handle left behind by reassigning ``tasks`` does not count)."""
-        return self._frozen is not None and self._frozen.tasks is self.tasks
-
-    def freeze(self) -> "LoweredProgram":
-        """Mark the task dict trusted-unchanging and return ``self``.
-
-        Repeat simulations then skip the per-call content fingerprint
-        (~11 ms at 20k tasks) — the warm-path headroom the profiling work
-        identified.  Tasks themselves are immutable; the caller promises not
-        to insert, replace or delete entries of ``tasks`` while the program
-        stays frozen, since an edit behind a frozen handle silently replays
-        stale results.  Reassigning ``program.tasks`` to a new dict is safe:
-        the handle is bound to the dict it froze and is ignored once
-        ``tasks`` points elsewhere.
-        """
-        if not self.frozen:
-            self._frozen = FrozenTaskGraph(self.tasks)
-        return self
-
-    def thaw(self) -> "LoweredProgram":
-        """Drop the frozen handle; simulations fingerprint per call again."""
-        self._frozen = None
-        return self
+    def __post_init__(self) -> None:
+        self.tasks = task_view(self.tasks)
 
     @property
-    def simulation_tasks(self):
-        """What the simulator should run: the frozen handle when one is set
-        over the current task dict (fingerprint reused), the raw task dict
-        otherwise — including after ``tasks`` was reassigned."""
-        return self._frozen if self.frozen else self.tasks
+    def task_graph(self) -> TaskGraphBuilder:
+        """The program's dense form (shared by every copy of the program)."""
+        return self.tasks.graph
+
+    def dense_form(self, machine: Optional[Topology] = None) -> CompiledTaskGraph:
+        """The task graph compiled for ``machine`` (default: the machine the
+        program was priced for).  Compiled once per machine and cached on
+        the shared dense form, so program-cache copies reuse it."""
+        return self.task_graph.build(machine or self.machine)
+
+    def replace_tasks(self, tasks: Mapping[str, Task]) -> "LoweredProgram":
+        """A copy whose task graph has each of ``tasks`` in place of the
+        task of the same name (new names are appended), rebuilt through the
+        :class:`TaskGraphBuilder`.  This program is left unchanged."""
+        return self._copy(TaskView(self.task_graph.edited(tasks)))
 
     def copy(self) -> "LoweredProgram":
         """A copy that shares every immutable value and owns every container.
 
-        The ``Task`` objects, plan, machine, schedule and the partitioned
-        detail's sharded graph are shared by reference; the task dict, the
-        memory report, ``stats`` and ``stage_of_node`` are fresh, so edits
-        to either program's containers never reach the other.  The copy
-        starts unfrozen.  This is what the program cache stores on a put
-        and returns on every hit.
+        The dense task graph (and with it the compiled form cached on it),
+        plan, machine, schedule and the partitioned detail's sharded graph
+        are shared by reference; the memory report, ``stats`` and
+        ``stage_of_node`` are fresh, so edits to either program's containers
+        never reach the other.  This is what the program cache stores on a
+        put and returns on every hit.
         """
-        tasks = dict(self.tasks)
+        return self._copy(self.tasks)
+
+    def _copy(self, tasks: TaskView) -> "LoweredProgram":
         partitioned = self.partitioned
         if partitioned is not None:
-            # The partitioned detail shares the program's task dict, exactly
+            # The partitioned detail shares the program's task view, exactly
             # as the tofu-partitioned backend builds it.
             partitioned = replace(
                 partitioned,
@@ -187,45 +178,19 @@ class LoweredProgram:
 # ---------------------------------------------------------------------------
 # Serialization — what the lowered-program cache stores
 # ---------------------------------------------------------------------------
-def _task_to_dict(task: Task) -> Dict:
-    link = task.link
-    return {
-        "name": task.name,
-        "device": task.device,
-        "kind": task.kind,
-        "duration": task.duration,
-        "comm_bytes": task.comm_bytes,
-        "channel": task.channel,
-        "deps": list(task.deps),
-        "after": list(task.after),
-        "link": None if link is None else {
-            "kind": link.kind,
-            "key": link.key,
-            "bandwidth": link.bandwidth,
-            "latency": link.latency,
-        },
-        "src_device": task.src_device,
-        "dst_device": task.dst_device,
-        "comm_time": task.comm_time,
-    }
-
-
-def _task_from_dict(payload: Mapping) -> Task:
-    link = payload.get("link")
-    return Task(
-        name=payload["name"],
-        device=payload["device"],
-        kind=payload["kind"],
-        duration=payload["duration"],
-        comm_bytes=payload["comm_bytes"],
-        channel=payload["channel"],
-        deps=tuple(payload["deps"]),
-        after=tuple(payload["after"]),
-        link=None if link is None else Link(**link),
-        src_device=payload.get("src_device"),
-        dst_device=payload.get("dst_device"),
-        comm_time=payload.get("comm_time"),
+def _row_to_dict(row: TaskRow) -> Dict:
+    entry = row._asdict()
+    entry.update(
+        deps=list(row.deps),
+        after=list(row.after),
+        link=None if row.link is None else asdict(row.link),
     )
+    return entry
+
+
+def _add_task_entry(builder: TaskGraphBuilder, entry: Mapping) -> None:
+    link = entry.get("link")
+    builder.add(**{**entry, "link": None if link is None else Link(**link)})
 
 
 def program_to_dict(program: LoweredProgram) -> Dict:
@@ -233,7 +198,7 @@ def program_to_dict(program: LoweredProgram) -> Dict:
     :func:`program_from_dict`.
 
     Everything is content, nothing is identity: tasks (with resolved links
-    and both dependency streams, in scheduling order), the memory report,
+    and both dependency streams, in emission order), the memory report,
     the partition plan, the priced machine model, the pipeline schedule, and
     the partitioned-graph detail.  JSON round-trips floats exactly
     (``repr``-based shortest encoding), so a reconstructed program simulates
@@ -247,7 +212,7 @@ def program_to_dict(program: LoweredProgram) -> Dict:
         "version": PROGRAM_PAYLOAD_VERSION,
         "backend": program.backend,
         "num_devices": program.num_devices,
-        "tasks": [_task_to_dict(task) for task in program.tasks.values()],
+        "tasks": [_row_to_dict(row) for row in program.task_graph.rows],
         "per_device_memory": {
             str(device): int(required)
             for device, required in program.per_device_memory.items()
@@ -313,7 +278,10 @@ def program_from_dict(payload: Mapping) -> LoweredProgram:
     from repro.runtime.passes import PipelineSchedule
     from repro.sim.device import machine_from_dict
 
-    tasks = {entry["name"]: _task_from_dict(entry) for entry in payload["tasks"]}
+    builder = TaskGraphBuilder()
+    for entry in payload["tasks"]:
+        _add_task_entry(builder, entry)
+    tasks = builder.tasks
     plan = (
         None if payload.get("plan") is None
         else plan_from_dict(payload["plan"])
@@ -338,7 +306,7 @@ def program_from_dict(payload: Mapping) -> LoweredProgram:
         entry = payload["partitioned"]
         partitioned = PartitionedGraph(
             num_devices=entry["num_devices"],
-            # The partitioned detail shares the program's task dict, exactly
+            # The partitioned detail shares the program's task graph, exactly
             # as the tofu-partitioned backend builds it.
             tasks=tasks,
             per_device_memory={

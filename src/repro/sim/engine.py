@@ -20,13 +20,14 @@ model.
 
 Two execution paths share one scheduling semantics:
 
-* the **compiled core** — :func:`compile_task_graph` interns task names to
-  dense integer ids (topological order, dependency id lists, resource
-  slots, pre-priced transfer times) and
-  :meth:`TaskGraphSimulator.run_compiled` replays the arrays;
-  :meth:`TaskGraphSimulator.run` caches compiled graphs process-wide by
-  content fingerprint so repeat simulations of one program skip the topo
-  sort and dict churn entirely;
+* the **compiled core** — lowering passes emit rows into a
+  :class:`TaskGraphBuilder`, whose :meth:`~TaskGraphBuilder.build` interns
+  task names to dense integer ids (topological order, dependency id lists,
+  resource slots, pre-priced transfer times) and
+  :meth:`TaskGraphSimulator.run_compiled` replays the arrays.  A built graph
+  caches its compiled form, so repeat simulations of one program — and of
+  every program-cache copy sharing its graph — skip the sort entirely.
+  :func:`compile_task_graph` feeds a plain task dict to the same builder;
 * the **reference loop** — :meth:`TaskGraphSimulator.run_reference`, the
   original string-keyed per-dict event loop, kept as the parity oracle and
   benchmark baseline.  The parity suite pins the two paths float-identical
@@ -35,13 +36,16 @@ Two execution paths share one scheduling semantics:
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from array import array
+from collections import abc, deque, namedtuple
+from dataclasses import dataclass, field, fields
+from typing import (
+    Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from repro import perf
 from repro.errors import SimulationError
-from repro.sim.device import ClusterSpec, Link, MachineSpec
+from repro.sim.device import ClusterSpec, Link, MachineSpec, Topology
 
 HOST_DEVICE = -1
 
@@ -86,10 +90,11 @@ def resolve_channel_link(
 class Task:
     """One schedulable unit — an immutable value.
 
-    Tasks are frozen so that lowered programs can share them by reference
-    (the program cache hands the same ``Task`` objects to every hit).  To
-    edit a program, replace the task in its dict:
-    ``program.tasks[name] = dataclasses.replace(task, duration=...)``.
+    Lowering emits task rows into a :class:`TaskGraphBuilder`; ``Task``
+    objects are what a program's read-only task view builds from those
+    rows, and what callers hand to :func:`compile_task_graph`.  To edit a
+    program, replace tasks:
+    ``program.replace_tasks({name: dataclasses.replace(task, ...)})``.
 
     ``kind`` is ``"compute"`` (duration given directly) or ``"comm"``
     (duration derived from ``comm_bytes`` and the link bandwidth, plus the
@@ -113,8 +118,6 @@ class Task:
     duration: float = 0.0
     comm_bytes: float = 0.0
     channel: str = "p2p"  # "p2p" | "cpu" | "net"
-    #: Both dependency fields accept any sequence; the lowering passes emit
-    #: tuples so a task graph's content fingerprint can reuse them as-is.
     deps: Sequence[str] = ()
     after: Sequence[str] = ()
     link: Optional[Link] = None
@@ -135,6 +138,11 @@ class Task:
         if self.after:
             return list(self.deps) + list(self.after)
         return self.deps
+
+
+#: One task as lowering emits it: :class:`Task`'s fields, in order, in a
+#: plain tuple (``Task(*row)`` rebuilds the task).
+TaskRow = namedtuple("TaskRow", [f.name for f in fields(Task)])
 
 
 @dataclass
@@ -192,27 +200,23 @@ class SimResult:
 
 
 # ---------------------------------------------------------------------------
-# Compiled task graphs — the simulator's hot-path representation
+# Dense task graphs — what lowering emits and the simulator replays
 # ---------------------------------------------------------------------------
 @dataclass
 class CompiledTaskGraph:
-    """A task graph lowered once to dense integer ids and parallel arrays.
+    """A task graph as dense integer ids and parallel arrays, priced for one
+    machine.
 
-    Compilation interns task names to ids in topological order, resolves
-    every communication task's :class:`Link` against the topology, prices
-    transfers (``link.transfer_time``), and folds everything the event loop
-    needs into flat lists indexed by task id — so the per-iteration loop of
-    :meth:`TaskGraphSimulator.run_compiled` touches no strings, no
-    ``Task`` objects, and no per-task dict lookups.  Aggregates that do not
-    depend on scheduling (total communication volume, per-device compute
-    busy time) are accumulated at compile time in the same topological order
-    the reference loop uses, so results stay float-identical.
-
-    ``TaskGraphSimulator.run`` builds-and-caches one of these per
-    (machine, task-graph fingerprint), which is what makes repeat
-    simulations of the same program — ``auto`` sweeps, micro-batch
-    schedules, ``CompiledModel.simulate()`` — skip the topo sort and the
-    dict churn entirely.
+    :meth:`TaskGraphBuilder.build` produces it: task names become ids in
+    topological order, every communication task's :class:`Link` is resolved
+    against the topology and its transfer priced (``link.transfer_time``),
+    and everything the event loop needs is folded into flat lists indexed by
+    task id — so the per-iteration loop of
+    :meth:`TaskGraphSimulator.run_compiled` touches no strings, no ``Task``
+    objects, and no per-task dict lookups.  Aggregates that do not depend on
+    scheduling (total communication volume, per-device compute busy time)
+    are accumulated in the same topological order the reference loop uses,
+    so results stay float-identical.
     """
 
     num_tasks: int
@@ -239,281 +243,316 @@ class CompiledTaskGraph:
     per_device_compute_time: Dict[int, float]
 
 
-def compile_task_graph(
-    tasks: Dict[str, Task], machine: Union[MachineSpec, ClusterSpec]
-) -> CompiledTaskGraph:
-    """Lower ``tasks`` to a :class:`CompiledTaskGraph` for ``machine``.
+class TaskGraphBuilder:
+    """A task graph as lowering emits it: one :class:`TaskRow` per task, in
+    emission order.
 
-    Raises the same :class:`SimulationError` diagnostics as the reference
-    loop (missing dependencies, cycles, unknown channels or task kinds) —
-    just at compile time instead of mid-simulation.
+    Lowering passes :meth:`add` rows instead of constructing ``Task``
+    objects.  :meth:`build` interns names to ids in emission order, resolves
+    each dependency edge with one dict lookup, sorts the integer graph with
+    Kahn's algorithm (FIFO, the tie-breaking of the reference loop), and
+    permutes the rows into a :class:`CompiledTaskGraph` for one machine.
+
+    The first sort seals the builder: from then on it is an immutable dense
+    form that caches its topological sort and its compiled form for the
+    last machine it was built for, so every program sharing one builder —
+    program-cache copies included — shares both.  Threads sharing a builder
+    may race to fill those caches; they compute equal values, so whichever
+    write lands is correct.  Adding a name twice replaces the earlier row
+    in place, like assigning into a dict.
     """
-    order = TaskGraphSimulator._topo_order(tasks)
-    index = {name: i for i, name in enumerate(order)}
 
-    n = len(order)
-    names: List[str] = order
-    deps: List[Tuple[int, ...]] = [()] * n
-    slots: List[int] = [0] * n
-    durations: List[float] = [0.0] * n
-    comm_index: List[int] = [-1] * n
-    comm_devices: List[int] = []
-    comm_links: List[int] = []
-    link_keys: List[str] = []
+    __slots__ = ("rows", "_index", "_sorted", "_compiled")
 
-    device_slot: Dict[int, int] = {}
-    link_slot: Dict[str, int] = {}
-    link_busy_index: Dict[str, int] = {}
-    num_slots = 0
-    total_comm_bytes = 0.0
-    compute_busy: Dict[int, float] = {}
+    def __init__(self) -> None:
+        self.rows: List[TaskRow] = []
+        self._index: Dict[str, int] = {}
+        self._sorted: Optional[Tuple[Sequence[int], List[Tuple[int, ...]]]] = None
+        self._compiled: Optional[Tuple[Topology, CompiledTaskGraph]] = None
 
-    for i, name in enumerate(order):
-        task = tasks[name]
-        deps[i] = tuple(index[dep] for dep in task.ordering_deps())
-        if task.kind == "compute":
-            slot = device_slot.get(task.device)
-            if slot is None:
-                slot = device_slot[task.device] = num_slots
-                num_slots += 1
-            slots[i] = slot
-            durations[i] = task.duration
-            compute_busy[task.device] = (
-                compute_busy.get(task.device, 0.0) + task.duration
+    @classmethod
+    def from_tasks(cls, tasks: Mapping[str, Task]) -> "TaskGraphBuilder":
+        """A builder holding ``tasks`` under their keys, in iteration order."""
+        builder = cls()
+        for name, task in tasks.items():
+            builder.add_task(task, name)
+        return builder
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._index
+
+    def add(
+        self,
+        name: str,
+        device: int,
+        kind: str = "compute",
+        duration: float = 0.0,
+        comm_bytes: float = 0.0,
+        channel: str = "p2p",
+        deps: Sequence[str] = (),
+        after: Sequence[str] = (),
+        link: Optional[Link] = None,
+        src_device: Optional[int] = None,
+        dst_device: Optional[int] = None,
+        comm_time: Optional[float] = None,
+    ) -> None:
+        """Append one task; the arguments are :class:`Task`'s fields."""
+        if self._sorted is not None:
+            raise SimulationError(
+                f"cannot add task {name!r}: the task graph is already built"
             )
-        elif task.kind == "comm":
-            link = task.link
-            if link is None:
-                link = resolve_channel_link(machine, name, task.channel, task.device)
-            slot = link_slot.get(link.key)
-            if slot is None:
-                slot = link_slot[link.key] = num_slots
-                num_slots += 1
-            slots[i] = slot
-            durations[i] = (
-                task.comm_time
-                if task.comm_time is not None
-                else link.transfer_time(task.comm_bytes)
-            )
-            busy = link_busy_index.get(link.key)
-            if busy is None:
-                busy = link_busy_index[link.key] = len(link_keys)
-                link_keys.append(link.key)
-            comm_index[i] = len(comm_devices)
-            comm_devices.append(task.device)
-            comm_links.append(busy)
-            total_comm_bytes += task.comm_bytes
+        row = TaskRow._make((
+            name, device, kind, duration, comm_bytes, channel, tuple(deps),
+            tuple(after), link, src_device, dst_device, comm_time,
+        ))
+        rows = self.rows
+        index = self._index.setdefault(name, len(rows))
+        if index == len(rows):
+            rows.append(row)
         else:
-            raise SimulationError(f"unknown task kind {task.kind!r}")
+            rows[index] = row
 
-    return CompiledTaskGraph(
-        num_tasks=n,
-        names=names,
-        deps=deps,
-        slots=slots,
-        num_slots=num_slots,
-        durations=durations,
-        comm_index=comm_index,
-        comm_devices=comm_devices,
-        comm_links=comm_links,
-        link_keys=link_keys,
-        total_comm_bytes=total_comm_bytes,
-        per_device_compute_time=compute_busy,
-    )
+    def add_task(self, task: Task, name: Optional[str] = None) -> None:
+        """Append ``task``, under ``name`` when given (its dict key)."""
+        self.add(**{**vars(task), "name": task.name if name is None else name})
 
-
-class FrozenTaskGraph:
-    """Opt-in "trusted immutable" handle over a task dict.
-
-    :meth:`TaskGraphSimulator.run` fingerprints its task dict on *every* call
-    so mutation between simulations is always caught — a safety that costs
-    ~11 ms at 20k tasks and dominates the warm simulate path.  Freezing a
-    task dict computes the fingerprint once and reuses it, trading that
-    safety for speed: the caller asserts the dict will not change while the
-    handle is alive.  Inserting, replacing or deleting a task behind a
-    frozen handle silently replays the stale compiled graph — that is the
-    contract, not a bug.
-    """
-
-    __slots__ = ("tasks", "_fingerprint")
-
-    def __init__(self, tasks: Dict[str, Task]):
-        self.tasks = tasks
-        self._fingerprint: Optional[Tuple] = None
+    def edited(self, tasks: Mapping[str, Task]) -> "TaskGraphBuilder":
+        """A new builder with this graph's rows, each of ``tasks`` replacing
+        the row of the same name in place or appended after the rest."""
+        builder = TaskGraphBuilder()
+        builder.rows = list(self.rows)
+        builder._index = dict(self._index)
+        for name, task in tasks.items():
+            builder.add_task(task, name)
+        return builder
 
     @property
-    def fingerprint(self) -> Tuple:
-        if self._fingerprint is None:
-            self._fingerprint = task_graph_fingerprint(self.tasks)
-        return self._fingerprint
+    def tasks(self) -> "TaskView":
+        """Read-only ``name -> Task`` view, in emission order."""
+        return TaskView(self)
 
+    # ----------------------------------------------------------------- build
+    def build(self, machine: Topology) -> CompiledTaskGraph:
+        """The graph compiled for ``machine``.
 
-def task_graph_fingerprint(tasks: Dict[str, Task]) -> Tuple:
-    """Content fingerprint of a task dict — everything that can change the
-    compiled form or the simulation outcome (names, resources, durations,
-    volumes, resolved links, both dependency streams, and iteration order,
-    which breaks topological ties).
+        The graph is sorted once; links are resolved and transfers priced
+        once per machine — a repeat build for an equal machine returns the
+        cached result.  Raises the reference loop's :class:`SimulationError`
+        diagnostics (missing dependencies, cycles, unknown channels or task
+        kinds).
+        """
+        cached = self._compiled
+        if cached is not None and (cached[0] is machine or cached[0] == machine):
+            return cached[1]
+        with perf.stage("sim.compile"):
+            compiled = self._compile(machine)
+        self._compiled = (machine, compiled)
+        return compiled
 
-    This runs on *every* :meth:`TaskGraphSimulator.run` call — it is what
-    makes caching compiled graphs safe against callers replacing tasks
-    between simulations (the ablation sweeps rescale durations that way) —
-    so it stays a single flat comprehension, and ``tuple()`` on the
-    dependency fields is an identity no-op for pass-emitted tasks.
-    """
-    return tuple(
-        [
-            (
-                name,
-                task.device,
-                task.kind,
-                task.duration,
-                task.comm_bytes,
-                task.channel,
-                task.link,
-                tuple(task.deps),
-                tuple(task.after),
-                task.comm_time,
-            )
-            for name, task in tasks.items()
-        ]
-    )
+    def sort(self) -> Tuple[Sequence[int], List[Tuple[int, ...]]]:
+        """Row indices in topological order, and each sorted task's ordering
+        dependencies as positions in that order (computed once, cached).
 
+        Raises :class:`SimulationError` when a dependency names no task or
+        the ordering edges contain a cycle."""
+        if self._sorted is not None:
+            return self._sorted
+        lookup = self._index.__getitem__
+        rows = self.rows
+        n = len(rows)
+        indegree = [0] * n
+        consumers: List[List[int]] = [[] for _ in range(n)]
+        dep_ids: List[Tuple[int, ...]] = [()] * n
+        for i, row in enumerate(rows):
+            deps = row.deps + row.after if row.after else row.deps
+            if not deps:
+                continue
+            try:
+                ids = dep_ids[i] = tuple(map(lookup, deps))
+            except KeyError:
+                missing = next(dep for dep in deps if dep not in self._index)
+                raise SimulationError(
+                    f"task {row.name!r} depends on missing task {missing!r}"
+                ) from None
+            indegree[i] = len(ids)
+            for j in ids:
+                consumers[j].append(i)
+        order = [i for i in range(n) if not indegree[i]]
+        for i in order:  # FIFO: the list grows while it is walked
+            for consumer in consumers[i]:
+                indegree[consumer] -= 1
+                if not indegree[consumer]:
+                    order.append(consumer)
+        if len(order) != n:
+            raise SimulationError("task graph contains a cycle")
+        position = [0] * n
+        for k, i in enumerate(order):
+            position[i] = k
+        at = position.__getitem__
+        # The order is kept as a machine-int array: a program holds its sort
+        # for as long as it lives.
+        self._sorted = (
+            array("i", order), [tuple(map(at, dep_ids[i])) for i in order]
+        )
+        return self._sorted
 
-def _machine_identity(machine: Union[MachineSpec, ClusterSpec]) -> str:
-    """Content signature of a machine, computed once and cached on it.
+    def _compile(self, machine: Topology) -> CompiledTaskGraph:
+        order, deps = self.sort()
+        rows = self.rows
+        n = len(order)
+        names: List[str] = [""] * n
+        slots: List[int] = [0] * n
+        durations: List[float] = [0.0] * n
+        comm_index: List[int] = [-1] * n
+        comm_devices: List[int] = []
+        comm_links: List[int] = []
+        link_keys: List[str] = []
 
-    The compiled-graph cache used to key on ``id(machine)``, which made two
-    content-equal machine objects (a cache-reconstructed program carries a
-    freshly deserialised machine every time) miss each other's entries —
-    the compile service's warm path paid a full topo sort per request.
-    Machine specs are frozen dataclasses, so a content hash is stable;
-    ``object.__setattr__`` smuggles the memo past ``frozen=True``.
-    """
-    signature = getattr(machine, "_content_signature", None)
-    if signature is None:
-        from repro.caching import machine_signature
+        device_slot: Dict[int, int] = {}
+        link_slot: Dict[str, int] = {}
+        link_busy_index: Dict[str, int] = {}
+        num_slots = 0
+        total_comm_bytes = 0.0
+        compute_busy: Dict[int, float] = {}
 
-        signature = machine_signature(machine)
-        object.__setattr__(machine, "_content_signature", signature)
-    return signature
+        for i, row in enumerate(map(rows.__getitem__, order)):
+            (name, device, kind, duration, comm_bytes, channel, _, _, link,
+             _, _, comm_time) = row
+            names[i] = name
+            if kind == "compute":
+                slot = device_slot.get(device)
+                if slot is None:
+                    slot = device_slot[device] = num_slots
+                    num_slots += 1
+                slots[i] = slot
+                durations[i] = duration
+                compute_busy[device] = compute_busy.get(device, 0.0) + duration
+            elif kind == "comm":
+                if link is None:
+                    link = resolve_channel_link(machine, name, channel, device)
+                key = link.key
+                slot = link_slot.get(key)
+                if slot is None:
+                    slot = link_slot[key] = num_slots
+                    num_slots += 1
+                slots[i] = slot
+                durations[i] = (
+                    comm_time
+                    if comm_time is not None
+                    else link.transfer_time(comm_bytes)
+                )
+                busy = link_busy_index.get(key)
+                if busy is None:
+                    busy = link_busy_index[key] = len(link_keys)
+                    link_keys.append(key)
+                comm_index[i] = len(comm_devices)
+                comm_devices.append(device)
+                comm_links.append(busy)
+                total_comm_bytes += comm_bytes
+            else:
+                raise SimulationError(f"unknown task kind {kind!r}")
 
-
-class _CompiledCacheKey:
-    """Cache key wrapping ``(machine signature, fingerprint)`` with a cached
-    hash.
-
-    Fingerprints of real programs run to tens of thousands of nested tuples;
-    hashing one costs milliseconds and plain tuples recompute it on every
-    dict operation.  Caching the hash keeps a warm :meth:`run` at exactly one
-    fingerprint hash per call, and equality on a hit short-circuits on the
-    interned per-task objects."""
-
-    __slots__ = ("machine_id", "fingerprint", "_hash")
-
-    def __init__(self, machine_id: str, fingerprint: Tuple):
-        self.machine_id = machine_id
-        self.fingerprint = fingerprint
-        self._hash = hash((machine_id, fingerprint))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not _CompiledCacheKey:
-            return NotImplemented
-        return (
-            self.machine_id == other.machine_id
-            and self.fingerprint == other.fingerprint
+        return CompiledTaskGraph(
+            num_tasks=n,
+            names=names,
+            deps=deps,
+            slots=slots,
+            num_slots=num_slots,
+            durations=durations,
+            comm_index=comm_index,
+            comm_devices=comm_devices,
+            comm_links=comm_links,
+            link_keys=link_keys,
+            total_comm_bytes=total_comm_bytes,
+            per_device_compute_time=compute_busy,
         )
 
 
-#: Process-wide cache of compiled task graphs, keyed by (machine content
-#: signature, task-graph fingerprint) — content-equal machines share
-#: entries even across distinct (e.g. freshly deserialised) objects.
-COMPILED_CACHE_CAPACITY = 32
-_COMPILED_CACHE: "OrderedDict[_CompiledCacheKey, Tuple[object, CompiledTaskGraph]]" = (
-    OrderedDict()
-)
-_COMPILED_STATS = {"hits": 0, "misses": 0, "compiles": 0}
+class TaskView(abc.Mapping):
+    """Read-only ``name -> Task`` view of a :class:`TaskGraphBuilder`, in
+    emission order — what ``LoweredProgram.tasks`` is.
+
+    Length, iteration and membership read the builder's name index; an item
+    read builds the ``Task`` from its row.  Tasks are values, not storage:
+    a program holds only its rows and compiled form, so reading tasks (the
+    verifier, debugging) costs time on access instead of memory for the
+    program's lifetime.  There is no item assignment: edit a program with
+    ``LoweredProgram.replace_tasks``.
+    """
+
+    __slots__ = ("graph",)
+
+    def __init__(self, graph: TaskGraphBuilder):
+        self.graph = graph
+
+    def __len__(self) -> int:
+        return len(self.graph.rows)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.graph._index)
+
+    def __contains__(self, name: object) -> bool:
+        return name in self.graph._index
+
+    def __getitem__(self, name: str) -> Task:
+        graph = self.graph
+        return Task(*graph.rows[graph._index[name]])
 
 
-def compiled_cache_info() -> Dict[str, int]:
-    """Hit/miss/compile counters and current size of the compiled-graph
-    cache.  ``compiles`` counts topo sorts: one per unique (machine,
-    program), no matter how many times the program is simulated."""
-    return {**_COMPILED_STATS, "size": len(_COMPILED_CACHE)}
+def task_view(tasks: Union[TaskGraphBuilder, Mapping[str, Task]]) -> TaskView:
+    """``tasks`` as a :class:`TaskView`: a view as is, a builder's own view,
+    any other mapping fed through a new builder."""
+    if isinstance(tasks, TaskView):
+        return tasks
+    if isinstance(tasks, TaskGraphBuilder):
+        return TaskView(tasks)
+    return TaskView(TaskGraphBuilder.from_tasks(tasks))
+
+
+def compile_task_graph(
+    tasks: Union[TaskGraphBuilder, Mapping[str, Task]], machine: Topology
+) -> CompiledTaskGraph:
+    """Feed ``tasks`` to a :class:`TaskGraphBuilder` and build it for
+    ``machine``.  A builder or a program's task view builds its own (cached)
+    dense form; any other mapping is fed to a new builder in iteration
+    order."""
+    return task_view(tasks).graph.build(machine)
 
 
 def clear_compiled_cache() -> None:
-    """Empty the compiled-graph cache and reset its counters (test hook)."""
-    _COMPILED_CACHE.clear()
-    _COMPILED_STATS.update({"hits": 0, "misses": 0, "compiles": 0})
+    """A no-op, kept for callers that cleared a cache before cold
+    measurements: compiled forms live on each program's own task graph,
+    so there is no process-wide cache left to clear."""
 
 
 class TaskGraphSimulator:
     """List-scheduling simulator for one machine or cluster.
 
-    :meth:`run` — the production entry point — compiles the task dict to a
-    :class:`CompiledTaskGraph` (cached process-wide by content fingerprint)
-    and replays it with :meth:`run_compiled`.  :meth:`run_reference` keeps
-    the original string-keyed per-dict event loop; the parity suite pins
-    the two paths float-identical across every execution backend, and the
-    hot-path benchmark measures one against the other.
+    :meth:`run` — the entry point ``Executor.simulate`` uses — compiles its
+    tasks (:func:`compile_task_graph`; a program's task view reuses the
+    dense form cached on it) and replays them with :meth:`run_compiled`.
+    :meth:`run_reference` keeps the original string-keyed per-dict event
+    loop; the parity suite pins the two paths float-identical across every
+    execution backend, and the hot-path benchmark measures one against the
+    other.
     """
 
-    def __init__(self, machine: Union[MachineSpec, ClusterSpec]):
+    def __init__(self, machine: Topology):
         self.machine = machine
-
-    # ------------------------------------------------------------- compiled
-    def compiled(
-        self, tasks: Union[Dict[str, Task], FrozenTaskGraph]
-    ) -> CompiledTaskGraph:
-        """The cached compiled form of ``tasks`` on this machine.
-
-        A :class:`FrozenTaskGraph` reuses its precomputed fingerprint — the
-        warm path then skips the per-call content hash entirely.
-        """
-        if isinstance(tasks, FrozenTaskGraph):
-            fingerprint = tasks.fingerprint
-            tasks = tasks.tasks
-        else:
-            with perf.stage("sim.fingerprint"):
-                fingerprint = task_graph_fingerprint(tasks)
-        key = _CompiledCacheKey(_machine_identity(self.machine), fingerprint)
-        # pop + reinsert is the one-hash spelling of an LRU touch: the pop
-        # pays the (cached) hash and one structural compare, the reinsert
-        # lands in the freed slot.
-        entry = _COMPILED_CACHE.pop(key, None)
-        if entry is not None:
-            _COMPILED_CACHE[key] = entry
-            _COMPILED_STATS["hits"] += 1
-            perf.count("sim.compiled_cache_hit")
-            return entry[1]
-        _COMPILED_STATS["misses"] += 1
-        perf.count("sim.compiled_cache_miss")
-        with perf.stage("sim.compile"):
-            compiled = compile_task_graph(tasks, self.machine)
-        _COMPILED_STATS["compiles"] += 1
-        _COMPILED_CACHE[key] = (self.machine, compiled)
-        while len(_COMPILED_CACHE) > COMPILED_CACHE_CAPACITY:
-            _COMPILED_CACHE.popitem(last=False)
-        return compiled
 
     def run(
         self,
-        tasks: Union[Dict[str, Task], FrozenTaskGraph],
+        tasks: Union[TaskGraphBuilder, Mapping[str, Task]],
         *,
         peak_memory: Optional[Dict[int, int]] = None,
         check_memory: bool = True,
     ) -> SimResult:
-        """Simulate ``tasks`` and return timing plus memory verdicts.
-
-        Accepts a plain task dict (fingerprinted on every call, so mutations
-        are always caught) or a :class:`FrozenTaskGraph` (fingerprint
-        computed once — the trusted-immutable fast path)."""
-        compiled = self.compiled(tasks)
+        """Compile ``tasks`` for this machine and simulate them: timing
+        plus memory verdicts."""
         return self.run_compiled(
-            compiled, peak_memory=peak_memory, check_memory=check_memory
+            compile_task_graph(tasks, self.machine),
+            peak_memory=peak_memory,
+            check_memory=check_memory,
         )
 
     def run_compiled(
@@ -581,7 +620,7 @@ class TaskGraphSimulator:
     # ------------------------------------------------------------ reference
     def run_reference(
         self,
-        tasks: Dict[str, Task],
+        tasks: Mapping[str, Task],
         *,
         peak_memory: Optional[Dict[int, int]] = None,
         check_memory: bool = True,
@@ -704,7 +743,7 @@ class TaskGraphSimulator:
         )
 
     @staticmethod
-    def _topo_order(tasks: Dict[str, Task]) -> List[str]:
+    def _topo_order(tasks: Mapping[str, Task]) -> List[str]:
         indegree: Dict[str, int] = {name: 0 for name in tasks}
         consumers: Dict[str, List[str]] = {name: [] for name in tasks}
         for name, task in tasks.items():

@@ -45,7 +45,8 @@ from repro.graph.serialization import graph_from_dict, graph_to_dict
 from repro.perf import StageTimer
 from repro.planner.core import Planner, PlannerConfig, default_planner
 from repro.planner.parallel import mp_context
-from repro.runtime.core import Executor
+from repro.runtime.cache import DEFAULT_PROGRAM_CACHE_CAPACITY
+from repro.runtime.core import Executor, ExecutorConfig
 from repro.sim.device import Topology, machine_from_dict, machine_to_dict
 from repro.strategy.algebra import Machines, Strategy, normalize, parse
 from repro.strategy.lowering import persistent_bytes, weight_shards
@@ -261,7 +262,13 @@ def _init_worker(graph_payload, machine_payload, plan_options, planner_payload):
             explore_factor_orders=planner_payload["explore_factor_orders"],
         )
     )
-    executor = Executor()
+    # A private store: a forked worker's ``Executor()`` would share the
+    # inherited process-wide cache, and its deltas would re-ship every
+    # parent entry — enough to evict the candidates' own programs from a
+    # parent LRU of the same size.
+    executor = Executor(
+        ExecutorConfig(program_cache_capacity=DEFAULT_PROGRAM_CACHE_CAPACITY)
+    )
     _STATE = (graph, machine, planner, executor, plan_options)
     _SHIPPED_PLANS = set()
     _SHIPPED_PROGRAMS = set()

@@ -22,7 +22,7 @@ from repro.runtime.passes import (
     validate_channel,
 )
 from repro.sim.device import ClusterSpec, cluster_of, k80_8gpu_machine
-from repro.sim.engine import Task, TaskGraphSimulator
+from repro.sim.engine import Task, TaskGraphBuilder, TaskGraphSimulator
 
 
 def build_bottleneck_mlp(widths, *, batch_size=64, input_dim=1024):
@@ -89,10 +89,9 @@ class TestEnginePerLinkQueues:
     def test_transfers_on_different_nics_overlap(self):
         cluster = cluster_of(k80_8gpu_machine(2), 3)
         gb = 1e9
-        tasks = {
-            "a": make_comm_task("a", 2, gb, topology=cluster, src=0, dst=2),
-            "b": make_comm_task("b", 4, gb, topology=cluster, src=0, dst=4),
-        }
+        tasks = TaskGraphBuilder()
+        make_comm_task(tasks, "a", 2, gb, topology=cluster, src=0, dst=2)
+        make_comm_task(tasks, "b", 4, gb, topology=cluster, src=0, dst=4)
         result = TaskGraphSimulator(cluster).run(tasks, check_memory=False)
         single = cluster.network_link(1).transfer_time(gb)
         # Different destination NICs: both finish in one transfer time.
@@ -102,10 +101,9 @@ class TestEnginePerLinkQueues:
     def test_transfers_on_one_nic_serialise(self):
         cluster = cluster_of(k80_8gpu_machine(2), 2)
         gb = 1e9
-        tasks = {
-            "a": make_comm_task("a", 2, gb, topology=cluster, src=0, dst=2),
-            "b": make_comm_task("b", 3, gb, topology=cluster, src=1, dst=3),
-        }
+        tasks = TaskGraphBuilder()
+        make_comm_task(tasks, "a", 2, gb, topology=cluster, src=0, dst=2)
+        make_comm_task(tasks, "b", 3, gb, topology=cluster, src=1, dst=3)
         result = TaskGraphSimulator(cluster).run(tasks, check_memory=False)
         single = cluster.network_link(1).transfer_time(gb)
         assert result.iteration_time == pytest.approx(2 * single)
@@ -131,7 +129,7 @@ class TestEnginePerLinkQueues:
         # One validator, one error string: the emission pass and the engine
         # reject an unknown channel identically.
         with pytest.raises(SimulationError, match="unknown channel") as from_pass:
-            make_comm_task("t", 0, 1.0, channel="infiniband")
+            make_comm_task(TaskGraphBuilder(), "t", 0, 1.0, channel="infiniband")
         task = Task(name="t", device=0, kind="comm", comm_bytes=1.0,
                     channel="infiniband")
         machine = k80_8gpu_machine(1)

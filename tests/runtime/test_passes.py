@@ -15,7 +15,7 @@ from repro.runtime.passes import (
 )
 from repro.sim.costmodel import node_kernel_time
 from repro.sim.device import k80_8gpu_machine
-from repro.sim.engine import Task, TaskGraphSimulator
+from repro.sim.engine import Task, TaskGraphBuilder, TaskGraphSimulator
 from repro.sim.swap import swap_residency_schedule
 
 
@@ -36,13 +36,22 @@ class TestScheduling:
                 assert dep in graph.nodes
 
 
+def _emitted(emit, *args, **kwargs) -> Task:
+    """The one task ``emit`` writes into a fresh builder."""
+    builder = TaskGraphBuilder()
+    emit(builder, *args, **kwargs)
+    (task,) = builder.tasks.values()
+    return task
+
+
 class TestCosting:
     def test_compute_task_priced_by_cost_model(self, mlp_bundle):
         graph = mlp_bundle.graph
         machine = k80_8gpu_machine()
         node = scheduled_nodes(graph)[0]
-        task = make_compute_task(
-            graph, node.name, 0, machine.device(0), machine, deps=["x"]
+        task = _emitted(
+            make_compute_task,
+            graph, node.name, 0, machine.device(0), machine, deps=["x"],
         )
         assert task.kind == "compute"
         assert task.duration == pytest.approx(
@@ -54,9 +63,11 @@ class TestCosting:
         graph = mlp_bundle.graph
         machine = k80_8gpu_machine()
         node = scheduled_nodes(graph)[0]
-        base = make_compute_task(graph, node.name, 0, machine.device(0), machine)
-        shard = make_compute_task(
-            graph, node.name, 0, machine.device(0), machine,
+        base = _emitted(
+            make_compute_task, graph, node.name, 0, machine.device(0), machine
+        )
+        shard = _emitted(
+            make_compute_task, graph, node.name, 0, machine.device(0), machine,
             scale=0.125, extra_duration=1.0,
         )
         assert shard.duration == pytest.approx(
@@ -69,22 +80,25 @@ class TestCosting:
         graph = mlp_bundle.graph
         machine = k80_8gpu_machine()
         node = scheduled_nodes(graph)[0]
-        task = make_compute_task(
-            graph, node.name, 3, machine.device(3), machine, task_name="t@3"
+        task = _emitted(
+            make_compute_task,
+            graph, node.name, 3, machine.device(3), machine, task_name="t@3",
         )
         assert task.name == "t@3" and task.device == 3
 
 
 class TestCommEmission:
     def test_comm_task_fields(self):
-        task = make_comm_task("copy", 1, 1024.0, channel="cpu", deps=["a"])
+        task = _emitted(
+            make_comm_task, "copy", 1, 1024.0, channel="cpu", deps=["a"]
+        )
         assert task.kind == "comm"
         assert task.channel == "cpu"
         assert task.comm_bytes == 1024.0
 
     def test_unknown_channel_rejected_at_emission(self):
         with pytest.raises(SimulationError, match="unknown channel"):
-            make_comm_task("copy", 0, 1.0, channel="nvlink")
+            make_comm_task(TaskGraphBuilder(), "copy", 0, 1.0, channel="nvlink")
 
     def test_unknown_channel_rejected_by_engine(self):
         machine = k80_8gpu_machine(2)

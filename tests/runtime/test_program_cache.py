@@ -8,8 +8,9 @@ cache-hit program to *exactly* the result of the freshly lowered one —
 JSON round-trips floats through ``repr`` (shortest-exact), so no tolerance.
 
 The aliasing half pins the memory tier's sharing contract: hits share the
-cached (frozen) ``Task`` objects inside a fresh dict, and no edit of a
-returned program's containers ever reaches a later hit.
+cached program's immutable dense task graph (and the compiled form cached
+on it), and no edit of a returned program — its containers, or its tasks
+through ``replace_tasks`` — ever reaches a later hit.
 """
 
 from __future__ import annotations
@@ -86,9 +87,11 @@ def test_cache_hit_simulates_bit_identically(bundle, backend, topology):
     info = executor.program_cache.info()
     assert info["hits"] == 1 and info["misses"] == 1
 
-    # A hit is a *fresh* program owning its containers, not an alias...
+    # A hit is a *fresh* program owning its containers around the shared,
+    # immutable dense task graph...
     assert hit is not fresh
-    assert hit.tasks is not fresh.tasks
+    assert hit.task_graph is fresh.task_graph
+    assert hit.per_device_memory is not fresh.per_device_memory
     assert set(hit.tasks) == set(fresh.tasks)
     assert hit.per_device_memory == fresh.per_device_memory
     assert hit.stats == fresh.stats
@@ -248,15 +251,15 @@ def _lowerer(graph, backend="tofu-partitioned"):
     )
 
 
-def test_hit_shares_tasks_in_a_fresh_dict(mlp_bundle):
+def test_hit_shares_the_dense_form(mlp_bundle):
     lower = _lowerer(mlp_bundle.graph)
     executor = Executor(ExecutorConfig(program_cache_capacity=8))
     fresh, hit, again = lower(executor), lower(executor), lower(executor)
-    assert len({id(fresh.tasks), id(hit.tasks), id(again.tasks)}) == 3
-    for name, task in fresh.tasks.items():
-        assert hit.tasks[name] is task
-        assert again.tasks[name] is task
-    # The partitioned detail keeps sharing its own program's dict.
+    assert fresh.task_graph is hit.task_graph is again.task_graph
+    assert hit.tasks == fresh.tasks == again.tasks
+    # One compile for the machine, shared by every copy.
+    assert hit.dense_form() is fresh.dense_form() is again.dense_form()
+    # The partitioned detail keeps sharing its own program's task view.
     assert hit.partitioned.tasks is hit.tasks
     assert again.partitioned.tasks is again.tasks
 
@@ -269,13 +272,16 @@ def test_edits_to_a_returned_program_never_reach_a_later_hit(mlp_bundle):
     memory = dict(fresh.per_device_memory)
     # Edit both the program that was put and a program a hit returned.
     for program in (fresh, lower(executor)):
-        first, second = list(program.tasks)[:2]
+        first = next(iter(program.tasks))
         task = program.tasks[first]
-        program.tasks[first] = dataclasses.replace(
-            task, duration=task.duration * 2
-        )
-        del program.tasks[second]
-        program.tasks["extra"] = Task(name="extra", device=0, duration=1.0)
+        edited = program.replace_tasks({
+            first: dataclasses.replace(task, duration=task.duration * 2),
+            "extra": Task(name="extra", device=0, duration=1.0),
+        })
+        assert edited.tasks[first].duration == task.duration * 2
+        assert list(edited.tasks) == list(pristine) + ["extra"]
+        assert edited.partitioned.tasks is edited.tasks
+        assert program.tasks[first] == task
         program.per_device_memory[0] = 0
         program.stats["extra"] = 1.0
     later = lower(executor)
@@ -283,6 +289,18 @@ def test_edits_to_a_returned_program_never_reach_a_later_hit(mlp_bundle):
     assert list(later.tasks) == list(pristine)
     assert later.per_device_memory == memory
     assert "extra" not in later.stats
+
+
+def test_task_view_rejects_item_assignment(mlp_bundle):
+    program = _lowerer(mlp_bundle.graph)(
+        Executor(ExecutorConfig(program_cache_capacity=8))
+    )
+    name, task = next(iter(program.tasks.items()))
+    with pytest.raises(TypeError):
+        program.tasks[name] = task
+    with pytest.raises(TypeError):
+        del program.tasks[name]
+    assert name in program.tasks
 
 
 def test_task_fields_cannot_be_assigned(mlp_bundle):
@@ -308,9 +326,9 @@ def test_disk_tier_decodes_bit_identically(tmp_path, mlp_bundle, backend):
     assert list(decoded.tasks) == list(fresh.tasks)
     assert reader.simulate(decoded) == reader.simulate(fresh)
     # The decoded program now lives in the memory tier: the next hit shares
-    # its tasks instead of decoding again.
+    # its dense form instead of decoding again.
     again = lower(reader)
-    assert all(again.tasks[name] is task for name, task in decoded.tasks.items())
+    assert again.task_graph is decoded.task_graph
 
 
 def test_directory_written_by_the_v1_codec_still_hits(tmp_path):
@@ -367,3 +385,33 @@ def test_pooled_tuner_deltas_merge_and_the_parent_recompile_hits(mlp_bundle):
         key=lambda o: (o.iteration_time, o.index),
     )
     assert result.best.iteration_time == best.iteration_time
+
+
+def test_pooled_tuner_workers_ship_only_their_own_programs(
+    mlp_bundle, monkeypatch
+):
+    """Forked workers inherit the parent's full process-wide program cache;
+    shipping it back would flood the parent's LRU and could evict the
+    winner's program before the recompile looks it up."""
+    from repro.runtime import cache as cache_module
+
+    inherited = ProgramCache(capacity=64)
+    filler = Executor(ExecutorConfig(cache_programs=False)).lower(
+        mlp_bundle.graph, machine=MACHINE, backend="single-device"
+    )
+    for k in range(inherited.capacity):
+        inherited.put(f"inherited{k:02d}", filler)
+    monkeypatch.setattr(cache_module, "_DEFAULT_PROGRAM_CACHE", inherited)
+
+    executor = Executor(ExecutorConfig(program_cache_capacity=64))
+    result = Tuner(budget=TunerBudget(max_candidates=4), jobs=2).tune(
+        mlp_bundle.graph, MACHINE, planner=Planner(), executor=executor
+    )
+    merged = result.stats["cache_merged"]["programs"]
+    assert 0 < merged < inherited.capacity
+    assert not any(
+        key.startswith("inherited")
+        for key in executor.program_cache.snapshot_payloads()
+    )
+    info = executor.program_cache.info()
+    assert info["hits"] == 1 and info["misses"] == 0
