@@ -65,6 +65,9 @@ def bench_fig10_rnn_4_8k(benchmark):
     assert results["tofu"]["time"] <= results["allrow-greedy"]["time"]
     assert results["tofu"]["time"] <= results["spartan"]["time"]
     assert results["tofu"]["comm_gib"] <= results["equalchop"]["comm_gib"] * 1.001
+    # ICML18 has no output-reduction strategies, and its plan is lowered in
+    # that narrower space: it must move more bytes than Tofu.
+    assert results["icml18"]["comm_gib"] > results["tofu"]["comm_gib"]
 
 
 def bench_fig10_wresnet_152_10(benchmark):

@@ -24,15 +24,23 @@ the fastest viable candidate wins; plain ``tofu()`` always leads the grid,
 so ``auto`` is never slower than it.  Pass ``tuner=Tuner(...)`` to control
 the budget, pool width, and grid axes; the default keeps the historical
 16-candidate sweep size.
+
+A compile allocates millions of short-lived containers but leaves almost no
+reference cycles behind, so it runs with CPython's cyclic collector paused
+(:func:`collector_paused`): reference counting still frees everything the
+compile drops, and the collector resumes when the last compile returns.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import tempfile
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, Iterator, Mapping, Optional, Sequence, Union
 
 from repro import perf
 from repro.caching import graph_signature_scope
@@ -55,7 +63,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.planner.core import Planner
     from repro.tuner import Tuner
 
-__all__ = ["CompiledModel", "compile", "compile_model"]
+__all__ = ["CompiledModel", "collector_paused", "compile", "compile_model"]
 
 SAVE_FORMAT = "repro-compiled-model"
 SAVE_VERSION = 1
@@ -282,8 +290,65 @@ def _attach_profile(model: CompiledModel, executor: Executor) -> None:
         model.metadata["profile"] = executor.profile_timer.snapshot()
 
 
+# Process-wide state of :func:`collector_paused`: how many compiles are
+# inside the scope, and whether the first of them disabled the collector.
+_PAUSE_LOCK = threading.Lock()
+_pause_depth = 0
+_pause_disabled = False
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause CPython's cyclic garbage collector while any compile runs.
+
+    The scope is process-wide and reference-counted.  The first compile to
+    enter disables the collector, but only if it is enabled; the last to
+    leave re-enables it, but only if this scope disabled it, also when the
+    compile raises.  So a caller's own ``gc.disable()`` survives a compile,
+    nested compiles (the autotuner's candidates, a ``cost_model=``
+    re-entry) share the outer pause, and overlapping compiles on the
+    compile service's threads put off cycle collection until the last one
+    returns.  Reference counting is untouched: everything a compile drops
+    is freed as before; only the collector's scans of the growing heap
+    stop.  Also usable as a decorator.
+    """
+    global _pause_depth, _pause_disabled
+    with _PAUSE_LOCK:
+        if _pause_depth == 0:
+            _pause_disabled = gc.isenabled()
+            if _pause_disabled:
+                gc.disable()
+        _pause_depth += 1
+    try:
+        yield
+    finally:
+        with _PAUSE_LOCK:
+            _pause_depth -= 1
+            if _pause_depth == 0 and _pause_disabled:
+                _pause_disabled = False
+                gc.enable()
+
+
+def _resume_collector_in_child() -> None:
+    """Fork hook: a child forked inside a compile (a planner or tuner pool
+    worker) starts outside every scope, with the collector as the scope
+    found it, and with a lock no parent thread can be holding."""
+    global _PAUSE_LOCK, _pause_depth, _pause_disabled
+    _PAUSE_LOCK = threading.Lock()
+    if _pause_depth and _pause_disabled:
+        gc.enable()
+    _pause_depth = 0
+    _pause_disabled = False
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_resume_collector_in_child)
+
+
 # One graph serialisation per compile: the plan key, the program key and
-# every autotuner candidate share the signature computed inside this scope.
+# every autotuner candidate share the signature computed inside this scope;
+# the cyclic collector stays paused for the whole compile.
+@collector_paused()
 @graph_signature_scope()
 def compile(
     graph: Graph,

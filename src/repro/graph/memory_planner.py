@@ -18,6 +18,7 @@ graphs would lose reuse opportunities and blow up per-GPU memory.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -93,8 +94,10 @@ def plan_memory(
             persistent_bytes += spec.size_bytes()
             next_buffer += 1
 
-    # Transient tensors: greedy reuse of freed buffers (largest-fit).
-    free_buffers: List[Tuple[int, int]] = []  # (size, buffer id)
+    # Transient tensors: greedy reuse of freed buffers — the smallest that
+    # fits, lowest id on ties.  The free list stays sorted, so a release is
+    # an insort and an allocation one bisection.
+    free_buffers: List[Tuple[int, int]] = []  # sorted (size, buffer id)
     releases: Dict[int, List[str]] = {}
     for name in order:
         death = intervals[name][1]
@@ -121,7 +124,7 @@ def plan_memory(
                 continue
             buf = buffer_of.get(name)
             if buf is not None and allow_reuse:
-                free_buffers.append((buffer_sizes[buf], buf))
+                insort(free_buffers, (buffer_sizes[buf], buf))
         # Allocate buffers for tensors born at this step.
         for name in tensors_by_birth.get(step, []):
             if name in buffer_of:
@@ -135,14 +138,10 @@ def plan_memory(
                     buffer_of[name] = buffer_of[root]
                     continue
             size = spec.size_bytes()
-            chosen = None
-            if allow_reuse and free_buffers:
-                free_buffers.sort()
-                for i, (fsize, fbuf) in enumerate(free_buffers):
-                    if fsize >= size:
-                        chosen = i
-                        break
-            if chosen is not None:
+            # Buffer ids are >= 0, so (size, -1) sorts before every free
+            # buffer of that size.
+            chosen = bisect_left(free_buffers, (size, -1))
+            if chosen < len(free_buffers):
                 _, buf = free_buffers.pop(chosen)
                 buffer_of[name] = buf
             else:

@@ -100,10 +100,14 @@ def build_sharded_graph(graph: Graph, plan: PartitionPlan) -> Graph:
 def per_node_communication(
     graph: Graph, plan: PartitionPlan
 ) -> Tuple[Dict[str, float], Dict[str, float]]:
-    """Cluster-wide fetch and reduction bytes of every node under ``plan``."""
+    """Cluster-wide fetch and reduction bytes of every node under ``plan``.
+
+    Prices in the plan's own strategy space: a plan whose search had no
+    output-reduction strategies (ICML18) is priced without them too.
+    """
     fetch: Dict[str, float] = {name: 0.0 for name in graph.nodes}
     reduce_: Dict[str, float] = {name: 0.0 for name in graph.nodes}
-    cost_model = CommunicationCostModel(graph)
+    cost_model = CommunicationCostModel(graph, allow_reduction=plan.allows_reduction)
     shapes = {name: spec.shape for name, spec in graph.tensors.items()}
     group_count = 1
     for step in plan.steps:
@@ -140,7 +144,15 @@ def generate_partitioned_graph(
         machine = k80_8gpu_machine(plan.num_workers)
     num_devices = plan.num_workers
 
-    fetch_bytes, reduce_bytes = per_node_communication(graph, plan)
+    # The search's own per-node prices, shared by reference; a plan without
+    # them (decoded from a cache, or from another search) is priced afresh.
+    fetch_bytes, reduce_bytes = plan.fetch_bytes_per_node, plan.reduce_bytes_per_node
+    if (
+        fetch_bytes is None
+        or reduce_bytes is None
+        or fetch_bytes.keys() != graph.nodes.keys()
+    ):
+        fetch_bytes, reduce_bytes = per_node_communication(graph, plan)
     total_comm = sum(fetch_bytes.values()) + sum(reduce_bytes.values())
 
     sharded = build_sharded_graph(graph, plan)

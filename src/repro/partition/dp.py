@@ -55,6 +55,7 @@ from repro.partition.plan import PartitionPlan, StepAssignment, factorize_worker
 
 Config = Tuple[int, ...]  # one dimension per step
 StateKey = Tuple[Config, ...]  # frontier configs in tensor-group order
+NodePrice = Tuple[str, float, float]  # (axis, fetch bytes, redistribute bytes)
 #: Per step: the distinct ``(profile, (slot, max dim) per tensor)`` member
 #: classes, and each member's class index in member order.
 MemberClasses = List[
@@ -258,8 +259,11 @@ class _FrontierDP:
         return steps
 
     # ----------------------------------------------------------------- solve
-    def solve(self) -> Tuple[float, Dict[str, Config], Dict[str, str]]:
-        """Run the DP; returns (cost, per-tensor config, per-node strategy).
+    def solve(self) -> Tuple[float, Dict[str, Config], Dict[str, NodePrice]]:
+        """Run the DP; returns (cost, per-tensor config, per-node price).
+
+        A node's price is its ``(axis, fetch bytes, redistribute bytes)``
+        at the first step's dims of the chosen configs.
 
         With ``expand_jobs > 1`` the per-group state expansion fans contiguous
         chunks of the frontier across a thread pool.  The result is
@@ -336,8 +340,7 @@ class _FrontierDP:
         for tensor in self.graph.tensors:
             tensor_config.setdefault(tensor, self._clamp(tensor, self._zero))
 
-        strategies = self._final_strategies(tensor_config)
-        return best_cost, tensor_config, strategies
+        return best_cost, tensor_config, self._final_prices(tensor_config)
 
     # ------------------------------------------------------------- expansion
     def _expand_chunk(
@@ -428,14 +431,16 @@ class _FrontierDP:
         ndim = max(1, len(self.cost_model.shapes[tensor]))
         return tuple(min(d, ndim - 1) for d in cfg)
 
-    def _final_strategies(self, tensor_config: Mapping[str, Config]) -> Dict[str, str]:
-        strategies: Dict[str, str] = {}
+    def _final_prices(
+        self, tensor_config: Mapping[str, Config]
+    ) -> Dict[str, NodePrice]:
         step_dims = {t: cfg[0] for t, cfg in tensor_config.items()}
         parts = self.parts_per_step[0]
-        for node_name in self.graph.nodes:
-            axis, _ = self.cost_model.node_cost(node_name, step_dims, parts)
-            strategies[node_name] = axis
-        return strategies
+        node_cost_detail = self.cost_model.node_cost_detail
+        return {
+            node_name: node_cost_detail(node_name, step_dims, parts)
+            for node_name in self.graph.nodes
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -449,12 +454,17 @@ def dp_partition_step(
     *,
     max_states: int = 256,
     expand_jobs: int = 1,
+    prices: Optional[Dict[str, NodePrice]] = None,
 ) -> StepAssignment:
     """One recursive step: partition every tensor along one dimension across
     ``parts`` worker groups, minimising communication.
 
     ``expand_jobs > 1`` parallelises the frontier expansion across threads;
-    the returned assignment is bit-identical to the serial search.
+    the returned assignment is bit-identical to the serial search.  When
+    ``prices`` is given it receives every node's ``(axis, fetch bytes,
+    redistribute bytes)`` under the chosen assignment — what
+    :meth:`CommunicationCostModel.node_cost_detail` returns, read from the
+    search's own memo.
     """
     dp = _FrontierDP(
         graph,
@@ -464,12 +474,14 @@ def dp_partition_step(
         max_states=max_states,
         expand_jobs=expand_jobs,
     )
-    cost, tensor_config, strategies = dp.solve()
+    cost, tensor_config, node_prices = dp.solve()
     tensor_dims = {t: cfg[0] for t, cfg in tensor_config.items()}
+    if prices is not None:
+        prices.update(node_prices)
     return StepAssignment(
         parts=parts,
         tensor_dims=tensor_dims,
-        op_strategies=strategies,
+        op_strategies={node: price[0] for node, price in node_prices.items()},
         comm_bytes=cost,
         weighted_bytes=cost,
     )
@@ -509,7 +521,7 @@ def joint_partition(
         time_limit=time_limit,
         expand_jobs=expand_jobs,
     )
-    cost, tensor_config, strategies = dp.solve()
+    cost, tensor_config, _ = dp.solve()
 
     steps: List[StepAssignment] = []
     group_count = 1

@@ -9,7 +9,7 @@ a grid partition and each operator a per-step partition-n-reduce strategy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import PartitionError
 from repro.graph.tensor import split_dim
@@ -45,19 +45,43 @@ class StepAssignment:
             raise PartitionError(f"step has no assignment for tensor {tensor!r}") from None
 
 
+#: Plan algorithms whose search has no output-reduction strategies (the
+#: ICML18 baseline, ``recursive_partition(allow_reduction=False)``): their
+#: plans are priced in that narrower strategy space.
+NO_REDUCTION_ALGORITHMS = frozenset({"icml18", "tofu-no-reduction"})
+
+
 @dataclass
 class PartitionPlan:
-    """A complete partition plan for ``num_workers`` workers."""
+    """A complete partition plan for ``num_workers`` workers.
+
+    ``fetch_bytes_per_node`` and ``reduce_bytes_per_node`` are the
+    cluster-wide bytes of every node as the search itself priced them, so
+    lowering need not price the plan again.  They are outside the plan codec
+    and equality: a plan decoded by :func:`plan_from_dict`, or made by a
+    search that does not record them, has ``None`` and is re-priced.
+    """
 
     num_workers: int
     steps: List[StepAssignment] = field(default_factory=list)
     search_time_seconds: float = 0.0
     algorithm: str = "tofu-recursive"
+    fetch_bytes_per_node: Optional[Dict[str, float]] = field(
+        default=None, compare=False, repr=False
+    )
+    reduce_bytes_per_node: Optional[Dict[str, float]] = field(
+        default=None, compare=False, repr=False
+    )
 
     # ------------------------------------------------------------ aggregate
     @property
     def num_steps(self) -> int:
         return len(self.steps)
+
+    @property
+    def allows_reduction(self) -> bool:
+        """Whether the plan's search could pick output-reduction strategies."""
+        return self.algorithm not in NO_REDUCTION_ALGORITHMS
 
     @property
     def total_comm_bytes(self) -> float:

@@ -19,7 +19,7 @@ from repro.graph.graph import Graph
 from repro.graph.tensor import split_dim
 from repro.partition.coarsen import CoarsenedGraph, coarsen
 from repro.partition.cost import CommunicationCostModel
-from repro.partition.dp import dp_partition_step
+from repro.partition.dp import NodePrice, dp_partition_step
 from repro.partition.plan import PartitionPlan, StepAssignment, factorize_workers
 
 
@@ -78,13 +78,22 @@ def recursive_partition(
         name: spec.shape for name, spec in graph.tensors.items()
     }
     steps: List[StepAssignment] = []
+    # Every node's cluster-wide bytes as the search priced it, summed over
+    # the steps in the order (and with the group weights) lowering would
+    # re-price them: the plan carries them so lowering does not have to.
+    fetch_bytes = {name: 0.0 for name in graph.nodes}
+    reduce_bytes = {name: 0.0 for name in graph.nodes}
     group_count = 1
     for parts in factors:
         cost_model.set_shapes(shapes)
+        prices: Dict[str, NodePrice] = {}
         step = dp_partition_step(
             graph, coarse, cost_model, parts,
-            max_states=max_states, expand_jobs=expand_jobs,
+            max_states=max_states, expand_jobs=expand_jobs, prices=prices,
         )
+        for name, (_, fetch, redistribute) in prices.items():
+            fetch_bytes[name] += fetch * group_count
+            reduce_bytes[name] += redistribute * group_count
         step.group_count = group_count
         step.weighted_bytes = step.comm_bytes * group_count
         steps.append(step)
@@ -96,6 +105,8 @@ def recursive_partition(
         steps=steps,
         search_time_seconds=time.perf_counter() - start,
         algorithm="tofu-recursive" if allow_reduction else "tofu-no-reduction",
+        fetch_bytes_per_node=fetch_bytes,
+        reduce_bytes_per_node=reduce_bytes,
     )
     return plan
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.graph.graph import Graph
 from repro.graph.shape_inference import node_bytes, node_flops
@@ -144,7 +144,10 @@ def node_kernel_times(
     The node's :class:`OpSample` is extracted once and priced per device,
     which is how the lowering passes price a node that runs on every
     worker (or in every micro-batch) without repeating the shape
-    arithmetic per emitted task.
+    arithmetic per emitted task.  The roofline reads only a device's peak
+    FLOPs and memory bandwidth, so it prices each distinct pair once (eight
+    identical K80s cost one pricing); an active cost model may read any
+    field and is still called once per device.
     """
     node = graph.node(node_name)
     if node.attrs.get("fused_accumulation"):
@@ -155,17 +158,22 @@ def node_kernel_times(
     model = _ACTIVE_COST_MODEL.get()
     if model is not None:
         return [model.op_time(sample, device, machine) for device in devices]
-    return [
-        kernel_time(
-            sample.flops,
-            sample.mem_bytes,
-            device,
-            machine,
-            category=sample.category,
-            parallel_elements=sample.out_elements,
-        )
-        for device in devices
-    ]
+    priced: Dict[Tuple[float, float], float] = {}
+    times = []
+    for device in devices:
+        key = (device.peak_flops, device.memory_bandwidth)
+        seconds = priced.get(key)
+        if seconds is None:
+            seconds = priced[key] = kernel_time(
+                sample.flops,
+                sample.mem_bytes,
+                device,
+                machine,
+                category=sample.category,
+                parallel_elements=sample.out_elements,
+            )
+        times.append(seconds)
+    return times
 
 
 def node_kernel_time(

@@ -80,3 +80,41 @@ def test_registry_hygiene_requires_descriptions():
         lint_invariants.SRC / "analysis" / "verify.py", tree)
     assert len(violations) == 2
     assert all(v.rule == "registry-hygiene" for v in violations)
+
+
+def test_collector_discipline_catches_switches_outside_the_scope():
+    tree = ast.parse(
+        "import gc\n"
+        "from gc import freeze\n"
+        "def search():\n"
+        "    gc.disable()\n"
+        "    try:\n"
+        "        pass\n"
+        "    finally:\n"
+        "        gc.enable()\n"
+        "gc.set_threshold(0)\n"
+        "gc.collect()\n"
+    )
+    violations = lint_invariants.check_collector_discipline(
+        lint_invariants.SRC / "planner" / "core.py", tree)
+    assert [v.line for v in violations] == [2, 4, 8, 9]
+    assert all(v.rule == "collector-discipline" for v in violations)
+
+
+def test_collector_discipline_allows_only_the_compiler_scope():
+    tree = ast.parse(
+        "import gc\n"
+        "def collector_paused():\n"
+        "    gc.disable()\n"
+        "    gc.enable()\n"
+        "def _resume_collector_in_child():\n"
+        "    gc.enable()\n"
+        "def compile():\n"
+        "    gc.unfreeze()\n"
+    )
+    compiler = lint_invariants.check_collector_discipline(
+        lint_invariants.SRC / "compiler.py", tree)
+    assert [v.line for v in compiler] == [8]
+    elsewhere = lint_invariants.check_collector_discipline(
+        lint_invariants.SRC / "tuner" / "core.py", tree)
+    assert [v.line for v in elsewhere] == [3, 4, 6, 8]

@@ -1,7 +1,8 @@
 #!/usr/bin/env python
-"""AST invariant linter: layering, lock discipline, registry hygiene.
+"""AST invariant linter: layering, lock discipline, registry hygiene,
+collector discipline.
 
-Three structural invariants the test suite cannot cheaply express are
+Four structural invariants the test suite cannot cheaply express are
 checked here over the source tree with nothing but ``ast`` (no imports of
 the code under analysis, no third-party dependencies):
 
@@ -27,6 +28,14 @@ the code under analysis, no third-party dependencies):
    call (search backends, execution backends, cost models, analysis
    checkers) must pass a non-empty ``description=``: the CLI listings and
    the docs render those strings, so a blank one is a docs regression.
+
+4. **Collector discipline** — in ``src/repro`` the process-wide switches of
+   CPython's cyclic collector (``gc.disable``, ``gc.enable``,
+   ``gc.freeze``, ``gc.unfreeze``, ``gc.set_threshold``) appear only inside
+   ``compiler.collector_paused`` and its at-fork hook.  That scope is
+   reference-counted across threads; a stray switch anywhere else would
+   re-enable the collector under a running compile, or leave it off after
+   the last one.
 
 Run from the repository root::
 
@@ -348,6 +357,48 @@ def check_registry_hygiene(path: Path, tree: ast.Module) -> List[Violation]:
 
 
 # ---------------------------------------------------------------------------
+# Rule 4: collector discipline
+# ---------------------------------------------------------------------------
+COLLECTOR_SWITCHES = {"disable", "enable", "freeze", "unfreeze", "set_threshold"}
+# The one scope allowed to flip them: file (relative to src/repro) and its
+# functions.
+COLLECTOR_SCOPE = ("compiler.py", {"collector_paused", "_resume_collector_in_child"})
+
+
+def check_collector_discipline(path: Path, tree: ast.Module,
+                               root: Path = SRC) -> List[Violation]:
+    rel = path.relative_to(root).as_posix()
+    scope_file, scope_functions = COLLECTOR_SCOPE
+    violations: List[Violation] = []
+
+    def visit(node: ast.AST, allowed: bool) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            allowed = allowed or (rel == scope_file
+                                  and node.name in scope_functions)
+        name = None
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "gc"
+                and node.attr in COLLECTOR_SWITCHES):
+            name = node.attr
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+            name = next((a.name for a in node.names
+                         if a.name in COLLECTOR_SWITCHES or a.name == "*"),
+                        None)
+        if name is not None and not allowed:
+            violations.append(Violation(
+                path, node.lineno, "collector-discipline",
+                f"gc.{name} outside compiler.collector_paused (the "
+                f"reference-counted collector scope); run the work inside "
+                f"that scope instead"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, allowed)
+
+    visit(tree, False)
+    return violations
+
+
+# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 def lint(root: Path = SRC) -> List[Violation]:
@@ -358,6 +409,7 @@ def lint(root: Path = SRC) -> List[Violation]:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         violations.extend(check_layering(path, tree, root))
         violations.extend(check_registry_hygiene(path, tree))
+        violations.extend(check_collector_discipline(path, tree, root))
         if path.resolve() in locked:
             violations.extend(check_lock_discipline(path, tree))
     return violations
@@ -370,7 +422,8 @@ def main() -> int:
     if violations:
         print(f"{len(violations)} invariant violation(s)", file=sys.stderr)
         return 1
-    print("invariants clean: layering, lock discipline, registry hygiene")
+    print("invariants clean: layering, lock discipline, registry hygiene, "
+          "collector discipline")
     return 0
 
 
