@@ -11,9 +11,6 @@ tiers the server exists for and records, per tier:
   search executed).
 * **throughput** — sustained requests/sec and p50/p99 latency over a mixed
   hot/cold workload issued by concurrent client threads.
-* **parity** — plans compiled with parallel frontier-DP expansion
-  (``expand_jobs > 1``) must be bit-identical to serial ones on every
-  benchmark graph.
 
 Besides the printed table, the run writes a JSON trajectory whose ratios
 are machine-independent; ``benchmarks/check_serve.py`` gates CI on them
@@ -36,7 +33,6 @@ from concurrent.futures import ThreadPoolExecutor
 from common import FULL, once, print_header
 
 from repro.models.mlp import build_mlp
-from repro.models.rnn import build_rnn
 from repro.serve import CompileRequest, CompileService
 
 BENCH_FORMAT = "tofu-bench-serve"
@@ -70,14 +66,6 @@ def _cold_graphs(count, base=48):
     much slower, keeping the cold/warm ratio robustly machine-independent.
     """
     return [_mlp_graph(base + 16 * i, num_layers=5) for i in range(count)]
-
-
-def _rnn_graph():
-    if FULL:
-        return build_rnn(num_layers=2, hidden_size=256, seq_len=8,
-                         batch_size=32).graph
-    return build_rnn(num_layers=2, hidden_size=128, seq_len=4,
-                     batch_size=16).graph
 
 
 def _percentile(sorted_values, q):
@@ -162,7 +150,7 @@ def _measure_mixed_throughput():
     hot = CompileRequest(graph=hot_graph, strategy="tofu", num_workers=4)
     cold_pool = _cold_graphs(MIXED_REQUESTS // 4 + 1, base=200)
 
-    with CompileService(workers=4, expand_jobs=2) as service:
+    with CompileService(workers=4) as service:
         assert service.compile(hot).ok  # prime the hot tier
 
         requests = []
@@ -209,28 +197,6 @@ def _measure_mixed_throughput():
     }
 
 
-def _measure_parallel_dp_parity():
-    """Serial vs parallel frontier-DP must compile identical plans on every
-    benchmark graph (the bit-identical acceptance criterion)."""
-    graphs = _cold_graphs(3) + [_rnn_graph()]
-    checked = 0
-    for graph in graphs:
-        request = CompileRequest(graph=graph, strategy="tofu", num_workers=4)
-        with CompileService(workers=1, expand_jobs=1) as serial_service:
-            serial = serial_service.compile(request)
-        with CompileService(workers=1, expand_jobs=4) as parallel_service:
-            parallel = parallel_service.compile(request)
-        assert serial.ok and parallel.ok
-        a, b = dict(serial.model), dict(parallel.model)
-        for payload in (a, b):
-            plan = payload.get("plan")
-            if isinstance(plan, dict):
-                plan.pop("search_time_seconds", None)
-        assert a == b, "parallel frontier-DP diverged from serial"
-        checked += 1
-    return {"graphs_checked": checked, "parity": True}
-
-
 # ---------------------------------------------------------------------------
 # Harness
 # ---------------------------------------------------------------------------
@@ -240,7 +206,6 @@ def bench_serve(benchmark):
             "latency": _measure_latency_tiers(),
             "dedup": _measure_dedup(),
             "throughput": _measure_mixed_throughput(),
-            "parallel_dp": _measure_parallel_dp_parity(),
         }
 
     tiers = once(benchmark, run)
@@ -248,7 +213,6 @@ def bench_serve(benchmark):
     latency = tiers["latency"]
     dedup = tiers["dedup"]
     throughput = tiers["throughput"]
-    parity = tiers["parallel_dp"]
 
     print_header("Compile service: latency tiers, dedup collapse, throughput")
     print(
@@ -269,10 +233,6 @@ def bench_serve(benchmark):
         f"p99 {throughput['p99_seconds'] * 1e3:.2f} ms, "
         f"{throughput['searches']} search(es))"
     )
-    print(
-        f"parallel DP  {parity['graphs_checked']} graph(s) checked, "
-        f"bit-identical: {parity['parity']}"
-    )
 
     output = os.environ.get("REPRO_BENCH_OUTPUT", "bench_serve.json")
     payload = {
@@ -282,7 +242,6 @@ def bench_serve(benchmark):
         "latency": latency,
         "dedup": dedup,
         "throughput": throughput,
-        "parallel_dp": parity,
     }
     with open(output, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
@@ -298,7 +257,6 @@ def bench_serve(benchmark):
         f"acceptance: {dedup['clients']} identical concurrent requests must "
         f"collapse to one search, ran {dedup['searches']}"
     )
-    assert parity["parity"], "parallel frontier-DP must match serial exactly"
     # The mixed workload's searches equal its cold requests: hot requests
     # never trigger a search.
     assert throughput["searches"] <= MIXED_REQUESTS // 4 + 1

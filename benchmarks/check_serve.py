@@ -7,9 +7,7 @@ Compares a freshly measured ``bench_serve.json`` against the committed
   of two latencies measured on the same host in the same process);
 * ``dedup.dedup_collapse`` — identical concurrent requests per planner
   search actually run (a pure counting ratio; any drop means the
-  singleflight window broke);
-* ``parallel_dp.parity`` — parallel frontier-DP expansion still compiles
-  bit-identical plans (boolean, no tolerance).
+  singleflight window broke).
 
 Raw requests/sec and latency percentiles are recorded in the trajectory
 for humans but not gated — they track host speed, not the code.
@@ -62,15 +60,6 @@ def compare(baseline, current, tolerance):
             messages.append(f"FAIL {line}")
         else:
             messages.append(f"ok   {line}")
-
-    parity = current.get("parallel_dp", {}).get("parity")
-    if parity is not True:
-        ok = False
-        messages.append(
-            f"FAIL parallel_dp.parity: expected true, got {parity!r}"
-        )
-    else:
-        messages.append("ok   parallel_dp.parity: bit-identical to serial")
     return ok, messages
 
 

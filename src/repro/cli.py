@@ -504,7 +504,6 @@ def cmd_serve(args) -> int:
 
     service = CompileService(
         workers=args.serve_workers,
-        expand_jobs=args.expand_jobs,
         plan_cache_dir=args.cache_dir,
         program_cache_dir=args.program_cache_dir,
         verify=args.verify,
@@ -515,7 +514,7 @@ def cmd_serve(args) -> int:
         host, port = await server.start()
         print(
             f"compile service listening on {host}:{port} "
-            f"({args.serve_workers} worker(s), expand_jobs={args.expand_jobs})",
+            f"({args.serve_workers} worker(s))",
             flush=True,
         )
         await server.serve_forever()
@@ -901,13 +900,6 @@ def main(argv=None) -> int:
         type=int,
         default=4,
         help="compile worker threads (concurrent requests in progress)",
-    )
-    p_serve.add_argument(
-        "--expand-jobs",
-        type=int,
-        default=1,
-        help="threads for frontier-DP state expansion inside each search "
-        "(bit-identical plans; latency knob only)",
     )
     p_serve.add_argument(
         "--cache-dir",

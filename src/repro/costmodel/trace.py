@@ -19,7 +19,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import TraceError
 
@@ -325,13 +325,3 @@ def save_trace(trace: Trace, path: "str | os.PathLike[str]") -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(trace_to_dict(trace), handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def records_by_category(records: Sequence[TraceRecord]) -> Dict[str, List[TraceRecord]]:
-    """Group compute records by cost category (comm records under
-    ``"comm"``)."""
-    grouped: Dict[str, List[TraceRecord]] = {}
-    for record in records:
-        key = record.category if record.kind == "compute" else "comm"
-        grouped.setdefault(key, []).append(record)
-    return grouped

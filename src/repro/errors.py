@@ -34,10 +34,6 @@ class NonAffineError(TDLError):
     described in Figure 4 of the paper."""
 
 
-class OpaqueOperatorError(TDLError):
-    """Raised when an analysis requires the body of an opaque TDL function."""
-
-
 class PartitionError(ReproError):
     """Raised when a partition plan cannot be constructed or applied."""
 

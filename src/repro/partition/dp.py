@@ -34,15 +34,14 @@ plans bit-identical: costs are still summed steps outer, members inner, in
 member order; a state is replaced only on a strictly lower cost, so the
 first-encountered state wins ties; keys enter the next frontier in the same
 first-encounter order, so the stable ``max_states`` sort keeps the same
-states; and the parallel path merges contiguous chunks in order.  The golden
-plan digests in ``tests/partition/test_plan_digests.py`` pin this.
+states.  The golden plan digests in ``tests/partition/test_plan_digests.py``
+pin this.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -61,10 +60,6 @@ NodePrice = Tuple[str, float, float]  # (axis, fetch bytes, redistribute bytes)
 MemberClasses = List[
     Tuple[List[Tuple[NodeProfile, Tuple[Tuple[int, int], ...]]], Tuple[int, ...]]
 ]
-
-#: Minimum (states x combos) expansions at one op group before the parallel
-#: path engages; below it the thread handoff costs more than the work.
-PARALLEL_MIN_EXPANSIONS = 64
 
 
 class SearchBudgetExceeded(PartitionError):
@@ -121,7 +116,6 @@ class _FrontierDP:
         parts_per_step: Sequence[int],
         max_states: int = 256,
         time_limit: Optional[float] = None,
-        expand_jobs: int = 1,
     ) -> None:
         self.graph = graph
         self.coarse = coarse
@@ -130,7 +124,6 @@ class _FrontierDP:
         self.num_steps = len(self.parts_per_step)
         self.max_states = max_states
         self.time_limit = time_limit
-        self.expand_jobs = max(1, expand_jobs)
         self._start = time.perf_counter()
         self._zero: Config = tuple([0] * self.num_steps)
 
@@ -264,58 +257,31 @@ class _FrontierDP:
 
         A node's price is its ``(axis, fetch bytes, redistribute bytes)``
         at the first step's dims of the chosen configs.
-
-        With ``expand_jobs > 1`` the per-group state expansion fans contiguous
-        chunks of the frontier across a thread pool.  The result is
-        bit-identical to the serial walk: chunks preserve state order, the
-        merge keeps an earlier chunk's entry on cost ties (exactly the serial
-        ``total < best`` rule), and per-pair costs are single additions with
-        no accumulation order to perturb.
         """
         layouts = self.layouts()
         states: Dict[StateKey, float] = {(): 0.0}
         backptr: List[Dict[StateKey, Tuple[StateKey, int]]] = []
-        pool = (
-            ThreadPoolExecutor(max_workers=self.expand_jobs)
-            if self.expand_jobs > 1
-            else None
-        )
-        try:
-            for layout in layouts:
-                if (
-                    self.time_limit is not None
-                    and time.perf_counter() - self._start > self.time_limit
-                ):
-                    raise SearchBudgetExceeded(
-                        f"partition search exceeded {self.time_limit:.0f}s budget"
-                    )
-                layout.combos = list(itertools.product(*layout.candidates))
-                layout.classes = self._member_classes(layout)
-                if (
-                    pool is not None
-                    and len(states) > 1
-                    and len(states) * max(1, len(layout.combos))
-                    >= PARALLEL_MIN_EXPANSIONS
-                ):
-                    new_states, pointers = self._expand_parallel(pool, states, layout)
-                else:
-                    new_states, pointers = self._expand_chunk(
-                        list(states.items()), layout
-                    )
-
-                if not new_states:
-                    raise PartitionError(f"DP produced no states at group {layout.gid}")
-                if len(new_states) > self.max_states:
-                    kept = sorted(new_states.items(), key=lambda kv: kv[1])[
-                        : self.max_states
-                    ]
-                    new_states = dict(kept)
-                    pointers = {k: pointers[k] for k, _ in kept}
-                states = new_states
-                backptr.append(pointers)
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=False)
+        for layout in layouts:
+            if (
+                self.time_limit is not None
+                and time.perf_counter() - self._start > self.time_limit
+            ):
+                raise SearchBudgetExceeded(
+                    f"partition search exceeded {self.time_limit:.0f}s budget"
+                )
+            layout.combos = list(itertools.product(*layout.candidates))
+            layout.classes = self._member_classes(layout)
+            new_states, pointers = self._expand(states, layout)
+            if not new_states:
+                raise PartitionError(f"DP produced no states at group {layout.gid}")
+            if len(new_states) > self.max_states:
+                kept = sorted(new_states.items(), key=lambda kv: kv[1])[
+                    : self.max_states
+                ]
+                new_states = dict(kept)
+                pointers = {k: pointers[k] for k, _ in kept}
+            states = new_states
+            backptr.append(pointers)
 
         # ------------------------------------------------------------ recover
         best_key = min(states, key=lambda k: states[k])
@@ -343,16 +309,16 @@ class _FrontierDP:
         return best_cost, tensor_config, self._final_prices(tensor_config)
 
     # ------------------------------------------------------------- expansion
-    def _expand_chunk(
+    def _expand(
         self,
-        chunk: Sequence[Tuple[StateKey, float]],
+        states: Dict[StateKey, float],
         layout: _GroupLayout,
     ) -> Tuple[Dict[StateKey, float], Dict[StateKey, Tuple[StateKey, int]]]:
-        """Expand one ordered chunk of frontier states through one op group.
+        """Expand the frontier states through one op group.
 
-        Returns the chunk's best cost per next-frontier key plus the
-        back-pointers, with keys in first-encounter order — the property the
-        parallel merge needs to reproduce the serial walk exactly.
+        Returns the best cost per next-frontier key plus the back-pointers,
+        with keys in first-encounter order (what the stable ``max_states``
+        pruning sort relies on).
         """
         combos = layout.combos
         local_key = layout.local_key
@@ -360,7 +326,7 @@ class _FrontierDP:
         costs = layout.costs
         new_states: Dict[StateKey, float] = {}
         pointers: Dict[StateKey, Tuple[StateKey, int]] = {}
-        for state_key, cost_so_far in chunk:
+        for state_key, cost_so_far in states.items():
             for index, combo in enumerate(combos):
                 values = state_key + combo
                 local = local_key(values)
@@ -373,36 +339,6 @@ class _FrontierDP:
                 if best is None or total < best:
                     new_states[key] = total
                     pointers[key] = (state_key, index)
-        return new_states, pointers
-
-    def _expand_parallel(
-        self,
-        pool: ThreadPoolExecutor,
-        states: Dict[StateKey, float],
-        layout: _GroupLayout,
-    ) -> Tuple[Dict[StateKey, float], Dict[StateKey, Tuple[StateKey, int]]]:
-        """Fan contiguous state chunks across the pool and merge in order.
-
-        The merge replaces an entry only on *strictly* lower cost, so on ties
-        the earliest chunk — i.e. the earliest state in serial order — wins,
-        and keys enter the merged dict in global first-encounter order.  Both
-        invariants make the parallel expansion bit-identical to the serial
-        one, including the stable ``max_states`` pruning sort downstream.
-        The group-cost memo is shared across threads; whichever thread fills
-        an entry first, the value is deterministic.
-        """
-        items = list(states.items())
-        jobs = min(self.expand_jobs, len(items))
-        step = (len(items) + jobs - 1) // jobs
-        chunks = [items[i : i + step] for i in range(0, len(items), step)]
-        results = pool.map(lambda chunk: self._expand_chunk(chunk, layout), chunks)
-        new_states: Dict[StateKey, float] = {}
-        pointers: Dict[StateKey, Tuple[StateKey, int]] = {}
-        for chunk_states, chunk_pointers in results:
-            for key, total in chunk_states.items():
-                if key not in new_states or total < new_states[key]:
-                    new_states[key] = total
-                    pointers[key] = chunk_pointers[key]
         return new_states, pointers
 
     # ------------------------------------------------------------ group cost
@@ -453,15 +389,12 @@ def dp_partition_step(
     parts: int,
     *,
     max_states: int = 256,
-    expand_jobs: int = 1,
     prices: Optional[Dict[str, NodePrice]] = None,
 ) -> StepAssignment:
     """One recursive step: partition every tensor along one dimension across
     ``parts`` worker groups, minimising communication.
 
-    ``expand_jobs > 1`` parallelises the frontier expansion across threads;
-    the returned assignment is bit-identical to the serial search.  When
-    ``prices`` is given it receives every node's ``(axis, fetch bytes,
+    When ``prices`` is given it receives every node's ``(axis, fetch bytes,
     redistribute bytes)`` under the chosen assignment — what
     :meth:`CommunicationCostModel.node_cost_detail` returns, read from the
     search's own memo.
@@ -472,7 +405,6 @@ def dp_partition_step(
         cost_model,
         parts_per_step=[parts],
         max_states=max_states,
-        expand_jobs=expand_jobs,
     )
     cost, tensor_config, node_prices = dp.solve()
     tensor_dims = {t: cfg[0] for t, cfg in tensor_config.items()}
@@ -496,15 +428,13 @@ def joint_partition(
     allow_reduction: bool = True,
     max_states: int = 256,
     time_limit: Optional[float] = None,
-    expand_jobs: int = 1,
 ) -> PartitionPlan:
     """Non-recursive search: choose all ``m`` partition dimensions per tensor
     jointly (the "DP with coarsening" row of Table 1).
 
     Exponentially slower than the recursive search; ``time_limit`` (seconds)
     raises :class:`SearchBudgetExceeded` when exceeded so benchmarks can report
-    a lower bound instead of hanging.  ``expand_jobs > 1`` parallelises the
-    frontier expansion (bit-identical plans).
+    a lower bound instead of hanging.
     """
     start = time.perf_counter()
     factors = factorize_workers(num_workers)
@@ -519,7 +449,6 @@ def joint_partition(
         parts_per_step=factors,
         max_states=max_states,
         time_limit=time_limit,
-        expand_jobs=expand_jobs,
     )
     cost, tensor_config, _ = dp.solve()
 

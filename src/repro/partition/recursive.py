@@ -31,9 +31,7 @@ def recursive_partition(
     cost_model: Optional[CommunicationCostModel] = None,
     allow_reduction: bool = True,
     max_states: int = 256,
-    coarsen_options: Optional[dict] = None,
     factors: Optional[Sequence[int]] = None,
-    expand_jobs: int = 1,
 ) -> PartitionPlan:
     """Find a partition plan for ``num_workers`` workers.
 
@@ -45,15 +43,9 @@ def recursive_partition(
         allow_reduction: ``False`` reproduces the ICML18 baseline that misses
             output-reduction strategies.
         max_states: Frontier-DP state cap (safety valve for unusual graphs).
-        coarsen_options: Keyword arguments forwarded to :func:`coarsen` (used
-            by the coarsening ablation).
         factors: Optional explicit factorisation ``k1, ..., km`` overriding
             the default descending prime factorisation; the planner's
             candidate search uses this to fan out alternative step orders.
-        expand_jobs: Threads for the frontier-DP state expansion *within* one
-            search step (1 = serial).  Parallel expansion returns plans
-            bit-identical to the serial path, so it never changes the answer
-            — only the wall-clock share one large request holds.
     """
     start = time.perf_counter()
     if num_workers < 1:
@@ -70,7 +62,7 @@ def recursive_partition(
                 f"factors {factors} do not multiply to {num_workers} workers"
             )
     if coarse is None:
-        coarse = coarsen(graph, **(coarsen_options or {}))
+        coarse = coarsen(graph)
     if cost_model is None:
         cost_model = CommunicationCostModel(graph, allow_reduction=allow_reduction)
 
@@ -88,8 +80,7 @@ def recursive_partition(
         cost_model.set_shapes(shapes)
         prices: Dict[str, NodePrice] = {}
         step = dp_partition_step(
-            graph, coarse, cost_model, parts,
-            max_states=max_states, expand_jobs=expand_jobs, prices=prices,
+            graph, coarse, cost_model, parts, max_states=max_states, prices=prices
         )
         for name, (_, fetch, redistribute) in prices.items():
             fetch_bytes[name] += fetch * group_count

@@ -170,9 +170,7 @@ def _icml18_factors(graph, num_workers, factors, **options):
     return _icml18(graph, num_workers, factors=factors, **options)
 
 
-_RECURSIVE_OPTIONS = (
-    "coarse", "cost_model", "max_states", "coarsen_options", "expand_jobs",
-)
+_RECURSIVE_OPTIONS = ("coarse", "cost_model", "max_states")
 
 register_backend(
     BackendSpec(
@@ -190,7 +188,7 @@ register_backend(
         fn=joint_partition,
         description="non-recursive joint DP over all steps (Table 1 comparison)",
         option_names=("coarse", "cost_model", "max_states", "allow_reduction",
-                      "time_limit", "expand_jobs"),
+                      "time_limit"),
     )
 )
 register_backend(

@@ -36,7 +36,6 @@ from repro.sim.device import Topology
 __all__ = [
     "KEY_COVERED_CONFIG_FIELDS",
     "NON_SEMANTIC_CONFIG_FIELDS",
-    "NON_SEMANTIC_OPTIONS",
     "PlanCache",
     "graph_signature",
     "machine_signature",
@@ -58,7 +57,7 @@ KEY_COVERED_CONFIG_FIELDS = (
 
 #: PlannerConfig fields that deliberately do NOT contribute to plan cache
 #: keys: parallelism and cache plumbing that never change which plan a
-#: search returns (parallel expansion is pinned bit-identical to serial).
+#: search returns.
 NON_SEMANTIC_CONFIG_FIELDS = (
     "jobs",
     "expand_jobs",
@@ -66,13 +65,6 @@ NON_SEMANTIC_CONFIG_FIELDS = (
     "cache_dir",
     "cache_max_bytes",
 )
-
-#: Backend options that change only how fast a search runs, never which plan
-#: it returns (parallel expansion is pinned bit-identical to serial).  They
-#: are excluded from the content address so a plan searched with
-#: ``expand_jobs=4`` is a cache hit for a serial request and vice versa —
-#: mirroring how ``PlannerConfig.jobs`` never enters the key.
-NON_SEMANTIC_OPTIONS = ("expand_jobs",)
 
 
 def plan_cache_key(
@@ -110,11 +102,7 @@ def plan_cache_key(
         "factors": list(factors),
         "machine": machine_signature(machine),
         "backend": backend,
-        "options": {
-            name: value
-            for name, value in backend_options.items()
-            if name not in NON_SEMANTIC_OPTIONS
-        },
+        "options": dict(backend_options),
         "explore_factor_orders": bool(explore_factor_orders),
     }
     if strategy is not None:

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
 from repro import perf
+from repro.errors import PartitionError
 from repro.graph.graph import Graph
 from repro.partition.plan import PartitionPlan, factorize_workers
 from repro.planner.backends import get_backend
@@ -49,11 +50,8 @@ class PlannerConfig:
         jobs: Process-pool size for the candidate search (1 = in-process).
             Does not affect the plan found, only wall-clock time, so it is
             deliberately excluded from the cache key.
-        expand_jobs: Threads for the frontier-DP state expansion *inside* one
-            search (1 = serial) — the intra-search parallelism the compile
-            service uses so a single large request cannot monopolise a
-            worker.  Parallel expansion is bit-identical to serial, so it is
-            likewise excluded from the cache key.
+        expand_jobs: Must be 1.  The search runs on one thread; any other
+            value raises :class:`~repro.errors.PartitionError`.
         explore_factor_orders: For backends that support it, search every
             distinct ordering of the worker factorisation instead of only the
             descending-prime order (a no-op for power-of-two worker counts).
@@ -72,12 +70,21 @@ class PlannerConfig:
     backend: str = "tofu"
     backend_options: Mapping[str, object] = field(default_factory=dict)
     jobs: int = 1
+    # Kept only because benchmarks/e2e/harness.py (lines 261, 324) spells it.
     expand_jobs: int = 1
     explore_factor_orders: bool = True
     cache_capacity: int = 128
     cache_dir: Optional[str] = None
     cache_max_bytes: Optional[int] = None
     cost_model: object = "roofline"
+
+    def __post_init__(self) -> None:
+        if self.expand_jobs != 1:
+            raise PartitionError(
+                f"expand_jobs={self.expand_jobs!r}: intra-search threads were "
+                "removed, the partition search runs on one thread (use jobs "
+                "for the process-pool candidate search)"
+            )
 
 
 class Planner:
@@ -139,13 +146,6 @@ class Planner:
 
         spec = get_backend(backend or self.config.backend)
         options = {**self.config.backend_options, **(backend_options or {})}
-        if (
-            self.config.expand_jobs > 1
-            and "expand_jobs" not in options
-            and spec.option_names is not None
-            and "expand_jobs" in spec.option_names
-        ):
-            options["expand_jobs"] = self.config.expand_jobs
         spec.validate_options(options)
         factors = factorize_workers(num_workers)
         explore = spec.supports_factor_orders and self.config.explore_factor_orders

@@ -4,7 +4,7 @@ A single partition search is expensive; a fleet of trainers asking for the
 same model at once should not pay it N times.  This package turns
 ``repro.compile`` into a shared service with three tiers of reuse —
 in-flight singleflight dedup, the plan/program caches, and (only then) a
-cold search parallelised internally via frontier-DP ``expand_jobs``:
+cold search:
 
 * :class:`CompileService` — the in-process API: a thread pool of compile
   workers over one shared planner and program cache, with singleflight

@@ -20,9 +20,8 @@ Three tiers absorb repeated work, cheapest first:
 2. **Plan/program caches** — same plan or lowered program seen before:
    the shared planner and program cache answer without searching or
    re-running lowering passes.
-3. **Cold compile** — a real planner search plus lowering, parallelised
-   *inside* the search via ``PlannerConfig.expand_jobs`` so one huge
-   request does not monopolise a worker thread.
+3. **Cold compile** — a real planner search plus lowering on the worker
+   thread that took the request.
 
 Every request runs under its own profiling executor (the perf sink is
 thread-local), so responses carry isolated per-request stage timings even
@@ -74,8 +73,6 @@ class CompileService:
 
     Args:
         workers: Compile worker threads (concurrent requests in progress).
-        expand_jobs: Intra-search threads for frontier-DP state expansion
-            (bit-identical to serial; purely a latency knob).
         planner: Shared planner; defaults to a fresh one owning its plan
             cache (optionally rooted at ``plan_cache_dir``).
         plan_cache_dir / program_cache_dir: Optional persistent stores, so
@@ -92,7 +89,6 @@ class CompileService:
         self,
         *,
         workers: int = 4,
-        expand_jobs: int = 1,
         planner: Optional[Planner] = None,
         plan_cache_dir: Optional[str] = None,
         program_cache_dir: Optional[str] = None,
@@ -101,9 +97,7 @@ class CompileService:
         from repro.analysis.verify import validate_verify_mode
 
         self.verify = validate_verify_mode(verify)
-        self.planner = planner or Planner(
-            PlannerConfig(expand_jobs=expand_jobs, cache_dir=plan_cache_dir)
-        )
+        self.planner = planner or Planner(PlannerConfig(cache_dir=plan_cache_dir))
         # One program cache shared by every request's executor — the whole
         # point of a long-lived service is that tier stays warm.  TwoTierCache
         # is thread-safe, so workers share it without ceremony.

@@ -289,10 +289,6 @@ def as_cluster(topology: Topology) -> ClusterSpec:
     return ClusterSpec(machines=[topology])
 
 
-def num_machines_of(topology: Topology) -> int:
-    return topology.num_machines
-
-
 def slice_topology(topology: Topology, num_devices: int) -> Topology:
     """The sub-topology covering the first ``num_devices`` devices.
 

@@ -174,6 +174,13 @@ class TestPlanCache:
         )
         assert explored != fixed
 
+    def test_cache_key_changes_with_semantic_option(self, mlp_bundle):
+        base = plan_cache_key(mlp_bundle.graph, [2, 2], None, "tofu", {})
+        capped = plan_cache_key(
+            mlp_bundle.graph, [2, 2], None, "tofu", {"max_states": 7}
+        )
+        assert capped != base
+
     def test_unserializable_options_bypass_cache(self, mlp_bundle, counting_backend):
         from repro.partition.coarsen import coarsen
 
@@ -319,6 +326,17 @@ class TestPlannerFacade:
 
     def test_default_planner_is_a_singleton(self):
         assert default_planner() is default_planner()
+
+    def test_expand_jobs_accepts_only_one(self):
+        assert PlannerConfig(expand_jobs=1).expand_jobs == 1
+        with pytest.raises(PartitionError, match="intra-search threads"):
+            PlannerConfig(expand_jobs=2)
+
+    def test_expand_jobs_backend_option_rejected(self, mlp_bundle):
+        with pytest.raises(PartitionError, match="does not accept option"):
+            Planner().plan(
+                mlp_bundle.graph, 4, backend_options={"expand_jobs": 2}
+            )
 
     def test_config_backend_options_merge_with_call_options(self, mlp_bundle):
         planner = Planner(
