@@ -14,7 +14,13 @@ changing the lowered program's structure (same tasks, same comm volume).
 import os
 
 from common import once, print_header
-from repro.costmodel import fit_cost_model, load_trace, replay_trace, resolve_cost_model
+from repro.costmodel import (
+    fit_cost_model,
+    load_trace,
+    replay_trace,
+    resolve_cost_model,
+    use_cost_model,
+)
 from repro.models.mlp import build_mlp
 from repro.runtime import Executor, ExecutorConfig
 from repro.sim.device import k80_8gpu_machine
@@ -49,13 +55,12 @@ def _compile_under(trace):
                        num_layers=3, num_classes=64)
     machine = k80_8gpu_machine()
     rows = {}
+    executor = Executor(ExecutorConfig(cache_programs=False))
     for label, model in _models(trace).items():
-        executor = Executor(
-            ExecutorConfig(cache_programs=False, cost_model=model)
-        )
-        report = executor.run(
-            bundle.graph, machine=machine, backend="single-device"
-        )
+        with use_cost_model(model):
+            report = executor.run(
+                bundle.graph, machine=machine, backend="single-device"
+            )
         rows[label] = {
             "iteration_time": report.result.iteration_time,
             "num_tasks": len(report.program.tasks),

@@ -404,10 +404,11 @@ def compile(
         cost_model: Pricing model for planning, lowering, and simulation —
             a registry name (``"roofline"``, ``"table:trace=/path.json"``),
             a path to a saved model, or a
-            :class:`repro.costmodel.CostModel` instance.  ``None`` (the
-            default) keeps the built-in roofline pricing; a non-default
-            model folds its signature into the plan- and program-cache
-            keys, so calibrated and default compiles never share entries.
+            :class:`repro.costmodel.CostModel` instance, active for the
+            whole compile as if under ``repro.costmodel.use_cost_model``.
+            ``None`` (the default) keeps the active model.  Plans carry no
+            pricing and are shared across models; a non-default model
+            folds its signature into program-cache keys.
         tuner: A configured :class:`repro.tuner.Tuner` driving the
             ``"auto"`` sweep — budget, process-pool width, and grid axes.
             ``None`` keeps the default bounded sweep
@@ -426,15 +427,10 @@ def compile(
     from repro.planner.core import default_planner
 
     if cost_model is not None:
-        from repro.costmodel import (
-            configured_cost_model,
-            cost_model_cache_token,
-            use_cost_model,
-        )
+        from repro.costmodel import configured_cost_model, use_cost_model
 
-        model_override = configured_cost_model(cost_model)
-        with use_cost_model(model_override):
-            compiled = compile(
+        with use_cost_model(configured_cost_model(cost_model)):
+            return compile(
                 graph,
                 strategy,
                 machine,
@@ -449,10 +445,6 @@ def compile(
                 candidates=candidates,
                 tuner=tuner,
             )
-        token = cost_model_cache_token(model_override)
-        if token is not None:
-            compiled.metadata["cost_model"] = token
-        return compiled
 
     if isinstance(strategy, str) and strategy.strip().lower() == "auto":
         machine = _resolve_machine(machine, num_workers)

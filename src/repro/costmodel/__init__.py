@@ -17,19 +17,21 @@ Typical calibration loop::
     report = replay_trace(trace, {"roofline": resolve_cost_model("roofline"),
                                   "table": table})
 
-then activate the calibrated model for a compile either through the config
-knobs (``ExecutorConfig(cost_model=...)`` / ``PlannerConfig(cost_model=...)``
-/ ``repro.compile(..., cost_model=...)``) or lexically::
+then activate the calibrated model with the one pricing scope::
 
     with use_cost_model(table):
         result = repro.compile(graph, "tofu", machine, num_workers=8)
+
+``repro.compile(..., cost_model=table)`` and the CLI's ``--cost-model`` are
+spellings of the same scope.  Pricing never moves a plan (the search
+minimises communication bytes), so plans are shared across models and only
+program-cache keys carry the model's signature.
 """
 
 from repro.costmodel.base import (
     CostModel,
     OpSample,
     active_cost_model,
-    current_cost_model,
     use_cost_model,
 )
 from repro.costmodel.calibrate import (
@@ -79,7 +81,6 @@ __all__ = [
     "configured_cost_model",
     "cost_model_cache_token",
     "cost_model_from_dict",
-    "current_cost_model",
     "default_roofline",
     "fit_cost_model",
     "get_cost_model_spec",

@@ -5,25 +5,28 @@ program: how long does one kernel launch take (:meth:`CostModel.op_time`,
 fed an :class:`repro.sim.costmodel.OpSample` of operator features), and —
 optionally — how long does one transfer take (:meth:`CostModel.comm_time`;
 returning ``None`` keeps the simulator's link-bandwidth pricing).  Models
-are content-addressed (:meth:`CostModel.signature`) so the plan and program
-caches can fold "which model priced this" into their keys, and
-serialisable (:meth:`CostModel.to_dict`) so a calibrated model travels as
-JSON.  The full written contract lives in ``docs/cost-models.md``.
+are content-addressed (:meth:`CostModel.signature`) so the program cache can
+fold "which model priced this" into its keys, and serialisable
+(:meth:`CostModel.to_dict`) so a calibrated model travels as JSON.  The
+full written contract lives in ``docs/cost-models.md``.
 
 Activation is scoped, not global: :func:`use_cost_model` sets the model for
 the current context (a :mod:`contextvars` context, so concurrent compile
-threads do not leak models into each other), and the facades' ``cost_model``
-knobs delegate to it.  :func:`current_cost_model` reports what is in effect,
-defaulting to the built-in roofline.
+threads do not leak models into each other).  It is the one mechanism;
+``repro.compile(cost_model=...)`` and the CLI's ``--cost-model`` are
+spellings of it.  :func:`active_cost_model` reports what is in effect
+(``None`` for the built-in roofline).
 """
 
 from __future__ import annotations
 
 import abc
+import math
 from contextlib import contextmanager
 from typing import Dict, Iterator, Optional
 
 from repro.caching import content_key
+from repro.errors import CostModelError
 from repro.sim.costmodel import _ACTIVE_COST_MODEL, OpSample, active_cost_model
 from repro.sim.device import DeviceSpec, Link, MachineSpec
 
@@ -31,7 +34,6 @@ __all__ = [
     "CostModel",
     "OpSample",
     "active_cost_model",
-    "current_cost_model",
     "use_cost_model",
 ]
 
@@ -107,15 +109,15 @@ class CostModel(abc.ABC):
         return f"{type(self).__name__}(signature={self.signature()!r})"
 
 
-def current_cost_model() -> CostModel:
-    """The cost model in effect for this context (the default roofline when
-    none was activated)."""
-    model = _ACTIVE_COST_MODEL.get()
-    if model is not None:
-        return model
-    from repro.costmodel.roofline import default_roofline
-
-    return default_roofline()
+def finite_float(value: object, what: str, *, nonnegative: bool = False) -> float:
+    """Decode one number of a saved model: a finite int/float (not a bool),
+    also ``>= 0`` when ``nonnegative``; anything else is a
+    :class:`~repro.errors.CostModelError` naming ``what``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or (nonnegative and value < 0)):
+        sign = " non-negative" if nonnegative else ""
+        raise CostModelError(f"{what} must be a finite{sign} number, got {value!r}")
+    return float(value)
 
 
 @contextmanager
@@ -141,8 +143,6 @@ def use_cost_model(model: Optional[CostModel]) -> Iterator[Optional[CostModel]]:
         yield None
         return
     if not isinstance(model, CostModel):
-        from repro.errors import CostModelError
-
         raise CostModelError(
             f"use_cost_model needs a CostModel instance, got "
             f"{type(model).__name__}; resolve names/paths first with "

@@ -4,10 +4,11 @@
 :func:`save_cost_model` / :func:`load_cost_model` round-trip any model
 through a versioned JSON envelope (``"format": "tofu-cost-model"``), so a
 model calibrated once can price later compiles via
-``ExecutorConfig(cost_model="/path/to/model.json")`` or the CLI's
-``--cost-model`` flag.  The quickstart lives in the README ("Calibrating
-the simulator"); the benchmark that re-runs Fig-10 pricing under a
-calibrated model is ``benchmarks/bench_calibrated.py``.
+``repro.compile(..., cost_model="/path/to/model.json")`` or the CLI's
+``--cost-model`` flag, both spellings of ``use_cost_model``.  The
+quickstart lives in the README ("Calibrating the simulator"); the benchmark
+that re-runs Fig-10 pricing under a calibrated model is
+``benchmarks/bench_calibrated.py``.
 """
 
 from __future__ import annotations
@@ -74,19 +75,25 @@ def cost_model_from_dict(payload: Dict[str, object]) -> CostModel:
 
     Raises:
         CostModelError: For an unknown or missing model kind, or a payload
-            the named kind rejects.
+            the named kind rejects — any decoder failure, so a malformed
+            saved model never escapes as an uncoded error.
     """
     if not isinstance(payload, dict):
         raise CostModelError(
             f"cost-model payload must be an object, got {type(payload).__name__}"
         )
     kind = payload.get("model")
-    if kind == "roofline":
-        return RooflineCostModel()
-    if kind == "table":
-        return TableCostModel.from_dict(payload)
-    if kind == "fitted":
-        return FittedCostModel.from_dict(payload)
+    try:
+        if kind == "roofline":
+            return RooflineCostModel()
+        if kind == "table":
+            return TableCostModel.from_dict(payload)
+        if kind == "fitted":
+            return FittedCostModel.from_dict(payload)
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise CostModelError(
+            f"malformed {kind} cost-model payload: {type(exc).__name__}: {exc}"
+        ) from exc
     raise CostModelError(
         f"cost-model payload names unknown model kind {kind!r} "
         f"(known: fitted, roofline, table)"

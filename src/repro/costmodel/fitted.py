@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.costmodel.base import CostModel, OpSample
+from repro.costmodel.base import CostModel, OpSample, finite_float
 from repro.costmodel.roofline import default_roofline
 from repro.costmodel.trace import Trace, TraceRecord
 from repro.errors import CostModelError
@@ -270,32 +270,38 @@ class FittedCostModel(CostModel):
         """Rebuild a fitted model from :meth:`to_dict` output.
 
         Raises:
-            CostModelError: When the payload is not a fitted-model payload.
+            CostModelError: When the payload is not a fitted-model payload,
+                names an unknown feature, or holds a non-finite weight.
         """
         if payload.get("model") != cls.name:
             raise CostModelError(
                 f"payload is not a fitted cost model: model={payload.get('model')!r}"
             )
 
-        def unpack(raw: object) -> _Fit:
-            if not isinstance(raw, dict):
-                raise CostModelError("fitted payload fit entries must be objects")
-            return (
-                tuple(str(n) for n in raw["features"]),
-                tuple(float(w) for w in raw["weights"]),
-            )
+        def unpack(raw: Dict[str, object]) -> _Fit:
+            names = tuple(raw["features"])
+            weights = tuple(finite_float(w, "fitted weight") for w in raw["weights"])
+            unknown = [n for n in names if n not in _FEATURE_SETS[0]]
+            if unknown or len(names) != len(weights):
+                raise CostModelError(
+                    f"fitted payload fit {raw!r} needs one weight per feature "
+                    f"named from {list(_FEATURE_SETS[0])}"
+                )
+            return names, weights
 
-        raw_cats = payload.get("category_fits", {})
-        if not isinstance(raw_cats, dict):
-            raise CostModelError("fitted payload 'category_fits' must be an object")
+        def comm_fit(channel: str, raw: object) -> Tuple[float, float]:
+            slope, intercept = raw
+            what = f"fitted comm fit {channel!r}"
+            return finite_float(slope, what), finite_float(intercept, what)
+
         raw_global = payload.get("global_fit")
-        raw_comm = payload.get("comm_fits", {})
-        if not isinstance(raw_comm, dict):
-            raise CostModelError("fitted payload 'comm_fits' must be an object")
         return cls(
-            category_fits={c: unpack(f) for c, f in raw_cats.items()},
+            category_fits={
+                c: unpack(f) for c, f in payload.get("category_fits", {}).items()
+            },
             global_fit=unpack(raw_global) if raw_global is not None else None,
             comm_fits={
-                ch: (float(fit[0]), float(fit[1])) for ch, fit in raw_comm.items()
+                ch: comm_fit(ch, fit)
+                for ch, fit in payload.get("comm_fits", {}).items()
             },
         )

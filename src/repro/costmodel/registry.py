@@ -1,4 +1,4 @@
-"""The string-keyed cost-model registry and config-knob resolution.
+"""The string-keyed cost-model registry and ``cost_model=`` resolution.
 
 Built-in kinds — ``roofline`` (parameterless), ``table`` and ``fitted``
 (need a ``trace=`` path or a saved-model path to construct) — register at
@@ -9,10 +9,9 @@ entry-point group, exactly like planner/runtime backends (see
 :func:`resolve_cost_model` is the one spelling-normaliser: it accepts a
 :class:`~repro.costmodel.base.CostModel` instance, a registry name
 (``"table:trace=/path.json"`` passes constructor options inline), or a path
-to a saved-model JSON.  :func:`configured_cost_model` and
-:func:`cost_model_cache_token` apply the config semantics the caches rely
-on: the default ``"roofline"`` contributes *nothing* to cache keys (token
-``None``), so every pre-existing plan and program cache entry stays valid.
+to a saved-model JSON.  :func:`configured_cost_model` maps the default
+spelling to "no scope", and :func:`cost_model_cache_token` makes the
+default ``"roofline"`` contribute *nothing* to program-cache keys.
 """
 
 from __future__ import annotations
@@ -254,15 +253,13 @@ def resolve_cost_model(value: Union[str, CostModel, None]) -> CostModel:
 
 
 def configured_cost_model(value: Union[str, CostModel, None]) -> Optional[CostModel]:
-    """Resolve a config knob's value to the model to *activate*, or ``None``.
+    """Resolve a ``cost_model=`` / ``--cost-model`` value to the model to
+    activate with ``use_cost_model``.
 
-    The default spelling (``None`` / ``"roofline"``) resolves to ``None`` —
-    the config then defers to whatever model is already active in the
-    context (``use_cost_model``), and with none active the inline roofline
-    path runs.  Any non-default spelling resolves to a concrete model that
-    wins over the surrounding context; to force roofline pricing *inside* a
-    non-default context, pass a :class:`RooflineCostModel` instance rather
-    than the string.
+    The default spelling (``None`` / ``"roofline"``) resolves to ``None``,
+    leaving the surrounding scope in force.  To force roofline pricing
+    *inside* a non-default scope, pass a :class:`RooflineCostModel`
+    instance rather than the string.
     """
     if value is None or (isinstance(value, str) and value == "roofline"):
         return None

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.costmodel.base import CostModel, OpSample
+from repro.costmodel.base import CostModel, OpSample, finite_float
 from repro.costmodel.roofline import default_roofline
 from repro.costmodel.trace import Trace, TraceRecord
 from repro.errors import CostModelError
@@ -73,9 +73,8 @@ class TableCostModel(CostModel):
     """Lookup-table pricing built from a measured trace.
 
     Build one with :meth:`fit` (or :func:`repro.costmodel.fit_cost_model`)
-    and activate it via the ``cost_model`` config knobs or
-    :func:`repro.costmodel.use_cost_model`.  Lookup order per op:
-    op curve → category curve → roofline fallback.
+    and activate it with :func:`repro.costmodel.use_cost_model`.  Lookup
+    order per op: op curve → category curve → roofline fallback.
     """
 
     name = "table"
@@ -224,8 +223,12 @@ class TableCostModel(CostModel):
     def from_dict(cls, payload: Dict[str, object]) -> "TableCostModel":
         """Rebuild a table model from :meth:`to_dict` output.
 
+        Curves are re-sorted by size; every size and time must be a finite,
+        non-negative number.
+
         Raises:
-            CostModelError: When the payload is not a table-model payload.
+            CostModelError: When the payload is not a table-model payload or
+                holds a non-finite or negative number.
         """
         if payload.get("model") != cls.name:
             raise CostModelError(
@@ -233,12 +236,15 @@ class TableCostModel(CostModel):
             )
 
         def curves(key: str) -> Dict[str, _Curve]:
-            raw = payload.get(key, {})
-            if not isinstance(raw, dict):
-                raise CostModelError(f"table payload field {key!r} must be an object")
             return {
-                name: tuple((float(s), float(t)) for s, t in points)
-                for name, points in raw.items()
+                name: _build_curve(
+                    (
+                        finite_float(size, f"{key}[{name!r}] size", nonnegative=True),
+                        finite_float(time, f"{key}[{name!r}] time", nonnegative=True),
+                    )
+                    for size, time in points
+                )
+                for name, points in payload.get(key, {}).items()
             }
 
         return cls(

@@ -43,8 +43,7 @@ __all__ = [
 ]
 
 #: PlannerConfig fields whose values feed :func:`plan_cache_key` (the
-#: ``backend``/``options``/``explore_factor_orders``/``cost_model`` payload
-#: entries).  Together with NON_SEMANTIC_CONFIG_FIELDS this must classify
+#: ``backend``/``options``/``explore_factor_orders`` payload entries).  Together with NON_SEMANTIC_CONFIG_FIELDS this must classify
 #: *every* config field — the ``cache-key`` checker (repro.analysis) fails
 #: the build otherwise, so a new semantic knob cannot silently poison warm
 #: cache entries.
@@ -52,7 +51,6 @@ KEY_COVERED_CONFIG_FIELDS = (
     "backend",
     "backend_options",
     "explore_factor_orders",
-    "cost_model",
 )
 
 #: PlannerConfig fields that deliberately do NOT contribute to plan cache
@@ -76,7 +74,6 @@ def plan_cache_key(
     *,
     explore_factor_orders: bool = True,
     strategy: Optional[object] = None,
-    cost_model: Optional[str] = None,
 ) -> str:
     """The content address of one planning request.
 
@@ -87,10 +84,8 @@ def plan_cache_key(
     schedule, micro-batches — can never collide on one cache entry, even
     when their ``tofu`` leaves would search identical plans.
 
-    ``cost_model`` is the pricing model's cache token
-    (:func:`repro.costmodel.cost_model_cache_token`): ``None`` under the
-    default roofline — the field is then absent, preserving every
-    pre-cost-model key — and the model's content signature otherwise.
+    The key carries no pricing model: the search minimises communication
+    bytes, so the kernel pricing never moves a plan.
 
     Raises ``TypeError`` when an input is not JSON-serialisable — e.g. a
     pre-built ``coarse=CoarsenedGraph`` backend option.  Such inputs have no
@@ -110,8 +105,6 @@ def plan_cache_key(
         # call (the CLI's `partition` command) is keyed without one.
         to_dict = getattr(strategy, "to_dict", None)
         fields["strategy"] = to_dict() if callable(to_dict) else strategy
-    if cost_model is not None:
-        fields["cost_model"] = cost_model
     return content_key(fields)
 
 

@@ -60,11 +60,6 @@ class PlannerConfig:
         cache_max_bytes: Byte budget for the on-disk store; when the stored
             plans exceed it the least-recently-used entries are evicted.
             ``None`` means unbounded.
-        cost_model: Pricing model the search costs candidate plans under —
-            same spellings as ``ExecutorConfig.cost_model``.  The default
-            ``"roofline"`` keeps the built-in arithmetic (deferring to any
-            model activated via ``repro.costmodel.use_cost_model``); a
-            non-default model folds its signature into plan-cache keys.
     """
 
     backend: str = "tofu"
@@ -76,7 +71,6 @@ class PlannerConfig:
     cache_capacity: int = 128
     cache_dir: Optional[str] = None
     cache_max_bytes: Optional[int] = None
-    cost_model: object = "roofline"
 
     def __post_init__(self) -> None:
         if self.expand_jobs != 1:
@@ -128,33 +122,19 @@ class Planner:
         pre-built ``coarse`` graph) have no stable content address and bypass
         the cache entirely.
 
-        Candidate costing runs under the configured cost model
-        (``config.cost_model``); a non-default model's signature joins the
-        cache key so plans searched under different pricings never collide.
+        The key carries no pricing model: the search minimises
+        communication bytes, so the kernel pricing never moves a plan and
+        every model shares one cache entry.
 
         Raises:
             PartitionError: When the backend cannot produce a plan for the
                 requested worker count.
-            CostModelError: When ``config.cost_model`` cannot be resolved.
         """
-        from repro.costmodel import (
-            active_cost_model,
-            configured_cost_model,
-            cost_model_cache_token,
-            use_cost_model,
-        )
-
         spec = get_backend(backend or self.config.backend)
         options = {**self.config.backend_options, **(backend_options or {})}
         spec.validate_options(options)
         factors = factorize_workers(num_workers)
         explore = spec.supports_factor_orders and self.config.explore_factor_orders
-
-        config_model = configured_cost_model(self.config.cost_model)
-        effective_model = (
-            config_model if config_model is not None else active_cost_model()
-        )
-        token = cost_model_cache_token(effective_model)
 
         key = None
         if self.cache.enabled:
@@ -163,7 +143,6 @@ class Planner:
                     graph, factors, machine, spec.name, options,
                     explore_factor_orders=explore,
                     strategy=strategy,
-                    cost_model=token,
                 )
             except TypeError:
                 key = None
@@ -174,7 +153,7 @@ class Planner:
                     return cached
                 perf.count("plan_cache.miss")
 
-        with perf.stage(f"planner.search.{spec.name}"), use_cost_model(config_model):
+        with perf.stage(f"planner.search.{spec.name}"):
             plan = self._search(spec, graph, num_workers, options)
         if key is not None:
             self.cache.put(key, plan)

@@ -58,11 +58,11 @@ __all__ = [
 ]
 
 #: ExecutorConfig fields whose values feed :func:`lowered_cache_key` (the
-#: key's ``backend``/``options``/``cost_model`` payload entries).  Together
+#: key's ``backend``/``options`` payload entries).  Together
 #: with NON_SEMANTIC_CONFIG_FIELDS this must classify *every* config field —
 #: the ``cache-key`` checker (repro.analysis) fails the build otherwise, so
 #: a new semantic knob cannot silently poison warm cache entries.
-KEY_COVERED_CONFIG_FIELDS = ("backend", "backend_options", "cost_model")
+KEY_COVERED_CONFIG_FIELDS = ("backend", "backend_options")
 
 #: ExecutorConfig fields that deliberately do NOT contribute to program
 #: cache keys: cache plumbing and observability knobs that never change

@@ -59,14 +59,6 @@ class ExecutorConfig:
             ``lower``/``simulate``/``run`` call on this executor, readable
             as ``executor.profile_timer`` and surfaced by ``repro.compile``
             as ``CompiledModel.metadata["profile"]``.
-        cost_model: Pricing model for kernels and transfers — a registry
-            name (``"roofline"``, ``"table:trace=/path.json"``), a path to
-            a saved model, or a :class:`repro.costmodel.CostModel`
-            instance.  The default ``"roofline"`` keeps the built-in
-            arithmetic (and defers to any model activated with
-            ``repro.costmodel.use_cost_model``); a non-default model wins
-            over the context and folds its signature into program-cache
-            keys.
         verify: Static verification of freshly lowered programs
             (:mod:`repro.analysis`): ``"off"`` (the default) runs nothing,
             ``"warn"`` emits a ``UserWarning`` per report, ``"strict"``
@@ -83,7 +75,6 @@ class ExecutorConfig:
     program_cache_capacity: Optional[int] = None
     program_cache_max_bytes: Optional[int] = None
     profile: bool = False
-    cost_model: object = "roofline"
     verify: str = "off"
 
 
@@ -231,25 +222,18 @@ class Executor:
         stable content address (e.g. a pre-built coarsened graph) bypass
         the cache.
 
-        Kernel costing and comm pricing run under the configured cost model
-        (``config.cost_model``; the default roofline defers to any model
-        activated via ``repro.costmodel.use_cost_model``).  A non-default
-        model's signature joins the program-cache key, so programs priced
-        by different models never collide.
+        Kernel costing and comm pricing run under the active cost model
+        (``repro.costmodel.use_cost_model``).  A non-default model's
+        signature joins the program-cache key, so programs priced by
+        different models never collide.
 
         Raises:
             ExecutionError: For an unknown backend, invalid options, or a
                 plan-requiring backend invoked without a plan.
-            CostModelError: When ``config.cost_model`` cannot be resolved.
             AnalysisError: Under ``config.verify="strict"`` when a freshly
                 lowered program fails a static check.
         """
-        from repro.costmodel import (
-            active_cost_model,
-            configured_cost_model,
-            cost_model_cache_token,
-            use_cost_model,
-        )
+        from repro.costmodel import active_cost_model, cost_model_cache_token
 
         with perf.activation(self.profile_timer):
             spec = get_execution_backend(backend or self.config.backend)
@@ -263,11 +247,7 @@ class Executor:
                 )
             machine = self._resolve_machine(machine, plan)
 
-            config_model = configured_cost_model(self.config.cost_model)
-            effective_model = (
-                config_model if config_model is not None else active_cost_model()
-            )
-            token = cost_model_cache_token(effective_model)
+            token = cost_model_cache_token(active_cost_model())
 
             key: Optional[str] = None
             if self.config.cache_programs and self.program_cache.enabled:
@@ -289,12 +269,11 @@ class Executor:
                     return cached
                 perf.count("program_cache.miss")
 
-            with perf.stage(f"lower.{spec.name}"), use_cost_model(config_model):
+            with perf.stage(f"lower.{spec.name}"):
                 program = spec.lower(graph, machine, plan, **options)
             if program.machine is None:
                 program.machine = machine
-            if program.cost_model is None:
-                program.cost_model = token
+            program.cost_model = token
             if self.config.verify != "off":
                 # Verify before the cache put so strict mode never caches
                 # (or serves) a program that fails its invariants; cache

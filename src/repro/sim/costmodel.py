@@ -12,11 +12,10 @@ not by these constants.
 This module is also the seam the pluggable cost-model subsystem
 (:mod:`repro.costmodel`) hooks into: :func:`node_kernel_time` extracts one
 :class:`OpSample` of operator features and, when a cost model is active
-(:data:`_ACTIVE_COST_MODEL`, set via ``repro.costmodel.use_cost_model`` or
-the ``cost_model`` knobs of the facades), defers pricing to it.  With no
-active model the sample is priced by the roofline :func:`kernel_time` — that
-default path is the bit-exact behaviour every cache key and benchmark
-baseline assumes.  :func:`node_kernel_times` prices one sample on several
+(:data:`_ACTIVE_COST_MODEL`, set only via ``repro.costmodel.use_cost_model``),
+defers pricing to it.  With no active model the sample is priced by the
+roofline :func:`kernel_time` — that default path is the bit-exact behaviour
+every cache key and benchmark baseline assumes.  :func:`node_kernel_times` prices one sample on several
 devices, so lowering extracts each node's features once, not once per task.
 """
 

@@ -382,10 +382,13 @@ class Tuner:
 
         admitted, cut = self.budget.split(pool)
         jobs = min(self.jobs, len(admitted))
-        if jobs > 1 and self._cost_model_pinned():
-            # An in-process cost-model override cannot be shipped to spawn
-            # workers; stay serial rather than silently pricing differently.
-            jobs = 1
+        if jobs > 1:
+            from repro.costmodel import active_cost_model, cost_model_cache_token
+
+            if cost_model_cache_token(active_cost_model()) is not None:
+                # A pricing scope cannot be shipped to spawn workers; stay
+                # serial rather than silently pricing differently.
+                jobs = 1
         self.incumbent = None
 
         timer = executor.profile_timer or StageTimer()
@@ -462,12 +465,6 @@ class Tuner:
         )
 
     # ------------------------------------------------------------- internals
-    @staticmethod
-    def _cost_model_pinned() -> bool:
-        from repro.costmodel import cost_model_cache_token, current_cost_model
-
-        return cost_model_cache_token(current_cost_model()) is not None
-
     def _deadline(self, started: float) -> Optional[float]:
         if self.budget.max_seconds is None:
             return None

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.costmodel import resolve_cost_model
+from repro.costmodel import resolve_cost_model, use_cost_model
 from repro.partition.recursive import recursive_partition
 from repro.runtime import Executor, ExecutorConfig
 from repro.sim.device import cluster_of, k80_8gpu_machine, slice_topology
@@ -42,19 +42,20 @@ def _comm_clones(program):
 def test_clones_carry_the_models_price(mlp_bundle, machine):
     graph = mlp_bundle.graph
     plan = recursive_partition(graph, 2)
-    executor = Executor(ExecutorConfig(cache_programs=False, cost_model=TABLE))
-    inner = executor.lower(
-        graph, plan=plan, machine=slice_topology(machine, 2),
-        backend="tofu-partitioned",
-    )
-    hybrid = executor.lower(
-        graph, plan=plan, machine=machine, backend="hybrid",
-        backend_options=OPTIONS,
-    )
+    model = resolve_cost_model(TABLE)
+    executor = Executor(ExecutorConfig(cache_programs=False))
+    with use_cost_model(model):
+        inner = executor.lower(
+            graph, plan=plan, machine=slice_topology(machine, 2),
+            backend="tofu-partitioned",
+        )
+        hybrid = executor.lower(
+            graph, plan=plan, machine=machine, backend="hybrid",
+            backend_options=OPTIONS,
+        )
     inner_comm = [t for t in inner.tasks.values() if t.kind == "comm"]
     assert inner_comm and all(t.comm_time is not None for t in inner_comm)
 
-    model = resolve_cost_model(TABLE)
     clones = _comm_clones(hybrid)
     assert len(clones) == 2 * len(inner_comm)
     for clone in clones:

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import json
+import math
+
 import pytest
 
 from repro.costmodel import (
@@ -195,6 +199,105 @@ def test_save_load_round_trip(tmp_path, kind):
 def test_cost_model_from_dict_rejects_unknown_model():
     with pytest.raises(CostModelError, match="unknown"):
         cost_model_from_dict({"model": "oracle"})
+
+
+def _valid_payload(kind):
+    records = (
+        _compute("a", 1.0, flops=1.0e9),
+        _compute("b", 3.0, flops=3.0e9),
+        _comm("x0", 1.0, 1024.0),
+        _comm("x1", 2.0, 2048.0),
+    )
+    return fit_cost_model(Trace(records=records), kind).to_dict()
+
+
+def _setter(*path_and_value):
+    *path, value = path_and_value
+
+    def mutate(payload):
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    return mutate
+
+
+#: (kind, mutation) pairs, each turning a valid saved payload into one the
+#: decoder must refuse with a CostModelError — never an uncoded error, never
+#: a model that loads and prices wrong.
+MALFORMED_PAYLOADS = {
+    "table-curve-is-a-string": ("table", _setter("op_curves", "matmul", "x")),
+    "table-curve-is-null": ("table", _setter("op_curves", "matmul", None)),
+    "table-short-point": ("table", _setter("op_curves", "matmul", [[1.0e9]])),
+    "table-string-size": ("table", _setter("op_curves", "matmul", [["1e9", 1.0]])),
+    "table-bool-time": ("table", _setter("op_curves", "matmul", [[1.0e9, True]])),
+    "table-negative-op-time": (
+        "table", _setter("op_curves", "matmul", [[1.0e9, -1.0]])
+    ),
+    "table-negative-size": (
+        "table", _setter("op_curves", "matmul", [[-1.0e9, 1.0]])
+    ),
+    "table-nan-category-time": (
+        "table", _setter("category_curves", "matmul", [[1.0e9, math.nan]])
+    ),
+    "table-inf-comm-size": (
+        "table", _setter("comm_curves", "p2p", [[math.inf, 1.0]])
+    ),
+    "table-curves-not-an-object": ("table", _setter("op_curves", [])),
+    "fitted-empty-global-fit": ("fitted", _setter("global_fit", {})),
+    "fitted-unknown-feature": (
+        "fitted", _setter("global_fit", "features", ["flops", "bogus"])
+    ),
+    "fitted-unhashable-feature": (
+        "fitted", _setter("global_fit", "features", [["flops"], "const"])
+    ),
+    "fitted-features-not-a-list": (
+        "fitted", _setter("global_fit", "features", 5)
+    ),
+    "fitted-weight-count-mismatch": (
+        "fitted", _setter("global_fit", "weights", [1.0])
+    ),
+    "fitted-nan-weight": (
+        "fitted", _setter("global_fit", "weights", [math.nan, 0.0])
+    ),
+    "fitted-string-weight": (
+        "fitted", _setter("global_fit", "weights", ["1", 0.0])
+    ),
+    "fitted-category-fit-not-an-object": (
+        "fitted", _setter("category_fits", "matmul", "x")
+    ),
+    "fitted-short-comm-fit": ("fitted", _setter("comm_fits", "p2p", [1.0])),
+    "fitted-inf-comm-fit": (
+        "fitted", _setter("comm_fits", "p2p", [1.0, math.inf])
+    ),
+    "fitted-comm-fits-not-an-object": ("fitted", _setter("comm_fits", [])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PAYLOADS))
+def test_malformed_payloads_raise_cost_model_error(case, tmp_path):
+    kind, mutate = MALFORMED_PAYLOADS[case]
+    payload = copy.deepcopy(_valid_payload(kind))
+    mutate(payload)
+    with pytest.raises(CostModelError):
+        cost_model_from_dict(payload)
+    # The same payload saved to disk (json writes NaN/Infinity) is refused
+    # on load, the path every ``cost_model=`` file takes.
+    path = tmp_path / "model.json"
+    path.write_text(
+        json.dumps({"format": "tofu-cost-model", "version": 1,
+                    "cost_model": payload}),
+        encoding="utf-8",
+    )
+    with pytest.raises(CostModelError):
+        load_cost_model(str(path))
+
+
+@pytest.mark.parametrize("kind", ["table", "fitted"])
+def test_valid_payloads_decode_to_the_same_model(kind):
+    payload = _valid_payload(kind)
+    assert cost_model_from_dict(copy.deepcopy(payload)).to_dict() == payload
 
 
 def test_fit_cost_model_rejects_unknown_kind():

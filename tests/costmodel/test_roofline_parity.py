@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro.costmodel import (
     RooflineCostModel,
     default_roofline,
@@ -84,15 +85,15 @@ def test_explicit_roofline_is_bit_exact(mlp_bundle, backend):
 
 
 def test_configured_roofline_is_bit_exact(mlp_bundle):
-    """`ExecutorConfig(cost_model="roofline")` — the default spelling — must
+    """`repro.compile(cost_model="roofline")` — the default spelling — must
     neither change numbers nor perturb cache keys."""
-    plain = Executor(ExecutorConfig(cache_programs=False))
-    spelled = Executor(
-        ExecutorConfig(cache_programs=False, cost_model="roofline")
+    executor = Executor(ExecutorConfig(cache_programs=False))
+    a = repro.compile(mlp_bundle.graph, "single", MACHINE, executor=executor)
+    b = repro.compile(
+        mlp_bundle.graph, "single", MACHINE, executor=executor,
+        cost_model="roofline",
     )
-    a = plain.run(mlp_bundle.graph, machine=MACHINE, backend="single-device")
-    b = spelled.run(mlp_bundle.graph, machine=MACHINE, backend="single-device")
-    assert a.result.iteration_time == b.result.iteration_time
+    assert a.iteration_time == b.iteration_time
     assert a.program.cost_model is None
     assert b.program.cost_model is None
 
@@ -105,13 +106,13 @@ def test_per_node_pricing_matches_per_task_pricing(mlp_bundle, backend):
     graph = mlp_bundle.graph
     model = resolve_cost_model(f"table:trace={SAMPLE_TRACE}")
     options, plan = _backend_setup(backend, graph)
-    program = Executor(
-        ExecutorConfig(cache_programs=False, cost_model=model)
-    ).lower(
-        graph, plan=plan, machine=MACHINE, backend=backend,
-        backend_options=options,
-    )
-    default = Executor(ExecutorConfig(cache_programs=False)).lower(
+    executor = Executor(ExecutorConfig(cache_programs=False))
+    with use_cost_model(model):
+        program = executor.lower(
+            graph, plan=plan, machine=MACHINE, backend=backend,
+            backend_options=options,
+        )
+    default = executor.lower(
         graph, plan=plan, machine=MACHINE, backend=backend,
         backend_options=options,
     )

@@ -1,7 +1,7 @@
-"""Cost-model threading through caches, configs, ``repro.compile`` and the
-CLI — the compatibility half of the tentpole: default-priced cache keys must
-be byte-identical to the pre-cost-model ones, and only a *non-default* model
-may change them."""
+"""Cost-model threading through caches, the ``use_cost_model`` scope,
+``repro.compile`` and the CLI.  Default-priced cache keys must be
+byte-identical to the pre-cost-model ones; only a *non-default* model may
+change a program-cache key, and no model changes a plan or its key."""
 
 from __future__ import annotations
 
@@ -19,6 +19,9 @@ from repro.costmodel import (
     save_cost_model,
     use_cost_model,
 )
+from repro.partition.plan import plan_to_dict
+from repro.planner import Planner
+from repro.planner.backends import available_backends, get_backend
 from repro.planner.cache import plan_cache_key
 from repro.runtime import Executor, ExecutorConfig, program_from_dict, program_to_dict
 from repro.runtime.cache import lowered_cache_key
@@ -36,9 +39,10 @@ def table_model():
 
 
 # ------------------------------------------------------------- cache keys
-def test_default_cache_keys_unchanged(mlp_bundle):
-    """``cost_model=None`` must be a no-op on both cache-key functions: every
-    pre-existing cache entry keeps its exact address."""
+def test_default_cache_keys_unchanged(mlp_bundle, table_model):
+    """``cost_model=None`` must be a no-op on the program-cache key: every
+    pre-existing cache entry keeps its exact address.  Plan keys carry no
+    pricing at all, so an active model leaves them alone too."""
     without = lowered_cache_key(mlp_bundle.graph, MACHINE, "single-device", {})
     with_none = lowered_cache_key(
         mlp_bundle.graph, MACHINE, "single-device", {}, cost_model=None
@@ -46,11 +50,10 @@ def test_default_cache_keys_unchanged(mlp_bundle):
     assert without == with_none
 
     factors = (2, 2)
-    p_without = plan_cache_key(mlp_bundle.graph, factors, MACHINE, "tofu", {})
-    p_with_none = plan_cache_key(
-        mlp_bundle.graph, factors, MACHINE, "tofu", {}, cost_model=None
-    )
-    assert p_without == p_with_none
+    p_default = plan_cache_key(mlp_bundle.graph, factors, MACHINE, "tofu", {})
+    with use_cost_model(table_model):
+        p_priced = plan_cache_key(mlp_bundle.graph, factors, MACHINE, "tofu", {})
+    assert p_default == p_priced
 
 
 def test_non_default_model_changes_cache_keys(mlp_bundle, table_model):
@@ -62,27 +65,22 @@ def test_non_default_model_changes_cache_keys(mlp_bundle, table_model):
     )
     assert keyed != base
 
-    factors = (2, 2)
-    p_base = plan_cache_key(mlp_bundle.graph, factors, MACHINE, "tofu", {})
-    p_keyed = plan_cache_key(
-        mlp_bundle.graph, factors, MACHINE, "tofu", {}, cost_model=token
-    )
-    assert p_keyed != p_base
-
 
 def test_roofline_token_is_none():
     assert cost_model_cache_token(None) is None
     assert cost_model_cache_token(default_roofline()) is None
 
 
-# --------------------------------------------------- executor and planner
+# --------------------------------------------------------------- executor
+def _run_single(executor, graph):
+    return executor.run(graph, machine=MACHINE, backend="single-device")
+
+
 def test_configured_table_model_changes_timings(mlp_bundle, table_model):
-    default_run = Executor(ExecutorConfig(cache_programs=False)).run(
-        mlp_bundle.graph, machine=MACHINE, backend="single-device"
-    )
-    table_run = Executor(
-        ExecutorConfig(cache_programs=False, cost_model=table_model)
-    ).run(mlp_bundle.graph, machine=MACHINE, backend="single-device")
+    executor = Executor(ExecutorConfig(cache_programs=False))
+    default_run = _run_single(executor, mlp_bundle.graph)
+    with use_cost_model(table_model):
+        table_run = _run_single(executor, mlp_bundle.graph)
     assert (
         table_run.result.iteration_time != default_run.result.iteration_time
     )
@@ -91,52 +89,39 @@ def test_configured_table_model_changes_timings(mlp_bundle, table_model):
 
 
 def test_context_model_reaches_lowering(mlp_bundle, table_model):
-    """``use_cost_model`` alone (no config) must reroute kernel costing."""
+    """No precedence rule: the innermost scope prices the lowering, and
+    leaving it restores the outer one."""
     executor = Executor(ExecutorConfig(cache_programs=False))
-    default_run = executor.run(
-        mlp_bundle.graph, machine=MACHINE, backend="single-device"
-    )
+    default_run = _run_single(executor, mlp_bundle.graph)
     with use_cost_model(table_model):
-        table_run = executor.run(
-            mlp_bundle.graph, machine=MACHINE, backend="single-device"
-        )
+        table_run = _run_single(executor, mlp_bundle.graph)
+        with use_cost_model(default_roofline()):
+            inner_run = _run_single(executor, mlp_bundle.graph)
+        after_run = _run_single(executor, mlp_bundle.graph)
     assert (
         table_run.result.iteration_time != default_run.result.iteration_time
     )
-
-
-def test_config_model_beats_context_model(mlp_bundle, table_model):
-    """An explicit non-default config wins over the surrounding context."""
-    configured = Executor(
-        ExecutorConfig(cache_programs=False, cost_model=table_model)
-    )
-    with use_cost_model(default_roofline()):
-        run = configured.run(
-            mlp_bundle.graph, machine=MACHINE, backend="single-device"
-        )
-    assert run.program.cost_model == cost_model_cache_token(table_model)
+    assert inner_run.result.iteration_time == default_run.result.iteration_time
+    assert after_run.result.iteration_time == table_run.result.iteration_time
 
 
 def test_program_cache_separates_models(mlp_bundle, table_model):
-    """Two executors sharing the default program cache, two models: the
-    second run must not replay the first run's cached program."""
-    executor = Executor(ExecutorConfig(cost_model="roofline"))
-    default_run = executor.run(
-        mlp_bundle.graph, machine=MACHINE, backend="single-device"
-    )
-    table_executor = Executor(ExecutorConfig(cost_model=table_model))
-    table_run = table_executor.run(
-        mlp_bundle.graph, machine=MACHINE, backend="single-device"
-    )
+    """One executor on the shared program cache, two models: the second run
+    must not replay the first run's cached program."""
+    executor = Executor()
+    default_run = _run_single(executor, mlp_bundle.graph)
+    with use_cost_model(table_model):
+        table_run = _run_single(executor, mlp_bundle.graph)
     assert (
         table_run.result.iteration_time != default_run.result.iteration_time
     )
 
 
 def test_program_codec_round_trips_cost_model_fields(mlp_bundle, table_model):
-    run = Executor(
-        ExecutorConfig(cache_programs=False, cost_model=table_model)
-    ).run(mlp_bundle.graph, machine=MACHINE, backend="single-device")
+    with use_cost_model(table_model):
+        run = _run_single(
+            Executor(ExecutorConfig(cache_programs=False)), mlp_bundle.graph
+        )
     clone = program_from_dict(program_to_dict(run.program))
     assert clone.cost_model == run.program.cost_model
     for name, task in run.program.tasks.items():
@@ -150,8 +135,8 @@ def test_compile_accepts_cost_model(mlp_bundle, table_model):
         mlp_bundle.graph, "single", MACHINE, cost_model=table_model
     )
     assert priced.iteration_time != default_model.iteration_time
-    assert priced.metadata["cost_model"] == cost_model_cache_token(table_model)
-    assert "cost_model" not in default_model.metadata
+    assert priced.program.cost_model == cost_model_cache_token(table_model)
+    assert default_model.program.cost_model is None
 
 
 def test_compile_accepts_saved_model_path(mlp_bundle, table_model, tmp_path):
@@ -160,7 +145,47 @@ def test_compile_accepts_saved_model_path(mlp_bundle, table_model, tmp_path):
     priced = repro.compile(
         mlp_bundle.graph, "single", MACHINE, cost_model=str(path)
     )
-    assert priced.metadata["cost_model"] == cost_model_cache_token(table_model)
+    assert priced.program.cost_model == cost_model_cache_token(table_model)
+
+
+# ------------------------------------------------ pricing never moves a plan
+@pytest.fixture(scope="module")
+def fitted_model():
+    return fit_cost_model(load_trace(SAMPLE_TRACE), "fitted")
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+@pytest.mark.parametrize("bundle", ["mlp_bundle", "rnn_bundle"])
+def test_pricing_never_moves_a_plan(
+    request, bundle, workers, table_model, fitted_model
+):
+    """The search minimises communication bytes, so no pricing model can
+    change the plan any search backend returns."""
+    graph = request.getfixturevalue(bundle).graph
+
+    def searched(spec):
+        plan = plan_to_dict(spec.search(graph, workers))
+        plan.pop("search_time_seconds")  # wall clock, not the plan
+        return plan
+
+    for backend in available_backends():
+        spec = get_backend(backend)
+        roofline = searched(spec)
+        for model in (table_model, fitted_model):
+            with use_cost_model(model):
+                assert searched(spec) == roofline, (backend, model.name)
+
+
+def test_calibrated_compile_hits_the_roofline_plan(mlp_bundle, table_model):
+    planner = Planner()
+    repro.compile(mlp_bundle.graph, "tofu", MACHINE, planner=planner)
+    assert planner.cache_info()["hits"] == 0
+    repro.compile(
+        mlp_bundle.graph, "tofu", MACHINE, planner=planner,
+        cost_model=table_model,
+    )
+    assert planner.cache_info()["hits"] == 1
+    assert planner.cache_info()["size"] == 1
 
 
 # -------------------------------------------------------------------- CLI

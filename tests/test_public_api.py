@@ -171,7 +171,6 @@ COSTMODEL_EXPORTS = [
     "configured_cost_model",
     "cost_model_cache_token",
     "cost_model_from_dict",
-    "current_cost_model",
     "default_roofline",
     "fit_cost_model",
     "get_cost_model_spec",

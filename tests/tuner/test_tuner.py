@@ -8,9 +8,12 @@ Pareto frontiers and identical winner content addresses.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro import compile as repro_compile
+from repro.costmodel import fit_cost_model, load_trace, use_cost_model
 from repro.errors import ReproError, StrategyError
 from repro.models.mlp import build_mlp
 from repro.planner.core import Planner
@@ -20,6 +23,10 @@ from repro.sim.device import DeviceSpec, MachineSpec, k80_8gpu_machine
 from repro.tuner import Tuner, TunerBudget
 
 BUDGET = TunerBudget(max_candidates=8)
+SAMPLE_TRACE = (
+    Path(__file__).resolve().parents[2] / "benchmarks" / "data" / "sample_trace.json"
+)
+PRICED_CANDIDATES = ["tofu", "single", "dp:2/tofu", "dp:4/single"]
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +137,26 @@ class TestDeterminism:
         assert {o.strategy: o.status for o in serial.outcomes} == {
             o.strategy: o.status for o in pooled.outcomes
         }
+
+    def test_pool_stays_serial_under_a_pinned_cost_model(self, graph):
+        # Spawned workers cannot inherit an in-process pricing scope, so a
+        # non-default model must keep the sweep serial, priced by that model.
+        table = fit_cost_model(load_trace(SAMPLE_TRACE), "table")
+        machine = k80_8gpu_machine(4)
+        with use_cost_model(table):
+            serial = Tuner().tune(
+                graph, machine, candidates=PRICED_CANDIDATES,
+                planner=Planner(), executor=Executor(),
+            )
+            pooled = Tuner(jobs=2).tune(
+                graph, machine, candidates=PRICED_CANDIDATES,
+                planner=Planner(), executor=Executor(),
+            )
+        assert pooled.stats["jobs"] == 1
+        assert [o.to_dict() for o in pooled.outcomes] == [
+            o.to_dict() for o in serial.outcomes
+        ]
+        assert pooled.winner_key() == serial.winner_key()
 
     def test_pool_merges_worker_caches_into_the_parent(self, graph):
         planner, executor = Planner(), Executor()
