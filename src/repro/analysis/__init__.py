@@ -24,7 +24,6 @@ from repro.analysis.registry import (
     CheckerSpec,
     available_checkers,
     get_checker_spec,
-    load_entry_point_checkers,
     register_checker,
     unregister_checker,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "available_checkers",
     "describe_code",
     "get_checker_spec",
-    "load_entry_point_checkers",
     "register_checker",
     "run_verify_pass",
     "unregister_checker",

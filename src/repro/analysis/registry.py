@@ -2,9 +2,9 @@
 
 Follows the exact spec pattern of :mod:`repro.costmodel.registry`: built-in
 checkers register at import time (:mod:`repro.analysis.verify` pulls them
-in), third parties add checkers through the ``repro.analysis_checkers``
-entry-point group.  A checker is a function ``(CheckContext) ->
-List[Finding]`` — see :mod:`repro.analysis.base` for the contract.
+in), and a new checker is one in-process :func:`register_checker` call.  A
+checker is a function ``(CheckContext) -> List[Finding]`` — see
+:mod:`repro.analysis.base` for the contract.
 """
 
 from __future__ import annotations
@@ -20,14 +20,9 @@ __all__ = [
     "CheckerSpec",
     "available_checkers",
     "get_checker_spec",
-    "load_entry_point_checkers",
     "register_checker",
     "unregister_checker",
 ]
-
-#: Entry-point group third-party packages advertise checkers through.
-ENTRY_POINT_GROUP = "repro.analysis_checkers"
-
 
 @dataclass(frozen=True)
 class CheckerSpec:
@@ -49,21 +44,7 @@ class CheckerSpec:
     codes: Optional[Sequence[str]] = None
 
 
-def _make_entry_point_spec(name: str, check: Callable) -> CheckerSpec:
-    return CheckerSpec(
-        name=name,
-        check=check,
-        description=f"entry-point analysis checker {name!r}",
-    )
-
-
-_REGISTRY = BackendRegistry(
-    kind="analysis-checker",
-    error_cls=AnalysisError,
-    entry_point_group=ENTRY_POINT_GROUP,
-    spec_type=CheckerSpec,
-    make_spec=_make_entry_point_spec,
-)
+_REGISTRY = BackendRegistry(kind="analysis-checker", error_cls=AnalysisError)
 
 
 def register_checker(spec: CheckerSpec, *, replace: bool = False) -> CheckerSpec:
@@ -88,7 +69,7 @@ def unregister_checker(name: str) -> None:
 
 
 def get_checker_spec(name: str) -> CheckerSpec:
-    """Look up a checker by name, pulling in entry points on a miss.
+    """Look up a checker by name.
 
     Raises:
         AnalysisError: For an unknown checker (message lists what is
@@ -98,11 +79,5 @@ def get_checker_spec(name: str) -> CheckerSpec:
 
 
 def available_checkers() -> List[str]:
-    """Sorted names of every registered checker (entry points included)."""
+    """Sorted names of every registered checker."""
     return _REGISTRY.available()
-
-
-def load_entry_point_checkers(*, reload: bool = False) -> List[str]:
-    """Load the ``repro.analysis_checkers`` entry-point group; returns the
-    names added."""
-    return _REGISTRY.load_entry_points(reload=reload)

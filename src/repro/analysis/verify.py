@@ -90,7 +90,7 @@ def verify_program(
         plan: The partition plan, when available (defaults to the
             program's own).
         checkers: Checker names to run, in order; every registered checker
-            (entry points included) by default.
+            by default.
 
     Returns:
         A :class:`~repro.analysis.base.VerifyReport`; inspect

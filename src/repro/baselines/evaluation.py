@@ -508,8 +508,8 @@ def evaluate_hybrid(
     the execution-backend names the CLI exposes (``tofu-partitioned``,
     ``pipeline``, ``single-device``, ...) or any strategy expression.  An
     execution backend the strategy algebra cannot spell (``data-parallel``,
-    third-party plugins) is lowered through the ``hybrid`` executor directly,
-    under the same batch search.
+    or one registered with ``register_execution_backend``) is lowered through
+    the ``hybrid`` executor directly, under the same batch search.
     """
     machine = machine or k80_8gpu_machine()
     build_fn = _memoized_build_fn(build_fn)

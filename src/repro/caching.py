@@ -22,6 +22,7 @@ import glob
 import hashlib
 import json
 import os
+import re
 import tempfile
 import threading
 from collections import OrderedDict
@@ -99,6 +100,18 @@ def content_key(fields: Dict) -> str:
     """
     payload = json.dumps(fields, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+#: The shape of every :func:`content_key`: a SHA-256 hex digest.
+_CONTENT_KEY = re.compile(r"[0-9a-f]{64}")
+
+#: What :meth:`TwoTierCache.decode` raises for a malformed payload.
+_DECODE_ERRORS = (ReproError, AttributeError, IndexError, KeyError, TypeError,
+                  ValueError)
+
+
+def _is_content_key(key: object) -> bool:
+    return isinstance(key, str) and _CONTENT_KEY.fullmatch(key) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -213,22 +226,32 @@ class TwoTierCache:
     # -------------------------------------------------------------- entries
     def get_entry(self, key: str) -> Optional[Any]:
         """The stored entry under ``key`` (memory first, then the decoded
-        disk payload), or ``None`` on a miss."""
+        disk payload), or ``None`` on a miss.
+
+        A payload that fails to decode counts as a miss; the next
+        :meth:`put_entry` under ``key`` overwrites it.
+        """
         with self._lock:
             entry = self._memory.get(key)
-            if entry is not None:
-                self._memory.move_to_end(key)
-            else:
+            if entry is None:
                 payload = self._disk_get(key)
                 if payload is None:
                     self.misses += 1
                     return None
-                entry = _Payload(payload)
-            self.hits += 1
-        if entry.__class__ is not _Payload:
-            return entry
-        entry = self.decode(entry.payload)
+            else:
+                self._memory.move_to_end(key)
+                if entry.__class__ is not _Payload:
+                    self.hits += 1
+                    return entry
+                payload = entry.payload
+        try:
+            entry = self.decode(payload)
+        except _DECODE_ERRORS:
+            with self._lock:
+                self.misses += 1
+            return None
         with self._lock:
+            self.hits += 1
             self._memory_put(key, entry)
         return entry
 
@@ -308,12 +331,10 @@ class TwoTierCache:
             )
         entries: Dict[str, Dict] = {}
         for file_path, _, _ in self._disk_entries():
-            try:
-                with open(file_path, "r", encoding="utf-8") as fh:
-                    entry = json.load(fh)
+            entry = self._read_entry(file_path)
+            # Unreadable/corrupt entries are skipped, not fatal.
+            if entry is not None and _is_content_key(entry.get("key")):
                 entries[entry["key"]] = entry[self.payload_field]
-            except (OSError, ValueError, KeyError):
-                continue  # unreadable/corrupt entries are skipped, not fatal
         bundle = {
             "format": self.export_format,
             "version": self.export_version,
@@ -332,6 +353,8 @@ class TwoTierCache:
         Existing entries are kept unless ``replace=True`` (content addresses
         make key collisions equal-payload collisions, so keeping is safe).
         Returns ``{"imported": ..., "skipped": ...}``; requires a disk tier.
+        The whole bundle is validated first: a malformed one raises
+        :class:`ReproError` and writes nothing.
         """
         if not self.cache_dir:
             raise ReproError(
@@ -346,6 +369,25 @@ class TwoTierCache:
                 f"{self.description} bundle {path!r} is not readable JSON: "
                 f"{exc}"
             ) from exc
+        entries = self._bundle_entries(bundle, path)
+        imported = skipped = 0
+        with self._lock:
+            for key, payload in entries.items():
+                if not replace and os.path.exists(self._path(key)):
+                    skipped += 1
+                    continue
+                self._disk_put(key, payload)
+                imported += 1
+        return {"imported": imported, "skipped": skipped}
+
+    def _bundle_entries(self, bundle: Any, path: str) -> Dict[str, Dict]:
+        """The ``key -> payload`` entries of a bundle, or :class:`ReproError`
+        naming the first thing :meth:`export_to` would never write."""
+        if not isinstance(bundle, dict):
+            raise ReproError(
+                f"{path!r} is not a {self.export_format} bundle (expected a "
+                f"JSON object, got {type(bundle).__name__})"
+            )
         if bundle.get("format") != self.export_format:
             raise ReproError(
                 f"{path!r} is not a {self.export_format} bundle "
@@ -357,15 +399,25 @@ class TwoTierCache:
                 f"{bundle.get('version')!r} (this library reads version "
                 f"{self.export_version})"
             )
-        imported = skipped = 0
-        with self._lock:
-            for key, payload in (bundle.get("entries") or {}).items():
-                if not replace and os.path.exists(self._path(key)):
-                    skipped += 1
-                    continue
-                self._disk_put(key, payload)
-                imported += 1
-        return {"imported": imported, "skipped": skipped}
+        entries = bundle.get("entries", {})
+        if not isinstance(entries, dict):
+            raise ReproError(
+                f"{self.description} bundle {path!r}: 'entries' must be an "
+                f"object, got {type(entries).__name__}"
+            )
+        for key, payload in entries.items():
+            if not _is_content_key(key):
+                raise ReproError(
+                    f"{self.description} bundle {path!r}: entry key {key!r} "
+                    f"is not a content key (64 lowercase hex digits)"
+                )
+            if not isinstance(payload, dict):
+                raise ReproError(
+                    f"{self.description} bundle {path!r}: the payload of "
+                    f"entry {key} must be an object, got "
+                    f"{type(payload).__name__}"
+                )
+        return entries
 
     def clear(self) -> None:
         """Empty both tiers (memory and, when configured, the disk store)."""
@@ -397,17 +449,28 @@ class TwoTierCache:
         if not self.cache_dir:
             return None
         path = self._path(key)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                entry = json.load(fh)
-            payload = entry[self.payload_field]
-        except (OSError, ValueError, KeyError):
+        entry = self._read_entry(path)
+        if entry is None:
             return None
         try:
             os.utime(path, None)  # refresh LRU recency on hit
         except OSError:
             pass
-        return payload
+        return entry[self.payload_field]
+
+    def _read_entry(self, path: str) -> Optional[Dict]:
+        """The entry file at ``path``, or ``None`` when it is unreadable or
+        not an object holding a payload object."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                entry = json.load(fh)
+        except (OSError, ValueError):
+            return None
+        if not isinstance(entry, dict) or not isinstance(
+            entry.get(self.payload_field), dict
+        ):
+            return None
+        return entry
 
     def _disk_put(self, key: str, payload: Dict) -> None:
         if not self.cache_dir:

@@ -270,8 +270,8 @@ def _run_simulate(args) -> int:
     print(f"model: {bundle.name}")
     plan = None
     if spec.requires_plan:
-        # Any plan-requiring execution backend (tofu-partitioned or a
-        # plugin) gets a plan from the planner facade first.
+        # Any plan-requiring execution backend (tofu-partitioned or one
+        # registered in-process) gets a plan from the planner facade first.
         print(f"backend: {args.backend}")
         plan = _make_planner(args).plan(
             bundle.graph, num_devices, machine=machine, backend=args.backend

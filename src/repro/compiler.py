@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, Mapping, Optional, Sequence, U
 
 from repro import perf
 from repro.caching import graph_signature_scope
-from repro.errors import StrategyError
+from repro.errors import ReproError, StrategyError
 from repro.graph.graph import Graph
 from repro.partition.plan import PartitionPlan, plan_from_dict, plan_to_dict
 from repro.runtime.core import Executor, SimulationReport
@@ -197,24 +197,43 @@ class CompiledModel:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "CompiledModel":
-        """Rebuild a model from :meth:`to_dict` output."""
+        """Rebuild a model from :meth:`to_dict` output; any malformed
+        payload raises :class:`StrategyError`."""
+        if not isinstance(payload, Mapping):
+            raise StrategyError(
+                f"a {SAVE_FORMAT} payload must be a JSON object, got "
+                f"{type(payload).__name__}"
+            )
         if payload.get("format") != SAVE_FORMAT:
             raise StrategyError(
                 f"not a {SAVE_FORMAT} payload "
                 f"(format={payload.get('format')!r})"
             )
-        metadata: Dict[str, object] = {}
-        metadata.update(payload.get("program") or {})
-        metadata.update(payload.get("result") or {})
-        if "tuner" in payload:
-            metadata["tuner"] = payload["tuner"]
-        plan_payload = payload.get("plan")
-        return cls(
-            strategy=Strategy.from_dict(payload["strategy"]),
-            machine=machine_from_dict(payload["machine"]),
-            plan=plan_from_dict(plan_payload) if plan_payload else None,
-            metadata=metadata,
-        )
+        if payload.get("version") != SAVE_VERSION:
+            raise StrategyError(
+                f"unsupported {SAVE_FORMAT} version "
+                f"{payload.get('version')!r} (this library reads version "
+                f"{SAVE_VERSION})"
+            )
+        try:
+            metadata: Dict[str, object] = {}
+            metadata.update(payload.get("program") or {})
+            metadata.update(payload.get("result") or {})
+            if "tuner" in payload:
+                metadata["tuner"] = payload["tuner"]
+            plan_payload = payload.get("plan")
+            return cls(
+                strategy=Strategy.from_dict(payload["strategy"]),
+                machine=machine_from_dict(payload["machine"]),
+                plan=plan_from_dict(plan_payload) if plan_payload else None,
+                metadata=metadata,
+            )
+        except (ReproError, AttributeError, KeyError, TypeError,
+                ValueError) as exc:
+            raise StrategyError(
+                f"malformed {SAVE_FORMAT} payload: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
 
     def save(self, path: str) -> str:
         """Write the model (plan + program metadata) as JSON to ``path``."""
@@ -228,9 +247,16 @@ class CompiledModel:
 
     @classmethod
     def load(cls, path: str) -> "CompiledModel":
-        """Reload a model saved with :meth:`save`."""
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        """Reload a model saved with :meth:`save`; an unreadable or
+        malformed file raises :class:`StrategyError`."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                payload = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise StrategyError(
+                f"{path!r} is not a readable {SAVE_FORMAT} file: {exc}"
+            ) from exc
+        return cls.from_dict(payload)
 
 
 def _resolve_machine(

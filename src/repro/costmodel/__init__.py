@@ -3,8 +3,8 @@
 The simulator prices every kernel and transfer through a *cost model*.  The
 default is the analytic roofline the paper's evaluation uses (bit-exact
 with the pre-subsystem pricing); ``table`` and ``fitted`` models calibrate
-that pricing from measured traces, and third parties can register further
-kinds through the ``repro.cost_models`` entry-point group.  The written
+that pricing from measured traces, and further kinds register in-process
+with :func:`register_cost_model`.  The written
 contract — interface, trace schema, cache-key semantics, registration —
 lives in ``docs/cost-models.md`` and ``docs/trace-schema.md``.
 
@@ -47,7 +47,6 @@ from repro.costmodel.registry import (
     configured_cost_model,
     cost_model_cache_token,
     get_cost_model_spec,
-    load_entry_point_cost_models,
     register_cost_model,
     resolve_cost_model,
     unregister_cost_model,
@@ -85,7 +84,6 @@ __all__ = [
     "fit_cost_model",
     "get_cost_model_spec",
     "load_cost_model",
-    "load_entry_point_cost_models",
     "load_trace",
     "register_cost_model",
     "render_report",

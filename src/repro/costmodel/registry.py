@@ -2,9 +2,9 @@
 
 Built-in kinds — ``roofline`` (parameterless), ``table`` and ``fitted``
 (need a ``trace=`` path or a saved-model path to construct) — register at
-import time; third parties add kinds through the ``repro.cost_models``
-entry-point group, exactly like planner/runtime backends (see
-``docs/cost-models.md`` for the registration recipe).
+import time; a new kind is one in-process :func:`register_cost_model` call,
+exactly like planner/runtime backends (see ``docs/cost-models.md`` for the
+registration recipe).
 
 :func:`resolve_cost_model` is the one spelling-normaliser: it accepts a
 :class:`~repro.costmodel.base.CostModel` instance, a registry name
@@ -28,7 +28,7 @@ from repro.costmodel.roofline import (
     default_roofline,
 )
 from repro.errors import CostModelError
-from repro.plugins import BackendRegistry, keyword_option_names
+from repro.plugins import BackendRegistry
 
 __all__ = [
     "CostModelSpec",
@@ -36,15 +36,10 @@ __all__ = [
     "configured_cost_model",
     "cost_model_cache_token",
     "get_cost_model_spec",
-    "load_entry_point_cost_models",
     "register_cost_model",
     "resolve_cost_model",
     "unregister_cost_model",
 ]
-
-#: Entry-point group third-party packages advertise cost models through.
-ENTRY_POINT_GROUP = "repro.cost_models"
-
 
 @dataclass(frozen=True)
 class CostModelSpec:
@@ -55,32 +50,17 @@ class CostModelSpec:
         factory: Callable building a :class:`CostModel`; keyword options
             come from the ``name:key=value,...`` spelling.
         description: One line for ``available_cost_models`` listings.
-        option_names: Keyword options the factory accepts (``None`` means
-            accept anything), used for early validation.
+        option_names: Keyword options the factory accepts, used for early
+            validation (the default accepts none).
     """
 
     name: str
     factory: Callable[..., CostModel]
     description: str = ""
-    option_names: Optional[Sequence[str]] = None
+    option_names: Sequence[str] = ()
 
 
-def _make_entry_point_spec(name: str, factory: Callable) -> CostModelSpec:
-    return CostModelSpec(
-        name=name,
-        factory=factory,
-        description=f"entry-point cost model {name!r}",
-        option_names=keyword_option_names(factory),
-    )
-
-
-_REGISTRY = BackendRegistry(
-    kind="cost-model",
-    error_cls=CostModelError,
-    entry_point_group=ENTRY_POINT_GROUP,
-    spec_type=CostModelSpec,
-    make_spec=_make_entry_point_spec,
-)
+_REGISTRY = BackendRegistry(kind="cost-model", error_cls=CostModelError)
 
 
 def register_cost_model(spec: CostModelSpec, *, replace: bool = False) -> CostModelSpec:
@@ -105,7 +85,7 @@ def unregister_cost_model(name: str) -> None:
 
 
 def get_cost_model_spec(name: str) -> CostModelSpec:
-    """Look up a kind by name, pulling in entry points on a miss.
+    """Look up a kind by name.
 
     Raises:
         CostModelError: For an unknown kind (message lists what is
@@ -115,15 +95,8 @@ def get_cost_model_spec(name: str) -> CostModelSpec:
 
 
 def available_cost_models() -> List[str]:
-    """Sorted names of every registered cost-model kind (entry points
-    included)."""
+    """Sorted names of every registered cost-model kind."""
     return _REGISTRY.available()
-
-
-def load_entry_point_cost_models(*, reload: bool = False) -> List[str]:
-    """Load the ``repro.cost_models`` entry-point group; returns names
-    added."""
-    return _REGISTRY.load_entry_points(reload=reload)
 
 
 # ---------------------------------------------------------------- built-ins
@@ -196,13 +169,12 @@ def _parse_spec_string(text: str) -> CostModel:
                 )
             options[key.strip()] = value.strip()
     spec = get_cost_model_spec(name.strip())
-    if spec.option_names is not None:
-        unknown = sorted(set(options) - set(spec.option_names))
-        if unknown:
-            raise CostModelError(
-                f"cost model {spec.name!r} got unknown options {unknown} "
-                f"(accepted: {sorted(spec.option_names) or 'none'})"
-            )
+    unknown = sorted(set(options) - set(spec.option_names))
+    if unknown:
+        raise CostModelError(
+            f"cost model {spec.name!r} got unknown options {unknown} "
+            f"(accepted: {sorted(spec.option_names) or 'none'})"
+        )
     model = spec.factory(**options)
     if not isinstance(model, CostModel):
         raise CostModelError(

@@ -12,7 +12,6 @@ from repro.planner.backends import (
     SearchBackend,
     available_backends,
     get_backend,
-    load_entry_point_backends,
     register_backend,
     unregister_backend,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "default_planner",
     "get_backend",
     "graph_signature",
-    "load_entry_point_backends",
     "machine_signature",
     "plan_cache_key",
     "register_backend",

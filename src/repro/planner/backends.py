@@ -12,9 +12,8 @@ Backends whose search decomposes into an ordered sequence of per-factor steps
 fan candidate worker factorisations across a process pool
 (:mod:`repro.planner.parallel`).
 
-Third-party search algorithms can also be registered through the
-``repro.planner_backends`` ``importlib.metadata`` entry-point group; see
-:func:`load_entry_point_backends`.
+A new search algorithm is one :func:`register_backend` call with a
+:class:`BackendSpec`, made in-process like the built-ins below.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from repro.graph.graph import Graph
 from repro.partition.dp import joint_partition
 from repro.partition.plan import PartitionPlan
 from repro.partition.recursive import recursive_partition
-from repro.plugins import BackendRegistry, keyword_option_names
+from repro.plugins import BackendRegistry
 
 
 class SearchBackend(Protocol):
@@ -58,9 +57,7 @@ class BackendSpec:
         option_names: Keyword options the backend accepts; the planner
             rejects anything else up front with a :class:`PartitionError`
             instead of letting a ``TypeError`` escape from deep inside a
-            search (or a pool worker).  ``None`` skips validation (the
-            backend accepts any options — used for entry-point callables
-            taking ``**kwargs``).
+            search (or a pool worker).
     """
 
     name: str
@@ -68,12 +65,10 @@ class BackendSpec:
     description: str = ""
     supports_factor_orders: bool = False
     factors_fn: Optional[Callable[..., PartitionPlan]] = None
-    option_names: Optional[Sequence[str]] = ()
+    option_names: Sequence[str] = ()
 
     def validate_options(self, options: dict) -> None:
         """Reject unknown keyword options early (raises PartitionError)."""
-        if self.option_names is None:
-            return
         unknown = sorted(set(options) - set(self.option_names))
         if unknown:
             supported = ", ".join(sorted(self.option_names)) or "none"
@@ -96,32 +91,7 @@ class BackendSpec:
         return self.fn(graph, num_workers, **options)
 
 
-ENTRY_POINT_GROUP = "repro.planner_backends"
-
-
-def _wrap_callable(name: str, fn: Callable) -> BackendSpec:
-    """Spec for a bare search callable (entry-point plugin form): the
-    accepted options come from the callable's own signature."""
-    return BackendSpec(
-        name=name,
-        fn=fn,
-        option_names=keyword_option_names(fn, skip=("graph", "num_workers")),
-    )
-
-
-_REGISTRY = BackendRegistry(
-    kind="search",
-    error_cls=PartitionError,
-    entry_point_group=ENTRY_POINT_GROUP,
-    spec_type=BackendSpec,
-    make_spec=_wrap_callable,
-)
-
-
-def load_entry_point_backends(*, reload: bool = False) -> List[str]:
-    """Register search backends advertised under the
-    ``repro.planner_backends`` entry-point group; returns the names added."""
-    return _REGISTRY.load_entry_points(reload=reload)
+_REGISTRY = BackendRegistry(kind="search", error_cls=PartitionError)
 
 
 def register_backend(spec: BackendSpec, *, replace: bool = False) -> BackendSpec:

@@ -21,7 +21,7 @@ the cache.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 from repro.caching import (
     TwoTierCache,
@@ -115,14 +115,20 @@ EXPORT_VERSION = 1
 class PlanCache(TwoTierCache):
     """In-memory LRU over plan dictionaries, with an optional disk tier.
 
-    Entries are the plan payloads themselves (the identity codec), and
-    every hit decodes a fresh :class:`PartitionPlan`.
+    Entries are the plan payloads themselves, and every hit decodes a
+    fresh :class:`PartitionPlan`.
     """
 
     export_format = EXPORT_FORMAT
     export_version = EXPORT_VERSION
     payload_field = "plan"
     description = "plan cache"
+
+    def decode(self, payload: Dict) -> Dict:
+        """The payload itself, once it is known to rebuild a plan (a
+        malformed one raises, so its lookup misses)."""
+        plan_from_dict(payload)
+        return payload
 
     # ------------------------------------------------------------------ get
     def get(self, key: str) -> Optional[PartitionPlan]:

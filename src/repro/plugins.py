@@ -1,83 +1,27 @@
-"""Entry-point plugin loading shared by the planner and runtime registries.
+"""The string-keyed registry shared by the four backend registries.
 
-Third-party packages advertise search algorithms and execution backends
-through ``importlib.metadata`` entry points::
-
-    [project.entry-points."repro.planner_backends"]
-    my-search = "my_pkg.search:SPEC"
-
-    [project.entry-points."repro.runtime_backends"]
-    my-executor = "my_pkg.exec:make_spec"
-
-An entry point may resolve to a ready-made spec (:class:`BackendSpec` /
-:class:`ExecutionBackendSpec`), a zero-argument factory returning one, or a
-bare lowering/search callable (wrapped into a spec named after the entry
-point).  Loading is lazy — the registries pull the group in on first lookup —
-and a broken third-party entry point degrades to a warning instead of taking
-the CLI down.
+Search backends (:mod:`repro.planner.backends`), execution backends
+(:mod:`repro.runtime.backends`), cost models (:mod:`repro.costmodel.registry`)
+and analysis checkers (:mod:`repro.analysis.registry`) are all filled the
+same way: an in-process ``register_*`` call with a spec.  Built-ins register
+at import time; anything else registers by calling the same function.
 """
 
 from __future__ import annotations
 
-import inspect
-import warnings
-from typing import Callable, Dict, List, Optional, Sequence, Set
-
-_LOADED_GROUPS: Set[str] = set()
-
-
-def keyword_option_names(
-    fn: Callable, *, skip: Sequence[str] = ()
-) -> Optional[Sequence[str]]:
-    """Keyword options a backend callable accepts, from its signature.
-
-    Returns ``None`` (meaning "accept anything") when the callable takes
-    ``**kwargs`` or its signature cannot be inspected, so wrapped plugin
-    backends are never locked out of their own options.
-    """
-    try:
-        signature = inspect.signature(fn)
-    except (TypeError, ValueError):
-        return None
-    names = []
-    for name, param in signature.parameters.items():
-        if param.kind == inspect.Parameter.VAR_KEYWORD:
-            return None
-        if name in skip or param.kind in (
-            inspect.Parameter.VAR_POSITIONAL,
-            inspect.Parameter.POSITIONAL_ONLY,
-        ):
-            continue
-        if (
-            param.kind == inspect.Parameter.KEYWORD_ONLY
-            or param.default is not inspect.Parameter.empty
-        ):
-            names.append(name)
-    return tuple(names)
+from typing import Dict, List
 
 
 class BackendRegistry:
-    """String-keyed backend registry with entry-point loading.
+    """String-keyed spec registry: register, unregister, look up, list.
 
-    Shared by the planner's search backends and the runtime's execution
-    backends so registration, lookup, listing, and lazy entry-point loading
-    behave identically on both sides (one fix applies to both registries).
+    One implementation behind every registry, so registration, lookup and
+    listing behave identically everywhere (one fix applies to all four).
     """
 
-    def __init__(
-        self,
-        *,
-        kind: str,
-        error_cls: type,
-        entry_point_group: str,
-        spec_type: type,
-        make_spec: Callable[[str, Callable], object],
-    ):
+    def __init__(self, *, kind: str, error_cls: type):
         self.kind = kind
         self.error_cls = error_cls
-        self.entry_point_group = entry_point_group
-        self.spec_type = spec_type
-        self.make_spec = make_spec
         self.specs: Dict[str, object] = {}
 
     def register(self, spec, *, replace: bool = False):
@@ -92,18 +36,7 @@ class BackendRegistry:
     def unregister(self, name: str) -> None:
         self.specs.pop(name, None)
 
-    def load_entry_points(self, *, reload: bool = False) -> List[str]:
-        return load_entry_points(
-            self.entry_point_group,
-            self.specs,
-            make_spec=self.make_spec,
-            spec_type=self.spec_type,
-            reload=reload,
-        )
-
     def get(self, name: str):
-        if name not in self.specs:
-            self.load_entry_points()
         try:
             return self.specs[name]
         except KeyError:
@@ -113,137 +46,4 @@ class BackendRegistry:
             ) from None
 
     def available(self) -> List[str]:
-        self.load_entry_points()
         return sorted(self.specs)
-
-
-def _iter_entry_points(group: str):
-    """All installed entry points of ``group`` (patchable in tests)."""
-    try:
-        from importlib import metadata
-    except ImportError:  # pragma: no cover - py<3.8 has no importlib.metadata
-        return []
-    try:
-        entry_points = metadata.entry_points()
-    except Exception:  # pragma: no cover - corrupt installation metadata
-        return []
-    if hasattr(entry_points, "select"):  # 3.10+ selectable interface
-        return list(entry_points.select(group=group))
-    return list(entry_points.get(group, []))  # 3.9 dict interface
-
-
-def load_entry_points(
-    group: str,
-    registry: Dict[str, object],
-    *,
-    make_spec: Callable[[str, Callable], object],
-    spec_type: type,
-    reload: bool = False,
-) -> List[str]:
-    """Register every entry point of ``group`` into ``registry``.
-
-    ``spec_type`` is the registry's spec dataclass; anything else the entry
-    point yields is treated as a factory (called with no arguments) or as the
-    backend callable itself (wrapped via ``make_spec(name, callable)``).
-    Existing registry keys are never overridden.  Returns the names added.
-    """
-    if group in _LOADED_GROUPS and not reload:
-        return []
-    _LOADED_GROUPS.add(group)
-
-    added: List[str] = []
-    for entry_point in _iter_entry_points(group):
-        try:
-            loaded = entry_point.load()
-            spec = _resolve_spec(entry_point.name, loaded, make_spec, spec_type)
-        except Exception as exc:  # third-party code: degrade, don't crash
-            warnings.warn(
-                _broken_entry_point_message(group, entry_point, exc, registry),
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            continue
-        name = getattr(spec, "name", entry_point.name)
-        if name in registry:
-            continue
-        registry[name] = spec
-        added.append(name)
-    return added
-
-
-def _strategy_combinator_hint() -> str:
-    """The strategy mini-language keywords, for the diagnostics below.
-
-    Imported lazily (and defensively): ``plugins`` is a leaf module both
-    registries depend on, so the strategy package must not become a hard
-    import of it.
-    """
-    try:
-        from repro.strategy.algebra import combinator_names
-    except Exception:  # pragma: no cover - circular/partial-install guard
-        return ""
-    return ", ".join(combinator_names())
-
-
-def _broken_entry_point_message(
-    group: str,
-    entry_point,
-    exc: Exception,
-    registry: Optional[Dict[str, object]] = None,
-) -> str:
-    """Diagnostic for a third-party backend that failed to load.
-
-    Names the backend, the distribution that advertised it and the entry
-    point's target, so the operator knows *which package* to fix or
-    uninstall instead of staring at a bare traceback — and enumerates what
-    still works: the backends already registered plus the built-in strategy
-    combinators ``repro.compile`` accepts regardless of plugins.
-    """
-    dist = getattr(entry_point, "dist", None)
-    dist_name = getattr(dist, "name", None)
-    version = getattr(dist, "version", None)
-    if dist_name and version:
-        origin = f"distribution {dist_name!r} ({dist_name}=={version})"
-    elif dist_name:
-        origin = f"distribution {dist_name!r}"
-    else:
-        origin = "an unknown distribution"
-    target = getattr(entry_point, "value", None)
-    target_part = f" = {target!r}" if target else ""
-    message = (
-        f"ignoring broken {group!r} entry point {entry_point.name!r}"
-        f"{target_part} from {origin}: "
-        f"{type(exc).__name__}: {exc}"
-    )
-    if registry:
-        available = ", ".join(sorted(registry))
-        message += f"; registered backends still available: {available}"
-    combinators = _strategy_combinator_hint()
-    if combinators:
-        message += (
-            f"; strategy combinators (repro.compile): {combinators}"
-        )
-    return message
-
-
-def _resolve_spec(name: str, loaded, make_spec, spec_type):
-    if isinstance(loaded, spec_type):
-        return loaded
-    if callable(loaded):
-        try:
-            produced = loaded()
-        except TypeError:
-            # Takes arguments: it is the backend callable itself.
-            return make_spec(name, loaded)
-        if isinstance(produced, spec_type):
-            return produced
-        return make_spec(name, loaded)
-    raise TypeError(
-        f"entry point {name!r} must yield a {spec_type.__name__}, a factory "
-        f"returning one, or a backend callable (got {type(loaded).__name__})"
-    )
-
-
-def reset_entry_point_group(group: str) -> None:
-    """Forget that ``group`` was loaded (test helper)."""
-    _LOADED_GROUPS.discard(group)

@@ -29,8 +29,8 @@ Simulation                   Sec 7 — one training iteration under per-link
 Built-in execution backends: ``tofu-partitioned`` (Sec 6), ``single-device``
 (Ideal/SmallBatch, Sec 7.1), ``placement`` (operator placement, Sec 7.1),
 ``data-parallel`` (reference + swapping accounting), ``swap`` (the LRU
-swapping baseline, Sec 7.1/7.2).  Third-party backends register through the
-``repro.runtime_backends`` entry-point group.
+swapping baseline, Sec 7.1/7.2).  Further backends register in-process
+with :func:`register_execution_backend`.
 """
 
 from repro.runtime.backends import (
@@ -38,7 +38,6 @@ from repro.runtime.backends import (
     ExecutionBackendSpec,
     available_execution_backends,
     get_execution_backend,
-    load_entry_point_backends,
     register_execution_backend,
     unregister_execution_backend,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "default_executor",
     "default_program_cache",
     "get_execution_backend",
-    "load_entry_point_backends",
     "lowered_cache_key",
     "program_from_dict",
     "program_to_dict",

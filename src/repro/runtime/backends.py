@@ -21,9 +21,8 @@ registered execution style without hand-wiring imports:
 * ``hybrid`` — data-parallel replica groups, each running an inner
   model-parallel backend (the hybrid strategy RaNNC-style systems compose).
 
-Third-party backends can also be registered through the
-``repro.runtime_backends`` ``importlib.metadata`` entry-point group; see
-:func:`load_entry_point_backends`.
+A new execution style is one :func:`register_execution_backend` call with an
+:class:`ExecutionBackendSpec`, made in-process like the built-ins below.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError
 from repro.graph.graph import Graph
-from repro.plugins import BackendRegistry, keyword_option_names
+from repro.plugins import BackendRegistry
 from repro.runtime.passes import (
     assign_pipeline_stages,
     comm_time_override,
@@ -83,20 +82,16 @@ class ExecutionBackendSpec:
         requires_plan: Whether lowering needs a :class:`PartitionPlan`.
         option_names: Keyword options the backend accepts; the executor
             rejects anything else up front with an :class:`ExecutionError`.
-            ``None`` skips validation (the backend accepts any options —
-            used for entry-point callables taking ``**kwargs``).
     """
 
     name: str
     lower: Callable[..., LoweredProgram]
     description: str = ""
     requires_plan: bool = False
-    option_names: Optional[Sequence[str]] = ()
+    option_names: Sequence[str] = ()
 
     def validate_options(self, options: Mapping[str, object]) -> None:
         """Reject unknown keyword options early (raises ExecutionError)."""
-        if self.option_names is None:
-            return
         unknown = sorted(set(options) - set(self.option_names))
         if unknown:
             supported = ", ".join(sorted(self.option_names)) or "none"
@@ -106,26 +101,7 @@ class ExecutionBackendSpec:
             )
 
 
-ENTRY_POINT_GROUP = "repro.runtime_backends"
-
-
-def _wrap_callable(name: str, fn: Callable) -> ExecutionBackendSpec:
-    """Spec for a bare lowering callable (entry-point plugin form): the
-    accepted options come from the callable's own signature."""
-    return ExecutionBackendSpec(
-        name=name,
-        lower=fn,
-        option_names=keyword_option_names(fn, skip=("graph", "machine", "plan")),
-    )
-
-
-_REGISTRY = BackendRegistry(
-    kind="execution",
-    error_cls=ExecutionError,
-    entry_point_group=ENTRY_POINT_GROUP,
-    spec_type=ExecutionBackendSpec,
-    make_spec=_wrap_callable,
-)
+_REGISTRY = BackendRegistry(kind="execution", error_cls=ExecutionError)
 
 
 def register_execution_backend(
@@ -138,12 +114,6 @@ def register_execution_backend(
 def unregister_execution_backend(name: str) -> None:
     """Remove a backend (used by tests registering temporary backends)."""
     _REGISTRY.unregister(name)
-
-
-def load_entry_point_backends(*, reload: bool = False) -> List[str]:
-    """Register backends advertised under the ``repro.runtime_backends``
-    entry-point group; returns the names that were added."""
-    return _REGISTRY.load_entry_points(reload=reload)
 
 
 def get_execution_backend(name: str) -> ExecutionBackendSpec:

@@ -528,8 +528,7 @@ def parse(text: str) -> Strategy:
 
 
 def combinator_descriptions() -> Dict[str, str]:
-    """One-line summary per combinator (shown by the CLI listings and the
-    broken-entry-point diagnostics)."""
+    """One-line summary per combinator (shown by the CLI listings)."""
     return {
         "tofu[:backend]": "partition every operator across devices "
         "(any registered search backend)",

@@ -365,3 +365,25 @@ def test_register_and_unregister_custom_model():
     finally:
         unregister_cost_model("flat")
     assert "flat" not in available_cost_models()
+
+
+def test_spec_without_option_names_rejects_every_option():
+    from repro.costmodel import CostModelSpec
+
+    calls = []
+
+    def factory(**options):
+        calls.append(options)
+        return RooflineCostModel()
+
+    spec = CostModelSpec(name="no-options", factory=factory,
+                         description="test model")
+    assert spec.option_names == ()
+    register_cost_model(spec)
+    try:
+        with pytest.raises(CostModelError, match="unknown options"):
+            resolve_cost_model("no-options:anything=1")
+        assert calls == []
+        assert isinstance(resolve_cost_model("no-options"), RooflineCostModel)
+    finally:
+        unregister_cost_model("no-options")

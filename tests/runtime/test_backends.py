@@ -1,4 +1,4 @@
-"""Tests for the execution-backend registry and entry-point plugins."""
+"""Tests for the execution-backend registry."""
 
 from __future__ import annotations
 
@@ -6,14 +6,11 @@ import pytest
 
 from repro.errors import ExecutionError
 from repro.runtime import (
-    ExecutionBackendSpec,
     Executor,
     available_execution_backends,
     get_execution_backend,
     register_execution_backend,
-    unregister_execution_backend,
 )
-from repro.runtime.program import LoweredProgram
 
 EXPECTED_BACKENDS = {
     "tofu-partitioned",
@@ -64,216 +61,3 @@ class TestRegistry:
     def test_placement_without_mapping_rejected(self, mlp_bundle):
         with pytest.raises(ExecutionError, match="device_of_node"):
             Executor().run(mlp_bundle.graph, backend="placement")
-
-
-def _dummy_lower(graph, machine, plan=None, **options):
-    return LoweredProgram(
-        backend="dummy",
-        num_devices=1,
-        tasks={},
-        per_device_memory={0: 0},
-    )
-
-
-DUMMY_SPEC = ExecutionBackendSpec(
-    name="dummy-entry-point",
-    lower=_dummy_lower,
-    description="test backend registered via entry point",
-)
-
-
-def _dummy_search(graph, num_workers, **options):
-    from repro.partition.recursive import recursive_partition
-
-    return recursive_partition(graph, num_workers)
-
-
-class _FakeEntryPoint:
-    def __init__(self, name, obj):
-        self.name = name
-        self._obj = obj
-
-    def load(self):
-        return self._obj
-
-
-class TestEntryPoints:
-    @pytest.fixture
-    def entry_point_group(self, monkeypatch):
-        """Patch the plugin iterator so fake entry points show up installed."""
-        import repro.plugins as plugins
-
-        fakes = {}
-
-        def fake_iter(group):
-            return fakes.get(group, [])
-
-        monkeypatch.setattr(plugins, "_iter_entry_points", fake_iter)
-
-        def install(group, name, obj):
-            fakes.setdefault(group, []).append(_FakeEntryPoint(name, obj))
-            plugins.reset_entry_point_group(group)
-
-        yield install
-        for group in fakes:
-            plugins.reset_entry_point_group(group)
-
-    def test_runtime_backend_resolves_via_entry_point(
-        self, entry_point_group, mlp_bundle
-    ):
-        entry_point_group("repro.runtime_backends", "dummy-entry-point", DUMMY_SPEC)
-        try:
-            spec = get_execution_backend("dummy-entry-point")
-            assert spec is DUMMY_SPEC
-            assert "dummy-entry-point" in available_execution_backends()
-            program = Executor().lower(
-                mlp_bundle.graph, backend="dummy-entry-point"
-            )
-            assert program.backend == "dummy"
-        finally:
-            unregister_execution_backend("dummy-entry-point")
-
-    def test_runtime_entry_point_factory_and_callable(self, entry_point_group):
-        entry_point_group(
-            "repro.runtime_backends", "dummy-factory", lambda: DUMMY_SPEC
-        )
-        entry_point_group("repro.runtime_backends", "dummy-callable", _dummy_lower)
-        try:
-            assert get_execution_backend("dummy-entry-point") is DUMMY_SPEC
-            wrapped = get_execution_backend("dummy-callable")
-            assert wrapped.lower is _dummy_lower
-        finally:
-            unregister_execution_backend("dummy-entry-point")
-            unregister_execution_backend("dummy-callable")
-
-    def test_planner_backend_resolves_via_entry_point(
-        self, entry_point_group, mlp_bundle
-    ):
-        from repro.planner import Planner, PlannerConfig, get_backend
-        from repro.planner.backends import unregister_backend
-
-        entry_point_group("repro.planner_backends", "dummy-search", _dummy_search)
-        try:
-            spec = get_backend("dummy-search")
-            assert spec.fn is _dummy_search
-            plan = Planner(PlannerConfig(cache_capacity=0)).plan(
-                mlp_bundle.graph, 4, backend="dummy-search"
-            )
-            assert plan.num_workers == 4
-        finally:
-            unregister_backend("dummy-search")
-
-    def test_broken_entry_point_degrades_to_warning(self, entry_point_group):
-        entry_point_group("repro.runtime_backends", "bad-spec", object())
-        with pytest.warns(RuntimeWarning, match="ignoring broken"):
-            from repro.runtime.backends import load_entry_point_backends
-
-            load_entry_point_backends(reload=True)
-        assert "bad-spec" not in available_execution_backends()
-
-    def test_broken_entry_point_warning_enumerates_what_still_works(
-        self, entry_point_group
-    ):
-        """The diagnostic lists the registered backends and the strategy
-        combinators, so a broken plugin never reads as a broken system."""
-        entry_point_group("repro.runtime_backends", "bad-spec-2", object())
-        with pytest.warns(RuntimeWarning) as records:
-            from repro.runtime.backends import load_entry_point_backends
-
-            load_entry_point_backends(reload=True)
-        message = "\n".join(str(r.message) for r in records)
-        assert "registered backends still available" in message
-        assert "tofu-partitioned" in message
-        assert "strategy combinators (repro.compile)" in message
-        assert "dp" in message and "pipeline" in message
-
-    def test_import_error_names_backend_and_distribution(self, monkeypatch):
-        """A plugin raising on import is reported with its backend name,
-        distribution and entry-point target — not a bare exception."""
-        import repro.plugins as plugins
-
-        class _FakeDist:
-            name = "evil-plugin"
-            version = "0.0.1"
-
-        class _RaisingEntryPoint:
-            name = "raising-backend"
-            value = "evil_plugin.backends:SPEC"
-            dist = _FakeDist()
-
-            def load(self):
-                raise ImportError("No module named 'evil_dependency'")
-
-        monkeypatch.setattr(
-            plugins,
-            "_iter_entry_points",
-            lambda group: [_RaisingEntryPoint()]
-            if group == "repro.runtime_backends"
-            else [],
-        )
-        plugins.reset_entry_point_group("repro.runtime_backends")
-        try:
-            from repro.runtime.backends import load_entry_point_backends
-
-            with pytest.warns(RuntimeWarning) as captured:
-                load_entry_point_backends(reload=True)
-            message = str(captured[0].message)
-            assert "raising-backend" in message
-            assert "evil-plugin" in message
-            assert "evil_plugin.backends:SPEC" in message
-            assert "ImportError" in message
-            assert "evil_dependency" in message
-            # Group already loaded: no re-warn while checking availability.
-            assert "raising-backend" not in available_execution_backends()
-        finally:
-            plugins.reset_entry_point_group("repro.runtime_backends")
-
-    def test_entry_points_never_shadow_builtins(self, entry_point_group):
-        entry_point_group("repro.runtime_backends", "swap", DUMMY_SPEC)
-        from repro.runtime.backends import load_entry_point_backends
-
-        load_entry_point_backends(reload=True)
-        assert get_execution_backend("swap").description.startswith("single-GPU")
-
-    def test_wrapped_callable_keeps_its_keyword_options(
-        self, entry_point_group, mlp_bundle
-    ):
-        """A bare-callable plugin must stay usable with its own options."""
-
-        def lower_with_options(graph, machine, plan=None, *, device=0, twist=1.0):
-            program = _dummy_lower(graph, machine, plan)
-            program.stats["twist"] = twist
-            return program
-
-        entry_point_group(
-            "repro.runtime_backends", "twisty", lower_with_options
-        )
-        try:
-            spec = get_execution_backend("twisty")
-            assert set(spec.option_names) == {"device", "twist"}
-            program = Executor().lower(
-                mlp_bundle.graph,
-                backend="twisty",
-                backend_options={"twist": 2.0},
-            )
-            assert program.stats["twist"] == 2.0
-        finally:
-            unregister_execution_backend("twisty")
-
-    def test_wrapped_var_kwargs_callable_accepts_any_option(
-        self, entry_point_group, mlp_bundle
-    ):
-        def lower_kwargs(graph, machine, plan=None, **options):
-            return _dummy_lower(graph, machine, plan)
-
-        entry_point_group("repro.runtime_backends", "kwargsy", lower_kwargs)
-        try:
-            spec = get_execution_backend("kwargsy")
-            assert spec.option_names is None
-            Executor().lower(
-                mlp_bundle.graph,
-                backend="kwargsy",
-                backend_options={"anything": True},
-            )
-        finally:
-            unregister_execution_backend("kwargsy")

@@ -25,7 +25,8 @@ import pytest
 from repro.models.mlp import build_mlp
 from repro.partition.recursive import recursive_partition
 from repro.partition.plan import plan_from_dict
-from repro.planner import Planner
+from repro.errors import ReproError
+from repro.planner import Planner, PlannerConfig
 from repro.runtime import (
     Executor,
     ExecutorConfig,
@@ -236,6 +237,85 @@ def test_export_import_round_trip(tmp_path, mlp_bundle):
         simulator.simulate(restored, MACHINE)
         == simulator.simulate(fresh, MACHINE)
     )
+
+
+@pytest.mark.parametrize(
+    "bundle",
+    [
+        [],
+        {"format": "tofu-program-cache", "version": 1, "entries": []},
+        {"format": "tofu-program-cache", "version": 1,
+         "entries": {"../escaped": {}}},
+        {"format": "tofu-program-cache", "version": 1,
+         "entries": {"A" * 64: {}}},
+        {"format": "tofu-program-cache", "version": 1,
+         "entries": {"0" * 64: {}, "1" * 64: "notadict"}},
+    ],
+    ids=["top-level-list", "entries-list", "escaping-key", "uppercase-key",
+         "payload-not-object"],
+)
+def test_import_rejects_malformed_bundle_and_writes_nothing(tmp_path, bundle):
+    cache_dir = tmp_path / "store"
+    cache = ProgramCache(cache_dir=str(cache_dir))
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(bundle))
+    with pytest.raises(ReproError):
+        cache.import_from(str(path))
+    assert list(cache_dir.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bundle.json", "store"]
+
+
+#: Disk entries a lookup must treat as a miss; ``{field}`` is the cache's
+#: payload field.
+CORRUPT_ENTRIES = {
+    "not-json": "not json",
+    "top-level-list": "[]",
+    "payload-list": '{{"{field}": []}}',
+    "payload-undecodable": '{{"{field}": {{"garbage": 1}}}}',
+}
+
+
+def _assert_corrupt_entry_misses(cache_dir, field, lookup, corrupt):
+    """Corrupt the one entry ``lookup`` stored, then check the next lookup
+    misses, rebuilds the same result and overwrites the entry."""
+    fresh = lookup()[1]
+    (entry_path,) = Path(cache_dir).glob("*.json")
+    entry_path.write_text(CORRUPT_ENTRIES[corrupt].format(field=field))
+    cache, rebuilt = lookup()
+    assert (cache.hits, cache.misses) == (0, 1)
+    assert rebuilt == fresh
+    assert json.loads(entry_path.read_text())["key"] == entry_path.stem
+    cache, _ = lookup()
+    assert (cache.hits, cache.misses) == (1, 0)
+
+
+@pytest.mark.parametrize("corrupt", sorted(CORRUPT_ENTRIES))
+def test_corrupt_plan_entry_is_a_miss(tmp_path, mlp_bundle, corrupt):
+    import repro
+
+    cache_dir = str(tmp_path / "plans")
+
+    def compile_once():
+        planner = Planner(PlannerConfig(cache_dir=cache_dir))
+        model = repro.compile(mlp_bundle.graph, "tofu", MACHINE,
+                              planner=planner, simulate=False)
+        return planner.cache, model.plan.steps
+
+    _assert_corrupt_entry_misses(cache_dir, "plan", compile_once, corrupt)
+
+
+@pytest.mark.parametrize("corrupt", sorted(CORRUPT_ENTRIES))
+def test_corrupt_program_entry_is_a_miss(tmp_path, mlp_bundle, corrupt):
+    cache_dir = str(tmp_path / "programs")
+
+    def lower_once():
+        executor = Executor(ExecutorConfig(program_cache_dir=cache_dir))
+        program = executor.lower(
+            mlp_bundle.graph, machine=MACHINE, backend="single-device"
+        )
+        return executor.program_cache, program.tasks
+
+    _assert_corrupt_entry_misses(cache_dir, "program", lower_once, corrupt)
 
 
 # ---------------------------------------------------------------- aliasing

@@ -1,6 +1,7 @@
 """Tests for ``repro.compile``: backend parity, auto sweep, save/load,
 and strategy-aware plan-cache keys."""
 
+import json
 import warnings
 
 import pytest
@@ -214,6 +215,40 @@ class TestAuto:
             repro.compile(mlp_bundle.graph, "auto", MACHINE, plan=plan)
 
 
+def _saved(**changes):
+    """A mutation of a valid save payload: set each field, or delete it when
+    the value is ``...``; returns the file text."""
+    def mutate(payload):
+        for key, value in changes.items():
+            if value is ...:
+                del payload[key]
+            else:
+                payload[key] = value
+        return json.dumps(payload)
+
+    return mutate
+
+
+#: Files ``CompiledModel.load`` must refuse with a StrategyError — never an
+#: uncoded error, never a model that loads half-built.
+MALFORMED_MODEL_FILES = {
+    "empty-file": lambda payload: "",
+    "truncated-json": lambda payload: json.dumps(payload)[:40],
+    "top-level-list": lambda payload: "[]",
+    "header-only": lambda payload: json.dumps(
+        {"format": "repro-compiled-model", "version": 1}
+    ),
+    "future-version": _saved(version=2),
+    "no-version": _saved(version=...),
+    "no-machine": _saved(machine=...),
+    "strategy-not-an-object": _saved(strategy=[]),
+    "unknown-combinator": _saved(strategy={"kind": "bogus"}),
+    "machine-not-an-object": _saved(machine="k80"),
+    "plan-without-steps": _saved(plan={"num_workers": 4}),
+    "program-metadata-a-list": _saved(program=[1, 2]),
+}
+
+
 class TestSaveLoad:
     def test_round_trip_plan_and_program_metadata(self, mlp_bundle, tmp_path):
         model = repro.compile(mlp_bundle.graph, "dp:2/tofu", MACHINE)
@@ -246,6 +281,20 @@ class TestSaveLoad:
         path.write_text('{"format": "something-else"}')
         with pytest.raises(StrategyError, match="not a repro-compiled-model"):
             CompiledModel.load(str(path))
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MODEL_FILES))
+    def test_malformed_files_raise_strategy_error(
+        self, case, mlp_bundle, tmp_path
+    ):
+        payload = repro.compile(mlp_bundle.graph, "dp:2/tofu", MACHINE).to_dict()
+        path = tmp_path / "model.json"
+        path.write_text(MALFORMED_MODEL_FILES[case](payload), encoding="utf-8")
+        with pytest.raises(StrategyError):
+            CompiledModel.load(str(path))
+
+    def test_load_rejects_missing_file(self, tmp_path):
+        with pytest.raises(StrategyError, match="not a readable"):
+            CompiledModel.load(str(tmp_path / "absent.json"))
 
 
 class TestStrategyCacheKey:

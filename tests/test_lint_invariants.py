@@ -1,6 +1,7 @@
 """The AST invariant linter stays clean on the tree and keeps catching
 seeded violations (layering back-edges, unlocked guarded state, undescribed
-registry entries, collector switches, stray pricing setters)."""
+registry entries, collector switches, stray pricing setters, package-metadata
+discovery)."""
 
 import ast
 import sys
@@ -152,3 +153,23 @@ def test_pricing_scope_allows_only_use_cost_model():
     violations = lint_invariants.check_pricing_scope(
         lint_invariants.SRC / "costmodel" / "base.py", tree)
     assert [v.line for v in violations] == [8]
+
+
+def test_in_process_registration_catches_metadata_discovery():
+    tree = ast.parse(
+        "import importlib.metadata\n"
+        "from importlib import metadata\n"
+        "from importlib.metadata import version\n"
+        "import importlib\n"
+        "def load(group):\n"
+        "    eps = importlib.metadata.entry_points()\n"
+        "    return eps.select(group=group)\n"
+        "def load_all(group):\n"
+        "    return entry_points(group=group)\n"
+        "def register(spec):\n"
+        "    return spec\n"
+    )
+    violations = lint_invariants.check_in_process_registration(
+        lint_invariants.SRC / "plugins.py", tree)
+    assert sorted({v.line for v in violations}) == [1, 2, 3, 6, 9]
+    assert all(v.rule == "in-process-registration" for v in violations)

@@ -94,7 +94,6 @@ PLANNER_EXPORTS = [
     "default_planner",
     "get_backend",
     "graph_signature",
-    "load_entry_point_backends",
     "machine_signature",
     "plan_cache_key",
     "register_backend",
@@ -114,7 +113,6 @@ RUNTIME_EXPORTS = [
     "default_executor",
     "default_program_cache",
     "get_execution_backend",
-    "load_entry_point_backends",
     "lowered_cache_key",
     "program_from_dict",
     "program_to_dict",
@@ -146,7 +144,6 @@ ANALYSIS_EXPORTS = [
     "available_checkers",
     "describe_code",
     "get_checker_spec",
-    "load_entry_point_checkers",
     "register_checker",
     "run_verify_pass",
     "unregister_checker",
@@ -175,7 +172,6 @@ COSTMODEL_EXPORTS = [
     "fit_cost_model",
     "get_cost_model_spec",
     "load_cost_model",
-    "load_entry_point_cost_models",
     "load_trace",
     "register_cost_model",
     "render_report",

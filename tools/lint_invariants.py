@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """AST invariant linter: layering, lock discipline, registry hygiene,
-collector discipline, pricing-scope discipline.
+collector discipline, pricing-scope discipline, in-process registration.
 
-Five structural invariants the test suite cannot cheaply express are
+Six structural invariants the test suite cannot cheaply express are
 checked here over the source tree with nothing but ``ast`` (no imports of
 the code under analysis, no third-party dependencies):
 
@@ -44,6 +44,11 @@ the code under analysis, no third-party dependencies):
    ``use_cost_model``.  That scope is the one way to choose a pricing
    model; a second setter would bring back the knobs and precedence rules
    it replaced.
+
+6. **In-process registration** — ``src/repro`` never references
+   ``importlib.metadata`` or ``entry_points``.  The four registries are
+   filled only by in-process ``register_*`` calls; package-metadata
+   discovery would bring back a second registration path.
 
 Run from the repository root::
 
@@ -456,6 +461,48 @@ def check_pricing_scope(path: Path, tree: ast.Module,
 
 
 # ---------------------------------------------------------------------------
+# Rule 6: in-process registration
+# ---------------------------------------------------------------------------
+def _discovery_reference(node: ast.AST) -> Optional[str]:
+    """The package-metadata discovery name ``node`` references, if any."""
+    if isinstance(node, ast.Import):
+        for alias in node.names:
+            if alias.name.startswith("importlib.metadata"):
+                return "importlib.metadata"
+    elif isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        if module.startswith("importlib.metadata"):
+            return "importlib.metadata"
+        for alias in node.names:
+            if module == "importlib" and alias.name == "metadata":
+                return "importlib.metadata"
+            if alias.name == "entry_points":
+                return "entry_points"
+    elif (isinstance(node, ast.Attribute) and node.attr == "metadata"
+          and isinstance(node.value, ast.Name)
+          and node.value.id == "importlib"):
+        return "importlib.metadata"
+    elif ((isinstance(node, ast.Name) and node.id == "entry_points")
+          or (isinstance(node, ast.Attribute)
+              and node.attr == "entry_points")):
+        return "entry_points"
+    return None
+
+
+def check_in_process_registration(path: Path,
+                                  tree: ast.Module) -> List[Violation]:
+    violations: List[Violation] = []
+    for node in ast.walk(tree):
+        name = _discovery_reference(node)
+        if name is not None:
+            violations.append(Violation(
+                path, node.lineno, "in-process-registration",
+                f"{name} referenced; registries are filled only by "
+                f"in-process register_* calls"))
+    return violations
+
+
+# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 def lint(root: Path = SRC) -> List[Violation]:
@@ -468,6 +515,7 @@ def lint(root: Path = SRC) -> List[Violation]:
         violations.extend(check_registry_hygiene(path, tree))
         violations.extend(check_collector_discipline(path, tree, root))
         violations.extend(check_pricing_scope(path, tree, root))
+        violations.extend(check_in_process_registration(path, tree))
         if path.resolve() in locked:
             violations.extend(check_lock_discipline(path, tree))
     return violations
@@ -481,7 +529,7 @@ def main() -> int:
         print(f"{len(violations)} invariant violation(s)", file=sys.stderr)
         return 1
     print("invariants clean: layering, lock discipline, registry hygiene, "
-          "collector discipline, pricing scope")
+          "collector discipline, pricing scope, in-process registration")
     return 0
 
 
