@@ -4,12 +4,12 @@ heterogeneous placement.
 Drives :class:`repro.tuner.Tuner` through the three claims the autotuner
 exists for and records, per scenario:
 
-* **parallel** — candidate throughput of the staged pooled search
-  (``jobs=2``, static screen in the parent, survivors fanned across the
-  process pool) against the legacy serial ``auto`` sweep that fully
-  compiles and simulates every candidate; the ``speedup`` ratio is the
-  acceptance criterion (≥ 2x).  A serial sweep re-run checks the
-  determinism contract: identical winner content address.
+* **parallel** — candidate throughput of the staged search (static
+  screen, ``lower_only`` memory check, then full simulation of the
+  survivors) against the legacy ``auto`` sweep that fully compiles and
+  simulates every candidate; the ``speedup`` ratio is the acceptance
+  criterion (≥ 2x).  Fresh reruns check the determinism contract:
+  identical winner content address.
 * **screening** — candidates the screened sweep decides in the wall-clock
   the legacy sweep needs for its fixed grid (``coverage_ratio``, ≥ 3x).
 * **hetero** — on a 2-machine cluster with unequal device counts the
@@ -23,10 +23,6 @@ committed ``BENCH_tuner.json`` baseline.  Refresh the baseline with::
 
     REPRO_BENCH_OUTPUT=BENCH_tuner.json \
         python -m pytest benchmarks/bench_tuner.py --benchmark-only
-
-Scenario order matters: the pooled measurement runs first, against a
-still-small parent heap, so the fork cost it pays is the one a fresh
-``tofu-repro tune`` invocation would pay.
 """
 
 import json
@@ -51,7 +47,7 @@ from repro.tuner import Tuner
 BENCH_FORMAT = "tofu-bench-tuner"
 BENCH_VERSION = 1
 
-# Acceptance: the staged pooled search must decide candidates at least this
+# Acceptance: the staged search must decide candidates at least this
 # much faster than the legacy full-evaluation sweep...
 PARALLEL_MIN_SPEEDUP = 2.0
 # ...and the screened sweep must cover at least this many times the
@@ -64,7 +60,7 @@ SCREEN_MIN_COVERAGE = 3.0
 # the regime the staged search is built for.
 MEMORY_HEADROOM = 0.5
 
-DETERMINISM_JOBS = (2, 3) if FULL else (2,)
+DETERMINISM_RERUNS = 2 if FULL else 1
 
 
 def _tight_rnn():
@@ -118,45 +114,36 @@ def _legacy_sweep(graph, machine):
 # Scenarios
 # ---------------------------------------------------------------------------
 def _measure_parallel():
-    """Staged pooled search vs the legacy serial full-evaluation sweep."""
+    """Staged search vs the legacy full-evaluation sweep."""
     graph, machine = _tight_rnn()
 
     start = time.perf_counter()
-    pooled = Tuner(jobs=2).tune(
-        graph, machine, planner=Planner(), executor=Executor()
-    )
-    pooled_wall = time.perf_counter() - start
+    staged = Tuner().tune(graph, machine, planner=Planner(), executor=Executor())
+    staged_wall = time.perf_counter() - start
 
     legacy_count, legacy_wall, legacy_best = _legacy_sweep(graph, machine)
     assert legacy_best is not None, "the legacy sweep must find a viable plan"
 
-    deterministic = True
-    for jobs in DETERMINISM_JOBS:
-        serial = Tuner().tune(
+    deterministic = all(
+        Tuner().tune(
             graph, machine, planner=Planner(), executor=Executor()
-        )
-        rerun = Tuner(jobs=jobs).tune(
-            graph, machine, planner=Planner(), executor=Executor()
-        )
-        deterministic = deterministic and (
-            serial.winner_key() == rerun.winner_key() == pooled.winner_key()
-        )
+        ).winner_key() == staged.winner_key()
+        for _ in range(DETERMINISM_RERUNS)
+    )
 
-    decided = len(pooled.outcomes)
-    pooled_rate = decided / pooled_wall
+    decided = len(staged.outcomes)
+    staged_rate = decided / staged_wall
     legacy_rate = legacy_count / legacy_wall
     return {
         "decided": decided,
-        "pooled_seconds": pooled_wall,
-        "pooled_candidates_per_sec": pooled_rate,
+        "tuner_seconds": staged_wall,
+        "tuner_candidates_per_sec": staged_rate,
         "legacy_candidates": legacy_count,
         "legacy_seconds": legacy_wall,
         "legacy_candidates_per_sec": legacy_rate,
-        "speedup": pooled_rate / legacy_rate,
-        "jobs": pooled.stats["jobs"],
-        "start_method": pooled.stats.get("start_method"),
+        "speedup": staged_rate / legacy_rate,
         "determinism": deterministic,
-        "counts": pooled.counts(),
+        "counts": staged.counts(),
     }
 
 
@@ -222,8 +209,6 @@ def _measure_hetero():
 # ---------------------------------------------------------------------------
 def bench_tuner(benchmark):
     def run():
-        # Pooled search first: fork cost scales with the parent heap, so it
-        # must be measured before the serial sweeps grow it.
         return {
             "parallel": _measure_parallel(),
             "screening": _measure_screening(),
@@ -239,8 +224,8 @@ def bench_tuner(benchmark):
     print_header("Autotuner: staged search throughput, screening, heterogeneity")
     print(
         f"parallel     {parallel['decided']} candidates in "
-        f"{parallel['pooled_seconds']:.2f} s "
-        f"({parallel['pooled_candidates_per_sec']:.0f}/s) vs legacy "
+        f"{parallel['tuner_seconds']:.2f} s "
+        f"({parallel['tuner_candidates_per_sec']:.0f}/s) vs legacy "
         f"{parallel['legacy_candidates']} in "
         f"{parallel['legacy_seconds']:.2f} s "
         f"({parallel['legacy_candidates_per_sec']:.0f}/s)   "
@@ -278,12 +263,12 @@ def bench_tuner(benchmark):
 
     # Acceptance criteria.
     assert parallel["speedup"] >= PARALLEL_MIN_SPEEDUP, (
-        f"acceptance: staged pooled search must decide candidates "
+        f"acceptance: the staged search must decide candidates "
         f"≥{PARALLEL_MIN_SPEEDUP}x faster than the legacy sweep, got "
         f"{parallel['speedup']:.1f}x"
     )
     assert parallel["determinism"], (
-        "acceptance: serial and pooled sweeps must pick the same winner"
+        "acceptance: reruns of the staged search must pick the same winner"
     )
     assert screening["coverage_ratio"] >= SCREEN_MIN_COVERAGE, (
         f"acceptance: the screened sweep must cover ≥{SCREEN_MIN_COVERAGE}x "

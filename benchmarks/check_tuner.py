@@ -3,13 +3,13 @@
 Compares a freshly measured ``bench_tuner.json`` against the committed
 ``BENCH_tuner.json`` baseline.  Gated quantities are machine-independent:
 
-* ``parallel.speedup`` — candidate throughput of the staged pooled search
-  vs the legacy serial full-evaluation sweep (a ratio of two rates
-  measured on the same host in the same process);
+* ``parallel.speedup`` — candidate throughput of the staged search vs the
+  legacy full-evaluation sweep (a ratio of two rates measured on the same
+  host in the same process);
 * ``screening.coverage_ratio`` — candidates the screened sweep decides at
   the legacy sweep's wall-clock, as a multiple of the legacy grid;
-* ``parallel.determinism`` — serial and pooled sweeps still pick the same
-  winner content address (boolean, no tolerance);
+* ``parallel.determinism`` — fresh reruns of the staged search still pick
+  the same winner content address (boolean, no tolerance);
 * ``hetero.tuner_beats_symmetric`` — the tuner still beats symmetric
   placement on the 6+2-device cluster (boolean, no tolerance).
 

@@ -28,7 +28,7 @@ import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Any, Collection, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.graph.graph import Graph
@@ -117,16 +117,6 @@ def _is_content_key(key: object) -> bool:
 # ---------------------------------------------------------------------------
 # The shared store
 # ---------------------------------------------------------------------------
-class _Payload:
-    """A memory-tier slot holding a payload not decoded yet (an entry
-    merged from a pool worker); the first lookup decodes it."""
-
-    __slots__ = ("payload",)
-
-    def __init__(self, payload: Dict):
-        self.payload = payload
-
-
 class TwoTierCache:
     """In-memory LRU of entries, with an optional disk tier of payloads.
 
@@ -137,8 +127,8 @@ class TwoTierCache:
     pre-refactor on-disk layout byte-compatible), plus ``description`` for
     error messages.
 
-    The memory tier holds *entries*; the disk tier, export bundles and
-    pool-worker deltas carry their JSON *payloads*.  :meth:`encode` and
+    The memory tier holds *entries*; the disk tier and export bundles
+    carry their JSON *payloads*.  :meth:`encode` and
     :meth:`decode` convert between the two at that boundary only — the
     default is the identity (entries are payload dicts, as for plans).
     What a subclass hands out from an entry — a fresh object per hit, or
@@ -233,17 +223,14 @@ class TwoTierCache:
         """
         with self._lock:
             entry = self._memory.get(key)
-            if entry is None:
-                payload = self._disk_get(key)
-                if payload is None:
-                    self.misses += 1
-                    return None
-            else:
+            if entry is not None:
                 self._memory.move_to_end(key)
-                if entry.__class__ is not _Payload:
-                    self.hits += 1
-                    return entry
-                payload = entry.payload
+                self.hits += 1
+                return entry
+            payload = self._disk_get(key)
+            if payload is None:
+                self.misses += 1
+                return None
         try:
             entry = self.decode(payload)
         except _DECODE_ERRORS:
@@ -263,57 +250,6 @@ class TwoTierCache:
             self._memory_put(key, entry)
             if payload is not None:
                 self._disk_put(key, payload)
-
-    def snapshot_payloads(self, exclude: Collection[str] = ()) -> Dict[str, Dict]:
-        """The payload of every in-memory entry whose key is not in
-        ``exclude`` (``key -> payload``).
-
-        This is the in-process counterpart of :meth:`export_to`: a pool
-        worker snapshots the entries its searches produced and ships them
-        back to the parent, which folds them in with
-        :meth:`merge_payloads` — no disk tier required on either side.
-        ``exclude`` names entries already shipped, so they are not encoded
-        again.  Entries the codec cannot express are left out.  Lookup
-        counters are untouched.
-        """
-        with self._lock:
-            entries = [
-                (key, entry)
-                for key, entry in self._memory.items()
-                if key not in exclude
-            ]
-        payloads: Dict[str, Dict] = {}
-        for key, entry in entries:
-            if entry.__class__ is _Payload:
-                payloads[key] = entry.payload
-                continue
-            try:
-                payloads[key] = self.encode(entry)
-            except (TypeError, ValueError):
-                continue
-        return payloads
-
-    def merge_payloads(self, payloads: Dict[str, Dict]) -> int:
-        """Fold ``key -> payload`` entries into the store; returns how many
-        were new.
-
-        Content addresses make key collisions equal-payload collisions, so
-        entries already present are skipped rather than overwritten (the
-        same policy as :meth:`import_from`).  New entries land in both
-        tiers; the memory tier decodes each on its first lookup, so merged
-        entries nobody asks for are never decoded.
-        """
-        merged = 0
-        with self._lock:
-            for key, payload in payloads.items():
-                if key in self._memory:
-                    continue
-                if self._disk_get(key) is not None:
-                    continue
-                self._memory_put(key, _Payload(payload))
-                self._disk_put(key, payload)
-                merged += 1
-        return merged
 
     # --------------------------------------------------------- export/import
     def export_to(self, path: str) -> int:

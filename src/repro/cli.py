@@ -8,11 +8,11 @@ expression of the combinator mini-language (``tofu``, ``single``,
 ``auto`` for the bounded sweep; ``--dry-run`` shows the lowering without
 planning or simulating, and ``--save`` persists the compiled model as JSON.
 
-``partition`` and ``simulate`` remain for facade-level use: a ``--backend``
-(any registered search backend — see ``tofu-repro backends``), a
-``--cache-dir`` for the persistent plan store, ``--jobs`` for the parallel
-candidate search, and (``simulate``) an ``--executor`` for any registered
-execution backend.
+``compile``, ``tune``, ``partition`` and ``simulate`` share the planner
+flags: a ``--backend`` (any registered search backend — see ``tofu-repro
+backends``), a ``--cache-dir`` for the persistent plan store, and ``--jobs``
+for the planner's parallel candidate search.  ``simulate`` also takes an
+``--executor`` for any registered execution backend.
 
 Examples::
 
@@ -75,7 +75,7 @@ import argparse
 import sys
 
 from repro.compiler import AUTO_MAX_CANDIDATES, compile_model
-from repro.errors import ReproError
+from repro.errors import ReproError, StrategyError
 from repro.interval.strategies import describe_operator
 from repro.models.mlp import build_mlp
 from repro.models.resnet import build_wide_resnet
@@ -153,7 +153,7 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
 def _build_topology(args):
     if getattr(args, "preset", None):
         return topology_preset(args.preset)
-    return cluster_of(k80_8gpu_machine(args.workers), max(1, args.machines))
+    return cluster_of(k80_8gpu_machine(args.workers), args.machines)
 
 
 def _add_planner_args(parser: argparse.ArgumentParser) -> None:
@@ -398,23 +398,26 @@ def cmd_tune(args) -> int:
             f"{machine.num_devices} devices"
         )
     print(f"model: {bundle.name} ({bundle.graph.num_nodes()} operators)")
+    try:
+        microbatches = tuple(int(m) for m in _csv(args.microbatches))
+    except ValueError:
+        raise StrategyError(
+            f"--microbatches takes comma-separated integers, got "
+            f"{args.microbatches!r}"
+        ) from None
     budget = TunerBudget(
         max_candidates=args.max_candidates, max_seconds=args.max_seconds
     )
     tuner = Tuner(
         budget=budget,
-        jobs=args.jobs,
-        microbatches=tuple(int(m) for m in _csv(args.microbatches)),
+        microbatches=microbatches,
         schedules=tuple(_csv(args.schedules)),
         search_backends=tuple(_csv(args.search_backends)),
     )
     executor = Executor(ExecutorConfig(profile=args.profile))
-    planner = Planner(
-        PlannerConfig(backend=args.backend, cache_dir=args.cache_dir)
-    )
     with _cost_model_context(args):
         result = tuner.tune(
-            bundle.graph, machine, planner=planner, executor=executor
+            bundle.graph, machine, planner=_make_planner(args), executor=executor
         )
     print(result.summary())
     rejected = [o for o in result.outcomes if o.status in ("screened", "error")]
@@ -667,23 +670,7 @@ def main(argv=None) -> int:
         "tune", help="autotune a strategy under an explicit search budget"
     )
     _add_model_args(p_tune)
-    p_tune.add_argument(
-        "--backend",
-        choices=available_backends(),
-        default="tofu",
-        help="partition-search backend for the candidates' tofu leaves",
-    )
-    p_tune.add_argument(
-        "--cache-dir",
-        default=None,
-        help="directory for the persistent plan cache (default: in-memory only)",
-    )
-    p_tune.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="process-pool width for candidate evaluation (1 = in-process)",
-    )
+    _add_planner_args(p_tune)
     p_tune.add_argument(
         "--max-candidates",
         type=int,

@@ -236,13 +236,21 @@ class CompiledModel:
             ) from exc
 
     def save(self, path: str) -> str:
-        """Write the model (plan + program metadata) as JSON to ``path``."""
+        """Write the model (plan + program metadata) as JSON to ``path``;
+        an unwritable path raises :class:`StrategyError` and leaves no
+        temporary file behind."""
         payload = json.dumps(self.to_dict(), indent=2, sort_keys=True)
         directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
+        tmp = None
+        try:
+            fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+            os.replace(tmp, path)
+        except OSError as exc:
+            if tmp is not None:
+                os.unlink(tmp)
+            raise StrategyError(f"cannot save the model to {path!r}: {exc}") from exc
         return path
 
     @classmethod
@@ -264,13 +272,15 @@ def _resolve_machine(
     num_workers: Optional[int],
     strategy: Optional[Strategy] = None,
 ) -> Topology:
+    if num_workers is not None and num_workers < 1:
+        raise StrategyError(f"num_workers must be >= 1, got {num_workers}")
     if machine is None:
         # A machines(M)-rooted strategy defaults to M of the paper's boxes
         # over the default network fabric; num_workers sizes each box.
         count = 1
         if strategy is not None and isinstance(strategy, Machines):
             count = strategy.count
-        base = k80_8gpu_machine(num_workers if num_workers else 8)
+        base = k80_8gpu_machine(8 if num_workers is None else num_workers)
         return cluster_of(base, count)
     if num_workers is not None and num_workers != machine.num_devices:
         raise StrategyError(
@@ -356,9 +366,9 @@ def collector_paused() -> Iterator[None]:
 
 
 def _resume_collector_in_child() -> None:
-    """Fork hook: a child forked inside a compile (a planner or tuner pool
-    worker) starts outside every scope, with the collector as the scope
-    found it, and with a lock no parent thread can be holding."""
+    """Fork hook: a child forked inside a compile (a planner pool worker)
+    starts outside every scope, with the collector as the scope found it,
+    and with a lock no parent thread can be holding."""
     global _PAUSE_LOCK, _pause_depth, _pause_disabled
     _PAUSE_LOCK = threading.Lock()
     if _pause_depth and _pause_disabled:
@@ -408,8 +418,8 @@ def compile(
             to ``num_workers`` when given — or, for a ``machines(M)``-rooted
             strategy, a cluster of ``M`` such boxes.
         num_workers: Shorthand for the default machine's device count (per
-            machine, under a ``machines(M)`` root); rejected if it
-            contradicts an explicit ``machine``.
+            machine, under a ``machines(M)`` root); rejected if below 1 or
+            if it contradicts an explicit ``machine``.
         plan: Pre-searched partition plan for the strategy's ``tofu`` leaf
             (skips planning).
         planner: Planner to search (and cache) plans with; defaults to the
@@ -436,7 +446,7 @@ def compile(
             pricing and are shared across models; a non-default model
             folds its signature into program-cache keys.
         tuner: A configured :class:`repro.tuner.Tuner` driving the
-            ``"auto"`` sweep — budget, process-pool width, and grid axes.
+            ``"auto"`` sweep — budget and grid axes.
             ``None`` keeps the default bounded sweep
             (``TunerBudget(max_candidates=16)`` over the generated grid;
             explicit ``candidates`` run unbounded, as they always have).

@@ -47,8 +47,9 @@ class PlannerConfig:
         backend: Default search backend (a :func:`repro.planner.backends`
             registry key); overridable per ``plan()`` call.
         backend_options: Default keyword options forwarded to the backend.
-        jobs: Process-pool size for the candidate search (1 = in-process).
-            Does not affect the plan found, only wall-clock time, so it is
+        jobs: Process-pool size for the candidate search (1 = in-process;
+            below 1 raises :class:`~repro.errors.PartitionError`).  Does not
+            affect the plan found, only wall-clock time, so it is
             deliberately excluded from the cache key.
         expand_jobs: Must be 1.  The search runs on one thread; any other
             value raises :class:`~repro.errors.PartitionError`.
@@ -73,6 +74,8 @@ class PlannerConfig:
     cache_max_bytes: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if self.jobs < 1:
+            raise PartitionError(f"PlannerConfig.jobs must be >= 1, got {self.jobs!r}")
         if self.expand_jobs != 1:
             raise PartitionError(
                 f"expand_jobs={self.expand_jobs!r}: intra-search threads were "

@@ -35,15 +35,14 @@ START_METHOD_ENV = "TOFU_MP_START_METHOD"
 
 
 def mp_context() -> multiprocessing.context.BaseContext:
-    """The multiprocessing context every repro process pool runs under.
+    """The multiprocessing context of the planner's candidate-search pool.
 
     Defaults to ``fork`` where available (cheapest start, inherits warm
     state) and ``spawn`` otherwise.  The ``TOFU_MP_START_METHOD``
     environment variable overrides the choice (``fork`` / ``spawn`` /
     ``forkserver``); an override naming a method the platform does not
     support raises :class:`repro.errors.ReproError` instead of silently
-    falling back.  The planner's candidate search and the autotuner's
-    evaluation pool share this one decision.
+    falling back.
     """
     methods = multiprocessing.get_all_start_methods()
     override = os.environ.get(START_METHOD_ENV, "").strip()

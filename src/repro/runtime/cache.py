@@ -23,9 +23,9 @@ built, so the cache keeps it by reference and every hit returns
 :meth:`LoweredProgram.copy` — a fresh program (its own memory report and
 stats) around the shared dense form, together with the compiled form
 cached on it for the program's machine.  A warm hit therefore neither
-copies nor re-sorts a task graph.  Only the disk tier, ``export``/``import``
-bundles and autotuner worker deltas encode programs, in the unchanged
-version-1 payload format.  Callers edit a returned program with
+copies nor re-sorts a task graph.  Only the disk tier and
+``export``/``import`` bundles encode programs, in the unchanged version-1
+payload format.  Callers edit a returned program with
 :meth:`LoweredProgram.replace_tasks`, which builds a new dense form (the
 Table 3 ablation rescales durations this way); nothing done to a returned
 program reaches the cache.

@@ -55,9 +55,8 @@ class CompileRequest:
     ``"auto"``; ``machine`` is optional exactly as in ``repro.compile``
     (``num_workers`` sizes the default box).  ``tuner`` configures the
     ``"auto"`` sweep — a JSON object of ``max_candidates`` /
-    ``max_seconds`` / ``jobs``, applied as a
-    :class:`repro.tuner.TunerBudget` plus pool width; ``None`` keeps the
-    default bounded sweep.  ``request_id`` is an opaque client token echoed
+    ``max_seconds``, applied as a :class:`repro.tuner.TunerBudget`; ``None``
+    keeps the default bounded sweep.  ``request_id`` is an opaque client token echoed
     back in the response so a pipelining client can match out-of-order
     completions.
     """

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro import compiler, perf
-from repro.errors import ReproError, StrategyError
+from repro.errors import ReproError
 from repro.planner.core import Planner, PlannerConfig
 from repro.runtime.cache import ProgramCache
 from repro.runtime.core import Executor, ExecutorConfig
@@ -180,21 +180,15 @@ class CompileService:
     @staticmethod
     def _build_tuner(request: CompileRequest):
         """The :class:`repro.tuner.Tuner` a request's ``tuner`` options ask
-        for (``None`` when unset).  ``jobs`` is the pool width; the rest is
-        a :class:`repro.tuner.TunerBudget` payload.  A tuner on a non-auto
+        for (``None`` when unset); the options are a
+        :class:`repro.tuner.TunerBudget` payload.  A tuner on a non-auto
         strategy is handed through to ``compile`` unfiltered, so the caller
         gets its structured error back."""
         if request.tuner is None:
             return None
         from repro.tuner import Tuner, TunerBudget
 
-        options = dict(request.tuner)
-        raw_jobs = options.pop("jobs", 1)
-        try:
-            jobs = int(raw_jobs)
-        except (TypeError, ValueError):
-            raise StrategyError(f"tuner jobs must be an integer, got {raw_jobs!r}")
-        return Tuner(budget=TunerBudget.from_dict(options), jobs=jobs)
+        return Tuner(budget=TunerBudget.from_dict(request.tuner))
 
     # --------------------------------------------------------------- compile
     def _compile(self, request: CompileRequest, key: str) -> CompileResponse:

@@ -84,6 +84,10 @@ class MachineSpec:
     cpu_memory: int = 488 * GiB
     kernel_launch_overhead: float = 8e-6
 
+    def __post_init__(self):
+        if not self.devices:
+            raise SimulationError("a machine needs at least one device")
+
     @property
     def num_devices(self) -> int:
         """Number of devices in this machine."""

@@ -5,9 +5,9 @@ by one, this package searches the whole strategy algebra — machine scopes ×
 replica groups × pipeline stages × micro-batch counts × schedules × search
 backends — in three stages: cheap memory **screening** (a static footprint
 estimate plus a ``lower_only`` compile whose per-device memory report is
-checked against capacity), budgeted **search** (survivors fully simulated,
-optionally fanned across a process pool whose plan/program cache entries
-merge back into the caller's caches), and **ranking** (a Pareto frontier
+checked against capacity), budgeted **search** (survivors fully simulated
+in-process, through the caller's planner and executor caches), and
+**ranking** (a Pareto frontier
 over iteration time, peak device memory, and machine count, with the
 incumbent best available mid-search).
 

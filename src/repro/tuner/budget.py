@@ -26,7 +26,7 @@ class TunerBudget:
 
     ``max_candidates`` caps how many strategies enter the staged evaluation
     (the generated grid is truncated in its deterministic order, so a
-    candidate budget alone keeps serial and process-pool runs bit-identical).
+    candidate budget alone keeps reruns bit-identical).
     ``max_seconds`` is a wall-clock deadline checked between candidates:
     candidates not started by the deadline are reported as skipped, never
     silently dropped.  ``None`` means unbounded on that axis.

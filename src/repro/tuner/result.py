@@ -37,8 +37,7 @@ class CandidateOutcome:
     any simulation; ``reason`` says why), ``"error"`` (the compile raised;
     ``reason`` carries the message), or ``"skipped"`` (the budget ran out
     first).  ``index`` is the candidate's position in the deterministic
-    generation order — the tie-breaker that keeps serial and process-pool
-    sweeps identical.
+    generation order — the tie-breaker that keeps reruns identical.
     """
 
     index: int
@@ -56,7 +55,7 @@ class CandidateOutcome:
         return self.status == STATUS_EVALUATED and not self.oom
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable form (what pool workers ship back)."""
+        """JSON-serialisable form (one row of :meth:`TunerResult.to_dict`)."""
         return {
             "index": self.index,
             "strategy": self.strategy,
@@ -67,20 +66,6 @@ class CandidateOutcome:
             "machine_count": self.machine_count,
             "oom": self.oom,
         }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "CandidateOutcome":
-        """Rebuild an outcome from :meth:`to_dict` output."""
-        return cls(
-            index=int(payload["index"]),
-            strategy=str(payload["strategy"]),
-            status=str(payload["status"]),
-            reason=payload.get("reason"),
-            iteration_time=payload.get("iteration_time"),
-            peak_memory=payload.get("peak_memory"),
-            machine_count=int(payload.get("machine_count", 1)),
-            oom=bool(payload.get("oom", False)),
-        )
 
 
 def _dominates(a: CandidateOutcome, b: CandidateOutcome) -> bool:
@@ -139,7 +124,7 @@ class TunerResult:
     def winner_key(self) -> str:
         """Content address of the winning configuration (strategy tree ×
         machine model) — what the determinism guarantee is stated over:
-        equal budgets must produce equal winner keys, serial or pooled."""
+        equal budgets must produce equal winner keys across reruns."""
         if self.best is None:
             return ""
         return content_key(

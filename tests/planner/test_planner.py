@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 import repro
-from repro.errors import PartitionError
+from repro.errors import PartitionError, ReproError
 from repro.partition.plan import (
     PartitionPlan,
     plan_from_dict,
@@ -28,6 +28,7 @@ from repro.planner import (
     register_backend,
     unregister_backend,
 )
+from repro.planner.parallel import START_METHOD_ENV, mp_context
 from repro.sim.device import k80_8gpu_machine, v100_machine
 
 EXPECTED_BACKENDS = {"tofu", "joint", "icml18", "equalchop", "spartan", "allrow-greedy"}
@@ -308,6 +309,24 @@ class TestCandidateSearch:
         assert explored.total_comm_bytes <= descending.total_comm_bytes + 1e-6
 
 
+class TestMpContext:
+    def test_default_context_is_a_supported_method(self):
+        import multiprocessing
+
+        assert mp_context().get_start_method() in (
+            multiprocessing.get_all_start_methods()
+        )
+
+    def test_env_override_is_honored(self, monkeypatch):
+        monkeypatch.setenv(START_METHOD_ENV, "spawn")
+        assert mp_context().get_start_method() == "spawn"
+
+    def test_invalid_override_raises(self, monkeypatch):
+        monkeypatch.setenv(START_METHOD_ENV, "bogus")
+        with pytest.raises(ReproError, match="bogus"):
+            mp_context()
+
+
 # ---------------------------------------------------------------------------
 # Facade
 # ---------------------------------------------------------------------------
@@ -326,6 +345,11 @@ class TestPlannerFacade:
 
     def test_default_planner_is_a_singleton(self):
         assert default_planner() is default_planner()
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(PartitionError, match="jobs must be >= 1"):
+            PlannerConfig(jobs=jobs)
 
     def test_expand_jobs_accepts_only_one(self):
         assert PlannerConfig(expand_jobs=1).expand_jobs == 1

@@ -39,7 +39,6 @@ from repro.runtime import (
 from repro.runtime.passes import round_robin_layer_placement
 from repro.sim.device import ClusterSpec, cluster_of, k80_8gpu_machine
 from repro.sim.engine import Task
-from repro.tuner import Tuner, TunerBudget
 
 MACHINE = k80_8gpu_machine(4)
 CLUSTER = ClusterSpec(machines=[MACHINE])
@@ -448,50 +447,3 @@ def test_directory_written_by_the_v1_codec_still_hits(tmp_path):
         assert cold.simulate(hit) == cold.simulate(fresh)
     info = reader.program_cache.info()
     assert info["hits"] == 2 and info["misses"] == 0
-
-
-def test_pooled_tuner_deltas_merge_and_the_parent_recompile_hits(mlp_bundle):
-    executor = Executor(ExecutorConfig(program_cache_capacity=64))
-    result = Tuner(budget=TunerBudget(max_candidates=4), jobs=2).tune(
-        mlp_bundle.graph, MACHINE, planner=Planner(), executor=executor
-    )
-    assert result.stats["cache_merged"]["programs"] > 0
-    # The parent lowered nothing itself: its one lookup, the winner's
-    # recompile, hit an entry a worker shipped back.
-    info = executor.program_cache.info()
-    assert info["hits"] == 1 and info["misses"] == 0
-    best = min(
-        (o for o in result.outcomes if o.viable),
-        key=lambda o: (o.iteration_time, o.index),
-    )
-    assert result.best.iteration_time == best.iteration_time
-
-
-def test_pooled_tuner_workers_ship_only_their_own_programs(
-    mlp_bundle, monkeypatch
-):
-    """Forked workers inherit the parent's full process-wide program cache;
-    shipping it back would flood the parent's LRU and could evict the
-    winner's program before the recompile looks it up."""
-    from repro.runtime import cache as cache_module
-
-    inherited = ProgramCache(capacity=64)
-    filler = Executor(ExecutorConfig(cache_programs=False)).lower(
-        mlp_bundle.graph, machine=MACHINE, backend="single-device"
-    )
-    for k in range(inherited.capacity):
-        inherited.put(f"inherited{k:02d}", filler)
-    monkeypatch.setattr(cache_module, "_DEFAULT_PROGRAM_CACHE", inherited)
-
-    executor = Executor(ExecutorConfig(program_cache_capacity=64))
-    result = Tuner(budget=TunerBudget(max_candidates=4), jobs=2).tune(
-        mlp_bundle.graph, MACHINE, planner=Planner(), executor=executor
-    )
-    merged = result.stats["cache_merged"]["programs"]
-    assert 0 < merged < inherited.capacity
-    assert not any(
-        key.startswith("inherited")
-        for key in executor.program_cache.snapshot_payloads()
-    )
-    info = executor.program_cache.info()
-    assert info["hits"] == 1 and info["misses"] == 0

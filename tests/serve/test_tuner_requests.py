@@ -44,7 +44,7 @@ class TestKeyAndWire:
     def test_wire_round_trip_preserves_tuner_options(self):
         request = CompileRequest(
             graph=small_graph(), strategy="auto", num_workers=4,
-            tuner={"max_candidates": 4, "jobs": 2},
+            tuner={"max_candidates": 4, "max_seconds": 30.0},
         )
         rebuilt = request_from_wire(request_to_wire(request))
         assert rebuilt.tuner == request.tuner
@@ -74,6 +74,17 @@ class TestService:
         )
         assert not response.ok
         assert "TunerBudget" in response.error
+
+    def test_tuner_jobs_option_is_an_error_response(self, service):
+        # The tuner runs in-process; a pool width is no budget field.
+        response = service.compile(
+            CompileRequest(
+                graph=small_graph(), strategy="auto", num_workers=4,
+                tuner={"max_candidates": 4, "jobs": 2},
+            )
+        )
+        assert not response.ok
+        assert "unknown TunerBudget field(s): ['jobs']" in response.error
 
     def test_tuner_on_explicit_strategy_is_an_error_response(self, service):
         response = service.compile(

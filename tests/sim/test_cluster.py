@@ -138,6 +138,13 @@ class TestSlicing:
         with pytest.raises(SimulationError):
             slice_machines(cluster, 3)
 
+    @pytest.mark.parametrize("build", [k80_8gpu_machine, v100_machine])
+    def test_a_machine_needs_a_device(self, build):
+        with pytest.raises(SimulationError, match="at least one device"):
+            build(0)
+        with pytest.raises(SimulationError, match="at least one device"):
+            MachineSpec(devices=[])
+
     def test_cluster_of_one_machine_is_the_machine(self):
         machine = k80_8gpu_machine(2)
         assert cluster_of(machine, 1) is machine

@@ -19,11 +19,12 @@ from repro import compiler
 from repro.compiler import collector_paused
 from repro.errors import StrategyError
 from repro.models.mlp import build_mlp
+from repro.planner import Planner, PlannerConfig
+from repro.planner import parallel as planner_parallel
 from repro.planner.parallel import mp_context
 from repro.serve import CompileRequest, CompileService
 from repro.sim.device import k80_8gpu_machine
 from repro.tuner import Tuner, TunerBudget
-from repro.tuner import core as tuner_core
 
 MACHINE = k80_8gpu_machine(4)
 
@@ -92,6 +93,15 @@ def test_auto_compile_re_enables_exactly_once(graph, switches):
     assert gc.isenabled()
 
 
+def test_direct_tune_pauses_once_for_the_whole_sweep(graph, switches):
+    result = Tuner(budget=TunerBudget()).tune(
+        graph, MACHINE, candidates=["tofu", "dp:2/tofu", "dp:4/single"]
+    )
+    assert len(result.outcomes) == 3
+    assert switches == ["disable", "enable"]
+    assert gc.isenabled()
+
+
 def test_callers_own_disable_survives_a_compile(graph, switches):
     gc.disable()
     try:
@@ -153,21 +163,21 @@ def test_forked_child_starts_outside_the_pause(tmp_path):
     assert out.read_text() == "True False True"
 
 
-def test_forked_tuner_worker_starts_with_the_collector_enabled(
+def test_forked_planner_worker_starts_with_the_collector_enabled(
     graph, monkeypatch, tmp_path
 ):
     _fork_only()
-    init_worker = tuner_core._init_worker
+    init_worker = planner_parallel._init_worker
 
     def recording(*args):
         (tmp_path / f"worker-{os.getpid()}.txt").write_text(str(gc.isenabled()))
         init_worker(*args)
 
-    monkeypatch.setattr(tuner_core, "_init_worker", recording)
+    monkeypatch.setattr(planner_parallel, "_init_worker", recording)
+    # 6 workers have two factor orders, (3, 2) and (2, 3): a 2-wide pool.
     repro.compile(
-        graph, "auto", MACHINE,
-        candidates=["tofu", "dp:2/tofu"],
-        tuner=Tuner(budget=TunerBudget(), jobs=2),
+        graph, "tofu", k80_8gpu_machine(6),
+        planner=Planner(PlannerConfig(jobs=2, cache_capacity=0)),
     )
     states = [path.read_text() for path in tmp_path.glob("worker-*.txt")]
     assert states and set(states) == {"True"}

@@ -219,6 +219,60 @@ class TestCLI:
         assert "throughput" in out
 
 
+class TestBadInputs:
+    """Non-positive counts and unwritable paths end in a coded library
+    error (``error: ...`` and exit 1 on the CLI), never a traceback or a
+    silently rewritten value."""
+
+    MLP = ["--model", "mlp", "--batch", "16", "--hidden", "128",
+           "--layers", "2"]
+
+    @pytest.mark.parametrize("num_workers", [0, -2])
+    def test_compile_rejects_non_positive_num_workers(self, mlp_bundle,
+                                                      num_workers):
+        from repro.errors import StrategyError
+
+        with pytest.raises(StrategyError, match="num_workers must be >= 1"):
+            repro.compile(mlp_bundle.graph, "tofu", num_workers=num_workers)
+
+    def test_save_failure_leaves_no_temp_file(self, mlp_bundle, tmp_path):
+        from repro.errors import StrategyError
+
+        model = repro.compile(mlp_bundle.graph, "single", num_workers=1)
+        target = tmp_path / "taken"
+        target.mkdir()
+        with pytest.raises(StrategyError, match="cannot save"):
+            model.save(str(target))
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--workers", "0"], "at least one device"),
+        (["--workers", "2", "--machines", "0"], "at least one machine"),
+        (["--workers", "2", "--jobs", "0"], "jobs must be >= 1"),
+    ])
+    def test_compile_rejects_non_positive_counts(self, capsys, flags, message):
+        assert cli_main(["compile", *self.MLP, *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+    def test_tune_rejects_non_integer_microbatches(self, capsys):
+        assert cli_main(["tune", *self.MLP, "--workers", "2",
+                         "--microbatches", "x"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--microbatches" in err
+
+    @pytest.mark.parametrize("command", ["compile", "tune"])
+    def test_save_into_a_missing_directory_exits_cleanly(
+        self, tmp_path, capsys, command
+    ):
+        path = tmp_path / "missing" / "model.json"
+        assert cli_main([command, *self.MLP, "--workers", "2",
+                         "--save", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "cannot save" in err
+        assert not (tmp_path / "missing").exists()
+
+
 class TestClusterCLI:
     MLP = ["--model", "mlp", "--batch", "32", "--hidden", "128", "--layers", "4"]
 

@@ -173,3 +173,22 @@ def test_in_process_registration_catches_metadata_discovery():
         lint_invariants.SRC / "plugins.py", tree)
     assert sorted({v.line for v in violations}) == [1, 2, 3, 6, 9]
     assert all(v.rule == "in-process-registration" for v in violations)
+
+
+
+def test_one_process_pool_catches_multiprocessing_outside_the_planner():
+    tree = ast.parse(
+        "import multiprocessing\n"
+        "from multiprocessing import get_context\n"
+        "import multiprocessing.pool as mpp\n"
+        "def fan_out(items):\n"
+        "    from multiprocessing.pool import Pool\n"
+        "    return Pool, items\n"
+        "import concurrent.futures\n"
+    )
+    violations = lint_invariants.check_one_process_pool(
+        lint_invariants.SRC / "tuner" / "core.py", tree)
+    assert [v.line for v in violations] == [1, 2, 3, 5]
+    assert all(v.rule == "one-process-pool" for v in violations)
+    assert lint_invariants.check_one_process_pool(
+        lint_invariants.SRC / "planner" / "parallel.py", tree) == []

@@ -1,9 +1,9 @@
 """The budgeted autotuner: screening, determinism, budgets, wiring.
 
-The determinism contract under test is the PR's headline: a budget in
-candidates (no wall-clock deadline) must make the serial and process-pool
-sweeps decide the same candidates with the same tie-breaks — identical
-Pareto frontiers and identical winner content addresses.
+The determinism contract under test: a budget in candidates (no
+wall-clock deadline) makes reruns decide the same candidates with the same
+tie-breaks — identical Pareto frontiers and identical winner content
+addresses.
 """
 
 from __future__ import annotations
@@ -14,10 +14,9 @@ import pytest
 
 from repro import compile as repro_compile
 from repro.costmodel import fit_cost_model, load_trace, use_cost_model
-from repro.errors import ReproError, StrategyError
+from repro.errors import StrategyError
 from repro.models.mlp import build_mlp
 from repro.planner.core import Planner
-from repro.planner.parallel import START_METHOD_ENV, mp_context
 from repro.runtime.core import Executor, ExecutorConfig
 from repro.sim.device import DeviceSpec, MachineSpec, k80_8gpu_machine
 from repro.tuner import Tuner, TunerBudget
@@ -121,52 +120,35 @@ class TestScreening:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("jobs", [2, 3])
-    def test_pool_and_serial_agree_bit_for_bit(self, graph, jobs):
+    def test_reruns_agree_bit_for_bit(self, graph):
         machine = k80_8gpu_machine(4)
-        serial = Tuner(budget=BUDGET).tune(
-            graph, machine, planner=Planner(), executor=Executor()
+        first, second = (
+            Tuner(budget=BUDGET).tune(
+                graph, machine, planner=Planner(), executor=Executor()
+            )
+            for _ in range(2)
         )
-        pooled = Tuner(budget=BUDGET, jobs=jobs).tune(
-            graph, machine, planner=Planner(), executor=Executor()
-        )
-        assert serial.winner_key() == pooled.winner_key()
-        assert [o.to_dict() for o in serial.frontier] == [
-            o.to_dict() for o in pooled.frontier
+        assert first.winner_key() == second.winner_key()
+        assert [o.to_dict() for o in first.outcomes] == [
+            o.to_dict() for o in second.outcomes
         ]
-        assert {o.strategy: o.status for o in serial.outcomes} == {
-            o.strategy: o.status for o in pooled.outcomes
-        }
 
-    def test_pool_stays_serial_under_a_pinned_cost_model(self, graph):
-        # Spawned workers cannot inherit an in-process pricing scope, so a
-        # non-default model must keep the sweep serial, priced by that model.
+    def test_sweep_prices_under_the_active_cost_model(self, graph):
         table = fit_cost_model(load_trace(SAMPLE_TRACE), "table")
         machine = k80_8gpu_machine(4)
         with use_cost_model(table):
-            serial = Tuner().tune(
+            result = Tuner().tune(
                 graph, machine, candidates=PRICED_CANDIDATES,
                 planner=Planner(), executor=Executor(),
             )
-            pooled = Tuner(jobs=2).tune(
-                graph, machine, candidates=PRICED_CANDIDATES,
-                planner=Planner(), executor=Executor(),
+        for outcome in result.outcomes:
+            if outcome.status != "evaluated":
+                continue
+            priced = repro_compile(
+                graph, outcome.strategy, machine, planner=Planner(),
+                cost_model=table,
             )
-        assert pooled.stats["jobs"] == 1
-        assert [o.to_dict() for o in pooled.outcomes] == [
-            o.to_dict() for o in serial.outcomes
-        ]
-        assert pooled.winner_key() == serial.winner_key()
-
-    def test_pool_merges_worker_caches_into_the_parent(self, graph):
-        planner, executor = Planner(), Executor()
-        result = Tuner(budget=TunerBudget(max_candidates=6), jobs=2).tune(
-            graph, k80_8gpu_machine(4), planner=planner, executor=executor
-        )
-        merged = result.stats["cache_merged"]
-        assert merged["plans"] + merged["programs"] > 0
-        # The winner's parent-side recompile rode the merged warm tier.
-        assert planner.cache.snapshot_payloads()
+            assert outcome.iteration_time == priced.iteration_time
 
     def test_wall_clock_deadline_skips_rather_than_hangs(self, graph):
         with pytest.raises(StrategyError, match="no executable candidate"):
@@ -174,23 +156,11 @@ class TestDeterminism:
                 graph, k80_8gpu_machine(4)
             )
 
-
-class TestMpContext:
-    def test_default_context_is_a_supported_method(self):
-        import multiprocessing
-
-        assert mp_context().get_start_method() in (
-            multiprocessing.get_all_start_methods()
-        )
-
-    def test_env_override_is_honored(self, monkeypatch):
-        monkeypatch.setenv(START_METHOD_ENV, "spawn")
-        assert mp_context().get_start_method() == "spawn"
-
-    def test_invalid_override_raises(self, monkeypatch):
-        monkeypatch.setenv(START_METHOD_ENV, "bogus")
-        with pytest.raises(ReproError, match="bogus"):
-            mp_context()
+    @pytest.mark.parametrize("jobs", [0, 2])
+    def test_jobs_accepts_only_one(self, jobs):
+        assert Tuner(jobs=1).budget == TunerBudget()
+        with pytest.raises(StrategyError, match="process pool was removed"):
+            Tuner(jobs=jobs)
 
 
 class TestCompileIntegration:

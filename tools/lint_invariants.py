@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """AST invariant linter: layering, lock discipline, registry hygiene,
-collector discipline, pricing-scope discipline, in-process registration.
+collector discipline, pricing-scope discipline, in-process registration,
+one process pool.
 
-Six structural invariants the test suite cannot cheaply express are
+Seven structural invariants the test suite cannot cheaply express are
 checked here over the source tree with nothing but ``ast`` (no imports of
 the code under analysis, no third-party dependencies):
 
@@ -49,6 +50,11 @@ the code under analysis, no third-party dependencies):
    ``importlib.metadata`` or ``entry_points``.  The four registries are
    filled only by in-process ``register_*`` calls; package-metadata
    discovery would bring back a second registration path.
+
+7. **One process pool** — in ``src/repro`` only ``planner/parallel.py``
+   imports ``multiprocessing`` (at any scope).  The planner's factor-order
+   search is the one process pool; everything else, the autotuner
+   included, runs in the calling process.
 
 Run from the repository root::
 
@@ -503,6 +509,33 @@ def check_in_process_registration(path: Path,
 
 
 # ---------------------------------------------------------------------------
+# Rule 7: one process pool
+# ---------------------------------------------------------------------------
+# The one file (relative to src/repro) allowed to import multiprocessing.
+POOL_FILE = "planner/parallel.py"
+
+
+def _imports_multiprocessing(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "multiprocessing"
+                   for alias in node.names)
+    return (isinstance(node, ast.ImportFrom) and node.level == 0
+            and (node.module or "").split(".")[0] == "multiprocessing")
+
+
+def check_one_process_pool(path: Path, tree: ast.Module,
+                           root: Path = SRC) -> List[Violation]:
+    if path.relative_to(root).as_posix() == POOL_FILE:
+        return []
+    return [
+        Violation(path, node.lineno, "one-process-pool",
+                  f"multiprocessing imported outside {POOL_FILE} (the "
+                  f"planner's candidate-search pool is the only one)")
+        for node in ast.walk(tree) if _imports_multiprocessing(node)
+    ]
+
+
+# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 def lint(root: Path = SRC) -> List[Violation]:
@@ -516,6 +549,7 @@ def lint(root: Path = SRC) -> List[Violation]:
         violations.extend(check_collector_discipline(path, tree, root))
         violations.extend(check_pricing_scope(path, tree, root))
         violations.extend(check_in_process_registration(path, tree))
+        violations.extend(check_one_process_pool(path, tree, root))
         if path.resolve() in locked:
             violations.extend(check_lock_discipline(path, tree))
     return violations
@@ -529,7 +563,8 @@ def main() -> int:
         print(f"{len(violations)} invariant violation(s)", file=sys.stderr)
         return 1
     print("invariants clean: layering, lock discipline, registry hygiene, "
-          "collector discipline, pricing scope, in-process registration")
+          "collector discipline, pricing scope, in-process registration, "
+          "one process pool")
     return 0
 
 
