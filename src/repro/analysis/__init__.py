@@ -1,6 +1,6 @@
 """``repro.analysis`` — static verification of compiler artifacts.
 
-A registry of string-keyed checkers (the :mod:`repro.costmodel` spec
+A registry of string-keyed checkers (the :mod:`repro.runtime.backends` spec
 pattern) that run over plans, lowered programs, schedules, and machine
 models *without simulating*: shard-tiling conservation, schedule soundness
 and pipeline deadlock-freedom, comm-link validity, memory-plan

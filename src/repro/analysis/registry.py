@@ -1,6 +1,6 @@
 """The string-keyed registry of static checkers.
 
-Follows the exact spec pattern of :mod:`repro.costmodel.registry`: built-in
+Follows the exact spec pattern of :mod:`repro.runtime.backends`: built-in
 checkers register at import time (:mod:`repro.analysis.verify` pulls them
 in), and a new checker is one in-process :func:`register_checker` call.  A
 checker is a function ``(CheckContext) -> List[Finding]`` — see

@@ -10,7 +10,7 @@ covers the CLI's other artifact: a saved ``CompiledModel``, which after a
 ``load()`` carries the plan and metadata but no task graph.
 
 Built-in checkers register here at import time, mirroring how
-``repro.costmodel.registry`` registers its built-in models.
+``repro.runtime.backends`` registers its built-in execution backends.
 """
 
 from __future__ import annotations

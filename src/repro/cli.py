@@ -41,10 +41,6 @@ Examples::
     tofu-repro cache export --cache-dir ~/.cache/tofu-plans --output plans.json
     tofu-repro cache import --cache-dir ~/.cache/tofu-plans --input plans.json
     tofu-repro coverage
-    tofu-repro replay --trace trace.json --models roofline,table \\
-        --output report.json
-    tofu-repro replay --trace trace.json --fit table --save-model table.json
-    tofu-repro compile --model mlp --cost-model table.json --workers 8
     tofu-repro compile --model rnn --strategy pipeline:2:1f1b:4 --workers 4 \\
         --save model.json
     tofu-repro verify model.json
@@ -54,12 +50,6 @@ Examples::
 program, addressed by its cache key) with the ``repro.analysis`` checkers
 and exits non-zero on findings; every finding and error carries a stable
 code (``ANA003_CYCLIC_SCHEDULE`` style — see ``docs/verifier.md``).
-
-``replay`` scores cost models against a measured trace (per-op-class
-MAPE/p50/p95 — see ``docs/trace-schema.md``) and can fit + save a calibrated
-model; ``--cost-model`` on ``compile``/``simulate`` prices the run with a
-registry name (``roofline``, ``table:trace=trace.json``) or a saved-model
-file.
 
 Every model-building command accepts ``--machines N`` (a cluster of N
 identical K80 boxes over a 10 Gb/s network) or ``--preset <name>`` (a named
@@ -184,24 +174,6 @@ def _make_planner(args) -> Planner:
     )
 
 
-def _add_cost_model_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--cost-model",
-        default=None,
-        help="pricing model: a registry name (roofline, "
-        "table:trace=/path.json, fitted:trace=/path.json) or a saved-model "
-        "JSON file from `replay --save-model`",
-    )
-
-
-def _cost_model_context(args):
-    """The ``use_cost_model`` scope of a command's ``--cost-model`` flag
-    (a no-op context when the flag is absent or names the default)."""
-    from repro.costmodel import configured_cost_model, use_cost_model
-
-    return use_cost_model(configured_cost_model(getattr(args, "cost_model", None)))
-
-
 def cmd_describe(args) -> int:
     strategies = describe_operator(args.operator)
     print(f"{args.operator}: {len(strategies)} partition-n-reduce strategies")
@@ -255,13 +227,6 @@ def cmd_partition(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    # --cost-model prices the whole command — the plan search and the
-    # lowering both run inside the activated model's context.
-    with _cost_model_context(args):
-        return _run_simulate(args)
-
-
-def _run_simulate(args) -> int:
     bundle = _build_model(args)
     machine = _build_topology(args)
     num_devices = machine.num_devices
@@ -359,7 +324,6 @@ def cmd_compile(args) -> int:
         machine,
         planner=_make_planner(args),
         executor=executor,
-        cost_model=args.cost_model,
     )
     print(model.summary())
     print(f"throughput: {model.throughput(bundle.batch_size):.1f} samples/s")
@@ -415,10 +379,9 @@ def cmd_tune(args) -> int:
         search_backends=tuple(_csv(args.search_backends)),
     )
     executor = Executor(ExecutorConfig(profile=args.profile))
-    with _cost_model_context(args):
-        result = tuner.tune(
-            bundle.graph, machine, planner=_make_planner(args), executor=executor
-        )
+    result = tuner.tune(
+        bundle.graph, machine, planner=_make_planner(args), executor=executor
+    )
     print(result.summary())
     rejected = [o for o in result.outcomes if o.status in ("screened", "error")]
     if rejected:
@@ -536,42 +499,6 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def cmd_replay(args) -> int:
-    from repro.costmodel import (
-        fit_cost_model,
-        load_trace,
-        render_report,
-        replay_trace,
-        resolve_cost_model,
-        save_cost_model,
-        write_report,
-    )
-
-    if args.fit and not args.save_model:
-        print("error: --fit needs --save-model <path> to write the fitted "
-              "model to", file=sys.stderr)
-        return 1
-    trace = load_trace(args.trace)
-    models = {}
-    for name in [m.strip() for m in args.models.split(",") if m.strip()]:
-        if name in ("table", "fitted"):
-            # Bare fittable names calibrate against the replayed trace itself
-            # (self-fit: the upper bound of what calibration can deliver).
-            models[name] = fit_cost_model(trace, name)
-        else:
-            models[name] = resolve_cost_model(name)
-    report = replay_trace(trace, models)
-    print(render_report(report))
-    if args.output:
-        write_report(report, args.output)
-        print(f"report: {args.output}")
-    if args.fit:
-        fitted = fit_cost_model(trace, args.fit)
-        save_cost_model(fitted, args.save_model)
-        print(f"saved {args.fit} model: {args.save_model}")
-    return 0
-
-
 def cmd_verify(args) -> int:
     import os
 
@@ -663,7 +590,6 @@ def main(argv=None) -> int:
         action="store_true",
         help="print per-stage timings and cache counters of the compile",
     )
-    _add_cost_model_arg(p_compile)
     p_compile.set_defaults(func=cmd_compile)
 
     p_tune = sub.add_parser(
@@ -712,7 +638,6 @@ def main(argv=None) -> int:
         help="print per-stage timings (tuner.screen / tuner.search / "
         "tuner.rank included) and cache counters",
     )
-    _add_cost_model_arg(p_tune)
     p_tune.set_defaults(func=cmd_tune)
 
     p_partition = sub.add_parser("partition", help="search a partition plan")
@@ -763,7 +688,6 @@ def main(argv=None) -> int:
         action="store_true",
         help="print per-stage timings and cache counters of the run",
     )
-    _add_cost_model_arg(p_simulate)
     p_simulate.set_defaults(func=cmd_simulate)
 
     p_cache = sub.add_parser(
@@ -840,37 +764,6 @@ def main(argv=None) -> int:
         help="on-disk program store to resolve cache keys against",
     )
     p_verify.set_defaults(func=cmd_verify)
-
-    p_replay = sub.add_parser(
-        "replay",
-        help="score cost models against a measured trace (per-op-class "
-        "MAPE/p50/p95) and optionally fit + save a calibrated model",
-    )
-    p_replay.add_argument(
-        "--trace", required=True, help="measured-trace JSON (docs/trace-schema.md)"
-    )
-    p_replay.add_argument(
-        "--models",
-        default="roofline,table",
-        help="comma-separated models to score: registry names, saved-model "
-        "files, or bare 'table'/'fitted' to self-fit on this trace "
-        "(default: roofline,table)",
-    )
-    p_replay.add_argument(
-        "--output", default=None, help="write the JSON error report here"
-    )
-    p_replay.add_argument(
-        "--fit",
-        choices=["table", "fitted"],
-        default=None,
-        help="also fit a model of this kind from the trace",
-    )
-    p_replay.add_argument(
-        "--save-model",
-        default=None,
-        help="path the --fit model is saved to (usable as --cost-model later)",
-    )
-    p_replay.set_defaults(func=cmd_replay)
 
     p_serve = sub.add_parser(
         "serve",

@@ -341,8 +341,7 @@ def collector_paused() -> Iterator[None]:
     enter disables the collector, but only if it is enabled; the last to
     leave re-enables it, but only if this scope disabled it, also when the
     compile raises.  So a caller's own ``gc.disable()`` survives a compile,
-    nested compiles (the autotuner's candidates, a ``cost_model=``
-    re-entry) share the outer pause, and overlapping compiles on the
+    nested compiles (the autotuner's candidates) share the outer pause, and overlapping compiles on the
     compile service's threads put off cycle collection until the last one
     returns.  Reference counting is untouched: everything a compile drops
     is freed as before; only the collector's scans of the growing heap
@@ -400,7 +399,6 @@ def compile(
     simulate: bool = True,
     lower_only: bool = False,
     candidates: Optional[Sequence[Union[Strategy, str]]] = None,
-    cost_model: Optional[object] = None,
     tuner: Optional["Tuner"] = None,
 ) -> CompiledModel:
     """Compile ``graph`` for ``machine`` under ``strategy``.
@@ -437,14 +435,6 @@ def compile(
             fit device memory.
         candidates: Overrides the ``"auto"`` candidate set (strategy trees
             or strings); ignored for explicit strategies.
-        cost_model: Pricing model for planning, lowering, and simulation —
-            a registry name (``"roofline"``, ``"table:trace=/path.json"``),
-            a path to a saved model, or a
-            :class:`repro.costmodel.CostModel` instance, active for the
-            whole compile as if under ``repro.costmodel.use_cost_model``.
-            ``None`` (the default) keeps the active model.  Plans carry no
-            pricing and are shared across models; a non-default model
-            folds its signature into program-cache keys.
         tuner: A configured :class:`repro.tuner.Tuner` driving the
             ``"auto"`` sweep — budget and grid axes.
             ``None`` keeps the default bounded sweep
@@ -458,29 +448,8 @@ def compile(
 
     Raises:
         StrategyError: For malformed strategies or contradictory arguments.
-        CostModelError: When ``cost_model`` cannot be resolved.
     """
     from repro.planner.core import default_planner
-
-    if cost_model is not None:
-        from repro.costmodel import configured_cost_model, use_cost_model
-
-        with use_cost_model(configured_cost_model(cost_model)):
-            return compile(
-                graph,
-                strategy,
-                machine,
-                num_workers=num_workers,
-                plan=plan,
-                planner=planner,
-                executor=executor,
-                plan_options=plan_options,
-                backend_options=backend_options,
-                simulate=simulate,
-                lower_only=lower_only,
-                candidates=candidates,
-                tuner=tuner,
-            )
 
     if isinstance(strategy, str) and strategy.strip().lower() == "auto":
         machine = _resolve_machine(machine, num_workers)

@@ -1,4 +1,4 @@
-"""The :class:`CostModel` contract — what a pricing backend must implement.
+"""The :class:`CostModel` contract — what a pricing model must implement.
 
 A cost model answers two questions the lowering passes ask while pricing a
 program: how long does one kernel launch take (:meth:`CostModel.op_time`,
@@ -6,22 +6,19 @@ fed an :class:`repro.sim.costmodel.OpSample` of operator features), and —
 optionally — how long does one transfer take (:meth:`CostModel.comm_time`;
 returning ``None`` keeps the simulator's link-bandwidth pricing).  Models
 are content-addressed (:meth:`CostModel.signature`) so the program cache can
-fold "which model priced this" into its keys, and serialisable
-(:meth:`CostModel.to_dict`) so a calibrated model travels as JSON.  The
-full written contract lives in ``docs/cost-models.md``.
+fold "which model priced this" into its keys.  The full written contract
+lives in ``docs/cost-models.md``.
 
 Activation is scoped, not global: :func:`use_cost_model` sets the model for
 the current context (a :mod:`contextvars` context, so concurrent compile
-threads do not leak models into each other).  It is the one mechanism;
-``repro.compile(cost_model=...)`` and the CLI's ``--cost-model`` are
-spellings of it.  :func:`active_cost_model` reports what is in effect
+threads do not leak models into each other).  It is the one mechanism for
+choosing a model; :func:`active_cost_model` reports what is in effect
 (``None`` for the built-in roofline).
 """
 
 from __future__ import annotations
 
 import abc
-import math
 from contextlib import contextmanager
 from typing import Dict, Iterator, Optional
 
@@ -47,7 +44,7 @@ class CostModel(abc.ABC):
     model.
     """
 
-    #: Registry key and provenance label of this model kind.
+    #: Provenance label of this model kind (the prefix of its signature).
     name: str = "abstract"
 
     @abc.abstractmethod
@@ -93,8 +90,7 @@ class CostModel(abc.ABC):
     @abc.abstractmethod
     def to_dict(self) -> Dict[str, object]:
         """JSON-serialisable content of the model (must carry a ``"model"``
-        key naming the kind; inverse of
-        :func:`repro.costmodel.cost_model_from_dict`)."""
+        key naming the kind); :meth:`signature` hashes it."""
 
     def signature(self) -> str:
         """Content address of this model: ``"<name>:<sha256 of to_dict()>"``.
@@ -107,17 +103,6 @@ class CostModel(abc.ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(signature={self.signature()!r})"
-
-
-def finite_float(value: object, what: str, *, nonnegative: bool = False) -> float:
-    """Decode one number of a saved model: a finite int/float (not a bool),
-    also ``>= 0`` when ``nonnegative``; anything else is a
-    :class:`~repro.errors.CostModelError` naming ``what``."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value) or (nonnegative and value < 0)):
-        sign = " non-negative" if nonnegative else ""
-        raise CostModelError(f"{what} must be a finite{sign} number, got {value!r}")
-    return float(value)
 
 
 @contextmanager
@@ -145,8 +130,7 @@ def use_cost_model(model: Optional[CostModel]) -> Iterator[Optional[CostModel]]:
     if not isinstance(model, CostModel):
         raise CostModelError(
             f"use_cost_model needs a CostModel instance, got "
-            f"{type(model).__name__}; resolve names/paths first with "
-            f"repro.costmodel.resolve_cost_model(...)"
+            f"{type(model).__name__}"
         )
     token = _ACTIVE_COST_MODEL.set(model)
     try:

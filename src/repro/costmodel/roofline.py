@@ -3,18 +3,18 @@
 :class:`RooflineCostModel` wraps :func:`repro.sim.costmodel.kernel_time`
 behind the :class:`~repro.costmodel.base.CostModel` interface, producing
 bit-identical numbers to the inline default path (same arithmetic, same
-constants).  It exists so the registry has a ``"roofline"`` entry, so replay
-can score the roofline against measured traces, and so callers can force
-roofline pricing inside a scope where another model is active.
+constants).  It exists so callers can force roofline pricing inside a scope
+where another model is active, and so a model can subclass the roofline.
 
 :data:`DEFAULT_COST_MODEL_SIGNATURE` is the signature of the parameterless
-roofline; configs carrying it (the default) contribute nothing to cache
-keys, which is what keeps every pre-existing cache entry valid.
+roofline; :func:`cost_model_cache_token` maps it (and no model at all) to
+``None``, so default-priced programs contribute nothing to cache keys, which
+is what keeps every pre-existing cache entry valid.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.costmodel.base import CostModel, OpSample
 from repro.sim.costmodel import kernel_time
@@ -23,6 +23,7 @@ from repro.sim.device import DeviceSpec, MachineSpec
 __all__ = [
     "DEFAULT_COST_MODEL_SIGNATURE",
     "RooflineCostModel",
+    "cost_model_cache_token",
     "default_roofline",
 ]
 
@@ -75,6 +76,19 @@ def default_roofline() -> RooflineCostModel:
     return _DEFAULT
 
 
-#: Signature of the parameterless roofline — configs set to this (or to the
-#: string ``"roofline"``) leave cache keys untouched.
+#: Signature of the parameterless roofline — a model with this signature
+#: leaves cache keys untouched.
 DEFAULT_COST_MODEL_SIGNATURE = _DEFAULT.signature()
+
+
+def cost_model_cache_token(model: Optional[CostModel]) -> Optional[str]:
+    """The cache-key contribution of a cost model: its signature, or ``None``
+    for the default roofline (so default-priced entries keep their exact
+    pre-cost-model cache keys — the compatibility guarantee the README's
+    migration note documents)."""
+    if model is None:
+        return None
+    signature = model.signature()
+    if signature == DEFAULT_COST_MODEL_SIGNATURE:
+        return None
+    return signature

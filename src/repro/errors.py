@@ -69,38 +69,8 @@ class StrategyError(ReproError):
 
 
 class CostModelError(ReproError):
-    """Raised for cost-model failures: unknown registry names, models that
-    cannot be constructed (a ``table`` model without a trace), or malformed
-    saved-model payloads."""
-
-
-class TraceError(CostModelError):
-    """Raised for malformed measured-trace payloads.
-
-    The message names the offending record (``record #i (name='...')``) so a
-    bad trace is debuggable from the error alone; :attr:`index` and
-    :attr:`record_name` carry the same information structurally.  The stable
-    :attr:`code` is ``TRC002_BAD_RECORD`` when a specific record is at fault
-    and ``TRC001_BAD_TRACE`` for file-level problems.
-    """
-
-    code: str = "TRC001_BAD_TRACE"
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        index: "int | None" = None,
-        record_name: "str | None" = None,
-        code: "str | None" = None,
-    ):
-        super().__init__(message)
-        self.index = index
-        self.record_name = record_name
-        if code is not None:
-            self.code = code
-        elif index is not None:
-            self.code = "TRC002_BAD_RECORD"
+    """Raised for cost-model failures, such as activating something that is
+    not a :class:`repro.costmodel.CostModel` with ``use_cost_model``."""
 
 
 class AnalysisError(ReproError):

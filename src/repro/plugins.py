@@ -1,10 +1,10 @@
-"""The string-keyed registry shared by the four backend registries.
+"""The string-keyed registry shared by the three backend registries.
 
 Search backends (:mod:`repro.planner.backends`), execution backends
-(:mod:`repro.runtime.backends`), cost models (:mod:`repro.costmodel.registry`)
-and analysis checkers (:mod:`repro.analysis.registry`) are all filled the
-same way: an in-process ``register_*`` call with a spec.  Built-ins register
-at import time; anything else registers by calling the same function.
+(:mod:`repro.runtime.backends`) and analysis checkers
+(:mod:`repro.analysis.registry`) are all filled the same way: an in-process
+``register_*`` call with a spec.  Built-ins register at import time;
+anything else registers by calling the same function.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ class BackendRegistry:
     """String-keyed spec registry: register, unregister, look up, list.
 
     One implementation behind every registry, so registration, lookup and
-    listing behave identically everywhere (one fix applies to all four).
+    listing behave identically everywhere (one fix applies to all three).
     """
 
     def __init__(self, *, kind: str, error_cls: type):

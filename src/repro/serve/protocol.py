@@ -171,8 +171,11 @@ def request_to_wire(request: CompileRequest) -> Dict[str, object]:
 def request_from_wire(payload: Mapping[str, object]) -> CompileRequest:
     """Rebuild a request from :func:`request_to_wire` output.
 
-    Raises :class:`StrategyError` on an unrecognised format or version so
-    the server can answer with a structured error instead of a stack trace.
+    Raises :class:`StrategyError` on an unrecognised format or version, or
+    on a field of the wrong type (a graph that is not an object, a
+    ``num_workers`` that is not a positive int, options that are not an
+    object, a ``simulate`` that is not a bool), so the server can answer
+    with a structured error instead of a stack trace.
     """
     if not isinstance(payload, Mapping):
         raise StrategyError("compile request must be a JSON object")
@@ -187,6 +190,26 @@ def request_from_wire(payload: Mapping[str, object]) -> CompileRequest:
         )
     if "graph" not in payload or payload["graph"] is None:
         raise StrategyError("compile request carries no graph")
+    if not isinstance(payload["graph"], Mapping):
+        raise StrategyError("compile request's graph must be a JSON object")
+    num_workers = payload.get("num_workers")
+    if num_workers is not None and (
+        isinstance(num_workers, bool)
+        or not isinstance(num_workers, int)
+        or num_workers < 1
+    ):
+        raise StrategyError(
+            f"num_workers must be null or a positive integer, got {num_workers!r}"
+        )
+    for name in ("plan_options", "backend_options"):
+        value = payload.get(name)
+        if value is not None and not isinstance(value, Mapping):
+            raise StrategyError(
+                f"{name} must be a JSON object or null, got {value!r}"
+            )
+    simulate = payload.get("simulate", True)
+    if not isinstance(simulate, bool):
+        raise StrategyError(f"simulate must be true or false, got {simulate!r}")
     machine_payload = payload.get("machine")
     return CompileRequest(
         graph=graph_from_dict(payload["graph"]),
@@ -194,10 +217,10 @@ def request_from_wire(payload: Mapping[str, object]) -> CompileRequest:
         machine=(
             None if machine_payload is None else machine_from_dict(machine_payload)
         ),
-        num_workers=payload.get("num_workers"),
+        num_workers=num_workers,
         plan_options=payload.get("plan_options"),
         backend_options=payload.get("backend_options"),
-        simulate=bool(payload.get("simulate", True)),
+        simulate=simulate,
         tuner=payload.get("tuner"),
         request_id=payload.get("id"),
     )

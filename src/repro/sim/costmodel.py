@@ -9,7 +9,7 @@ models; the *relative* behaviour between systems — which is what the
 evaluation compares — is driven by communication volume and memory capacity,
 not by these constants.
 
-This module is also the seam the pluggable cost-model subsystem
+This module is also the seam the pricing scope
 (:mod:`repro.costmodel`) hooks into: :func:`node_kernel_time` extracts one
 :class:`OpSample` of operator features and, when a cost model is active
 (:data:`_ACTIVE_COST_MODEL`, set only via ``repro.costmodel.use_cost_model``),

@@ -128,9 +128,8 @@ class Task:
     dst_device: Optional[int] = None
     #: Explicit transfer duration in seconds.  When set it replaces
     #: ``link.transfer_time(comm_bytes)`` — this is how a non-default cost
-    #: model (or a replayed measured trace) prices communication; ``None``
-    #: keeps the link-bandwidth arithmetic.  The link still provides the
-    #: contention queue either way.
+    #: model prices communication; ``None`` keeps the link-bandwidth
+    #: arithmetic.  The link still provides the contention queue either way.
     comm_time: Optional[float] = None
 
     def ordering_deps(self) -> Iterable[str]:

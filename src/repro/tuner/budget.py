@@ -10,6 +10,7 @@ evaluates the full generated grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, TypeVar
 
@@ -36,14 +37,25 @@ class TunerBudget:
     max_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.max_candidates is not None and self.max_candidates < 1:
+        candidates, seconds = self.max_candidates, self.max_seconds
+        if candidates is not None and (
+            isinstance(candidates, bool)
+            or not isinstance(candidates, int)
+            or candidates < 1
+        ):
             raise StrategyError(
-                f"TunerBudget.max_candidates must be >= 1, got "
-                f"{self.max_candidates}"
+                f"TunerBudget.max_candidates must be an integer >= 1, got "
+                f"{candidates!r}"
             )
-        if self.max_seconds is not None and self.max_seconds <= 0:
+        if seconds is not None and (
+            isinstance(seconds, bool)
+            or not isinstance(seconds, (int, float))
+            or not math.isfinite(seconds)
+            or seconds <= 0
+        ):
             raise StrategyError(
-                f"TunerBudget.max_seconds must be > 0, got {self.max_seconds}"
+                f"TunerBudget.max_seconds must be a finite number > 0, got "
+                f"{seconds!r}"
             )
 
     @property

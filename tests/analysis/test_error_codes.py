@@ -6,14 +6,11 @@ failure class without parsing prose.  These tests pin the default codes
 and the code-override paths.
 """
 
-import pytest
-
 from repro.analysis import ERROR_CODES
 from repro.errors import (
     AnalysisError,
     OutOfMemoryError,
     SimulationError,
-    TraceError,
 )
 
 
@@ -26,13 +23,6 @@ class TestDefaultCodes:
         assert error.code == "SIM001_OUT_OF_MEMORY"
         assert isinstance(error, SimulationError)
 
-    def test_trace_error_defaults(self):
-        assert TraceError("bad file").code == "TRC001_BAD_TRACE"
-
-    def test_trace_error_record_index(self):
-        error = TraceError("bad record", index=3)
-        assert error.code == "TRC002_BAD_RECORD"
-
     def test_analysis_error_default_and_override(self):
         assert AnalysisError("x").code == "ANA000_ANALYSIS"
         coded = AnalysisError(
@@ -42,10 +32,6 @@ class TestDefaultCodes:
         assert coded.code == "ANA003_CYCLIC_SCHEDULE"
         assert coded.check == "schedule-soundness"
         assert coded.task == "t#mb0"
-
-    def test_explicit_code_wins_over_index(self):
-        error = TraceError("weird", index=1, code="TRC001_BAD_TRACE")
-        assert error.code == "TRC001_BAD_TRACE"
 
 
 class TestCatalogue:

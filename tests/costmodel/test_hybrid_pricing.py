@@ -11,19 +11,14 @@ default numbers do not move.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 
-from repro.costmodel import resolve_cost_model, use_cost_model
+from repro.costmodel import use_cost_model
 from repro.partition.recursive import recursive_partition
 from repro.runtime import Executor, ExecutorConfig
 from repro.sim.device import cluster_of, k80_8gpu_machine, slice_topology
+from tests.costmodel.fakes import ScaledRoofline
 
-SAMPLE_TRACE = (
-    Path(__file__).resolve().parents[2] / "benchmarks" / "data" / "sample_trace.json"
-)
-TABLE = f"table:trace={SAMPLE_TRACE}"
 OPTIONS = {"replica_groups": 2, "inner": "tofu-partitioned"}
 
 
@@ -42,7 +37,7 @@ def _comm_clones(program):
 def test_clones_carry_the_models_price(mlp_bundle, machine):
     graph = mlp_bundle.graph
     plan = recursive_partition(graph, 2)
-    model = resolve_cost_model(TABLE)
+    model = ScaledRoofline(2.0)
     executor = Executor(ExecutorConfig(cache_programs=False))
     with use_cost_model(model):
         inner = executor.lower(

@@ -12,15 +12,11 @@ trivially equalise the two runs).
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 
-import repro
 from repro.costmodel import (
     RooflineCostModel,
     default_roofline,
-    resolve_cost_model,
     use_cost_model,
 )
 from repro.partition.recursive import recursive_partition
@@ -28,11 +24,9 @@ from repro.runtime import Executor, ExecutorConfig, available_execution_backends
 from repro.runtime.passes import round_robin_layer_placement
 from repro.sim.costmodel import node_kernel_time
 from repro.sim.device import k80_8gpu_machine
+from tests.costmodel.fakes import ScaledRoofline
 
 MACHINE = k80_8gpu_machine(4)
-SAMPLE_TRACE = (
-    Path(__file__).resolve().parents[2] / "benchmarks" / "data" / "sample_trace.json"
-)
 
 
 def _backend_setup(name, graph):
@@ -84,27 +78,13 @@ def test_explicit_roofline_is_bit_exact(mlp_bundle, backend):
     )
 
 
-def test_configured_roofline_is_bit_exact(mlp_bundle):
-    """`repro.compile(cost_model="roofline")` — the default spelling — must
-    neither change numbers nor perturb cache keys."""
-    executor = Executor(ExecutorConfig(cache_programs=False))
-    a = repro.compile(mlp_bundle.graph, "single", MACHINE, executor=executor)
-    b = repro.compile(
-        mlp_bundle.graph, "single", MACHINE, executor=executor,
-        cost_model="roofline",
-    )
-    assert a.iteration_time == b.iteration_time
-    assert a.program.cost_model is None
-    assert b.program.cost_model is None
-
-
 @pytest.mark.parametrize("backend", ["tofu-partitioned", "pipeline"])
 def test_per_node_pricing_matches_per_task_pricing(mlp_bundle, backend):
     """Lowering prices each node once and reuses the price for all of its
     tasks (every worker, every micro-batch); under a non-default model
     that must equal pricing every task on its own."""
     graph = mlp_bundle.graph
-    model = resolve_cost_model(f"table:trace={SAMPLE_TRACE}")
+    model = ScaledRoofline(2.0)
     options, plan = _backend_setup(backend, graph)
     executor = Executor(ExecutorConfig(cache_programs=False))
     with use_cost_model(model):

@@ -160,3 +160,48 @@ class TestCompileServer:
             stream.flush()
             response = json.loads(stream.readline())
         assert response["status"] == "ok"
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"graph": []},
+            {"graph": "x"},
+            {"num_workers": 0},
+            {"num_workers": -2},
+            {"num_workers": True},
+            {"num_workers": "4"},
+            {"num_workers": 2.0},
+            {"plan_options": []},
+            {"backend_options": "x"},
+            {"simulate": "false"},
+            {"simulate": 0},
+        ],
+        ids=repr,
+    )
+    def test_malformed_field_is_answered_and_connection_survives(
+        self, server, fields
+    ):
+        good = request_to_wire(
+            CompileRequest(
+                graph=small_graph(), strategy="tofu", num_workers=2,
+                request_id="good",
+            )
+        )
+        bad = {**good, **fields, "id": "bad"}
+        with socket.create_connection(
+            (server.host, server.port), timeout=5
+        ) as sock:
+            stream = sock.makefile("rwb")
+            stream.write(json.dumps(bad).encode() + b"\n")
+            stream.flush()
+            response = json.loads(stream.readline())
+            assert response["status"] == "error"
+            assert response["id"] == "bad"
+            assert "bad request" in response["error"]
+
+            sock.settimeout(30)
+            stream.write(json.dumps(good).encode() + b"\n")
+            stream.flush()
+            response = json.loads(stream.readline())
+        assert response["status"] == "ok"
+        assert response["id"] == "good"

@@ -155,35 +155,12 @@ ANALYSIS_EXPORTS = [
 COSTMODEL_EXPORTS = [
     "CostModel",
     "CostModelError",
-    "CostModelSpec",
-    "FittedCostModel",
     "OpSample",
     "RooflineCostModel",
-    "TableCostModel",
-    "Trace",
-    "TraceError",
-    "TraceRecord",
     "active_cost_model",
-    "available_cost_models",
-    "configured_cost_model",
     "cost_model_cache_token",
-    "cost_model_from_dict",
     "default_roofline",
-    "fit_cost_model",
-    "get_cost_model_spec",
-    "load_cost_model",
-    "load_trace",
-    "register_cost_model",
-    "render_report",
-    "replay_trace",
-    "resolve_cost_model",
-    "save_cost_model",
-    "save_trace",
-    "trace_from_dict",
-    "trace_to_dict",
-    "unregister_cost_model",
     "use_cost_model",
-    "write_report",
 ]
 
 TUNER_EXPORTS = [

@@ -23,6 +23,26 @@ class TestValidation:
         with pytest.raises(StrategyError, match="max_seconds"):
             TunerBudget(max_seconds=0.0)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"max_seconds": float("nan")},
+            {"max_seconds": float("inf")},
+            {"max_seconds": "3"},
+            {"max_seconds": True},
+            {"max_candidates": "3"},
+            {"max_candidates": True},
+            {"max_candidates": 2.0},
+        ],
+        ids=repr,
+    )
+    def test_rejects_values_that_are_not_numbers(self, fields):
+        field = next(iter(fields))
+        with pytest.raises(StrategyError, match=field):
+            TunerBudget(**fields)
+        with pytest.raises(StrategyError, match=field):
+            TunerBudget.from_dict(fields)
+
     def test_wall_clock_budget_is_not_deterministic(self):
         assert not TunerBudget(max_seconds=10.0).deterministic
         assert TunerBudget(max_candidates=4).deterministic

@@ -8,23 +8,19 @@ addresses.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 
 from repro import compile as repro_compile
-from repro.costmodel import fit_cost_model, load_trace, use_cost_model
+from repro.costmodel import use_cost_model
 from repro.errors import StrategyError
 from repro.models.mlp import build_mlp
 from repro.planner.core import Planner
 from repro.runtime.core import Executor, ExecutorConfig
 from repro.sim.device import DeviceSpec, MachineSpec, k80_8gpu_machine
 from repro.tuner import Tuner, TunerBudget
+from tests.costmodel.fakes import ScaledRoofline
 
 BUDGET = TunerBudget(max_candidates=8)
-SAMPLE_TRACE = (
-    Path(__file__).resolve().parents[2] / "benchmarks" / "data" / "sample_trace.json"
-)
 PRICED_CANDIDATES = ["tofu", "single", "dp:2/tofu", "dp:4/single"]
 
 
@@ -134,9 +130,9 @@ class TestDeterminism:
         ]
 
     def test_sweep_prices_under_the_active_cost_model(self, graph):
-        table = fit_cost_model(load_trace(SAMPLE_TRACE), "table")
+        model = ScaledRoofline(2.0)
         machine = k80_8gpu_machine(4)
-        with use_cost_model(table):
+        with use_cost_model(model):
             result = Tuner().tune(
                 graph, machine, candidates=PRICED_CANDIDATES,
                 planner=Planner(), executor=Executor(),
@@ -144,10 +140,10 @@ class TestDeterminism:
         for outcome in result.outcomes:
             if outcome.status != "evaluated":
                 continue
-            priced = repro_compile(
-                graph, outcome.strategy, machine, planner=Planner(),
-                cost_model=table,
-            )
+            with use_cost_model(model):
+                priced = repro_compile(
+                    graph, outcome.strategy, machine, planner=Planner()
+                )
             assert outcome.iteration_time == priced.iteration_time
 
     def test_wall_clock_deadline_skips_rather_than_hangs(self, graph):

@@ -26,9 +26,9 @@ the code under analysis, no third-party dependencies):
    state without re-acquiring.
 
 3. **Registry hygiene** — every module-scope ``register_*(...Spec(...))``
-   call (search backends, execution backends, cost models, analysis
-   checkers) must pass a non-empty ``description=``: the CLI listings and
-   the docs render those strings, so a blank one is a docs regression.
+   call (search backends, execution backends, analysis checkers) must
+   pass a non-empty ``description=``: the CLI listings and the docs render
+   those strings, so a blank one is a docs regression.
 
 4. **Collector discipline** — in ``src/repro`` the process-wide switches of
    CPython's cyclic collector (``gc.disable``, ``gc.enable``,
@@ -47,7 +47,7 @@ the code under analysis, no third-party dependencies):
    it replaced.
 
 6. **In-process registration** — ``src/repro`` never references
-   ``importlib.metadata`` or ``entry_points``.  The four registries are
+   ``importlib.metadata`` or ``entry_points``.  The three registries are
    filled only by in-process ``register_*`` calls; package-metadata
    discovery would bring back a second registration path.
 
