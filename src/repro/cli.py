@@ -8,11 +8,9 @@ expression of the combinator mini-language (``tofu``, ``single``,
 ``auto`` for the bounded sweep; ``--dry-run`` shows the lowering without
 planning or simulating, and ``--save`` persists the compiled model as JSON.
 
-``compile``, ``tune``, ``partition`` and ``simulate`` share the planner
-flags: a ``--backend`` (any registered search backend — see ``tofu-repro
-backends``), a ``--cache-dir`` for the persistent plan store, and ``--jobs``
-for the planner's parallel candidate search.  ``simulate`` also takes an
-``--executor`` for any registered execution backend.
+``compile``, ``tune`` and ``partition`` share the planner flags: a
+``--backend`` (any registered search backend — see ``tofu-repro backends``)
+and a ``--cache-dir`` for the persistent plan store.
 
 Examples::
 
@@ -22,19 +20,15 @@ Examples::
     tofu-repro compile --model rnn --strategy dp:2/pipeline:2:1f1b:4/tofu \\
         --workers 8
     tofu-repro compile --model mlp --strategy auto --workers 8
-    tofu-repro tune --model rnn --workers 8 --max-candidates 24 --jobs 4
+    tofu-repro tune --model rnn --workers 8 --max-candidates 24
     tofu-repro tune --model rnn --preset p2_8xlarge_x4 --max-seconds 30 \\
         --profile
     tofu-repro compile --model mlp --strategy dp:2/tofu --dry-run
     tofu-repro partition --model wresnet --depth 50 --widen 4 --batch 32 --workers 8
     tofu-repro partition --model mlp --backend spartan --workers 8
-    tofu-repro simulate --model rnn --layers 6 --hidden 4096 --batch 256 \\
-        --workers 8 --cache-dir ~/.cache/tofu-plans --jobs 4
-    tofu-repro simulate --model mlp --executor swap --workers 8
-    tofu-repro simulate --model rnn --executor pipeline --workers 4 \\
-        --stages 4 --microbatches 8 --schedule 1f1b
-    tofu-repro simulate --model rnn --executor hybrid --workers 8 \\
-        --replica-groups 2 --inner tofu-partitioned
+    tofu-repro compile --model rnn --layers 6 --hidden 4096 --batch 256 \\
+        --workers 8 --cache-dir ~/.cache/tofu-plans
+    tofu-repro compile --model mlp --strategy swap --workers 8
     tofu-repro compile --model rnn --machines 2 --workers 4 \\
         --strategy machines:2/pipeline:2:1f1b:4/tofu
     tofu-repro compile --model rnn --preset p2_8xlarge_x4 --strategy auto
@@ -62,13 +56,14 @@ losslessly.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.compiler import AUTO_MAX_CANDIDATES, compile_model
 from repro.errors import ReproError, StrategyError
 from repro.interval.strategies import describe_operator
 from repro.models.mlp import build_mlp
-from repro.models.resnet import build_wide_resnet
+from repro.models.resnet import WRESNET_BLOCKS, build_wide_resnet
 from repro.models.rnn import build_rnn
 from repro.ops.catalog import mxnet_catalog_counts
 from repro.planner import Planner, PlannerConfig, available_backends, get_backend
@@ -79,12 +74,10 @@ from repro.runtime import (
     available_execution_backends,
     get_execution_backend,
 )
-from repro.runtime.passes import round_robin_layer_placement
 from repro.sim.device import (
     TOPOLOGY_PRESETS,
     cluster_of,
     k80_8gpu_machine,
-    slice_topology,
     topology_preset,
 )
 from repro.strategy import (
@@ -117,7 +110,9 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--batch", type=int, default=64)
     parser.add_argument("--hidden", type=int, default=1024)
     parser.add_argument("--layers", type=int, default=3)
-    parser.add_argument("--depth", type=int, default=50)
+    parser.add_argument(
+        "--depth", type=int, choices=sorted(WRESNET_BLOCKS), default=50
+    )
     parser.add_argument("--widen", type=int, default=4)
     parser.add_argument(
         "--workers",
@@ -158,20 +153,10 @@ def _add_planner_args(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="directory for the persistent plan cache (default: in-memory only)",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="processes for the parallel candidate search",
-    )
 
 
 def _make_planner(args) -> Planner:
-    return Planner(
-        PlannerConfig(
-            backend=args.backend, cache_dir=args.cache_dir, jobs=args.jobs
-        )
-    )
+    return Planner(PlannerConfig(backend=args.backend, cache_dir=args.cache_dir))
 
 
 def cmd_describe(args) -> int:
@@ -192,7 +177,7 @@ def cmd_backends(args) -> int:
     print("registered search backends:")
     for name in available_backends():
         spec = get_backend(name)
-        extra = " [parallel candidate search]" if spec.supports_factor_orders else ""
+        extra = " [factor-order search]" if spec.supports_factor_orders else ""
         print(f"  {name:<14} {spec.description}{extra}")
     _print_combinators()
     return 0
@@ -212,8 +197,7 @@ def cmd_partition(args) -> int:
     bundle = _build_model(args)
     planner = _make_planner(args)
     machine = _build_topology(args)
-    # Key the plan by the same machine `simulate` models, so the two commands
-    # share --cache-dir entries.
+    # The plan is keyed by the modelled machine (--machines/--preset).
     plan = planner.plan(bundle.graph, machine.num_devices, machine=machine)
     print(f"model: {bundle.name} ({bundle.graph.num_nodes()} operators)")
     print(f"backend: {args.backend}")
@@ -223,65 +207,6 @@ def cmd_partition(args) -> int:
         print(f"  {weight}: {plan.describe_tensor(weight, ndim)}")
     info = planner.cache_info()
     print(f"plan cache: {info['hits']} hits, {info['misses']} misses")
-    return 0
-
-
-def cmd_simulate(args) -> int:
-    bundle = _build_model(args)
-    machine = _build_topology(args)
-    num_devices = machine.num_devices
-    executor_name = args.executor
-    spec = get_execution_backend(executor_name)
-    print(f"model: {bundle.name}")
-    plan = None
-    if spec.requires_plan:
-        # Any plan-requiring execution backend (tofu-partitioned or one
-        # registered in-process) gets a plan from the planner facade first.
-        print(f"backend: {args.backend}")
-        plan = _make_planner(args).plan(
-            bundle.graph, num_devices, machine=machine, backend=args.backend
-        )
-    options = {}
-    if executor_name == "placement":
-        options["device_of_node"] = round_robin_layer_placement(bundle.graph, num_devices)
-    elif executor_name == "pipeline":
-        options = {
-            "num_stages": args.stages,
-            "num_microbatches": args.microbatches,
-            "schedule": args.schedule,
-        }
-    elif executor_name == "hybrid":
-        options = {"replica_groups": args.replica_groups, "inner": args.inner}
-        if args.inner == "pipeline":
-            options["inner_options"] = {
-                "num_stages": args.stages,
-                "num_microbatches": args.microbatches,
-                "schedule": args.schedule,
-            }
-        elif get_execution_backend(args.inner).requires_plan:
-            # The inner backend partitions within one replica group, so the
-            # plan is searched for the group's device count.
-            group_workers = max(1, num_devices // args.replica_groups)
-            print(f"backend: {args.backend} ({group_workers}-worker groups)")
-            plan = _make_planner(args).plan(
-                bundle.graph,
-                group_workers,
-                machine=slice_topology(machine, group_workers),
-                backend=args.backend,
-            )
-    executor = Executor(ExecutorConfig(profile=args.profile))
-    report = executor.run(
-        bundle.graph,
-        plan=plan,
-        machine=machine,
-        backend=executor_name,
-        backend_options=options,
-    )
-    print(f"executor: {executor_name}")
-    print(report.summary())
-    print(f"throughput: {report.throughput(bundle.batch_size):.1f} samples/s")
-    if executor.profile_timer is not None:
-        print(executor.profile_timer.summary())
     return 0
 
 
@@ -401,6 +326,14 @@ def cmd_tune(args) -> int:
     return 0
 
 
+def _existing_dir(flag: str, path: str) -> str:
+    """``path`` if it is a directory; commands that only read a cache must
+    not create one, so a mistyped path is an error."""
+    if not os.path.isdir(path):
+        raise ReproError(f"{flag} {path!r} is not a directory")
+    return path
+
+
 def _open_store(kind: str, cache_dir: str):
     """The on-disk store of one cache kind (``plan`` or ``program``)."""
     if kind == "program":
@@ -409,7 +342,7 @@ def _open_store(kind: str, cache_dir: str):
 
 
 def cmd_cache_export(args) -> int:
-    cache = _open_store(args.kind, args.cache_dir)
+    cache = _open_store(args.kind, _existing_dir("--cache-dir", args.cache_dir))
     count = cache.export_to(args.output)
     print(f"exported {count} {args.kind}(s) from {args.cache_dir} to {args.output}")
     return 0
@@ -433,12 +366,15 @@ def cmd_cache_stats(args) -> int:
     stores = [
         (
             "plan cache",
-            Planner(PlannerConfig(cache_dir=args.cache_dir)).cache
+            _open_store("plan", _existing_dir("--cache-dir", args.cache_dir))
             if args.cache_dir else default_planner().cache,
         ),
         (
             "program cache",
-            ProgramCache(cache_dir=args.program_cache_dir)
+            _open_store(
+                "program",
+                _existing_dir("--program-cache-dir", args.program_cache_dir),
+            )
             if args.program_cache_dir else default_program_cache(),
         ),
     ]
@@ -500,8 +436,6 @@ def cmd_serve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    import os
-
     from repro.analysis import verify_model, verify_program
     from repro.compiler import CompiledModel
     from repro.errors import AnalysisError
@@ -512,8 +446,10 @@ def cmd_verify(args) -> int:
         report = verify_model(model)
         what = f"saved model {artifact}"
     else:
-        cache = ProgramCache(cache_dir=args.program_cache_dir)
-        program = cache.get(artifact)
+        cache_dir = args.program_cache_dir
+        if cache_dir:
+            _existing_dir("--program-cache-dir", cache_dir)
+        program = ProgramCache(cache_dir=cache_dir).get(artifact)
         if program is None:
             hint = (
                 ""
@@ -644,51 +580,6 @@ def main(argv=None) -> int:
     _add_model_args(p_partition)
     _add_planner_args(p_partition)
     p_partition.set_defaults(func=cmd_partition)
-
-    p_simulate = sub.add_parser("simulate", help="partition and simulate a model")
-    _add_model_args(p_simulate)
-    _add_planner_args(p_simulate)
-    p_simulate.add_argument(
-        "--executor",
-        choices=available_execution_backends(),
-        default="tofu-partitioned",
-        help="execution backend (see the `executors` command)",
-    )
-    p_simulate.add_argument(
-        "--stages",
-        type=int,
-        default=None,
-        help="pipeline stages (default: one per device, capped by layers)",
-    )
-    p_simulate.add_argument(
-        "--microbatches",
-        type=int,
-        default=4,
-        help="micro-batches per iteration for the pipeline executor",
-    )
-    p_simulate.add_argument(
-        "--schedule",
-        choices=["gpipe", "1f1b"],
-        default="1f1b",
-        help="pipeline schedule style",
-    )
-    p_simulate.add_argument(
-        "--replica-groups",
-        type=int,
-        default=2,
-        help="data-parallel replica groups for the hybrid executor",
-    )
-    p_simulate.add_argument(
-        "--inner",
-        default="tofu-partitioned",
-        help="inner execution backend for the hybrid executor",
-    )
-    p_simulate.add_argument(
-        "--profile",
-        action="store_true",
-        help="print per-stage timings and cache counters of the run",
-    )
-    p_simulate.set_defaults(func=cmd_simulate)
 
     p_cache = sub.add_parser(
         "cache", help="inspect and share the on-disk plan/program caches"

@@ -19,11 +19,10 @@ entry).
 
 ``strategy="auto"`` runs the budgeted autotuner (:mod:`repro.tuner`): a
 full-algebra candidate grid is screened for memory fit before any full
-simulation, survivors are simulated (optionally across a process pool), and
-the fastest viable candidate wins; plain ``tofu()`` always leads the grid,
-so ``auto`` is never slower than it.  Pass ``tuner=Tuner(...)`` to control
-the budget, pool width, and grid axes; the default keeps the historical
-16-candidate sweep size.
+simulation, survivors are simulated in-process, and the fastest viable
+candidate wins; plain ``tofu()`` always leads the grid, so ``auto`` is never
+slower than it.  Pass ``tuner=Tuner(...)`` to control the budget and grid
+axes; the default keeps the historical 16-candidate sweep size.
 
 A compile allocates millions of short-lived containers but leaves almost no
 reference cycles behind, so it runs with CPython's cyclic collector paused
@@ -362,22 +361,6 @@ def collector_paused() -> Iterator[None]:
             if _pause_depth == 0 and _pause_disabled:
                 _pause_disabled = False
                 gc.enable()
-
-
-def _resume_collector_in_child() -> None:
-    """Fork hook: a child forked inside a compile (a planner pool worker)
-    starts outside every scope, with the collector as the scope found it,
-    and with a lock no parent thread can be holding."""
-    global _PAUSE_LOCK, _pause_depth, _pause_disabled
-    _PAUSE_LOCK = threading.Lock()
-    if _pause_depth and _pause_disabled:
-        gc.enable()
-    _pause_depth = 0
-    _pause_disabled = False
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_resume_collector_in_child)
 
 
 # One graph serialisation per compile: the plan key, the program key and

@@ -45,7 +45,7 @@ def recursive_partition(
         max_states: Frontier-DP state cap (safety valve for unusual graphs).
         factors: Optional explicit factorisation ``k1, ..., km`` overriding
             the default descending prime factorisation; the planner's
-            candidate search uses this to fan out alternative step orders.
+            candidate search uses this to try alternative step orders.
     """
     start = time.perf_counter()
     if num_workers < 1:

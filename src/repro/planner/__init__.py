@@ -3,8 +3,8 @@
 One pipeline — build → autodiff → coarsen → search → plan → apply → simulate —
 behind the :class:`Planner` facade, with pluggable search backends
 (:mod:`repro.planner.backends`), a content-addressed plan cache
-(:mod:`repro.planner.cache`) and parallel candidate search
-(:mod:`repro.planner.parallel`).
+(:mod:`repro.planner.cache`) and a search over the orders of the worker
+factorisation (:func:`search_candidates`).
 """
 
 from repro.planner.backends import (
@@ -25,9 +25,10 @@ from repro.planner.core import (
     Planner,
     PlannerConfig,
     SimulationReport,
+    candidate_factorizations,
     default_planner,
+    search_candidates,
 )
-from repro.planner.parallel import candidate_factorizations, search_candidates
 
 __all__ = [
     "BackendSpec",

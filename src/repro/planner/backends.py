@@ -9,8 +9,8 @@ the Figure 10 baselines — without hand-wiring imports.
 
 Backends whose search decomposes into an ordered sequence of per-factor steps
 (the recursive family) additionally expose ``factors_fn`` so the planner can
-fan candidate worker factorisations across a process pool
-(:mod:`repro.planner.parallel`).
+search every order of the worker factorisation
+(:func:`repro.planner.core.search_candidates`).
 
 A new search algorithm is one :func:`register_backend` call with a
 :class:`BackendSpec`, made in-process like the built-ins below.
@@ -57,7 +57,7 @@ class BackendSpec:
         option_names: Keyword options the backend accepts; the planner
             rejects anything else up front with a :class:`PartitionError`
             instead of letting a ``TypeError`` escape from deep inside a
-            search (or a pool worker).
+            search.
     """
 
     name: str

@@ -43,19 +43,15 @@ __all__ = [
 ]
 
 #: PlannerConfig fields whose values feed :func:`plan_cache_key` (the
-#: ``backend``/``options``/``explore_factor_orders`` payload entries).  Together with NON_SEMANTIC_CONFIG_FIELDS this must classify
-#: *every* config field — the ``cache-key`` checker (repro.analysis) fails
-#: the build otherwise, so a new semantic knob cannot silently poison warm
-#: cache entries.
-KEY_COVERED_CONFIG_FIELDS = (
-    "backend",
-    "backend_options",
-    "explore_factor_orders",
-)
+#: ``backend``/``options`` payload entries).  Together with
+#: NON_SEMANTIC_CONFIG_FIELDS this must classify *every* config field — the
+#: ``cache-key`` checker (repro.analysis) fails the build otherwise, so a new
+#: semantic knob cannot silently poison warm cache entries.
+KEY_COVERED_CONFIG_FIELDS = ("backend", "backend_options")
 
 #: PlannerConfig fields that deliberately do NOT contribute to plan cache
-#: keys: parallelism and cache plumbing that never change which plan a
-#: search returns.
+#: keys: the fixed ``jobs``/``expand_jobs`` spellings and cache plumbing,
+#: none of which changes which plan a search returns.
 NON_SEMANTIC_CONFIG_FIELDS = (
     "jobs",
     "expand_jobs",
@@ -83,6 +79,10 @@ def plan_cache_key(
     strategies that differ anywhere — replica-group count, stage count,
     schedule, micro-batches — can never collide on one cache entry, even
     when their ``tofu`` leaves would search identical plans.
+
+    ``explore_factor_orders`` is whether the backend searches every order
+    of the worker factorisation (the planner passes the backend's
+    ``supports_factor_orders``).
 
     The key carries no pricing model: the search minimises communication
     bytes, so the kernel pricing never moves a plan.

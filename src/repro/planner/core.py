@@ -8,8 +8,8 @@ a production planner needs:
 
 * a content-addressed plan cache (:mod:`repro.planner.cache`) keyed by
   (graph signature, worker factorisation, machine spec, backend config), and
-* parallel candidate search (:mod:`repro.planner.parallel`) fanning
-  alternative worker factorisations across a process pool.
+* a candidate search over alternative orders of the worker factorisation
+  (:func:`search_candidates`), run one order after another in-process.
 
 ``repro.compile`` plans through the process-wide :func:`default_planner`
 unless it is handed a planner of its own.
@@ -18,16 +18,16 @@ unless it is handed a planner of its own.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import perf
 from repro.errors import PartitionError
 from repro.graph.graph import Graph
 from repro.partition.plan import PartitionPlan, factorize_workers
-from repro.planner.backends import get_backend
+from repro.planner.backends import BackendSpec, get_backend
 from repro.planner.cache import PlanCache, plan_cache_key
-from repro.planner.parallel import candidate_factorizations, search_candidates
 from repro.runtime.core import SimulationReport
 from repro.sim.device import Topology
 
@@ -35,8 +35,82 @@ __all__ = [
     "Planner",
     "PlannerConfig",
     "SimulationReport",
+    "candidate_factorizations",
     "default_planner",
+    "search_candidates",
 ]
+
+Factors = Tuple[int, ...]
+
+_MAX_CANDIDATES = 24
+
+
+def candidate_factorizations(
+    num_workers: int, limit: int = _MAX_CANDIDATES
+) -> List[Factors]:
+    """Distinct orderings of the prime factorisation of ``num_workers``.
+
+    The recursive search partitions for ``k = k1 * ... * km`` workers one
+    factor at a time, and the *order* of the factors is a degree of freedom
+    (Sec 5.2 fixes it to descending primes, which Theorem 3 shows is optimal
+    under the paper's linearity assumptions, but halo terms in CNNs bend
+    those assumptions).
+
+    The descending-prime order (the paper's choice) is always first, so a
+    single-candidate search degenerates to the paper's algorithm exactly.
+    Powers of two — every machine in the evaluation — have exactly one
+    candidate; the cap guards against pathological worker counts.
+
+    Enumeration is over the *multiset* of prime factors (not raw
+    permutations), so repeated factors — 2^11 workers has one distinct
+    order, not 11! duplicates — cost nothing.
+    """
+    base = factorize_workers(num_workers)
+    remaining = Counter(base)
+    values = sorted(remaining, reverse=True)
+    out: List[Factors] = []
+    prefix: List[int] = []
+
+    def backtrack() -> None:
+        if len(out) >= limit:
+            return
+        if len(prefix) == len(base):
+            out.append(tuple(prefix))
+            return
+        for value in values:
+            if not remaining[value]:
+                continue
+            remaining[value] -= 1
+            prefix.append(value)
+            backtrack()
+            prefix.pop()
+            remaining[value] += 1
+
+    backtrack()
+    return out or [()]
+
+
+def search_candidates(
+    spec: BackendSpec,
+    graph,
+    num_workers: int,
+    candidates: Sequence[Factors],
+    options: Mapping[str, object],
+) -> PartitionPlan:
+    """Search every candidate factor order and return the cheapest plan.
+
+    Each candidate is an independent end-to-end search; ties on
+    communication bytes go to the earlier candidate, so the paper's
+    descending order wins unless another order is strictly cheaper.
+    """
+    plans = [
+        spec.search(graph, num_workers, factors=factors, **options)
+        for factors in candidates
+    ]
+    best = min(
+        range(len(plans)), key=lambda i: (plans[i].total_comm_bytes, i)
+    )
+    return plans[best]
 
 
 @dataclass(frozen=True)
@@ -47,15 +121,10 @@ class PlannerConfig:
         backend: Default search backend (a :func:`repro.planner.backends`
             registry key); overridable per ``plan()`` call.
         backend_options: Default keyword options forwarded to the backend.
-        jobs: Process-pool size for the candidate search (1 = in-process;
-            below 1 raises :class:`~repro.errors.PartitionError`).  Does not
-            affect the plan found, only wall-clock time, so it is
-            deliberately excluded from the cache key.
+        jobs: Must be 1.  The candidate search runs in-process; any other
+            value raises :class:`~repro.errors.PartitionError`.
         expand_jobs: Must be 1.  The search runs on one thread; any other
             value raises :class:`~repro.errors.PartitionError`.
-        explore_factor_orders: For backends that support it, search every
-            distinct ordering of the worker factorisation instead of only the
-            descending-prime order (a no-op for power-of-two worker counts).
         cache_capacity: In-memory LRU size; 0 disables the memory tier.
         cache_dir: Optional directory for the persistent plan store.
         cache_max_bytes: Byte budget for the on-disk store; when the stored
@@ -65,22 +134,25 @@ class PlannerConfig:
 
     backend: str = "tofu"
     backend_options: Mapping[str, object] = field(default_factory=dict)
+    # jobs and expand_jobs are kept only because benchmarks/e2e/harness.py
+    # (lines 261, 324) spells them.
     jobs: int = 1
-    # Kept only because benchmarks/e2e/harness.py (lines 261, 324) spells it.
     expand_jobs: int = 1
-    explore_factor_orders: bool = True
     cache_capacity: int = 128
     cache_dir: Optional[str] = None
     cache_max_bytes: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.jobs < 1:
-            raise PartitionError(f"PlannerConfig.jobs must be >= 1, got {self.jobs!r}")
+        if self.jobs != 1:
+            raise PartitionError(
+                f"PlannerConfig jobs={self.jobs!r}: the candidate-search "
+                "process pool was removed, factor orders are searched "
+                "in-process"
+            )
         if self.expand_jobs != 1:
             raise PartitionError(
                 f"expand_jobs={self.expand_jobs!r}: intra-search threads were "
-                "removed, the partition search runs on one thread (use jobs "
-                "for the process-pool candidate search)"
+                "removed, the partition search runs on one thread"
             )
 
 
@@ -137,14 +209,13 @@ class Planner:
         options = {**self.config.backend_options, **(backend_options or {})}
         spec.validate_options(options)
         factors = factorize_workers(num_workers)
-        explore = spec.supports_factor_orders and self.config.explore_factor_orders
 
         key = None
         if self.cache.enabled:
             try:
                 key = plan_cache_key(
                     graph, factors, machine, spec.name, options,
-                    explore_factor_orders=explore,
+                    explore_factor_orders=spec.supports_factor_orders,
                     strategy=strategy,
                 )
             except TypeError:
@@ -163,15 +234,13 @@ class Planner:
         return plan
 
     def _search(self, spec, graph, num_workers, options) -> PartitionPlan:
-        if not (spec.supports_factor_orders and self.config.explore_factor_orders):
+        if not spec.supports_factor_orders:
             return spec.search(graph, num_workers, **options)
         candidates = candidate_factorizations(num_workers)
         if len(candidates) == 1:
             return spec.search(graph, num_workers, factors=candidates[0], **options)
         start = time.perf_counter()
-        plan = search_candidates(
-            spec, graph, num_workers, candidates, options, jobs=self.config.jobs
-        )
+        plan = search_candidates(spec, graph, num_workers, candidates, options)
         plan.search_time_seconds = time.perf_counter() - start
         return plan
 

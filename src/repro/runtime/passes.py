@@ -218,8 +218,8 @@ def round_robin_layer_placement(graph: Graph, num_devices: int) -> Dict[str, int
     their forward layer (the Operator-Placement policy of Sec 7.1).
 
     The one authority for the policy: the ``placement`` strategy leaf
-    (which the Operator-Placement baseline compiles) and the CLI's
-    ``simulate --executor placement`` both call it.
+    (which the Operator-Placement baseline and ``compile --strategy
+    placement`` compile) calls it.
     """
     layer_of_node = full_layer_assignment(graph)
     return {

@@ -1,4 +1,4 @@
-"""Tests for the planner subsystem: backend registry, plan cache, parallel
+"""Tests for the planner subsystem: backend registry, plan cache, factor-order
 candidate search, and the facade's end-to-end flow."""
 
 from __future__ import annotations
@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 import repro
-from repro.errors import PartitionError, ReproError
+from repro.errors import PartitionError
 from repro.partition.plan import (
     PartitionPlan,
     plan_from_dict,
@@ -28,7 +28,6 @@ from repro.planner import (
     register_backend,
     unregister_backend,
 )
-from repro.planner.parallel import START_METHOD_ENV, mp_context
 from repro.sim.device import k80_8gpu_machine, v100_machine
 
 EXPECTED_BACKENDS = {"tofu", "joint", "icml18", "equalchop", "spartan", "allrow-greedy"}
@@ -174,6 +173,15 @@ class TestPlanCache:
             mlp_bundle.graph, [2, 2], None, "tofu", {}, explore_factor_orders=False
         )
         assert explored != fixed
+        # The planner feeds the flag from the backend's supports_factor_orders.
+        for backend in ("tofu", "equalchop"):
+            planner = Planner(PlannerConfig(backend=backend))
+            planner.plan(mlp_bundle.graph, 4)
+            key = plan_cache_key(
+                mlp_bundle.graph, [2, 2], None, backend, {},
+                explore_factor_orders=get_backend(backend).supports_factor_orders,
+            )
+            assert planner.cache.get(key) is not None
 
     def test_cache_key_changes_with_semantic_option(self, mlp_bundle):
         base = plan_cache_key(mlp_bundle.graph, [2, 2], None, "tofu", {})
@@ -296,35 +304,22 @@ class TestCandidateSearch:
         with pytest.raises(PartitionError, match="do not multiply"):
             recursive_partition(mlp_bundle.graph, 8, factors=[2, 2])
 
-    def test_parallel_and_serial_find_identical_plans(self, mlp_bundle):
-        serial = Planner(PlannerConfig(jobs=1, cache_capacity=0))
-        parallel = Planner(PlannerConfig(jobs=3, cache_capacity=0))
-        plan_serial = serial.plan(mlp_bundle.graph, 12)
-        plan_parallel = parallel.plan(mlp_bundle.graph, 12)
-        assert _same_search(plan_serial, plan_parallel)
+    def test_candidate_search_matches_a_serial_oracle(self, mlp_bundle):
+        spec = get_backend("tofu")
+        plans = [
+            spec.search(mlp_bundle.graph, 12, factors=factors)
+            for factors in candidate_factorizations(12)
+        ]
+        best = min(
+            range(len(plans)), key=lambda i: (plans[i].total_comm_bytes, i)
+        )
+        found = Planner(PlannerConfig(cache_capacity=0)).plan(mlp_bundle.graph, 12)
+        assert _same_search(found, plans[best])
 
     def test_candidate_search_never_worse_than_descending_order(self, mlp_bundle):
         explored = Planner(PlannerConfig(cache_capacity=0)).plan(mlp_bundle.graph, 12)
         descending = recursive_partition(mlp_bundle.graph, 12)
         assert explored.total_comm_bytes <= descending.total_comm_bytes + 1e-6
-
-
-class TestMpContext:
-    def test_default_context_is_a_supported_method(self):
-        import multiprocessing
-
-        assert mp_context().get_start_method() in (
-            multiprocessing.get_all_start_methods()
-        )
-
-    def test_env_override_is_honored(self, monkeypatch):
-        monkeypatch.setenv(START_METHOD_ENV, "spawn")
-        assert mp_context().get_start_method() == "spawn"
-
-    def test_invalid_override_raises(self, monkeypatch):
-        monkeypatch.setenv(START_METHOD_ENV, "bogus")
-        with pytest.raises(ReproError, match="bogus"):
-            mp_context()
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +341,10 @@ class TestPlannerFacade:
     def test_default_planner_is_a_singleton(self):
         assert default_planner() is default_planner()
 
-    @pytest.mark.parametrize("jobs", [0, -1])
-    def test_jobs_below_one_rejected(self, jobs):
-        with pytest.raises(PartitionError, match="jobs must be >= 1"):
+    @pytest.mark.parametrize("jobs", [0, -1, 2])
+    def test_jobs_accepts_only_one(self, jobs):
+        assert PlannerConfig(jobs=1).jobs == 1
+        with pytest.raises(PartitionError, match="process pool was removed"):
             PlannerConfig(jobs=jobs)
 
     def test_expand_jobs_accepts_only_one(self):

@@ -131,54 +131,32 @@ class TestCLI:
         for name in available_execution_backends():
             assert name in out
 
+    # ``data-parallel`` has no strategy spelling; ExecutorConfig(backend=)
+    # reaches it and the Python-API tests cover it.
     @pytest.mark.parametrize(
-        "executor", ["single-device", "placement", "data-parallel", "swap"]
+        "strategy, executor",
+        [("single", "single-device"), ("placement", "placement"),
+         ("swap", "swap")],
+        ids=["single-device", "placement", "swap"],
     )
-    def test_simulate_with_alternative_executor(self, executor, capsys):
-        assert cli_main(["simulate", "--model", "mlp", "--batch", "32",
+    def test_simulate_with_alternative_executor(self, strategy, executor, capsys):
+        assert cli_main(["compile", "--model", "mlp", "--batch", "32",
                          "--hidden", "128", "--layers", "2", "--workers", "4",
-                         "--executor", executor]) == 0
+                         "--strategy", strategy]) == 0
         out = capsys.readouterr().out
-        assert f"executor: {executor}" in out
+        assert f"backend='{executor}'" in out
         assert "throughput" in out
-        # No planning happened, so no search backend should be advertised.
-        assert "backend: tofu" not in out
-
-    def test_simulate_plans_for_any_plan_requiring_executor(self, capsys):
-        """The CLI consults spec.requires_plan, not a hard-coded name, so a
-        plugin backend that needs a plan gets one."""
-        from repro.runtime import (
-            ExecutionBackendSpec,
-            register_execution_backend,
-            unregister_execution_backend,
-        )
-        from repro.runtime.backends import lower_tofu_partitioned
-
-        register_execution_backend(
-            ExecutionBackendSpec(
-                name="plan-hungry",
-                lower=lower_tofu_partitioned,
-                description="test plugin that needs a plan",
-                requires_plan=True,
-            )
-        )
-        try:
-            assert cli_main(["simulate", "--model", "mlp", "--batch", "32",
-                             "--hidden", "128", "--layers", "2",
-                             "--workers", "4", "--executor", "plan-hungry"]) == 0
-            out = capsys.readouterr().out
-            assert "backend: tofu" in out
-            assert "executor: plan-hungry" in out
-        finally:
-            unregister_execution_backend("plan-hungry")
+        # No planning happened, so no partition plan should be printed.
+        assert "PartitionPlan" not in out
 
     def test_simulate_default_executor_is_tofu(self, capsys):
-        assert cli_main(["simulate", "--model", "mlp", "--batch", "32",
+        assert cli_main(["compile", "--model", "mlp", "--batch", "32",
                          "--hidden", "128", "--layers", "2", "--workers", "4"]) == 0
         out = capsys.readouterr().out
-        assert "executor: tofu-partitioned" in out
+        assert "strategy: tofu" in out
         assert "PartitionPlan" in out
 
     def test_unknown_executor_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            cli_main(["simulate", "--model", "mlp", "--executor", "warp-drive"])
+        assert cli_main(["compile", "--model", "mlp", "--strategy",
+                         "warp-drive"]) == 1
+        assert "unknown strategy combinator" in capsys.readouterr().err

@@ -2,26 +2,20 @@
 
 The pause is process-wide and reference-counted: the first compile in
 disables the collector (only if it is enabled), the last one out re-enables
-it (only if the pause disabled it), a raising compile restores it, and a
-process forked inside a compile starts outside every pause.
+it (only if the pause disabled it), and a raising compile restores it.
 """
 
 from __future__ import annotations
 
 import gc
-import os
 import threading
 
 import pytest
 
 import repro
 from repro import compiler
-from repro.compiler import collector_paused
 from repro.errors import StrategyError
 from repro.models.mlp import build_mlp
-from repro.planner import Planner, PlannerConfig
-from repro.planner import parallel as planner_parallel
-from repro.planner.parallel import mp_context
 from repro.serve import CompileRequest, CompileService
 from repro.sim.device import k80_8gpu_machine
 from repro.tuner import Tuner, TunerBudget
@@ -137,48 +131,3 @@ def test_overlapping_serve_compiles_resume_once_drained(graph, monkeypatch, swit
     assert switches == ["disable", "enable"]
     assert gc.isenabled()
 
-
-def _fork_only():
-    if not hasattr(os, "fork") or mp_context().get_start_method() != "fork":
-        pytest.skip("needs fork-started pools")
-
-
-def test_forked_child_starts_outside_the_pause(tmp_path):
-    _fork_only()
-    out = tmp_path / "child.txt"
-    with collector_paused():
-        assert not gc.isenabled()
-        pid = os.fork()
-        if pid == 0:  # pragma: no cover - runs in the child
-            try:
-                with collector_paused():
-                    inner = gc.isenabled()
-                out.write_text(f"{gc.isenabled()} {inner} {gc.isenabled()}")
-            finally:
-                os._exit(0)
-        os.waitpid(pid, 0)
-        assert not gc.isenabled()
-    assert gc.isenabled()
-    # Enabled on start, paused inside its own compile, resumed after it.
-    assert out.read_text() == "True False True"
-
-
-def test_forked_planner_worker_starts_with_the_collector_enabled(
-    graph, monkeypatch, tmp_path
-):
-    _fork_only()
-    init_worker = planner_parallel._init_worker
-
-    def recording(*args):
-        (tmp_path / f"worker-{os.getpid()}.txt").write_text(str(gc.isenabled()))
-        init_worker(*args)
-
-    monkeypatch.setattr(planner_parallel, "_init_worker", recording)
-    # 6 workers have two factor orders, (3, 2) and (2, 3): a 2-wide pool.
-    repro.compile(
-        graph, "tofu", k80_8gpu_machine(6),
-        planner=Planner(PlannerConfig(jobs=2, cache_capacity=0)),
-    )
-    states = [path.read_text() for path in tmp_path.glob("worker-*.txt")]
-    assert states and set(states) == {"True"}
-    assert gc.isenabled()

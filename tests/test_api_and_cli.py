@@ -69,9 +69,11 @@ class TestCLI:
         assert "PartitionPlan" in out
 
     def test_simulate_command(self, capsys):
-        assert cli_main(["simulate", "--model", "mlp", "--batch", "32",
-                         "--hidden", "128", "--layers", "2", "--workers", "4"]) == 0
+        assert cli_main(["compile", "--model", "mlp", "--batch", "32",
+                         "--hidden", "128", "--layers", "2", "--workers", "4",
+                         "--strategy", "dp:2/single"]) == 0
         out = capsys.readouterr().out
+        assert "backend='hybrid'" in out
         assert "throughput" in out
 
     def test_coverage_command(self, capsys):
@@ -211,13 +213,6 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "error:" in err and "not usable" in err
 
-    def test_simulate_command_with_jobs(self, capsys):
-        assert cli_main(["simulate", "--model", "mlp", "--batch", "32",
-                         "--hidden", "128", "--layers", "2", "--workers", "4",
-                         "--jobs", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "throughput" in out
-
 
 class TestBadInputs:
     """Non-positive counts and unwritable paths end in a coded library
@@ -248,12 +243,25 @@ class TestBadInputs:
     @pytest.mark.parametrize("flags, message", [
         (["--workers", "0"], "at least one device"),
         (["--workers", "2", "--machines", "0"], "at least one machine"),
-        (["--workers", "2", "--jobs", "0"], "jobs must be >= 1"),
     ])
     def test_compile_rejects_non_positive_counts(self, capsys, flags, message):
         assert cli_main(["compile", *self.MLP, *flags]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["compile", "--jobs", "2"], "unrecognized arguments: --jobs"),
+        (["tune", "--jobs", "2"], "unrecognized arguments: --jobs"),
+        (["partition", "--jobs", "2"], "unrecognized arguments: --jobs"),
+        (["compile", "--model", "wresnet", "--depth", "7"],
+         "invalid choice: 7 (choose from 50, 101, 152)"),
+    ], ids=["jobs-compile", "jobs-tune", "jobs-partition", "depth"])
+    def test_usage_errors_exit_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     def test_tune_rejects_non_integer_microbatches(self, capsys):
         assert cli_main(["tune", *self.MLP, "--workers", "2",
@@ -294,9 +302,9 @@ class TestClusterCLI:
         assert "executor: hybrid" in out
 
     def test_simulate_pipeline_on_cluster(self, capsys):
-        assert cli_main(["simulate", *self.MLP, "--workers", "2",
-                         "--machines", "2", "--executor", "pipeline",
-                         "--stages", "2", "--microbatches", "2"]) == 0
+        assert cli_main(["compile", *self.MLP, "--workers", "2",
+                         "--machines", "2",
+                         "--strategy", "pipeline:2:1f1b:2"]) == 0
         out = capsys.readouterr().out
         assert "pipeline: 2 stages" in out
 
@@ -359,3 +367,23 @@ class TestCacheCLI:
                          "--input", str(bundle)]) == 1
         err = capsys.readouterr().err
         assert "error:" in err and "tofu-plan-cache" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["cache", "export", "--cache-dir", "{missing}", "--output", "{out}"],
+        ["cache", "export", "--kind", "program", "--cache-dir", "{missing}",
+         "--output", "{out}"],
+        ["cache", "stats", "--cache-dir", "{missing}"],
+        ["cache", "stats", "--program-cache-dir", "{missing}"],
+        ["verify", "0" * 64, "--program-cache-dir", "{missing}"],
+    ], ids=["export", "export-program", "stats", "stats-program", "verify"])
+    def test_read_only_commands_do_not_create_a_missing_directory(
+        self, tmp_path, capsys, argv
+    ):
+        missing = tmp_path / "missing"
+        out = tmp_path / "bundle.json"
+        argv = [a.format(missing=missing, out=out) for a in argv]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(missing) in err
+        assert not missing.exists()
+        assert not out.exists()

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """AST invariant linter: layering, lock discipline, registry hygiene,
 collector discipline, pricing-scope discipline, in-process registration,
-one process pool.
+no process pool.
 
 Seven structural invariants the test suite cannot cheaply express are
 checked here over the source tree with nothing but ``ast`` (no imports of
@@ -33,7 +33,7 @@ the code under analysis, no third-party dependencies):
 4. **Collector discipline** — in ``src/repro`` the process-wide switches of
    CPython's cyclic collector (``gc.disable``, ``gc.enable``,
    ``gc.freeze``, ``gc.unfreeze``, ``gc.set_threshold``) appear only inside
-   ``compiler.collector_paused`` and its at-fork hook.  That scope is
+   ``compiler.collector_paused``.  That scope is
    reference-counted across threads; a stray switch anywhere else would
    re-enable the collector under a running compile, or leave it off after
    the last one.
@@ -51,10 +51,9 @@ the code under analysis, no third-party dependencies):
    filled only by in-process ``register_*`` calls; package-metadata
    discovery would bring back a second registration path.
 
-7. **One process pool** — in ``src/repro`` only ``planner/parallel.py``
-   imports ``multiprocessing`` (at any scope).  The planner's factor-order
-   search is the one process pool; everything else, the autotuner
-   included, runs in the calling process.
+7. **No process pool** — ``src/repro`` never imports ``multiprocessing``
+   (at any scope, in any file).  The planner's factor-order search, the
+   autotuner and everything else run in the calling process.
 
 Run from the repository root::
 
@@ -381,7 +380,7 @@ def check_registry_hygiene(path: Path, tree: ast.Module) -> List[Violation]:
 COLLECTOR_SWITCHES = {"disable", "enable", "freeze", "unfreeze", "set_threshold"}
 # The one scope allowed to flip them: file (relative to src/repro) and its
 # functions.
-COLLECTOR_SCOPE = ("compiler.py", {"collector_paused", "_resume_collector_in_child"})
+COLLECTOR_SCOPE = ("compiler.py", {"collector_paused"})
 
 
 def check_collector_discipline(path: Path, tree: ast.Module,
@@ -509,12 +508,8 @@ def check_in_process_registration(path: Path,
 
 
 # ---------------------------------------------------------------------------
-# Rule 7: one process pool
+# Rule 7: no process pool
 # ---------------------------------------------------------------------------
-# The one file (relative to src/repro) allowed to import multiprocessing.
-POOL_FILE = "planner/parallel.py"
-
-
 def _imports_multiprocessing(node: ast.AST) -> bool:
     if isinstance(node, ast.Import):
         return any(alias.name.split(".")[0] == "multiprocessing"
@@ -523,14 +518,11 @@ def _imports_multiprocessing(node: ast.AST) -> bool:
             and (node.module or "").split(".")[0] == "multiprocessing")
 
 
-def check_one_process_pool(path: Path, tree: ast.Module,
-                           root: Path = SRC) -> List[Violation]:
-    if path.relative_to(root).as_posix() == POOL_FILE:
-        return []
+def check_no_process_pool(path: Path, tree: ast.Module) -> List[Violation]:
     return [
-        Violation(path, node.lineno, "one-process-pool",
-                  f"multiprocessing imported outside {POOL_FILE} (the "
-                  f"planner's candidate-search pool is the only one)")
+        Violation(path, node.lineno, "no-process-pool",
+                  "multiprocessing imported; everything runs in the calling "
+                  "process")
         for node in ast.walk(tree) if _imports_multiprocessing(node)
     ]
 
@@ -549,7 +541,7 @@ def lint(root: Path = SRC) -> List[Violation]:
         violations.extend(check_collector_discipline(path, tree, root))
         violations.extend(check_pricing_scope(path, tree, root))
         violations.extend(check_in_process_registration(path, tree))
-        violations.extend(check_one_process_pool(path, tree, root))
+        violations.extend(check_no_process_pool(path, tree))
         if path.resolve() in locked:
             violations.extend(check_lock_discipline(path, tree))
     return violations
@@ -564,7 +556,7 @@ def main() -> int:
         return 1
     print("invariants clean: layering, lock discipline, registry hygiene, "
           "collector discipline, pricing scope, in-process registration, "
-          "one process pool")
+          "no process pool")
     return 0
 
 
