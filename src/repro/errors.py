@@ -68,11 +68,6 @@ class StrategyError(ReproError):
     arguments, compositions the runtime cannot lower)."""
 
 
-class CostModelError(ReproError):
-    """Raised for cost-model failures, such as activating something that is
-    not a :class:`repro.costmodel.CostModel` with ``use_cost_model``."""
-
-
 class AnalysisError(ReproError):
     """Raised by :mod:`repro.analysis` when a static check fails in strict mode.
 

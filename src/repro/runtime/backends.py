@@ -35,7 +35,6 @@ from repro.graph.graph import Graph
 from repro.plugins import BackendRegistry
 from repro.runtime.passes import (
     assign_pipeline_stages,
-    comm_time_override,
     device_memory_report,
     full_layer_assignment,
     make_comm_task,
@@ -750,22 +749,12 @@ def lower_hybrid(
                     row.dst_device if row.dst_device is not None else row.device
                 )
                 link = machine.link_between(src, dst)
-            comm_bytes = row.comm_bytes * scale
-            comm_time = row.comm_time
-            if row.kind == "comm":
-                # The clone moves scaled bytes, possibly over another link:
-                # the active cost model prices it afresh.
-                comm_time = comm_time_override(
-                    comm_bytes,
-                    link=link,
-                    channel=None if link is not None else row.channel,
-                )
             tasks.add(
                 f"{row.name}@grp{group}", shifted(row.device), row.kind,
-                row.duration * scale, comm_bytes, row.channel,
+                row.duration * scale, row.comm_bytes * scale, row.channel,
                 tuple(f"{dep}@grp{group}" for dep in row.deps),
                 tuple(f"{dep}@grp{group}" for dep in row.after),
-                link, src, dst, comm_time,
+                link, src, dst,
             )
         neighbour_offset = ((group + 1) % groups) * group_devices
         for local_device in range(group_devices):

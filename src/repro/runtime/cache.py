@@ -84,7 +84,6 @@ def lowered_cache_key(
     backend_options: Mapping[str, object],
     *,
     plan: Optional[object] = None,
-    cost_model: Optional[str] = None,
 ) -> str:
     """The content address of one lowering request.
 
@@ -92,13 +91,6 @@ def lowered_cache_key(
     machine, backend, and options lower to different programs under
     different plans, and a plan has no shorter stable signature than its
     content.
-
-    ``cost_model`` is the pricing model's cache token
-    (:func:`repro.costmodel.cost_model_cache_token`): ``None`` under the
-    default roofline — the field is then absent, so every program lowered
-    before the cost-model subsystem existed keeps its exact key — and the
-    model's content signature otherwise, separating entries priced by
-    different models.
 
     Raises ``TypeError`` when a backend option is not JSON-serialisable
     (e.g. a pre-built ``coarse=CoarsenedGraph``).  Such requests have no
@@ -115,8 +107,6 @@ def lowered_cache_key(
     }
     if plan is not None:
         fields["plan"] = plan_to_dict(plan)
-    if cost_model is not None:
-        fields["cost_model"] = cost_model
     return content_key(fields)
 
 

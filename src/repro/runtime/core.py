@@ -222,19 +222,12 @@ class Executor:
         stable content address (e.g. a pre-built coarsened graph) bypass
         the cache.
 
-        Kernel costing and comm pricing run under the active cost model
-        (``repro.costmodel.use_cost_model``).  A non-default model's
-        signature joins the program-cache key, so programs priced by
-        different models never collide.
-
         Raises:
             ExecutionError: For an unknown backend, invalid options, or a
                 plan-requiring backend invoked without a plan.
             AnalysisError: Under ``config.verify="strict"`` when a freshly
                 lowered program fails a static check.
         """
-        from repro.costmodel import active_cost_model, cost_model_cache_token
-
         with perf.activation(self.profile_timer):
             spec = get_execution_backend(backend or self.config.backend)
             options = {**self.config.backend_options, **(backend_options or {})}
@@ -247,18 +240,11 @@ class Executor:
                 )
             machine = self._resolve_machine(machine, plan)
 
-            token = cost_model_cache_token(active_cost_model())
-
             key: Optional[str] = None
             if self.config.cache_programs and self.program_cache.enabled:
                 try:
                     key = lowered_cache_key(
-                        graph,
-                        machine,
-                        spec.name,
-                        options,
-                        plan=plan,
-                        cost_model=token,
+                        graph, machine, spec.name, options, plan=plan
                     )
                 except (TypeError, AttributeError):
                     key = None
@@ -273,7 +259,6 @@ class Executor:
                 program = spec.lower(graph, machine, plan, **options)
             if program.machine is None:
                 program.machine = machine
-            program.cost_model = token
             if self.config.verify != "off":
                 # Verify before the cache put so strict mode never caches
                 # (or serves) a program that fails its invariants; cache

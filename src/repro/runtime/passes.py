@@ -45,7 +45,7 @@ from repro.graph.graph import Graph
 from repro.graph.memory_planner import MemoryPlan, plan_memory
 from repro.graph.node import OpNode
 from repro.graph.scheduler import liveness, topo_schedule  # noqa: F401  (re-export)
-from repro.sim.costmodel import active_cost_model, node_kernel_time
+from repro.sim.costmodel import node_kernel_time
 from repro.sim.device import DeviceSpec, MachineSpec, Topology
 from repro.sim.engine import CHANNELS, TaskGraphBuilder, validate_channel  # noqa: F401
 
@@ -121,12 +121,6 @@ def make_comm_task(
 
     ``device`` stays the device whose communication time the transfer is
     accounted to, under both spellings.
-
-    When a cost model is active (``repro.costmodel.use_cost_model``) and its
-    ``comm_time`` returns a value for this transfer, the task carries that
-    explicit duration (:attr:`repro.sim.engine.Task.comm_time`) and the
-    simulator skips the link-bandwidth arithmetic; the link still provides
-    the contention queue.
     """
     comm_bytes = float(comm_bytes)
     if topology is not None and src is not None:
@@ -135,23 +129,12 @@ def make_comm_task(
         builder.add(
             name, device, "comm", comm_bytes=comm_bytes, channel=link.kind,
             deps=deps, link=link, src_device=src, dst_device=dst,
-            comm_time=comm_time_override(comm_bytes, link=link),
         )
         return
     validate_channel(name, channel)
     builder.add(
-        name, device, "comm", comm_bytes=comm_bytes, channel=channel,
-        deps=deps, comm_time=comm_time_override(comm_bytes, channel=channel),
+        name, device, "comm", comm_bytes=comm_bytes, channel=channel, deps=deps
     )
-
-
-def comm_time_override(comm_bytes, *, link=None, channel=None):
-    """The active cost model's price for one transfer, or ``None`` (the
-    default link-bandwidth pricing)."""
-    model = active_cost_model()
-    if model is None:
-        return None
-    return model.comm_time(comm_bytes, link=link, channel=channel)
 
 
 @perf.timed("pass.device_memory_report")

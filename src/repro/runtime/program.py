@@ -15,7 +15,13 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, Mapping, Optional
 
-from repro.sim.device import Link, Topology
+from repro.errors import ExecutionError
+from repro.sim.device import (
+    Topology,
+    is_finite_number,
+    link_from_dict,
+    machine_from_dict,
+)
 from repro.sim.engine import (
     CompiledTaskGraph,
     Task,
@@ -68,10 +74,6 @@ class LoweredProgram:
         strategy: Canonical string of the :class:`repro.strategy.Strategy`
             the program was compiled from, when it came through
             ``repro.compile`` (provenance; empty for direct Executor use).
-        cost_model: Cache token of the non-default cost model the program
-            was priced under (``repro.costmodel.cost_model_cache_token``),
-            or ``None`` for the default roofline pricing (provenance, and
-            the discriminator the program-cache key folds in).
     """
 
     backend: str
@@ -88,7 +90,6 @@ class LoweredProgram:
     stage_of_node: Optional[Mapping[str, int]] = None
     schedule: Optional["PipelineSchedule"] = None
     strategy: Optional[str] = None
-    cost_model: Optional[str] = None
 
     def __post_init__(self) -> None:
         self.tasks = task_view(self.tasks)
@@ -189,8 +190,31 @@ def _row_to_dict(row: TaskRow) -> Dict:
 
 
 def _add_task_entry(builder: TaskGraphBuilder, entry: Mapping) -> None:
-    link = entry.get("link")
-    builder.add(**{**entry, "link": None if link is None else Link(**link)})
+    """Add one task row of a payload, rejecting rows the simulator cannot
+    price with :class:`ExecutionError`.  Older payloads carry
+    ``"comm_time": null``; that key is accepted and dropped."""
+    name = entry.get("name")
+    kind = entry.get("kind", "compute")
+    if kind not in ("compute", "comm"):
+        raise ExecutionError(
+            f"task {name!r} has unknown kind {kind!r} (known: compute, comm)"
+        )
+    for field_name in ("duration", "comm_bytes"):
+        value = entry.get(field_name, 0.0)
+        if not is_finite_number(value) or value < 0:
+            raise ExecutionError(
+                f"task {name!r} {field_name} must be a finite non-negative "
+                f"number, got {value!r}"
+            )
+    if entry.get("comm_time") is not None:
+        raise ExecutionError(
+            f"task {name!r} carries a comm_time override; transfers are "
+            f"priced by their link only"
+        )
+    row = {key: value for key, value in entry.items() if key != "comm_time"}
+    link = row.get("link")
+    row["link"] = None if link is None else link_from_dict(link)
+    builder.add(**row)
 
 
 def program_to_dict(program: LoweredProgram) -> Dict:
@@ -232,7 +256,6 @@ def program_to_dict(program: LoweredProgram) -> Dict:
         ),
         "schedule": None,
         "strategy": program.strategy,
-        "cost_model": program.cost_model,
         "partitioned": None,
     }
     if program.schedule is not None:
@@ -265,18 +288,25 @@ def program_to_dict(program: LoweredProgram) -> Dict:
 
 
 def program_from_dict(payload: Mapping) -> LoweredProgram:
-    """Rebuild a :class:`LoweredProgram` from :func:`program_to_dict` output."""
-    from repro.errors import ExecutionError
+    """Rebuild a :class:`LoweredProgram` from :func:`program_to_dict` output.
 
+    Older payloads carry a top-level ``"cost_model": null``, which is
+    accepted; a non-null value raises :class:`ExecutionError`.
+    """
     version = payload.get("version")
     if version != PROGRAM_PAYLOAD_VERSION:
         raise ExecutionError(
             f"unsupported lowered-program payload version {version!r} "
             f"(this library reads version {PROGRAM_PAYLOAD_VERSION})"
         )
+    if payload.get("cost_model") is not None:
+        raise ExecutionError(
+            f"lowered-program payload names cost model "
+            f"{payload['cost_model']!r}; kernels are priced by the roofline "
+            f"only"
+        )
     from repro.partition.plan import plan_from_dict
     from repro.runtime.passes import PipelineSchedule
-    from repro.sim.device import machine_from_dict
 
     builder = TaskGraphBuilder()
     for entry in payload["tasks"]:
@@ -343,5 +373,4 @@ def program_from_dict(payload: Mapping) -> LoweredProgram:
         ),
         schedule=schedule,
         strategy=payload.get("strategy"),
-        cost_model=payload.get("cost_model"),
     )

@@ -20,6 +20,7 @@ pin down.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Tuple, Union
 
@@ -521,6 +522,39 @@ _MACHINE_KEYS = (
     "p2p_bandwidth", "cpu_bandwidth", "cpu_memory", "kernel_launch_overhead"
 )
 _DEVICE_KEYS = ("name", "memory_bytes", "peak_flops", "memory_bandwidth")
+_LINK_KEYS = ("kind", "key", "bandwidth", "latency")
+
+
+def is_finite_number(value: object) -> bool:
+    """Whether ``value`` is a finite ``int`` or ``float`` (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) or math.isfinite(value)
+
+
+def _check_numbers(
+    what: str,
+    payload: dict,
+    positive: Tuple[str, ...] = (),
+    non_negative: Tuple[str, ...] = (),
+) -> None:
+    """Raise :class:`SimulationError` unless each present ``positive`` field
+    is a finite number > 0 and each ``non_negative`` one a finite number
+    >= 0."""
+    for names, bound in ((positive, "> 0"), (non_negative, ">= 0")):
+        for name in names:
+            if name not in payload:
+                continue
+            value = payload[name]
+            if (
+                not is_finite_number(value)
+                or value < 0
+                or (value == 0 and bound == "> 0")
+            ):
+                raise SimulationError(
+                    f"{what} field {name!r} must be a finite number {bound}, "
+                    f"got {value!r}"
+                )
 
 
 def _load_device(entry: dict) -> DeviceSpec:
@@ -530,6 +564,10 @@ def _load_device(entry: dict) -> DeviceSpec:
             f"machine payload has unknown device field(s) {unknown} "
             f"(known: {', '.join(_DEVICE_KEYS)})"
         )
+    _check_numbers(
+        "machine payload device", entry,
+        positive=("memory_bytes", "peak_flops", "memory_bandwidth"),
+    )
     return DeviceSpec(**entry)
 
 
@@ -542,7 +580,33 @@ def _load_machine(payload: dict) -> MachineSpec:
             f"machine payload has unknown field(s) {unknown} "
             f"(known: devices, {', '.join(_MACHINE_KEYS)})"
         )
+    _check_numbers(
+        "machine payload", kwargs,
+        positive=("p2p_bandwidth", "cpu_bandwidth", "cpu_memory"),
+        non_negative=("kernel_launch_overhead",),
+    )
     return MachineSpec(devices=devices, **kwargs)
+
+
+def link_from_dict(payload: dict) -> Link:
+    """Rebuild a :class:`Link` from its field dump (a program task row's
+    ``link``), with the bandwidth and latency checks of
+    :func:`machine_from_dict`."""
+    if not isinstance(payload, dict):
+        raise SimulationError(
+            f"link payload must be a mapping, got {type(payload).__name__}"
+        )
+    unknown = sorted(set(payload) - set(_LINK_KEYS))
+    if unknown:
+        raise SimulationError(
+            f"link payload has unknown field(s) {unknown} "
+            f"(known: {', '.join(_LINK_KEYS)})"
+        )
+    _check_numbers(
+        "link payload", payload,
+        positive=("bandwidth",), non_negative=("latency",),
+    )
+    return Link(**payload)
 
 
 def machine_from_dict(payload: dict) -> Topology:
@@ -552,7 +616,9 @@ def machine_from_dict(payload: dict) -> Topology:
     Payloads without a ``version`` field are the pre-cluster format and load
     as plain machines; a payload declaring a version this library does not
     understand is rejected with a clear :class:`SimulationError` (never a
-    ``TypeError`` from unexpected keyword arguments).
+    ``TypeError`` from unexpected keyword arguments), and so is a bandwidth,
+    FLOP rate or memory size that is not a finite number > 0, or a launch
+    overhead or latency that is not a finite number >= 0.
     """
     if not isinstance(payload, dict):
         raise SimulationError(
@@ -584,6 +650,10 @@ def machine_from_dict(payload: dict) -> Topology:
             )
         if not machines:
             raise SimulationError("cluster payload has no machines")
+        _check_numbers(
+            "cluster payload", body,
+            positive=("network_bandwidth",), non_negative=("network_latency",),
+        )
         return ClusterSpec(machines=machines, **body)
     raise SimulationError(
         f"unknown machine payload kind {kind!r} (known: machine, cluster)"

@@ -126,11 +126,6 @@ class Task:
     #: hybrid backend's replica groups) can re-resolve the link there.
     src_device: Optional[int] = None
     dst_device: Optional[int] = None
-    #: Explicit transfer duration in seconds.  When set it replaces
-    #: ``link.transfer_time(comm_bytes)`` — this is how a non-default cost
-    #: model prices communication; ``None`` keeps the link-bandwidth
-    #: arithmetic.  The link still provides the contention queue either way.
-    comm_time: Optional[float] = None
 
     def ordering_deps(self) -> Iterable[str]:
         """Data and control dependencies, in one stream."""
@@ -293,7 +288,6 @@ class TaskGraphBuilder:
         link: Optional[Link] = None,
         src_device: Optional[int] = None,
         dst_device: Optional[int] = None,
-        comm_time: Optional[float] = None,
     ) -> None:
         """Append one task; the arguments are :class:`Task`'s fields."""
         if self._sorted is not None:
@@ -302,7 +296,7 @@ class TaskGraphBuilder:
             )
         row = TaskRow._make((
             name, device, kind, duration, comm_bytes, channel, tuple(deps),
-            tuple(after), link, src_device, dst_device, comm_time,
+            tuple(after), link, src_device, dst_device,
         ))
         rows = self.rows
         index = self._index.setdefault(name, len(rows))
@@ -416,7 +410,7 @@ class TaskGraphBuilder:
 
         for i, row in enumerate(map(rows.__getitem__, order)):
             (name, device, kind, duration, comm_bytes, channel, _, _, link,
-             _, _, comm_time) = row
+             _, _) = row
             names[i] = name
             if kind == "compute":
                 slot = device_slot.get(device)
@@ -435,11 +429,7 @@ class TaskGraphBuilder:
                     slot = link_slot[key] = num_slots
                     num_slots += 1
                 slots[i] = slot
-                durations[i] = (
-                    comm_time
-                    if comm_time is not None
-                    else link.transfer_time(comm_bytes)
-                )
+                durations[i] = link.transfer_time(comm_bytes)
                 busy = link_busy_index.get(key)
                 if busy is None:
                     busy = link_busy_index[key] = len(link_keys)
@@ -664,12 +654,7 @@ class TaskGraphSimulator:
                         self.machine, name, task.channel, task.device
                     )
                 start = max(ready, link_available.get(link.key, 0.0))
-                transfer = (
-                    task.comm_time
-                    if task.comm_time is not None
-                    else link.transfer_time(task.comm_bytes)
-                )
-                end = start + transfer
+                end = start + link.transfer_time(task.comm_bytes)
                 link_available[link.key] = end
                 link_busy[link.key] = link_busy.get(link.key, 0.0) + (end - start)
                 comm_busy[task.device] = comm_busy.get(task.device, 0.0) + (end - start)

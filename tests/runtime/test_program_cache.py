@@ -25,7 +25,7 @@ import pytest
 from repro.models.mlp import build_mlp
 from repro.partition.recursive import recursive_partition
 from repro.partition.plan import plan_from_dict
-from repro.errors import ReproError
+from repro.errors import ExecutionError, ReproError
 from repro.planner import Planner, PlannerConfig
 from repro.runtime import (
     Executor,
@@ -315,6 +315,68 @@ def test_corrupt_program_entry_is_a_miss(tmp_path, mlp_bundle, corrupt):
         return executor.program_cache, program.tasks
 
     _assert_corrupt_entry_misses(cache_dir, "program", lower_once, corrupt)
+
+
+#: One tampered field each: (where, field, value), ``where`` being the
+#: first task row or the payload itself.
+TAMPERED_PROGRAMS = [
+    ("task", "kind", "gpu"),
+    ("task", "duration", float("nan")),
+    ("task", "duration", float("inf")),
+    ("task", "duration", -1e-3),
+    ("task", "duration", "1e-3"),
+    ("task", "duration", True),
+    ("task", "comm_bytes", float("nan")),
+    ("task", "comm_bytes", -1.0),
+    ("task", "comm_bytes", "x"),
+    ("task", "comm_bytes", False),
+    ("task", "comm_time", 1e-3),
+    ("program", "cost_model", "scaled-roofline:0"),
+]
+
+
+@pytest.fixture(scope="module")
+def tofu_program(mlp_bundle):
+    options, plan = _backend_setup("tofu-partitioned", mlp_bundle.graph)
+    return Executor(ExecutorConfig(cache_programs=False)).lower(
+        mlp_bundle.graph, plan=plan, machine=MACHINE,
+        backend="tofu-partitioned", backend_options=options,
+    )
+
+
+@pytest.mark.parametrize(
+    "where,field,value", TAMPERED_PROGRAMS,
+    ids=[f"{field}={value!r}" for _, field, value in TAMPERED_PROGRAMS],
+)
+def test_tampered_program_entry_is_rejected_and_misses(
+    tmp_path, mlp_bundle, tofu_program, where, field, value
+):
+    """A payload the simulator could not price (or priced by something
+    other than the roofline and the links) never decodes; on disk it is a
+    cache miss."""
+    payload = program_to_dict(tofu_program)
+    (payload["tasks"][0] if where == "task" else payload)[field] = value
+    with pytest.raises(ExecutionError):
+        program_from_dict(payload)
+
+    cache_dir = str(tmp_path / "programs")
+    key = _key(mlp_bundle.graph)
+    ProgramCache(cache_dir=cache_dir).put(key, tofu_program)
+    (entry_path,) = Path(cache_dir).glob("*.json")
+    entry_path.write_text(json.dumps({"key": key, "program": payload}))
+    cache = ProgramCache(cache_dir=cache_dir)
+    assert cache.get(key) is None
+    assert cache.misses == 1
+
+
+def test_null_pricing_fields_of_old_payloads_still_decode(tofu_program):
+    payload = program_to_dict(tofu_program)
+    assert "cost_model" not in payload
+    assert all("comm_time" not in row for row in payload["tasks"])
+    payload["cost_model"] = None
+    for row in payload["tasks"]:
+        row["comm_time"] = None
+    assert program_from_dict(payload).tasks == tofu_program.tasks
 
 
 # ---------------------------------------------------------------- aliasing

@@ -16,6 +16,7 @@ from repro.sim.device import (
     as_cluster,
     cluster_of,
     k80_8gpu_machine,
+    link_from_dict,
     machine_from_dict,
     machine_to_dict,
     slice_machines,
@@ -229,6 +230,77 @@ class TestSerialization:
         payload["machines"] = []
         with pytest.raises(SimulationError, match="no machines"):
             machine_from_dict(payload)
+
+
+#: Numeric payload fields and how to reach them: (payload kind, path to the
+#: field's dict, field, whether 0 is a valid value).
+NUMERIC_FIELDS = [
+    ("machine", (), "p2p_bandwidth", False),
+    ("machine", (), "cpu_bandwidth", False),
+    ("machine", (), "cpu_memory", False),
+    ("machine", (), "kernel_launch_overhead", True),
+    ("machine", ("devices", 0), "memory_bytes", False),
+    ("machine", ("devices", 0), "peak_flops", False),
+    ("machine", ("devices", 0), "memory_bandwidth", False),
+    ("cluster", (), "network_bandwidth", False),
+    ("cluster", (), "network_latency", True),
+    ("cluster", ("machines", 1), "p2p_bandwidth", False),
+    ("link", (), "bandwidth", False),
+    ("link", (), "latency", True),
+]
+BAD_NUMBERS = [float("nan"), float("inf"), -1, "x", True]
+
+
+def _numeric_payload(kind):
+    if kind == "link":
+        return {"kind": "net", "key": "net:1", "bandwidth": 5e9, "latency": 1e-5}
+    if kind == "cluster":
+        return machine_to_dict(cluster_of(k80_8gpu_machine(2), 2))
+    return machine_to_dict(k80_8gpu_machine(2))
+
+
+def _load_numeric_payload(kind, payload):
+    return (link_from_dict if kind == "link" else machine_from_dict)(payload)
+
+
+@pytest.mark.parametrize("bad", BAD_NUMBERS, ids=repr)
+@pytest.mark.parametrize(
+    "kind,path,field,zero_ok", NUMERIC_FIELDS,
+    ids=[f"{kind}.{field}" for kind, _, field, _ in NUMERIC_FIELDS],
+)
+def test_payload_numbers_must_be_finite_and_in_range(kind, path, field, zero_ok, bad):
+    payload = _numeric_payload(kind)
+    target = payload
+    for step in path:
+        target = target[step]
+    target[field] = 0
+    if zero_ok:
+        _load_numeric_payload(kind, payload)
+    else:
+        with pytest.raises(SimulationError, match=field):
+            _load_numeric_payload(kind, payload)
+    target[field] = bad
+    with pytest.raises(SimulationError, match=field):
+        _load_numeric_payload(kind, payload)
+
+
+def test_load_rejects_a_saved_model_with_a_negative_bandwidth(tmp_path):
+    import json
+
+    from repro import CompiledModel, compile as repro_compile
+    from repro.errors import StrategyError
+    from repro.models.mlp import build_mlp
+
+    graph = build_mlp(
+        batch_size=8, input_dim=32, hidden_dim=64, num_layers=2, num_classes=16
+    ).graph
+    path = tmp_path / "model.json"
+    repro_compile(graph, "single", k80_8gpu_machine(1)).save(str(path))
+    payload = json.loads(path.read_text())
+    payload["machine"]["p2p_bandwidth"] = -1.0
+    path.write_text(json.dumps(payload))
+    with pytest.raises(StrategyError, match="p2p_bandwidth"):
+        CompiledModel.load(str(path))
 
 
 def test_devicespec_defaults_are_k80():

@@ -1,11 +1,11 @@
-"""``node_kernel_times`` prices a node once per distinct device type under
-the roofline, and once per device under an active cost model."""
+"""``node_kernel_times`` prices a node once per distinct device type, and
+lowering reuses each node's price for all of its tasks."""
 
 import pytest
 
-from repro.costmodel import RooflineCostModel, use_cost_model
 from repro.partition.apply import generate_partitioned_graph
 from repro.partition.recursive import recursive_partition
+from repro.runtime import Executor, ExecutorConfig
 from repro.sim import costmodel
 from repro.sim.costmodel import node_kernel_time, node_kernel_times
 from repro.sim.device import DeviceSpec, MachineSpec, k80_8gpu_machine
@@ -61,21 +61,6 @@ def test_mixed_devices_price_once_per_type(mlp_bundle, roofline_calls):
     assert times[0] != times[4]
 
 
-def test_active_cost_model_is_called_per_device(mlp_bundle):
-    class CountingRoofline(RooflineCostModel):
-        calls = 0
-
-        def op_time(self, sample, device, machine):
-            CountingRoofline.calls += 1
-            return super().op_time(sample, device, machine)
-
-    machine = _mixed_machine()
-    name = _matmul_node(mlp_bundle.graph)
-    with use_cost_model(CountingRoofline()):
-        node_kernel_times(mlp_bundle.graph, name, machine.devices, machine)
-    assert CountingRoofline.calls == 8
-
-
 def test_partitioned_lowering_prices_each_device_type(mlp_bundle):
     graph = mlp_bundle.graph
     machine = _mixed_machine()
@@ -86,3 +71,33 @@ def test_partitioned_lowering_prices_each_device_type(mlp_bundle):
             graph, name, machine.device(device), machine, scale=1 / 8
         )
     assert lowered.tasks[f"{name}@0"].duration > lowered.tasks[f"{name}@4"].duration
+
+
+@pytest.mark.parametrize("backend", ["tofu-partitioned", "pipeline"])
+def test_per_node_pricing_matches_per_task_pricing(mlp_bundle, backend):
+    """Lowering prices each node once and reuses the price for all of its
+    tasks (every worker, every micro-batch); that must equal pricing every
+    task on its own."""
+    graph = mlp_bundle.graph
+    machine = k80_8gpu_machine(4)
+    if backend == "tofu-partitioned":
+        options, plan = {}, recursive_partition(graph, 4)
+    else:
+        options, plan = {"num_stages": 2, "num_microbatches": 4}, None
+    program = Executor(ExecutorConfig(cache_programs=False)).lower(
+        graph, plan=plan, machine=machine, backend=backend,
+        backend_options=options,
+    )
+    for name, task in program.tasks.items():
+        if task.kind != "compute":
+            continue
+        if backend == "tofu-partitioned":
+            node, scale = name.rsplit("@", 1)[0], 1.0 / plan.num_workers
+        elif "#mb" in name:
+            node = name.split("#mb")[0]
+            scale = 1.0 / options["num_microbatches"]
+        else:  # an optimiser node, run once on the full batch
+            node, scale = name, 1.0
+        assert task.duration == node_kernel_time(
+            graph, node, machine.device(task.device), machine, scale=scale
+        ), name

@@ -20,5 +20,5 @@ def test_no_broken_links_in_docs():
 
 
 def test_docs_tree_exists():
-    for name in ("architecture.md", "cost-models.md"):
+    for name in ("architecture.md", "tuner.md", "verifier.md"):
         assert os.path.isfile(os.path.join(REPO_ROOT, "docs", name)), name

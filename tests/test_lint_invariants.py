@@ -1,7 +1,7 @@
 """The AST invariant linter stays clean on the tree and keeps catching
 seeded violations (layering back-edges, unlocked guarded state, undescribed
-registry entries, collector switches, stray pricing setters, package-metadata
-discovery, multiprocessing imports)."""
+registry entries, collector switches, package-metadata discovery,
+multiprocessing imports)."""
 
 import ast
 import sys
@@ -119,40 +119,6 @@ def test_collector_discipline_allows_only_the_compiler_scope():
     elsewhere = lint_invariants.check_collector_discipline(
         lint_invariants.SRC / "tuner" / "core.py", tree)
     assert [v.line for v in elsewhere] == [3, 4, 6, 8]
-
-
-def test_pricing_scope_catches_references_and_setters_outside_the_scope():
-    tree = ast.parse(
-        "from repro.sim.costmodel import _ACTIVE_COST_MODEL\n"
-        "import repro.sim.costmodel as sc\n"
-        "def lower(model):\n"
-        "    token = sc._ACTIVE_COST_MODEL.set(model)\n"
-        "    sc._ACTIVE_COST_MODEL.reset(token)\n"
-    )
-    elsewhere = lint_invariants.check_pricing_scope(
-        lint_invariants.SRC / "runtime" / "core.py", tree)
-    assert [v.line for v in elsewhere] == [1, 4, 5]
-    assert all(v.rule == "pricing-scope" for v in elsewhere)
-    # The defining module may read the variable but not set it.
-    home = lint_invariants.check_pricing_scope(
-        lint_invariants.SRC / "sim" / "costmodel.py", tree)
-    assert [v.line for v in home] == [4, 5]
-
-
-def test_pricing_scope_allows_only_use_cost_model():
-    tree = ast.parse(
-        "from repro.sim.costmodel import _ACTIVE_COST_MODEL\n"
-        "def use_cost_model(model):\n"
-        "    token = _ACTIVE_COST_MODEL.set(model)\n"
-        "    _ACTIVE_COST_MODEL.reset(token)\n"
-        "def current():\n"
-        "    return _ACTIVE_COST_MODEL.get()\n"
-        "def pin(model):\n"
-        "    _ACTIVE_COST_MODEL.set(model)\n"
-    )
-    violations = lint_invariants.check_pricing_scope(
-        lint_invariants.SRC / "costmodel" / "base.py", tree)
-    assert [v.line for v in violations] == [8]
 
 
 def test_in_process_registration_catches_metadata_discovery():

@@ -3,8 +3,8 @@
 Accidentally dropping (or silently adding) a public name is an API break for
 downstream users; this test pins the ``__all__`` of ``repro``,
 ``repro.strategy``, ``repro.planner``, ``repro.runtime``, ``repro.serve``,
-``repro.costmodel``, ``repro.analysis`` and ``repro.tuner`` against a checked-in list so CI fails on any
-unreviewed change.  When a change is intentional, update the snapshot here
+``repro.analysis`` and ``repro.tuner`` against a checked-in list so CI fails
+on any unreviewed change.  When a change is intentional, update the snapshot here
 *and* the README migration notes.
 
 The same surface is also held to a documentation bar: every exported symbol
@@ -152,17 +152,6 @@ ANALYSIS_EXPORTS = [
     "verify_program",
 ]
 
-COSTMODEL_EXPORTS = [
-    "CostModel",
-    "CostModelError",
-    "OpSample",
-    "RooflineCostModel",
-    "active_cost_model",
-    "cost_model_cache_token",
-    "default_roofline",
-    "use_cost_model",
-]
-
 TUNER_EXPORTS = [
     "CandidateOutcome",
     "Tuner",
@@ -180,7 +169,6 @@ SNAPSHOTS = {
     "repro.planner": PLANNER_EXPORTS,
     "repro.runtime": RUNTIME_EXPORTS,
     "repro.serve": SERVE_EXPORTS,
-    "repro.costmodel": COSTMODEL_EXPORTS,
     "repro.analysis": ANALYSIS_EXPORTS,
     "repro.tuner": TUNER_EXPORTS,
 }

@@ -11,17 +11,14 @@ from __future__ import annotations
 import pytest
 
 from repro import compile as repro_compile
-from repro.costmodel import use_cost_model
 from repro.errors import StrategyError
 from repro.models.mlp import build_mlp
 from repro.planner.core import Planner
 from repro.runtime.core import Executor, ExecutorConfig
 from repro.sim.device import DeviceSpec, MachineSpec, k80_8gpu_machine
 from repro.tuner import Tuner, TunerBudget
-from tests.costmodel.fakes import ScaledRoofline
 
 BUDGET = TunerBudget(max_candidates=8)
-PRICED_CANDIDATES = ["tofu", "single", "dp:2/tofu", "dp:4/single"]
 
 
 @pytest.fixture(scope="module")
@@ -128,23 +125,6 @@ class TestDeterminism:
         assert [o.to_dict() for o in first.outcomes] == [
             o.to_dict() for o in second.outcomes
         ]
-
-    def test_sweep_prices_under_the_active_cost_model(self, graph):
-        model = ScaledRoofline(2.0)
-        machine = k80_8gpu_machine(4)
-        with use_cost_model(model):
-            result = Tuner().tune(
-                graph, machine, candidates=PRICED_CANDIDATES,
-                planner=Planner(), executor=Executor(),
-            )
-        for outcome in result.outcomes:
-            if outcome.status != "evaluated":
-                continue
-            with use_cost_model(model):
-                priced = repro_compile(
-                    graph, outcome.strategy, machine, planner=Planner()
-                )
-            assert outcome.iteration_time == priced.iteration_time
 
     def test_wall_clock_deadline_skips_rather_than_hangs(self, graph):
         with pytest.raises(StrategyError, match="no executable candidate"):

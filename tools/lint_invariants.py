@@ -1,9 +1,8 @@
 #!/usr/bin/env python
 """AST invariant linter: layering, lock discipline, registry hygiene,
-collector discipline, pricing-scope discipline, in-process registration,
-no process pool.
+collector discipline, in-process registration, no process pool.
 
-Seven structural invariants the test suite cannot cheaply express are
+Six structural invariants the test suite cannot cheaply express are
 checked here over the source tree with nothing but ``ast`` (no imports of
 the code under analysis, no third-party dependencies):
 
@@ -38,20 +37,12 @@ the code under analysis, no third-party dependencies):
    re-enable the collector under a running compile, or leave it off after
    the last one.
 
-5. **Pricing-scope discipline** — in ``src/repro`` the context variable
-   holding the active cost model, ``_ACTIVE_COST_MODEL``, is referenced
-   only in ``sim/costmodel.py`` (which defines and reads it) and
-   ``costmodel/base.py``, and ``.set``/``.reset`` on it appear only inside
-   ``use_cost_model``.  That scope is the one way to choose a pricing
-   model; a second setter would bring back the knobs and precedence rules
-   it replaced.
-
-6. **In-process registration** — ``src/repro`` never references
+5. **In-process registration** — ``src/repro`` never references
    ``importlib.metadata`` or ``entry_points``.  The three registries are
    filled only by in-process ``register_*`` calls; package-metadata
    discovery would bring back a second registration path.
 
-7. **No process pool** — ``src/repro`` never imports ``multiprocessing``
+6. **No process pool** — ``src/repro`` never imports ``multiprocessing``
    (at any scope, in any file).  The planner's factor-order search, the
    autotuner and everything else run in the calling process.
 
@@ -86,7 +77,6 @@ LAYERS = [
     "sim",
     "caching",
     "strategy",
-    "costmodel",
     "runtime",
     "partition",
     "baselines",
@@ -417,56 +407,7 @@ def check_collector_discipline(path: Path, tree: ast.Module,
 
 
 # ---------------------------------------------------------------------------
-# Rule 5: pricing-scope discipline
-# ---------------------------------------------------------------------------
-PRICING_VAR = "_ACTIVE_COST_MODEL"
-# Files (relative to src/repro) that may name the variable, and the one
-# function allowed to set and reset it.
-PRICING_FILES = {"sim/costmodel.py", "costmodel/base.py"}
-PRICING_SCOPE = ("costmodel/base.py", "use_cost_model")
-
-
-def _names_pricing_var(node: ast.AST) -> bool:
-    return ((isinstance(node, ast.Name) and node.id == PRICING_VAR)
-            or (isinstance(node, ast.Attribute) and node.attr == PRICING_VAR)
-            or (isinstance(node, ast.ImportFrom)
-                and any(a.name == PRICING_VAR for a in node.names)))
-
-
-def check_pricing_scope(path: Path, tree: ast.Module,
-                        root: Path = SRC) -> List[Violation]:
-    rel = path.relative_to(root).as_posix()
-    scope_file, scope_function = PRICING_SCOPE
-    violations: List[Violation] = []
-
-    def visit(node: ast.AST, allowed: bool) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            allowed = allowed or (rel == scope_file
-                                  and node.name == scope_function)
-        if _names_pricing_var(node) and rel not in PRICING_FILES:
-            violations.append(Violation(
-                path, node.lineno, "pricing-scope",
-                f"{PRICING_VAR} referenced outside "
-                f"{' and '.join(sorted(PRICING_FILES))}; choose a pricing "
-                f"model with repro.costmodel.use_cost_model"))
-        elif (rel in PRICING_FILES and not allowed  # else reported above
-              and isinstance(node, ast.Call)
-              and isinstance(node.func, ast.Attribute)
-              and node.func.attr in ("set", "reset")
-              and _names_pricing_var(node.func.value)):
-            violations.append(Violation(
-                path, node.lineno, "pricing-scope",
-                f"{PRICING_VAR}.{node.func.attr} outside {scope_function} "
-                f"(the one pricing scope)"))
-        for child in ast.iter_child_nodes(node):
-            visit(child, allowed)
-
-    visit(tree, False)
-    return violations
-
-
-# ---------------------------------------------------------------------------
-# Rule 6: in-process registration
+# Rule 5: in-process registration
 # ---------------------------------------------------------------------------
 def _discovery_reference(node: ast.AST) -> Optional[str]:
     """The package-metadata discovery name ``node`` references, if any."""
@@ -508,7 +449,7 @@ def check_in_process_registration(path: Path,
 
 
 # ---------------------------------------------------------------------------
-# Rule 7: no process pool
+# Rule 6: no process pool
 # ---------------------------------------------------------------------------
 def _imports_multiprocessing(node: ast.AST) -> bool:
     if isinstance(node, ast.Import):
@@ -539,7 +480,6 @@ def lint(root: Path = SRC) -> List[Violation]:
         violations.extend(check_layering(path, tree, root))
         violations.extend(check_registry_hygiene(path, tree))
         violations.extend(check_collector_discipline(path, tree, root))
-        violations.extend(check_pricing_scope(path, tree, root))
         violations.extend(check_in_process_registration(path, tree))
         violations.extend(check_no_process_pool(path, tree))
         if path.resolve() in locked:
@@ -555,8 +495,7 @@ def main() -> int:
         print(f"{len(violations)} invariant violation(s)", file=sys.stderr)
         return 1
     print("invariants clean: layering, lock discipline, registry hygiene, "
-          "collector discipline, pricing scope, in-process registration, "
-          "no process pool")
+          "collector discipline, in-process registration, no process pool")
     return 0
 
 
