@@ -13,16 +13,12 @@ from repro.baselines.evaluation import (
     evaluate_tofu,
 )
 from repro.baselines.partition_algos import (
-    ALGORITHMS,
     allrow_greedy_plan,
     equalchop_plan,
-    icml18_plan,
     spartan_plan,
-    tofu_plan,
 )
 
 __all__ = [
-    "ALGORITHMS",
     "EVALUATORS",
     "SystemResult",
     "allrow_greedy_plan",
@@ -35,7 +31,5 @@ __all__ = [
     "evaluate_strategy",
     "evaluate_swapping",
     "evaluate_tofu",
-    "icml18_plan",
     "spartan_plan",
-    "tofu_plan",
 ]

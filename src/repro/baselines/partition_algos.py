@@ -8,9 +8,11 @@
   and so on, following Spartan's smart-tiling heuristic.
 * **EqualChop** — Tofu's DP, but each tensor may only be chopped equally along
   a single dimension across all workers (no recursive multi-dimension grids).
-* **ICML18** — Tofu's recursive DP without output-reduction strategies, i.e.
-  the strategy space of Jia et al. (2018); Sec 7.3 shows the missing
-  strategies cost memory and performance.
+
+The fourth Figure 10 baseline, ICML18 (Tofu's recursive DP without
+output-reduction strategies), is the ``icml18`` search backend of
+:mod:`repro.planner.backends`; every algorithm here is reached by name
+through that registry.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from repro.partition.coarsen import CoarsenedGraph, coarsen
 from repro.partition.cost import CommunicationCostModel
 from repro.partition.dp import dp_partition_step
 from repro.partition.plan import PartitionPlan, single_dimension_plan
-from repro.partition.recursive import recursive_partition
 
 
 def allrow_greedy_plan(graph: Graph, num_workers: int) -> PartitionPlan:
@@ -97,30 +98,3 @@ def equalchop_plan(
         algorithm="equalchop",
     )
     return plan
-
-
-def icml18_plan(
-    graph: Graph, num_workers: int, *, coarse: Optional[CoarsenedGraph] = None
-) -> PartitionPlan:
-    """Recursive DP without output-reduction strategies (Jia et al. 2018)."""
-    plan = recursive_partition(
-        graph, num_workers, coarse=coarse, allow_reduction=False
-    )
-    plan.algorithm = "icml18"
-    return plan
-
-
-def tofu_plan(
-    graph: Graph, num_workers: int, *, coarse: Optional[CoarsenedGraph] = None
-) -> PartitionPlan:
-    """Tofu's full recursive search (convenience alias)."""
-    return recursive_partition(graph, num_workers, coarse=coarse)
-
-
-ALGORITHMS = {
-    "allrow-greedy": allrow_greedy_plan,
-    "spartan": spartan_plan,
-    "equalchop": equalchop_plan,
-    "icml18": icml18_plan,
-    "tofu": tofu_plan,
-}

@@ -39,7 +39,7 @@ import tempfile
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, Iterator, Mapping, Optional, Union
 
 from repro import perf
 from repro.caching import graph_signature_scope
@@ -381,7 +381,6 @@ def compile(
     backend_options: Optional[Mapping[str, object]] = None,
     simulate: bool = True,
     lower_only: bool = False,
-    candidates: Optional[Sequence[Union[Strategy, str]]] = None,
     tuner: Optional["Tuner"] = None,
 ) -> CompiledModel:
     """Compile ``graph`` for ``machine`` under ``strategy``.
@@ -416,14 +415,13 @@ def compile(
             :meth:`CompiledModel.simulate` completes it on demand.  The
             batch-search evaluators use this to price only programs that
             fit device memory.
-        candidates: Overrides the ``"auto"`` candidate set (strategy trees
-            or strings); ignored for explicit strategies.
         tuner: A configured :class:`repro.tuner.Tuner` driving the
             ``"auto"`` sweep — budget and grid axes.
             ``None`` keeps the default bounded sweep
-            (``TunerBudget(max_candidates=16)`` over the generated grid;
-            explicit ``candidates`` run unbounded, as they always have).
-            Rejected for explicit strategies.
+            (``TunerBudget(max_candidates=16)`` over the generated grid).
+            Rejected for explicit strategies.  To sweep an explicit
+            candidate list, call
+            ``Tuner().tune(graph, machine, candidates=...)``.
 
     Returns:
         A :class:`CompiledModel`; its ``report`` carries the simulated
@@ -458,7 +456,6 @@ def compile(
             planner=planner,
             executor=executor,
             plan_options=plan_options,
-            candidates=candidates,
             tuner=tuner,
         )
     if tuner is not None:
@@ -563,7 +560,6 @@ def _compile_auto(
     planner: Optional["Planner"],
     executor: Optional[Executor],
     plan_options: Optional[Mapping[str, object]] = None,
-    candidates: Optional[Sequence[Union[Strategy, str]]],
     tuner: Optional["Tuner"] = None,
 ) -> CompiledModel:
     """Run the budgeted autotuner and return the fastest viable candidate."""
@@ -572,21 +568,13 @@ def _compile_auto(
 
     planner = planner or default_planner()
     if tuner is None:
-        # An explicit candidate list has always been evaluated in full;
-        # only the generated grid gets the historical 16-candidate cap.
-        budget = (
-            TunerBudget()
-            if candidates is not None
-            else TunerBudget(max_candidates=AUTO_MAX_CANDIDATES)
-        )
-        tuner = Tuner(budget=budget)
+        tuner = Tuner(budget=TunerBudget(max_candidates=AUTO_MAX_CANDIDATES))
     result = tuner.tune(
         graph,
         machine,
         planner=planner,
         executor=executor,
         plan_options=plan_options,
-        candidates=candidates,
     )
     best = result.best
     assert best is not None  # tune() raises when nothing is viable

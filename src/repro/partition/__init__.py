@@ -3,7 +3,6 @@
 from repro.partition.coarsen import CoarsenedGraph, OpGroup, TensorGroup, coarsen
 from repro.partition.cost import CommunicationCostModel
 from repro.partition.dp import (
-    SearchBudgetExceeded,
     count_joint_configurations,
     dp_partition_step,
     joint_partition,
@@ -25,7 +24,6 @@ __all__ = [
     "CommunicationCostModel",
     "OpGroup",
     "PartitionPlan",
-    "SearchBudgetExceeded",
     "StepAssignment",
     "TensorGroup",
     "coarsen",

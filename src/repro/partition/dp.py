@@ -33,8 +33,8 @@ Both are pure refactorings of the original dict-keyed walk and must keep its
 plans bit-identical: costs are still summed steps outer, members inner, in
 member order; a state is replaced only on a strictly lower cost, so the
 first-encountered state wins ties; keys enter the next frontier in the same
-first-encounter order, so the stable ``max_states`` sort keeps the same
-states.  The golden plan digests in ``tests/partition/test_plan_digests.py``
+first-encounter order, so the stable :data:`MAX_STATES` sort keeps the
+same states.  The golden plan digests in ``tests/partition/test_plan_digests.py``
 pin this.
 """
 
@@ -61,9 +61,9 @@ MemberClasses = List[
     Tuple[List[Tuple[NodeProfile, Tuple[Tuple[int, int], ...]]], Tuple[int, ...]]
 ]
 
-
-class SearchBudgetExceeded(PartitionError):
-    """Raised when ``joint_partition`` exceeds its time budget."""
+#: Frontier-DP state cap: after each op group only the cheapest states are
+#: kept (a safety valve for unusual graphs).
+MAX_STATES = 256
 
 
 def _gather(indices: Sequence[int]) -> Callable[[tuple], tuple]:
@@ -114,17 +114,12 @@ class _FrontierDP:
         cost_model: CommunicationCostModel,
         *,
         parts_per_step: Sequence[int],
-        max_states: int = 256,
-        time_limit: Optional[float] = None,
     ) -> None:
         self.graph = graph
         self.coarse = coarse
         self.cost_model = cost_model
         self.parts_per_step = list(parts_per_step)
         self.num_steps = len(self.parts_per_step)
-        self.max_states = max_states
-        self.time_limit = time_limit
-        self._start = time.perf_counter()
         self._zero: Config = tuple([0] * self.num_steps)
 
     # ------------------------------------------------------------ candidates
@@ -262,21 +257,14 @@ class _FrontierDP:
         states: Dict[StateKey, float] = {(): 0.0}
         backptr: List[Dict[StateKey, Tuple[StateKey, int]]] = []
         for layout in layouts:
-            if (
-                self.time_limit is not None
-                and time.perf_counter() - self._start > self.time_limit
-            ):
-                raise SearchBudgetExceeded(
-                    f"partition search exceeded {self.time_limit:.0f}s budget"
-                )
             layout.combos = list(itertools.product(*layout.candidates))
             layout.classes = self._member_classes(layout)
             new_states, pointers = self._expand(states, layout)
             if not new_states:
                 raise PartitionError(f"DP produced no states at group {layout.gid}")
-            if len(new_states) > self.max_states:
+            if len(new_states) > MAX_STATES:
                 kept = sorted(new_states.items(), key=lambda kv: kv[1])[
-                    : self.max_states
+                    :MAX_STATES
                 ]
                 new_states = dict(kept)
                 pointers = {k: pointers[k] for k, _ in kept}
@@ -317,8 +305,8 @@ class _FrontierDP:
         """Expand the frontier states through one op group.
 
         Returns the best cost per next-frontier key plus the back-pointers,
-        with keys in first-encounter order (what the stable ``max_states``
-        pruning sort relies on).
+        with keys in first-encounter order (what the stable
+        :data:`MAX_STATES` pruning sort relies on).
         """
         combos = layout.combos
         local_key = layout.local_key
@@ -388,7 +376,6 @@ def dp_partition_step(
     cost_model: CommunicationCostModel,
     parts: int,
     *,
-    max_states: int = 256,
     prices: Optional[Dict[str, NodePrice]] = None,
 ) -> StepAssignment:
     """One recursive step: partition every tensor along one dimension across
@@ -399,13 +386,7 @@ def dp_partition_step(
     :meth:`CommunicationCostModel.node_cost_detail` returns, read from the
     search's own memo.
     """
-    dp = _FrontierDP(
-        graph,
-        coarse,
-        cost_model,
-        parts_per_step=[parts],
-        max_states=max_states,
-    )
+    dp = _FrontierDP(graph, coarse, cost_model, parts_per_step=[parts])
     cost, tensor_config, node_prices = dp.solve()
     tensor_dims = {t: cfg[0] for t, cfg in tensor_config.items()}
     if prices is not None:
@@ -424,32 +405,18 @@ def joint_partition(
     num_workers: int,
     *,
     coarse: Optional[CoarsenedGraph] = None,
-    cost_model: Optional[CommunicationCostModel] = None,
-    allow_reduction: bool = True,
-    max_states: int = 256,
-    time_limit: Optional[float] = None,
 ) -> PartitionPlan:
     """Non-recursive search: choose all ``m`` partition dimensions per tensor
     jointly (the "DP with coarsening" row of Table 1).
 
-    Exponentially slower than the recursive search; ``time_limit`` (seconds)
-    raises :class:`SearchBudgetExceeded` when exceeded so benchmarks can report
-    a lower bound instead of hanging.
+    Exponentially slower than the recursive search.
     """
     start = time.perf_counter()
     factors = factorize_workers(num_workers)
     if coarse is None:
         coarse = coarsen(graph)
-    if cost_model is None:
-        cost_model = CommunicationCostModel(graph, allow_reduction=allow_reduction)
-    dp = _FrontierDP(
-        graph,
-        coarse,
-        cost_model,
-        parts_per_step=factors,
-        max_states=max_states,
-        time_limit=time_limit,
-    )
+    cost_model = CommunicationCostModel(graph)
+    dp = _FrontierDP(graph, coarse, cost_model, parts_per_step=factors)
     cost, tensor_config, _ = dp.solve()
 
     steps: List[StepAssignment] = []

@@ -28,9 +28,7 @@ def recursive_partition(
     num_workers: int,
     *,
     coarse: Optional[CoarsenedGraph] = None,
-    cost_model: Optional[CommunicationCostModel] = None,
     allow_reduction: bool = True,
-    max_states: int = 256,
     factors: Optional[Sequence[int]] = None,
 ) -> PartitionPlan:
     """Find a partition plan for ``num_workers`` workers.
@@ -39,10 +37,8 @@ def recursive_partition(
         graph: A training graph carrying autodiff metadata.
         num_workers: Total number of workers (any integer >= 1).
         coarse: Optionally a pre-computed coarsened graph (reused across calls).
-        cost_model: Optionally a pre-built cost model (its shapes are reset).
         allow_reduction: ``False`` reproduces the ICML18 baseline that misses
-            output-reduction strategies.
-        max_states: Frontier-DP state cap (safety valve for unusual graphs).
+            output-reduction strategies (the ``icml18`` search backend).
         factors: Optional explicit factorisation ``k1, ..., km`` overriding
             the default descending prime factorisation; the planner's
             candidate search uses this to try alternative step orders.
@@ -63,8 +59,7 @@ def recursive_partition(
             )
     if coarse is None:
         coarse = coarsen(graph)
-    if cost_model is None:
-        cost_model = CommunicationCostModel(graph, allow_reduction=allow_reduction)
+    cost_model = CommunicationCostModel(graph, allow_reduction=allow_reduction)
 
     shapes: Dict[str, Tuple[int, ...]] = {
         name: spec.shape for name, spec in graph.tensors.items()
@@ -79,9 +74,7 @@ def recursive_partition(
     for parts in factors:
         cost_model.set_shapes(shapes)
         prices: Dict[str, NodePrice] = {}
-        step = dp_partition_step(
-            graph, coarse, cost_model, parts, max_states=max_states, prices=prices
-        )
+        step = dp_partition_step(graph, coarse, cost_model, parts, prices=prices)
         for name, (_, fetch, redistribute) in prices.items():
             fetch_bytes[name] += fetch * group_count
             reduce_bytes[name] += redistribute * group_count

@@ -8,9 +8,9 @@ algorithm — Tofu's recursive DP, the non-recursive joint DP of Table 1, and
 the Figure 10 baselines — without hand-wiring imports.
 
 Backends whose search decomposes into an ordered sequence of per-factor steps
-(the recursive family) additionally expose ``factors_fn`` so the planner can
-search every order of the worker factorisation
-(:func:`repro.planner.core.search_candidates`).
+(the recursive family) set ``supports_factor_orders`` and accept a
+``factors=`` keyword, so the planner can search every order of the worker
+factorisation (:func:`repro.planner.core.search_candidates`).
 
 A new search algorithm is one :func:`register_backend` call with a
 :class:`BackendSpec`, made in-process like the built-ins below.
@@ -19,7 +19,7 @@ A new search algorithm is one :func:`register_backend` call with a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Protocol, Sequence
+from typing import List, Optional, Protocol, Sequence
 
 from repro.baselines.partition_algos import (
     allrow_greedy_plan,
@@ -51,9 +51,8 @@ class BackendSpec:
         fn: The search entry point.
         description: One-line summary shown by ``tofu-repro backends``.
         supports_factor_orders: Whether the backend's search is a sequence of
-            per-factor recursive steps whose order is a degree of freedom.
-        factors_fn: ``(graph, num_workers, factors, **options)`` variant used
-            by the candidate search; required when ``supports_factor_orders``.
+            per-factor recursive steps whose order is a degree of freedom;
+            such a backend's ``fn`` takes the order as ``factors=``.
         option_names: Keyword options the backend accepts; the planner
             rejects anything else up front with a :class:`PartitionError`
             instead of letting a ``TypeError`` escape from deep inside a
@@ -64,7 +63,6 @@ class BackendSpec:
     fn: SearchBackend
     description: str = ""
     supports_factor_orders: bool = False
-    factors_fn: Optional[Callable[..., PartitionPlan]] = None
     option_names: Sequence[str] = ()
 
     def validate_options(self, options: dict) -> None:
@@ -86,8 +84,7 @@ class BackendSpec:
     ) -> PartitionPlan:
         """Run the backend, with an explicit factor order when supported."""
         if factors is not None and self.supports_factor_orders:
-            assert self.factors_fn is not None
-            return self.factors_fn(graph, num_workers, factors, **options)
+            return self.fn(graph, num_workers, factors=factors, **options)
         return self.fn(graph, num_workers, **options)
 
 
@@ -96,10 +93,6 @@ _REGISTRY = BackendRegistry(kind="search", error_cls=PartitionError)
 
 def register_backend(spec: BackendSpec, *, replace: bool = False) -> BackendSpec:
     """Register a backend; ``replace=True`` allows overriding an entry."""
-    if spec.supports_factor_orders and spec.factors_fn is None:
-        raise PartitionError(
-            f"backend {spec.name!r} supports factor orders but has no factors_fn"
-        )
     return _REGISTRY.register(spec, replace=replace)
 
 
@@ -121,26 +114,16 @@ def available_backends() -> List[str]:
 # ---------------------------------------------------------------------------
 # Built-in backends
 # ---------------------------------------------------------------------------
-def _tofu_factors(graph, num_workers, factors, **options):
-    return recursive_partition(graph, num_workers, factors=factors, **options)
-
-
-def _icml18(graph, num_workers, factors=None, **options):
-    """ICML18: the recursive search with reduction strategies removed
-    (equivalent to :func:`repro.baselines.partition_algos.icml18_plan`, but
-    accepting the full recursive option set)."""
+def _icml18(graph, num_workers, *, coarse=None, factors=None):
+    """ICML18 (Jia et al. 2018): the recursive search with output-reduction
+    strategies removed; Sec 7.3 shows the missing strategies cost memory
+    and performance."""
     plan = recursive_partition(
-        graph, num_workers, factors=factors, allow_reduction=False, **options
+        graph, num_workers, coarse=coarse, factors=factors, allow_reduction=False
     )
     plan.algorithm = "icml18"
     return plan
 
-
-def _icml18_factors(graph, num_workers, factors, **options):
-    return _icml18(graph, num_workers, factors=factors, **options)
-
-
-_RECURSIVE_OPTIONS = ("coarse", "cost_model", "max_states")
 
 register_backend(
     BackendSpec(
@@ -148,8 +131,7 @@ register_backend(
         fn=recursive_partition,
         description="recursive coarsen+DP search (Sec 5.2, the paper's system)",
         supports_factor_orders=True,
-        factors_fn=_tofu_factors,
-        option_names=_RECURSIVE_OPTIONS + ("allow_reduction",),
+        option_names=("coarse",),
     )
 )
 register_backend(
@@ -157,8 +139,7 @@ register_backend(
         name="joint",
         fn=joint_partition,
         description="non-recursive joint DP over all steps (Table 1 comparison)",
-        option_names=("coarse", "cost_model", "max_states", "allow_reduction",
-                      "time_limit"),
+        option_names=("coarse",),
     )
 )
 register_backend(
@@ -167,8 +148,7 @@ register_backend(
         fn=_icml18,
         description="recursive DP without output-reduction strategies (Jia et al.)",
         supports_factor_orders=True,
-        factors_fn=_icml18_factors,
-        option_names=_RECURSIVE_OPTIONS,
+        option_names=("coarse",),
     )
 )
 register_backend(

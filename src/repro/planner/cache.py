@@ -43,11 +43,11 @@ __all__ = [
 ]
 
 #: PlannerConfig fields whose values feed :func:`plan_cache_key` (the
-#: ``backend``/``options`` payload entries).  Together with
+#: ``backend`` payload entry).  Together with
 #: NON_SEMANTIC_CONFIG_FIELDS this must classify *every* config field — the
 #: ``cache-key`` checker (repro.analysis) fails the build otherwise, so a new
 #: semantic knob cannot silently poison warm cache entries.
-KEY_COVERED_CONFIG_FIELDS = ("backend", "backend_options")
+KEY_COVERED_CONFIG_FIELDS = ("backend",)
 
 #: PlannerConfig fields that deliberately do NOT contribute to plan cache
 #: keys: the fixed ``jobs``/``expand_jobs`` spellings and cache plumbing,

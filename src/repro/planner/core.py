@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import perf
@@ -120,7 +120,6 @@ class PlannerConfig:
     Attributes:
         backend: Default search backend (a :func:`repro.planner.backends`
             registry key); overridable per ``plan()`` call.
-        backend_options: Default keyword options forwarded to the backend.
         jobs: Must be 1.  The candidate search runs in-process; any other
             value raises :class:`~repro.errors.PartitionError`.
         expand_jobs: Must be 1.  The search runs on one thread; any other
@@ -133,7 +132,6 @@ class PlannerConfig:
     """
 
     backend: str = "tofu"
-    backend_options: Mapping[str, object] = field(default_factory=dict)
     # jobs and expand_jobs are kept only because benchmarks/e2e/harness.py
     # (lines 261, 324) spells them.
     jobs: int = 1
@@ -206,7 +204,7 @@ class Planner:
                 requested worker count.
         """
         spec = get_backend(backend or self.config.backend)
-        options = {**self.config.backend_options, **(backend_options or {})}
+        options = dict(backend_options or {})
         spec.validate_options(options)
         factors = factorize_workers(num_workers)
 

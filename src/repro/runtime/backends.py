@@ -47,12 +47,7 @@ from repro.runtime.passes import (
 )
 from repro.runtime.program import LoweredProgram
 from repro.sim.costmodel import node_kernel_time
-from repro.sim.device import (
-    MachineSpec,
-    Topology,
-    slice_topology,
-    slice_topology_range,
-)
+from repro.sim.device import MachineSpec, Topology, slice_topology_range
 from repro.sim.engine import HOST_DEVICE, TaskGraphBuilder
 from repro.sim.swap import swap_residency_schedule
 
@@ -165,22 +160,21 @@ def lower_single_device(
     machine: Topology,
     plan=None,
     *,
-    device: int = 0,
     check_memory: bool = True,
 ) -> LoweredProgram:
-    """One compute task per node, all on the same device."""
-    device_spec = machine.device(device)
+    """One compute task per node, all on device 0."""
+    device_spec = machine.device(0)
     tasks = TaskGraphBuilder()
     for node in scheduled_nodes(graph):
         make_compute_task(
-            tasks, graph, node.name, device, device_spec, machine,
+            tasks, graph, node.name, 0, device_spec, machine,
             deps=producer_deps(graph, node),
         )
     return LoweredProgram(
         backend="single-device",
         num_devices=1,
         tasks=tasks,
-        per_device_memory=device_memory_report(graph, [device]),
+        per_device_memory=device_memory_report(graph, [0]),
         check_memory=check_memory,
     )
 
@@ -267,18 +261,13 @@ def lower_placement(
 
 
 def lower_data_parallel(
-    graph: Graph,
-    machine: Topology,
-    plan=None,
-    *,
-    weight_bytes: Optional[float] = None,
+    graph: Graph, machine: Topology, plan=None
 ) -> LoweredProgram:
     """Data-parallel execution: every device runs the full graph on 1/k of the
     batch and gradients are ring-all-reduced — over PCI-e within a machine,
     over the network when a device's ring neighbour sits on another machine."""
     num = machine.num_devices
-    if weight_bytes is None:
-        weight_bytes = float(graph.weight_bytes())
+    weight_bytes = float(graph.weight_bytes())
     tasks = TaskGraphBuilder()
     total_comm = 0.0
     scale = 1.0 / num
@@ -315,10 +304,7 @@ def lower_swap(
     machine: Topology,
     plan=None,
     *,
-    device_index: int = 0,
     concurrent_gpus: Optional[int] = None,
-    prefetch: bool = True,
-    warm_iterations: int = 1,
 ) -> LoweredProgram:
     """Single-GPU execution with CPU-memory swapping on the shared host link.
 
@@ -327,17 +313,15 @@ def lower_swap(
     tasks.  ``concurrent_gpus`` GPUs run the same schedule at once, so each
     recorded transfer is charged ``concurrent_gpus`` times over the shared
     aggregate link — which is how the paper's swapping baseline collapses when
-    all eight GPUs swap together (Sec 7.2).  With ``prefetch`` the transfer
-    for an operator overlaps its computation (the per-step dependency barrier
-    joins them); without it the computation waits for the transfer.
+    all eight GPUs swap together (Sec 7.2).  The swap runs on device 0, and
+    prefetching overlaps an operator's transfer with its computation (the
+    per-step dependency barrier joins them).
     """
     if concurrent_gpus is None:
         concurrent_gpus = machine.num_devices
     concurrent_gpus = max(1, concurrent_gpus)
-    schedule = swap_residency_schedule(
-        graph, machine, device_index=device_index, warm_iterations=warm_iterations
-    )
-    device_spec = machine.device(device_index)
+    schedule = swap_residency_schedule(graph, machine)
+    device_spec = machine.device(0)
     capacity = device_spec.memory_bytes
 
     tasks = TaskGraphBuilder()
@@ -354,16 +338,11 @@ def lower_swap(
             # host link, so the aggregate link carries k times the bytes.
             link_bytes = moved * concurrent_gpus
             make_comm_task(
-                tasks, transfer_name, device_index, link_bytes,
-                channel="cpu", deps=barrier,
+                tasks, transfer_name, 0, link_bytes, channel="cpu", deps=barrier
             )
             total_comm += link_bytes
-        compute_deps = list(barrier)
-        if not prefetch and transfer_name is not None:
-            compute_deps.append(transfer_name)
         make_compute_task(
-            tasks, graph, step.node, device_index, device_spec, machine,
-            deps=compute_deps,
+            tasks, graph, step.node, 0, device_spec, machine, deps=list(barrier)
         )
         prev_compute = step.node
         prev_transfer = transfer_name
@@ -377,7 +356,7 @@ def lower_swap(
         backend="swap",
         num_devices=1,
         tasks=tasks,
-        per_device_memory={device_index: required},
+        per_device_memory={0: required},
         total_comm_bytes=total_comm,
         stats={
             "swapped_in_bytes": schedule.swapped_in_bytes,
@@ -434,8 +413,6 @@ def lower_pipeline(
     num_stages: Optional[int] = None,
     num_microbatches: int = 4,
     schedule: str = "1f1b",
-    check_memory: bool = True,
-    topology_aware: bool = True,
 ) -> LoweredProgram:
     """Pipeline-parallel execution: contiguous layer stages, micro-batched.
 
@@ -451,9 +428,8 @@ def lower_pipeline(
 
     On a multi-machine topology the stages spread across the machines and
     the stage-assignment DP scores candidate layer cuts against the link
-    they cross (``topology_aware=False`` reverts to the flat compute-balance
-    split, for ablation).  With one stage and one micro-batch this
-    degenerates to single-device execution (the parity the tests pin down).
+    they cross.  With one stage and one micro-batch this degenerates to
+    single-device execution (the parity the tests pin down).
     """
     if num_microbatches < 1:
         raise ExecutionError("pipeline needs at least one micro-batch")
@@ -466,10 +442,7 @@ def lower_pipeline(
             f"pipeline wants {num_stages} stages on a machine with "
             f"{machine.num_devices} devices"
         )
-    stages = assign_pipeline_stages(
-        graph, machine, num_stages,
-        layer_of=layer_of, topology_aware=topology_aware,
-    )
+    stages = assign_pipeline_stages(graph, machine, num_stages, layer_of=layer_of)
     stage_devices = stages.stage_devices
     sched = pipeline_schedule(num_stages, num_microbatches, style=schedule)
 
@@ -601,7 +574,6 @@ def lower_pipeline(
         tasks=tasks,
         per_device_memory=memory,
         total_comm_bytes=comm_total[0],
-        check_memory=check_memory,
         stats={
             "num_stages": float(num_stages),
             "num_microbatches": float(num_microbatches),
@@ -625,7 +597,6 @@ def lower_hybrid(
     replica_groups: int = 2,
     inner: str = "tofu-partitioned",
     inner_options: Optional[Mapping[str, object]] = None,
-    weight_bytes: Optional[float] = None,
 ) -> LoweredProgram:
     """Hybrid data+model parallelism: replica groups × an inner backend.
 
@@ -674,7 +645,7 @@ def lower_hybrid(
             f"hybrid plan was searched for {plan.num_workers} workers but "
             f"each replica group has {group_devices} devices"
         )
-    sub_machine = slice_topology(machine, group_devices)
+    sub_machine = slice_topology_range(machine, 0, group_devices)
     program = inner_spec.lower(graph, sub_machine, plan, **options)
     stats = dict(program.stats)
     stats["replica_groups"] = float(groups)
@@ -703,10 +674,10 @@ def lower_hybrid(
     # aggregate volume is exactly the inner program's (1/G per group × G
     # groups — the pre-cluster accounting, kept bit-identical).
     total_comm = 0.0 if multi_machine else program.total_comm_bytes
-    if weight_bytes is None:
-        weight_bytes = float(graph.weight_bytes())
     # Ring all-reduce of each device's weight shard across the G groups.
-    reduce_bytes = 2.0 * (groups - 1) / groups * weight_bytes / group_devices
+    reduce_bytes = (
+        2.0 * (groups - 1) / groups * float(graph.weight_bytes()) / group_devices
+    )
     for group in range(groups):
         offset = group * group_devices
         if group == 0 or not multi_machine:
@@ -803,7 +774,7 @@ register_execution_backend(
         name="single-device",
         lower=lower_single_device,
         description="whole graph on one GPU (Ideal / SmallBatch baselines)",
-        option_names=("device", "check_memory"),
+        option_names=("check_memory",),
     )
 )
 register_execution_backend(
@@ -819,7 +790,6 @@ register_execution_backend(
         name="data-parallel",
         lower=lower_data_parallel,
         description="full graph per device on a batch shard, ring all-reduce",
-        option_names=("weight_bytes",),
     )
 )
 register_execution_backend(
@@ -827,9 +797,7 @@ register_execution_backend(
         name="swap",
         lower=lower_swap,
         description="single-GPU LRU swapping over the shared CPU link (Sec 7.1)",
-        option_names=(
-            "device_index", "concurrent_gpus", "prefetch", "warm_iterations",
-        ),
+        option_names=("concurrent_gpus",),
     )
 )
 register_execution_backend(
@@ -837,10 +805,7 @@ register_execution_backend(
         name="pipeline",
         lower=lower_pipeline,
         description="GPipe/1F1B micro-batch pipeline over contiguous layer stages",
-        option_names=(
-            "num_stages", "num_microbatches", "schedule", "check_memory",
-            "topology_aware",
-        ),
+        option_names=("num_stages", "num_microbatches", "schedule"),
     )
 )
 register_execution_backend(
@@ -848,8 +813,6 @@ register_execution_backend(
         name="hybrid",
         lower=lower_hybrid,
         description="data-parallel replica groups x an inner model-parallel backend",
-        option_names=(
-            "replica_groups", "inner", "inner_options", "weight_bytes",
-        ),
+        option_names=("replica_groups", "inner", "inner_options"),
     )
 )

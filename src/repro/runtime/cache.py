@@ -57,12 +57,12 @@ __all__ = [
     "lowered_cache_key",
 ]
 
-#: ExecutorConfig fields whose values feed :func:`lowered_cache_key` (the
-#: key's ``backend``/``options`` payload entries).  Together
-#: with NON_SEMANTIC_CONFIG_FIELDS this must classify *every* config field —
-#: the ``cache-key`` checker (repro.analysis) fails the build otherwise, so
-#: a new semantic knob cannot silently poison warm cache entries.
-KEY_COVERED_CONFIG_FIELDS = ("backend", "backend_options")
+#: ExecutorConfig fields whose values feed :func:`lowered_cache_key`: none,
+#: the backend and its options are per-call arguments.  Together with
+#: NON_SEMANTIC_CONFIG_FIELDS this must classify *every* config field — the
+#: ``cache-key`` checker (repro.analysis) fails the build otherwise, so a
+#: new semantic knob cannot silently poison warm cache entries.
+KEY_COVERED_CONFIG_FIELDS: tuple = ()
 
 #: ExecutorConfig fields that deliberately do NOT contribute to program
 #: cache keys: cache plumbing and observability knobs that never change

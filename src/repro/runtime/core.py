@@ -15,7 +15,7 @@ simulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from repro import perf
@@ -40,9 +40,6 @@ class ExecutorConfig:
     """Configuration of an :class:`Executor`.
 
     Attributes:
-        backend: Default execution backend (a registry key of
-            :mod:`repro.runtime.backends`); overridable per ``run()`` call.
-        backend_options: Default keyword options forwarded to the backend.
         cache_programs: Reuse lowered programs by content address (graph ×
             machine × backend × options × plan).  On by default; a hit
             skips every lowering pass and returns a fresh program, sharing
@@ -68,8 +65,6 @@ class ExecutorConfig:
             keys.
     """
 
-    backend: str = "tofu-partitioned"
-    backend_options: Mapping[str, object] = field(default_factory=dict)
     cache_programs: bool = True
     program_cache_dir: Optional[str] = None
     program_cache_capacity: Optional[int] = None
@@ -211,7 +206,7 @@ class Executor:
         *,
         plan: Optional["PartitionPlan"] = None,
         machine: Optional[Topology] = None,
-        backend: Optional[str] = None,
+        backend: str = "tofu-partitioned",
         backend_options: Optional[Mapping[str, object]] = None,
     ) -> LoweredProgram:
         """Lower ``graph`` to a device-assigned task program (no simulation).
@@ -229,8 +224,8 @@ class Executor:
                 lowered program fails a static check.
         """
         with perf.activation(self.profile_timer):
-            spec = get_execution_backend(backend or self.config.backend)
-            options = {**self.config.backend_options, **(backend_options or {})}
+            spec = get_execution_backend(backend)
+            options = dict(backend_options or {})
             spec.validate_options(options)
             if spec.requires_plan and plan is None:
                 from repro.errors import ExecutionError
@@ -319,7 +314,7 @@ class Executor:
         *,
         plan: Optional["PartitionPlan"] = None,
         machine: Optional[Topology] = None,
-        backend: Optional[str] = None,
+        backend: str = "tofu-partitioned",
         backend_options: Optional[Mapping[str, object]] = None,
     ) -> SimulationReport:
         """Lower ``graph`` with the selected backend and simulate it."""

@@ -341,8 +341,6 @@ def assign_pipeline_stages(
     num_stages: int,
     *,
     layer_of: Optional[Dict[str, int]] = None,
-    stage_devices: Optional[Sequence[int]] = None,
-    topology_aware: bool = True,
 ) -> StageAssignment:
     """Group the graph's layers into ``num_stages`` contiguous stages.
 
@@ -351,8 +349,7 @@ def assign_pipeline_stages(
     minimises the bottleneck stage.  ``layer_of`` lets callers that already
     ran :func:`full_layer_assignment` skip the second graph traversal.
 
-    On a multi-machine topology (and unless ``topology_aware=False``) the
-    split also charges each candidate cut with the time of moving its
+    On a multi-machine topology the split also charges each candidate cut with the time of moving its
     boundary tensors (:func:`layer_cut_bytes`) over the link between the two
     stages' devices, so the DP steers low-traffic cuts onto the expensive
     cross-machine edges.  On one machine the scoring reduces exactly to the
@@ -366,14 +363,7 @@ def assign_pipeline_stages(
             f"pipeline wants {num_stages} stages but the graph only has "
             f"{len(layers)} layers"
         )
-    if stage_devices is None:
-        stage_devices = pipeline_stage_devices(machine, num_stages)
-    elif len(stage_devices) != num_stages:
-        raise ExecutionError(
-            f"stage_devices names {len(stage_devices)} device(s) for "
-            f"{num_stages} stages"
-        )
-    stage_devices = list(stage_devices)
+    stage_devices = pipeline_stage_devices(machine, num_stages)
     device_spec = machine.device(0)
     cost_of_layer = {layer: 0.0 for layer in layers}
     for node in graph.nodes:
@@ -381,8 +371,7 @@ def assign_pipeline_stages(
             graph, node, device_spec, machine
         )
     costs = [cost_of_layer[layer] for layer in layers]
-    link_aware = topology_aware and machine.num_machines > 1
-    if link_aware:
+    if machine.num_machines > 1:
         cuts = layer_cut_bytes(graph, layer_of, layers)
         # Seconds per cut position for the link into each stage > 0.
         cut_cost_of_stage = [

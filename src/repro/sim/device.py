@@ -35,12 +35,22 @@ MACHINE_PAYLOAD_VERSION = 2
 
 @dataclass(frozen=True)
 class DeviceSpec:
-    """A single accelerator device."""
+    """A single accelerator device.
+
+    Memory size, FLOP rate and memory bandwidth must be finite numbers > 0
+    (:class:`SimulationError` otherwise).
+    """
 
     name: str
     memory_bytes: int = 12 * GiB
     peak_flops: float = 2.91e12       # GK210 single-precision peak
     memory_bandwidth: float = 160e9   # effective HBM/GDDR5 bandwidth
+
+    def __post_init__(self):
+        _check_numbers(
+            "DeviceSpec", vars(self),
+            positive=("memory_bytes", "peak_flops", "memory_bandwidth"),
+        )
 
     def fits(self, required_bytes: int) -> bool:
         return required_bytes <= self.memory_bytes
@@ -65,8 +75,7 @@ class Link:
 
     def transfer_time(self, num_bytes: float) -> float:
         """Occupancy of this link for one ``num_bytes`` transfer."""
-        duration = num_bytes / self.bandwidth if self.bandwidth else 0.0
-        return duration + self.latency
+        return num_bytes / self.bandwidth + self.latency
 
 
 @dataclass(frozen=True)
@@ -76,7 +85,9 @@ class MachineSpec:
     ``p2p_bandwidth`` is the per-device PCI-e peer-to-peer bandwidth;
     ``cpu_bandwidth`` is the *aggregate* host link shared by all devices,
     which is why the swapping baseline collapses when 8 GPUs swap at once
-    (Sec 7.2).
+    (Sec 7.2).  Bandwidths and host memory must be finite numbers > 0, the
+    launch overhead a finite number >= 0 (:class:`SimulationError`
+    otherwise).
     """
 
     devices: List[DeviceSpec]
@@ -88,6 +99,11 @@ class MachineSpec:
     def __post_init__(self):
         if not self.devices:
             raise SimulationError("a machine needs at least one device")
+        _check_numbers(
+            "MachineSpec", vars(self),
+            positive=("p2p_bandwidth", "cpu_bandwidth", "cpu_memory"),
+            non_negative=("kernel_launch_overhead",),
+        )
 
     @property
     def num_devices(self) -> int:
@@ -147,7 +163,8 @@ class ClusterSpec:
     ``network_bandwidth``/``network_latency`` model the inter-machine fabric
     (default: a 10 Gb/s datacenter link with 40 µs latency — two orders of
     magnitude slower than PCI-e peer-to-peer, which is exactly the gap the
-    hierarchical partitioning exploits).
+    hierarchical partitioning exploits).  The bandwidth must be a finite
+    number > 0 and the latency a finite number >= 0.
 
     The class mirrors :class:`MachineSpec`'s accessor surface
     (``num_devices``, ``device(i)``, ``kernel_launch_overhead``, …) so every
@@ -162,6 +179,10 @@ class ClusterSpec:
     def __post_init__(self):
         if not self.machines:
             raise SimulationError("a cluster needs at least one machine")
+        _check_numbers(
+            "ClusterSpec", vars(self),
+            positive=("network_bandwidth",), non_negative=("network_latency",),
+        )
 
     # ----------------------------------------------------- MachineSpec surface
     @property
@@ -294,53 +315,18 @@ def as_cluster(topology: Topology) -> ClusterSpec:
     return ClusterSpec(machines=[topology])
 
 
-def slice_topology(topology: Topology, num_devices: int) -> Topology:
-    """The sub-topology covering the first ``num_devices`` devices.
-
-    Used wherever a wrapper strategy hands part of the hardware to an inner
-    strategy (``dp`` replica groups, ``machines`` sub-clusters).  Slicing a
-    bare machine returns a smaller machine; slicing a cluster returns the
-    machine prefix — whole machines while they fit, then a partial machine —
-    collapsing to a bare :class:`MachineSpec` when the slice stays inside
-    machine 0 (so single-machine code paths keep their exact behaviour).
-    """
-    if num_devices <= 0:
-        raise SimulationError("a topology slice needs at least one device")
-    if num_devices > topology.num_devices:
-        raise SimulationError(
-            f"cannot slice {num_devices} devices out of a topology with "
-            f"{topology.num_devices}"
-        )
-    if isinstance(topology, MachineSpec):
-        return replace(topology, devices=list(topology.devices[:num_devices]))
-    machines: List[MachineSpec] = []
-    remaining = num_devices
-    for machine in topology.machines:
-        if remaining <= 0:
-            break
-        take = min(remaining, machine.num_devices)
-        if take == machine.num_devices:
-            machines.append(machine)
-        else:
-            machines.append(
-                replace(machine, devices=list(machine.devices[:take]))
-            )
-        remaining -= take
-    if len(machines) == 1:
-        return machines[0]
-    return replace(topology, machines=machines)
-
-
 def slice_topology_range(
     topology: Topology, start: int, num_devices: int
 ) -> Topology:
     """The sub-topology covering devices ``[start, start + num_devices)``.
 
-    Unlike :func:`slice_topology` the range need not begin at device 0 — the
-    hybrid backend uses this to give each replica group *its* machines, so a
-    group straddling a machine boundary keeps the boundary (and its network
-    link) in the slice.  Collapses to a bare :class:`MachineSpec` when the
-    range stays inside one machine.
+    Used wherever a wrapper strategy hands part of the hardware to an inner
+    strategy: ``dp`` replica groups, and the hybrid backend giving each
+    replica group *its* machines, so a group straddling a machine boundary
+    keeps the boundary (and its network link) in the slice.  Whole machines
+    are kept as they are; the slice collapses to a bare :class:`MachineSpec`
+    when the range stays inside one machine (so single-machine code paths
+    keep their exact behaviour).
     """
     if num_devices <= 0:
         raise SimulationError("a topology slice needs at least one device")
@@ -564,10 +550,6 @@ def _load_device(entry: dict) -> DeviceSpec:
             f"machine payload has unknown device field(s) {unknown} "
             f"(known: {', '.join(_DEVICE_KEYS)})"
         )
-    _check_numbers(
-        "machine payload device", entry,
-        positive=("memory_bytes", "peak_flops", "memory_bandwidth"),
-    )
     return DeviceSpec(**entry)
 
 
@@ -580,11 +562,6 @@ def _load_machine(payload: dict) -> MachineSpec:
             f"machine payload has unknown field(s) {unknown} "
             f"(known: devices, {', '.join(_MACHINE_KEYS)})"
         )
-    _check_numbers(
-        "machine payload", kwargs,
-        positive=("p2p_bandwidth", "cpu_bandwidth", "cpu_memory"),
-        non_negative=("kernel_launch_overhead",),
-    )
     return MachineSpec(devices=devices, **kwargs)
 
 
@@ -618,7 +595,9 @@ def machine_from_dict(payload: dict) -> Topology:
     understand is rejected with a clear :class:`SimulationError` (never a
     ``TypeError`` from unexpected keyword arguments), and so is a bandwidth,
     FLOP rate or memory size that is not a finite number > 0, or a launch
-    overhead or latency that is not a finite number >= 0.
+    overhead or latency that is not a finite number >= 0 (the checks of the
+    :class:`DeviceSpec`, :class:`MachineSpec` and :class:`ClusterSpec`
+    constructors).
     """
     if not isinstance(payload, dict):
         raise SimulationError(
@@ -650,10 +629,6 @@ def machine_from_dict(payload: dict) -> Topology:
             )
         if not machines:
             raise SimulationError("cluster payload has no machines")
-        _check_numbers(
-            "cluster payload", body,
-            positive=("network_bandwidth",), non_negative=("network_latency",),
-        )
         return ClusterSpec(machines=machines, **body)
     raise SimulationError(
         f"unknown machine payload kind {kind!r} (known: machine, cluster)"

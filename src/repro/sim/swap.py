@@ -81,21 +81,15 @@ class SwapSchedule:
         return sum(step.moved_out_bytes for step in self.steps)
 
 
-def swap_residency_schedule(
-    graph: Graph,
-    machine: MachineSpec,
-    *,
-    device_index: int = 0,
-    warm_iterations: int = 1,
-) -> SwapSchedule:
-    """Run the LRU residency state machine and record per-node transfers.
+def swap_residency_schedule(graph: Graph, machine: MachineSpec) -> SwapSchedule:
+    """Run the LRU residency state machine on device 0 and record per-node
+    transfers.
 
-    ``warm_iterations`` extra iterations run first so the recorded iteration
-    starts from the steady-state resident set (weights already on the device,
-    transients from the previous iteration evicted or dead).
+    One warm-up iteration runs first so the recorded iteration starts from
+    the steady-state resident set (weights already on the device, transients
+    from the previous iteration evicted or dead).
     """
-    device = machine.device(device_index)
-    capacity = device.memory_bytes
+    capacity = machine.device(0).memory_bytes
 
     schedule = topo_schedule(graph)
     intervals = liveness(graph, schedule)
@@ -142,7 +136,7 @@ def swap_residency_schedule(
     peak_resident = 0
 
     result: Optional[SwapSchedule] = None
-    for iteration in range(warm_iterations + 1):
+    for iteration in range(2):
         steps: List[SwapStep] = []
         oom = False
         oom_required = 0
@@ -225,26 +219,20 @@ def simulate_with_swapping(
     graph: Graph,
     machine: MachineSpec,
     *,
-    device_index: int = 0,
     concurrent_gpus: Optional[int] = None,
-    prefetch: bool = True,
-    warm_iterations: int = 1,
 ) -> SwapResult:
     """Simulate one steady-state training iteration with swapping.
 
     ``concurrent_gpus`` is how many GPUs share the host link (all of them for
-    the data-parallel swapping baseline); ``warm_iterations`` runs the
-    schedule that many extra times first so that the reported iteration starts
-    from the steady-state resident set.
+    the data-parallel swapping baseline).  Prefetching overlaps each
+    operator's transfer with its computation.
     """
-    device = machine.device(device_index)
+    device = machine.device(0)
     if concurrent_gpus is None:
         concurrent_gpus = machine.num_devices
     cpu_bandwidth = machine.cpu_bandwidth / max(1, concurrent_gpus)
 
-    schedule = swap_residency_schedule(
-        graph, machine, device_index=device_index, warm_iterations=warm_iterations
-    )
+    schedule = swap_residency_schedule(graph, machine)
 
     compute_time = 0.0
     transfer_time = 0.0
@@ -258,10 +246,7 @@ def simulate_with_swapping(
         transfer_time += node_transfer
         swapped_in += step.moved_in_bytes
         swapped_out += step.moved_out_bytes
-        if prefetch:
-            iteration_time += max(node_compute, node_transfer)
-        else:
-            iteration_time += node_compute + node_transfer
+        iteration_time += max(node_compute, node_transfer)
 
     return SwapResult(
         iteration_time=iteration_time,

@@ -33,7 +33,7 @@ from typing import Dict, Optional
 
 from repro.errors import SimulationError, StrategyError
 from repro.graph.graph import Graph
-from repro.sim.device import Topology, slice_machines, slice_topology
+from repro.sim.device import Topology, slice_machines, slice_topology_range
 from repro.strategy.algebra import (
     DataParallel,
     Machines,
@@ -211,7 +211,7 @@ def _lower_body(
             f"({machine.num_devices}) to be divisible by its {groups} groups"
         )
     group_devices = machine.num_devices // groups
-    sub_machine = slice_topology(machine, group_devices)
+    sub_machine = slice_topology_range(machine, 0, group_devices)
     inner = _lower_node(body.inner or Single(), sub_machine, graph)
     options: Dict[str, object] = {
         "replica_groups": groups,

@@ -8,8 +8,7 @@ estimate plus a ``lower_only`` compile whose per-device memory report is
 checked against capacity), budgeted **search** (survivors fully simulated
 in-process, through the caller's planner and executor caches), and
 **ranking** (a Pareto frontier
-over iteration time, peak device memory, and machine count, with the
-incumbent best available mid-search).
+over iteration time, peak device memory, and machine count).
 
 Entry points: :class:`Tuner` / :class:`TunerBudget` programmatically,
 ``repro.compile(graph, "auto", tuner=Tuner(...))`` on the compile path, and

@@ -12,9 +12,7 @@ One :meth:`Tuner.tune` call runs three stages per candidate:
    land in those caches and the winner comes back as the model the sweep
    built.
 3. **Rank** — outcomes reduce to a Pareto frontier over (iteration time,
-   peak device memory, machine count) under the :class:`TunerBudget`; the
-   incumbent best is tracked live (:attr:`Tuner.incumbent`) while the sweep
-   runs.
+   peak device memory, machine count) under the :class:`TunerBudget`.
 
 Determinism: given a budget in candidates only (no wall-clock deadline),
 reruns decide the same candidates with the same tie-breaks and return
@@ -24,7 +22,7 @@ identical frontiers and winner keys.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro import compiler, perf
 from repro.caching import graph_signature_scope
@@ -242,12 +240,6 @@ class Tuner:
         microbatches / schedules / search_backends: Grid axes forwarded to
             :func:`repro.tuner.tuner_candidates` when no explicit candidate
             list is given.
-        on_progress: Optional callback invoked as ``on_progress(outcome,
-            incumbent)`` after every candidate decision — the hook for
-            mid-search progress display.
-
-    The best-so-far outcome is also readable live on :attr:`incumbent`
-    while :meth:`tune` runs.
     """
 
     def __init__(
@@ -259,9 +251,6 @@ class Tuner:
         microbatches: Sequence[int] = DEFAULT_MICROBATCHES,
         schedules: Sequence[str] = DEFAULT_SCHEDULES,
         search_backends: Sequence[str] = (),
-        on_progress: Optional[
-            Callable[[CandidateOutcome, Optional[CandidateOutcome]], None]
-        ] = None,
     ):
         if jobs != 1:
             raise StrategyError(
@@ -273,8 +262,6 @@ class Tuner:
         self.microbatches = tuple(microbatches)
         self.schedules = tuple(schedules)
         self.search_backends = tuple(search_backends)
-        self.on_progress = on_progress
-        self.incumbent: Optional[CandidateOutcome] = None
 
     # ----------------------------------------------------------------- tune
     # Like compile(..., "auto"): one graph signature and one collector pause
@@ -314,7 +301,6 @@ class Tuner:
             raise StrategyError("the autotuner needs at least one candidate")
 
         admitted, cut = self.budget.split(pool)
-        self.incumbent = None
 
         timer = executor.profile_timer or StageTimer()
         started = time.perf_counter()
@@ -375,16 +361,6 @@ class Tuner:
         )
 
     # ------------------------------------------------------------- internals
-    def _note_progress(self, outcome: CandidateOutcome) -> None:
-        if outcome.viable and (
-            self.incumbent is None
-            or (outcome.iteration_time, outcome.index)
-            < (self.incumbent.iteration_time, self.incumbent.index)
-        ):
-            self.incumbent = outcome
-        if self.on_progress is not None:
-            self.on_progress(outcome, self.incumbent)
-
     def _sweep(
         self,
         graph: Graph,
@@ -431,5 +407,4 @@ class Tuner:
                 if best_key is None or key < best_key:
                     best_key = key
                     best_model = model
-            self._note_progress(outcome)
         return outcomes, best_model

@@ -108,8 +108,8 @@ def pareto_frontier(outcomes: List[CandidateOutcome]) -> List[CandidateOutcome]:
 class TunerResult:
     """Everything one budgeted sweep produced.
 
-    ``best`` is the fastest viable candidate's compiled model (the
-    incumbent at the moment the sweep ended); ``frontier`` the Pareto set
+    ``best`` is the fastest viable candidate's compiled model;
+    ``frontier`` the Pareto set
     over (iteration time, peak memory, machine count); ``outcomes`` every
     candidate's verdict in generation order — including screened ones with
     their rejection reason; ``stats`` the sweep's counters and stage

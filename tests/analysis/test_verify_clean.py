@@ -14,7 +14,7 @@ from repro.runtime import (
     get_execution_backend,
 )
 from repro.runtime.passes import round_robin_layer_placement
-from repro.sim.device import cluster_of, k80_8gpu_machine, slice_topology
+from repro.sim.device import cluster_of, k80_8gpu_machine, slice_topology_range
 
 MACHINES = {
     "flat": lambda: k80_8gpu_machine(4),
@@ -48,7 +48,7 @@ def _backend_inputs(backend, bundle, machine, schedule="1f1b"):
         group_workers = max(1, num_devices // 2)
         plan = Planner(PlannerConfig()).plan(
             bundle.graph, group_workers,
-            machine=slice_topology(machine, group_workers),
+            machine=slice_topology_range(machine, 0, group_workers),
         )
     return plan, options
 

@@ -2,19 +2,23 @@
 
 
 from repro.baselines.partition_algos import (
-    ALGORITHMS,
     allrow_greedy_plan,
     equalchop_plan,
-    icml18_plan,
     spartan_plan,
-    tofu_plan,
 )
+from repro.planner.backends import get_backend
+
+FIGURE10_BACKENDS = ("allrow-greedy", "spartan", "equalchop", "icml18", "tofu")
+
+
+def _search(name, graph, workers):
+    return get_backend(name).search(graph, workers)
 
 
 class TestAlgorithms:
     def test_all_algorithms_produce_plans(self, mlp_bundle):
-        for name, fn in ALGORITHMS.items():
-            plan = fn(mlp_bundle.graph, 4)
+        for name in FIGURE10_BACKENDS:
+            plan = _search(name, mlp_bundle.graph, 4)
             assert plan.num_workers == 4
             assert plan.total_comm_bytes >= 0, name
 
@@ -23,19 +27,19 @@ class TestAlgorithms:
         assert all(d == 0 for d in plan.steps[0].tensor_dims.values())
 
     def test_tofu_never_worse_than_allrow(self, mlp_bundle):
-        tofu = tofu_plan(mlp_bundle.graph, 8)
+        tofu = _search("tofu", mlp_bundle.graph, 8)
         allrow = allrow_greedy_plan(mlp_bundle.graph, 8)
         assert tofu.total_comm_bytes <= allrow.total_comm_bytes * 1.001
 
     def test_tofu_never_worse_than_spartan(self, mlp_bundle):
-        tofu = tofu_plan(mlp_bundle.graph, 8)
+        tofu = _search("tofu", mlp_bundle.graph, 8)
         spartan = spartan_plan(mlp_bundle.graph, 8)
         assert tofu.total_comm_bytes <= spartan.total_comm_bytes * 1.001
 
     def test_tofu_not_worse_than_icml18_on_rnn(self, rnn_bundle):
         """Missing output-reduction strategies can only hurt (Sec 7.3)."""
-        tofu = tofu_plan(rnn_bundle.graph, 8)
-        icml = icml18_plan(rnn_bundle.graph, 8)
+        tofu = _search("tofu", rnn_bundle.graph, 8)
+        icml = _search("icml18", rnn_bundle.graph, 8)
         assert tofu.total_comm_bytes <= icml.total_comm_bytes * 1.001
 
     def test_equalchop_single_step(self, mlp_bundle):
@@ -44,7 +48,7 @@ class TestAlgorithms:
         assert plan.steps[0].parts == 8
 
     def test_equalchop_not_better_than_tofu(self, mlp_bundle):
-        tofu = tofu_plan(mlp_bundle.graph, 8)
+        tofu = _search("tofu", mlp_bundle.graph, 8)
         chop = equalchop_plan(mlp_bundle.graph, 8)
         assert tofu.total_comm_bytes <= chop.total_comm_bytes * 1.001
 
@@ -52,7 +56,7 @@ class TestAlgorithms:
         assert allrow_greedy_plan(mlp_bundle.graph, 2).algorithm == "allrow-greedy"
         assert spartan_plan(mlp_bundle.graph, 2).algorithm == "spartan"
         assert equalchop_plan(mlp_bundle.graph, 2).algorithm == "equalchop"
-        assert icml18_plan(mlp_bundle.graph, 2).algorithm == "icml18"
+        assert _search("icml18", mlp_bundle.graph, 2).algorithm == "icml18"
 
     def test_search_times_recorded(self, mlp_bundle):
         for fn in (allrow_greedy_plan, spartan_plan, equalchop_plan):

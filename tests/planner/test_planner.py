@@ -92,13 +92,23 @@ class TestBackendRegistry:
         with pytest.raises(PartitionError, match="already registered"):
             register_backend(spec)
 
-    def test_factor_order_backend_requires_factors_fn(self):
-        with pytest.raises(PartitionError, match="factors_fn"):
-            register_backend(
-                BackendSpec(
-                    name="broken", fn=lambda g, n: None, supports_factor_orders=True
-                )
-            )
+    def test_factor_order_backend_takes_factors_keyword(self, mlp_bundle):
+        seen = []
+
+        def search(graph, num_workers, factors=None):
+            seen.append(factors)
+            return recursive_partition(graph, num_workers, factors=factors)
+
+        register_backend(
+            BackendSpec(name="ordered", fn=search, supports_factor_orders=True)
+        )
+        try:
+            spec = get_backend("ordered")
+            spec.search(mlp_bundle.graph, 4, factors=(2, 2))
+            spec.search(mlp_bundle.graph, 4)
+        finally:
+            unregister_backend("ordered")
+        assert seen == [(2, 2), None]
 
     def test_unsupported_option_rejected_cleanly(self, mlp_bundle):
         with pytest.raises(PartitionError, match="does not accept option"):
@@ -140,9 +150,9 @@ class TestPlanCache:
 
     def test_cache_key_changes_with_backend_config(self, mlp_bundle):
         factors = [2, 2]
-        base = plan_cache_key(mlp_bundle.graph, factors, None, "tofu", {})
+        base = plan_cache_key(mlp_bundle.graph, factors, None, "counting", {})
         no_red = plan_cache_key(
-            mlp_bundle.graph, factors, None, "tofu", {"allow_reduction": False}
+            mlp_bundle.graph, factors, None, "counting", {"allow_reduction": False}
         )
         other = plan_cache_key(mlp_bundle.graph, factors, None, "spartan", {})
         assert len({base, no_red, other}) == 3
@@ -182,13 +192,6 @@ class TestPlanCache:
                 explore_factor_orders=get_backend(backend).supports_factor_orders,
             )
             assert planner.cache.get(key) is not None
-
-    def test_cache_key_changes_with_semantic_option(self, mlp_bundle):
-        base = plan_cache_key(mlp_bundle.graph, [2, 2], None, "tofu", {})
-        capped = plan_cache_key(
-            mlp_bundle.graph, [2, 2], None, "tofu", {"max_states": 7}
-        )
-        assert capped != base
 
     def test_unserializable_options_bypass_cache(self, mlp_bundle, counting_backend):
         from repro.partition.coarsen import coarsen
@@ -357,18 +360,3 @@ class TestPlannerFacade:
             Planner().plan(
                 mlp_bundle.graph, 4, backend_options={"expand_jobs": 2}
             )
-
-    def test_config_backend_options_merge_with_call_options(self, mlp_bundle):
-        planner = Planner(
-            PlannerConfig(
-                backend="tofu",
-                backend_options={"allow_reduction": False},
-                cache_capacity=0,
-            )
-        )
-        plan = planner.plan(mlp_bundle.graph, 4)
-        assert plan.algorithm == "tofu-no-reduction"
-        plan = planner.plan(
-            mlp_bundle.graph, 4, backend_options={"allow_reduction": True}
-        )
-        assert plan.algorithm == "tofu-recursive"

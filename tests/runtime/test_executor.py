@@ -9,7 +9,6 @@ from repro.cli import main as cli_main
 from repro.planner import Planner
 from repro.runtime import (
     Executor,
-    ExecutorConfig,
     available_execution_backends,
     default_executor,
 )
@@ -62,24 +61,6 @@ class TestExecutorFacade:
         )
         assert result.iteration_time == report.result.iteration_time
 
-    def test_config_default_backend(self, mlp_bundle):
-        executor = Executor(ExecutorConfig(backend="single-device"))
-        report = executor.run(mlp_bundle.graph, machine=MACHINE)
-        assert report.program.backend == "single-device"
-
-    def test_config_options_merge_with_call_options(self, mlp_bundle):
-        executor = Executor(
-            ExecutorConfig(backend="swap", backend_options={"prefetch": False})
-        )
-        serial = executor.run(mlp_bundle.graph, machine=MACHINE)
-        overlapped = executor.run(
-            mlp_bundle.graph, machine=MACHINE,
-            backend_options={"prefetch": True},
-        )
-        assert overlapped.result.iteration_time <= (
-            serial.result.iteration_time + 1e-12
-        )
-
     def test_machine_defaults_to_plan_worker_count(self, mlp_bundle):
         plan = Planner().plan(mlp_bundle.graph, 2)
         report = Executor().run(mlp_bundle.graph, plan=plan)
@@ -131,7 +112,7 @@ class TestCLI:
         for name in available_execution_backends():
             assert name in out
 
-    # ``data-parallel`` has no strategy spelling; ExecutorConfig(backend=)
+    # ``data-parallel`` has no strategy spelling; the per-call backend=
     # reaches it and the Python-API tests cover it.
     @pytest.mark.parametrize(
         "strategy, executor",

@@ -88,15 +88,9 @@ class TestBackendParity:
         assert report.partitioned is not None
         assert report.plan is plan
 
-    @pytest.mark.parametrize("prefetch", [True, False], ids=["prefetch", "serial"])
-    def test_swap(self, bundle, prefetch):
-        old = simulate_with_swapping(bundle.graph, MACHINE, prefetch=prefetch)
-        report = Executor().run(
-            bundle.graph,
-            machine=MACHINE,
-            backend="swap",
-            backend_options={"prefetch": prefetch},
-        )
+    def test_swap(self, bundle):
+        old = simulate_with_swapping(bundle.graph, MACHINE)
+        report = Executor().run(bundle.graph, machine=MACHINE, backend="swap")
         assert report.result.iteration_time == pytest.approx(
             old.iteration_time, rel=1e-9
         )

@@ -151,24 +151,6 @@ def test_key_invalidates_on_cluster_change(mlp_bundle):
     assert _key(graph, machine=MACHINE) != _key(graph, machine=CLUSTER)
 
 
-def test_executor_config_options_reach_the_key(mlp_bundle):
-    """Backend options set on the ExecutorConfig (not per call) still
-    invalidate: two executors differing only in config lower distinct
-    cache entries."""
-    cache = ProgramCache(capacity=8)
-    for stages in (2, 4):
-        executor = Executor(
-            ExecutorConfig(
-                backend="pipeline",
-                backend_options={"num_stages": stages, "num_microbatches": 4},
-            )
-        )
-        executor.program_cache = cache
-        executor.lower(mlp_bundle.graph, machine=MACHINE)
-    info = cache.info()
-    assert info["misses"] == 2 and info["hits"] == 0 and info["size"] == 2
-
-
 # ------------------------------------------------- eviction and round trip
 
 

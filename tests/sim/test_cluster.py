@@ -20,7 +20,7 @@ from repro.sim.device import (
     machine_from_dict,
     machine_to_dict,
     slice_machines,
-    slice_topology,
+    slice_topology_range,
     topology_preset,
     v100_machine,
 )
@@ -115,12 +115,12 @@ class TestLinkResolution:
 
 class TestSlicing:
     def test_slice_within_first_machine_collapses_to_machine(self, cluster):
-        sliced = slice_topology(cluster, 2)
+        sliced = slice_topology_range(cluster, 0, 2)
         assert isinstance(sliced, MachineSpec)
         assert sliced.num_devices == 2
 
     def test_slice_spanning_machines_keeps_cluster(self, cluster):
-        sliced = slice_topology(cluster, 6)
+        sliced = slice_topology_range(cluster, 0, 6)
         assert isinstance(sliced, ClusterSpec)
         assert sliced.num_machines == 2
         assert sliced.num_devices == 6
@@ -128,9 +128,9 @@ class TestSlicing:
 
     def test_slice_bounds(self, cluster):
         with pytest.raises(SimulationError):
-            slice_topology(cluster, 0)
+            slice_topology_range(cluster, 0, 0)
         with pytest.raises(SimulationError):
-            slice_topology(cluster, 9)
+            slice_topology_range(cluster, 0, 9)
 
     def test_slice_machines(self, cluster):
         assert slice_machines(cluster, 2) is cluster
@@ -282,6 +282,50 @@ def test_payload_numbers_must_be_finite_and_in_range(kind, path, field, zero_ok,
     target[field] = bad
     with pytest.raises(SimulationError, match=field):
         _load_numeric_payload(kind, payload)
+
+
+def _device(**fields):
+    return DeviceSpec(name="x", **fields)
+
+
+def _machine(**fields):
+    return MachineSpec([DeviceSpec(name=f"gpu{i}") for i in range(4)], **fields)
+
+
+def _cluster(**fields):
+    return ClusterSpec([k80_8gpu_machine(2), k80_8gpu_machine(2)], **fields)
+
+
+#: In-process constructors and the numeric fields they check: (builder
+#: taking the field as a keyword, field, whether 0 is a valid value).
+CONSTRUCTOR_FIELDS = [
+    (_device, "memory_bytes", False),
+    (_device, "peak_flops", False),
+    (_device, "memory_bandwidth", False),
+    (_machine, "p2p_bandwidth", False),
+    (_machine, "cpu_bandwidth", False),
+    (_machine, "cpu_memory", False),
+    (_machine, "kernel_launch_overhead", True),
+    (_cluster, "network_bandwidth", False),
+    (_cluster, "network_latency", True),
+]
+
+
+@pytest.mark.parametrize("bad", BAD_NUMBERS + [-21e9], ids=repr)
+@pytest.mark.parametrize(
+    "build,field,zero_ok", CONSTRUCTOR_FIELDS,
+    ids=[f"{build.__name__[1:]}.{field}" for build, field, _ in CONSTRUCTOR_FIELDS],
+)
+def test_constructors_reject_impossible_numbers(build, field, zero_ok, bad):
+    """The constructors apply the loaders' rules: a wrong number fails at
+    construction instead of pricing transfers as free or negative."""
+    if zero_ok:
+        build(**{field: 0})
+    else:
+        with pytest.raises(SimulationError, match=field):
+            build(**{field: 0})
+    with pytest.raises(SimulationError, match=field):
+        build(**{field: bad})
 
 
 def test_load_rejects_a_saved_model_with_a_negative_bandwidth(tmp_path):

@@ -94,12 +94,6 @@ class TestSwapping:
         assert result.swapped_in_bytes > 0
         assert result.iteration_time > result.compute_time
 
-    def test_prefetch_helps(self, mlp_bundle):
-        machine = k80_8gpu_machine()
-        with_prefetch = simulate_with_swapping(mlp_bundle.graph, machine, prefetch=True)
-        without = simulate_with_swapping(mlp_bundle.graph, machine, prefetch=False)
-        assert with_prefetch.iteration_time <= without.iteration_time + 1e-9
-
     def test_sharing_host_link_hurts(self):
         bundle = build_mlp(batch_size=8, input_dim=4096, hidden_dim=16384, num_layers=8,
                            num_classes=64)

@@ -14,6 +14,7 @@ from repro.partition.plan import factorize_workers
 from repro.runtime import Executor
 from repro.sim.device import k80_8gpu_machine
 from repro.strategy import dp, pipeline, single, swap, tofu
+from repro.tuner import Tuner
 
 MACHINE = k80_8gpu_machine(4)
 
@@ -175,27 +176,24 @@ class TestAuto:
         assert any(outcome["strategy"] == "tofu" for outcome in outcomes)
 
     def test_auto_with_explicit_candidates(self, mlp_bundle):
-        model = repro.compile(
-            mlp_bundle.graph, "auto", MACHINE,
-            candidates=["single", dp(2) / tofu()],
+        result = Tuner().tune(
+            mlp_bundle.graph, MACHINE, candidates=["single", dp(2) / tofu()]
         )
-        assert str(model.strategy) in {"single", "dp:2/tofu"}
-        assert len(model.metadata["tuner"]["outcomes"]) == 2
+        assert str(result.best.strategy) in {"single", "dp:2/tofu"}
+        assert len(result.outcomes) == 2
 
     def test_auto_records_failed_candidates(self, mlp_bundle):
-        model = repro.compile(
-            mlp_bundle.graph, "auto", MACHINE,
+        result = Tuner().tune(
+            mlp_bundle.graph, MACHINE,
             candidates=["single", "pipeline:128:1f1b:4"],
         )
-        outcomes = model.metadata["tuner"]["outcomes"]
-        assert any(outcome["status"] == "error" for outcome in outcomes)
-        assert str(model.strategy) == "single"
+        assert any(outcome.status == "error" for outcome in result.outcomes)
+        assert str(result.best.strategy) == "single"
 
     def test_auto_with_no_viable_candidate_raises(self, mlp_bundle):
         with pytest.raises(StrategyError, match="no executable candidate"):
-            repro.compile(
-                mlp_bundle.graph, "auto", MACHINE,
-                candidates=["pipeline:128:1f1b:4"],
+            Tuner().tune(
+                mlp_bundle.graph, MACHINE, candidates=["pipeline:128:1f1b:4"]
             )
 
     def test_auto_rejects_single_strategy_arguments(self, mlp_bundle):

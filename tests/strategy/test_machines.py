@@ -23,7 +23,7 @@ from repro.strategy import (
     tofu,
     weight_shards,
 )
-from repro.tuner import tuner_candidates
+from repro.tuner import Tuner, tuner_candidates
 
 CLUSTER = cluster_of(k80_8gpu_machine(2), 2)
 
@@ -200,12 +200,11 @@ class TestAutoSweep:
         assert "machines:4/pipeline:4:1f1b:4/tofu" in candidates
 
     def test_auto_compile_on_cluster(self, mlp_bundle):
-        model = repro.compile(
-            mlp_bundle.graph, "auto", CLUSTER,
+        result = Tuner().tune(
+            mlp_bundle.graph, CLUSTER,
             candidates=["tofu", "machines:2/dp:2/tofu"],
         )
-        outcomes = model.metadata["tuner"]["outcomes"]
-        assert {outcome["strategy"] for outcome in outcomes} == {
+        assert {outcome.strategy for outcome in result.outcomes} == {
             "tofu", "machines:2/dp:2/tofu",
         }
-        assert all(outcome["status"] != "error" for outcome in outcomes)
+        assert all(outcome.status != "error" for outcome in result.outcomes)

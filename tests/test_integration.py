@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.baselines.partition_algos import tofu_plan
 from repro.graph.memory_planner import plan_memory
 from repro.partition.apply import build_sharded_graph, generate_partitioned_graph
 from repro.partition.recursive import recursive_partition, step_costs_nondecreasing
+from repro.planner.backends import get_backend
 from repro.sim.device import k80_8gpu_machine
 from repro.sim.engine import TaskGraphSimulator
 
@@ -39,7 +39,7 @@ def test_memory_footprint_shrinks_with_partitioning(request, bundle_fixture):
 
 
 def test_plan_reuse_between_helpers(mlp_bundle):
-    plan_a = tofu_plan(mlp_bundle.graph, 8)
+    plan_a = get_backend("tofu").search(mlp_bundle.graph, 8)
     plan_b = recursive_partition(mlp_bundle.graph, 8)
     assert plan_a.total_comm_bytes == pytest.approx(plan_b.total_comm_bytes, rel=0.01)
 

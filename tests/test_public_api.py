@@ -10,8 +10,14 @@ on any unreviewed change.  When a change is intentional, update the snapshot her
 The same surface is also held to a documentation bar: every exported symbol
 — and every public method it defines — must carry a non-empty docstring
 (``test_public_surface_is_documented``).
+
+The knobs a caller can set are pinned the same way
+(``test_knob_surface_matches_snapshot``): a new option, config field or
+entry-point keyword is an untested configuration axis until something other
+than a test sets it, so it must not land unreviewed.
 """
 
+import dataclasses
 import importlib
 import inspect
 
@@ -237,3 +243,78 @@ def test_strategy_combinators_cover_execution_styles():
     assert set(combinator_names()) == {
         "tofu", "single", "placement", "swap", "dp", "pipeline", "machines",
     }
+
+
+#: Every value a caller can set: each built-in search and execution
+#: backend's ``option_names``, the config dataclasses' fields, the
+#: ``Tuner`` constructor's parameters and ``repro.compile``'s keyword
+#: options (its graph, strategy and machine are its inputs).
+KNOB_SNAPSHOT = {
+    "search:tofu": ("coarse",),
+    "search:joint": ("coarse",),
+    "search:icml18": ("coarse",),
+    "search:equalchop": ("coarse",),
+    "search:spartan": (),
+    "search:allrow-greedy": (),
+    "execution:tofu-partitioned": (
+        "fuse_remote_fetch", "add_control_dependencies", "spread_reduction",
+    ),
+    "execution:single-device": ("check_memory",),
+    "execution:placement": ("device_of_node",),
+    "execution:data-parallel": (),
+    "execution:swap": ("concurrent_gpus",),
+    "execution:pipeline": ("num_stages", "num_microbatches", "schedule"),
+    "execution:hybrid": ("replica_groups", "inner", "inner_options"),
+    "PlannerConfig": (
+        "backend", "jobs", "expand_jobs", "cache_capacity", "cache_dir",
+        "cache_max_bytes",
+    ),
+    "ExecutorConfig": (
+        "cache_programs", "program_cache_dir", "program_cache_capacity",
+        "program_cache_max_bytes", "profile", "verify",
+    ),
+    "TunerBudget": ("max_candidates", "max_seconds"),
+    "Tuner": (
+        "budget", "jobs", "microbatches", "schedules", "search_backends",
+    ),
+    "compile": (
+        "num_workers", "plan", "planner", "executor", "plan_options",
+        "backend_options", "simulate", "lower_only", "tuner",
+    ),
+}
+
+
+def _knob_surface():
+    from repro import compile as repro_compile
+    from repro.planner import PlannerConfig, get_backend
+    from repro.runtime import ExecutorConfig, get_execution_backend
+    from repro.tuner import Tuner, TunerBudget
+
+    surface = {}
+    for key in KNOB_SNAPSHOT:
+        kind, _, name = key.partition(":")
+        if kind == "search":
+            surface[key] = tuple(get_backend(name).option_names)
+        elif kind == "execution":
+            surface[key] = tuple(get_execution_backend(name).option_names)
+    for config in (PlannerConfig, ExecutorConfig, TunerBudget):
+        surface[config.__name__] = tuple(
+            field.name for field in dataclasses.fields(config)
+        )
+    surface["Tuner"] = tuple(inspect.signature(Tuner).parameters)
+    surface["compile"] = tuple(
+        name
+        for name, parameter in inspect.signature(repro_compile).parameters.items()
+        if parameter.kind is inspect.Parameter.KEYWORD_ONLY
+    )
+    return surface
+
+
+def test_knob_surface_matches_snapshot():
+    surface = _knob_surface()
+    assert surface == KNOB_SNAPSHOT, (
+        "the settable knobs drifted from the checked-in snapshot — a new "
+        "knob needs a caller outside the tests; update KNOB_SNAPSHOT in "
+        "tests/test_public_api.py if this change is intentional"
+    )
+    assert sum(len(knobs) for knobs in surface.values()) == 44

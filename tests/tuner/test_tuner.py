@@ -56,21 +56,6 @@ class TestSerial:
         assert len(skipped) == result.stats["generated"] - 8
         assert all("budget" in o.reason for o in skipped)
 
-    def test_incumbent_tracks_best_so_far(self, graph):
-        seen = []
-        tuner = Tuner(
-            budget=BUDGET,
-            on_progress=lambda outcome, incumbent: seen.append(
-                (outcome.strategy, incumbent and incumbent.strategy)
-            ),
-        )
-        result = tuner.tune(graph, k80_8gpu_machine(4))
-        assert len(seen) == 8
-        # Once an incumbent exists it never disappears mid-search.
-        first_hit = next(i for i, (_, inc) in enumerate(seen) if inc)
-        assert all(inc is not None for _, inc in seen[first_hit:])
-        assert tuner.incumbent.strategy == str(result.best.strategy)
-
     def test_error_candidates_are_reported_not_raised(self, graph):
         result = Tuner().tune(
             graph,
