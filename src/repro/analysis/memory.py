@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.analysis.base import CheckContext, Finding
+from repro.partition.apply import FUSED_STAGING_FACTOR, UNFUSED_STAGING_FACTOR
 from repro.runtime.passes import memory_plan_of, stage_memory_report
 from repro.sim.engine import HOST_DEVICE
 
@@ -23,17 +24,12 @@ __all__ = ["check_memory_plan"]
 
 CHECK_NAME = "memory-plan"
 
-#: The staging factors generate_partitioned_graph charges for comm buffers
-#: (fused MultiFetch vs the split/copy/concat path, Sec 6).
-_STAGING_FACTORS = (2.0, 5.0)
-
-
-def _partitioned_candidates(partitioned) -> List[Dict[int, int]]:
+def _partitioned_candidates(program) -> List[Dict[int, int]]:
     """Every memory report generate_partitioned_graph could have produced
-    for this partitioned graph (fused x reuse lowering variants)."""
-    num_devices = partitioned.num_devices
-    fetch = partitioned.fetch_bytes_per_node
-    reduce_ = partitioned.reduce_bytes_per_node
+    for this program's sharded graph (fused x reuse lowering variants)."""
+    num_devices = program.num_devices
+    fetch = program.fetch_bytes_per_node
+    reduce_ = program.reduce_bytes_per_node
     max_fetch_per_device = (
         max((fetch[n] + reduce_.get(n, 0.0)) / num_devices for n in fetch)
         if fetch
@@ -42,9 +38,9 @@ def _partitioned_candidates(partitioned) -> List[Dict[int, int]]:
     candidates = []
     for allow_reuse in (True, False):
         peak = memory_plan_of(
-            partitioned.sharded_graph, allow_reuse=allow_reuse
+            program.sharded_graph, allow_reuse=allow_reuse
         ).peak_bytes
-        for staging in _STAGING_FACTORS:
+        for staging in (FUSED_STAGING_FACTOR, UNFUSED_STAGING_FACTOR):
             buffer_bytes = int(staging * max_fetch_per_device)
             candidates.append(
                 {d: peak + buffer_bytes for d in range(num_devices)}
@@ -53,18 +49,16 @@ def _partitioned_candidates(partitioned) -> List[Dict[int, int]]:
 
 
 def _check_partitioned(program) -> List[Finding]:
-    partitioned = program.partitioned
-    candidates = _partitioned_candidates(partitioned)
-    if partitioned.per_device_memory not in candidates:
-        declared = partitioned.per_device_peak_bytes
+    candidates = _partitioned_candidates(program)
+    if program.per_device_memory not in candidates:
         return [
             Finding(
                 code="ANA011_MEMORY_MISMATCH",
                 check=CHECK_NAME,
                 message=(
-                    f"declared per-device peak {declared} bytes is not "
-                    f"reproducible from the sharded graph's liveness plan "
-                    f"(candidate peaks: "
+                    f"declared per-device peak {program.per_device_peak_bytes} "
+                    f"bytes is not reproducible from the sharded graph's "
+                    f"liveness plan (candidate peaks: "
                     f"{sorted({max(c.values(), default=0) for c in candidates})})"
                 ),
             )
@@ -183,7 +177,7 @@ def check_memory_plan(context: CheckContext) -> List[Finding]:
                 )
             )
 
-    if program.partitioned is not None and program.backend == "tofu-partitioned":
+    if program.sharded_graph is not None:
         findings.extend(_check_partitioned(program))
     elif (
         program.backend == "pipeline"

@@ -134,8 +134,7 @@ def _report(
     extras: Dict[str, float] = {"comm_gib_per_iter": program.total_comm_bytes / GiB}
     if program.schedule is not None:
         report = SimulationReport(
-            plan=program.plan, partitioned=program.partitioned,
-            result=result, program=program,
+            plan=program.plan, result=result, program=program
         )
         extras["num_stages"] = float(program.num_stages)
         extras["num_microbatches"] = float(program.num_microbatches)

@@ -81,10 +81,11 @@ class CompiledModel:
     """Everything one strategy produced for one graph on one machine.
 
     ``program`` and ``report`` hold the full lowered tasks and simulation
-    verdict right after :func:`compile`; a model reloaded with
-    :meth:`load` keeps the plan and the program/result *metadata* (backend,
-    devices, memory report, iteration time) without the task graph, which is
-    cheap to re-lower from the plan.
+    verdict right after :func:`compile`, and ``metadata`` only what they
+    cannot (``"tuner"``, ``"profile"``); a model reloaded with :meth:`load`
+    keeps the plan and the program/result *metadata* (backend, devices,
+    memory report, iteration time) without the task graph, which is cheap
+    to re-lower from the plan.
     """
 
     strategy: Strategy
@@ -145,12 +146,8 @@ class CompiledModel:
         executor = executor or Executor()
         result = executor.simulate(self.program)
         self.report = SimulationReport(
-            plan=self.plan,
-            partitioned=self.program.partitioned,
-            result=result,
-            program=self.program,
+            plan=self.plan, result=result, program=self.program
         )
-        self.metadata.update(_program_metadata(self.program, self.report))
         return self.report
 
     def summary(self) -> str:
@@ -517,7 +514,6 @@ def compile(
                 machine=machine,
                 plan=program.plan if program.plan is not None else plan,
                 program=program,
-                metadata=_program_metadata(program, None),
             )
             _attach_profile(model, executor)
             return model
@@ -537,7 +533,6 @@ def compile(
             plan=report.plan if report.plan is not None else plan,
             program=program,
             report=report,
-            metadata=_program_metadata(program, report),
         )
         _attach_profile(model, executor)
         return model

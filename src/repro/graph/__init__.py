@@ -1,9 +1,9 @@
 """Dataflow graph substrate (the MXNet/NNVM stand-in)."""
 
-from repro.graph.autodiff import build_backward, build_optimizer, build_training_graph
+from repro.graph.autodiff import build_backward, build_optimizer
 from repro.graph.builder import GraphBuilder
 from repro.graph.graph import Graph
-from repro.graph.memory_planner import MemoryPlan, estimate_peak_memory, plan_memory
+from repro.graph.memory_planner import MemoryPlan, plan_memory
 from repro.graph.node import OpNode
 from repro.graph.scheduler import liveness, peak_live_bytes, topo_schedule
 from repro.graph.serialization import (
@@ -26,9 +26,7 @@ __all__ = [
     "TensorSpec",
     "build_backward",
     "build_optimizer",
-    "build_training_graph",
     "check_shapes",
-    "estimate_peak_memory",
     "graph_flops",
     "graph_from_dict",
     "graph_from_json",

@@ -212,16 +212,3 @@ def build_optimizer(
     graph.metadata["optimizer_nodes_of"] = optimizer_nodes_of
     graph.metadata["optimizer"] = algorithm
     return optimizer_nodes_of
-
-
-def build_training_graph(
-    builder: GraphBuilder,
-    loss: str,
-    weights: Sequence[str],
-    *,
-    optimizer: str = "adagrad",
-):
-    """Convenience wrapper: backward pass followed by the optimiser."""
-    build_backward(builder, loss, weights)
-    build_optimizer(builder, weights, algorithm=optimizer)
-    return builder.finish()

@@ -55,9 +55,6 @@ class GraphBuilder:
     def tensor_shape(self, name: str) -> Tuple[int, ...]:
         return self._graph.tensor(name).shape
 
-    def tensor_kind(self, name: str) -> str:
-        return self._graph.tensor(name).kind
-
     # --------------------------------------------------------------- nodes
     def _unique_name(self, base: str) -> str:
         if base not in self._graph.nodes and base not in self._counter:
@@ -155,9 +152,6 @@ class GraphBuilder:
         spec = self._graph.tensor(tensor_name)
         if spec.kind not in ("weight", "state"):
             spec.kind = "output"
-
-    def set_metadata(self, key: str, value) -> None:
-        self._graph.metadata[key] = value
 
     def finish(self, validate: bool = True) -> Graph:
         if validate:

@@ -37,10 +37,6 @@ class MemoryPlan:
     buffer_of: Dict[str, int] = field(default_factory=dict)
     buffer_sizes: Dict[int, int] = field(default_factory=dict)
 
-    @property
-    def transient_bytes(self) -> int:
-        return self.pool_bytes
-
     def summary(self) -> str:
         gib = 1 << 30
         return (
@@ -159,8 +155,3 @@ def plan_memory(
         buffer_of=buffer_of,
         buffer_sizes=buffer_sizes,
     )
-
-
-def estimate_peak_memory(graph: Graph, **kwargs) -> int:
-    """Shorthand returning only the planned peak bytes."""
-    return plan_memory(graph, **kwargs).peak_bytes

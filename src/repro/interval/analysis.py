@@ -72,9 +72,6 @@ class AccessSummary:
     blocked_vars: FrozenSet[str] = frozenset()
     elementwise: bool = False
 
-    def input_ndim(self, arg: str) -> int:
-        return len(self.inputs[arg])
-
     def dims_driven_by(self, arg: str, var: str) -> List[int]:
         """Dimensions of input ``arg`` whose index expression uses ``var``."""
         return [

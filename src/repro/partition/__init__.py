@@ -14,7 +14,6 @@ from repro.partition.plan import (
     single_dimension_plan,
 )
 from repro.partition.recursive import (
-    per_step_costs,
     recursive_partition,
     step_costs_nondecreasing,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "dp_partition_step",
     "factorize_workers",
     "joint_partition",
-    "per_step_costs",
     "recursive_partition",
     "single_dimension_plan",
     "step_costs_nondecreasing",

@@ -17,8 +17,7 @@ reduce tasks.  The three optimisations of Sec 6 are modelled explicitly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.graph.graph import Graph
 from repro.graph.node import OpNode
@@ -32,38 +31,18 @@ from repro.runtime.passes import (
     producer_deps,
     scheduled_nodes,
 )
+from repro.runtime.program import LoweredProgram
 from repro.sim.costmodel import node_kernel_times
 from repro.sim.device import Topology, as_cluster, k80_8gpu_machine
-from repro.sim.engine import Task, TaskGraphBuilder
+from repro.sim.engine import TaskGraphBuilder
 
 
-@dataclass
-class PartitionedGraph:
-    """Everything the simulator needs to execute a partitioned training step.
-
-    ``tasks`` is the read-only task view of the dense task graph the
-    lowering emitted; the ``tofu-partitioned`` program shares it."""
-
-    num_devices: int
-    tasks: Mapping[str, Task]
-    per_device_memory: Dict[int, int]
-    total_comm_bytes: float
-    fetch_bytes_per_node: Dict[str, float]
-    reduce_bytes_per_node: Dict[str, float]
-    sharded_graph: Graph
-    plan: PartitionPlan
-
-    @property
-    def per_device_peak_bytes(self) -> int:
-        return max(self.per_device_memory.values(), default=0)
-
-    def summary(self) -> str:
-        gib = 1 << 30
-        return (
-            f"PartitionedGraph(devices={self.num_devices}, tasks={len(self.tasks)}, "
-            f"comm={self.total_comm_bytes / gib:.2f} GiB/iter, "
-            f"per-device mem={self.per_device_peak_bytes / gib:.2f} GiB)"
-        )
+#: Comm staging memory, as a multiple of the largest per-device fetch: the
+#: fused MultiFetch kernel assembles remote regions in place (one staging
+#: buffer); the unfused path splits, copies and concatenates, which needs
+#: roughly twice the staging memory and keeps it alive longer (Sec 6).
+FUSED_STAGING_FACTOR = 2.0
+UNFUSED_STAGING_FACTOR = 5.0
 
 
 def build_sharded_graph(graph: Graph, plan: PartitionPlan) -> Graph:
@@ -131,8 +110,10 @@ def generate_partitioned_graph(
     fuse_remote_fetch: bool = True,
     add_control_dependencies: bool = True,
     spread_reduction: bool = True,
-) -> PartitionedGraph:
-    """Generate the per-device task graph and memory estimate for ``plan``.
+) -> LoweredProgram:
+    """Lower ``plan`` to the ``tofu-partitioned`` program: the per-device
+    task graph, the memory report, and the sharded graph plus per-node
+    fetch/reduce bytes that report was derived from.
 
     ``machine`` may be a :class:`MachineSpec` or a multi-machine
     :class:`ClusterSpec`; on a cluster each device's fetch/reduce traffic is
@@ -158,14 +139,12 @@ def generate_partitioned_graph(
     sharded = build_sharded_graph(graph, plan)
     memory_plan = memory_plan_of(sharded, allow_reuse=add_control_dependencies)
 
-    # Communication buffers: the fused MultiFetch kernel assembles remote
-    # regions in place (one staging buffer); the unfused path splits, copies
-    # and concatenates, which needs roughly twice the staging memory and keeps
-    # it alive longer (Sec 6).
     max_fetch_per_device = max(
         (fetch_bytes[n] + reduce_bytes[n]) / num_devices for n in graph.nodes
     ) if graph.nodes else 0.0
-    staging_factor = 2.0 if fuse_remote_fetch else 5.0
+    staging_factor = (
+        FUSED_STAGING_FACTOR if fuse_remote_fetch else UNFUSED_STAGING_FACTOR
+    )
     comm_buffer_bytes = int(staging_factor * max_fetch_per_device)
 
     per_device_memory = {
@@ -255,13 +234,14 @@ def generate_partitioned_graph(
                 durations[device] + launch_penalty, deps=deps,
             )
 
-    return PartitionedGraph(
+    return LoweredProgram(
+        backend="tofu-partitioned",
         num_devices=num_devices,
-        tasks=builder.tasks,
+        tasks=builder,
         per_device_memory=per_device_memory,
         total_comm_bytes=total_comm,
+        plan=plan,
+        sharded_graph=sharded,
         fetch_bytes_per_node=fetch_bytes,
         reduce_bytes_per_node=reduce_bytes,
-        sharded_graph=sharded,
-        plan=plan,
     )

@@ -85,18 +85,11 @@ class CoarsenedGraph:
     def num_op_groups(self) -> int:
         return len(self.op_groups)
 
-    def num_tensor_groups(self) -> int:
-        return len(self.tensor_groups)
-
     def tensor_group(self, gid: int) -> TensorGroup:
         return self.tensor_groups[gid]
 
     def op_group(self, gid: int) -> OpGroup:
         return self.op_groups[gid]
-
-    def interface_tensor_groups(self) -> List[int]:
-        """Tensor groups touched by more than one operator group."""
-        return [gid for gid, touchers in self.touchers_of.items() if len(touchers) > 1]
 
     def is_linear(self) -> bool:
         """Whether the operator-group graph is a chain (fork-join counts)."""

@@ -110,11 +110,6 @@ def _shrink_shapes(
     return out
 
 
-def per_step_costs(plan: PartitionPlan) -> List[float]:
-    """The delta_i sequence of Theorem 2."""
-    return plan.step_costs()
-
-
 def step_costs_nondecreasing(plan: PartitionPlan, tolerance: float = 0.05) -> bool:
     """Check Theorem 2 (delta_i <= delta_{i+1}) up to a small tolerance.
 

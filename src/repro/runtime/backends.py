@@ -27,6 +27,7 @@ A new execution style is one :func:`register_execution_backend` call with an
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -386,22 +387,13 @@ def lower_tofu_partitioned(
             "execution backend 'tofu-partitioned' needs a PartitionPlan "
             "(pass plan=... or use Planner.plan first)"
         )
-    partitioned = generate_partitioned_graph(
+    return generate_partitioned_graph(
         graph,
         plan,
         machine,
         fuse_remote_fetch=fuse_remote_fetch,
         add_control_dependencies=add_control_dependencies,
         spread_reduction=spread_reduction,
-    )
-    return LoweredProgram(
-        backend="tofu-partitioned",
-        num_devices=partitioned.num_devices,
-        tasks=partitioned.tasks,
-        per_device_memory=partitioned.per_device_memory,
-        total_comm_bytes=partitioned.total_comm_bytes,
-        plan=plan,
-        partitioned=partitioned,
     )
 
 
@@ -651,19 +643,11 @@ def lower_hybrid(
     stats["replica_groups"] = float(groups)
 
     if groups == 1:
-        return LoweredProgram(
+        return dataclasses.replace(
+            program,
             backend="hybrid",
-            num_devices=program.num_devices,
-            tasks=program.tasks,
-            per_device_memory=program.per_device_memory,
-            total_comm_bytes=program.total_comm_bytes,
-            check_memory=program.check_memory,
             stats=stats,
             plan=program.plan if program.plan is not None else plan,
-            partitioned=program.partitioned,
-            num_microbatches=program.num_microbatches,
-            stage_of_node=program.stage_of_node,
-            schedule=program.schedule,
         )
 
     scale = 1.0 / groups

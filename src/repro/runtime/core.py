@@ -30,8 +30,7 @@ from repro.runtime.program import LoweredProgram
 from repro.sim.device import Topology, k80_8gpu_machine
 from repro.sim.engine import SimResult, TaskGraphSimulator
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (apply uses passes)
-    from repro.partition.apply import PartitionedGraph
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.partition.plan import PartitionPlan
 
 
@@ -78,7 +77,6 @@ class SimulationReport:
     """Plan (if any), lowered execution, and simulated timing for one graph."""
 
     plan: Optional["PartitionPlan"]
-    partitioned: Optional["PartitionedGraph"]
     result: SimResult
     program: Optional[LoweredProgram] = None
 
@@ -140,9 +138,7 @@ class SimulationReport:
             lines.append(f"strategy: {self.strategy}")
         if self.plan is not None:
             lines.append(self.plan.summary())
-        if self.partitioned is not None:
-            lines.append(self.partitioned.summary())
-        elif self.program is not None:
+        if self.program is not None:
             lines.append(self.program.summary())
         if self.program is not None and self.program.schedule is not None:
             schedule = self.program.schedule
@@ -330,7 +326,6 @@ class Executor:
             result = self.simulate(program, machine)
             return SimulationReport(
                 plan=program.plan if program.plan is not None else plan,
-                partitioned=program.partitioned,
                 result=result,
                 program=program,
             )

@@ -244,13 +244,6 @@ class StageAssignment:
                 self, "stage_devices", list(range(self.num_stages))
             )
 
-    def nodes_of_stage(self, graph: Graph, stage: int) -> List[OpNode]:
-        return [
-            node
-            for node in scheduled_nodes(graph)
-            if self.stage_of_node[node.name] == stage
-        ]
-
 
 def pipeline_stage_devices(topology: Topology, num_stages: int) -> List[int]:
     """Place ``num_stages`` pipeline stages onto the topology's devices.

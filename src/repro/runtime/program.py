@@ -31,8 +31,8 @@ from repro.sim.engine import (
     task_view,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (apply uses passes)
-    from repro.partition.apply import PartitionedGraph
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.graph.graph import Graph
     from repro.partition.plan import PartitionPlan
     from repro.runtime.passes import PipelineSchedule
 
@@ -59,8 +59,14 @@ class LoweredProgram:
             ``per_device_memory`` (the Ideal baseline ignores memory).
         stats: Backend-specific scalars (e.g. swapped bytes for ``swap``).
         plan: The partition plan the program was lowered from, if any.
-        partitioned: The full :class:`PartitionedGraph` detail when the
-            program came from the ``tofu-partitioned`` backend.
+        sharded_graph: The per-worker shard graph the memory report was
+            planned on, when the program came from the ``tofu-partitioned``
+            backend (Sec 6).
+        fetch_bytes_per_node: Cluster-wide remote-fetch bytes of every graph
+            node under ``plan`` (``tofu-partitioned`` only); with
+            ``reduce_bytes_per_node`` it sizes the comm staging buffer.
+        reduce_bytes_per_node: Cluster-wide output-reduction bytes of every
+            graph node under ``plan`` (``tofu-partitioned`` only).
         machine: The machine model the program was priced for; kernel
             durations and the memory report are only meaningful on it, so
             ``Executor.simulate`` defaults to it.
@@ -84,7 +90,9 @@ class LoweredProgram:
     check_memory: bool = True
     stats: Dict[str, float] = field(default_factory=dict)
     plan: Optional["PartitionPlan"] = None
-    partitioned: Optional["PartitionedGraph"] = None
+    sharded_graph: Optional["Graph"] = None
+    fetch_bytes_per_node: Optional[Dict[str, float]] = None
+    reduce_bytes_per_node: Optional[Dict[str, float]] = None
     machine: Optional[Topology] = None
     num_microbatches: int = 1
     stage_of_node: Optional[Mapping[str, int]] = None
@@ -109,41 +117,25 @@ class LoweredProgram:
         """A copy whose task graph has each of ``tasks`` in place of the
         task of the same name (new names are appended), rebuilt through the
         :class:`TaskGraphBuilder`.  This program is left unchanged."""
-        return self._copy(TaskView(self.task_graph.edited(tasks)))
+        return replace(self.copy(), tasks=TaskView(self.task_graph.edited(tasks)))
 
     def copy(self) -> "LoweredProgram":
         """A copy that shares every immutable value and owns every container.
 
         The dense task graph (and with it the compiled form cached on it),
-        plan, machine, schedule and the partitioned detail's sharded graph
-        are shared by reference; the memory report, ``stats`` and
-        ``stage_of_node`` are fresh, so edits to either program's containers
-        never reach the other.  This is what the program cache stores on a
-        put and returns on every hit.
+        plan, machine, schedule and sharded graph are shared by reference;
+        the memory report, ``stats``, ``stage_of_node`` and the per-node
+        fetch/reduce bytes are fresh, so edits to either program's
+        containers never reach the other.  This is what the program cache
+        stores on a put and returns on every hit.
         """
-        return self._copy(self.tasks)
-
-    def _copy(self, tasks: TaskView) -> "LoweredProgram":
-        partitioned = self.partitioned
-        if partitioned is not None:
-            # The partitioned detail shares the program's task view, exactly
-            # as the tofu-partitioned backend builds it.
-            partitioned = replace(
-                partitioned,
-                tasks=tasks,
-                per_device_memory=dict(partitioned.per_device_memory),
-                fetch_bytes_per_node=dict(partitioned.fetch_bytes_per_node),
-                reduce_bytes_per_node=dict(partitioned.reduce_bytes_per_node),
-            )
         return replace(
             self,
-            tasks=tasks,
             per_device_memory=dict(self.per_device_memory),
             stats=dict(self.stats),
-            stage_of_node=(
-                None if self.stage_of_node is None else dict(self.stage_of_node)
-            ),
-            partitioned=partitioned,
+            stage_of_node=_copied(self.stage_of_node),
+            fetch_bytes_per_node=_copied(self.fetch_bytes_per_node),
+            reduce_bytes_per_node=_copied(self.reduce_bytes_per_node),
         )
 
     @property
@@ -174,6 +166,10 @@ class LoweredProgram:
             f"per-device mem={self.per_device_peak_bytes / gib:.2f} GiB"
             f"{pipeline})"
         )
+
+
+def _copied(mapping: Optional[Mapping]) -> Optional[Dict]:
+    return None if mapping is None else dict(mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +220,11 @@ def program_to_dict(program: LoweredProgram) -> Dict:
     Everything is content, nothing is identity: tasks (with resolved links
     and both dependency streams, in emission order), the memory report,
     the partition plan, the priced machine model, the pipeline schedule, and
-    the partitioned-graph detail.  JSON round-trips floats exactly
-    (``repr``-based shortest encoding), so a reconstructed program simulates
-    bit-identically to the one that was stored — the property the
-    lowered-program cache's parity suite pins.
+    (under ``"partitioned"``) the sharded graph with its per-node
+    fetch/reduce bytes.  JSON round-trips floats exactly (``repr``-based
+    shortest encoding), so a reconstructed program simulates bit-identically
+    to the one that was stored — the property the lowered-program cache's
+    parity suite pins.
     """
     from repro.partition.plan import plan_to_dict
     from repro.sim.device import machine_to_dict
@@ -268,21 +265,13 @@ def program_to_dict(program: LoweredProgram) -> Dict:
                 for slots in program.schedule.slots_of_stage
             ],
         }
-    if program.partitioned is not None:
+    if program.sharded_graph is not None:
         from repro.graph.serialization import graph_to_dict
 
-        detail = program.partitioned
         payload["partitioned"] = {
-            "num_devices": detail.num_devices,
-            "per_device_memory": {
-                str(device): int(required)
-                for device, required in detail.per_device_memory.items()
-            },
-            "total_comm_bytes": detail.total_comm_bytes,
-            "fetch_bytes_per_node": dict(detail.fetch_bytes_per_node),
-            "reduce_bytes_per_node": dict(detail.reduce_bytes_per_node),
-            "sharded_graph": graph_to_dict(detail.sharded_graph),
-            "plan": plan_to_dict(detail.plan),
+            "fetch_bytes_per_node": dict(program.fetch_bytes_per_node),
+            "reduce_bytes_per_node": dict(program.reduce_bytes_per_node),
+            "sharded_graph": graph_to_dict(program.sharded_graph),
         }
     return payload
 
@@ -328,27 +317,16 @@ def program_from_dict(payload: Mapping) -> LoweredProgram:
                 for slots in entry["slots_of_stage"]
             ],
         )
-    partitioned = None
-    if payload.get("partitioned") is not None:
+    # Older payloads also repeat the plan, memory report, comm total and
+    # device count under "partitioned"; only the top-level copies are read.
+    partitioned = payload.get("partitioned")
+    sharded_graph = fetch_bytes = reduce_bytes = None
+    if partitioned is not None:
         from repro.graph.serialization import graph_from_dict
-        from repro.partition.apply import PartitionedGraph
 
-        entry = payload["partitioned"]
-        partitioned = PartitionedGraph(
-            num_devices=entry["num_devices"],
-            # The partitioned detail shares the program's task graph, exactly
-            # as the tofu-partitioned backend builds it.
-            tasks=tasks,
-            per_device_memory={
-                int(device): required
-                for device, required in entry["per_device_memory"].items()
-            },
-            total_comm_bytes=entry["total_comm_bytes"],
-            fetch_bytes_per_node=dict(entry["fetch_bytes_per_node"]),
-            reduce_bytes_per_node=dict(entry["reduce_bytes_per_node"]),
-            sharded_graph=graph_from_dict(entry["sharded_graph"]),
-            plan=plan_from_dict(entry["plan"]),
-        )
+        sharded_graph = graph_from_dict(partitioned["sharded_graph"])
+        fetch_bytes = dict(partitioned["fetch_bytes_per_node"])
+        reduce_bytes = dict(partitioned["reduce_bytes_per_node"])
     return LoweredProgram(
         backend=payload["backend"],
         num_devices=payload["num_devices"],
@@ -361,7 +339,9 @@ def program_from_dict(payload: Mapping) -> LoweredProgram:
         check_memory=payload["check_memory"],
         stats=dict(payload["stats"]),
         plan=plan,
-        partitioned=partitioned,
+        sharded_graph=sharded_graph,
+        fetch_bytes_per_node=fetch_bytes,
+        reduce_bytes_per_node=reduce_bytes,
         machine=(
             None if payload.get("machine") is None
             else machine_from_dict(payload["machine"])

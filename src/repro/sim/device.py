@@ -116,7 +116,8 @@ class MachineSpec:
         return 1
 
     def device(self, index: int) -> DeviceSpec:
-        """The device at ``index`` (0-based)."""
+        """The device at ``index`` (0-based; no negative indexing)."""
+        self._check_device(index)
         return self.devices[index]
 
     # -------------------------------------------------------- link resolution

@@ -76,10 +76,6 @@ class TDLOperator:
     has_opaque: bool = False
 
     # ------------------------------------------------------------ properties
-    @property
-    def output_ndim(self) -> int:
-        return len(self.output_vars)
-
     def tensor_accesses(self) -> List[TensorAccess]:
         return find_tensor_accesses(self.body)
 

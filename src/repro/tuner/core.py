@@ -28,7 +28,6 @@ from repro import compiler, perf
 from repro.caching import graph_signature_scope
 from repro.errors import (
     ExecutionError,
-    OutOfMemoryError,
     PartitionError,
     SimulationError,
     StrategyError,
@@ -137,19 +136,6 @@ def evaluate_candidate(
                 plan_options=plan_options,
                 lower_only=True,
             )
-        except OutOfMemoryError as exc:
-            perf.count("tuner.screened")
-            return (
-                CandidateOutcome(
-                    index=index,
-                    strategy=text,
-                    status=STATUS_SCREENED,
-                    reason=f"memory: {exc}",
-                    machine_count=used,
-                    oom=True,
-                ),
-                None,
-            )
         except (StrategyError, ExecutionError, PartitionError, SimulationError) as exc:
             perf.count("tuner.error")
             return (
@@ -198,7 +184,7 @@ def evaluate_candidate(
     with perf.stage("tuner.search"):
         try:
             model.simulate(executor)
-        except (OutOfMemoryError, SimulationError, ExecutionError) as exc:
+        except (SimulationError, ExecutionError) as exc:
             perf.count("tuner.error")
             return (
                 CandidateOutcome(

@@ -63,3 +63,33 @@ def test_verify_cached_program_by_key(tmp_path, capsys):
     out, _ = capsys.readouterr()
     assert rc == 0
     assert "cached program" in out and "0 finding(s)" in out
+
+
+def test_verify_cached_tofu_program_with_an_altered_memory_report(
+    tmp_path, capsys
+):
+    """The memory report the simulator reads is the one verified: editing
+    a cached tofu program's ``per_device_memory`` is a mismatch."""
+    from repro.models.mlp import build_mlp
+    from repro.planner import Planner
+    from repro.runtime import Executor, ExecutorConfig
+    from repro.sim.device import k80_8gpu_machine
+
+    bundle = build_mlp(batch_size=16, input_dim=32, hidden_dim=32,
+                       num_layers=2, num_classes=8)
+    machine = k80_8gpu_machine(4)
+    plan = Planner().plan(bundle.graph, 4, machine=machine)
+    cache_dir = tmp_path / "programs"
+    Executor(ExecutorConfig(program_cache_dir=str(cache_dir))).lower(
+        bundle.graph, plan=plan, machine=machine
+    )
+    (path,) = cache_dir.glob("*.json")
+    entry = json.loads(path.read_text())
+    entry["program"]["per_device_memory"] = {
+        device: 1 for device in entry["program"]["per_device_memory"]
+    }
+    path.write_text(json.dumps(entry))
+    rc = main(["verify", path.stem, "--program-cache-dir", str(cache_dir)])
+    _, err = capsys.readouterr()
+    assert rc == 1
+    assert "ANA011_MEMORY_MISMATCH" in err

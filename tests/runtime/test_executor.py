@@ -97,10 +97,10 @@ class TestExecutorFacade:
         assert "LoweredProgram" in summary
 
     def test_planner_report_unchanged_shape(self, mlp_bundle):
-        """A planned compile's report still yields plan + partitioned."""
+        """A planned compile's report still yields plan + sharded program."""
         report = repro.compile(mlp_bundle.graph, "tofu", MACHINE, planner=Planner()).report
         assert report.plan is not None
-        assert report.partitioned is not None
+        assert report.program.sharded_graph is not None
         assert "PartitionPlan" in report.summary()
         assert report.backend == "tofu-partitioned"
 

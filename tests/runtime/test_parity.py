@@ -85,7 +85,7 @@ class TestBackendParity:
         assert report.result.iteration_time == direct.iteration_time
         assert report.program.per_device_memory == dist.per_device_memory
         assert report.program.total_comm_bytes == dist.total_comm_bytes
-        assert report.partitioned is not None
+        assert report.program.sharded_graph is not None
         assert report.plan is plan
 
     def test_swap(self, bundle):

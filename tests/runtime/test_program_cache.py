@@ -114,7 +114,9 @@ def test_codec_round_trip_preserves_program(bundle):
         assert twin.duration == task.duration
         assert twin.comm_bytes == task.comm_bytes
         assert tuple(twin.deps) == tuple(task.deps)
-    assert clone.partitioned is not None
+    assert clone.sharded_graph is not None
+    assert clone.fetch_bytes_per_node == program.fetch_bytes_per_node
+    assert clone.reduce_bytes_per_node == program.reduce_bytes_per_node
 
 
 # ----------------------------------------------------------- invalidation
@@ -382,9 +384,8 @@ def test_hit_shares_the_dense_form(mlp_bundle):
     assert hit.tasks == fresh.tasks == again.tasks
     # One compile for the machine, shared by every copy.
     assert hit.dense_form() is fresh.dense_form() is again.dense_form()
-    # The partitioned detail keeps sharing its own program's task view.
-    assert hit.partitioned.tasks is hit.tasks
-    assert again.partitioned.tasks is again.tasks
+    # The sharded graph is immutable content too.
+    assert fresh.sharded_graph is hit.sharded_graph is again.sharded_graph
 
 
 def test_edits_to_a_returned_program_never_reach_a_later_hit(mlp_bundle):
@@ -393,6 +394,7 @@ def test_edits_to_a_returned_program_never_reach_a_later_hit(mlp_bundle):
     fresh = lower(executor)
     pristine = dict(fresh.tasks)
     memory = dict(fresh.per_device_memory)
+    fetch = dict(fresh.fetch_bytes_per_node)
     # Edit both the program that was put and a program a hit returned.
     for program in (fresh, lower(executor)):
         first = next(iter(program.tasks))
@@ -403,15 +405,17 @@ def test_edits_to_a_returned_program_never_reach_a_later_hit(mlp_bundle):
         })
         assert edited.tasks[first].duration == task.duration * 2
         assert list(edited.tasks) == list(pristine) + ["extra"]
-        assert edited.partitioned.tasks is edited.tasks
         assert program.tasks[first] == task
         program.per_device_memory[0] = 0
         program.stats["extra"] = 1.0
+    # A hit owns its per-node bytes (the put program shares its plan's).
+    lower(executor).fetch_bytes_per_node.clear()
     later = lower(executor)
     assert later.tasks == pristine
     assert list(later.tasks) == list(pristine)
     assert later.per_device_memory == memory
     assert "extra" not in later.stats
+    assert later.fetch_bytes_per_node == fetch
 
 
 def test_task_view_rejects_item_assignment(mlp_bundle):

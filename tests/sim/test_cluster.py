@@ -49,6 +49,26 @@ class TestClusterStructure:
             cluster.machine_of(8)
         with pytest.raises(SimulationError, match="out of range"):
             cluster.link_between(0, 99)
+        for index in (-2, 2):
+            with pytest.raises(SimulationError, match="out of range"):
+                k80_8gpu_machine(2).device(index)
+
+    @pytest.mark.parametrize("device", ["-2", "5"])
+    def test_simulating_a_budget_for_a_missing_device_raises(self, device):
+        from repro.models.mlp import build_mlp
+        from repro.runtime import Executor, ExecutorConfig
+        from repro.runtime.program import program_from_dict, program_to_dict
+
+        graph = build_mlp(batch_size=8, input_dim=16, hidden_dim=16,
+                          num_layers=2, num_classes=4).graph
+        executor = Executor(ExecutorConfig(cache_programs=False))
+        program = executor.lower(
+            graph, machine=k80_8gpu_machine(2), backend="single-device"
+        )
+        payload = program_to_dict(program)
+        payload["per_device_memory"][device] = 1
+        with pytest.raises(SimulationError, match="out of range"):
+            executor.simulate(program_from_dict(payload))
 
     def test_machinespec_surface_mirrored(self, cluster):
         machine = cluster.machines[0]

@@ -235,9 +235,9 @@ def build_corpus():
         "memory-plan", "ANA010_MEMORY_COVERAGE", coverage)
 
     drift = copy.deepcopy(tofu)
-    drift["partitioned"]["per_device_memory"] = {
+    drift["per_device_memory"] = {
         device: required + 9999
-        for device, required in drift["partitioned"]["per_device_memory"].items()
+        for device, required in drift["per_device_memory"].items()
     }
     program_entry(
         "memory_mismatch",
