@@ -11,8 +11,8 @@ two caches subclass it with their entry codec and bundle format name.
 
 Content-address helpers (:func:`graph_signature`, :func:`machine_signature`,
 :func:`content_key`) also live here so both key schemes hash identical
-inputs identically.  :func:`graph_signature_scope` memoises graph
-signatures for the span of one compile.
+inputs identically.  A graph is serialised for its signature once: the
+first :func:`graph_signature` freezes the graph and stores the hash on it.
 """
 
 from __future__ import annotations
@@ -26,9 +26,7 @@ import re
 import tempfile
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
-from contextvars import ContextVar
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.errors import ReproError
 from repro.graph.graph import Graph
@@ -39,44 +37,29 @@ from repro.sim.device import Topology
 # ---------------------------------------------------------------------------
 # Content addressing
 # ---------------------------------------------------------------------------
-#: ``id(graph) -> (graph, signature)`` of the open :func:`graph_signature_scope`
-#: (``None`` outside one).  Holding the graph keeps its id from being reused
-#: while the scope is open.
-_SIGNATURES: ContextVar[Optional[Dict[int, Tuple[Graph, str]]]] = ContextVar(
-    "repro_graph_signatures", default=None
-)
-
-
-@contextmanager
-def graph_signature_scope() -> Iterator[None]:
-    """Memoise :func:`graph_signature` by graph identity while open.
-
-    ``repro.compile`` runs inside one, so its plan key, its program key and
-    every autotuner candidate share a single serialisation of the graph.
-    Graphs are mutable, so the memo lives exactly as long as the scope: a
-    graph edited between two compiles is serialised afresh.  A nested scope
-    reuses the outermost memo.  Also usable as a decorator.
-    """
-    if _SIGNATURES.get() is not None:
-        yield
-        return
-    token = _SIGNATURES.set({})
-    try:
-        yield
-    finally:
-        _SIGNATURES.reset(token)
+#: Serialises first signings, so threads compiling one graph sign it once.
+_SIGNING = threading.Lock()
 
 
 def graph_signature(graph: Graph) -> str:
-    """Content hash of a graph (tensors, nodes, attrs, metadata)."""
-    memo = _SIGNATURES.get()
-    if memo is not None and id(graph) in memo:
-        return memo[id(graph)][1]
-    payload = json.dumps(graph_to_dict(graph), sort_keys=True, separators=(",", ":"))
-    signature = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-    if memo is not None:
-        memo[id(graph)] = (graph, signature)
-    return signature
+    """Content hash of a graph (tensors, nodes, attrs, metadata).
+
+    The first call freezes ``graph`` (:meth:`Graph.freeze`), hashes it and
+    stores the hash on it; every later call returns the stored hash.  The
+    freeze is what makes that safe: a signed graph cannot change, so its
+    signature cannot go stale.
+    """
+    if graph.signature is None:
+        with _SIGNING:
+            if graph.signature is None:
+                graph.freeze()
+                payload = json.dumps(
+                    graph_to_dict(graph), sort_keys=True, separators=(",", ":")
+                )
+                graph.signature = hashlib.sha256(
+                    payload.encode("utf-8")
+                ).hexdigest()
+    return graph.signature
 
 
 def machine_signature(machine: Optional[Topology]) -> str:

@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterator, Mapping, Optional, Union
 
 from repro import perf
-from repro.caching import graph_signature_scope
 from repro.errors import ReproError, StrategyError
 from repro.graph.graph import Graph
 from repro.partition.plan import PartitionPlan, plan_from_dict, plan_to_dict
@@ -360,11 +359,7 @@ def collector_paused() -> Iterator[None]:
                 gc.enable()
 
 
-# One graph serialisation per compile: the plan key, the program key and
-# every autotuner candidate share the signature computed inside this scope;
-# the cyclic collector stays paused for the whole compile.
 @collector_paused()
-@graph_signature_scope()
 def compile(
     graph: Graph,
     strategy: Union[Strategy, str] = "tofu",

@@ -13,7 +13,18 @@ class ReproError(Exception):
 
 
 class GraphError(ReproError):
-    """Raised for malformed dataflow graphs (dangling tensors, cycles, ...)."""
+    """Raised for malformed dataflow graphs (dangling tensors, cycles, ...).
+
+    :attr:`code` is ``None`` unless the raise site names one, as an edit to
+    a frozen graph does (``GRA001_FROZEN_GRAPH``).
+    """
+
+    code: "str | None" = None
+
+    def __init__(self, message: str, *, code: "str | None" = None):
+        super().__init__(message)
+        if code is not None:
+            self.code = code
 
 
 class ShapeError(GraphError):

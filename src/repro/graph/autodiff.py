@@ -33,6 +33,11 @@ def build_backward(
 
     ``wrt`` lists the trainable tensors whose gradients must exist; a missing
     gradient for one of them raises :class:`GraphError`.
+
+    The pass is linear in the graph it emits: each step's new nodes (the
+    ``bwd_nodes_of`` entry of the forward node it differentiates) are read
+    off the tail of the insertion-ordered node dict with
+    :meth:`Graph.nodes_since`, never by diffing snapshots of the whole graph.
     """
     graph = builder.graph
     if loss not in graph.tensors:
@@ -82,7 +87,7 @@ def _emit_backward(builder: GraphBuilder, loss: str):
         if opdef.gradient is None:
             continue
 
-        nodes_before = set(graph.nodes)
+        nodes_before = len(graph.nodes)
         out_grads: List[Optional[str]] = []
         for out in node.outputs:
             out_grads.append(_sum_partials(builder, out, partials.get(out, [])))
@@ -102,8 +107,7 @@ def _emit_backward(builder: GraphBuilder, loss: str):
 
         for out, grad in zip(node.outputs, out_grads):
             grad_map.setdefault(out, grad)
-        new_nodes = [n for n in graph.nodes if n not in nodes_before]
-        bwd_nodes_of[node.name] = new_nodes
+        bwd_nodes_of[node.name] = graph.nodes_since(nodes_before)
 
     # Record which tensors had multiple partial gradients; graph coarsening
     # keeps the partial gradients in the same tensor group as the forward
@@ -116,9 +120,9 @@ def _emit_backward(builder: GraphBuilder, loss: str):
     for tensor_name, parts in partials.items():
         if tensor_name in grad_map or not parts:
             continue
-        nodes_before = set(graph.nodes)
+        nodes_before = len(graph.nodes)
         grad_map[tensor_name] = _sum_partials(builder, tensor_name, parts)
-        new_nodes = [n for n in graph.nodes if n not in nodes_before]
+        new_nodes = graph.nodes_since(nodes_before)
         if new_nodes:
             producer = graph.tensor(tensor_name).producer
             owner = producer if producer is not None else new_nodes[0]
@@ -178,7 +182,7 @@ def build_optimizer(
         for weight in weights:
             grad = grad_map[weight]
             shape = builder.tensor_shape(weight)
-            nodes_before = set(graph.nodes)
+            nodes_before = len(graph.nodes)
             if algorithm == "adagrad":
                 history = builder.state(f"{weight}_hist", shape)
                 new_hist = builder.apply(
@@ -203,9 +207,7 @@ def build_optimizer(
             else:
                 raise GraphError(f"unknown optimiser {algorithm!r}")
             builder.mark_output(new_weight)
-            optimizer_nodes_of[weight] = [
-                n for n in graph.nodes if n not in nodes_before
-            ]
+            optimizer_nodes_of[weight] = graph.nodes_since(nodes_before)
     finally:
         builder.default_kind = previous_kind
 

@@ -9,9 +9,11 @@ structure.
 from __future__ import annotations
 
 from collections import defaultdict, deque
+from itertools import islice
 from typing import Dict, Iterable, List, Optional
 
 from repro.errors import GraphError
+from repro.graph.frozen import FrozenDict, freeze_value, read_only
 from repro.graph.node import OpNode
 from repro.graph.tensor import TensorSpec
 
@@ -31,7 +33,18 @@ class Graph:
     * ``weights``: list of weight tensor names
     * ``unroll_groups``: list of lists of node names that are unrolled
       timesteps of the same computation (used for RNN coalescing).
+
+    A graph is editable until :meth:`freeze`, which computing its content
+    signature (:func:`repro.caching.graph_signature`) calls and which every
+    compile therefore implies.  From then on ``signature`` holds that hash
+    and every edit of what the signature covers raises a coded
+    :class:`GraphError`.
     """
+
+    #: True once :meth:`freeze` has run.
+    frozen = False
+    #: The content hash :func:`repro.caching.graph_signature` stored.
+    signature: Optional[str] = None
 
     def __init__(self, name: str = "graph") -> None:
         self.name = name
@@ -40,14 +53,44 @@ class Graph:
         self.metadata: Dict[str, object] = {}
         self._consumers: Dict[str, List[str]] = defaultdict(list)
 
+    def __setattr__(self, name: str, value: object) -> None:
+        # A frozen graph only takes its signature, once.
+        if self.frozen and (name != "signature" or self.signature is not None):
+            read_only(self)
+        object.__setattr__(self, name, value)
+
+    def freeze(self) -> None:
+        """Make the graph read-only; idempotent.
+
+        Tensors and nodes become read-only records, and the metadata is
+        copied into read-only containers, so nothing the caller still holds
+        (a model bundle's ``layer_of_node``, say) can edit the frozen graph.
+        ``add_tensor`` and ``add_node`` raise from now on.  To edit a frozen
+        graph, edit a copy: ``graph_from_dict(graph_to_dict(graph))``.
+        """
+        if self.frozen:
+            return
+        for spec in self.tensors.values():
+            spec.freeze()
+        for node in self.nodes.values():
+            node.freeze()
+        self.tensors = FrozenDict(self.tensors)
+        self.nodes = FrozenDict(self.nodes)
+        self.metadata = freeze_value(self.metadata)
+        self.frozen = True
+
     # ----------------------------------------------------------- construction
     def add_tensor(self, spec: TensorSpec) -> TensorSpec:
+        if self.frozen:
+            read_only(self)
         if spec.name in self.tensors:
             raise GraphError(f"duplicate tensor name {spec.name!r}")
         self.tensors[spec.name] = spec
         return spec
 
     def add_node(self, node: OpNode) -> OpNode:
+        if self.frozen:
+            read_only(self)
         if node.name in self.nodes:
             raise GraphError(f"duplicate node name {node.name!r}")
         for t in node.inputs:
@@ -108,6 +151,17 @@ class Graph:
 
     def num_tensors(self) -> int:
         return len(self.tensors)
+
+    def nodes_since(self, count: int) -> List[str]:
+        """Names of the nodes added since the graph held ``count`` nodes, in
+        insertion order.
+
+        Nodes are only ever appended, so these are the tail of ``nodes``;
+        reading it from the back costs O(nodes added), not O(graph).
+        """
+        added = list(islice(reversed(self.nodes), len(self.nodes) - count))
+        added.reverse()
+        return added
 
     # ------------------------------------------------------------- traversal
     def topo_order(self) -> List[OpNode]:

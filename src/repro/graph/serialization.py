@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 from typing import Dict
 
+from repro.graph.frozen import thaw_value
 from repro.graph.graph import Graph
 from repro.graph.node import OpNode
 from repro.graph.tensor import TensorSpec
@@ -42,7 +43,12 @@ def graph_to_dict(graph: Graph) -> Dict:
 
 
 def graph_from_dict(payload: Dict) -> Graph:
-    """Rebuild a graph from :func:`graph_to_dict` output."""
+    """Rebuild a graph from :func:`graph_to_dict` output.
+
+    The graph owns editable copies of the payload's attrs and metadata, so
+    ``graph_from_dict(graph_to_dict(g))`` is an editable copy of a frozen
+    ``g``.
+    """
     graph = Graph(payload.get("name", "graph"))
     for entry in payload["tensors"]:
         graph.add_tensor(
@@ -63,7 +69,7 @@ def graph_from_dict(payload: Dict) -> Graph:
                 attrs=_restore_attrs(entry.get("attrs", {})),
             )
         )
-    graph.metadata.update(payload.get("metadata", {}))
+    graph.metadata.update(thaw_value(payload.get("metadata", {})))
     return graph
 
 
@@ -101,7 +107,7 @@ def _restore_attrs(attrs: Dict) -> Dict:
         if isinstance(value, dict) and "__tuple__" in value:
             out[key] = tuple(value["__tuple__"])
         else:
-            out[key] = value
+            out[key] = thaw_value(value)
     return out
 
 

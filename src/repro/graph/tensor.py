@@ -8,10 +8,11 @@ in the original system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.errors import ShapeError
+from repro.graph.frozen import freeze_value, frozen_record_class, thaw_value
 
 #: Number of bytes per element for each supported dtype.
 DTYPE_SIZES = {
@@ -93,15 +94,31 @@ class TensorSpec:
 
     # ------------------------------------------------------------- mutation
     def with_shape(self, shape: Tuple[int, ...]) -> "TensorSpec":
-        """Return a copy of this spec with a different shape."""
-        return replace(self, shape=validate_shape(shape))
+        """Return an editable copy of this spec with a different shape."""
+        return TensorSpec(
+            name=self.name,
+            shape=shape,
+            dtype=self.dtype,
+            kind=self.kind,
+            producer=self.producer,
+            attrs=thaw_value(self.attrs),
+        )
 
     def is_persistent(self) -> bool:
         """Persistent tensors (weights, optimiser state) survive iterations."""
         return self.kind in ("weight", "state")
 
+    def freeze(self) -> None:
+        """Make this spec read-only: its fields and ``attrs`` raise on every
+        edit from now on."""
+        self.attrs = freeze_value(self.attrs)
+        self.__class__ = FrozenTensorSpec
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TensorSpec({self.name!r}, shape={self.shape}, kind={self.kind})"
+
+
+FrozenTensorSpec = frozen_record_class(TensorSpec)
 
 
 def split_dim(shape: Tuple[int, ...], dim: int, parts: int) -> Tuple[int, ...]:

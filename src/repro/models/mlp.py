@@ -30,7 +30,7 @@ def build_mlp(
     hidden = data
     in_features = input_dim
     for layer in range(num_layers):
-        before = set(builder.graph.nodes)
+        before = len(builder.graph.nodes)
         hidden = dense_layer(
             builder,
             hidden,
@@ -40,10 +40,9 @@ def build_mlp(
             weights=weights,
         )
         in_features = hidden_dim
-        for node in builder.graph.nodes:
-            if node not in before:
-                layer_of_node[node] = layer
-    before = set(builder.graph.nodes)
+        for node in builder.graph.nodes_since(before):
+            layer_of_node[node] = layer
+    before = len(builder.graph.nodes)
     logits = dense_layer(
         builder,
         hidden,
@@ -56,9 +55,8 @@ def build_mlp(
     loss_vec = builder.apply("softmax_cross_entropy", [logits, labels], name="ce_loss")
     loss = builder.apply("reduce_mean_all", [loss_vec], name="loss")
     builder.mark_output(loss)
-    for node in builder.graph.nodes:
-        if node not in before:
-            layer_of_node[node] = num_layers
+    for node in builder.graph.nodes_since(before):
+        layer_of_node[node] = num_layers
 
     if training:
         build_backward(builder, loss, weights)

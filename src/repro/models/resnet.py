@@ -50,18 +50,17 @@ def build_wide_resnet(
     layer_of_node: Dict[str, int] = {}
     layer_index = 0
 
-    def track(before: set) -> None:
+    def track(before: int) -> None:
         nonlocal layer_index
-        for node in builder.graph.nodes:
-            if node not in before:
-                layer_of_node[node] = layer_index
+        for node in builder.graph.nodes_since(before):
+            layer_of_node[node] = layer_index
         layer_index += 1
 
     data = builder.data("data", (batch_size, 3, image_size, image_size))
     labels = builder.input("labels", (batch_size,), kind="data")
 
     # Stem: 7x7 stride-2 convolution followed by a stride-2 max pool.
-    before = set(builder.graph.nodes)
+    before = len(builder.graph.nodes)
     stem_channels = 64 * widen
     out = conv_bn_relu(
         builder, data, 3, stem_channels, kernel=7, stride=2, prefix="stem", weights=weights
@@ -76,7 +75,7 @@ def build_wide_resnet(
         width = STAGE_WIDTHS[stage] * widen
         out_channels = width * BOTTLENECK_EXPANSION
         for block in range(num_blocks):
-            before = set(builder.graph.nodes)
+            before = len(builder.graph.nodes)
             stride = 2 if (block == 0 and stage > 0) else 1
             prefix = f"s{stage}b{block}"
             identity = out
@@ -102,7 +101,7 @@ def build_wide_resnet(
             in_channels = out_channels
             track(before)
 
-    before = set(builder.graph.nodes)
+    before = len(builder.graph.nodes)
     pooled = builder.apply("global_avg_pool", [out], name="gap")
     fc_weight = builder.weight("fc_w", (in_channels, num_classes))
     fc_bias = builder.weight("fc_b", (num_classes,))

@@ -53,7 +53,7 @@ def build_rnn(
         roles: Dict[str, List[str]] = {}
         outputs: List[str] = []
         for t, x in enumerate(layer_inputs):
-            before = set(builder.graph.nodes)
+            before = len(builder.graph.nodes)
             h_prev, c_prev = lstm_cell(
                 builder,
                 x,
@@ -67,9 +67,8 @@ def build_rnn(
                 roles=roles,
             )
             outputs.append(h_prev)
-            for node in builder.graph.nodes:
-                if node not in before:
-                    layer_of_node[node] = layer
+            for node in builder.graph.nodes_since(before):
+                layer_of_node[node] = layer
         for role, nodes in roles.items():
             unroll_groups[f"l{layer}_{role}"] = nodes
         layer_inputs = outputs

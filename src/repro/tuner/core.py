@@ -25,7 +25,6 @@ import time
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro import compiler, perf
-from repro.caching import graph_signature_scope
 from repro.errors import (
     ExecutionError,
     PartitionError,
@@ -250,10 +249,9 @@ class Tuner:
         self.search_backends = tuple(search_backends)
 
     # ----------------------------------------------------------------- tune
-    # Like compile(..., "auto"): one graph signature and one collector pause
-    # span the whole sweep, not each candidate's compile.
+    # Like compile(..., "auto"): one collector pause spans the whole sweep,
+    # not each candidate's compile.
     @compiler.collector_paused()
-    @graph_signature_scope()
     def tune(
         self,
         graph: Graph,

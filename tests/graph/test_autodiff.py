@@ -2,9 +2,14 @@
 
 import pytest
 
+from repro.caching import graph_signature
 from repro.errors import GraphError
 from repro.graph.autodiff import build_backward, build_optimizer
 from repro.graph.builder import GraphBuilder
+from repro.graph.graph import Graph
+from repro.models.mlp import build_mlp
+from repro.models.resnet import build_wide_resnet
+from repro.models.rnn import build_rnn
 
 
 def _forward_builder():
@@ -131,3 +136,60 @@ class TestOptimizer:
             assert any(
                 b.graph.node(n).attrs.get("inplace") is not None for n in nodes
             )
+
+
+#: The model-zoo fixtures of ``tests/conftest.py``, rebuilt per test.
+ZOO = {
+    "mlp": lambda: build_mlp(batch_size=32, input_dim=256, hidden_dim=256,
+                             num_layers=3, num_classes=64),
+    "rnn": lambda: build_rnn(num_layers=2, hidden_size=128, seq_len=4,
+                             batch_size=16),
+    "cnn": lambda: build_wide_resnet(depth=50, widen=1, batch_size=4,
+                                     image_size=32, num_classes=16),
+    "mlp-sgd": lambda: build_mlp(batch_size=16, input_dim=64, hidden_dim=64,
+                                 num_layers=2, num_classes=8,
+                                 optimizer="sgd"),
+}
+
+
+class TestLinearBookkeeping:
+    """``Graph.nodes_since`` reads each step's new nodes off the tail of the
+    node dict; a set difference against a snapshot of the node names taken
+    before the step must give the same lists, in the same order."""
+
+    @pytest.mark.parametrize("model", sorted(ZOO))
+    def test_step_nodes_equal_a_set_difference_oracle(self, model, monkeypatch):
+        expected = ZOO[model]().graph.metadata
+        snapshots = {}
+        add_node = Graph.add_node
+
+        def snapshotting_add_node(graph, node):
+            snapshots.setdefault((id(graph), len(graph.nodes)), set(graph.nodes))
+            return add_node(graph, node)
+
+        def set_difference(graph, count):
+            before = snapshots.get((id(graph), count), set(graph.nodes))
+            return [name for name in graph.nodes if name not in before]
+
+        monkeypatch.setattr(Graph, "add_node", snapshotting_add_node)
+        monkeypatch.setattr(Graph, "nodes_since", set_difference)
+        oracle = ZOO[model]().graph.metadata
+        for key in ("bwd_nodes_of", "optimizer_nodes_of", "layer_of_node"):
+            assert list(expected[key].items()) == list(oracle[key].items())
+
+    @pytest.mark.parametrize("build, signature", [
+        pytest.param(
+            lambda: build_rnn(num_layers=10, hidden_size=8192, batch_size=256),
+            "c714597c34cbfbff23e0d6bcddf4aab5d8d7552216077640ac1e316ecd8d2590",
+            id="RNN-10-8K@256"),
+        pytest.param(
+            lambda: build_rnn(num_layers=6, hidden_size=4096, batch_size=512),
+            "4e4f1cbb7c007e885cafa020b5eab247571173d321ae528ec00c15c1ea557306",
+            id="RNN-6-4K@512"),
+        pytest.param(
+            lambda: build_wide_resnet(depth=152, widen=4, batch_size=64),
+            "5ca39dcee96622b88d7e9f5494ff5dfbd28eadfffac308ae48c6d08eae426b99",
+            id="WResNet-152-4@64"),
+    ])
+    def test_paper_model_signatures_are_pinned(self, build, signature):
+        assert graph_signature(build().graph) == signature

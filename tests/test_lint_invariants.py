@@ -1,7 +1,7 @@
 """The AST invariant linter stays clean on the tree and keeps catching
 seeded violations (layering back-edges, unlocked guarded state, undescribed
 registry entries, collector switches, package-metadata discovery,
-multiprocessing imports)."""
+multiprocessing and contextvars imports)."""
 
 import ast
 import sys
@@ -157,3 +157,18 @@ def test_no_process_pool_catches_multiprocessing_anywhere():
             lint_invariants.SRC / where, tree)
         assert [v.line for v in violations] == [1, 2, 3, 5]
         assert all(v.rule == "no-process-pool" for v in violations)
+
+
+def test_no_context_var_catches_contextvars_anywhere():
+    tree = ast.parse(
+        "import contextvars\n"
+        "from contextvars import ContextVar\n"
+        "def scope():\n"
+        "    from contextvars import copy_context\n"
+        "    return copy_context\n"
+        "import threading\n"
+    )
+    violations = lint_invariants.check_no_context_var(
+        lint_invariants.SRC / "caching.py", tree)
+    assert [v.line for v in violations] == [1, 2, 4]
+    assert all(v.rule == "no-context-var" for v in violations)

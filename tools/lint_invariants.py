@@ -1,6 +1,7 @@
 #!/usr/bin/env python
 """AST invariant linter: layering, lock discipline, registry hygiene,
-collector discipline, in-process registration, no process pool.
+collector discipline, in-process registration, no process pool or context
+variable.
 
 Six structural invariants the test suite cannot cheaply express are
 checked here over the source tree with nothing but ``ast`` (no imports of
@@ -42,9 +43,12 @@ the code under analysis, no third-party dependencies):
    filled only by in-process ``register_*`` calls; package-metadata
    discovery would bring back a second registration path.
 
-6. **No process pool** — ``src/repro`` never imports ``multiprocessing``
-   (at any scope, in any file).  The planner's factor-order search, the
-   autotuner and everything else run in the calling process.
+6. **No process pool, no context variable** — ``src/repro`` never imports
+   ``multiprocessing`` or ``contextvars`` (at any scope, in any file).  The
+   planner's factor-order search, the autotuner and everything else run in
+   the calling process, and no state hides in an ambient context: what a
+   result depends on is an argument or lives on its object (a graph
+   carries its own signature).
 
 Run from the repository root::
 
@@ -449,14 +453,19 @@ def check_in_process_registration(path: Path,
 
 
 # ---------------------------------------------------------------------------
-# Rule 6: no process pool
+# Rule 6: no process pool, no context variable
 # ---------------------------------------------------------------------------
-def _imports_multiprocessing(node: ast.AST) -> bool:
-    if isinstance(node, ast.Import):
-        return any(alias.name.split(".")[0] == "multiprocessing"
-                   for alias in node.names)
-    return (isinstance(node, ast.ImportFrom) and node.level == 0
-            and (node.module or "").split(".")[0] == "multiprocessing")
+def _imports_of(tree: ast.Module, module: str) -> List[ast.AST]:
+    """Every import of ``module`` (or a submodule) in ``tree``, any scope."""
+
+    def imports(node: ast.AST) -> bool:
+        if isinstance(node, ast.Import):
+            return any(alias.name.split(".")[0] == module
+                       for alias in node.names)
+        return (isinstance(node, ast.ImportFrom) and node.level == 0
+                and (node.module or "").split(".")[0] == module)
+
+    return [node for node in ast.walk(tree) if imports(node)]
 
 
 def check_no_process_pool(path: Path, tree: ast.Module) -> List[Violation]:
@@ -464,7 +473,16 @@ def check_no_process_pool(path: Path, tree: ast.Module) -> List[Violation]:
         Violation(path, node.lineno, "no-process-pool",
                   "multiprocessing imported; everything runs in the calling "
                   "process")
-        for node in ast.walk(tree) if _imports_multiprocessing(node)
+        for node in _imports_of(tree, "multiprocessing")
+    ]
+
+
+def check_no_context_var(path: Path, tree: ast.Module) -> List[Violation]:
+    return [
+        Violation(path, node.lineno, "no-context-var",
+                  "contextvars imported; pass state as an argument or keep "
+                  "it on the object it describes")
+        for node in _imports_of(tree, "contextvars")
     ]
 
 
@@ -482,6 +500,7 @@ def lint(root: Path = SRC) -> List[Violation]:
         violations.extend(check_collector_discipline(path, tree, root))
         violations.extend(check_in_process_registration(path, tree))
         violations.extend(check_no_process_pool(path, tree))
+        violations.extend(check_no_context_var(path, tree))
         if path.resolve() in locked:
             violations.extend(check_lock_discipline(path, tree))
     return violations
@@ -495,7 +514,8 @@ def main() -> int:
         print(f"{len(violations)} invariant violation(s)", file=sys.stderr)
         return 1
     print("invariants clean: layering, lock discipline, registry hygiene, "
-          "collector discipline, in-process registration, no process pool")
+          "collector discipline, in-process registration, no process pool, "
+          "no context variable")
     return 0
 
 

@@ -75,6 +75,9 @@ def _tofu_artifacts():
     )
     machine = k80_8gpu_machine(4)
     plan = Planner(PlannerConfig()).plan(bundle.graph, 4, machine=machine)
+    # The search's wall-clock time would make every regeneration rewrite
+    # the tofu-derived files; pin it so the corpus is byte-deterministic.
+    plan.search_time_seconds = 0.0
     executor = Executor(ExecutorConfig(cache_programs=False))
     program = executor.lower(
         bundle.graph, plan=plan, machine=machine, backend="tofu-partitioned"
