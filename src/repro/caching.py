@@ -12,7 +12,8 @@ two caches subclass it with their entry codec and bundle format name.
 Content-address helpers (:func:`graph_signature`, :func:`machine_signature`,
 :func:`content_key`) also live here so both key schemes hash identical
 inputs identically.  A graph is serialised for its signature once: the
-first :func:`graph_signature` freezes the graph and stores the hash on it.
+first :func:`graph_signature` freezes the graph and stores the hash on it
+(a plan does the same, :func:`repro.partition.plan.plan_signature`).
 """
 
 from __future__ import annotations
@@ -113,9 +114,10 @@ class TwoTierCache:
     The memory tier holds *entries*; the disk tier and export bundles
     carry their JSON *payloads*.  :meth:`encode` and
     :meth:`decode` convert between the two at that boundary only — the
-    default is the identity (entries are payload dicts, as for plans).
-    What a subclass hands out from an entry — a fresh object per hit, or
-    one sharing immutable parts — is its own contract.
+    default is the identity (entries are payload dicts); plans and
+    programs keep their objects.  What a subclass hands out from an entry
+    — the same frozen object per hit, or a fresh one sharing immutable
+    parts — is its own contract.
 
     The store is thread-safe: one re-entrant lock guards the memory LRU and
     the disk accounting (eviction counter, budget sweeps), so the compile

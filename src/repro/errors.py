@@ -46,7 +46,18 @@ class NonAffineError(TDLError):
 
 
 class PartitionError(ReproError):
-    """Raised when a partition plan cannot be constructed or applied."""
+    """Raised when a partition plan cannot be constructed or applied.
+
+    :attr:`code` is ``None`` unless the raise site names one, as an edit to
+    a frozen plan does (``PAR001_FROZEN_PLAN``).
+    """
+
+    code: "str | None" = None
+
+    def __init__(self, message: str, *, code: "str | None" = None):
+        super().__init__(message)
+        if code is not None:
+            self.code = code
 
 
 class NoStrategyError(PartitionError):

@@ -7,12 +7,16 @@ the graph and never go stale.  Freezing converts what
 below; every edit to them raises a :class:`GraphError` coded
 :data:`FROZEN_GRAPH`.  The containers subclass ``dict`` and ``list``, so
 readers, ``isinstance`` checks and ``json`` see the same values as before.
+
+A partition plan freezes the same way (:mod:`repro.partition.plan`): its
+containers and records subclass these types with an ``edit_error`` that
+builds the plan's own coded error instead of :func:`frozen_graph_error`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import GraphError
 
@@ -20,14 +24,19 @@ from repro.errors import GraphError
 FROZEN_GRAPH = "GRA001_FROZEN_GRAPH"
 
 
-def read_only(self, *args: Any, **kwargs: Any) -> None:
-    """Raise the coded error for an edit of a frozen graph's ``self``."""
-    raise GraphError(
-        f"cannot edit {type(self).__name__}: the graph is frozen "
+def frozen_graph_error(owner: str) -> GraphError:
+    """The coded error for an edit of ``owner``, a part of a frozen graph."""
+    return GraphError(
+        f"cannot edit {owner}: the graph is frozen "
         "once signed or compiled; copy it with "
         "graph_from_dict(graph_to_dict(graph)) to edit",
         code=FROZEN_GRAPH,
     )
+
+
+def read_only(self, *args: Any, **kwargs: Any) -> None:
+    """Raise ``self.edit_error`` (by default the frozen graph's error)."""
+    raise getattr(self, "edit_error", frozen_graph_error)(type(self).__name__)
 
 
 class FrozenDict(dict):
@@ -38,7 +47,7 @@ class FrozenDict(dict):
     clear = pop = popitem = setdefault = update = read_only
 
     def __reduce__(self):
-        return FrozenDict, (dict(self),)
+        return type(self), (dict(self),)
 
 
 class FrozenList(list):
@@ -49,7 +58,7 @@ class FrozenList(list):
     append = clear = extend = insert = pop = remove = reverse = sort = read_only
 
     def __reduce__(self):
-        return FrozenList, (list(self),)
+        return type(self), (list(self),)
 
 
 _CONTAINERS = (dict, list, tuple)
@@ -83,13 +92,24 @@ def thaw_value(value: Any) -> Any:
     return value
 
 
-def frozen_record_class(cls: type) -> type:
-    """The read-only subclass of the graph record dataclass ``cls``.
+def frozen_record_class(
+    cls: type, edit_error: Callable[[str], Exception] = frozen_graph_error
+) -> type:
+    """The read-only subclass of the record dataclass ``cls``, whose edits
+    raise ``edit_error(type name)``.
 
     Freezing a record swaps its class to this subclass (see
     ``OpNode.freeze``), so building a graph pays nothing for the check.  A
-    frozen record still equals an editable one with the same fields.
+    frozen record still equals an editable one with the same compared
+    fields.  Calling the subclass with fields, as ``dataclasses.replace``
+    does, builds an editable ``cls``; ``copy`` and ``pickle``, which call it
+    without any, get a frozen record back.
     """
+
+    def __new__(frozen: type, *args: Any, **kwargs: Any) -> Any:
+        if args or kwargs:
+            return cls(*args, **kwargs)
+        return object.__new__(frozen)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, cls):
@@ -97,6 +117,7 @@ def frozen_record_class(cls: type) -> type:
         return all(
             getattr(self, f.name) == getattr(other, f.name)
             for f in dataclasses.fields(self)
+            if f.compare
         )
 
     def freeze(self) -> None:
@@ -104,12 +125,14 @@ def frozen_record_class(cls: type) -> type:
 
     name = f"Frozen{cls.__name__}"
     return type(name, (cls,), {
-        "__doc__": f"A :class:`{cls.__name__}` of a frozen graph.",
+        "__doc__": f"A read-only :class:`{cls.__name__}`.",
         "__module__": cls.__module__,
         "__qualname__": name,
+        "__new__": __new__,
         "__setattr__": read_only,
         "__delattr__": read_only,
         "__eq__": __eq__,
         "__hash__": None,
+        "edit_error": staticmethod(edit_error),
         "freeze": freeze,
     })

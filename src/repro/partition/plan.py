@@ -4,15 +4,52 @@ A plan for ``k = k1 * k2 * ... * km`` workers is a sequence of *steps*
 (Sec 5.2 / Appendix A.1): step ``i`` partitions every tensor along exactly one
 dimension across ``ki`` worker groups.  Composing the steps gives each tensor
 a grid partition and each operator a per-step partition-n-reduce strategy.
+
+A plan freezes the first time it is signed (:func:`plan_signature`) or
+stored in a plan cache, so the signature stored on it never goes stale and
+every holder of a cached plan reads the same object.  A frozen plan owns
+read-only copies of its containers; every edit raises a
+:class:`PartitionError` coded :data:`FROZEN_PLAN`.
+``plan_from_dict(plan_to_dict(plan))`` is an editable copy.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import PartitionError
+from repro.graph.frozen import FrozenDict, FrozenList, frozen_record_class
 from repro.graph.tensor import split_dim
+
+#: The code of every :class:`PartitionError` an edit to a frozen plan raises.
+FROZEN_PLAN = "PAR001_FROZEN_PLAN"
+
+
+def frozen_plan_error(owner: str) -> PartitionError:
+    """The coded error for an edit of ``owner``, a part of a frozen plan."""
+    return PartitionError(
+        f"cannot edit {owner}: the plan is frozen once signed or cached; "
+        "copy it with plan_from_dict(plan_to_dict(plan)) to edit",
+        code=FROZEN_PLAN,
+    )
+
+
+class FrozenPlanDict(FrozenDict):
+    """A read-only dict of a frozen plan."""
+
+    __slots__ = ()
+    edit_error = staticmethod(frozen_plan_error)
+
+
+class FrozenPlanList(FrozenList):
+    """A read-only list of a frozen plan."""
+
+    __slots__ = ()
+    edit_error = staticmethod(frozen_plan_error)
 
 
 @dataclass
@@ -44,6 +81,16 @@ class StepAssignment:
         except KeyError:
             raise PartitionError(f"step has no assignment for tensor {tensor!r}") from None
 
+    def freeze(self) -> None:
+        """Make this step read-only: its fields, ``tensor_dims`` and
+        ``op_strategies`` raise on every edit from now on."""
+        self.tensor_dims = FrozenPlanDict(self.tensor_dims)
+        self.op_strategies = FrozenPlanDict(self.op_strategies)
+        self.__class__ = FrozenStepAssignment
+
+
+FrozenStepAssignment = frozen_record_class(StepAssignment, frozen_plan_error)
+
 
 #: Plan algorithms whose search has no output-reduction strategies (the
 #: ICML18 baseline, ``recursive_partition(allow_reduction=False)``): their
@@ -60,7 +107,13 @@ class PartitionPlan:
     lowering need not price the plan again.  They are outside the plan codec
     and equality: a plan decoded by :func:`plan_from_dict`, or made by a
     search that does not record them, has ``None`` and is re-priced.
+
+    A plan is editable until :meth:`freeze`; ``signature`` then holds the
+    hash :func:`plan_signature` stored, once it has run.
     """
+
+    #: The content hash :func:`plan_signature` stored.
+    signature: ClassVar[Optional[str]] = None
 
     num_workers: int
     steps: List[StepAssignment] = field(default_factory=list)
@@ -72,6 +125,23 @@ class PartitionPlan:
     reduce_bytes_per_node: Optional[Dict[str, float]] = field(
         default=None, compare=False, repr=False
     )
+
+    def freeze(self) -> None:
+        """Make the plan read-only; idempotent.
+
+        Steps become read-only records, and the step list and the per-node
+        byte maps are copied into read-only containers, so nothing the
+        caller still holds can edit the frozen plan.  To edit a frozen plan,
+        edit a copy: ``plan_from_dict(plan_to_dict(plan))``.
+        """
+        for step in self.steps:
+            step.freeze()
+        self.steps = FrozenPlanList(self.steps)
+        if self.fetch_bytes_per_node is not None:
+            self.fetch_bytes_per_node = FrozenPlanDict(self.fetch_bytes_per_node)
+        if self.reduce_bytes_per_node is not None:
+            self.reduce_bytes_per_node = FrozenPlanDict(self.reduce_bytes_per_node)
+        self.__class__ = FrozenPartitionPlan
 
     # ------------------------------------------------------------ aggregate
     @property
@@ -137,6 +207,9 @@ class PartitionPlan:
         return "\n".join(lines)
 
 
+FrozenPartitionPlan = frozen_record_class(PartitionPlan, frozen_plan_error)
+
+
 def single_dimension_plan(
     tensor_dims: Dict[str, int],
     op_strategies: Dict[str, str],
@@ -183,6 +256,34 @@ def plan_to_dict(plan: PartitionPlan) -> Dict:
             for step in plan.steps
         ],
     }
+
+
+#: Serialises first signings, so threads compiling one plan sign it once.
+_SIGNING = threading.Lock()
+
+
+def plan_signature(plan: PartitionPlan) -> str:
+    """Content hash of a plan: the sha256 of its :func:`plan_to_dict`
+    payload less the wall-clock ``search_time_seconds``, as sorted-key JSON.
+
+    The per-node fetch/reduce bytes are outside the codec, so outside the
+    hash too.  Like :func:`repro.caching.graph_signature`, the first call
+    freezes ``plan`` (:meth:`PartitionPlan.freeze`) and stores the hash on
+    it; every later call returns the stored hash.
+    """
+    if plan.signature is None:
+        with _SIGNING:
+            if plan.signature is None:
+                plan.freeze()
+                payload = plan_to_dict(plan)
+                del payload["search_time_seconds"]
+                digest = hashlib.sha256(
+                    json.dumps(payload, sort_keys=True).encode("utf-8")
+                ).hexdigest()
+                # A frozen plan takes its signature past its read-only
+                # attributes, once.
+                object.__setattr__(plan, "signature", digest)
+    return plan.signature
 
 
 def plan_from_dict(payload: Dict) -> PartitionPlan:

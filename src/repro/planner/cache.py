@@ -14,9 +14,15 @@ bundles) is shared with the lowered-program cache — see
 :class:`repro.caching.TwoTierCache`; this module adds the plan payload codec
 and the plan key scheme.
 
-Plans are stored as dictionaries (:func:`plan_to_dict`) and reconstructed on
-every hit, so callers can freely mutate the returned plan without corrupting
-the cache.
+The memory tier holds plan objects, not their JSON: :meth:`PlanCache.put`
+freezes the plan (:meth:`PartitionPlan.freeze`) and keeps it by reference,
+and every hit returns that same object.  A frozen plan cannot be edited, so
+sharing it cannot corrupt the cache, and the signature the program key
+hashes (:func:`repro.partition.plan.plan_signature`) is computed once per
+plan, not once per compile.  :func:`plan_to_dict` and
+:func:`plan_from_dict` run only at the disk tier and ``export``/``import``
+bundles, whose payload format is unchanged.  To edit a cached plan, edit a
+copy: ``plan_from_dict(plan_to_dict(plan))``.
 """
 
 from __future__ import annotations
@@ -113,32 +119,34 @@ EXPORT_VERSION = 1
 
 
 class PlanCache(TwoTierCache):
-    """In-memory LRU over plan dictionaries, with an optional disk tier.
-
-    Entries are the plan payloads themselves, and every hit decodes a
-    fresh :class:`PartitionPlan`.
-    """
+    """In-memory LRU over frozen plans, with an optional disk tier of plan
+    payloads."""
 
     export_format = EXPORT_FORMAT
     export_version = EXPORT_VERSION
     payload_field = "plan"
     description = "plan cache"
 
-    def decode(self, payload: Dict) -> Dict:
-        """The payload itself, once it is known to rebuild a plan (a
-        malformed one raises, so its lookup misses)."""
-        plan_from_dict(payload)
-        return payload
+    def encode(self, entry: PartitionPlan) -> Dict:
+        """The JSON payload of a plan (:func:`plan_to_dict`)."""
+        return plan_to_dict(entry)
+
+    def decode(self, payload: Dict) -> PartitionPlan:
+        """The frozen plan a payload encodes (a malformed one raises, so
+        its lookup misses)."""
+        plan = plan_from_dict(payload)
+        plan.freeze()
+        return plan
 
     # ------------------------------------------------------------------ get
     def get(self, key: str) -> Optional[PartitionPlan]:
-        """The cached plan under ``key``, or ``None`` on a miss."""
-        payload = self.get_entry(key)
-        if payload is None:
-            return None
-        return plan_from_dict(payload)
+        """The cached (frozen) plan under ``key``, or ``None`` on a miss;
+        every hit returns the same object."""
+        return self.get_entry(key)
 
     # ------------------------------------------------------------------ put
     def put(self, key: str, plan: PartitionPlan) -> None:
-        """Store ``plan`` under ``key`` in every enabled tier."""
-        self.put_entry(key, plan_to_dict(plan))
+        """Freeze ``plan`` and store it under ``key`` in every enabled
+        tier."""
+        plan.freeze()
+        self.put_entry(key, plan)

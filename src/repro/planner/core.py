@@ -184,8 +184,10 @@ class Planner:
         """Search (or recall) a partition plan for ``num_workers`` workers.
 
         The result for a given (graph, worker factorisation, machine,
-        backend config) is cached; a second call with equal inputs returns an
-        equal plan without re-running the search.  ``machine`` is part of the
+        backend config) is cached; a second call with equal inputs returns
+        the same plan without re-running the search.  A cached plan is
+        frozen (edits raise ``PAR001_FROZEN_PLAN``); edit a copy,
+        ``plan_from_dict(plan_to_dict(plan))``.  ``machine`` is part of the
         cache key even though the built-in backends are machine-agnostic (a
         cost-model-aware backend need not be).
         ``strategy`` — the full :class:`repro.strategy.Strategy` when the

@@ -17,13 +17,17 @@ is shared with the plan cache — see :class:`repro.caching.TwoTierCache`;
 this module adds the program codec
 (:func:`repro.runtime.program.program_to_dict`) and the program key scheme.
 
+The plan enters the key as its signature
+(:func:`repro.partition.plan.plan_signature`), stored on the frozen plan
+like the graph's, so a warm key serialises neither.
+
 The memory tier holds lowered programs, not their JSON: a program's dense
 task graph (:class:`repro.sim.engine.TaskGraphBuilder`) is immutable once
 built, so the cache keeps it by reference and every hit returns
 :meth:`LoweredProgram.copy` — a fresh program (its own memory report and
-stats) around the shared dense form, together with the compiled form
-cached on it for the program's machine.  A warm hit therefore neither
-copies nor re-sorts a task graph.  Only the disk tier and
+stats) around the shared dense form, together with the compiled form and
+its replay cached on it for the program's machine.  A warm hit therefore
+neither copies, re-sorts nor replays a task graph.  Only the disk tier and
 ``export``/``import`` bundles encode programs, in the unchanged version-1
 payload format.  Callers edit a returned program with
 :meth:`LoweredProgram.replace_tasks`, which builds a new dense form (the
@@ -33,7 +37,7 @@ program reaches the cache.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, Mapping, Optional
 
 from repro.caching import (
     TwoTierCache,
@@ -48,6 +52,9 @@ from repro.runtime.program import (
     program_to_dict,
 )
 from repro.sim.device import Topology
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.partition.plan import PartitionPlan
 
 __all__ = [
     "KEY_COVERED_CONFIG_FIELDS",
@@ -83,21 +90,23 @@ def lowered_cache_key(
     backend: str,
     backend_options: Mapping[str, object],
     *,
-    plan: Optional[object] = None,
+    plan: Optional["PartitionPlan"] = None,
 ) -> str:
     """The content address of one lowering request.
 
-    The plan is folded in as its full dictionary form — the same graph,
-    machine, backend, and options lower to different programs under
-    different plans, and a plan has no shorter stable signature than its
-    content.
+    The plan is folded in as its signature (:func:`plan_signature`): the
+    same graph, machine, backend, and options lower to different programs
+    under different plans.  The signature leaves out the plan's wall-clock
+    search time, so two processes that each search the same plan share one
+    program entry.  Like the graph's, the plan's signature is computed once
+    and stored on the (then frozen) plan, so a warm key hashes nothing.
 
     Raises ``TypeError`` when a backend option is not JSON-serialisable
     (e.g. a pre-built ``coarse=CoarsenedGraph``).  Such requests have no
     stable content address, so the executor bypasses the cache for them —
     mirroring the planner.
     """
-    from repro.partition.plan import plan_to_dict
+    from repro.partition.plan import plan_signature
 
     fields = {
         "graph": graph_signature(graph),
@@ -106,7 +115,7 @@ def lowered_cache_key(
         "options": backend_options,
     }
     if plan is not None:
-        fields["plan"] = plan_to_dict(plan)
+        fields["plan"] = plan_signature(plan)
     return content_key(fields)
 
 

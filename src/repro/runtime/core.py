@@ -243,6 +243,10 @@ class Executor:
                 cached = self.program_cache.get(key)
                 if cached is not None:
                     perf.count("program_cache.hit")
+                    if plan is not None and cached.plan is not None:
+                        # The key covers the plan's content, not its search
+                        # time: the hit carries the caller's own plan.
+                        cached.plan = plan
                     return cached
                 perf.count("program_cache.miss")
 
@@ -286,9 +290,10 @@ class Executor:
         ``machine`` defaults to the machine the program was lowered for —
         kernel durations and the memory report were priced on it, so
         simulating on a different machine is an explicit choice.  The
-        program's dense form is compiled for a machine once and cached on
-        it (:meth:`LoweredProgram.dense_form`), so repeat simulations —
-        including of program-cache copies — only replay it.
+        program's dense form is compiled and replayed for a machine once
+        and both are cached on it (:meth:`LoweredProgram.dense_form`), so
+        repeat simulations — including of program-cache copies — only work
+        out the memory verdicts from this program's own memory report.
         """
         with perf.activation(self.profile_timer):
             if machine is None:

@@ -240,8 +240,7 @@ class Tuner:
         if jobs != 1:
             raise StrategyError(
                 f"Tuner jobs={jobs!r}: the tuner's process pool was removed, "
-                "candidates are evaluated in-process (use PlannerConfig.jobs "
-                "for the planner's candidate-search pool)"
+                "candidates are evaluated in-process"
             )
         self.budget = budget or TunerBudget()
         self.microbatches = tuple(microbatches)

@@ -1,23 +1,21 @@
 """Golden plan digests: the partition search must return bit-identical plans.
 
-Each digest is the sha256 of ``plan_to_dict`` without the wall-clock
-``search_time_seconds``, serialised as sorted-key JSON (floats round-trip
-exactly through ``repr``).  Any change to a chosen dimension, a strategy or
-a single bit of a step cost changes the digest, so a speed-up of the search
-that claims to leave plans alone is held to it here.
+Each digest is the plan's :func:`plan_signature`: the sha256 of
+``plan_to_dict`` without the wall-clock ``search_time_seconds``, serialised
+as sorted-key JSON (floats round-trip exactly through ``repr``).  Any change
+to a chosen dimension, a strategy or a single bit of a step cost changes
+the digest, so a speed-up of the search that claims to leave plans alone
+is held to it here.  The program cache keys a plan by the same signature.
 """
 
 from __future__ import annotations
-
-import hashlib
-import json
 
 import pytest
 
 from repro.partition.coarsen import coarsen
 from repro.partition.cost import CommunicationCostModel
 from repro.partition.dp import count_joint_configurations, joint_partition
-from repro.partition.plan import plan_to_dict
+from repro.partition.plan import plan_signature
 from repro.partition.recursive import recursive_partition
 
 GOLDEN = {
@@ -57,12 +55,6 @@ JOINT_COUNTS = {
 }
 
 
-def plan_digest(plan) -> str:
-    payload = plan_to_dict(plan)
-    payload.pop("search_time_seconds")
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-
-
 #: How many back-to-back searches each digest test runs on the shared graph:
 #: a repeat search finds the shapes, profiles and memos the previous one left
 #: behind and must still return the cold plan.
@@ -79,14 +71,14 @@ def test_recursive_plan_digest(request, model, workers, reduction, searches):
         plan = recursive_partition(
             graph, workers, allow_reduction=reduction == "tofu"
         )
-        assert plan_digest(plan) == GOLDEN[f"{model}-{workers}-{reduction}"]
+        assert plan_signature(plan) == GOLDEN[f"{model}-{workers}-{reduction}"]
 
 
 @pytest.mark.parametrize("searches", SEARCHES)
 def test_joint_plan_digest(mlp_bundle, searches):
     for _ in range(searches):
         plan = joint_partition(mlp_bundle.graph, 4)
-        assert plan_digest(plan) == GOLDEN["mlp-joint-4"]
+        assert plan_signature(plan) == GOLDEN["mlp-joint-4"]
 
 
 @pytest.mark.parametrize("model, workers", sorted(JOINT_COUNTS))

@@ -8,6 +8,7 @@ import pytest
 import repro
 from repro.errors import PartitionError
 from repro.partition.plan import (
+    FROZEN_PLAN,
     PartitionPlan,
     plan_from_dict,
     plan_to_dict,
@@ -129,17 +130,22 @@ class TestPlanCache:
         first = planner.plan(mlp_bundle.graph, 4)
         second = planner.plan(mlp_bundle.graph, 4)
         assert counting_backend["n"] == 1
-        assert first == second
-        assert first is not second
+        # The memory tier holds the (frozen) plan itself: a hit decodes
+        # nothing and returns the very object the search produced.
+        assert first is second
         assert planner.cache_info()["hits"] == 1
         assert planner.cache_info()["misses"] == 1
 
     def test_cached_plan_is_mutation_safe(self, mlp_bundle):
         planner = Planner()
         first = planner.plan(mlp_bundle.graph, 4)
-        first.steps.clear()
+        steps = list(first.steps)
+        with pytest.raises(PartitionError) as excinfo:
+            first.steps.clear()
+        assert excinfo.value.code == FROZEN_PLAN
         second = planner.plan(mlp_bundle.graph, 4)
-        assert second.steps, "caller mutation must not corrupt the cache"
+        assert second is first
+        assert list(second.steps) == steps, "a refused edit leaves the cache intact"
 
     def test_cache_key_changes_with_machine_spec(self, mlp_bundle):
         factors = [2, 2]

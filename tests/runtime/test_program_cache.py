@@ -463,8 +463,9 @@ def test_directory_written_by_the_v1_codec_still_hits(tmp_path):
     two K80s (a tofu-partitioned program and a 2-stage pipeline), written
     when the memory tier still stored JSON payloads.  Their keys must still
     address them, and they must decode to the programs a fresh lowering
-    produces.  A plan's key covers its recorded search time, so the tofu
-    request reuses the plan stored in its own entry."""
+    produces.  A plan's key covers its signature, not its recorded search
+    time; the tofu entry was re-keyed once when program keys moved from
+    the plan's dictionary to its signature, its payload left byte-identical."""
     store = tmp_path / "store"
     shutil.copytree(DATA / "program_cache_v1", store)
     graph = build_mlp(

@@ -3,9 +3,9 @@ a fully warm ``repro.compile`` skips every planning and lowering pass.
 
 The warm-skip property: with the plan cache and the program cache hot (a
 program-cache hit shares the cached program's dense task graph, already
-compiled for the machine), the only work left on a repeat compile is the
-simulation replay itself — the profile shows ``sim.run`` and nothing from
-``pass.*`` / ``lower.*`` / ``planner.search.*`` / ``sim.compile``.
+compiled and replayed for the machine), a repeat compile does no work
+proportional to the model — the profile shows nothing from ``pass.*`` /
+``lower.*`` / ``planner.search.*`` / ``sim.compile`` / ``sim.run``.
 """
 
 from __future__ import annotations
@@ -64,21 +64,24 @@ def test_executor_profile_captures_lowering_stages(mlp_bundle):
 @pytest.mark.parametrize("strategy", ["pipeline:2:1f1b:4/tofu"])
 def test_warm_compile_skips_every_pass(mlp_bundle, strategy):
     """Cold compile runs planner search, lowering passes, and a simulator
-    compile; the warm repeat is cache hits plus ``sim.run`` — nothing else."""
+    compile; the warm repeat is cache hits — nothing else, not even the
+    replay, which the cold compile left on the shared dense form."""
     machine = k80_8gpu_machine(4)
 
-    cold_executor = Executor(ExecutorConfig(profile=True))
+    # A private program cache: an equal plan searched by another test would
+    # otherwise share the process-wide entry and turn the cold compile warm.
+    executor = Executor(ExecutorConfig(profile=True, program_cache_capacity=4))
     cold = repro.compile(
-        mlp_bundle.graph, strategy, machine, executor=cold_executor,
+        mlp_bundle.graph, strategy, machine, executor=executor,
     )
     cold_stages = set(cold.metadata["profile"]["stages"])
     assert any(s.startswith("lower.") for s in cold_stages)
     assert any(s.startswith("pass.") for s in cold_stages)
     assert "sim.compile" in cold_stages
 
-    warm_executor = Executor(ExecutorConfig(profile=True))
+    executor.profile_timer.clear()
     warm = repro.compile(
-        mlp_bundle.graph, strategy, machine, executor=warm_executor,
+        mlp_bundle.graph, strategy, machine, executor=executor,
     )
     profile = warm.metadata["profile"]
     warm_stages = set(profile["stages"])
@@ -87,10 +90,10 @@ def test_warm_compile_skips_every_pass(mlp_bundle, strategy):
     assert not any(s.startswith("lower.") for s in warm_stages)
     assert not any(s.startswith("planner.search") for s in warm_stages)
     assert profile["counters"].get("program_cache.hit") == 1
-    # The hit shares the dense form the cold compile built for an equal
-    # machine: no re-sort, just the replay.
+    # The hit shares the dense form the cold compile built and replayed for
+    # an equal machine: no re-sort and no replay.
     assert "sim.compile" not in warm_stages
-    assert "sim.run" in warm_stages
+    assert "sim.run" not in warm_stages
     assert (
         warm.report.result.iteration_time == cold.report.result.iteration_time
     )

@@ -89,9 +89,13 @@ class TestScreening:
 
     def test_screening_is_cheap(self, graph):
         # A screened candidate must never reach the simulator: the sweep
-        # records sim runs only for evaluated candidates.
+        # records sim runs only for evaluated candidates.  A private program
+        # cache makes every candidate lower afresh, so each evaluated
+        # program replays exactly once, whatever ran earlier in the process.
         machine = tight_machine(graph, headroom=1.5)
-        executor = Executor(ExecutorConfig(profile=True))
+        executor = Executor(
+            ExecutorConfig(profile=True, program_cache_capacity=BUDGET.max_candidates)
+        )
         result = Tuner(budget=BUDGET).tune(graph, machine, executor=executor)
         evaluated = sum(1 for o in result.outcomes if o.status == "evaluated")
         assert executor.profile_timer.stage_calls("sim.run") == evaluated

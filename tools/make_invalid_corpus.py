@@ -26,6 +26,7 @@ checker to a concrete violation it must keep catching.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -77,7 +78,8 @@ def _tofu_artifacts():
     plan = Planner(PlannerConfig()).plan(bundle.graph, 4, machine=machine)
     # The search's wall-clock time would make every regeneration rewrite
     # the tofu-derived files; pin it so the corpus is byte-deterministic.
-    plan.search_time_seconds = 0.0
+    # The planner's plan is cached, so read-only: pin it on a copy.
+    plan = dataclasses.replace(plan, search_time_seconds=0.0)
     executor = Executor(ExecutorConfig(cache_programs=False))
     program = executor.lower(
         bundle.graph, plan=plan, machine=machine, backend="tofu-partitioned"
