@@ -80,6 +80,9 @@ class CoarsenedGraph:
     tensor_group_of: Dict[str, int]
     touched_by: Dict[int, List[int]] = field(default_factory=dict)  # op gid -> tensor gids
     touchers_of: Dict[int, List[int]] = field(default_factory=dict)  # tensor gid -> op gids
+    #: The partition DP's step-invariant frontier layout, built by the first
+    #: search over this graph (:func:`repro.partition.dp.frontier_layout`).
+    frontier: Optional[list] = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------- queries
     def num_op_groups(self) -> int:

@@ -6,46 +6,60 @@ operator) for a single recursive step that splits the graph across ``parts``
 worker groups.  It is a *frontier* DP: operator groups are visited in
 topological order and the DP state is the set of partition choices of the
 tensor groups that cross the frontier between visited and unvisited groups.
-For chain-like coarsened graphs (MLPs, CNNs, coalesced RNNs) the frontier is
-tiny, which is what makes the search fast.
+On the paper's WResNets the frontier stays tiny (at most 9 states).  On
+its coalesced RNNs it does not: RNN-10-8K reaches 2,048 states, so the
+:data:`MAX_STATES` cap binds and prunes.
 
 ``joint_partition`` is the non-recursive variant used as the Table 1
 comparison point: every tensor group chooses a full multi-step configuration
 (a tuple of dimensions) at once, which blows up the per-group search space
 exactly as the paper describes.
 
-The inner loop rests on two facts.
+The inner loop rests on three facts.
 
-* **Static frontier layout.**  Which tensor groups cross the frontier before
-  an op group does not depend on the state: a group is decided at its first
-  toucher and leaves at its last.  So a one-time :class:`_GroupLayout` per op
-  group fixes the decided, carried and dropped groups, the candidate combos
-  and ``operator.itemgetter`` gathers over ``state key + combo``.  A state
-  key is then a plain tuple of configs in tensor-group order, and a
-  back-pointer is ``(previous key, combo index)``.  The reference slot that
-  internal temporaries copy (the largest touched group) is static too.
+* **A step-invariant frontier layout.**  Which tensor groups cross the
+  frontier before an op group depends neither on the state nor on the
+  shapes or the parts: a group is decided at its first toucher and leaves
+  at its last.  So :func:`frontier_layout` builds one
+  :class:`_GroupFrontier` per op group once per coarsened graph, and keeps
+  it there for every later step and search.  It fixes the decided, carried
+  and dropped groups, ``operator.itemgetter`` gathers over ``state key +
+  combo``, and each member's ``(slot, rank - 1)`` spec.  A state key is
+  then a plain tuple of configs in tensor-group order, and a back-pointer
+  is ``(previous key, combo index)``.  Each step derives only what the
+  shrunk shapes change into a :class:`_GroupLayout`: the candidate combos,
+  the reference slot that internal temporaries copy (the largest local
+  group, each group's bytes read once per step), and the member classes.
 * **Profile-keyed node costs.**  A node's cost depends only on its shared
   :class:`~repro.partition.cost.NodeProfile` and its dims, so members of an
-  op group fall into classes of equal ``(profile, slots)``.  A group-cost
+  op group fall into classes of equal ``(profile, spec)``.  A group-cost
   miss prices each class once through the profile's memo.
+* **Shared cost tables.**  A group's cost reads only its reference slot, its
+  member classes and each member's class index, and the repeated blocks of
+  a model agree on all three.  Within one :meth:`_FrontierDP.solve`, groups
+  of equal structure share one ``costs`` table, so each structure is priced
+  once per step (WResNet-152: 467 op groups, 59 structures).  The tables
+  key profiles by identity, so they live and die with the solve.
 
-Both are pure refactorings of the original dict-keyed walk and must keep its
-plans bit-identical: costs are still summed steps outer, members inner, in
-member order; a state is replaced only on a strictly lower cost, so the
-first-encountered state wins ties; keys enter the next frontier in the same
-first-encounter order, so the stable :data:`MAX_STATES` sort keeps the
-same states.  The golden plan digests in ``tests/partition/test_plan_digests.py``
-pin this.
+All three are pure refactorings of the original dict-keyed walk and must
+keep its plans bit-identical: costs are still summed steps outer, members
+inner, in member order; a state is replaced only on a strictly lower cost,
+so the first-encountered state wins ties; keys enter the next frontier in
+the same first-encounter order, so the stable :data:`MAX_STATES` sort keeps
+the same states.  The golden plan digests in
+``tests/partition/test_plan_digests.py`` and the paper-scale signatures in
+``tests/data/paper_plan_signatures.json`` pin this.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro import perf
 from repro.errors import PartitionError
 from repro.graph.graph import Graph
 from repro.partition.coarsen import CoarsenedGraph, coarsen
@@ -55,14 +69,17 @@ from repro.partition.plan import PartitionPlan, StepAssignment, factorize_worker
 Config = Tuple[int, ...]  # one dimension per step
 StateKey = Tuple[Config, ...]  # frontier configs in tensor-group order
 NodePrice = Tuple[str, float, float]  # (axis, fetch bytes, redistribute bytes)
-#: Per step: the distinct ``(profile, (slot, max dim) per tensor)`` member
-#: classes, and each member's class index in member order.
-MemberClasses = List[
-    Tuple[List[Tuple[NodeProfile, Tuple[Tuple[int, int], ...]]], Tuple[int, ...]]
-]
+#: A member's ``(slot, rank - 1)`` per input, then per output tensor.
+Spec = Tuple[Tuple[int, int], ...]
+#: Per step: the distinct ``(profile, spec)`` member classes, and each
+#: member's class index in member order.
+MemberClasses = List[Tuple[List[Tuple[NodeProfile, Spec]], Tuple[int, ...]]]
 
 #: Frontier-DP state cap: after each op group only the cheapest states are
-#: kept (a safety valve for unusual graphs).
+#: kept.  It binds on the paper's RNNs: on RNN-10-8K, 114 of 363 group
+#: expansions exceed it (up to 2,048 states), and even the tiny test LSTM
+#: prunes.  No WResNet comes close.  Every dropped state is counted on the
+#: ``partition.dp_pruned_states`` profile counter.
 MAX_STATES = 256
 
 
@@ -76,31 +93,124 @@ def _gather(indices: Sequence[int]) -> Callable[[tuple], tuple]:
     return itemgetter(*indices)
 
 
-@dataclass
-class _GroupLayout:
-    """The state-independent shape of one op group's DP transition.
+@dataclass(frozen=True)
+class _GroupFrontier:
+    """Where one op group sits on the DP frontier: what no step changes.
 
     Slots index ``state key + combo``: the frontier before the group, then
     one config per ``decision`` tensor group.  ``local`` lists the touched
     tensor groups that are not ``internal`` (carried ones, then decided
     ones); ``local_key`` gathers their configs and ``next_key`` gathers the
-    frontier after the group.  ``reference`` indexes the local key at the
-    largest local group, whose config internal temporaries copy (``None``:
-    the all-zero config).  The search fills in ``combos`` and ``classes``
-    when it reaches the group, and memoises group costs in ``costs``.
+    frontier after the group.  ``specs`` holds each member's :data:`Spec`,
+    whose slots index the local key plus one trailing slot for the
+    reference config of internal tensor groups.  A split keeps a tensor's
+    rank, so the ranks hold at every step.
     """
 
     gid: int
-    decision: List[int]
-    candidates: List[List[Config]]
-    internal: List[int]
-    local: List[int]
+    decision: Tuple[int, ...]
+    internal: Tuple[int, ...]
+    local: Tuple[int, ...]
     local_key: Callable[[tuple], StateKey]
     next_key: Callable[[tuple], StateKey]
+    members: Tuple[str, ...]
+    specs: Tuple[Spec, ...]
+
+
+@dataclass
+class _GroupLayout:
+    """One op group's DP transition at the current shapes.
+
+    ``combos`` are the decision groups' candidate configs.  ``reference``
+    indexes the local key at the largest local group, whose config internal
+    temporaries copy (``None``: the all-zero config).  ``classes`` are the
+    member classes per step.  ``costs`` memoises group costs by local key;
+    every layout of the same solve with equal ``reference`` and classes
+    shares it.
+    """
+
+    frontier: _GroupFrontier
+    combos: List[Tuple[Config, ...]]
     reference: Optional[int]
-    combos: List[Tuple[Config, ...]] = field(default_factory=list)
-    classes: MemberClasses = field(default_factory=list)
-    costs: Dict[StateKey, float] = field(default_factory=dict)
+    classes: MemberClasses
+    costs: Dict[StateKey, float]
+
+
+def frontier_layout(coarse: CoarsenedGraph) -> List[_GroupFrontier]:
+    """The :class:`_GroupFrontier` of every op group, in visit order.
+
+    Built by the first search over ``coarse`` and kept on it.
+    """
+    layout = coarse.frontier
+    if layout is None:
+        layout = coarse.frontier = _build_frontier(coarse)
+    return layout
+
+
+def _build_frontier(coarse: CoarsenedGraph) -> List[_GroupFrontier]:
+    """A tensor group is decided by its first toucher when more than one op
+    group touches it or it is persistent, and stays on the frontier until
+    its last toucher; any other group is internal to its only toucher."""
+    graph = coarse.graph
+    first: Dict[int, int] = {}
+    last: Dict[int, int] = {}
+    for tg, touchers in coarse.touchers_of.items():
+        first[tg] = min(touchers)
+        last[tg] = max(touchers)
+
+    groups: List[_GroupFrontier] = []
+    frontier: List[int] = []
+    for group in coarse.op_groups:
+        gid = group.gid
+        decision: List[int] = []
+        internal: List[int] = []
+        carried: List[int] = []
+        for tg in coarse.touched_by[gid]:
+            if first[tg] != gid:
+                carried.append(tg)
+            elif len(coarse.touchers_of[tg]) > 1 or coarse.tensor_group(tg).persistent:
+                decision.append(tg)
+            else:
+                internal.append(tg)
+
+        slot = {tg: i for i, tg in enumerate(frontier)}
+        missing = [tg for tg in carried if tg not in slot]
+        if missing:
+            raise PartitionError(
+                f"tensor groups {missing} reached group {gid} unassigned"
+            )
+        for i, tg in enumerate(decision):
+            slot[tg] = len(frontier) + i
+        local = carried + decision
+        frontier = sorted(tg for tg in slot if last[tg] != gid)
+
+        local_slot = {tg: i for i, tg in enumerate(local)}
+        ref_slot = len(local)
+        specs = []
+        for node_name in group.members:
+            node = graph.node(node_name)
+            specs.append(
+                tuple(
+                    (
+                        local_slot.get(coarse.tensor_group_of[tensor], ref_slot),
+                        max(1, len(graph.tensor(tensor).shape)) - 1,
+                    )
+                    for tensor in (*node.inputs, *node.outputs)
+                )
+            )
+        groups.append(
+            _GroupFrontier(
+                gid=gid,
+                decision=tuple(decision),
+                internal=tuple(internal),
+                local=tuple(local),
+                local_key=_gather([slot[tg] for tg in local]),
+                next_key=_gather([slot[tg] for tg in frontier]),
+                members=tuple(group.members),
+                specs=tuple(specs),
+            )
+        )
+    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +231,11 @@ class _FrontierDP:
         self.parts_per_step = list(parts_per_step)
         self.num_steps = len(self.parts_per_step)
         self._zero: Config = tuple([0] * self.num_steps)
+        self._group_bytes: Dict[int, float] = {}
+        #: The last :meth:`solve`'s layouts in visit order, and each one's
+        #: chosen local key plus reference config.
+        self.layouts: List[_GroupLayout] = []
+        self._chosen: List[StateKey] = []
 
     # ------------------------------------------------------------ candidates
     def group_candidates(self, tg: int) -> List[Config]:
@@ -138,131 +253,87 @@ class _FrontierDP:
         return [tuple(c) for c in itertools.product(*per_step)]
 
     # --------------------------------------------------------------- layouts
-    def layouts(self) -> List[_GroupLayout]:
-        """One :class:`_GroupLayout` per op group, in visit order.
+    def _layout(
+        self, group: _GroupFrontier, tables: Dict[tuple, Dict[StateKey, float]]
+    ) -> _GroupLayout:
+        """Derive ``group``'s transition at the current shapes.
 
-        A tensor group is decided by its first toucher when more than one
-        op group touches it or it is persistent, and stays on the frontier
-        until its last toucher; any other group is internal to its only
-        toucher.
+        Its cost table is the one in ``tables`` of every group with the same
+        reference slot and member classes, which price alike.
         """
-        coarse = self.coarse
-        first: Dict[int, int] = {}
-        last: Dict[int, int] = {}
-        for tg, touchers in coarse.touchers_of.items():
-            first[tg] = min(touchers)
-            last[tg] = max(touchers)
-
-        layouts: List[_GroupLayout] = []
-        frontier: List[int] = []
-        for group in coarse.op_groups:
-            gid = group.gid
-            touched = coarse.touched_by[gid]
-            decision: List[int] = []
-            internal: List[int] = []
-            carried: List[int] = []
-            for tg in touched:
-                if first[tg] != gid:
-                    carried.append(tg)
-                elif (
-                    len(coarse.touchers_of[tg]) > 1
-                    or coarse.tensor_group(tg).persistent
-                ):
-                    decision.append(tg)
-                else:
-                    internal.append(tg)
-
-            slot = {tg: i for i, tg in enumerate(frontier)}
-            missing = [tg for tg in carried if tg not in slot]
-            if missing:
-                raise PartitionError(
-                    f"tensor groups {missing} reached group {gid} unassigned"
-                )
-            for i, tg in enumerate(decision):
-                slot[tg] = len(frontier) + i
-            local = carried + decision
-            frontier = sorted(tg for tg in slot if last[tg] != gid)
-
-            sizes = [
-                sum(
+        sizes = []
+        for tg in group.local:
+            size = self._group_bytes.get(tg)
+            if size is None:
+                size = self._group_bytes[tg] = sum(
                     self.cost_model.tensor_bytes(m)
-                    for m in coarse.tensor_group(tg).members
+                    for m in self.coarse.tensor_group(tg).members
                 )
-                for tg in local
-            ]
-            reference: Optional[int] = None
-            for i, size in enumerate(sizes):
-                if reference is None or size > sizes[reference]:
-                    reference = i
-
-            layouts.append(
-                _GroupLayout(
-                    gid=gid,
-                    decision=decision,
-                    candidates=[self.group_candidates(tg) for tg in decision],
-                    internal=internal,
-                    local=local,
-                    local_key=_gather([slot[tg] for tg in local]),
-                    next_key=_gather([slot[tg] for tg in frontier]),
-                    reference=reference,
+            sizes.append(size)
+        reference: Optional[int] = None
+        for i, size in enumerate(sizes):
+            if reference is None or size > sizes[reference]:
+                reference = i
+        classes, structure = self._member_classes(group)
+        return _GroupLayout(
+            frontier=group,
+            combos=list(
+                itertools.product(
+                    *(self.group_candidates(tg) for tg in group.decision)
                 )
-            )
-        return layouts
+            ),
+            reference=reference,
+            classes=classes,
+            costs=tables.setdefault((reference, structure), {}),
+        )
 
-    def _member_classes(self, layout: _GroupLayout) -> MemberClasses:
-        """Group the op group's members by ``(profile, slots)`` per step.
+    def _member_classes(self, group: _GroupFrontier) -> Tuple[MemberClasses, tuple]:
+        """Group the op group's members by ``(profile, spec)`` per step.
 
-        Slots index the local key plus one trailing slot for the reference
-        config of internal tensor groups; each tensor's dim is clamped to
-        its rank, as in the final plan.  Profiles are built here, in the
-        order the search first prices them.
+        Also returns the classes' structure: per step, each class's
+        ``(id(profile), spec)`` and each member's class index.  Profiles are
+        built here, in the order the search first prices them.
         """
-        coarse = self.coarse
-        slot_of_tg = {tg: i for i, tg in enumerate(layout.local)}
-        ref_slot = len(layout.local)
-        members = coarse.op_group(layout.gid).members
-        specs = []
-        for node_name in members:
-            node = self.graph.node(node_name)
-            spec = []
-            for tensor in list(node.inputs) + list(node.outputs):
-                tg = coarse.tensor_group_of[tensor]
-                ndim = max(1, len(self.cost_model.shapes[tensor]))
-                spec.append((slot_of_tg.get(tg, ref_slot), ndim - 1))
-            specs.append(tuple(spec))
-
+        node_profile = self.cost_model.node_profile
         steps: MemberClasses = []
+        structure = []
         for parts in self.parts_per_step:
-            index: Dict[Tuple[int, tuple], int] = {}
-            classes: List[Tuple[NodeProfile, Tuple[Tuple[int, int], ...]]] = []
-            member_classes: List[int] = []
-            for node_name, spec in zip(members, specs):
-                profile = self.cost_model.node_profile(node_name, parts)
+            index: Dict[Tuple[int, Spec], int] = {}
+            classes: List[Tuple[NodeProfile, Spec]] = []
+            positions: List[int] = []
+            for node_name, spec in zip(group.members, group.specs):
+                profile = node_profile(node_name, parts)
                 key = (id(profile), spec)
-                if key not in index:
-                    index[key] = len(classes)
+                position = index.get(key)
+                if position is None:
+                    position = index[key] = len(classes)
                     classes.append((profile, spec))
-                member_classes.append(index[key])
-            steps.append((classes, tuple(member_classes)))
-        return steps
+                positions.append(position)
+            member_classes = tuple(positions)
+            steps.append((classes, member_classes))
+            structure.append((tuple(index), member_classes))
+        return steps, tuple(structure)
 
     # ----------------------------------------------------------------- solve
-    def solve(self) -> Tuple[float, Dict[str, Config], Dict[str, NodePrice]]:
-        """Run the DP; returns (cost, per-tensor config, per-node price).
+    def solve(self) -> Tuple[float, Dict[str, Config]]:
+        """Run the DP; returns (cost, per-tensor config).
 
-        A node's price is its ``(axis, fetch bytes, redistribute bytes)``
-        at the first step's dims of the chosen configs.
+        The cost tables are shared within this call only: they key profiles
+        by identity, and the cost model holds its profiles until its next
+        ``set_shapes``.
         """
-        layouts = self.layouts()
+        tables: Dict[tuple, Dict[StateKey, float]] = {}
+        self.layouts = layouts = []
         states: Dict[StateKey, float] = {(): 0.0}
         backptr: List[Dict[StateKey, Tuple[StateKey, int]]] = []
-        for layout in layouts:
-            layout.combos = list(itertools.product(*layout.candidates))
-            layout.classes = self._member_classes(layout)
+        for group in frontier_layout(self.coarse):
+            layout = self._layout(group, tables)
+            layouts.append(layout)
             new_states, pointers = self._expand(states, layout)
             if not new_states:
-                raise PartitionError(f"DP produced no states at group {layout.gid}")
+                raise PartitionError(f"DP produced no states at group {group.gid}")
             if len(new_states) > MAX_STATES:
+                perf.count("partition.dp_pruned_states", len(new_states) - MAX_STATES)
                 kept = sorted(new_states.items(), key=lambda kv: kv[1])[
                     :MAX_STATES
                 ]
@@ -275,16 +346,21 @@ class _FrontierDP:
         best_key = min(states, key=lambda k: states[k])
         best_cost = states[best_key]
         tg_config: Dict[int, Config] = {}
+        chosen: List[StateKey] = []
         key = best_key
         for layout, pointers in zip(reversed(layouts), reversed(backptr)):
+            group = layout.frontier
             prev_key, index = pointers[key]
             combo = layout.combos[index]
-            for tg, cfg in zip(layout.decision, combo):
+            for tg, cfg in zip(group.decision, combo):
                 tg_config.setdefault(tg, cfg)
-            ref_cfg = self._reference(layout, layout.local_key(prev_key + combo))
-            for tg in layout.internal:
+            local = group.local_key(prev_key + combo)
+            ref_cfg = self._reference(layout, local)
+            for tg in group.internal:
                 tg_config.setdefault(tg, ref_cfg)
+            chosen.append(local + (ref_cfg,))
             key = prev_key
+        self._chosen = chosen[::-1]
 
         tensor_config: Dict[str, Config] = {}
         for tg, cfg in tg_config.items():
@@ -292,9 +368,8 @@ class _FrontierDP:
                 tensor_config[member] = self._clamp(member, cfg)
         # Tensors never decided (untouched by any node) default to dim 0.
         for tensor in self.graph.tensors:
-            tensor_config.setdefault(tensor, self._clamp(tensor, self._zero))
-
-        return best_cost, tensor_config, self._final_prices(tensor_config)
+            tensor_config.setdefault(tensor, self._zero)
+        return best_cost, tensor_config
 
     # ------------------------------------------------------------- expansion
     def _expand(
@@ -309,8 +384,8 @@ class _FrontierDP:
         :data:`MAX_STATES` pruning sort relies on).
         """
         combos = layout.combos
-        local_key = layout.local_key
-        next_key = layout.next_key
+        local_key = layout.frontier.local_key
+        next_key = layout.frontier.next_key
         costs = layout.costs
         new_states: Dict[StateKey, float] = {}
         pointers: Dict[StateKey, Tuple[StateKey, int]] = {}
@@ -352,19 +427,26 @@ class _FrontierDP:
         return total
 
     def _clamp(self, tensor: str, cfg: Config) -> Config:
-        ndim = max(1, len(self.cost_model.shapes[tensor]))
-        return tuple(min(d, ndim - 1) for d in cfg)
+        top = max(1, len(self.cost_model.shapes[tensor])) - 1
+        return cfg if max(cfg, default=0) <= top else tuple(min(d, top) for d in cfg)
 
-    def _final_prices(
-        self, tensor_config: Mapping[str, Config]
-    ) -> Dict[str, NodePrice]:
-        step_dims = {t: cfg[0] for t, cfg in tensor_config.items()}
-        parts = self.parts_per_step[0]
-        node_cost_detail = self.cost_model.node_cost_detail
-        return {
-            node_name: node_cost_detail(node_name, step_dims, parts)
-            for node_name in self.graph.nodes
-        }
+    def node_prices(self) -> Dict[str, NodePrice]:
+        """Every node's ``(axis, fetch bytes, redistribute bytes)`` at the
+        first step's dims of the last :meth:`solve`'s configs, in graph
+        order: what ``node_cost_detail`` returns, priced once per member
+        class from the local configs the solve chose."""
+        prices: Dict[str, NodePrice] = {}
+        for layout, values in zip(self.layouts, self._chosen):
+            classes, member_classes = layout.classes[0]
+            class_prices = [
+                profile.best_strategy(
+                    tuple(min(values[slot][0], top) for slot, top in spec)
+                )
+                for profile, spec in classes
+            ]
+            for node_name, index in zip(layout.frontier.members, member_classes):
+                prices[node_name] = class_prices[index]
+        return {node_name: prices[node_name] for node_name in self.graph.nodes}
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +469,9 @@ def dp_partition_step(
     search's own memo.
     """
     dp = _FrontierDP(graph, coarse, cost_model, parts_per_step=[parts])
-    cost, tensor_config, node_prices = dp.solve()
+    cost, tensor_config = dp.solve()
     tensor_dims = {t: cfg[0] for t, cfg in tensor_config.items()}
+    node_prices = dp.node_prices()
     if prices is not None:
         prices.update(node_prices)
     return StepAssignment(
@@ -417,7 +500,7 @@ def joint_partition(
         coarse = coarsen(graph)
     cost_model = CommunicationCostModel(graph)
     dp = _FrontierDP(graph, coarse, cost_model, parts_per_step=factors)
-    cost, tensor_config, _ = dp.solve()
+    cost, tensor_config = dp.solve()
 
     steps: List[StepAssignment] = []
     group_count = 1
@@ -454,10 +537,10 @@ def count_joint_configurations(
     dp = _FrontierDP(coarse.graph, coarse, cost_model, parts_per_step=factors)
     per_group_max = 0.0
     total = 0.0
-    for layout in dp.layouts():
+    for group in frontier_layout(coarse):
         combos = 1.0
-        for candidates in layout.candidates:
-            combos *= len(candidates)
+        for tg in group.decision:
+            combos *= len(dp.group_candidates(tg))
         per_group_max = max(per_group_max, combos)
         total += combos
     return {
