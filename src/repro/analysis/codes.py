@@ -42,11 +42,11 @@ ERROR_CODES: Dict[str, str] = {
         "dependencies — the schedule deadlocks"
     ),
     "ANA007_BAD_LINK": (
-        "a comm task's channel or link does not match what the topology's "
-        "link_between resolves for its endpoints"
+        "a comm task names no destination device, or endpoints the "
+        "topology's link_between cannot resolve"
     ),
     "ANA008_SELF_TRANSFER": (
-        "a link-resolved comm task transfers from a device to itself"
+        "a comm task's source and destination endpoints are the same device"
     ),
     "ANA009_DEVICE_RANGE": (
         "a task or memory-report entry names a device index outside the "

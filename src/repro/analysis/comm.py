@@ -1,12 +1,10 @@
 """Comm validity: every transfer must ride a link the topology has.
 
-A comm task is either *channel-named* (``p2p`` / ``cpu``, resolved to a
-queue at simulation time) or *link-resolved* (it carries the concrete
-:class:`repro.sim.device.Link` plus source and destination devices — the
-form the multi-machine passes emit).  A link-resolved task is valid when
-its endpoints are real devices, it does not transfer to itself, and its
-link is exactly what ``link_between(src, dst)`` resolves on the machine
-model — i.e. the transfer crosses an edge the topology actually has.
+A comm task names its endpoints: a destination device, and a source device,
+``None`` (a gather from every peer) or the host.  It is valid when it names
+a destination, does not transfer to itself, its endpoints are real devices,
+and ``link_between(src, dst)`` resolves them on the machine model — i.e.
+the transfer crosses an edge the topology actually has.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ from typing import List, Optional
 
 from repro.analysis.base import CheckContext, Finding
 from repro.errors import ReproError
-from repro.sim.engine import CHANNELS, HOST_DEVICE
+from repro.sim.device import HOST_DEVICE
 
 __all__ = ["check_comm_validity"]
 
@@ -23,145 +21,70 @@ CHECK_NAME = "comm-validity"
 
 
 def _device_in_range(device: Optional[int], machine) -> bool:
-    if device is None:
-        return False
-    if device == HOST_DEVICE:
+    if device is None or device == HOST_DEVICE:
         return True
     return 0 <= device < machine.num_devices
 
 
 def check_comm_validity(context: CheckContext) -> List[Finding]:
-    """Verify every comm task's channel/link against the machine model.
+    """Verify every comm task's endpoints against the machine model.
 
-    Emits ``ANA007_BAD_LINK`` for unknown channels, ``net``-channel tasks
-    missing their resolved link, link-resolved tasks missing endpoints, and
-    links that differ from what ``link_between(src, dst)`` resolves;
+    Emits ``ANA007_BAD_LINK`` for comm tasks naming no destination device
+    and endpoints ``link_between(src, dst)`` cannot resolve;
     ``ANA008_SELF_TRANSFER`` for a device transferring to itself; and
     ``ANA009_DEVICE_RANGE`` for task devices or endpoints outside the
-    machine model.  Link resolution needs a machine model (from the context
-    or the program itself); without one only channel names are checked.
-    Returns no findings when the context carries no program.
+    machine model.  Ranges and links need a machine model (from the context
+    or the program itself); without one only the endpoints' shape is
+    checked.  Returns no findings when the context carries no program.
     """
     program = context.program
     if program is None:
         return []
     machine = context.resolved_machine
     findings: List[Finding] = []
+
+    def finding(code: str, name: str, message: str) -> None:
+        findings.append(
+            Finding(code=code, check=CHECK_NAME, message=message, task=name)
+        )
+
     for name, task in program.tasks.items():
         if machine is not None and not _device_in_range(task.device, machine):
-            findings.append(
-                Finding(
-                    code="ANA009_DEVICE_RANGE",
-                    check=CHECK_NAME,
-                    message=(
-                        f"task {name!r} runs on device {task.device}, "
-                        f"outside a topology with "
-                        f"{machine.num_devices} device(s)"
-                    ),
-                    task=name,
-                )
+            finding(
+                "ANA009_DEVICE_RANGE", name,
+                f"task {name!r} runs on device {task.device}, outside a "
+                f"topology with {machine.num_devices} device(s)",
             )
         if task.kind != "comm":
             continue
-        if task.channel not in CHANNELS:
-            findings.append(
-                Finding(
-                    code="ANA007_BAD_LINK",
-                    check=CHECK_NAME,
-                    message=(
-                        f"comm task {name!r} uses unknown channel "
-                        f"{task.channel!r} (known: {', '.join(CHANNELS)})"
-                    ),
-                    task=name,
-                )
+        src, dst = task.src_device, task.dst_device
+        if dst is None:
+            finding(
+                "ANA007_BAD_LINK", name,
+                f"comm task {name!r} names no destination device",
             )
-            continue
-        if task.link is None:
-            if task.channel == "net":
-                findings.append(
-                    Finding(
-                        code="ANA007_BAD_LINK",
-                        check=CHECK_NAME,
-                        message=(
-                            f"comm task {name!r} claims the inter-machine "
-                            f"'net' channel but carries no resolved link"
-                        ),
-                        task=name,
-                    )
-                )
-            continue
-        if task.src_device is None or task.dst_device is None:
-            findings.append(
-                Finding(
-                    code="ANA007_BAD_LINK",
-                    check=CHECK_NAME,
-                    message=(
-                        f"link-resolved comm task {name!r} is missing its "
-                        f"src/dst devices"
-                    ),
-                    task=name,
-                )
+        elif src == dst:
+            finding(
+                "ANA008_SELF_TRANSFER", name,
+                f"comm task {name!r} transfers from device {src} to itself",
             )
+        elif machine is None:
             continue
-        if task.src_device == task.dst_device:
-            findings.append(
-                Finding(
-                    code="ANA008_SELF_TRANSFER",
-                    check=CHECK_NAME,
-                    message=(
-                        f"comm task {name!r} transfers from device "
-                        f"{task.src_device} to itself"
-                    ),
-                    task=name,
-                )
+        elif not (
+            _device_in_range(src, machine) and _device_in_range(dst, machine)
+        ):
+            finding(
+                "ANA009_DEVICE_RANGE", name,
+                f"comm task {name!r} endpoints {src}->{dst} are outside a "
+                f"topology with {machine.num_devices} device(s)",
             )
-            continue
-        if machine is None:
-            continue
-        in_range = _device_in_range(
-            task.src_device, machine
-        ) and _device_in_range(task.dst_device, machine)
-        if not in_range:
-            findings.append(
-                Finding(
-                    code="ANA009_DEVICE_RANGE",
-                    check=CHECK_NAME,
-                    message=(
-                        f"comm task {name!r} endpoints "
-                        f"{task.src_device}->{task.dst_device} are outside "
-                        f"a topology with {machine.num_devices} device(s)"
-                    ),
-                    task=name,
+        else:
+            try:
+                machine.link_between(src, dst)
+            except ReproError as exc:
+                finding(
+                    "ANA007_BAD_LINK", name,
+                    f"comm task {name!r}: the topology cannot resolve a "
+                    f"{src}->{dst} link ({exc})",
                 )
-            )
-            continue
-        try:
-            expected = machine.link_between(task.src_device, task.dst_device)
-        except ReproError as exc:
-            findings.append(
-                Finding(
-                    code="ANA007_BAD_LINK",
-                    check=CHECK_NAME,
-                    message=(
-                        f"comm task {name!r}: the topology cannot resolve a "
-                        f"{task.src_device}->{task.dst_device} link ({exc})"
-                    ),
-                    task=name,
-                )
-            )
-            continue
-        if expected != task.link:
-            findings.append(
-                Finding(
-                    code="ANA007_BAD_LINK",
-                    check=CHECK_NAME,
-                    message=(
-                        f"comm task {name!r} rides link "
-                        f"{task.link.kind}:{task.link.key}, but the topology "
-                        f"resolves {task.src_device}->{task.dst_device} to "
-                        f"{expected.kind}:{expected.key}"
-                    ),
-                    task=name,
-                )
-            )
     return findings

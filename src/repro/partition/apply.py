@@ -215,16 +215,16 @@ def generate_partitioned_graph(
                 local_bytes = comm_total * local_fraction
                 if local_bytes > 0.0:
                     make_comm_task(
-                        builder, fetch_name, device, local_bytes,
-                        channel="p2p", deps=fetch_deps,
+                        builder, fetch_name, device, local_bytes, src=None,
+                        deps=fetch_deps,
                     )
                     deps.append(fetch_name)
                 remote_bytes = comm_total - local_bytes
                 if remote_bytes > 0.0 and remote_peer is not None:
                     net_name = f"{name}@{device}:netfetch"
                     make_comm_task(
-                        builder, net_name, device, remote_bytes, deps=fetch_deps,
-                        topology=cluster, src=remote_peer, dst=device,
+                        builder, net_name, device, remote_bytes,
+                        src=remote_peer, deps=fetch_deps,
                     )
                     deps.append(net_name)
             deps.extend(f"{p}@{device}" for p in producers)

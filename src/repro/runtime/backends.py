@@ -139,21 +139,18 @@ def _ring_reduce_task(
     In a ring each device sends every step over the same edge — the one
     towards its neighbour — so the whole per-device volume is priced on that
     single link: the device's own PCI-e link when the neighbour shares its
-    machine (the flat model's accounting, bit-identical on one machine), the
-    destination machine's network NIC when the ring wraps across machines.
+    machine (a gather of every peer's share into the device, the flat
+    model's accounting), the destination machine's network NIC when the
+    ring wraps across machines.
     """
     if (
         topology.num_machines > 1
         and topology.machine_of(device) != topology.machine_of(neighbour)
     ):
-        make_comm_task(
-            builder, name, device, reduce_bytes, deps=deps,
-            topology=topology, src=device, dst=neighbour,
-        )
+        src, dst = device, neighbour
     else:
-        make_comm_task(
-            builder, name, device, reduce_bytes, channel="p2p", deps=deps
-        )
+        src, dst = None, device
+    make_comm_task(builder, name, device, reduce_bytes, src=src, dst=dst, deps=deps)
 
 
 def lower_single_device(
@@ -243,8 +240,7 @@ def lower_placement(
                     copy_bytes = float(graph.tensor(tensor).size_bytes())
                     make_comm_task(
                         tasks, copy_name, device, copy_bytes,
-                        deps=[producer],
-                        topology=machine, src=producer_device, dst=device,
+                        src=producer_device, deps=[producer],
                     )
                     total_comm += copy_bytes
                 deps.append(copy_name)
@@ -310,10 +306,11 @@ def lower_swap(
     """Single-GPU execution with CPU-memory swapping on the shared host link.
 
     The residency state machine (:func:`repro.sim.swap.swap_residency_schedule`)
-    decides what moves; lowering prices those moves as ``"cpu"``-channel comm
-    tasks.  ``concurrent_gpus`` GPUs run the same schedule at once, so each
-    recorded transfer is charged ``concurrent_gpus`` times over the shared
-    aggregate link — which is how the paper's swapping baseline collapses when
+    decides what moves; lowering emits those moves as host-copy comm tasks
+    (``src=HOST_DEVICE``), priced on the shared host link.
+    ``concurrent_gpus`` GPUs run the same schedule at once, so each recorded
+    transfer is charged ``concurrent_gpus`` times over the shared aggregate
+    link — which is how the paper's swapping baseline collapses when
     all eight GPUs swap together (Sec 7.2).  The swap runs on device 0, and
     prefetching overlaps an operator's transfer with its computation (the
     per-step dependency barrier joins them).
@@ -339,7 +336,8 @@ def lower_swap(
             # host link, so the aggregate link carries k times the bytes.
             link_bytes = moved * concurrent_gpus
             make_comm_task(
-                tasks, transfer_name, 0, link_bytes, channel="cpu", deps=barrier
+                tasks, transfer_name, 0, link_bytes, src=HOST_DEVICE,
+                deps=barrier,
             )
             total_comm += link_bytes
         make_compute_task(
@@ -498,10 +496,8 @@ def lower_pipeline(
         if copy_name not in tasks:
             copy_bytes = float(graph.tensor(tensor).size_bytes()) * scale
             make_comm_task(
-                tasks, copy_name, stage_devices[stage], copy_bytes, deps=[ref],
-                topology=machine,
-                src=stage_devices[producer_stage],
-                dst=stage_devices[stage],
+                tasks, copy_name, stage_devices[stage], copy_bytes,
+                src=stage_devices[producer_stage], deps=[ref],
             )
             comm_total[0] += copy_bytes
         return copy_name
@@ -680,8 +676,10 @@ def lower_hybrid(
         if multi_machine:
             total_comm += group_program.total_comm_bytes * scale
 
-        def shifted(device: int) -> int:
-            return device if device == HOST_DEVICE else device + offset
+        def shifted(device: Optional[int]) -> Optional[int]:
+            if device is None or device == HOST_DEVICE:
+                return device
+            return device + offset
 
         rows = group_program.task_graph.rows
         referenced = set()
@@ -693,23 +691,14 @@ def lower_hybrid(
         ]
 
         for row in rows:
-            # A link-resolved transfer re-resolves on the full topology (the
-            # group program numbers devices locally); channel-named
-            # transfers shift implicitly, since the simulator resolves them
-            # from the cloned task's device.
-            link = src = dst = None
-            if row.link is not None and row.src_device is not None:
-                src = shifted(row.src_device)
-                dst = shifted(
-                    row.dst_device if row.dst_device is not None else row.device
-                )
-                link = machine.link_between(src, dst)
+            # The group program numbers devices locally: shift its devices
+            # and endpoints onto the group's slice.
             tasks.add(
                 f"{row.name}@grp{group}", shifted(row.device), row.kind,
-                row.duration * scale, row.comm_bytes * scale, row.channel,
+                row.duration * scale, row.comm_bytes * scale,
                 tuple(f"{dep}@grp{group}" for dep in row.deps),
                 tuple(f"{dep}@grp{group}" for dep in row.after),
-                link, src, dst,
+                shifted(row.src_device), shifted(row.dst_device),
             )
         neighbour_offset = ((group + 1) % groups) * group_devices
         for local_device in range(group_devices):

@@ -28,8 +28,9 @@ built, so the cache keeps it by reference and every hit returns
 stats) around the shared dense form, together with the compiled form and
 its replay cached on it for the program's machine.  A warm hit therefore
 neither copies, re-sorts nor replays a task graph.  Only the disk tier and
-``export``/``import`` bundles encode programs, in the unchanged version-1
-payload format.  Callers edit a returned program with
+``export``/``import`` bundles encode programs (the version-2 payload of
+:func:`~repro.runtime.program.program_to_dict`; version-1 entries still
+decode).  Callers edit a returned program with
 :meth:`LoweredProgram.replace_tasks`, which builds a new dense form (the
 Table 3 ablation rescales durations this way); nothing done to a returned
 program reaches the cache.
@@ -133,11 +134,11 @@ class ProgramCache(TwoTierCache):
     description = "program cache"
 
     def encode(self, entry: LoweredProgram) -> Dict:
-        """The version-1 JSON payload of a program (:func:`program_to_dict`)."""
+        """The JSON payload of a program (:func:`program_to_dict`)."""
         return program_to_dict(entry)
 
     def decode(self, payload: Dict) -> LoweredProgram:
-        """The program a version-1 payload encodes (:func:`program_from_dict`)."""
+        """The program a payload encodes (:func:`program_from_dict`)."""
         return program_from_dict(payload)
 
     # ------------------------------------------------------------------ get

@@ -13,12 +13,10 @@ them per backend) makes each stage independently testable and reusable:
 * **Kernel-time costing** — :func:`make_compute_task` prices a node with the
   roofline cost model (Sec 7.1) and emits its compute task into the
   program's :class:`repro.sim.engine.TaskGraphBuilder`.
-* **Comm-task emission** — :func:`make_comm_task` emits a transfer priced by
-  the actual edge it crosses: given the topology and the transfer's
-  endpoints it resolves the :class:`repro.sim.device.Link`
-  (intra-machine PCI-e, shared CPU link, or the inter-machine network) via
-  ``link_between``; the legacy channel spelling remains for single-machine
-  emitters.
+* **Comm-task emission** — :func:`make_comm_task` emits a transfer by its
+  endpoints; the simulator resolves the :class:`repro.sim.device.Link` it
+  crosses (intra-machine PCI-e, shared CPU link, or the inter-machine
+  network) via ``link_between`` for whichever machine it simulates on.
 * **Stage assignment** — :func:`full_layer_assignment` extends the model
   builders' forward-layer annotation to backward/optimiser nodes, and
   :func:`assign_pipeline_stages` groups contiguous layers into pipeline
@@ -47,7 +45,7 @@ from repro.graph.node import OpNode
 from repro.graph.scheduler import liveness, topo_schedule  # noqa: F401  (re-export)
 from repro.sim.costmodel import node_kernel_time
 from repro.sim.device import DeviceSpec, MachineSpec, Topology
-from repro.sim.engine import CHANNELS, TaskGraphBuilder, validate_channel  # noqa: F401
+from repro.sim.engine import TaskGraphBuilder
 
 
 @perf.timed("pass.scheduled_nodes")
@@ -99,41 +97,23 @@ def make_comm_task(
     device: int,
     comm_bytes: float,
     *,
-    channel: str = "p2p",
-    deps: Sequence[str] = (),
-    topology: Optional[Topology] = None,
-    src: Optional[int] = None,
+    src: Optional[int],
     dst: Optional[int] = None,
+    deps: Sequence[str] = (),
 ) -> None:
-    """Comm-task emission pass: emit one transfer into ``builder``, priced
-    by the edge it crosses.
+    """Comm-task emission pass: emit one ``src -> dst`` transfer into
+    ``builder``.
 
-    Two spellings:
-
-    * **Link-resolved** — pass ``topology`` and the transfer's ``src``
-      device (``dst`` defaults to ``device``): the task carries the
-      :class:`repro.sim.device.Link` returned by ``link_between(src, dst)``,
-      so the simulator queues it on the actual edge (intra-machine PCI-e or
-      the inter-machine network) and prices its latency.
-    * **Channel-named** — the legacy single-machine form: ``channel`` is one
-      of the validated names in :data:`repro.sim.engine.CHANNELS` and the
-      simulator resolves it against the topology at run time.
-
-    ``device`` stays the device whose communication time the transfer is
-    accounted to, under both spellings.
+    ``src`` is the sending device, ``None`` for a gather from every peer, or
+    :data:`repro.sim.device.HOST_DEVICE` for a host copy; ``dst`` defaults
+    to ``device``, the device whose communication time the transfer is
+    accounted to.  The simulator resolves the link the endpoints cross
+    (``link_between``) on the machine it simulates, and prices the transfer
+    there.
     """
-    comm_bytes = float(comm_bytes)
-    if topology is not None and src is not None:
-        dst = device if dst is None else dst
-        link = topology.link_between(src, dst)
-        builder.add(
-            name, device, "comm", comm_bytes=comm_bytes, channel=link.kind,
-            deps=deps, link=link, src_device=src, dst_device=dst,
-        )
-        return
-    validate_channel(name, channel)
     builder.add(
-        name, device, "comm", comm_bytes=comm_bytes, channel=channel, deps=deps
+        name, device, "comm", comm_bytes=float(comm_bytes), deps=deps,
+        src_device=src, dst_device=device if dst is None else dst,
     )
 
 

@@ -12,11 +12,12 @@ backends and the :class:`repro.planner.Planner`.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, Mapping, Optional
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, ReproError
 from repro.sim.device import (
+    HOST_DEVICE,
     Topology,
     is_finite_number,
     link_from_dict,
@@ -36,7 +37,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.partition.plan import PartitionPlan
     from repro.runtime.passes import PipelineSchedule
 
-PROGRAM_PAYLOAD_VERSION = 1
+#: Version 2 rows name comm endpoints only; version 1 rows also carried a
+#: ``channel`` and, for link-resolved transfers, the priced ``link``.
+PROGRAM_PAYLOAD_VERSION = 2
 
 
 @dataclass
@@ -177,18 +180,58 @@ def _copied(mapping: Optional[Mapping]) -> Optional[Dict]:
 # ---------------------------------------------------------------------------
 def _row_to_dict(row: TaskRow) -> Dict:
     entry = row._asdict()
-    entry.update(
-        deps=list(row.deps),
-        after=list(row.after),
-        link=None if row.link is None else asdict(row.link),
-    )
+    entry.update(deps=list(row.deps), after=list(row.after))
     return entry
 
 
-def _add_task_entry(builder: TaskGraphBuilder, entry: Mapping) -> None:
+def _v1_endpoints(row: Dict, machine: Optional[Topology]) -> None:
+    """Replace a version-1 row's ``channel`` and ``link`` by the endpoints
+    they denote, in place.
+
+    A bare ``p2p`` channel was a gather into the task's device (``src``
+    ``None``), a bare ``cpu`` channel a host copy; a stored link must be
+    exactly what ``machine`` resolves for the row's endpoints.  Anything
+    else raises :class:`ExecutionError`."""
+    name = row.get("name")
+    channel = row.pop("channel", "p2p")
+    link = row.pop("link", None)
+    if row.get("kind", "compute") != "comm":
+        return
+    if channel not in ("p2p", "cpu", "net"):
+        raise ExecutionError(
+            f"task {name!r} uses unknown channel {channel!r} "
+            f"(known: p2p, cpu, net)"
+        )
+    if link is None:
+        if channel == "net":
+            raise ExecutionError(
+                f"task {name!r} uses channel 'net' without a resolved link"
+            )
+        row["src_device"] = None if channel == "p2p" else HOST_DEVICE
+        row["dst_device"] = row.get("device")
+        return
+    src, dst = row.get("src_device"), row.get("dst_device")
+    try:
+        matches = machine is not None and (
+            link_from_dict(link) == machine.link_between(src, dst)
+        )
+    except ReproError as exc:
+        raise ExecutionError(f"task {name!r}: {exc}") from None
+    if not matches:
+        raise ExecutionError(
+            f"task {name!r} stores a link that the payload's machine does "
+            f"not resolve for {src}->{dst}"
+        )
+
+
+def _add_task_entry(
+    builder: TaskGraphBuilder, entry: Mapping, version: int,
+    machine: Optional[Topology],
+) -> None:
     """Add one task row of a payload, rejecting rows the simulator cannot
     price with :class:`ExecutionError`.  Older payloads carry
-    ``"comm_time": null``; that key is accepted and dropped."""
+    ``"comm_time": null``; that key is accepted and dropped.  Version-1 rows
+    are turned into endpoints first (:func:`_v1_endpoints`)."""
     name = entry.get("name")
     kind = entry.get("kind", "compute")
     if kind not in ("compute", "comm"):
@@ -208,8 +251,8 @@ def _add_task_entry(builder: TaskGraphBuilder, entry: Mapping) -> None:
             f"priced by their link only"
         )
     row = {key: value for key, value in entry.items() if key != "comm_time"}
-    link = row.get("link")
-    row["link"] = None if link is None else link_from_dict(link)
+    if version == 1:
+        _v1_endpoints(row, machine)
     builder.add(**row)
 
 
@@ -217,7 +260,7 @@ def program_to_dict(program: LoweredProgram) -> Dict:
     """JSON-serialisable form of a lowered program; inverse of
     :func:`program_from_dict`.
 
-    Everything is content, nothing is identity: tasks (with resolved links
+    Everything is content, nothing is identity: tasks (with comm endpoints
     and both dependency streams, in emission order), the memory report,
     the partition plan, the priced machine model, the pipeline schedule, and
     (under ``"partitioned"``) the sharded graph with its per-node
@@ -279,14 +322,16 @@ def program_to_dict(program: LoweredProgram) -> Dict:
 def program_from_dict(payload: Mapping) -> LoweredProgram:
     """Rebuild a :class:`LoweredProgram` from :func:`program_to_dict` output.
 
-    Older payloads carry a top-level ``"cost_model": null``, which is
-    accepted; a non-null value raises :class:`ExecutionError`.
+    Version-1 payloads still decode: their comm rows' channels and links
+    become endpoints, checked against the payload's machine.  Older
+    payloads carry a top-level ``"cost_model": null``, which is accepted; a
+    non-null value raises :class:`ExecutionError`.
     """
     version = payload.get("version")
-    if version != PROGRAM_PAYLOAD_VERSION:
+    if version not in (1, PROGRAM_PAYLOAD_VERSION):
         raise ExecutionError(
             f"unsupported lowered-program payload version {version!r} "
-            f"(this library reads version {PROGRAM_PAYLOAD_VERSION})"
+            f"(this library reads versions 1 and {PROGRAM_PAYLOAD_VERSION})"
         )
     if payload.get("cost_model") is not None:
         raise ExecutionError(
@@ -297,9 +342,13 @@ def program_from_dict(payload: Mapping) -> LoweredProgram:
     from repro.partition.plan import plan_from_dict
     from repro.runtime.passes import PipelineSchedule
 
+    machine = (
+        None if payload.get("machine") is None
+        else machine_from_dict(payload["machine"])
+    )
     builder = TaskGraphBuilder()
     for entry in payload["tasks"]:
-        _add_task_entry(builder, entry)
+        _add_task_entry(builder, entry, version, machine)
     tasks = builder.tasks
     plan = (
         None if payload.get("plan") is None
@@ -342,10 +391,7 @@ def program_from_dict(payload: Mapping) -> LoweredProgram:
         sharded_graph=sharded_graph,
         fetch_bytes_per_node=fetch_bytes,
         reduce_bytes_per_node=reduce_bytes,
-        machine=(
-            None if payload.get("machine") is None
-            else machine_from_dict(payload["machine"])
-        ),
+        machine=machine,
         num_microbatches=payload["num_microbatches"],
         stage_of_node=(
             None if payload.get("stage_of_node") is None

@@ -10,23 +10,26 @@ Beyond the single box, :class:`ClusterSpec` composes N machines over a
 network link (bandwidth + latency) into a hierarchical topology — the
 setting the paper's recursive partitioning is designed for (partition across
 the slow level first, then within the fast level).  The resolution layer
-(:meth:`ClusterSpec.link_between`) maps any (source device, destination
-device) pair to the :class:`Link` the transfer actually crosses, which is
-what the comm-emission pass and the simulator's per-link contention queues
-price against.  A :class:`ClusterSpec` of one machine is behaviourally
-identical to that bare :class:`MachineSpec` — the parity the runtime tests
-pin down.
+(:meth:`ClusterSpec.link_between`) maps a transfer's endpoints — a source
+device, every peer (``None``) or the host (:data:`HOST_DEVICE`), and a
+destination device — to the :class:`Link` the transfer actually crosses,
+which is what the simulator's per-link contention queues price against.
+A :class:`ClusterSpec` of one machine is behaviourally identical to that
+bare :class:`MachineSpec` — the parity the runtime tests pin down.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.errors import SimulationError
 
 GiB = 1 << 30
+
+#: The source of a host copy (and the memory-report key of host memory).
+HOST_DEVICE = -1
 
 #: Serialization version emitted by :func:`machine_to_dict`; payloads without
 #: a ``version`` field are the pre-cluster format and still load.
@@ -137,18 +140,24 @@ class MachineSpec:
         """The machine-wide shared CPU link."""
         return Link(kind="cpu", key="cpu:m0", bandwidth=self.cpu_bandwidth)
 
-    def link_between(self, src_device: int, dst_device: int) -> Link:
-        """The link a ``src -> dst`` transfer occupies (always PCI-e here)."""
-        self._check_device(src_device)
+    def link_between(self, src_device: Optional[int], dst_device: int) -> Link:
+        """The link a ``src -> dst`` transfer occupies: the shared CPU link
+        for a host copy (``src`` is :data:`HOST_DEVICE`), the destination's
+        PCI-e link otherwise (``src`` a device, or ``None`` for a gather
+        from every peer)."""
         self._check_device(dst_device)
+        if src_device == HOST_DEVICE:
+            return self.host_link(dst_device)
+        if src_device is not None:
+            self._check_device(src_device)
         return self.p2p_link(dst_device)
 
     def host_memory_of(self, device_index: int) -> int:
         """Host (CPU) memory reachable from ``device_index``, in bytes."""
         return self.cpu_memory
 
-    def _check_device(self, index: int) -> None:
-        if not 0 <= index < self.num_devices:
+    def _check_device(self, index: Optional[int]) -> None:
+        if index is None or not 0 <= index < self.num_devices:
             raise SimulationError(
                 f"device index {index} out of range for a machine with "
                 f"{self.num_devices} device(s)"
@@ -281,13 +290,16 @@ class ClusterSpec:
             latency=self.network_latency,
         )
 
-    def link_between(self, src_device: int, dst_device: int) -> Link:
-        """The link a ``src -> dst`` transfer occupies: the destination's
-        PCI-e link within one machine, the destination machine's NIC across
-        machines."""
-        src_machine = self.machine_of(src_device)
+    def link_between(self, src_device: Optional[int], dst_device: int) -> Link:
+        """The link a ``src -> dst`` transfer occupies: the destination
+        machine's shared CPU link for a host copy (``src`` is
+        :data:`HOST_DEVICE`), the destination's PCI-e link for a gather from
+        every peer (``src`` is ``None``) or within one machine, the
+        destination machine's NIC across machines."""
         dst_machine = self.machine_of(dst_device)
-        if src_machine == dst_machine:
+        if src_device == HOST_DEVICE:
+            return self.host_link(dst_device)
+        if src_device is None or self.machine_of(src_device) == dst_machine:
             return self.p2p_link(dst_device)
         return self.network_link(dst_machine)
 
@@ -296,8 +308,8 @@ class ClusterSpec:
         machine, _ = self.locate(device_index)
         return machine.cpu_memory
 
-    def _check_device(self, index: int) -> None:
-        if not 0 <= index < self.num_devices:
+    def _check_device(self, index: Optional[int]) -> None:
+        if index is None or not 0 <= index < self.num_devices:
             raise SimulationError(
                 f"device index {index} out of range for a cluster with "
                 f"{self.num_devices} device(s)"

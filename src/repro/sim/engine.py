@@ -13,10 +13,11 @@ behaviour of MXNet's dependency-driven scheduler that the paper's evaluation
 relies on (pipelining across devices, link contention, the shared CPU link
 bottleneck for swapping).
 
-On a single machine the link set degenerates to exactly the two channels the
-pre-cluster simulator modelled (per-device ``p2p`` queues plus one shared
-``cpu`` queue), so single-machine results are bit-identical to the flat
-model.
+A comm task names only its endpoints; the link it crosses is resolved
+(``link_between``) when the task graph is built for a machine, so one
+program simulated on another machine re-prices every transfer.  On a single
+machine the link set is per-device ``p2p`` queues plus one shared ``cpu``
+queue.
 
 Two execution paths share one scheduling semantics:
 
@@ -47,45 +48,7 @@ from typing import (
 
 from repro import perf
 from repro.errors import SimulationError
-from repro.sim.device import ClusterSpec, Link, MachineSpec, Topology
-
-HOST_DEVICE = -1
-
-#: Channel names a comm task may carry when it does not reference an explicit
-#: :class:`Link`: the destination device's PCI-e peer-to-peer link, the
-#: machine-wide shared CPU link, or the destination machine's network NIC
-#: (``"net"`` requires an explicit link on multi-machine topologies; on one
-#: machine it has no meaning and is rejected at resolution time).
-CHANNELS = ("p2p", "cpu", "net")
-
-
-def validate_channel(task_name: str, channel: str) -> None:
-    """The one channel validator: both the comm-emission pass and the
-    simulator call this, so the error string (which enumerates the valid
-    links) can never diverge between layers."""
-    if channel not in CHANNELS:
-        raise SimulationError(
-            f"task {task_name!r} uses unknown channel {channel!r} "
-            f"(known links: {', '.join(CHANNELS)})"
-        )
-
-
-def resolve_channel_link(
-    topology: Union[MachineSpec, ClusterSpec], task_name: str, channel: str,
-    device: int,
-) -> Link:
-    """Resolve a bare channel name to the :class:`Link` it denotes for a
-    transfer owned by ``device`` on ``topology``."""
-    validate_channel(task_name, channel)
-    if channel == "cpu":
-        return topology.host_link(max(device, 0))
-    if channel == "p2p":
-        return topology.p2p_link(device)
-    # "net" has no implied endpoints; emitters must attach the resolved link.
-    raise SimulationError(
-        f"task {task_name!r} uses channel 'net' without a resolved link; "
-        f"emit it through make_comm_task(topology=..., src=..., dst=...)"
-    )
+from repro.sim.device import HOST_DEVICE, Link, Topology
 
 
 @dataclass(frozen=True)
@@ -102,10 +65,12 @@ class Task:
     (duration derived from ``comm_bytes`` and the link bandwidth, plus the
     link latency for network hops).
 
-    A comm task names its edge either by ``channel`` (legacy two-channel
-    spelling, resolved against the topology at simulation time) or by an
-    explicit ``link`` from the topology's resolution layer
-    (:meth:`ClusterSpec.link_between`), which wins when present.
+    A comm task names its endpoints and nothing else: ``dst_device`` is the
+    receiving device, ``src_device`` the sending device, ``None`` for a
+    gather from every peer, or :data:`HOST_DEVICE` for a host copy.  The
+    link they cross is resolved (``link_between``) for whichever machine
+    the task graph is built for.  ``device`` is the device the transfer's
+    time is accounted to.
 
     ``deps`` are data dependencies (the task reads what they produced);
     ``after`` are stage-ordering control dependencies — pure scheduling
@@ -119,13 +84,8 @@ class Task:
     kind: str = "compute"
     duration: float = 0.0
     comm_bytes: float = 0.0
-    channel: str = "p2p"  # "p2p" | "cpu" | "net"
     deps: Sequence[str] = ()
     after: Sequence[str] = ()
-    link: Optional[Link] = None
-    #: Transfer endpoints of a link-resolved comm task (global device
-    #: indices); kept so programs cloned onto other device slices (the
-    #: hybrid backend's replica groups) can re-resolve the link there.
     src_device: Optional[int] = None
     dst_device: Optional[int] = None
 
@@ -134,6 +94,18 @@ class Task:
         if self.after:
             return list(self.deps) + list(self.after)
         return self.deps
+
+
+def _task_link(
+    machine: Topology, name: str, src: Optional[int], dst: Optional[int]
+) -> Link:
+    """The link comm task ``name`` crosses on ``machine`` (``link_between``),
+    or :class:`SimulationError` naming the task when the machine has no such
+    endpoints."""
+    try:
+        return machine.link_between(src, dst)
+    except SimulationError as exc:
+        raise SimulationError(f"comm task {name!r}: {exc}") from None
 
 
 #: One task as lowering emits it: :class:`Task`'s fields, in order, in a
@@ -286,10 +258,8 @@ class TaskGraphBuilder:
         kind: str = "compute",
         duration: float = 0.0,
         comm_bytes: float = 0.0,
-        channel: str = "p2p",
         deps: Sequence[str] = (),
         after: Sequence[str] = (),
-        link: Optional[Link] = None,
         src_device: Optional[int] = None,
         dst_device: Optional[int] = None,
     ) -> None:
@@ -299,8 +269,8 @@ class TaskGraphBuilder:
                 f"cannot add task {name!r}: the task graph is already built"
             )
         row = TaskRow._make((
-            name, device, kind, duration, comm_bytes, channel, tuple(deps),
-            tuple(after), link, src_device, dst_device,
+            name, device, kind, duration, comm_bytes, tuple(deps),
+            tuple(after), src_device, dst_device,
         ))
         rows = self.rows
         index = self._index.setdefault(name, len(rows))
@@ -335,8 +305,8 @@ class TaskGraphBuilder:
         The graph is sorted once; links are resolved and transfers priced
         once per machine — a repeat build for an equal machine returns the
         cached result.  Raises the reference loop's :class:`SimulationError`
-        diagnostics (missing dependencies, cycles, unknown channels or task
-        kinds).
+        diagnostics (missing dependencies, cycles, endpoints the machine
+        does not have, unknown task kinds).
         """
         cached = self._compiled
         if cached is not None and (cached[0] is machine or cached[0] == machine):
@@ -424,13 +394,14 @@ class TaskGraphBuilder:
         device_slot: Dict[int, int] = {}
         link_slot: Dict[str, int] = {}
         link_busy_index: Dict[str, int] = {}
+        # One resolution per distinct (src, dst) pair of this build.
+        links: Dict[Tuple[Optional[int], Optional[int]], Link] = {}
         num_slots = 0
         total_comm_bytes = 0.0
         compute_busy: Dict[int, float] = {}
 
         for i, row in enumerate(map(rows.__getitem__, order)):
-            (name, device, kind, duration, comm_bytes, channel, _, _, link,
-             _, _) = row
+            name, device, kind, duration, comm_bytes, _, _, src, dst = row
             names[i] = name
             if kind == "compute":
                 slot = device_slot.get(device)
@@ -441,8 +412,9 @@ class TaskGraphBuilder:
                 durations[i] = duration
                 compute_busy[device] = compute_busy.get(device, 0.0) + duration
             elif kind == "comm":
+                link = links.get((src, dst))
                 if link is None:
-                    link = resolve_channel_link(machine, name, channel, device)
+                    link = links[src, dst] = _task_link(machine, name, src, dst)
                 key = link.key
                 slot = link_slot.get(key)
                 if slot is None:
@@ -680,11 +652,9 @@ class TaskGraphSimulator:
                     compute_busy.get(task.device, 0.0) + task.duration
                 )
             elif task.kind == "comm":
-                link = task.link
-                if link is None:
-                    link = resolve_channel_link(
-                        self.machine, name, task.channel, task.device
-                    )
+                link = _task_link(
+                    self.machine, name, task.src_device, task.dst_device
+                )
                 start = max(ready, link_available.get(link.key, 0.0))
                 end = start + link.transfer_time(task.comm_bytes)
                 link_available[link.key] = end

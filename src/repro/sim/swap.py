@@ -16,7 +16,7 @@ The module is split into two stages so the runtime subsystem can reuse it:
 * :func:`simulate_with_swapping` prices that schedule with the kernel cost
   model and returns a :class:`SwapResult`.  The ``swap`` execution backend
   (:mod:`repro.runtime.backends`) instead lowers the same schedule to
-  simulator tasks on the shared ``"cpu"`` channel.
+  host-copy simulator tasks on the shared CPU link.
 """
 
 from __future__ import annotations

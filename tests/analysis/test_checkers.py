@@ -88,6 +88,17 @@ def test_seeded_violation_is_caught(path):
         assert finding.message
 
 
+def test_a_gather_without_destination_is_a_bad_link_not_a_self_transfer():
+    entry = _load(CORPUS_DIR / "bad_link.json")
+    (victim,) = [
+        task for task in entry["program"]["tasks"]
+        if task["kind"] == "comm" and task["dst_device"] is None
+    ]
+    victim["src_device"] = None
+    findings = get_checker_spec("comm-validity").check(_context_of(entry))
+    assert {finding.code for finding in findings} == {"ANA007_BAD_LINK"}
+
+
 @pytest.mark.parametrize(
     "path",
     [p for p in CORPUS if _load(p)["expect_code"] is None],

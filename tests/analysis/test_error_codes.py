@@ -6,6 +6,9 @@ failure class without parsing prose.  These tests pin the default codes
 and the code-override paths.
 """
 
+import re
+from pathlib import Path
+
 from repro.analysis import ERROR_CODES
 from repro.errors import (
     AnalysisError,
@@ -39,6 +42,14 @@ class TestCatalogue:
         assert len(ERROR_CODES) >= 15
         for code, description in ERROR_CODES.items():
             assert description.strip(), f"{code} has no description"
+
+    def test_verifier_doc_table_lists_exactly_the_catalogue(self):
+        doc = Path(__file__).resolve().parents[2] / "docs" / "verifier.md"
+        table = doc.read_text(encoding="utf-8").split("## Error codes", 1)[1]
+        table = table.split("\n## ", 1)[0]
+        documented = re.findall(r"^\| `(ANA\d{3}_[A-Z_]+)` \|", table, re.M)
+        assert sorted(documented) == sorted(ERROR_CODES)
+        assert len(documented) == len(set(documented))
 
     def test_cli_prefixes_coded_errors(self, capsys):
         from repro.cli import main

@@ -88,6 +88,22 @@ class TestExecutorFacade:
         k80 = executor.simulate(program, k80_8gpu_machine(4))
         assert k80.comm_time > implicit.comm_time
 
+    def test_simulate_reprices_pipeline_transfers_on_another_machine(
+        self, mlp_bundle
+    ):
+        """Stage-boundary copies name their endpoints, not a link priced at
+        lowering, so they re-price on another machine like the all-reduce."""
+        from repro.sim.device import v100_machine
+
+        executor = Executor()
+        program = executor.lower(
+            mlp_bundle.graph, machine=v100_machine(4), backend="pipeline",
+            backend_options={"num_stages": 2, "num_microbatches": 2},
+        )
+        v100 = executor.simulate(program)
+        k80 = executor.simulate(program, k80_8gpu_machine(4))
+        assert k80.comm_time > v100.comm_time
+
     def test_report_summary_mentions_execution(self, mlp_bundle):
         report = Executor().run(
             mlp_bundle.graph, machine=MACHINE, backend="data-parallel"

@@ -8,7 +8,7 @@ from __future__ import annotations
 import pytest
 
 import repro
-from repro.errors import SimulationError
+from repro.errors import ExecutionError, SimulationError
 from repro.graph.autodiff import build_backward, build_optimizer
 from repro.graph.builder import GraphBuilder
 from repro.models.layers import ModelBundle, dense_layer
@@ -20,11 +20,13 @@ from repro.runtime.passes import (
     full_layer_assignment,
     make_comm_task,
     pipeline_stage_devices,
-    validate_channel,
 )
 from repro.sim.costmodel import node_kernel_time
-from repro.sim.device import ClusterSpec, cluster_of, k80_8gpu_machine
-from repro.sim.engine import Task, TaskGraphBuilder, TaskGraphSimulator
+from repro.runtime.program import program_from_dict, program_to_dict
+from repro.sim.device import (
+    ClusterSpec, cluster_of, k80_8gpu_machine, v100_machine,
+)
+from repro.sim.engine import HOST_DEVICE, Task, TaskGraphBuilder, TaskGraphSimulator
 
 
 def build_bottleneck_mlp(widths, *, batch_size=64, input_dim=1024):
@@ -87,13 +89,19 @@ def slow_network_cluster(gpus_per_machine=1):
     return cluster_of(machine, 2, network_bandwidth=machine.p2p_bandwidth / 10)
 
 
+def _link(program, task):
+    """The link comm ``task`` crosses on the machine ``program`` was
+    lowered for."""
+    return program.machine.link_between(task.src_device, task.dst_device)
+
+
 class TestEnginePerLinkQueues:
     def test_transfers_on_different_nics_overlap(self):
         cluster = cluster_of(k80_8gpu_machine(2), 3)
         gb = 1e9
         tasks = TaskGraphBuilder()
-        make_comm_task(tasks, "a", 2, gb, topology=cluster, src=0, dst=2)
-        make_comm_task(tasks, "b", 4, gb, topology=cluster, src=0, dst=4)
+        make_comm_task(tasks, "a", 2, gb, src=0)
+        make_comm_task(tasks, "b", 4, gb, src=0)
         result = TaskGraphSimulator(cluster).run(tasks, check_memory=False)
         single = cluster.network_link(1).transfer_time(gb)
         # Different destination NICs: both finish in one transfer time.
@@ -104,8 +112,8 @@ class TestEnginePerLinkQueues:
         cluster = cluster_of(k80_8gpu_machine(2), 2)
         gb = 1e9
         tasks = TaskGraphBuilder()
-        make_comm_task(tasks, "a", 2, gb, topology=cluster, src=0, dst=2)
-        make_comm_task(tasks, "b", 3, gb, topology=cluster, src=1, dst=3)
+        make_comm_task(tasks, "a", 2, gb, src=0)
+        make_comm_task(tasks, "b", 3, gb, src=1)
         result = TaskGraphSimulator(cluster).run(tasks, check_memory=False)
         single = cluster.network_link(1).transfer_time(gb)
         assert result.iteration_time == pytest.approx(2 * single)
@@ -116,9 +124,9 @@ class TestEnginePerLinkQueues:
         gb = 1e9
         tasks = {
             "a": Task(name="a", device=0, kind="comm", comm_bytes=gb,
-                      channel="cpu"),
+                      src_device=HOST_DEVICE, dst_device=0),
             "b": Task(name="b", device=1, kind="comm", comm_bytes=gb,
-                      channel="cpu"),
+                      src_device=HOST_DEVICE, dst_device=1),
         }
         result = TaskGraphSimulator(cluster).run(tasks, check_memory=False)
         # Each machine has its own host link: no serialisation across boxes.
@@ -127,27 +135,34 @@ class TestEnginePerLinkQueues:
         )
         assert set(result.per_link_busy_time) == {"cpu:m0", "cpu:m1"}
 
-    def test_channel_validation_is_shared(self):
-        # One validator, one error string: the emission pass and the engine
-        # reject an unknown channel identically.
-        with pytest.raises(SimulationError, match="unknown channel") as from_pass:
-            make_comm_task(TaskGraphBuilder(), "t", 0, 1.0, channel="infiniband")
-        task = Task(name="t", device=0, kind="comm", comm_bytes=1.0,
-                    channel="infiniband")
-        machine = k80_8gpu_machine(1)
-        with pytest.raises(SimulationError, match="unknown channel") as from_engine:
-            TaskGraphSimulator(machine).run({"t": task}, check_memory=False)
-        assert str(from_pass.value) == str(from_engine.value)
-        assert "p2p, cpu, net" in str(from_pass.value)
-        validate_channel("t", "p2p")  # the valid names pass
+    def test_endpoint_validation_is_shared(self):
+        # A gather into a device the topology does not have is rejected by
+        # a machine and a cluster alike, on both simulator paths — never
+        # queued on a link that does not exist.
+        task = Task(name="t", device=99, kind="comm", comm_bytes=1.0,
+                    dst_device=99)
+        for topology in (v100_machine(4), cluster_of(v100_machine(4), 2)):
+            simulator = TaskGraphSimulator(topology)
+            for run in (simulator.run, simulator.run_reference):
+                with pytest.raises(
+                    SimulationError, match="'t'.*index 99 out of range"
+                ):
+                    run({"t": task}, check_memory=False)
 
-    def test_net_channel_requires_resolved_link(self):
-        task = Task(name="t", device=0, kind="comm", comm_bytes=1.0,
-                    channel="net")
-        with pytest.raises(SimulationError, match="without a resolved link"):
-            TaskGraphSimulator(k80_8gpu_machine(1)).run(
-                {"t": task}, check_memory=False
-            )
+    def test_net_channel_requires_resolved_link(self, mlp_bundle):
+        # A version-1 payload's bare 'net' channel names no endpoints.
+        program = Executor().lower(
+            mlp_bundle.graph, machine=cluster_of(k80_8gpu_machine(2), 2),
+            backend="data-parallel",
+        )
+        payload = program_to_dict(program)
+        payload["version"] = 1
+        for row in payload["tasks"]:
+            row.update(channel="p2p", link=None)
+        row = next(row for row in payload["tasks"] if row["kind"] == "comm")
+        row["channel"] = "net"
+        with pytest.raises(ExecutionError, match="without a resolved link"):
+            program_from_dict(payload)
 
 
 class TestStagePlacement:
@@ -215,7 +230,7 @@ class TestClusterBackends:
         )
         net_tasks = [
             t for t in report.program.tasks.values()
-            if t.kind == "comm" and t.link is not None and t.link.kind == "net"
+            if t.kind == "comm" and _link(report.program, t).kind == "net"
         ]
         # Devices 1 and 3 have their ring neighbour on the other machine.
         assert {t.device for t in net_tasks} == {1, 3}
@@ -236,7 +251,7 @@ class TestClusterBackends:
         assert len(reduce_tasks) == 4
         # Groups align with machines: every cross-group hop is a net hop.
         assert all(
-            t.link is not None and t.link.kind == "net" for t in reduce_tasks
+            _link(report.program, t).kind == "net" for t in reduce_tasks
         )
         # A faster network shrinks the iteration, all else equal.
         fast = cluster_of(k80_8gpu_machine(2), 2, network_bandwidth=100e9)
@@ -264,8 +279,9 @@ class TestClusterBackends:
             if name.startswith("allreduce")
         }
         assert len(reduce_tasks) == 8
-        net = {n for n, t in reduce_tasks.items() if t.link is not None}
-        p2p = {n for n, t in reduce_tasks.items() if t.link is None}
+        kind = {n: _link(program, t).kind for n, t in reduce_tasks.items()}
+        net = {n for n in kind if kind[n] == "net"}
+        p2p = {n for n in kind if kind[n] == "p2p"}
         assert len(net) == len(p2p) == 4
         assert all("grp1" in n or "grp3" in n for n in net)
 
@@ -287,8 +303,8 @@ class TestClusterBackends:
         net_by_group = {
             group: [
                 t for name, t in program.tasks.items()
-                if name.endswith(f"@grp{group}")
-                and t.link is not None and t.link.kind == "net"
+                if name.endswith(f"@grp{group}") and t.kind == "comm"
+                and _link(program, t).kind == "net"
                 and not name.startswith("allreduce")
             ]
             for group in range(3)
@@ -299,7 +315,9 @@ class TestClusterBackends:
             "the straddling group's internal fetches must cross the network"
         )
         # Its net transfers really land on machine NICs, shifted correctly.
-        assert {t.link.key for t in net_by_group[1]} <= {"net:m0", "net:m1"}
+        assert {_link(program, t).key for t in net_by_group[1]} <= {
+            "net:m0", "net:m1"
+        }
         for task in net_by_group[1]:
             assert task.device in (2, 3)
 
@@ -338,7 +356,7 @@ class TestClusterBackends:
             backend_options={"device_of_node": device_of_node},
         )
         kinds = {
-            t.link.kind for t in program.tasks.values()
-            if t.kind == "comm" and t.link is not None
+            _link(program, t).kind for t in program.tasks.values()
+            if t.kind == "comm"
         }
         assert "net" in kinds and "p2p" in kinds

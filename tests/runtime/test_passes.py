@@ -1,4 +1,4 @@
-"""Unit tests for the shared lowering passes and simulator channel checks."""
+"""Unit tests for the shared lowering passes and simulator endpoint checks."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from repro.runtime.passes import (
 )
 from repro.sim.costmodel import node_kernel_time
 from repro.sim.device import k80_8gpu_machine
-from repro.sim.engine import Task, TaskGraphBuilder, TaskGraphSimulator
+from repro.sim.engine import HOST_DEVICE, Task, TaskGraphBuilder, TaskGraphSimulator
 from repro.sim.swap import swap_residency_schedule
 
 
@@ -90,40 +90,34 @@ class TestCosting:
 class TestCommEmission:
     def test_comm_task_fields(self):
         task = _emitted(
-            make_comm_task, "copy", 1, 1024.0, channel="cpu", deps=["a"]
+            make_comm_task, "copy", 1, 1024.0, src=HOST_DEVICE, deps=["a"]
         )
         assert task.kind == "comm"
-        assert task.channel == "cpu"
+        assert (task.src_device, task.dst_device) == (HOST_DEVICE, 1)
         assert task.comm_bytes == 1024.0
 
-    def test_unknown_channel_rejected_at_emission(self):
-        with pytest.raises(SimulationError, match="unknown channel"):
-            make_comm_task(TaskGraphBuilder(), "copy", 0, 1.0, channel="nvlink")
-
-    def test_unknown_channel_rejected_by_engine(self):
+    def test_out_of_range_endpoint_rejected_by_engine(self):
         machine = k80_8gpu_machine(2)
         tasks = {
             "a": Task(name="a", device=0, kind="compute", duration=1.0),
             "b": Task(
                 name="b", device=1, kind="comm", comm_bytes=8.0,
-                channel="carrier-pigeon", deps=["a"],
+                src_device=0, dst_device=7, deps=["a"],
             ),
         }
-        with pytest.raises(SimulationError, match="unknown channel"):
+        with pytest.raises(SimulationError, match="'b'.*7 out of range"):
             TaskGraphSimulator(machine).run(tasks)
 
-    def test_known_channels_accepted_by_engine(self):
+    def test_endpoint_kinds_accepted_by_engine(self):
+        # A gather, a device-to-device copy and a host copy into device 1.
         machine = k80_8gpu_machine(2)
-        for channel in ("p2p", "cpu"):
-            tasks = {
-                "a": Task(name="a", device=0, kind="compute", duration=1.0),
-                "b": Task(
-                    name="b", device=1, kind="comm", comm_bytes=8.0,
-                    channel=channel, deps=["a"],
-                ),
-            }
-            result = TaskGraphSimulator(machine).run(tasks)
+        for src, link in ((None, "p2p:1"), (0, "p2p:1"), (HOST_DEVICE, "cpu:m0")):
+            builder = TaskGraphBuilder()
+            builder.add("a", 0, "compute", 1.0)
+            make_comm_task(builder, "b", 1, 8.0, src=src, deps=["a"])
+            result = TaskGraphSimulator(machine).run(builder)
             assert result.iteration_time > 1.0
+            assert set(result.per_link_busy_time) == {link}
 
 
 class TestMemoryReport:

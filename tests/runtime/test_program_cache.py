@@ -38,7 +38,7 @@ from repro.runtime import (
 )
 from repro.runtime.passes import round_robin_layer_placement
 from repro.sim.device import ClusterSpec, cluster_of, k80_8gpu_machine
-from repro.sim.engine import Task
+from repro.sim.engine import HOST_DEVICE, Task
 
 MACHINE = k80_8gpu_machine(4)
 CLUSTER = ClusterSpec(machines=[MACHINE])
@@ -496,3 +496,83 @@ def test_directory_written_by_the_v1_codec_still_hits(tmp_path):
         assert cold.simulate(hit) == cold.simulate(fresh)
     info = reader.program_cache.info()
     assert info["hits"] == 2 and info["misses"] == 0
+
+
+V1_MLP_MACHINE = k80_8gpu_machine(2)
+
+
+def _v1_payloads():
+    """``backend -> payload`` of the version-1 entries in
+    ``tests/data/program_cache_v1``."""
+    payloads = [
+        json.loads(path.read_text(encoding="utf-8"))["program"]
+        for path in sorted((DATA / "program_cache_v1").glob("*.json"))
+    ]
+    return {payload["backend"]: payload for payload in payloads}
+
+
+def test_v1_entry_whose_link_the_machine_does_not_resolve_misses(tmp_path):
+    """A version-1 row stores its priced link; decoding checks it against
+    what the payload's machine resolves for the row's endpoints, so a
+    pipeline entry whose link bandwidth was raised by 1 is a counted miss."""
+    store = tmp_path / "store"
+    shutil.copytree(DATA / "program_cache_v1", store)
+    (path,) = [
+        path for path in store.glob("*.json")
+        if json.loads(path.read_text())["program"]["backend"] == "pipeline"
+    ]
+    entry = json.loads(path.read_text())
+    row = next(row for row in entry["program"]["tasks"] if row["link"])
+    row["link"]["bandwidth"] += 1
+    path.write_text(json.dumps(entry))
+    with pytest.raises(ExecutionError, match="does not resolve"):
+        program_from_dict(entry["program"])
+
+    graph = build_mlp(
+        batch_size=8, input_dim=32, hidden_dim=64, num_layers=2, num_classes=16
+    ).graph
+    reader = Executor(ExecutorConfig(program_cache_dir=str(store)))
+    reader.lower(
+        graph, machine=V1_MLP_MACHINE, backend="pipeline",
+        backend_options={"num_stages": 2, "num_microbatches": 2},
+    )
+    info = reader.program_cache.info()
+    assert info["hits"] == 0 and info["misses"] == 1
+
+
+@pytest.mark.parametrize(
+    "channel,match",
+    [("nvlink", "unknown channel 'nvlink'"), ("net", "without a resolved link")],
+)
+def test_v1_row_with_a_channel_that_names_no_link_is_rejected(channel, match):
+    payload = _v1_payloads()["tofu-partitioned"]
+    row = next(row for row in payload["tasks"] if row["kind"] == "comm")
+    assert row["link"] is None
+    row["channel"] = channel
+    with pytest.raises(ExecutionError, match=match):
+        program_from_dict(payload)
+
+
+def test_v1_rows_decode_to_endpoints():
+    """Bare ``p2p`` rows become gathers into their device, bare ``cpu`` rows
+    host copies, and link rows keep their endpoints; the version-2 payload
+    carries neither channel nor link."""
+    tofu = _v1_payloads()["tofu-partitioned"]
+    fetch = next(row for row in tofu["tasks"] if row["kind"] == "comm")
+    copy = dict(fetch, name="host-copy", channel="cpu", deps=[])
+    tofu["tasks"].append(copy)
+    program = program_from_dict(tofu)
+    gather, host = program.tasks[fetch["name"]], program.tasks["host-copy"]
+    assert (gather.src_device, gather.dst_device) == (None, fetch["device"])
+    assert (host.src_device, host.dst_device) == (HOST_DEVICE, copy["device"])
+    result = Executor().simulate(program, V1_MLP_MACHINE)
+    assert "cpu:m0" in result.per_link_busy_time
+
+    pipeline = program_from_dict(_v1_payloads()["pipeline"])
+    rows = [row for row in pipeline.task_graph.rows if row.kind == "comm"]
+    assert {(row.src_device, row.dst_device) for row in rows} == {(0, 1), (1, 0)}
+    encoded = program_to_dict(pipeline)
+    assert encoded["version"] == 2
+    assert all(
+        "channel" not in row and "link" not in row for row in encoded["tasks"]
+    )

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim.costmodel import graph_compute_time, kernel_time, node_kernel_time
 from repro.sim.device import DeviceSpec, GiB, k80_8gpu_machine, v100_machine
-from repro.sim.engine import SimResult, Task, TaskGraphSimulator
+from repro.sim.engine import HOST_DEVICE, SimResult, Task, TaskGraphSimulator
 
 
 class TestDevices:
@@ -92,7 +92,7 @@ class TestSimulator:
         tasks = {
             "a": Task("a", device=0, duration=1.0),
             "copy": Task("copy", device=1, kind="comm", comm_bytes=machine.p2p_bandwidth,
-                         deps=["a"]),
+                         deps=["a"], src_device=0, dst_device=1),
             "b": Task("b", device=1, duration=1.0, deps=["copy"]),
         }
         result = TaskGraphSimulator(machine).run(tasks)
@@ -103,8 +103,10 @@ class TestSimulator:
         machine = self._machine()
         bytes_each = machine.cpu_bandwidth  # 1 second each
         tasks = {
-            "c0": Task("c0", device=0, kind="comm", channel="cpu", comm_bytes=bytes_each),
-            "c1": Task("c1", device=1, kind="comm", channel="cpu", comm_bytes=bytes_each),
+            "c0": Task("c0", device=0, kind="comm", comm_bytes=bytes_each,
+                       src_device=HOST_DEVICE, dst_device=0),
+            "c1": Task("c1", device=1, kind="comm", comm_bytes=bytes_each,
+                       src_device=HOST_DEVICE, dst_device=1),
         }
         result = TaskGraphSimulator(machine).run(tasks)
         assert result.iteration_time == pytest.approx(2.0)  # serialised on host link
@@ -113,8 +115,10 @@ class TestSimulator:
         machine = self._machine()
         bytes_each = machine.p2p_bandwidth
         tasks = {
-            "c0": Task("c0", device=0, kind="comm", channel="p2p", comm_bytes=bytes_each),
-            "c1": Task("c1", device=1, kind="comm", channel="p2p", comm_bytes=bytes_each),
+            "c0": Task("c0", device=0, kind="comm", comm_bytes=bytes_each,
+                       src_device=1, dst_device=0),
+            "c1": Task("c1", device=1, kind="comm", comm_bytes=bytes_each,
+                       src_device=0, dst_device=1),
         }
         result = TaskGraphSimulator(machine).run(tasks)
         assert result.iteration_time == pytest.approx(1.0)

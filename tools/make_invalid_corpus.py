@@ -92,8 +92,12 @@ def _compute_tasks(payload):
     return [t for t in payload["tasks"] if t["kind"] == "compute"]
 
 
-def _comm_tasks_with_link(payload):
-    return [t for t in payload["tasks"] if t["link"] is not None]
+def _device_copies(payload):
+    """Comm tasks sent by one device to another."""
+    return [
+        t for t in payload["tasks"]
+        if t["kind"] == "comm" and t["src_device"] is not None
+    ]
 
 
 def build_corpus():
@@ -207,15 +211,14 @@ def build_corpus():
 
     # ---------------------------------------------------------------- comm
     bad_link = copy.deepcopy(pipeline)
-    _comm_tasks_with_link(bad_link)[0]["link"]["bandwidth"] += 1.0
+    _device_copies(bad_link)[0]["dst_device"] = None
     program_entry(
         "bad_link",
-        "a comm task rides a link the topology does not resolve between "
-        "its endpoints",
+        "a comm task names no destination device, so no link resolves",
         "comm-validity", "ANA007_BAD_LINK", bad_link)
 
     selft = copy.deepcopy(pipeline)
-    victim_comm = _comm_tasks_with_link(selft)[0]
+    victim_comm = _device_copies(selft)[0]
     victim_comm["dst_device"] = victim_comm["src_device"]
     program_entry(
         "self_transfer",
