@@ -4,13 +4,11 @@ A registry of string-keyed checkers (the :mod:`repro.runtime.backends` spec
 pattern) that run over plans, lowered programs, schedules, and machine
 models *without simulating*: shard-tiling conservation, schedule soundness
 and pipeline deadlock-freedom, comm-link validity, memory-plan
-reproducibility, and cache-key completeness.  The checkers back three
+reproducibility, and cache-key completeness.  The checkers back two
 surfaces:
 
 * ``ExecutorConfig(verify="off"|"warn"|"strict")`` — a post-lowering pass
   in ``Executor.lower`` (skipped on program-cache hits);
-* ``CompileService(verify=...)`` — every served program is verified before
-  it is cached or returned;
 * ``tofu-repro verify <saved-model-or-cache-key>`` — offline verification
   of saved artifacts.
 

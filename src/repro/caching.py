@@ -25,7 +25,6 @@ import json
 import os
 import re
 import tempfile
-import threading
 from collections import OrderedDict
 from typing import Any, Dict, Optional
 
@@ -38,10 +37,6 @@ from repro.sim.device import Topology
 # ---------------------------------------------------------------------------
 # Content addressing
 # ---------------------------------------------------------------------------
-#: Serialises first signings, so threads compiling one graph sign it once.
-_SIGNING = threading.Lock()
-
-
 def graph_signature(graph: Graph) -> str:
     """Content hash of a graph (tensors, nodes, attrs, metadata).
 
@@ -51,15 +46,11 @@ def graph_signature(graph: Graph) -> str:
     signature cannot go stale.
     """
     if graph.signature is None:
-        with _SIGNING:
-            if graph.signature is None:
-                graph.freeze()
-                payload = json.dumps(
-                    graph_to_dict(graph), sort_keys=True, separators=(",", ":")
-                )
-                graph.signature = hashlib.sha256(
-                    payload.encode("utf-8")
-                ).hexdigest()
+        graph.freeze()
+        payload = json.dumps(
+            graph_to_dict(graph), sort_keys=True, separators=(",", ":")
+        )
+        graph.signature = hashlib.sha256(payload.encode("utf-8")).hexdigest()
     return graph.signature
 
 
@@ -119,12 +110,9 @@ class TwoTierCache:
     — the same frozen object per hit, or a fresh one sharing immutable
     parts — is its own contract.
 
-    The store is thread-safe: one re-entrant lock guards the memory LRU and
-    the disk accounting (eviction counter, budget sweeps), so the compile
-    service's worker threads can share one cache.  Disk entry files were
-    already safe (atomic tempfile + ``os.replace`` writes); the lock makes
-    the bookkeeping around them coherent too.  Encoding and decoding run
-    outside the lock.
+    An instance is used from one thread.  Processes share a store through
+    its directory: every disk entry is written to a tempfile and moved into
+    place with ``os.replace``, so a reader never sees a partial file.
     """
 
     export_format: str = "tofu-cache"
@@ -143,8 +131,6 @@ class TwoTierCache:
         self.cache_dir = cache_dir
         self.max_bytes = max_bytes
         self._memory: "OrderedDict[str, Any]" = OrderedDict()
-        # Re-entrant: info() holds the lock while hit_rate() takes it.
-        self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
         self.disk_evictions = 0
@@ -162,28 +148,25 @@ class TwoTierCache:
         return self.capacity > 0 or self.cache_dir is not None
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._memory)
+        return len(self._memory)
 
     def hit_rate(self) -> float:
         """Fraction of lookups served from the cache (0.0 before any lookup)."""
-        with self._lock:
-            lookups = self.hits + self.misses
-            return self.hits / lookups if lookups else 0.0
+        lookups = self.hits + self.misses
+        return self.hits / lookups if lookups else 0.0
 
     def info(self) -> Dict[str, object]:
-        with self._lock:
-            info: Dict[str, object] = {
-                "hits": self.hits,
-                "misses": self.misses,
-                "hit_rate": self.hit_rate(),
-                "size": len(self._memory),
-            }
-            if self.cache_dir:
-                info["disk_bytes"] = self.disk_bytes()
-                info["disk_entries"] = len(self._disk_entries())
-                info["disk_evictions"] = self.disk_evictions
-            return info
+        info: Dict[str, object] = {
+            "hits": self.hits,
+            "misses": self.misses,
+            "hit_rate": self.hit_rate(),
+            "size": len(self._memory),
+        }
+        if self.cache_dir:
+            info["disk_bytes"] = self.disk_bytes()
+            info["disk_entries"] = len(self._disk_entries())
+            info["disk_evictions"] = self.disk_evictions
+        return info
 
     def disk_bytes(self) -> int:
         """Total size of the on-disk store (0 without a disk tier)."""
@@ -206,35 +189,31 @@ class TwoTierCache:
         A payload that fails to decode counts as a miss; the next
         :meth:`put_entry` under ``key`` overwrites it.
         """
-        with self._lock:
-            entry = self._memory.get(key)
-            if entry is not None:
-                self._memory.move_to_end(key)
-                self.hits += 1
-                return entry
-            payload = self._disk_get(key)
-            if payload is None:
-                self.misses += 1
-                return None
+        entry = self._memory.get(key)
+        if entry is not None:
+            self._memory.move_to_end(key)
+            self.hits += 1
+            return entry
+        payload = self._disk_get(key)
+        if payload is None:
+            self.misses += 1
+            return None
         try:
             entry = self.decode(payload)
         except _DECODE_ERRORS:
-            with self._lock:
-                self.misses += 1
+            self.misses += 1
             return None
-        with self._lock:
-            self.hits += 1
-            self._memory_put(key, entry)
+        self.hits += 1
+        self._memory_put(key, entry)
         return entry
 
     def put_entry(self, key: str, entry: Any) -> None:
         """Store ``entry`` in memory and its payload on disk (the entry is
         encoded only when a disk tier is configured)."""
         payload = self.encode(entry) if self.cache_dir else None
-        with self._lock:
-            self._memory_put(key, entry)
-            if payload is not None:
-                self._disk_put(key, payload)
+        self._memory_put(key, entry)
+        if payload is not None:
+            self._disk_put(key, payload)
 
     # --------------------------------------------------------- export/import
     def export_to(self, path: str) -> int:
@@ -292,13 +271,12 @@ class TwoTierCache:
             ) from exc
         entries = self._bundle_entries(bundle, path)
         imported = skipped = 0
-        with self._lock:
-            for key, payload in entries.items():
-                if not replace and os.path.exists(self._path(key)):
-                    skipped += 1
-                    continue
-                self._disk_put(key, payload)
-                imported += 1
+        for key, payload in entries.items():
+            if not replace and os.path.exists(self._path(key)):
+                skipped += 1
+                continue
+            self._disk_put(key, payload)
+            imported += 1
         return {"imported": imported, "skipped": skipped}
 
     def _bundle_entries(self, bundle: Any, path: str) -> Dict[str, Dict]:
@@ -342,17 +320,16 @@ class TwoTierCache:
 
     def clear(self) -> None:
         """Empty both tiers (memory and, when configured, the disk store)."""
-        with self._lock:
-            self._memory.clear()
-            self.hits = 0
-            self.misses = 0
-            self.disk_evictions = 0
-            if self.cache_dir:
-                for path in glob.glob(os.path.join(self.cache_dir, "*.json")):
-                    try:
-                        os.unlink(path)
-                    except OSError:
-                        pass
+        self._memory.clear()
+        self.hits = 0
+        self.misses = 0
+        self.disk_evictions = 0
+        if self.cache_dir:
+            for path in glob.glob(os.path.join(self.cache_dir, "*.json")):
+                try:
+                    os.unlink(path)
+                except OSError:
+                    pass
 
     # ------------------------------------------------------------- internals
     def _memory_put(self, key: str, entry: Any) -> None:

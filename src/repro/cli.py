@@ -399,42 +399,6 @@ def cmd_cache_stats(args) -> int:
     return 0
 
 
-def cmd_serve(args) -> int:
-    import asyncio
-
-    from repro.serve import CompileServer, CompileService
-
-    service = CompileService(
-        workers=args.serve_workers,
-        plan_cache_dir=args.cache_dir,
-        program_cache_dir=args.program_cache_dir,
-        verify=args.verify,
-    )
-    server = CompileServer(service, host=args.host, port=args.port)
-
-    async def run() -> None:
-        host, port = await server.start()
-        print(
-            f"compile service listening on {host}:{port} "
-            f"({args.serve_workers} worker(s))",
-            flush=True,
-        )
-        await server.serve_forever()
-
-    try:
-        asyncio.run(run())
-    except KeyboardInterrupt:
-        stats = service.stats()
-        print(
-            f"\nserved {stats['requests']} request(s): "
-            f"{stats['deduped']} deduped, {stats['searches']} search(es), "
-            f"{stats['errors']} error(s)"
-        )
-    finally:
-        service.close()
-    return 0
-
-
 def cmd_verify(args) -> int:
     from repro.analysis import verify_model, verify_program
     from repro.compiler import CompiledModel
@@ -485,7 +449,11 @@ def cmd_coverage(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="tofu-repro", description=__doc__)
+    parser = argparse.ArgumentParser(
+        prog="tofu-repro",
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_describe = sub.add_parser("describe", help="show an operator's strategies")
@@ -655,41 +623,6 @@ def main(argv=None) -> int:
         help="on-disk program store to resolve cache keys against",
     )
     p_verify.set_defaults(func=cmd_verify)
-
-    p_serve = sub.add_parser(
-        "serve",
-        help="run the compile service (JSON lines over TCP, singleflight dedup)",
-    )
-    p_serve.add_argument(
-        "--host", default="127.0.0.1", help="bind address (default 127.0.0.1)"
-    )
-    p_serve.add_argument(
-        "--port", type=int, default=7718, help="bind port (default 7718; 0 = any)"
-    )
-    p_serve.add_argument(
-        "--serve-workers",
-        type=int,
-        default=4,
-        help="compile worker threads (concurrent requests in progress)",
-    )
-    p_serve.add_argument(
-        "--cache-dir",
-        default=None,
-        help="persistent plan store so a restarted server comes back warm",
-    )
-    p_serve.add_argument(
-        "--program-cache-dir",
-        default=None,
-        help="persistent lowered-program store",
-    )
-    p_serve.add_argument(
-        "--verify",
-        choices=["off", "warn", "strict"],
-        default="strict",
-        help="static verification of every served program (default strict: "
-        "a failing program becomes an error response, never a cache entry)",
-    )
-    p_serve.set_defaults(func=cmd_serve)
 
     args = parser.parse_args(argv)
     try:

@@ -36,7 +36,6 @@ import gc
 import json
 import os
 import tempfile
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterator, Mapping, Optional, Union
@@ -323,7 +322,6 @@ def _attach_profile(model: CompiledModel, executor: Executor) -> None:
 
 # Process-wide state of :func:`collector_paused`: how many compiles are
 # inside the scope, and whether the first of them disabled the collector.
-_PAUSE_LOCK = threading.Lock()
 _pause_depth = 0
 _pause_disabled = False
 
@@ -336,27 +334,24 @@ def collector_paused() -> Iterator[None]:
     enter disables the collector, but only if it is enabled; the last to
     leave re-enables it, but only if this scope disabled it, also when the
     compile raises.  So a caller's own ``gc.disable()`` survives a compile,
-    nested compiles (the autotuner's candidates) share the outer pause, and overlapping compiles on the
-    compile service's threads put off cycle collection until the last one
-    returns.  Reference counting is untouched: everything a compile drops
-    is freed as before; only the collector's scans of the growing heap
-    stop.  Also usable as a decorator.
+    and nested compiles (the autotuner's candidates) share the outer pause.
+    Reference counting is untouched: everything a compile drops is freed as
+    before; only the collector's scans of the growing heap stop.  Also
+    usable as a decorator.
     """
     global _pause_depth, _pause_disabled
-    with _PAUSE_LOCK:
-        if _pause_depth == 0:
-            _pause_disabled = gc.isenabled()
-            if _pause_disabled:
-                gc.disable()
-        _pause_depth += 1
+    if _pause_depth == 0:
+        _pause_disabled = gc.isenabled()
+        if _pause_disabled:
+            gc.disable()
+    _pause_depth += 1
     try:
         yield
     finally:
-        with _PAUSE_LOCK:
-            _pause_depth -= 1
-            if _pause_depth == 0 and _pause_disabled:
-                _pause_disabled = False
-                gc.enable()
+        _pause_depth -= 1
+        if _pause_depth == 0 and _pause_disabled:
+            _pause_disabled = False
+            gc.enable()
 
 
 @collector_paused()

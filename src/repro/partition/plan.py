@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 from dataclasses import dataclass, field
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
@@ -258,10 +257,6 @@ def plan_to_dict(plan: PartitionPlan) -> Dict:
     }
 
 
-#: Serialises first signings, so threads compiling one plan sign it once.
-_SIGNING = threading.Lock()
-
-
 def plan_signature(plan: PartitionPlan) -> str:
     """Content hash of a plan: the sha256 of its :func:`plan_to_dict`
     payload less the wall-clock ``search_time_seconds``, as sorted-key JSON.
@@ -272,17 +267,15 @@ def plan_signature(plan: PartitionPlan) -> str:
     it; every later call returns the stored hash.
     """
     if plan.signature is None:
-        with _SIGNING:
-            if plan.signature is None:
-                plan.freeze()
-                payload = plan_to_dict(plan)
-                del payload["search_time_seconds"]
-                digest = hashlib.sha256(
-                    json.dumps(payload, sort_keys=True).encode("utf-8")
-                ).hexdigest()
-                # A frozen plan takes its signature past its read-only
-                # attributes, once.
-                object.__setattr__(plan, "signature", digest)
+        plan.freeze()
+        payload = plan_to_dict(plan)
+        del payload["search_time_seconds"]
+        digest = hashlib.sha256(
+            json.dumps(payload, sort_keys=True).encode("utf-8")
+        ).hexdigest()
+        # A frozen plan takes its signature past its read-only attributes,
+        # once.
+        object.__setattr__(plan, "signature", digest)
     return plan.signature
 
 

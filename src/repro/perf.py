@@ -2,10 +2,8 @@
 
 The planner search, every lowering pass, and the simulate loop report into a
 :class:`StageTimer` when one is *active*; when none is, the instrumentation
-collapses to a single thread-local load and branch, so the hot paths pay
-nothing in the common case.  The active sink is per-thread, which is what
-gives the compile service (:mod:`repro.serve`) isolated per-request stage
-timings under concurrency.  Zero dependencies, stdlib only.
+collapses to a single global load and branch, so the hot paths pay nothing
+in the common case.  Zero dependencies, stdlib only.
 
 Activation is scoped and re-entrant::
 
@@ -32,7 +30,6 @@ The warm-path acceptance check reads exactly this: a warm
 from __future__ import annotations
 
 import functools
-import threading
 import time
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, Optional
@@ -124,17 +121,13 @@ class StageTimer:
         return "\n".join(lines)
 
 
-# The active sink is *per thread*: the compile service runs one request per
-# worker thread, each under its own profiling executor, and a module-global
-# sink would interleave their stages.  Thread-locality keeps every request's
-# snapshot self-contained while single-threaded callers see the exact
-# pre-existing behaviour.
-_TLS = threading.local()
+# The active sink: the timer every instrumented section reports into.
+_ACTIVE: Optional[StageTimer] = None
 
 
 def active_timer() -> Optional[StageTimer]:
-    """The timer this thread's instrumentation reports into (``None`` = off)."""
-    return getattr(_TLS, "timer", None)
+    """The timer the instrumentation reports into (``None`` = off)."""
+    return _ACTIVE
 
 
 @contextmanager
@@ -143,22 +136,22 @@ def activation(timer: Optional[StageTimer]) -> Iterator[Optional[StageTimer]]:
 
     ``None`` keeps whatever timer is already active (so a non-profiling
     ``Executor`` nested inside a profiling ``compile`` still reports to the
-    outer timer); on exit the previous sink is restored.  Activation is
-    per-thread: concurrent requests profiling in parallel never cross-talk.
+    outer timer); on exit the previous sink is restored.
     """
-    previous = getattr(_TLS, "timer", None)
+    global _ACTIVE
+    previous = _ACTIVE
     if timer is not None:
-        _TLS.timer = timer
+        _ACTIVE = timer
     try:
-        yield getattr(_TLS, "timer", None)
+        yield _ACTIVE
     finally:
-        _TLS.timer = previous
+        _ACTIVE = previous
 
 
 @contextmanager
 def stage(name: str) -> Iterator[None]:
     """Time a section under ``name`` when a timer is active (no-op otherwise)."""
-    timer = getattr(_TLS, "timer", None)
+    timer = _ACTIVE
     if timer is None:
         yield
         return
@@ -171,7 +164,7 @@ def stage(name: str) -> Iterator[None]:
 
 def count(name: str, value: float = 1.0) -> None:
     """Bump counter ``name`` on the active timer (no-op when none is)."""
-    timer = getattr(_TLS, "timer", None)
+    timer = _ACTIVE
     if timer is not None:
         timer.count(name, value)
 
@@ -182,7 +175,7 @@ def timed(name: str) -> Callable:
     def decorate(fn: Callable) -> Callable:
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
-            timer = getattr(_TLS, "timer", None)
+            timer = _ACTIVE
             if timer is None:
                 return fn(*args, **kwargs)
             start = time.perf_counter()

@@ -225,10 +225,8 @@ class TaskGraphBuilder:
     form that caches its topological sort, and its compiled form and that
     form's replay for the last machine it was built for, so every program
     sharing one builder — program-cache copies included — shares all
-    three.  Threads sharing a builder may race to fill those caches; they
-    compute equal values, so whichever write lands is correct.  Adding a
-    name twice replaces the earlier row in place, like assigning into a
-    dict.
+    three.  Adding a name twice replaces the earlier row in place, like
+    assigning into a dict.
     """
 
     __slots__ = ("rows", "_index", "_sorted", "_compiled", "_replayed")

@@ -1,6 +1,5 @@
 """Wiring of the verify pass: cold runs verify, cache hits skip, strict
-raises, warn warns, off does nothing, and the compile service turns a
-failing program into a structured error response (never a cache entry)."""
+raises, warn warns, and off does nothing."""
 
 import pytest
 
@@ -14,7 +13,6 @@ from repro.analysis import (
 )
 from repro.models.mlp import build_mlp
 from repro.runtime import Executor, ExecutorConfig, ProgramCache
-from repro.serve import CompileRequest, CompileService
 from repro.sim.device import k80_8gpu_machine
 
 
@@ -109,28 +107,3 @@ class TestExecutorWiring:
         with pytest.raises(AnalysisError):
             validate_verify_mode("loud")
 
-
-class TestServiceWiring:
-    def test_failing_program_becomes_error_response(self, bundle, always_fail):
-        # simulate=True: with simulate=False compile stops after planning
-        # and never lowers, so there is no program for the pass to reject.
-        with CompileService(workers=1) as service:
-            response = service.compile(CompileRequest(
-                graph=bundle.graph, strategy="single", num_workers=2,
-            ))
-            assert response.status == "error"
-            assert "AnalysisError" in response.error
-            assert "ANA000_ANALYSIS" in response.error
-            # The rejected program must not have been cached for serving.
-            assert len(service.program_cache) == 0
-
-    def test_service_verify_off_serves_anyway(self, bundle, always_fail):
-        with CompileService(workers=1, verify="off") as service:
-            response = service.compile(CompileRequest(
-                graph=bundle.graph, strategy="single", num_workers=2,
-            ))
-        assert response.status == "ok"
-
-    def test_service_rejects_bad_mode(self):
-        with pytest.raises(AnalysisError):
-            CompileService(workers=1, verify="sideways")

@@ -13,8 +13,6 @@ from __future__ import annotations
 import copy
 import dataclasses
 import pickle
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -256,8 +254,8 @@ def test_plans_differing_only_in_search_time_share_a_program_key(
     assert hit.plan is again
 
 
-def test_threads_signing_one_plan_agree(mlp_bundle, monkeypatch):
-    plans = [recursive_partition(mlp_bundle.graph, 4) for _ in range(4)]
+def test_signing_one_plan_twice_serialises_once(mlp_bundle, monkeypatch):
+    plan = recursive_partition(mlp_bundle.graph, 4)
     serialised = []
 
     def counting(plan):
@@ -265,18 +263,6 @@ def test_threads_signing_one_plan_agree(mlp_bundle, monkeypatch):
         return plan_to_dict(plan)
 
     monkeypatch.setattr(plan_module, "plan_to_dict", counting)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            signatures = list(
-                pool.map(
-                    plan_signature,
-                    [p for p in plans for _ in range(8)],
-                    timeout=60,
-                )
-            )
-    finally:
-        sys.setswitchinterval(interval)
-    assert set(signatures) == {plans[0].signature}
-    assert serialised == plans
+    first = plan_signature(plan)
+    assert plan_signature(plan) == first == plan.signature
+    assert serialised == [plan]

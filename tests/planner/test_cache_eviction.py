@@ -1,11 +1,12 @@
-"""Tests for the on-disk plan cache's size accounting and LRU eviction."""
+"""Tests for the two-tier cache's bookkeeping: hit rate, on-disk size
+accounting, LRU eviction, and disk entries shared between instances."""
 
 from __future__ import annotations
 
 import os
 import time
 
-
+from repro.caching import TwoTierCache
 from repro.partition.plan import PartitionPlan, StepAssignment
 from repro.planner import PlanCache, Planner, PlannerConfig
 
@@ -29,6 +30,32 @@ def _touch_older(path, seconds):
     """Backdate a cache file's mtime (the LRU recency signal)."""
     stamp = time.time() - seconds
     os.utime(path, (stamp, stamp))
+
+
+class TestTwoTierCache:
+    def test_hit_rate_reporting(self):
+        cache = TwoTierCache(capacity=4)
+        assert cache.hit_rate() == 0.0
+        cache.put_entry("a", {"x": 1})
+        assert cache.get_entry("a") == {"x": 1}
+        assert cache.get_entry("b") is None
+        assert cache.hit_rate() == 0.5
+        info = cache.info()
+        assert info["hits"] == 1 and info["misses"] == 1
+        assert info["hit_rate"] == 0.5
+
+    def test_fresh_reader_hits_every_spilled_entry(self, tmp_path):
+        """A writer's memory tier holds 2 of its 6 entries; all 6 reach the
+        disk, so a fresh instance on the same directory hits every one."""
+        writer = TwoTierCache(capacity=2, cache_dir=str(tmp_path))
+        for i in range(6):
+            writer.put_entry(f"k{i}", {"i": i})
+        assert len(writer) == 2
+        reader = TwoTierCache(capacity=2, cache_dir=str(tmp_path))
+        assert [reader.get_entry(f"k{i}") for i in range(6)] == [
+            {"i": i} for i in range(6)
+        ]
+        assert reader.info()["hits"] == 6 and reader.info()["misses"] == 0
 
 
 class TestDiskBudget:

@@ -13,7 +13,7 @@ import dataclasses
 
 import pytest
 
-from repro import compile as repro_compile, perf
+from repro import compile as repro_compile
 from repro.models.mlp import build_mlp
 from repro.runtime.core import Executor, ExecutorConfig
 from repro.sim.engine import TaskGraphSimulator
@@ -73,30 +73,3 @@ class TestProgramFreeze:
         assert after.iteration_time > before.iteration_time
         assert executor.simulate(program) == before
 
-
-class TestPerfIsolation:
-    def test_thread_local_sinks_do_not_cross_threads(self, compiled_mlp):
-        """A worker thread's active timer must not leak into another's."""
-        import threading
-
-        program = compiled_mlp.program
-        timers = {}
-
-        def worker(name):
-            executor = Executor(ExecutorConfig(profile=True))
-            # An edited copy has its own dense form, so it replays once.
-            executor.simulate(program.replace_tasks({}))
-            timers[name] = executor.profile_timer
-
-        threads = [
-            threading.Thread(target=worker, args=(f"t{i}",)) for i in range(4)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        for timer in timers.values():
-            # Each thread saw exactly its own simulate call.
-            assert timer.stage_calls("sim.run") == 1
-        # This thread's sink stayed untouched.
-        assert perf.active_timer() is None

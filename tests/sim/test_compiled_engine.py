@@ -185,9 +185,9 @@ def test_mutated_program_recompiles(rnn_bundle):
 
 
 def test_concurrent_simulations_share_one_dense_form(rnn_bundle):
-    """Compile-service threads simulate program-cache copies of one program
-    at once, on two machines: the first sort and the per-machine compiles
-    race on the shared dense form, and every result must still be exact."""
+    """Program-cache copies of one program share one immutable dense form:
+    simulating them on two machines, interleaved as finely as threads allow,
+    must still give every result exactly."""
     program = _lower(rnn_bundle.graph, "pipeline", MACHINE)
     machines = [MACHINE, CLUSTER]
     expected = [

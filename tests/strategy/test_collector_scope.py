@@ -8,15 +8,12 @@ it (only if the pause disabled it), and a raising compile restores it.
 from __future__ import annotations
 
 import gc
-import threading
 
 import pytest
 
 import repro
-from repro import compiler
 from repro.errors import StrategyError
 from repro.models.mlp import build_mlp
-from repro.serve import CompileRequest, CompileService
 from repro.sim.device import k80_8gpu_machine
 from repro.tuner import Tuner, TunerBudget
 
@@ -103,30 +100,4 @@ def test_callers_own_disable_survives_a_compile(graph, switches):
     finally:
         gc.enable()
     assert switches == ["disable", "enable"]  # the caller's own two calls
-
-
-def test_overlapping_serve_compiles_resume_once_drained(graph, monkeypatch, switches):
-    """Four service threads are inside ``compile`` at once; the collector
-    stays paused until the last one returns."""
-    barrier = threading.Barrier(4, timeout=60)
-    paused = []
-    lower = compiler.lower_strategy
-
-    def gated(*args, **kwargs):
-        barrier.wait()
-        paused.append(not gc.isenabled())
-        return lower(*args, **kwargs)
-
-    monkeypatch.setattr(compiler, "lower_strategy", gated)
-    strategies = ["tofu", "dp:2/tofu", "dp:4/single", "single"]
-    with CompileService(workers=4) as service:
-        pending = [
-            service.submit(CompileRequest(graph=graph, strategy=s, num_workers=4))
-            for s in strategies
-        ]
-        responses = [p.result(timeout=120) for p in pending]
-    assert all(r.ok for r in responses), [r.error for r in responses]
-    assert paused == [True] * 4
-    assert switches == ["disable", "enable"]
-    assert gc.isenabled()
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import copy
 import pickle
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -145,22 +143,6 @@ def test_a_cloned_frozen_graph_stays_frozen_and_signed(graph, clone):
     assert _first_node(cloned) == _first_node(graph)
     with pytest.raises(GraphError):
         _first_node(cloned).attrs["note"] = 1
-
-
-def test_threads_signing_one_graph_agree(serialisations):
-    graphs = [_bundle().graph for _ in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            signatures = list(pool.map(
-                graph_signature, [g for g in graphs for _ in range(8)],
-                timeout=60,
-            ))
-    finally:
-        sys.setswitchinterval(interval)
-    assert set(signatures) == {graphs[0].signature}
-    assert serialisations == graphs
 
 
 def test_a_frozen_specs_reshaped_copy_is_editable(graph):

@@ -62,6 +62,20 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "partition-n-reduce" in out
 
+    def test_help_keeps_each_example_on_its_own_line(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["--help"])
+        assert excinfo.value.code == 0
+        lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
+        assert "tofu-repro describe conv2d" in lines
+        assert "tofu-repro backends" in lines
+
+    def test_serve_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["serve"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'serve'" in capsys.readouterr().err
+
     def test_partition_command(self, capsys):
         assert cli_main(["partition", "--model", "mlp", "--batch", "32",
                          "--hidden", "128", "--layers", "2", "--workers", "4"]) == 0

@@ -1,7 +1,7 @@
 """The AST invariant linter stays clean on the tree and keeps catching
-seeded violations (layering back-edges, unlocked guarded state, undescribed
-registry entries, collector switches, package-metadata discovery,
-multiprocessing and contextvars imports)."""
+seeded violations (layering back-edges, undescribed registry entries,
+collector switches, package-metadata discovery, and multiprocessing,
+concurrent, threading and contextvars imports)."""
 
 import ast
 import sys
@@ -19,7 +19,7 @@ def test_repository_is_invariant_clean():
 
 
 def test_layering_catches_back_edge():
-    tree = ast.parse("from repro.serve.service import CompileService\n")
+    tree = ast.parse("from repro.cli import main\n")
     violations = lint_invariants.check_layering(
         lint_invariants.SRC / "graph" / "graph.py", tree)
     assert violations and violations[0].rule == "layering"
@@ -29,46 +29,10 @@ def test_layering_exempts_type_checking_imports():
     tree = ast.parse(
         "from typing import TYPE_CHECKING\n"
         "if TYPE_CHECKING:\n"
-        "    from repro.serve.service import CompileService\n"
+        "    from repro.cli import main\n"
     )
     assert lint_invariants.check_layering(
         lint_invariants.SRC / "graph" / "graph.py", tree) == []
-
-
-def test_lock_discipline_catches_unlocked_read():
-    tree = ast.parse(
-        "import threading\n"
-        "class C:\n"
-        "    def __init__(self):\n"
-        "        self._lock = threading.Lock()\n"
-        "        self.count = 0\n"
-        "    def bump(self):\n"
-        "        with self._lock:\n"
-        "            self.count += 1\n"
-        "    def peek(self):\n"
-        "        return self.count\n"
-    )
-    violations = lint_invariants.check_lock_discipline(
-        lint_invariants.SRC / "caching.py", tree)
-    assert violations and violations[0].rule == "lock-discipline"
-    assert "peek" in violations[0].message
-
-
-def test_lock_discipline_allows_lock_safe_helpers():
-    tree = ast.parse(
-        "import threading\n"
-        "class C:\n"
-        "    def __init__(self):\n"
-        "        self._lock = threading.Lock()\n"
-        "        self.count = 0\n"
-        "    def bump(self):\n"
-        "        with self._lock:\n"
-        "            self._bump_locked()\n"
-        "    def _bump_locked(self):\n"
-        "        self.count += 1\n"
-    )
-    assert lint_invariants.check_lock_discipline(
-        lint_invariants.SRC / "caching.py", tree) == []
 
 
 def test_registry_hygiene_requires_descriptions():
@@ -150,13 +114,14 @@ def test_no_process_pool_catches_multiprocessing_anywhere():
         "def fan_out(items):\n"
         "    from multiprocessing.pool import Pool\n"
         "    return Pool, items\n"
-        "import concurrent.futures\n"
+        "import os.path\n"
     )
     for where in ("tuner/core.py", "planner/parallel.py"):
-        violations = lint_invariants.check_no_process_pool(
+        violations = lint_invariants.check_banned_imports(
             lint_invariants.SRC / where, tree)
         assert [v.line for v in violations] == [1, 2, 3, 5]
-        assert all(v.rule == "no-process-pool" for v in violations)
+        assert all(v.rule == "banned-import" for v in violations)
+        assert all("multiprocessing" in v.message for v in violations)
 
 
 def test_no_context_var_catches_contextvars_anywhere():
@@ -166,9 +131,41 @@ def test_no_context_var_catches_contextvars_anywhere():
         "def scope():\n"
         "    from contextvars import copy_context\n"
         "    return copy_context\n"
-        "import threading\n"
+        "import contextlib\n"
     )
-    violations = lint_invariants.check_no_context_var(
+    violations = lint_invariants.check_banned_imports(
         lint_invariants.SRC / "caching.py", tree)
     assert [v.line for v in violations] == [1, 2, 4]
-    assert all(v.rule == "no-context-var" for v in violations)
+    assert all("contextvars" in v.message for v in violations)
+
+
+def test_banned_imports_catch_a_seeded_import_threading():
+    tree = ast.parse(
+        "import json\n"
+        "import threading\n"
+        "def guard():\n"
+        "    from threading import Lock\n"
+        "    return Lock()\n"
+    )
+    violations = lint_invariants.check_banned_imports(
+        lint_invariants.SRC / "caching.py", tree)
+    assert [v.line for v in violations] == [2, 4]
+    assert all(v.rule == "banned-import" for v in violations)
+    assert all("threading" in v.message for v in violations)
+
+
+def test_banned_imports_catch_a_thread_pool_import():
+    tree = ast.parse(
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "import concurrent.futures\n"
+    )
+    violations = lint_invariants.check_banned_imports(
+        lint_invariants.SRC / "tuner" / "core.py", tree)
+    assert [v.line for v in violations] == [1, 2]
+    assert all("concurrent" in v.message for v in violations)
+
+
+def test_lint_fails_on_a_tree_with_a_seeded_import_threading(tmp_path):
+    (tmp_path / "caching.py").write_text("import threading\n")
+    violations = lint_invariants.lint(tmp_path)
+    assert [(v.line, v.rule) for v in violations] == [(1, "banned-import")]

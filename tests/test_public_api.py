@@ -2,7 +2,7 @@
 
 Accidentally dropping (or silently adding) a public name is an API break for
 downstream users; this test pins the ``__all__`` of ``repro``,
-``repro.strategy``, ``repro.planner``, ``repro.runtime``, ``repro.serve``,
+``repro.strategy``, ``repro.planner``, ``repro.runtime``,
 ``repro.analysis`` and ``repro.tuner`` against a checked-in list so CI fails
 on any unreviewed change.  When a change is intentional, update the snapshot here
 *and* the README migration notes.
@@ -126,19 +126,6 @@ RUNTIME_EXPORTS = [
     "unregister_execution_backend",
 ]
 
-SERVE_EXPORTS = [
-    "CompileClient",
-    "CompileRequest",
-    "CompileResponse",
-    "CompileServer",
-    "CompileService",
-    "PendingCompile",
-    "request_from_wire",
-    "request_to_wire",
-    "response_from_wire",
-    "response_to_wire",
-]
-
 ANALYSIS_EXPORTS = [
     "AnalysisError",
     "CheckContext",
@@ -174,7 +161,6 @@ SNAPSHOTS = {
     "repro.strategy": STRATEGY_EXPORTS,
     "repro.planner": PLANNER_EXPORTS,
     "repro.runtime": RUNTIME_EXPORTS,
-    "repro.serve": SERVE_EXPORTS,
     "repro.analysis": ANALYSIS_EXPORTS,
     "repro.tuner": TUNER_EXPORTS,
 }

@@ -1,9 +1,8 @@
 #!/usr/bin/env python
-"""AST invariant linter: layering, lock discipline, registry hygiene,
-collector discipline, in-process registration, no process pool or context
-variable.
+"""AST invariant linter: layering, registry hygiene, collector discipline,
+in-process registration, banned imports.
 
-Six structural invariants the test suite cannot cheaply express are
+Five structural invariants the test suite cannot cheaply express are
 checked here over the source tree with nothing but ``ast`` (no imports of
 the code under analysis, no third-party dependencies):
 
@@ -17,38 +16,30 @@ the code under analysis, no third-party dependencies):
    ``partition.apply`` prices memory with ``runtime.passes`` helpers, so
    the plan-application layer is a client of the lowering toolkit.
 
-2. **Lock discipline** — in ``serve/`` and ``caching.py``, any class that
-   creates a ``self._lock`` (``threading.Lock``/``RLock``) must touch its
-   lock-guarded attributes only under ``with self._lock``.  An attribute
-   counts as guarded when any method outside ``__init__`` writes it inside
-   a ``with self._lock`` block.  Private helpers whose every call site is
-   itself lock-held (transitively) are lock-safe and may touch guarded
-   state without re-acquiring.
-
-3. **Registry hygiene** — every module-scope ``register_*(...Spec(...))``
+2. **Registry hygiene** — every module-scope ``register_*(...Spec(...))``
    call (search backends, execution backends, analysis checkers) must
    pass a non-empty ``description=``: the CLI listings and the docs render
    those strings, so a blank one is a docs regression.
 
-4. **Collector discipline** — in ``src/repro`` the process-wide switches of
+3. **Collector discipline** — in ``src/repro`` the process-wide switches of
    CPython's cyclic collector (``gc.disable``, ``gc.enable``,
    ``gc.freeze``, ``gc.unfreeze``, ``gc.set_threshold``) appear only inside
-   ``compiler.collector_paused``.  That scope is
-   reference-counted across threads; a stray switch anywhere else would
-   re-enable the collector under a running compile, or leave it off after
-   the last one.
+   ``compiler.collector_paused``.  That scope is reference-counted across
+   nested compiles; a stray switch anywhere else would re-enable the
+   collector under a running compile, or leave it off after the last one.
 
-5. **In-process registration** — ``src/repro`` never references
+4. **In-process registration** — ``src/repro`` never references
    ``importlib.metadata`` or ``entry_points``.  The three registries are
    filled only by in-process ``register_*`` calls; package-metadata
    discovery would bring back a second registration path.
 
-6. **No process pool, no context variable** — ``src/repro`` never imports
-   ``multiprocessing`` or ``contextvars`` (at any scope, in any file).  The
+5. **Banned imports** — ``src/repro`` never imports a module of
+   :data:`BANNED_IMPORTS` (``multiprocessing``, ``concurrent``,
+   ``threading``, ``contextvars``), at any scope, in any file.  The
    planner's factor-order search, the autotuner and everything else run in
-   the calling process, and no state hides in an ambient context: what a
-   result depends on is an argument or lives on its object (a graph
-   carries its own signature).
+   the calling process and thread, and no state hides in an ambient
+   context: what a result depends on is an argument or lives on its object
+   (a graph carries its own signature).
 
 Run from the repository root::
 
@@ -62,7 +53,7 @@ from __future__ import annotations
 import ast
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src" / "repro"
@@ -88,14 +79,9 @@ LAYERS = [
     "analysis",
     "compiler",
     "tuner",
-    "serve",
     "cli",
 ]
 RANK = {name: index for index, name in enumerate(LAYERS)}
-
-# Files whose lock discipline is checked (threaded shared state lives here).
-LOCKED_FILES = ["caching.py", "serve/service.py", "serve/server.py",
-                "serve/protocol.py"]
 
 
 class Violation:
@@ -211,127 +197,7 @@ def check_layering(path: Path, tree: ast.Module,
 
 
 # ---------------------------------------------------------------------------
-# Rule 2: lock discipline
-# ---------------------------------------------------------------------------
-def _creates_threading_lock(node: ast.AST) -> bool:
-    """True for ``threading.Lock()`` / ``threading.RLock()`` (or bare)."""
-    if not isinstance(node, ast.Call):
-        return False
-    func = node.func
-    name = func.attr if isinstance(func, ast.Attribute) else getattr(
-        func, "id", None)
-    return name in ("Lock", "RLock")
-
-
-def _self_attr(node: ast.AST) -> Optional[str]:
-    if (isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"):
-        return node.attr
-    return None
-
-
-def _is_lock_with(item: ast.withitem) -> bool:
-    return _self_attr(item.context_expr) == "_lock"
-
-
-class _MethodScan(ast.NodeVisitor):
-    """Per-method sweep: self-attribute touches and self-method calls,
-    each tagged with whether the site sits inside ``with self._lock``."""
-
-    def __init__(self):
-        self.attr_reads: List[Tuple[str, int, bool]] = []
-        self.attr_writes: List[Tuple[str, int, bool]] = []
-        self.calls: List[Tuple[str, bool]] = []
-        self._lock_depth = 0
-
-    def visit_With(self, node: ast.With) -> None:
-        locked = any(_is_lock_with(item) for item in node.items)
-        if locked:
-            self._lock_depth += 1
-        self.generic_visit(node)
-        if locked:
-            self._lock_depth -= 1
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        attr = _self_attr(node)
-        if attr is not None and attr != "_lock":
-            held = self._lock_depth > 0
-            if isinstance(node.ctx, (ast.Store, ast.Del)):
-                self.attr_writes.append((attr, node.lineno, held))
-            else:
-                self.attr_reads.append((attr, node.lineno, held))
-        self.generic_visit(node)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        method = _self_attr(node.func)
-        if method is not None:
-            self.calls.append((method, self._lock_depth > 0))
-        self.generic_visit(node)
-
-
-def check_lock_discipline(path: Path, tree: ast.Module) -> List[Violation]:
-    violations: List[Violation] = []
-    for cls in [n for n in tree.body if isinstance(n, ast.ClassDef)]:
-        methods = {n.name: n for n in cls.body
-                   if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
-        init = methods.get("__init__")
-        has_lock = init is not None and any(
-            _self_attr(target) == "_lock" and _creates_threading_lock(n.value)
-            for n in ast.walk(init) if isinstance(n, ast.Assign)
-            for target in n.targets)
-        if not has_lock:
-            continue
-
-        scans: Dict[str, _MethodScan] = {}
-        for name, method in methods.items():
-            scan = _MethodScan()
-            for stmt in method.body:
-                scan.visit(stmt)
-            scans[name] = scan
-
-        # Guarded attributes: written under the lock outside __init__.
-        # Mutations via method calls (self._memory.pop(...) under the lock)
-        # surface as reads; counting locked reads of private attrs too
-        # would over-guard, so guarding keys off writes — the discipline we
-        # can enforce soundly without alias analysis.
-        guarded: Set[str] = set()
-        for name, scan in scans.items():
-            if name == "__init__":
-                continue
-            guarded.update(a for a, _, held in scan.attr_writes if held)
-
-        # Lock-safe helpers: private methods whose every call site is
-        # lock-held or inside another lock-safe method (fixed point).
-        called = {m for scan in scans.values() for m, _ in scan.calls}
-        lock_safe = {m for m in called
-                     if m in scans and m.startswith("_")}
-        changed = True
-        while changed:
-            changed = False
-            for name in list(lock_safe):
-                sites = [(caller, held)
-                         for caller, scan in scans.items()
-                         for m, held in scan.calls if m == name]
-                if not all(held or caller in lock_safe
-                           for caller, held in sites):
-                    lock_safe.discard(name)
-                    changed = True
-
-        for name, scan in scans.items():
-            if name == "__init__" or name in lock_safe:
-                continue
-            for attr, line, held in scan.attr_writes + scan.attr_reads:
-                if attr in guarded and not held:
-                    violations.append(Violation(
-                        path, line, "lock-discipline",
-                        f"{cls.name}.{name} touches lock-guarded attribute "
-                        f"self.{attr} outside `with self._lock`"))
-    return violations
-
-
-# ---------------------------------------------------------------------------
-# Rule 3: registry hygiene
+# Rule 2: registry hygiene
 # ---------------------------------------------------------------------------
 def _module_level_calls(tree: ast.Module):
     for node in tree.body:
@@ -369,7 +235,7 @@ def check_registry_hygiene(path: Path, tree: ast.Module) -> List[Violation]:
 
 
 # ---------------------------------------------------------------------------
-# Rule 4: collector discipline
+# Rule 3: collector discipline
 # ---------------------------------------------------------------------------
 COLLECTOR_SWITCHES = {"disable", "enable", "freeze", "unfreeze", "set_threshold"}
 # The one scope allowed to flip them: file (relative to src/repro) and its
@@ -411,7 +277,7 @@ def check_collector_discipline(path: Path, tree: ast.Module,
 
 
 # ---------------------------------------------------------------------------
-# Rule 5: in-process registration
+# Rule 4: in-process registration
 # ---------------------------------------------------------------------------
 def _discovery_reference(node: ast.AST) -> Optional[str]:
     """The package-metadata discovery name ``node`` references, if any."""
@@ -453,36 +319,34 @@ def check_in_process_registration(path: Path,
 
 
 # ---------------------------------------------------------------------------
-# Rule 6: no process pool, no context variable
+# Rule 5: banned imports
 # ---------------------------------------------------------------------------
-def _imports_of(tree: ast.Module, module: str) -> List[ast.AST]:
-    """Every import of ``module`` (or a submodule) in ``tree``, any scope."""
-
-    def imports(node: ast.AST) -> bool:
-        if isinstance(node, ast.Import):
-            return any(alias.name.split(".")[0] == module
-                       for alias in node.names)
-        return (isinstance(node, ast.ImportFrom) and node.level == 0
-                and (node.module or "").split(".")[0] == module)
-
-    return [node for node in ast.walk(tree) if imports(node)]
+#: Top-level modules ``src/repro`` never imports, and why.
+BANNED_IMPORTS = {
+    "multiprocessing": "everything runs in the calling process",
+    "concurrent": "everything runs in the calling thread",
+    "threading": "repro objects are used from one thread",
+    "contextvars": "pass state as an argument or keep it on the object it "
+                   "describes",
+}
 
 
-def check_no_process_pool(path: Path, tree: ast.Module) -> List[Violation]:
+def _imported_modules(node: ast.AST) -> List[str]:
+    """The top-level modules an absolute import statement names."""
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [(node.module or "").split(".")[0]]
+    return []
+
+
+def check_banned_imports(path: Path, tree: ast.Module) -> List[Violation]:
     return [
-        Violation(path, node.lineno, "no-process-pool",
-                  "multiprocessing imported; everything runs in the calling "
-                  "process")
-        for node in _imports_of(tree, "multiprocessing")
-    ]
-
-
-def check_no_context_var(path: Path, tree: ast.Module) -> List[Violation]:
-    return [
-        Violation(path, node.lineno, "no-context-var",
-                  "contextvars imported; pass state as an argument or keep "
-                  "it on the object it describes")
-        for node in _imports_of(tree, "contextvars")
+        Violation(path, node.lineno, "banned-import",
+                  f"{module} imported; {BANNED_IMPORTS[module]}")
+        for node in ast.walk(tree)
+        for module in _imported_modules(node)
+        if module in BANNED_IMPORTS
     ]
 
 
@@ -492,17 +356,13 @@ def check_no_context_var(path: Path, tree: ast.Module) -> List[Violation]:
 def lint(root: Path = SRC) -> List[Violation]:
     """Run every rule over the tree; return the violations found."""
     violations: List[Violation] = []
-    locked = {(root / name).resolve() for name in LOCKED_FILES}
     for path in sorted(root.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         violations.extend(check_layering(path, tree, root))
         violations.extend(check_registry_hygiene(path, tree))
         violations.extend(check_collector_discipline(path, tree, root))
         violations.extend(check_in_process_registration(path, tree))
-        violations.extend(check_no_process_pool(path, tree))
-        violations.extend(check_no_context_var(path, tree))
-        if path.resolve() in locked:
-            violations.extend(check_lock_discipline(path, tree))
+        violations.extend(check_banned_imports(path, tree))
     return violations
 
 
@@ -513,9 +373,8 @@ def main() -> int:
     if violations:
         print(f"{len(violations)} invariant violation(s)", file=sys.stderr)
         return 1
-    print("invariants clean: layering, lock discipline, registry hygiene, "
-          "collector discipline, in-process registration, no process pool, "
-          "no context variable")
+    print("invariants clean: layering, registry hygiene, collector "
+          "discipline, in-process registration, banned imports")
     return 0
 
 
