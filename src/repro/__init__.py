@@ -15,7 +15,7 @@ callers that need the subsystems directly.
 
 import repro.ops  # noqa: F401  (registers the operator library on import)
 
-from repro.compiler import CompiledModel, compile, compile_model
+from repro.compiler import CompiledModel, compile
 from repro.interval.strategies import describe_operator
 from repro.planner import (
     Planner,
@@ -30,7 +30,6 @@ from repro.runtime import (
     LoweredProgram,
     SimulationReport,
     available_execution_backends,
-    default_executor,
     register_execution_backend,
 )
 from repro.sim.device import (
@@ -95,8 +94,6 @@ __all__ = [
     "available_execution_backends",
     "cluster_of",
     "compile",
-    "compile_model",
-    "default_executor",
     "default_planner",
     "describe_operator",
     "dp",

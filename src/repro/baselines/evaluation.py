@@ -102,18 +102,16 @@ def _lowering(
     machine: MachineSpec,
     *,
     planner: Optional["Planner"] = None,
-    backend_options: Optional[Dict[str, object]] = None,
 ) -> Lower:
     """``bundle -> program``: plan (when the strategy needs a plan) and
     lower ``strategy`` through ``repro.compile``, without simulating."""
     # Imported here: repro.baselines is a dependency of the planner's backend
     # registry, so a module-level import of the compiler would be circular.
-    from repro.compiler import compile_model
+    from repro import compiler
 
     def lower(bundle: ModelBundle) -> LoweredProgram:
-        return compile_model(
-            bundle.graph, strategy, machine, planner=planner,
-            backend_options=backend_options, lower_only=True,
+        return compiler.compile(
+            bundle.graph, strategy, machine, planner=planner, lower_only=True
         ).program
 
     return lower
@@ -253,11 +251,10 @@ def evaluate_ideal(
     num = machine.num_devices
     batch = max(1, global_batch // num)
     bundle = build_fn(batch)
-    program = _lowering(
-        single_strategy(), machine, backend_options={"check_memory": False}
-    )(bundle)
+    program = _lowering(single_strategy(), machine)(bundle)
+    result = Executor().simulate(program, check_memory=False)
     return _report(
-        "ideal", bundle, batch, program, Executor().simulate(program),
+        "ideal", bundle, batch, program, result,
         replicas=num, notes="memory limit ignored",
     )
 
@@ -303,9 +300,7 @@ def evaluate_swapping(
     num = machine.num_devices
     batch = max(1, global_batch // num)
     bundle = build_fn(batch)
-    program = _lowering(
-        swap_strategy(), machine, backend_options={"concurrent_gpus": num}
-    )(bundle)
+    program = _lowering(swap_strategy(), machine)(bundle)
     result = Executor().simulate(program)
     comm_fraction = 0.0
     if result.iteration_time > 0 and not result.oom:
@@ -405,7 +400,7 @@ def evaluate_tofu(
 
     The batch search over ``tofu(backend)``: ``backend`` selects any
     registered search algorithm (the Figure 10 alternatives included;
-    ``None`` is the planner's default) and ``planner`` can supply a shared
+    ``None`` is the ``tofu`` search) and ``planner`` can supply a shared
     plan cache.
     """
     return _evaluate(

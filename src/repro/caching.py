@@ -222,7 +222,8 @@ class TwoTierCache:
         Content addresses are host-independent (every key input is
         canonically encoded), so a bundle exported on one machine imports
         losslessly on another.  Returns the number of exported entries;
-        requires a disk tier.
+        requires a disk tier.  An unwritable ``path`` raises
+        :class:`ReproError` and leaves no temporary file behind.
         """
         if not self.cache_dir:
             raise ReproError(
@@ -240,11 +241,19 @@ class TwoTierCache:
             "version": self.export_version,
             "entries": entries,
         }
-        directory = os.path.dirname(os.path.abspath(path)) or "."
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(bundle, fh)
-        os.replace(tmp, path)
+        directory = os.path.dirname(os.path.abspath(path))
+        tmp = None
+        try:
+            fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(bundle, fh)
+            os.replace(tmp, path)
+        except OSError as exc:
+            if tmp is not None:
+                os.unlink(tmp)
+            raise ReproError(
+                f"cannot export the {self.description} to {path!r}: {exc}"
+            ) from exc
         return len(entries)
 
     def import_from(self, path: str, *, replace: bool = False) -> Dict[str, int]:

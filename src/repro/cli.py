@@ -8,9 +8,10 @@ expression of the combinator mini-language (``tofu``, ``single``,
 ``auto`` for the bounded sweep; ``--dry-run`` shows the lowering without
 planning or simulating, and ``--save`` persists the compiled model as JSON.
 
-``compile``, ``tune`` and ``partition`` share the planner flags: a
-``--backend`` (any registered search backend — see ``tofu-repro backends``)
-and a ``--cache-dir`` for the persistent plan store.
+``compile``, ``tune`` and ``partition`` share a ``--cache-dir`` for the
+persistent plan store.  ``partition`` takes a ``--backend`` (any registered
+search backend — see ``tofu-repro backends``); ``compile`` names the search
+in its strategy (``--strategy tofu:spartan``).
 
 Examples::
 
@@ -59,7 +60,7 @@ import argparse
 import os
 import sys
 
-from repro.compiler import AUTO_MAX_CANDIDATES, compile_model
+from repro import compiler, perf
 from repro.errors import ReproError, StrategyError
 from repro.interval.strategies import describe_operator
 from repro.models.mlp import build_mlp
@@ -68,8 +69,6 @@ from repro.models.rnn import build_rnn
 from repro.ops.catalog import mxnet_catalog_counts
 from repro.planner import Planner, PlannerConfig, available_backends, get_backend
 from repro.runtime import (
-    Executor,
-    ExecutorConfig,
     ProgramCache,
     available_execution_backends,
     get_execution_backend,
@@ -143,12 +142,6 @@ def _build_topology(args):
 
 def _add_planner_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--backend",
-        choices=available_backends(),
-        default="tofu",
-        help="partition-search backend (see the `backends` command)",
-    )
-    parser.add_argument(
         "--cache-dir",
         default=None,
         help="directory for the persistent plan cache (default: in-memory only)",
@@ -156,7 +149,7 @@ def _add_planner_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _make_planner(args) -> Planner:
-    return Planner(PlannerConfig(backend=args.backend, cache_dir=args.cache_dir))
+    return Planner(PlannerConfig(cache_dir=args.cache_dir))
 
 
 def cmd_describe(args) -> int:
@@ -198,7 +191,9 @@ def cmd_partition(args) -> int:
     planner = _make_planner(args)
     machine = _build_topology(args)
     # The plan is keyed by the modelled machine (--machines/--preset).
-    plan = planner.plan(bundle.graph, machine.num_devices, machine=machine)
+    plan = planner.plan(
+        bundle.graph, machine.num_devices, machine=machine, backend=args.backend
+    )
     print(f"model: {bundle.name} ({bundle.graph.num_nodes()} operators)")
     print(f"backend: {args.backend}")
     print(plan.summary())
@@ -232,7 +227,7 @@ def cmd_compile(args) -> int:
         if args.dry_run:
             # The candidates the default autotuner budget admits.
             print("strategy: auto — candidate sweep:")
-            for candidate in tuner_candidates(machine)[:AUTO_MAX_CANDIDATES]:
+            for candidate in tuner_candidates(machine)[: compiler.AUTO_MAX_CANDIDATES]:
                 print(f"  {candidate}")
             return 0
     else:
@@ -242,14 +237,11 @@ def cmd_compile(args) -> int:
             lowering = lower_strategy(strategy, machine, graph=bundle.graph)
             print(lowering.describe())
             return 0
-    executor = Executor(ExecutorConfig(profile=args.profile))
-    model = compile_model(
-        bundle.graph,
-        strategy,
-        machine,
-        planner=_make_planner(args),
-        executor=executor,
-    )
+    timer = perf.StageTimer() if args.profile else None
+    with perf.activation(timer):
+        model = compiler.compile(
+            bundle.graph, strategy, machine, planner=_make_planner(args)
+        )
     print(model.summary())
     print(f"throughput: {model.throughput(bundle.batch_size):.1f} samples/s")
     if "tuner" in model.metadata:
@@ -267,8 +259,8 @@ def cmd_compile(args) -> int:
     if args.save:
         model.save(args.save)
         print(f"saved: {args.save}")
-    if executor.profile_timer is not None:
-        print(executor.profile_timer.summary())
+    if timer is not None:
+        print(timer.summary())
     return 0
 
 
@@ -303,10 +295,9 @@ def cmd_tune(args) -> int:
         schedules=tuple(_csv(args.schedules)),
         search_backends=tuple(_csv(args.search_backends)),
     )
-    executor = Executor(ExecutorConfig(profile=args.profile))
-    result = tuner.tune(
-        bundle.graph, machine, planner=_make_planner(args), executor=executor
-    )
+    timer = perf.StageTimer() if args.profile else None
+    with perf.activation(timer):
+        result = tuner.tune(bundle.graph, machine, planner=_make_planner(args))
     print(result.summary())
     rejected = [o for o in result.outcomes if o.status in ("screened", "error")]
     if rejected:
@@ -321,8 +312,8 @@ def cmd_tune(args) -> int:
     if args.save:
         best.save(args.save)
         print(f"saved: {args.save}")
-    if executor.profile_timer is not None:
-        print(executor.profile_timer.summary())
+    if timer is not None:
+        print(timer.summary())
     return 0
 
 
@@ -547,6 +538,12 @@ def main(argv=None) -> int:
     p_partition = sub.add_parser("partition", help="search a partition plan")
     _add_model_args(p_partition)
     _add_planner_args(p_partition)
+    p_partition.add_argument(
+        "--backend",
+        choices=available_backends(),
+        default="tofu",
+        help="partition-search backend (see the `backends` command)",
+    )
     p_partition.set_defaults(func=cmd_partition)
 
     p_cache = sub.add_parser(

@@ -40,7 +40,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterator, Mapping, Optional, Union
 
-from repro import perf
 from repro.errors import ReproError, StrategyError
 from repro.graph.graph import Graph
 from repro.partition.plan import PartitionPlan, plan_from_dict, plan_to_dict
@@ -60,7 +59,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.planner.core import Planner
     from repro.tuner import Tuner
 
-__all__ = ["CompiledModel", "collector_paused", "compile", "compile_model"]
+__all__ = ["CompiledModel", "collector_paused", "compile"]
 
 SAVE_FORMAT = "repro-compiled-model"
 SAVE_VERSION = 1
@@ -80,7 +79,7 @@ class CompiledModel:
 
     ``program`` and ``report`` hold the full lowered tasks and simulation
     verdict right after :func:`compile`, and ``metadata`` only what they
-    cannot (``"tuner"``, ``"profile"``); a model reloaded with :meth:`load`
+    cannot (``"tuner"``); a model reloaded with :meth:`load`
     keeps the plan and the program/result *metadata* (backend, devices,
     memory report, iteration time) without the task graph, which is cheap
     to re-lower from the plan.
@@ -306,20 +305,6 @@ def _program_metadata(
     return metadata
 
 
-def _attach_profile(model: CompiledModel, executor: Executor) -> None:
-    """Surface a profiling executor's timer as ``metadata["profile"]``.
-
-    The snapshot is cumulative over the executor's lifetime, so profiling
-    one ``compile`` in isolation means giving it a fresh
-    ``Executor(ExecutorConfig(profile=True))`` — which is what the CLI's
-    ``--profile`` flag does.  A warm compile's snapshot then shows the
-    ``plan_cache.hit``/``program_cache.hit`` counters and *no* ``pass.*`` or
-    ``lower.*`` stages: every lowering pass was skipped.
-    """
-    if executor.profile_timer is not None:
-        model.metadata["profile"] = executor.profile_timer.snapshot()
-
-
 # Process-wide state of :func:`collector_paused`: how many compiles are
 # inside the scope, and whether the first of them disabled the collector.
 _pause_depth = 0
@@ -364,8 +349,6 @@ def compile(
     plan: Optional[PartitionPlan] = None,
     planner: Optional["Planner"] = None,
     executor: Optional[Executor] = None,
-    plan_options: Optional[Mapping[str, object]] = None,
-    backend_options: Optional[Mapping[str, object]] = None,
     simulate: bool = True,
     lower_only: bool = False,
     tuner: Optional["Tuner"] = None,
@@ -376,10 +359,10 @@ def compile(
         graph: A built (training) dataflow graph.
         strategy: A :class:`Strategy` tree, its canonical string form
             (``"dp:2/pipeline:4:1f1b:8/tofu"``), or ``"auto"`` to sweep
-            composed strategies and keep the fastest.  ``"auto"`` rejects
-            ``plan=...``, ``simulate=False`` and ``backend_options`` (they
-            are single-strategy concerns); ``plan_options`` apply to every
-            candidate's search.
+            composed strategies and keep the fastest.  The strategy and the
+            machine are the whole description of a compile: a bare ``tofu``
+            always runs the ``tofu`` search.  ``"auto"`` rejects ``plan=...``
+            and ``simulate=False`` (they are single-strategy concerns).
         machine: Machine or cluster model (:class:`MachineSpec` /
             :class:`ClusterSpec`); defaults to the paper's 8×K80 box, sized
             to ``num_workers`` when given — or, for a ``machines(M)``-rooted
@@ -392,9 +375,6 @@ def compile(
         planner: Planner to search (and cache) plans with; defaults to the
             process-wide planner, so repeated compiles share one cache.
         executor: Executor to lower/simulate with (defaults to a fresh one).
-        plan_options: Extra search-backend options for the planner.
-        backend_options: Extra execution-backend options merged over the
-            lowered strategy options (e.g. ``fuse_remote_fetch=False``).
         simulate: When false, stop after planning — ``CompiledModel.plan``
             is filled, ``program``/``report`` stay ``None``.
         lower_only: Plan and lower but defer the simulation; the returned
@@ -431,19 +411,8 @@ def compile(
                 "strategy='auto' picks by simulated iteration time and "
                 "cannot run with simulate=False or lower_only=True"
             )
-        if backend_options:
-            raise StrategyError(
-                "strategy='auto' sweeps candidates lowering to different "
-                "execution backends, so backend-specific backend_options "
-                "cannot apply; compile the chosen strategy explicitly instead"
-            )
         return _compile_auto(
-            graph,
-            machine,
-            planner=planner,
-            executor=executor,
-            plan_options=plan_options,
-            tuner=tuner,
+            graph, machine, planner=planner, executor=executor, tuner=tuner
         )
     if tuner is not None:
         raise StrategyError(
@@ -457,80 +426,61 @@ def compile(
         )
     machine = _resolve_machine(machine, num_workers, strategy)
     executor = executor or Executor()
-    # A profiling executor's timer is active over the whole flow — strategy
-    # lowering, the planner search, every lowering pass, the simulate loop —
-    # and lands on the model as metadata["profile"].
-    with perf.activation(executor.profile_timer):
-        lowering = lower_strategy(strategy, machine, graph=graph)
-        # machines(M) narrows the topology; everything below executes on the
-        # slice.
-        exec_machine = lowering.machine if lowering.machine is not None else machine
+    lowering = lower_strategy(strategy, machine, graph=graph)
+    # machines(M) narrows the topology; everything below executes on the
+    # slice.
+    exec_machine = lowering.machine if lowering.machine is not None else machine
 
-        if plan is None and lowering.plan_workers:
-            planner = planner or default_planner()
-            plan = planner.plan(
-                graph,
-                lowering.plan_workers,
-                machine=lowering.plan_machine or exec_machine,
-                backend=lowering.plan_backend,
-                backend_options=plan_options,
-                strategy=lowering.strategy,
-            )
+    if plan is None and lowering.plan_workers:
+        planner = planner or default_planner()
+        plan = planner.plan(
+            graph,
+            lowering.plan_workers,
+            machine=lowering.plan_machine or exec_machine,
+            backend=lowering.plan_backend,
+            strategy=lowering.strategy,
+        )
 
-        if not simulate:
-            model = CompiledModel(
-                strategy=lowering.strategy,
-                machine=machine,
-                plan=plan,
-                metadata={"backend": lowering.backend},
-            )
-            _attach_profile(model, executor)
-            return model
+    if not simulate:
+        return CompiledModel(
+            strategy=lowering.strategy,
+            machine=machine,
+            plan=plan,
+            metadata={"backend": lowering.backend},
+        )
 
-        options = dict(lowering.options)
-        if backend_options:
-            options.update(backend_options)
-        if lower_only:
-            program = executor.lower(
-                graph,
-                plan=plan,
-                machine=exec_machine,
-                backend=lowering.backend,
-                backend_options=options,
-            )
-            program.strategy = str(lowering.strategy)
-            model = CompiledModel(
-                strategy=lowering.strategy,
-                machine=machine,
-                plan=program.plan if program.plan is not None else plan,
-                program=program,
-            )
-            _attach_profile(model, executor)
-            return model
-        report = executor.run(
+    if lower_only:
+        program = executor.lower(
             graph,
             plan=plan,
             machine=exec_machine,
             backend=lowering.backend,
-            backend_options=options,
+            backend_options=lowering.options,
         )
-        program = report.program
-        if program is not None:
-            program.strategy = str(lowering.strategy)
-        model = CompiledModel(
+        program.strategy = str(lowering.strategy)
+        return CompiledModel(
             strategy=lowering.strategy,
             machine=machine,
-            plan=report.plan if report.plan is not None else plan,
+            plan=program.plan if program.plan is not None else plan,
             program=program,
-            report=report,
         )
-        _attach_profile(model, executor)
-        return model
-
-
-# Re-exported under a non-shadowing name for callers that keep the builtin
-# ``compile`` in scope.
-compile_model = compile
+    report = executor.run(
+        graph,
+        plan=plan,
+        machine=exec_machine,
+        backend=lowering.backend,
+        backend_options=lowering.options,
+    )
+    program = report.program
+    if program is not None:
+        program.strategy = str(lowering.strategy)
+    return CompiledModel(
+        strategy=lowering.strategy,
+        machine=machine,
+        plan=report.plan if report.plan is not None else plan,
+        program=program,
+        report=report,
+    )
 
 
 # How many candidates the default (no ``tuner=``) auto sweep admits from
@@ -544,7 +494,6 @@ def _compile_auto(
     *,
     planner: Optional["Planner"],
     executor: Optional[Executor],
-    plan_options: Optional[Mapping[str, object]] = None,
     tuner: Optional["Tuner"] = None,
 ) -> CompiledModel:
     """Run the budgeted autotuner and return the fastest viable candidate."""
@@ -554,18 +503,8 @@ def _compile_auto(
     planner = planner or default_planner()
     if tuner is None:
         tuner = Tuner(budget=TunerBudget(max_candidates=AUTO_MAX_CANDIDATES))
-    result = tuner.tune(
-        graph,
-        machine,
-        planner=planner,
-        executor=executor,
-        plan_options=plan_options,
-    )
+    result = tuner.tune(graph, machine, planner=planner, executor=executor)
     best = result.best
     assert best is not None  # tune() raises when nothing is viable
     best.metadata["tuner"] = result.to_dict()
-    if executor is not None:
-        # A profiling executor saw every candidate; re-snapshot so the
-        # winner's profile covers the whole sweep.
-        _attach_profile(best, executor)
     return best

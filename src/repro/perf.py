@@ -12,9 +12,9 @@ Activation is scoped and re-entrant::
         model = repro.compile(graph, "dp:2/tofu", machine)
     print(timer.summary())
 
-``Executor`` (``ExecutorConfig(profile=True)``), ``repro.compile`` (which
-surfaces the snapshot as ``CompiledModel.metadata["profile"]``) and the CLI
-``--profile`` flag all build on this module.  Two kinds of measurements:
+This is the one spelling of profiling: the CLI's ``--profile`` flag wraps
+its command in it, and the autotuner reports into the active timer (or a
+private one) to fill its ``stage_seconds``.  Two kinds of measurements:
 
 * **stages** — named wall-clock sections with call counts
   (``pass.topo_schedule``, ``lower.pipeline``, ``sim.run`` ...), recorded by
@@ -77,14 +77,6 @@ class StageTimer:
     def counter(self, name: str) -> float:
         return self.counters.get(name, 0.0)
 
-    def stages_matching(self, prefix: str) -> Dict[str, int]:
-        """``{stage: calls}`` of every stage whose name starts with ``prefix``."""
-        return {
-            name: calls
-            for name, calls in self.calls.items()
-            if name.startswith(prefix)
-        }
-
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """JSON-serialisable view: per-stage calls/seconds plus counters."""
         return {
@@ -134,9 +126,9 @@ def active_timer() -> Optional[StageTimer]:
 def activation(timer: Optional[StageTimer]) -> Iterator[Optional[StageTimer]]:
     """Make ``timer`` the active profile sink for the duration of the block.
 
-    ``None`` keeps whatever timer is already active (so a non-profiling
-    ``Executor`` nested inside a profiling ``compile`` still reports to the
-    outer timer); on exit the previous sink is restored.
+    ``None`` keeps whatever timer is already active (so a CLI command run
+    without ``--profile`` inside a profiled block still reports to the outer
+    timer); on exit the previous sink is restored.
     """
     global _ACTIVE
     previous = _ACTIVE

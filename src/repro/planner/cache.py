@@ -48,12 +48,12 @@ __all__ = [
     "plan_cache_key",
 ]
 
-#: PlannerConfig fields whose values feed :func:`plan_cache_key` (the
-#: ``backend`` payload entry).  Together with
+#: PlannerConfig fields whose values feed :func:`plan_cache_key`: none,
+#: the backend and its options are per-call arguments.  Together with
 #: NON_SEMANTIC_CONFIG_FIELDS this must classify *every* config field — the
 #: ``cache-key`` checker (repro.analysis) fails the build otherwise, so a new
 #: semantic knob cannot silently poison warm cache entries.
-KEY_COVERED_CONFIG_FIELDS = ("backend",)
+KEY_COVERED_CONFIG_FIELDS: tuple = ()
 
 #: PlannerConfig fields that deliberately do NOT contribute to plan cache
 #: keys: the fixed ``jobs``/``expand_jobs`` spellings and cache plumbing,

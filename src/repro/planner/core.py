@@ -118,8 +118,6 @@ class PlannerConfig:
     """Configuration of a :class:`Planner`.
 
     Attributes:
-        backend: Default search backend (a :func:`repro.planner.backends`
-            registry key); overridable per ``plan()`` call.
         jobs: Must be 1.  The candidate search runs in-process; any other
             value raises :class:`~repro.errors.PartitionError`.
         expand_jobs: Must be 1.  The search runs on one thread; any other
@@ -131,7 +129,6 @@ class PlannerConfig:
             ``None`` means unbounded.
     """
 
-    backend: str = "tofu"
     # jobs and expand_jobs are kept only because benchmarks/e2e/harness.py
     # (lines 261, 324) spells them.
     jobs: int = 1
@@ -177,7 +174,7 @@ class Planner:
         num_workers: int,
         *,
         machine: Optional[Topology] = None,
-        backend: Optional[str] = None,
+        backend: str = "tofu",
         backend_options: Optional[Mapping[str, object]] = None,
         strategy: Optional[object] = None,
     ) -> PartitionPlan:
@@ -205,7 +202,7 @@ class Planner:
             PartitionError: When the backend cannot produce a plan for the
                 requested worker count.
         """
-        spec = get_backend(backend or self.config.backend)
+        spec = get_backend(backend)
         options = dict(backend_options or {})
         spec.validate_options(options)
         factors = factorize_workers(num_workers)

@@ -50,7 +50,6 @@ from repro.runtime.core import (
     Executor,
     ExecutorConfig,
     SimulationReport,
-    default_executor,
 )
 from repro.runtime.program import (
     LoweredProgram,
@@ -67,7 +66,6 @@ __all__ = [
     "ProgramCache",
     "SimulationReport",
     "available_execution_backends",
-    "default_executor",
     "default_program_cache",
     "get_execution_backend",
     "lowered_cache_key",

@@ -154,11 +154,7 @@ def _ring_reduce_task(
 
 
 def lower_single_device(
-    graph: Graph,
-    machine: Topology,
-    plan=None,
-    *,
-    check_memory: bool = True,
+    graph: Graph, machine: Topology, plan=None
 ) -> LoweredProgram:
     """One compute task per node, all on device 0."""
     device_spec = machine.device(0)
@@ -173,7 +169,6 @@ def lower_single_device(
         num_devices=1,
         tasks=tasks,
         per_device_memory=device_memory_report(graph, [0]),
-        check_memory=check_memory,
     )
 
 
@@ -296,28 +291,20 @@ def lower_data_parallel(
     )
 
 
-def lower_swap(
-    graph: Graph,
-    machine: Topology,
-    plan=None,
-    *,
-    concurrent_gpus: Optional[int] = None,
-) -> LoweredProgram:
+def lower_swap(graph: Graph, machine: Topology, plan=None) -> LoweredProgram:
     """Single-GPU execution with CPU-memory swapping on the shared host link.
 
     The residency state machine (:func:`repro.sim.swap.swap_residency_schedule`)
     decides what moves; lowering emits those moves as host-copy comm tasks
     (``src=HOST_DEVICE``), priced on the shared host link.
-    ``concurrent_gpus`` GPUs run the same schedule at once, so each recorded
-    transfer is charged ``concurrent_gpus`` times over the shared aggregate
-    link — which is how the paper's swapping baseline collapses when
-    all eight GPUs swap together (Sec 7.2).  The swap runs on device 0, and
-    prefetching overlaps an operator's transfer with its computation (the
-    per-step dependency barrier joins them).
+    Every GPU of the machine runs the same schedule at once, so each recorded
+    transfer is charged once per GPU over the shared aggregate link — which
+    is how the paper's swapping baseline collapses when all eight GPUs swap
+    together (Sec 7.2).  The swap runs on device 0, and prefetching overlaps
+    an operator's transfer with its computation (the per-step dependency
+    barrier joins them).
     """
-    if concurrent_gpus is None:
-        concurrent_gpus = machine.num_devices
-    concurrent_gpus = max(1, concurrent_gpus)
+    concurrent_gpus = machine.num_devices
     schedule = swap_residency_schedule(graph, machine)
     device_spec = machine.device(0)
     capacity = device_spec.memory_bytes
@@ -747,7 +734,6 @@ register_execution_backend(
         name="single-device",
         lower=lower_single_device,
         description="whole graph on one GPU (Ideal / SmallBatch baselines)",
-        option_names=("check_memory",),
     )
 )
 register_execution_backend(
@@ -770,7 +756,6 @@ register_execution_backend(
         name="swap",
         lower=lower_swap,
         description="single-GPU LRU swapping over the shared CPU link (Sec 7.1)",
-        option_names=("concurrent_gpus",),
     )
 )
 register_execution_backend(

@@ -73,14 +73,13 @@ __all__ = [
 KEY_COVERED_CONFIG_FIELDS: tuple = ()
 
 #: ExecutorConfig fields that deliberately do NOT contribute to program
-#: cache keys: cache plumbing and observability knobs that never change
+#: cache keys: cache plumbing and the verify mode, which never change
 #: what a lowering produces.
 NON_SEMANTIC_CONFIG_FIELDS = (
     "cache_programs",
     "program_cache_dir",
     "program_cache_capacity",
     "program_cache_max_bytes",
-    "profile",
     "verify",
 )
 

@@ -51,10 +51,6 @@ class ExecutorConfig:
         program_cache_capacity: In-memory LRU entries of a private store.
         program_cache_max_bytes: Byte budget of the private on-disk store
             (least-recently-used entries are evicted beyond it).
-        profile: Collect a :class:`repro.perf.StageTimer` over every
-            ``lower``/``simulate``/``run`` call on this executor, readable
-            as ``executor.profile_timer`` and surfaced by ``repro.compile``
-            as ``CompiledModel.metadata["profile"]``.
         verify: Static verification of freshly lowered programs
             (:mod:`repro.analysis`): ``"off"`` (the default) runs nothing,
             ``"warn"`` emits a ``UserWarning`` per report, ``"strict"``
@@ -68,7 +64,6 @@ class ExecutorConfig:
     program_cache_dir: Optional[str] = None
     program_cache_capacity: Optional[int] = None
     program_cache_max_bytes: Optional[int] = None
-    profile: bool = False
     verify: str = "off"
 
 
@@ -165,9 +160,6 @@ class Executor:
             from repro.analysis.verify import validate_verify_mode
 
             validate_verify_mode(self.config.verify)
-        #: Populated when ``config.profile`` is set; every ``lower``,
-        #: ``simulate``, and ``run`` on this executor accumulates into it.
-        self.profile_timer = perf.StageTimer() if self.config.profile else None
         if (
             self.config.program_cache_dir is not None
             or self.config.program_cache_capacity is not None
@@ -219,63 +211,62 @@ class Executor:
             AnalysisError: Under ``config.verify="strict"`` when a freshly
                 lowered program fails a static check.
         """
-        with perf.activation(self.profile_timer):
-            spec = get_execution_backend(backend)
-            options = dict(backend_options or {})
-            spec.validate_options(options)
-            if spec.requires_plan and plan is None:
-                from repro.errors import ExecutionError
+        spec = get_execution_backend(backend)
+        options = dict(backend_options or {})
+        spec.validate_options(options)
+        if spec.requires_plan and plan is None:
+            from repro.errors import ExecutionError
 
-                raise ExecutionError(
-                    f"execution backend {spec.name!r} requires a partition plan"
+            raise ExecutionError(
+                f"execution backend {spec.name!r} requires a partition plan"
+            )
+        machine = self._resolve_machine(machine, plan)
+
+        key: Optional[str] = None
+        if self.config.cache_programs and self.program_cache.enabled:
+            try:
+                key = lowered_cache_key(
+                    graph, machine, spec.name, options, plan=plan
                 )
-            machine = self._resolve_machine(machine, plan)
+            except (TypeError, AttributeError):
+                key = None
+        if key is not None:
+            cached = self.program_cache.get(key)
+            if cached is not None:
+                perf.count("program_cache.hit")
+                if plan is not None and cached.plan is not None:
+                    # The key covers the plan's content, not its search
+                    # time: the hit carries the caller's own plan.
+                    cached.plan = plan
+                return cached
+            perf.count("program_cache.miss")
 
-            key: Optional[str] = None
-            if self.config.cache_programs and self.program_cache.enabled:
-                try:
-                    key = lowered_cache_key(
-                        graph, machine, spec.name, options, plan=plan
-                    )
-                except (TypeError, AttributeError):
-                    key = None
-            if key is not None:
-                cached = self.program_cache.get(key)
-                if cached is not None:
-                    perf.count("program_cache.hit")
-                    if plan is not None and cached.plan is not None:
-                        # The key covers the plan's content, not its search
-                        # time: the hit carries the caller's own plan.
-                        cached.plan = plan
-                    return cached
-                perf.count("program_cache.miss")
+        with perf.stage(f"lower.{spec.name}"):
+            program = spec.lower(graph, machine, plan, **options)
+        if program.machine is None:
+            program.machine = machine
+        if self.config.verify != "off":
+            # Verify before the cache put so strict mode never caches
+            # (or serves) a program that fails its invariants; cache
+            # hits above return early, so warm paths never pay this.
+            from repro.analysis.verify import run_verify_pass
 
-            with perf.stage(f"lower.{spec.name}"):
-                program = spec.lower(graph, machine, plan, **options)
-            if program.machine is None:
-                program.machine = machine
-            if self.config.verify != "off":
-                # Verify before the cache put so strict mode never caches
-                # (or serves) a program that fails its invariants; cache
-                # hits above return early, so warm paths never pay this.
-                from repro.analysis.verify import run_verify_pass
-
-                run_verify_pass(
-                    program,
-                    graph=graph,
-                    machine=machine,
-                    plan=plan,
-                    mode=self.config.verify,
-                )
-            if key is not None:
-                try:
-                    self.program_cache.put(key, program)
-                except (TypeError, ValueError):
-                    # A backend outside this library may attach payloads the
-                    # program codec cannot express; such programs simply are
-                    # not cached.
-                    pass
-            return program
+            run_verify_pass(
+                program,
+                graph=graph,
+                machine=machine,
+                plan=plan,
+                mode=self.config.verify,
+            )
+        if key is not None:
+            try:
+                self.program_cache.put(key, program)
+            except (TypeError, ValueError):
+                # A backend outside this library may attach payloads the
+                # program codec cannot express; such programs simply are
+                # not cached.
+                pass
+        return program
 
     # -------------------------------------------------------------- simulate
     def simulate(
@@ -295,18 +286,17 @@ class Executor:
         repeat simulations — including of program-cache copies — only work
         out the memory verdicts from this program's own memory report.
         """
-        with perf.activation(self.profile_timer):
-            if machine is None:
-                machine = program.machine
-            machine = self._resolve_machine(machine, program.plan)
-            if check_memory is None:
-                check_memory = program.check_memory
-            # A program's task view compiles to its own cached dense form.
-            return TaskGraphSimulator(machine).run(
-                program.tasks,
-                peak_memory=program.per_device_memory,
-                check_memory=check_memory,
-            )
+        if machine is None:
+            machine = program.machine
+        machine = self._resolve_machine(machine, program.plan)
+        if check_memory is None:
+            check_memory = program.check_memory
+        # A program's task view compiles to its own cached dense form.
+        return TaskGraphSimulator(machine).run(
+            program.tasks,
+            peak_memory=program.per_device_memory,
+            check_memory=check_memory,
+        )
 
     # -------------------------------------------------------------------- run
     def run(
@@ -319,29 +309,18 @@ class Executor:
         backend_options: Optional[Mapping[str, object]] = None,
     ) -> SimulationReport:
         """Lower ``graph`` with the selected backend and simulate it."""
-        with perf.activation(self.profile_timer):
-            machine = self._resolve_machine(machine, plan)
-            program = self.lower(
-                graph,
-                plan=plan,
-                machine=machine,
-                backend=backend,
-                backend_options=backend_options,
-            )
-            result = self.simulate(program, machine)
-            return SimulationReport(
-                plan=program.plan if program.plan is not None else plan,
-                result=result,
-                program=program,
-            )
+        machine = self._resolve_machine(machine, plan)
+        program = self.lower(
+            graph,
+            plan=plan,
+            machine=machine,
+            backend=backend,
+            backend_options=backend_options,
+        )
+        result = self.simulate(program, machine)
+        return SimulationReport(
+            plan=program.plan if program.plan is not None else plan,
+            result=result,
+            program=program,
+        )
 
-
-_DEFAULT_EXECUTOR: Optional[Executor] = None
-
-
-def default_executor() -> Executor:
-    """A process-wide executor, for callers that want one shared instance."""
-    global _DEFAULT_EXECUTOR
-    if _DEFAULT_EXECUTOR is None:
-        _DEFAULT_EXECUTOR = Executor()
-    return _DEFAULT_EXECUTOR

@@ -59,7 +59,8 @@ class LoweredProgram:
             report the simulator checks against device capacity).
         total_comm_bytes: Aggregate communication volume of one iteration.
         check_memory: Whether the simulator should verdict OOM from
-            ``per_device_memory`` (the Ideal baseline ignores memory).
+            ``per_device_memory``; the Ideal baseline ignores memory with
+            ``Executor.simulate(program, check_memory=False)`` instead.
         stats: Backend-specific scalars (e.g. swapped bytes for ``swap``).
         plan: The partition plan the program was lowered from, if any.
         sharded_graph: The per-worker shard graph the memory report was

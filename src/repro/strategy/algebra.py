@@ -188,11 +188,9 @@ class Tofu(Strategy):
     """Partition every operator across the available devices with a
     registered search backend.
 
-    ``backend=None`` (the bare ``tofu`` spelling) defers the choice to the
-    planner doing the search — its configured default, normally ``"tofu"`` —
-    so ``Planner(PlannerConfig(backend="spartan"))`` and the CLI's
-    ``--backend`` flag take effect; an explicit ``tofu("spartan")`` /
-    ``"tofu:spartan"`` always wins over both.
+    ``backend=None`` (the bare ``tofu`` spelling) is the ``tofu`` search;
+    another search is spelled in the strategy, ``tofu("spartan")`` /
+    ``"tofu:spartan"``, so the strategy text alone names the search.
     """
 
     kind: ClassVar[str] = "tofu"
@@ -416,8 +414,8 @@ def machines(count: int, inner: Optional[Strategy] = None) -> Strategy:
 
 def tofu(backend: Optional[str] = None) -> Strategy:
     """Tofu's minimum-communication operator partitioning; ``backend``
-    selects any registered partition-search backend (``None`` defers to the
-    searching planner's configured default)."""
+    selects any registered partition-search backend (``None`` is the
+    ``tofu`` search)."""
     node = Tofu(backend=backend)
     node._validate()
     return node

@@ -61,8 +61,7 @@ class StrategyLowering:
         plan_workers: Worker count a partition plan must be searched for
             (``None`` when no node needs a plan).
         plan_backend: Search-backend registry key for that plan (``None``
-            for a bare ``tofu`` leaf — the searching planner's configured
-            default applies).
+            when no node needs a plan; ``tofu`` for a bare ``tofu`` leaf).
         plan_machine: Topology slice the plan's workers correspond to (one
             replica group for ``dp``-wrapped strategies, the machine slice
             for ``machines``-scoped ones).
@@ -89,9 +88,9 @@ class StrategyLowering:
             if rendered:
                 parts.append(f"options: {rendered}")
         if self.plan_workers:
-            backend = self.plan_backend or "<planner default>"
             parts.append(
-                f"plan: {backend} search for {self.plan_workers} worker(s)"
+                f"plan: {self.plan_backend} search for {self.plan_workers} "
+                "worker(s)"
             )
         return "\n".join(parts)
 
@@ -129,7 +128,7 @@ def _lower_node(
             node,
             "tofu-partitioned",
             plan_workers=machine.num_devices,
-            plan_backend=node.backend,
+            plan_backend=node.backend or "tofu",
             plan_machine=machine,
         )
     if isinstance(node, Pipeline):

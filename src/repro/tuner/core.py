@@ -22,7 +22,7 @@ identical frontiers and winner keys.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import compiler, perf
 from repro.errors import (
@@ -106,7 +106,6 @@ def evaluate_candidate(
     *,
     planner: Planner,
     executor: Executor,
-    plan_options: Optional[Mapping[str, object]] = None,
 ) -> Tuple[CandidateOutcome, Optional["compiler.CompiledModel"]]:
     """Screen then (if it fits) fully evaluate one candidate.
 
@@ -132,7 +131,6 @@ def evaluate_candidate(
                 machine,
                 planner=planner,
                 executor=executor,
-                plan_options=plan_options,
                 lower_only=True,
             )
         except (StrategyError, ExecutionError, PartitionError, SimulationError) as exc:
@@ -258,7 +256,6 @@ class Tuner:
         *,
         planner: Optional[Planner] = None,
         executor: Optional[Executor] = None,
-        plan_options: Optional[Mapping[str, object]] = None,
         candidates: Optional[Sequence[Union[Strategy, str]]] = None,
     ) -> TunerResult:
         """Run the staged sweep and return the ranked :class:`TunerResult`.
@@ -285,7 +282,11 @@ class Tuner:
 
         admitted, cut = self.budget.split(pool)
 
-        timer = executor.profile_timer or StageTimer()
+        # Report into the caller's active timer when one is set, so a
+        # profiled sweep keeps its stages; stage_seconds counts this sweep.
+        timer = perf.active_timer() or StageTimer()
+        calls_before = dict(timer.calls)
+        seconds_before = dict(timer.seconds)
         started = time.perf_counter()
         with perf.activation(timer):
             perf.count("tuner.candidates", len(admitted))
@@ -295,7 +296,6 @@ class Tuner:
                 admitted,
                 planner=planner,
                 executor=executor,
-                plan_options=plan_options,
             )
             for offset, candidate in enumerate(cut):
                 outcomes.append(
@@ -328,9 +328,10 @@ class Tuner:
             "admitted": len(admitted),
             "elapsed_seconds": elapsed,
             "stage_seconds": {
-                name: seconds
+                name: seconds - seconds_before.get(name, 0.0)
                 for name, seconds in sorted(timer.seconds.items())
                 if name.startswith("tuner.")
+                and timer.calls[name] > calls_before.get(name, 0)
             },
             "machine_profile": [[d, f] for d, f in profile],
             "heterogeneous": len({d for d, _ in profile}) > 1
@@ -352,7 +353,6 @@ class Tuner:
         *,
         planner: Planner,
         executor: Executor,
-        plan_options: Optional[Mapping[str, object]],
     ) -> Tuple[List[CandidateOutcome], Optional["compiler.CompiledModel"]]:
         deadline = None
         if self.budget.max_seconds is not None:
@@ -382,7 +382,6 @@ class Tuner:
                 machine,
                 planner=planner,
                 executor=executor,
-                plan_options=plan_options,
             )
             outcomes.append(outcome)
             if outcome.viable and model is not None:

@@ -3,6 +3,7 @@ raises, warn warns, and off does nothing."""
 
 import pytest
 
+from repro import perf
 from repro.analysis import (
     AnalysisError,
     CheckerSpec,
@@ -60,11 +61,12 @@ def always_fail():
 class TestExecutorWiring:
     def test_cold_lower_verifies_and_cache_hit_skips(self, bundle, spy):
         machine = k80_8gpu_machine(2)
-        executor = _fresh(Executor(ExecutorConfig(verify="strict", profile=True)))
-        executor.lower(bundle.graph, machine=machine, backend="single-device")
+        executor = _fresh(Executor(ExecutorConfig(verify="strict")))
+        timer = perf.StageTimer()
+        with perf.activation(timer):
+            executor.lower(bundle.graph, machine=machine, backend="single-device")
         assert len(spy) == 1  # cold path ran the pass
-        timer = executor.profile_timer
-        assert "pass.verify" in timer.snapshot().get("stages", timer.snapshot())
+        assert "pass.verify" in timer.snapshot()["stages"]
 
         executor.lower(bundle.graph, machine=machine, backend="single-device")
         assert len(spy) == 1  # program-cache hit skipped it

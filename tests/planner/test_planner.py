@@ -126,9 +126,9 @@ class TestPlanCache:
     def test_cache_hit_returns_equal_plan_without_research(
         self, mlp_bundle, counting_backend
     ):
-        planner = Planner(PlannerConfig(backend="counting"))
-        first = planner.plan(mlp_bundle.graph, 4)
-        second = planner.plan(mlp_bundle.graph, 4)
+        planner = Planner()
+        first = planner.plan(mlp_bundle.graph, 4, backend="counting")
+        second = planner.plan(mlp_bundle.graph, 4, backend="counting")
         assert counting_backend["n"] == 1
         # The memory tier holds the (frozen) plan itself: a hit decodes
         # nothing and returns the very object the search produced.
@@ -174,10 +174,11 @@ class TestPlanCache:
     def test_distinct_backend_options_get_distinct_plans(
         self, mlp_bundle, counting_backend
     ):
-        planner = Planner(PlannerConfig(backend="counting"))
-        planner.plan(mlp_bundle.graph, 4)
+        planner = Planner()
+        planner.plan(mlp_bundle.graph, 4, backend="counting")
         planner.plan(
-            mlp_bundle.graph, 4, backend_options={"allow_reduction": False}
+            mlp_bundle.graph, 4, backend="counting",
+            backend_options={"allow_reduction": False},
         )
         assert counting_backend["n"] == 2
 
@@ -191,8 +192,8 @@ class TestPlanCache:
         assert explored != fixed
         # The planner feeds the flag from the backend's supports_factor_orders.
         for backend in ("tofu", "equalchop"):
-            planner = Planner(PlannerConfig(backend=backend))
-            planner.plan(mlp_bundle.graph, 4)
+            planner = Planner()
+            planner.plan(mlp_bundle.graph, 4, backend=backend)
             key = plan_cache_key(
                 mlp_bundle.graph, [2, 2], None, backend, {},
                 explore_factor_orders=get_backend(backend).supports_factor_orders,
@@ -202,10 +203,13 @@ class TestPlanCache:
     def test_unserializable_options_bypass_cache(self, mlp_bundle, counting_backend):
         from repro.partition.coarsen import coarsen
 
-        planner = Planner(PlannerConfig(backend="counting"))
+        planner = Planner()
         coarse = coarsen(mlp_bundle.graph)
-        planner.plan(mlp_bundle.graph, 4, backend_options={"coarse": coarse})
-        planner.plan(mlp_bundle.graph, 4, backend_options={"coarse": coarse})
+        for _ in range(2):
+            planner.plan(
+                mlp_bundle.graph, 4, backend="counting",
+                backend_options={"coarse": coarse},
+            )
         # No stable content address for a pre-built object: search runs each
         # time and nothing is stored under a repr-based key.
         assert counting_backend["n"] == 2
@@ -234,31 +238,29 @@ class TestPlanCache:
         assert cache.get("b") is not None
 
     def test_disabled_cache_always_searches(self, mlp_bundle, counting_backend):
-        planner = Planner(PlannerConfig(backend="counting", cache_capacity=0))
-        planner.plan(mlp_bundle.graph, 4)
-        planner.plan(mlp_bundle.graph, 4)
+        planner = Planner(PlannerConfig(cache_capacity=0))
+        planner.plan(mlp_bundle.graph, 4, backend="counting")
+        planner.plan(mlp_bundle.graph, 4, backend="counting")
         assert counting_backend["n"] == 2
 
     def test_disk_cache_survives_planner_restart(
         self, tmp_path, mlp_bundle, counting_backend
     ):
-        config = PlannerConfig(backend="counting", cache_dir=str(tmp_path))
-        first = Planner(config).plan(mlp_bundle.graph, 4)
+        config = PlannerConfig(cache_dir=str(tmp_path))
+        first = Planner(config).plan(mlp_bundle.graph, 4, backend="counting")
         # A brand-new planner (fresh memory tier) must hit the disk store.
-        second = Planner(config).plan(mlp_bundle.graph, 4)
+        second = Planner(config).plan(mlp_bundle.graph, 4, backend="counting")
         assert counting_backend["n"] == 1
         assert first == second
         assert list(tmp_path.glob("*.json"))
 
     def test_clear_cache_purges_disk_tier(self, tmp_path, mlp_bundle, counting_backend):
-        planner = Planner(
-            PlannerConfig(backend="counting", cache_dir=str(tmp_path))
-        )
-        planner.plan(mlp_bundle.graph, 4)
+        planner = Planner(PlannerConfig(cache_dir=str(tmp_path)))
+        planner.plan(mlp_bundle.graph, 4, backend="counting")
         assert list(tmp_path.glob("*.json"))
         planner.clear_cache()
         assert not list(tmp_path.glob("*.json"))
-        planner.plan(mlp_bundle.graph, 4)
+        planner.plan(mlp_bundle.graph, 4, backend="counting")
         assert counting_backend["n"] == 2, "cleared cache must force a re-search"
 
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path, mlp_bundle):
@@ -341,10 +343,10 @@ class TestPlannerFacade:
         assert report.throughput(mlp_bundle.batch_size) > 0
 
     def test_plan_and_simulate_reuses_cached_plan(self, mlp_bundle, counting_backend):
-        planner = Planner(PlannerConfig(backend="counting"))
+        planner = Planner()
         machine = k80_8gpu_machine(4)
-        repro.compile(mlp_bundle.graph, "tofu", machine, planner=planner)
-        repro.compile(mlp_bundle.graph, "tofu", machine, planner=planner)
+        repro.compile(mlp_bundle.graph, "tofu:counting", machine, planner=planner)
+        repro.compile(mlp_bundle.graph, "tofu:counting", machine, planner=planner)
         assert counting_backend["n"] == 1
 
     def test_default_planner_is_a_singleton(self):

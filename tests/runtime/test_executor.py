@@ -7,11 +7,7 @@ import pytest
 import repro
 from repro.cli import main as cli_main
 from repro.planner import Planner
-from repro.runtime import (
-    Executor,
-    available_execution_backends,
-    default_executor,
-)
+from repro.runtime import Executor, available_execution_backends
 from repro.sim.device import k80_8gpu_machine
 
 MACHINE = k80_8gpu_machine(4)
@@ -65,9 +61,6 @@ class TestExecutorFacade:
         plan = Planner().plan(mlp_bundle.graph, 2)
         report = Executor().run(mlp_bundle.graph, plan=plan)
         assert report.program.num_devices == 2
-
-    def test_default_executor_is_a_singleton(self):
-        assert default_executor() is default_executor()
 
     def test_simulate_defaults_to_lowering_machine(self, mlp_bundle):
         """A program priced for one machine must not silently simulate on

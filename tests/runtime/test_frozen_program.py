@@ -14,8 +14,9 @@ import dataclasses
 import pytest
 
 from repro import compile as repro_compile
+from repro import perf
 from repro.models.mlp import build_mlp
-from repro.runtime.core import Executor, ExecutorConfig
+from repro.runtime.core import Executor
 from repro.sim.engine import TaskGraphSimulator
 
 
@@ -45,11 +46,12 @@ class TestProgramFreeze:
 
     def test_frozen_run_skips_the_fingerprint_stage(self, compiled_mlp):
         program = compiled_mlp.program
-        executor = Executor(ExecutorConfig(profile=True))
-        timer = executor.profile_timer
-        executor.simulate(program)
-        executor.simulate(program)
-        executor.simulate(program.copy())
+        executor = Executor()
+        timer = perf.StageTimer()
+        with perf.activation(timer):
+            executor.simulate(program)
+            executor.simulate(program)
+            executor.simulate(program.copy())
         # The compile that made the program compiled and replayed its dense
         # form once: repeat runs neither compile nor replay it again, and
         # hash nothing.

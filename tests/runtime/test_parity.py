@@ -38,14 +38,13 @@ class TestBackendParity:
     def test_single_device(self, bundle):
         tasks = lower_single_device(bundle.graph, MACHINE).tasks
         direct = TaskGraphSimulator(MACHINE).run(tasks, check_memory=False)
-        report = Executor().run(
-            bundle.graph,
-            machine=MACHINE,
-            backend="single-device",
-            backend_options={"check_memory": False},
+        executor = Executor()
+        program = executor.lower(
+            bundle.graph, machine=MACHINE, backend="single-device"
         )
-        assert report.result.iteration_time == direct.iteration_time
-        assert report.result.per_device_compute_time == direct.per_device_compute_time
+        result = executor.simulate(program, check_memory=False)
+        assert result.iteration_time == direct.iteration_time
+        assert result.per_device_compute_time == direct.per_device_compute_time
 
     def test_placement(self, bundle):
         device_of_node = {
@@ -112,12 +111,8 @@ class TestSwapContention:
                            num_layers=8, num_classes=64)
         machine = k80_8gpu_machine()
         old = simulate_with_swapping(bundle.graph, machine, concurrent_gpus=8)
-        report = Executor().run(
-            bundle.graph,
-            machine=machine,
-            backend="swap",
-            backend_options={"concurrent_gpus": 8},
-        )
+        # Every GPU of the 8-GPU machine swaps over the shared host link.
+        report = Executor().run(bundle.graph, machine=machine, backend="swap")
         assert old.swapped_in_bytes > 0, "fixture must actually swap"
         assert report.result.iteration_time == pytest.approx(
             old.iteration_time, rel=1e-9

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import perf
 from repro.errors import SimulationError
 from repro.partition.recursive import recursive_partition
 from repro.runtime import (
@@ -141,22 +142,24 @@ def test_one_topo_sort_per_unique_program(rnn_bundle):
     """Repeat simulation of the same program must not re-sort: the dense
     form is compiled once per machine and cached on the task graph, which
     program copies (what the program cache hands out) share."""
-    executor = Executor(ExecutorConfig(profile=True, program_cache_capacity=4))
-    program = executor.lower(
-        rnn_bundle.graph, machine=MACHINE, backend="pipeline",
-        backend_options={"num_stages": 2, "num_microbatches": 4},
-    )
-    first = executor.simulate(program)
-    for again in (program, program.copy(), executor.lower(
-        rnn_bundle.graph, machine=MACHINE, backend="pipeline",
-        backend_options={"num_stages": 2, "num_microbatches": 4},
-    )):
-        assert executor.simulate(again) == first
-    assert executor.profile_timer.stage_calls("sim.compile") == 1
-    # A different machine is resolved afresh.
-    other = k80_8gpu_machine(8)
-    executor.simulate(program, other)
-    assert executor.profile_timer.stage_calls("sim.compile") == 2
+    executor = Executor(ExecutorConfig(program_cache_capacity=4))
+    timer = perf.StageTimer()
+    with perf.activation(timer):
+        program = executor.lower(
+            rnn_bundle.graph, machine=MACHINE, backend="pipeline",
+            backend_options={"num_stages": 2, "num_microbatches": 4},
+        )
+        first = executor.simulate(program)
+        for again in (program, program.copy(), executor.lower(
+            rnn_bundle.graph, machine=MACHINE, backend="pipeline",
+            backend_options={"num_stages": 2, "num_microbatches": 4},
+        )):
+            assert executor.simulate(again) == first
+        assert timer.stage_calls("sim.compile") == 1
+        # A different machine is resolved afresh.
+        other = k80_8gpu_machine(8)
+        executor.simulate(program, other)
+    assert timer.stage_calls("sim.compile") == 2
 
 
 def test_mutated_program_recompiles(rnn_bundle):

@@ -152,8 +152,8 @@ class TestLowering:
         low = lower_strategy(tofu(), self.MACHINE)
         assert low.backend == "tofu-partitioned"
         assert low.plan_workers == 8
-        # A bare tofu leaf defers the search backend to the planner.
-        assert low.plan_backend is None
+        # A bare tofu leaf is the tofu search, whatever planner runs it.
+        assert low.plan_backend == "tofu"
         assert lower_strategy(tofu("joint"), self.MACHINE).plan_backend == "joint"
 
     def test_tofu_on_one_device_degenerates_to_single(self):

@@ -141,21 +141,29 @@ class TestCompile:
         assert model.backend == "placement"
         assert model.iteration_time > 0
 
-    def test_bare_tofu_defers_to_planner_backend(self, mlp_bundle):
-        planner = Planner(PlannerConfig(backend="spartan"))
-        model = repro.compile(
-            mlp_bundle.graph, "tofu", MACHINE, planner=planner
-        )
-        assert model.plan.algorithm == "spartan"
-        pinned = repro.compile(
-            mlp_bundle.graph, "tofu:tofu", MACHINE, planner=planner
-        )
-        assert pinned.plan.algorithm.startswith("tofu")
+    def test_bare_tofu_is_the_tofu_search(self, mlp_bundle):
+        """The strategy text alone names the search: a bare ``tofu`` plans
+        with the ``tofu`` backend whatever planner runs it, and another
+        search is spelled ``tofu:<backend>``."""
+        for planner in (None, Planner(PlannerConfig(cache_capacity=0))):
+            model = repro.compile(
+                mlp_bundle.graph, "tofu", MACHINE, planner=planner
+            )
+            assert model.plan.algorithm.startswith("tofu")
+            assert model.strategy_text == "tofu"
+            spartan = repro.compile(
+                mlp_bundle.graph, "tofu:spartan", MACHINE, planner=planner
+            )
+            assert spartan.plan.algorithm == "spartan"
+            assert spartan.strategy_text == "tofu:spartan"
 
     def test_backend_options_override(self, mlp_bundle):
+        """Execution-backend options beyond the strategy's are an Executor
+        concern, not a compile argument."""
         fused = repro.compile(mlp_bundle.graph, "tofu", MACHINE)
-        unfused = repro.compile(
-            mlp_bundle.graph, "tofu", MACHINE,
+        unfused = Executor().run(
+            mlp_bundle.graph, plan=fused.plan, machine=MACHINE,
+            backend="tofu-partitioned",
             backend_options={"fuse_remote_fetch": False},
         )
         assert len(unfused.program.tasks) >= len(fused.program.tasks)
@@ -201,11 +209,6 @@ class TestAuto:
             repro.compile(mlp_bundle.graph, "auto", MACHINE, simulate=False)
         with pytest.raises(StrategyError, match="lower_only"):
             repro.compile(mlp_bundle.graph, "auto", MACHINE, lower_only=True)
-        with pytest.raises(StrategyError, match="backend_options"):
-            repro.compile(
-                mlp_bundle.graph, "auto", MACHINE,
-                backend_options={"fuse_remote_fetch": False},
-            )
         plan = repro.compile(
             mlp_bundle.graph, "tofu", MACHINE, simulate=False
         ).plan
@@ -320,7 +323,7 @@ class TestStrategyCacheKey:
         assert len(keys) == 6
 
     def test_planner_keeps_separate_entries_per_strategy(self, mlp_bundle):
-        planner = Planner(PlannerConfig(backend="tofu"))
+        planner = Planner()
         s1 = dp(2) / pipeline(2, "1f1b", 4) / tofu()
         s2 = dp(2) / pipeline(2, "1f1b", 8) / tofu()
         planner.plan(mlp_bundle.graph, 2, strategy=s1)

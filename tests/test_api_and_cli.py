@@ -117,12 +117,16 @@ class TestCLI:
         assert "strategy: dp:2/tofu" in out
         assert "throughput" in out
 
-    def test_compile_command_backend_flag_reaches_the_search(self, capsys):
-        assert cli_main(["compile", "--model", "mlp", "--batch", "32",
-                         "--hidden", "128", "--layers", "2", "--workers", "4",
-                         "--strategy", "tofu", "--backend", "spartan"]) == 0
+    def test_compile_command_strategy_names_the_search(self, capsys):
+        argv = ["compile", "--model", "mlp", "--batch", "32", "--hidden", "128",
+                "--layers", "2", "--workers", "4"]
+        assert cli_main([*argv, "--strategy", "tofu:spartan"]) == 0
         out = capsys.readouterr().out
         assert "algorithm=spartan" in out
+        # The strategy is the one spelling of the search: no --backend flag.
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main([*argv, "--strategy", "tofu", "--backend", "spartan"])
+        assert excinfo.value.code == 2
 
     def test_compile_command_dry_run(self, capsys):
         assert cli_main(["compile", "--model", "mlp", "--batch", "32",
@@ -401,3 +405,16 @@ class TestCacheCLI:
         assert err.startswith("error:") and str(missing) in err
         assert not missing.exists()
         assert not out.exists()
+
+    def test_export_into_a_missing_directory_is_an_error(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        assert cli_main(["partition", *self.ARGS,
+                         "--cache-dir", str(store)]) == 0
+        capsys.readouterr()
+        missing = tmp_path / "missing"
+        assert cli_main(["cache", "export", "--cache-dir", str(store),
+                         "--output", str(missing / "plans.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert not missing.exists()
+        assert not list(tmp_path.rglob("*.tmp"))

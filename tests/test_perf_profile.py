@@ -45,18 +45,19 @@ def test_inactive_by_default():
 def test_nested_activation_none_keeps_previous_sink():
     timer = perf.StageTimer()
     with perf.activation(timer):
-        with perf.activation(None):  # a non-profiling executor nested inside
+        with perf.activation(None):  # an unprofiled block nested inside
             perf.count("kept")
     assert timer.counter("kept") == 1
 
 
 def test_executor_profile_captures_lowering_stages(mlp_bundle):
-    executor = Executor(ExecutorConfig(profile=True))
-    executor.lower(
-        mlp_bundle.graph, machine=k80_8gpu_machine(4), backend="pipeline",
-        backend_options={"num_stages": 2, "num_microbatches": 4},
-    )
-    snapshot = executor.profile_timer.snapshot()
+    timer = perf.StageTimer()
+    with perf.activation(timer):
+        Executor().lower(
+            mlp_bundle.graph, machine=k80_8gpu_machine(4), backend="pipeline",
+            backend_options={"num_stages": 2, "num_microbatches": 4},
+        )
+    snapshot = timer.snapshot()
     assert "lower.pipeline" in snapshot["stages"]
     assert any(name.startswith("pass.") for name in snapshot["stages"])
 
@@ -70,20 +71,23 @@ def test_warm_compile_skips_every_pass(mlp_bundle, strategy):
 
     # A private program cache: an equal plan searched by another test would
     # otherwise share the process-wide entry and turn the cold compile warm.
-    executor = Executor(ExecutorConfig(profile=True, program_cache_capacity=4))
-    cold = repro.compile(
-        mlp_bundle.graph, strategy, machine, executor=executor,
-    )
-    cold_stages = set(cold.metadata["profile"]["stages"])
+    executor = Executor(ExecutorConfig(program_cache_capacity=4))
+    timer = perf.StageTimer()
+    with perf.activation(timer):
+        cold = repro.compile(
+            mlp_bundle.graph, strategy, machine, executor=executor,
+        )
+    cold_stages = set(timer.snapshot()["stages"])
     assert any(s.startswith("lower.") for s in cold_stages)
     assert any(s.startswith("pass.") for s in cold_stages)
     assert "sim.compile" in cold_stages
 
-    executor.profile_timer.clear()
-    warm = repro.compile(
-        mlp_bundle.graph, strategy, machine, executor=executor,
-    )
-    profile = warm.metadata["profile"]
+    timer.clear()
+    with perf.activation(timer):
+        warm = repro.compile(
+            mlp_bundle.graph, strategy, machine, executor=executor,
+        )
+    profile = timer.snapshot()
     warm_stages = set(profile["stages"])
 
     assert not any(s.startswith("pass.") for s in warm_stages)

@@ -51,8 +51,6 @@ REPRO_EXPORTS = [
     "available_execution_backends",
     "cluster_of",
     "compile",
-    "compile_model",
-    "default_executor",
     "default_planner",
     "describe_operator",
     "dp",
@@ -116,7 +114,6 @@ RUNTIME_EXPORTS = [
     "ProgramCache",
     "SimulationReport",
     "available_execution_backends",
-    "default_executor",
     "default_program_cache",
     "get_execution_backend",
     "lowered_cache_key",
@@ -245,27 +242,26 @@ KNOB_SNAPSHOT = {
     "execution:tofu-partitioned": (
         "fuse_remote_fetch", "add_control_dependencies", "spread_reduction",
     ),
-    "execution:single-device": ("check_memory",),
+    "execution:single-device": (),
     "execution:placement": ("device_of_node",),
     "execution:data-parallel": (),
-    "execution:swap": ("concurrent_gpus",),
+    "execution:swap": (),
     "execution:pipeline": ("num_stages", "num_microbatches", "schedule"),
     "execution:hybrid": ("replica_groups", "inner", "inner_options"),
     "PlannerConfig": (
-        "backend", "jobs", "expand_jobs", "cache_capacity", "cache_dir",
-        "cache_max_bytes",
+        "jobs", "expand_jobs", "cache_capacity", "cache_dir", "cache_max_bytes",
     ),
     "ExecutorConfig": (
         "cache_programs", "program_cache_dir", "program_cache_capacity",
-        "program_cache_max_bytes", "profile", "verify",
+        "program_cache_max_bytes", "verify",
     ),
     "TunerBudget": ("max_candidates", "max_seconds"),
     "Tuner": (
         "budget", "jobs", "microbatches", "schedules", "search_backends",
     ),
     "compile": (
-        "num_workers", "plan", "planner", "executor", "plan_options",
-        "backend_options", "simulate", "lower_only", "tuner",
+        "num_workers", "plan", "planner", "executor", "simulate",
+        "lower_only", "tuner",
     ),
 }
 
@@ -303,4 +299,4 @@ def test_knob_surface_matches_snapshot():
         "knob needs a caller outside the tests; update KNOB_SNAPSHOT in "
         "tests/test_public_api.py if this change is intentional"
     )
-    assert sum(len(knobs) for knobs in surface.values()) == 44
+    assert sum(len(knobs) for knobs in surface.values()) == 38

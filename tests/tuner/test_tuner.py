@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro import compile as repro_compile
+from repro import perf
 from repro.errors import StrategyError
 from repro.models.mlp import build_mlp
 from repro.planner.core import Planner
@@ -94,11 +95,13 @@ class TestScreening:
         # program replays exactly once, whatever ran earlier in the process.
         machine = tight_machine(graph, headroom=1.5)
         executor = Executor(
-            ExecutorConfig(profile=True, program_cache_capacity=BUDGET.max_candidates)
+            ExecutorConfig(program_cache_capacity=BUDGET.max_candidates)
         )
-        result = Tuner(budget=BUDGET).tune(graph, machine, executor=executor)
+        timer = perf.StageTimer()
+        with perf.activation(timer):
+            result = Tuner(budget=BUDGET).tune(graph, machine, executor=executor)
         evaluated = sum(1 for o in result.outcomes if o.status == "evaluated")
-        assert executor.profile_timer.stage_calls("sim.run") == evaluated
+        assert timer.stage_calls("sim.run") == evaluated
 
 
 class TestDeterminism:
@@ -170,13 +173,36 @@ class TestCompileIntegration:
 
 
 class TestProfile:
-    def test_tuner_stages_land_on_a_profiling_executor(self, graph):
-        executor = Executor(ExecutorConfig(profile=True))
-        Tuner(budget=BUDGET).tune(graph, k80_8gpu_machine(4), executor=executor)
-        timer = executor.profile_timer
+    def test_tuner_stages_land_on_the_active_timer(self, graph):
+        timer = perf.StageTimer()
+        with perf.activation(timer):
+            Tuner(budget=BUDGET).tune(graph, k80_8gpu_machine(4))
         assert timer.stage_calls("tuner.screen") > 0
         assert timer.stage_calls("tuner.search") > 0
         assert timer.stage_calls("tuner.rank") == 1
+
+    def test_auto_compile_sweep_lands_on_the_active_timer(self, graph):
+        """A profiled ``auto`` compile keeps the sweep's stages, and the
+        sweep's ``stage_seconds`` count only that sweep when the timer
+        already holds earlier ``tuner.*`` time."""
+        machine = k80_8gpu_machine(4)
+        timer = perf.StageTimer()
+        timer.record("tuner.rank", 100.0)
+        timer.record("tuner.search", 100.0)
+        with perf.activation(timer):
+            model = repro_compile(
+                graph, "auto", machine, tuner=Tuner(budget=BUDGET)
+            )
+        assert timer.stage_calls("tuner.screen") > 0
+        assert timer.stage_calls("tuner.search") > 1
+        assert timer.stage_calls("tuner.rank") == 2
+        stage_seconds = model.metadata["tuner"]["stats"]["stage_seconds"]
+        assert set(stage_seconds) == {
+            "tuner.rank", "tuner.screen", "tuner.search",
+        }
+        assert 0 < stage_seconds["tuner.rank"] < 100.0
+        assert 0 < stage_seconds["tuner.search"] < 100.0
+        assert stage_seconds["tuner.screen"] == timer.seconds["tuner.screen"]
 
     def test_stage_seconds_are_always_in_stats(self, graph):
         result = Tuner(budget=BUDGET).tune(graph, k80_8gpu_machine(4))
