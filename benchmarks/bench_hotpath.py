@@ -3,7 +3,7 @@
 Measures, per (model, executor) scenario:
 
 * **simulations/sec** — the pre-compilation reference event loop
-  (``TaskGraphSimulator.run_reference``) against the warm path
+  (``run_reference`` in ``tests/support/sim_oracle.py``) against the warm path
   (``TaskGraphSimulator.run_compiled`` replaying the program's dense form,
   compiled once by the first simulation; ``Executor.simulate`` itself
   replays a dense form only once, so timing it would time a memo hit), and
@@ -26,7 +26,9 @@ import gc
 import json
 import math
 import os
+import sys
 import time
+from pathlib import Path
 
 from common import FULL, once, print_header
 
@@ -38,6 +40,11 @@ from repro.runtime.cache import lowered_cache_key
 from repro.runtime.passes import round_robin_layer_placement
 from repro.sim.device import cluster_of, k80_8gpu_machine
 from repro.sim.engine import TaskGraphSimulator
+
+# The reference loop is the unit tests' parity oracle, importable from the
+# repository root.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.support.sim_oracle import run_reference
 
 BENCH_FORMAT = "tofu-bench-hotpath"
 BENCH_VERSION = 1
@@ -166,12 +173,12 @@ def _measure(name, bundle, machine, backend, options, plan):
     # dense form.
     simulator = TaskGraphSimulator(machine)
     tasks = dict(program.tasks)
-    reference = simulator.run_reference(
-        tasks, peak_memory=program.per_device_memory
+    reference = run_reference(
+        machine, tasks, peak_memory=program.per_device_memory
     )
     sim_reference_per_sec = _rate(
-        lambda: simulator.run_reference(
-            tasks, peak_memory=program.per_device_memory
+        lambda: run_reference(
+            machine, tasks, peak_memory=program.per_device_memory
         ),
         SIM_REPEATS,
     )

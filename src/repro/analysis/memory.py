@@ -18,7 +18,6 @@ from typing import Dict, List, Optional
 from repro.analysis.base import CheckContext, Finding
 from repro.partition.apply import FUSED_STAGING_FACTOR, UNFUSED_STAGING_FACTOR
 from repro.runtime.passes import memory_plan_of, stage_memory_report
-from repro.sim.engine import HOST_DEVICE
 
 __all__ = ["check_memory_plan"]
 
@@ -146,7 +145,7 @@ def check_memory_plan(context: CheckContext) -> List[Finding]:
     machine = context.resolved_machine
     if machine is not None:
         for device in memory:
-            if device != HOST_DEVICE and not 0 <= device < machine.num_devices:
+            if not 0 <= device < machine.num_devices:
                 findings.append(
                     Finding(
                         code="ANA009_DEVICE_RANGE",
@@ -163,7 +162,7 @@ def check_memory_plan(context: CheckContext) -> List[Finding]:
         compute_devices = {
             task.device
             for task in program.tasks.values()
-            if task.kind == "compute" and task.device != HOST_DEVICE
+            if task.kind == "compute"
         }
         for device in sorted(compute_devices - set(memory)):
             findings.append(

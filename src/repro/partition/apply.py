@@ -33,7 +33,7 @@ from repro.runtime.passes import (
 )
 from repro.runtime.program import LoweredProgram
 from repro.sim.costmodel import node_kernel_times
-from repro.sim.device import Topology, as_cluster, k80_8gpu_machine
+from repro.sim.device import Topology, k80_8gpu_machine
 from repro.sim.engine import TaskGraphBuilder
 
 
@@ -174,30 +174,23 @@ def generate_partitioned_graph(
             node_kernel_times(graph, name, device_specs, machine, scale=scale),
         ))
 
-    multi_machine = machine.num_machines > 1
-    cluster = as_cluster(machine) if multi_machine else None
     for device in range(num_devices):
-        remote_peer = None
-        if multi_machine:
-            # Shards are spread uniformly over all workers, so the share of a
-            # device's traffic staying on its machine is the fraction of
-            # workers that are machine-local peers.
-            machine_index = cluster.machine_of(device)
-            local_workers = sum(
-                1
-                for peer in cluster.devices_of_machine(machine_index)
-                if peer < num_devices
-            )
-            local_fraction = local_workers / num_devices
-            if local_workers < num_devices:
-                # Any off-machine worker names the inter-machine edge the
-                # remote share arrives over (this device's machine NIC).
-                remote_peer = next(
-                    d for d in range(num_devices)
-                    if cluster.machine_of(d) != machine_index
-                )
-        else:
-            local_fraction = 1.0
+        # Shards are spread uniformly over all workers, so the share of a
+        # device's traffic staying on its machine is the fraction of workers
+        # that are machine-local peers (all of them on one machine).
+        machine_index = machine.machine_of(device)
+        local_workers = sum(
+            1
+            for peer in machine.devices_of_machine(machine_index)
+            if peer < num_devices
+        )
+        local_fraction = local_workers / num_devices
+        # Any off-machine worker names the inter-machine edge the remote
+        # share arrives over (this device's machine NIC); none on one machine.
+        remote_peer = next(
+            (d for d in range(num_devices) if machine.machine_of(d) != machine_index),
+            None,
+        )
         for name, producers, fetch_deps, node_fetch, node_reduce, durations in (
             lowered_nodes
         ):

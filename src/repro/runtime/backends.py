@@ -143,10 +143,7 @@ def _ring_reduce_task(
     model's accounting), the destination machine's network NIC when the
     ring wraps across machines.
     """
-    if (
-        topology.num_machines > 1
-        and topology.machine_of(device) != topology.machine_of(neighbour)
-    ):
+    if topology.machine_of(device) != topology.machine_of(neighbour):
         src, dst = device, neighbour
     else:
         src, dst = None, device
@@ -697,11 +694,7 @@ def lower_hybrid(
             )
             total_comm += reduce_bytes
         for device, required in group_program.per_device_memory.items():
-            key = shifted(device)
-            if device == HOST_DEVICE:
-                memory[key] = memory.get(key, 0) + required
-            else:
-                memory[key] = required
+            memory[device + offset] = required
 
     stats["allreduce_bytes"] = reduce_bytes * groups * group_devices
     return LoweredProgram(

@@ -240,13 +240,8 @@ def pipeline_stage_devices(topology: Topology, num_stages: int) -> List[int]:
             f"pipeline wants {num_stages} stages on a topology with "
             f"{topology.num_devices} device(s)"
         )
-    if topology.num_machines == 1:
-        return list(range(num_stages))
-    from repro.sim.device import as_cluster
-
-    cluster = as_cluster(topology)
-    total = cluster.num_devices
-    sizes = [m.num_devices for m in cluster.machines]
+    total = topology.num_devices
+    sizes = [m.num_devices for m in topology.machines]
     quotas = [num_stages * size // total for size in sizes]
     remainders = [
         (num_stages * size / total - quota, size - quota, index)
@@ -268,7 +263,7 @@ def pipeline_stage_devices(topology: Topology, num_stages: int) -> List[int]:
                 short -= 1
     devices: List[int] = []
     for machine_index, quota in enumerate(quotas):
-        devices.extend(cluster.devices_of_machine(machine_index)[:quota])
+        devices.extend(topology.devices_of_machine(machine_index)[:quota])
     return devices
 
 

@@ -9,13 +9,15 @@ configurations can be built for sensitivity studies.
 Beyond the single box, :class:`ClusterSpec` composes N machines over a
 network link (bandwidth + latency) into a hierarchical topology — the
 setting the paper's recursive partitioning is designed for (partition across
-the slow level first, then within the fast level).  The resolution layer
-(:meth:`ClusterSpec.link_between`) maps a transfer's endpoints — a source
-device, every peer (``None``) or the host (:data:`HOST_DEVICE`), and a
-destination device — to the :class:`Link` the transfer actually crosses,
+the slow level first, then within the fast level).  Both classes expose
+their machines as ``machines`` (a bare :class:`MachineSpec` is the
+one-machine topology ``(self,)``), and one implementation over that tuple
+resolves links for both: ``link_between`` maps a transfer's endpoints — a
+source device, every peer (``None``) or the host (:data:`HOST_DEVICE`), and
+a destination device — to the :class:`Link` the transfer actually crosses,
 which is what the simulator's per-link contention queues price against.
-A :class:`ClusterSpec` of one machine is behaviourally identical to that
-bare :class:`MachineSpec` — the parity the runtime tests pin down.
+A transfer only reaches the network link when its endpoints sit on two
+different machines.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from repro.errors import SimulationError
 
 GiB = 1 << 30
 
-#: The source of a host copy (and the memory-report key of host memory).
+#: The source of a host copy: the transfer crosses the destination machine's
+#: shared CPU link.  It names no device, so no memory report may budget it.
 HOST_DEVICE = -1
 
 #: Serialization version emitted by :func:`machine_to_dict`; payloads without
@@ -81,161 +84,23 @@ class Link:
         return num_bytes / self.bandwidth + self.latency
 
 
-@dataclass(frozen=True)
-class MachineSpec:
-    """A single machine with multiple devices (the paper's setting).
+class _TopologyBase:
+    """Structure and link resolution of a topology, written once over
+    ``self.machines``.
 
-    ``p2p_bandwidth`` is the per-device PCI-e peer-to-peer bandwidth;
-    ``cpu_bandwidth`` is the *aggregate* host link shared by all devices,
-    which is why the swapping baseline collapses when 8 GPUs swap at once
-    (Sec 7.2).  Bandwidths and host memory must be finite numbers > 0, the
-    launch overhead a finite number >= 0 (:class:`SimulationError`
-    otherwise).
-    """
-
-    devices: List[DeviceSpec]
-    p2p_bandwidth: float = 21e9
-    cpu_bandwidth: float = 10e9
-    cpu_memory: int = 488 * GiB
-    kernel_launch_overhead: float = 8e-6
-
-    def __post_init__(self):
-        if not self.devices:
-            raise SimulationError("a machine needs at least one device")
-        _check_numbers(
-            "MachineSpec", vars(self),
-            positive=("p2p_bandwidth", "cpu_bandwidth", "cpu_memory"),
-            non_negative=("kernel_launch_overhead",),
-        )
-
-    @property
-    def num_devices(self) -> int:
-        """Number of devices in this machine."""
-        return len(self.devices)
-
-    @property
-    def num_machines(self) -> int:
-        """Always 1 — a bare machine is the degenerate one-machine cluster."""
-        return 1
-
-    def device(self, index: int) -> DeviceSpec:
-        """The device at ``index`` (0-based; no negative indexing)."""
-        self._check_device(index)
-        return self.devices[index]
-
-    # -------------------------------------------------------- link resolution
-    # A bare machine is the degenerate one-machine cluster: every transfer is
-    # intra-machine, so the resolution layer below mirrors ClusterSpec's.
-    def machine_of(self, device_index: int) -> int:
-        """Always 0 — every device lives on this machine."""
-        return 0
-
-    def p2p_link(self, dst_device: int) -> Link:
-        """The destination device's PCI-e peer-to-peer link."""
-        return Link(
-            kind="p2p", key=f"p2p:{dst_device}", bandwidth=self.p2p_bandwidth
-        )
-
-    def host_link(self, device_index: int = 0) -> Link:
-        """The machine-wide shared CPU link."""
-        return Link(kind="cpu", key="cpu:m0", bandwidth=self.cpu_bandwidth)
-
-    def link_between(self, src_device: Optional[int], dst_device: int) -> Link:
-        """The link a ``src -> dst`` transfer occupies: the shared CPU link
-        for a host copy (``src`` is :data:`HOST_DEVICE`), the destination's
-        PCI-e link otherwise (``src`` a device, or ``None`` for a gather
-        from every peer)."""
-        self._check_device(dst_device)
-        if src_device == HOST_DEVICE:
-            return self.host_link(dst_device)
-        if src_device is not None:
-            self._check_device(src_device)
-        return self.p2p_link(dst_device)
-
-    def host_memory_of(self, device_index: int) -> int:
-        """Host (CPU) memory reachable from ``device_index``, in bytes."""
-        return self.cpu_memory
-
-    def _check_device(self, index: Optional[int]) -> None:
-        if index is None or not 0 <= index < self.num_devices:
-            raise SimulationError(
-                f"device index {index} out of range for a machine with "
-                f"{self.num_devices} device(s)"
-            )
-
-
-@dataclass(frozen=True)
-class ClusterSpec:
-    """N machines composed over a network link — a hierarchical topology.
-
-    Device indices are global and contiguous: machine 0 holds devices
+    :class:`MachineSpec` is the one-machine topology (``machines`` is
+    ``(self,)``) and :class:`ClusterSpec` the general one; both inherit
+    these methods, so a transfer resolves to the same :class:`Link` on a
+    bare machine as on the one-machine cluster holding it.  Device indices
+    are global and contiguous: machine 0 holds devices
     ``[0, machines[0].num_devices)``, machine 1 the next block, and so on.
-    ``network_bandwidth``/``network_latency`` model the inter-machine fabric
-    (default: a 10 Gb/s datacenter link with 40 µs latency — two orders of
-    magnitude slower than PCI-e peer-to-peer, which is exactly the gap the
-    hierarchical partitioning exploits).  The bandwidth must be a finite
-    number > 0 and the latency a finite number >= 0.
-
-    The class mirrors :class:`MachineSpec`'s accessor surface
-    (``num_devices``, ``device(i)``, ``kernel_launch_overhead``, …) so every
-    layer of the runtime accepts either; ``as_cluster`` normalises when code
-    needs the cluster view explicitly.
     """
-
-    machines: List[MachineSpec]
-    network_bandwidth: float = 1.25e9   # 10 Gb/s
-    network_latency: float = 40e-6
-
-    def __post_init__(self):
-        if not self.machines:
-            raise SimulationError("a cluster needs at least one machine")
-        _check_numbers(
-            "ClusterSpec", vars(self),
-            positive=("network_bandwidth",), non_negative=("network_latency",),
-        )
-
-    # ----------------------------------------------------- MachineSpec surface
-    @property
-    def devices(self) -> List[DeviceSpec]:
-        """Every device in the cluster, in global-index order."""
-        return [d for machine in self.machines for d in machine.devices]
-
-    @property
-    def num_devices(self) -> int:
-        """Total device count across all machines."""
-        return sum(machine.num_devices for machine in self.machines)
 
     @property
     def num_machines(self) -> int:
-        """Number of machines in the cluster."""
+        """Number of machines in the topology."""
         return len(self.machines)
 
-    def device(self, index: int) -> DeviceSpec:
-        """The device at global index ``index``."""
-        machine, local = self.locate(index)
-        return machine.device(local)
-
-    @property
-    def kernel_launch_overhead(self) -> float:
-        """Machine 0's launch overhead (machines are assumed homogeneous)."""
-        return self.machines[0].kernel_launch_overhead
-
-    @property
-    def p2p_bandwidth(self) -> float:
-        """Machine 0's PCI-e peer-to-peer bandwidth, bytes/s."""
-        return self.machines[0].p2p_bandwidth
-
-    @property
-    def cpu_bandwidth(self) -> float:
-        """Machine 0's shared host-link bandwidth, bytes/s."""
-        return self.machines[0].cpu_bandwidth
-
-    @property
-    def cpu_memory(self) -> int:
-        """Machine 0's host memory, bytes."""
-        return self.machines[0].cpu_memory
-
-    # ------------------------------------------------------------- structure
     def machine_of(self, device_index: int) -> int:
         """Index of the machine holding global device ``device_index``."""
         self._check_device(device_index)
@@ -248,7 +113,7 @@ class ClusterSpec:
             f"device index {device_index} out of range"
         )
 
-    def locate(self, device_index: int) -> Tuple[MachineSpec, int]:
+    def locate(self, device_index: int) -> Tuple["MachineSpec", int]:
         """``(machine, local device index)`` of a global device index."""
         machine_index = self.machine_of(device_index)
         offset = sum(m.num_devices for m in self.machines[:machine_index])
@@ -279,6 +144,127 @@ class ClusterSpec:
             bandwidth=machine.cpu_bandwidth,
         )
 
+    def link_between(self, src_device: Optional[int], dst_device: int) -> Link:
+        """The link a ``src -> dst`` transfer occupies: the destination
+        machine's shared CPU link for a host copy (``src`` is
+        :data:`HOST_DEVICE`), the destination's PCI-e link for a gather from
+        every peer (``src`` is ``None``) or within one machine, the
+        destination machine's NIC (:meth:`ClusterSpec.network_link`) across
+        machines."""
+        dst_machine = self.machine_of(dst_device)
+        if src_device == HOST_DEVICE:
+            return self.host_link(dst_device)
+        if src_device is None or self.machine_of(src_device) == dst_machine:
+            return self.p2p_link(dst_device)
+        return self.network_link(dst_machine)
+
+    def _check_device(self, index: Optional[int]) -> None:
+        if index is None or not 0 <= index < self.num_devices:
+            raise SimulationError(
+                f"device index {index} out of range for a topology with "
+                f"{self.num_devices} device(s)"
+            )
+
+
+@dataclass(frozen=True)
+class MachineSpec(_TopologyBase):
+    """A single machine with multiple devices (the paper's setting).
+
+    ``p2p_bandwidth`` is the per-device PCI-e peer-to-peer bandwidth;
+    ``cpu_bandwidth`` is the *aggregate* host link shared by all devices,
+    which is why the swapping baseline collapses when 8 GPUs swap at once
+    (Sec 7.2).  Bandwidths and host memory must be finite numbers > 0, the
+    launch overhead a finite number >= 0 (:class:`SimulationError`
+    otherwise).
+    """
+
+    devices: List[DeviceSpec]
+    p2p_bandwidth: float = 21e9
+    cpu_bandwidth: float = 10e9
+    cpu_memory: int = 488 * GiB
+    kernel_launch_overhead: float = 8e-6
+
+    def __post_init__(self):
+        if not self.devices:
+            raise SimulationError("a machine needs at least one device")
+        _check_numbers(
+            "MachineSpec", vars(self),
+            positive=("p2p_bandwidth", "cpu_bandwidth", "cpu_memory"),
+            non_negative=("kernel_launch_overhead",),
+        )
+
+    @property
+    def machines(self) -> Tuple["MachineSpec"]:
+        """``(self,)`` — a bare machine is the one-machine topology."""
+        return (self,)
+
+    @property
+    def num_devices(self) -> int:
+        """Number of devices in this machine."""
+        return len(self.devices)
+
+    def device(self, index: int) -> DeviceSpec:
+        """The device at ``index`` (0-based; no negative indexing)."""
+        self._check_device(index)
+        return self.devices[index]
+
+
+@dataclass(frozen=True)
+class ClusterSpec(_TopologyBase):
+    """N machines composed over a network link — a hierarchical topology.
+
+    Every machine must be a :class:`MachineSpec` (a nested cluster is
+    rejected: its inner network would be priced as one box's PCI-e).
+    ``network_bandwidth``/``network_latency`` model the inter-machine fabric
+    (default: a 10 Gb/s datacenter link with 40 µs latency — two orders of
+    magnitude slower than PCI-e peer-to-peer, which is exactly the gap the
+    hierarchical partitioning exploits).  The bandwidth must be a finite
+    number > 0 and the latency a finite number >= 0.
+
+    Structure and link resolution are the ones :class:`MachineSpec` uses
+    too (one implementation over ``machines``); a cluster adds the network
+    link, reached only by a transfer between two machines, and the
+    accessors that read a device or a launch overhead across its machines.
+    """
+
+    machines: List[MachineSpec]
+    network_bandwidth: float = 1.25e9   # 10 Gb/s
+    network_latency: float = 40e-6
+
+    def __post_init__(self):
+        if not self.machines:
+            raise SimulationError("a cluster needs at least one machine")
+        for index, machine in enumerate(self.machines):
+            if not isinstance(machine, MachineSpec):
+                raise SimulationError(
+                    f"a cluster's machines must each be a MachineSpec; "
+                    f"machine {index} is a {type(machine).__name__}"
+                )
+        _check_numbers(
+            "ClusterSpec", vars(self),
+            positive=("network_bandwidth",), non_negative=("network_latency",),
+        )
+
+    @property
+    def devices(self) -> List[DeviceSpec]:
+        """Every device in the cluster, in global-index order."""
+        return [d for machine in self.machines for d in machine.devices]
+
+    @property
+    def num_devices(self) -> int:
+        """Total device count across all machines."""
+        return sum(machine.num_devices for machine in self.machines)
+
+    def device(self, index: int) -> DeviceSpec:
+        """The device at global index ``index``."""
+        machine, local = self.locate(index)
+        return machine.device(local)
+
+    @property
+    def kernel_launch_overhead(self) -> float:
+        """Machine 0's launch overhead (machines are assumed homogeneous)."""
+        return self.machines[0].kernel_launch_overhead
+
     def network_link(self, dst_machine: int) -> Link:
         """The destination machine's NIC: every inbound inter-machine
         transfer to that machine contends on one queue (the aggregate-link
@@ -290,42 +276,9 @@ class ClusterSpec:
             latency=self.network_latency,
         )
 
-    def link_between(self, src_device: Optional[int], dst_device: int) -> Link:
-        """The link a ``src -> dst`` transfer occupies: the destination
-        machine's shared CPU link for a host copy (``src`` is
-        :data:`HOST_DEVICE`), the destination's PCI-e link for a gather from
-        every peer (``src`` is ``None``) or within one machine, the
-        destination machine's NIC across machines."""
-        dst_machine = self.machine_of(dst_device)
-        if src_device == HOST_DEVICE:
-            return self.host_link(dst_device)
-        if src_device is None or self.machine_of(src_device) == dst_machine:
-            return self.p2p_link(dst_device)
-        return self.network_link(dst_machine)
-
-    def host_memory_of(self, device_index: int) -> int:
-        """Host memory of the machine holding ``device_index``, in bytes."""
-        machine, _ = self.locate(device_index)
-        return machine.cpu_memory
-
-    def _check_device(self, index: Optional[int]) -> None:
-        if index is None or not 0 <= index < self.num_devices:
-            raise SimulationError(
-                f"device index {index} out of range for a cluster with "
-                f"{self.num_devices} device(s)"
-            )
-
 
 #: Either topology level accepted by the runtime and the simulator.
 Topology = Union[MachineSpec, ClusterSpec]
-
-
-def as_cluster(topology: Topology) -> ClusterSpec:
-    """Normalise to the cluster view (a bare machine becomes a one-machine
-    cluster; the simulator and the passes resolve links through this)."""
-    if isinstance(topology, ClusterSpec):
-        return topology
-    return ClusterSpec(machines=[topology])
 
 
 def slice_topology_range(
@@ -347,10 +300,6 @@ def slice_topology_range(
         raise SimulationError(
             f"cannot slice devices [{start}, {start + num_devices}) out of a "
             f"topology with {topology.num_devices}"
-        )
-    if isinstance(topology, MachineSpec):
-        return replace(
-            topology, devices=list(topology.devices[start:start + num_devices])
         )
     machines: List[MachineSpec] = []
     offset = 0
@@ -388,10 +337,9 @@ def slice_machines(topology: Topology, num_machines: int) -> Topology:
         )
     if num_machines == topology.num_machines:
         return topology
-    cluster = as_cluster(topology)
     if num_machines == 1:
-        return cluster.machines[0]
-    return replace(cluster, machines=list(cluster.machines[:num_machines]))
+        return topology.machines[0]
+    return replace(topology, machines=list(topology.machines[:num_machines]))
 
 
 def k80_8gpu_machine(num_gpus: int = 8) -> MachineSpec:

@@ -19,28 +19,26 @@ program simulated on another machine re-prices every transfer.  On a single
 machine the link set is per-device ``p2p`` queues plus one shared ``cpu``
 queue.
 
-Two execution paths share one scheduling semantics:
+Lowering passes emit rows into a :class:`TaskGraphBuilder`, whose
+:meth:`~TaskGraphBuilder.build` interns task names to dense integer ids
+(topological order, dependency id lists, resource slots, pre-priced transfer
+times) and :meth:`TaskGraphSimulator.run_compiled` replays the arrays.  A
+built graph caches its compiled form and that form's replay, so repeat
+simulations of one program — and of every program-cache copy sharing its
+graph — neither sort nor replay it again; only the memory verdicts are
+worked out per call.  :func:`compile_task_graph` feeds a plain task dict to
+the same builder.
 
-* the **compiled core** — lowering passes emit rows into a
-  :class:`TaskGraphBuilder`, whose :meth:`~TaskGraphBuilder.build` interns
-  task names to dense integer ids (topological order, dependency id lists,
-  resource slots, pre-priced transfer times) and
-  :meth:`TaskGraphSimulator.run_compiled` replays the arrays.  A built graph
-  caches its compiled form and that form's replay, so repeat simulations of
-  one program — and of every program-cache copy sharing its graph — neither
-  sort nor replay it again; only the memory verdicts are worked out per
-  call.
-  :func:`compile_task_graph` feeds a plain task dict to the same builder;
-* the **reference loop** — :meth:`TaskGraphSimulator.run_reference`, the
-  original string-keyed per-dict event loop, kept as the parity oracle and
-  benchmark baseline.  The parity suite pins the two paths float-identical
-  across every registered execution backend.
+The original string-keyed per-dict event loop lives outside the package, in
+``tests/support/sim_oracle.py`` (``run_reference``): the parity suite pins
+this module float-identical to it across every registered execution
+backend, and the hot-path benchmark measures one against the other.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import abc, deque, namedtuple
+from collections import abc, namedtuple
 from dataclasses import dataclass, field, fields
 from typing import (
     Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
@@ -48,7 +46,8 @@ from typing import (
 
 from repro import perf
 from repro.errors import SimulationError
-from repro.sim.device import HOST_DEVICE, Link, Topology
+from repro.sim.device import HOST_DEVICE  # noqa: F401  (re-export)
+from repro.sim.device import Link, Topology
 
 
 @dataclass(frozen=True)
@@ -183,8 +182,8 @@ class CompiledTaskGraph:
     :meth:`TaskGraphSimulator.run_compiled` touches no strings, no ``Task``
     objects, and no per-task dict lookups.  Aggregates that do not depend on
     scheduling (total communication volume, per-device compute busy time)
-    are accumulated in the same topological order the reference loop uses,
-    so results stay float-identical.
+    are accumulated in topological order, the order the reference loop
+    (``tests/support/sim_oracle.py``) uses, so results stay float-identical.
     """
 
     num_tasks: int
@@ -218,7 +217,7 @@ class TaskGraphBuilder:
     Lowering passes :meth:`add` rows instead of constructing ``Task``
     objects.  :meth:`build` interns names to ids in emission order, resolves
     each dependency edge with one dict lookup, sorts the integer graph with
-    Kahn's algorithm (FIFO, the tie-breaking of the reference loop), and
+    Kahn's algorithm (FIFO, the reference loop's tie-breaking), and
     permutes the rows into a :class:`CompiledTaskGraph` for one machine.
 
     The first sort seals the builder: from then on it is an immutable dense
@@ -302,9 +301,9 @@ class TaskGraphBuilder:
 
         The graph is sorted once; links are resolved and transfers priced
         once per machine — a repeat build for an equal machine returns the
-        cached result.  Raises the reference loop's :class:`SimulationError`
-        diagnostics (missing dependencies, cycles, endpoints the machine
-        does not have, unknown task kinds).
+        cached result.  Raises :class:`SimulationError` on a missing
+        dependency, a cycle, an endpoint the machine does not have or an
+        unknown task kind.
         """
         cached = self._compiled
         if cached is not None and (cached[0] is machine or cached[0] == machine):
@@ -511,10 +510,6 @@ class TaskGraphSimulator:
     tasks (:func:`compile_task_graph`; a program's task view reuses the
     dense form cached on it) and replays them with :meth:`run_compiled`,
     once per dense form (:meth:`TaskGraphBuilder.replay`).
-    :meth:`run_reference` keeps the original string-keyed per-dict event
-    loop; the parity suite pins the two paths float-identical across every
-    execution backend, and the hot-path benchmark measures one against the
-    other.
     """
 
     def __init__(self, machine: Topology):
@@ -608,74 +603,6 @@ class TaskGraphSimulator:
                 check_memory=check_memory,
             )
 
-    # ------------------------------------------------------------ reference
-    def run_reference(
-        self,
-        tasks: Mapping[str, Task],
-        *,
-        peak_memory: Optional[Dict[int, int]] = None,
-        check_memory: bool = True,
-    ) -> SimResult:
-        """The pre-compilation per-dict event loop, kept verbatim.
-
-        Results are float-identical to :meth:`run`; this path exists as the
-        parity oracle and the benchmark baseline, and it re-sorts and
-        re-resolves links on every call.
-        """
-        order = self._topo_order(tasks)
-
-        device_available: Dict[int, float] = {}
-        link_available: Dict[str, float] = {}
-        link_busy: Dict[str, float] = {}
-        finish: Dict[str, float] = {}
-        compute_busy: Dict[int, float] = {}
-        comm_busy: Dict[int, float] = {}
-        total_comm_bytes = 0.0
-
-        for name in order:
-            task = tasks[name]
-            ready = 0.0
-            for dep in task.ordering_deps():
-                if dep not in finish:
-                    raise SimulationError(
-                        f"task {name!r} depends on unknown/unfinished task {dep!r}"
-                    )
-                ready = max(ready, finish[dep])
-
-            if task.kind == "compute":
-                start = max(ready, device_available.get(task.device, 0.0))
-                end = start + task.duration
-                device_available[task.device] = end
-                compute_busy[task.device] = (
-                    compute_busy.get(task.device, 0.0) + task.duration
-                )
-            elif task.kind == "comm":
-                link = _task_link(
-                    self.machine, name, task.src_device, task.dst_device
-                )
-                start = max(ready, link_available.get(link.key, 0.0))
-                end = start + link.transfer_time(task.comm_bytes)
-                link_available[link.key] = end
-                link_busy[link.key] = link_busy.get(link.key, 0.0) + (end - start)
-                comm_busy[task.device] = comm_busy.get(task.device, 0.0) + (end - start)
-                total_comm_bytes += task.comm_bytes
-            else:
-                raise SimulationError(f"unknown task kind {task.kind!r}")
-            finish[name] = end
-
-        iteration_time = max(finish.values(), default=0.0)
-
-        return self._finish_result(
-            iteration_time=iteration_time,
-            compute_busy=compute_busy,
-            comm_busy=comm_busy,
-            link_busy=link_busy,
-            total_comm_bytes=total_comm_bytes,
-            num_tasks=len(tasks),
-            peak_memory=peak_memory,
-            check_memory=check_memory,
-        )
-
     # ------------------------------------------------------------- internals
     def _finish_result(
         self,
@@ -689,7 +616,7 @@ class TaskGraphSimulator:
         peak_memory: Optional[Dict[int, int]],
         check_memory: bool,
     ) -> SimResult:
-        """Memory verdicts and idle accounting shared by both loops."""
+        """Memory verdicts and idle accounting of one simulation."""
         # Per-device idle time relative to the compute stream: the makespan
         # minus the time the device's stream was busy.  For staged execution
         # this is the pipeline bubble of each stage.  Every topology device
@@ -706,10 +633,7 @@ class TaskGraphSimulator:
         oom_devices: List[int] = []
         if check_memory:
             for device_index, required in peak_memory.items():
-                if device_index == HOST_DEVICE:
-                    capacity = self.machine.cpu_memory
-                else:
-                    capacity = self.machine.device(device_index).memory_bytes
+                capacity = self.machine.device(device_index).memory_bytes
                 if required > capacity:
                     oom_devices.append(device_index)
 
@@ -725,28 +649,3 @@ class TaskGraphSimulator:
             per_device_idle_time=idle_time,
             per_link_busy_time=link_busy,
         )
-
-    @staticmethod
-    def _topo_order(tasks: Mapping[str, Task]) -> List[str]:
-        indegree: Dict[str, int] = {name: 0 for name in tasks}
-        consumers: Dict[str, List[str]] = {name: [] for name in tasks}
-        for name, task in tasks.items():
-            for dep in task.ordering_deps():
-                if dep not in tasks:
-                    raise SimulationError(
-                        f"task {name!r} depends on missing task {dep!r}"
-                    )
-                indegree[name] += 1
-                consumers[dep].append(name)
-        ready = deque(name for name, deg in indegree.items() if deg == 0)
-        order: List[str] = []
-        while ready:
-            name = ready.popleft()
-            order.append(name)
-            for consumer in consumers[name]:
-                indegree[consumer] -= 1
-                if indegree[consumer] == 0:
-                    ready.append(consumer)
-        if len(order) != len(tasks):
-            raise SimulationError("task graph contains a cycle")
-        return order

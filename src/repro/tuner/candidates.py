@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from repro.sim.device import Topology, as_cluster
+from repro.sim.device import Topology
 from repro.strategy.algebra import (
     Strategy,
     dp,
@@ -56,10 +56,9 @@ def machine_compute_profile(machine: Topology) -> List[Tuple[int, float]]:
     aggregate speeds mark the cluster as asymmetric (recorded in tuner
     stats so a frontier over an odd cluster is self-describing).
     """
-    cluster = as_cluster(machine)
     return [
         (box.num_devices, sum(device.peak_flops for device in box.devices))
-        for box in cluster.machines
+        for box in machine.machines
     ]
 
 

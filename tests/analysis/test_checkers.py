@@ -99,6 +99,16 @@ def test_a_gather_without_destination_is_a_bad_link_not_a_self_transfer():
     assert {finding.code for finding in findings} == {"ANA007_BAD_LINK"}
 
 
+@pytest.mark.parametrize("device", ["-1", "4"], ids=["host", "past-the-end"])
+def test_a_memory_budget_for_no_device_is_out_of_range(device):
+    # -1 names the host as a copy's source, not a device a report may budget.
+    entry = _load(CORPUS_DIR / "healthy_tofu.json")
+    assert entry["program"]["num_devices"] == 4
+    entry["program"]["per_device_memory"][device] = 1
+    findings = get_checker_spec("memory-plan").check(_context_of(entry))
+    assert "ANA009_DEVICE_RANGE" in {finding.code for finding in findings}
+
+
 @pytest.mark.parametrize(
     "path",
     [p for p in CORPUS if _load(p)["expect_code"] is None],

@@ -17,7 +17,7 @@ from repro import compile as repro_compile
 from repro import perf
 from repro.models.mlp import build_mlp
 from repro.runtime.core import Executor
-from repro.sim.engine import TaskGraphSimulator
+from tests.support.sim_oracle import run_reference
 
 
 @pytest.fixture(scope="module")
@@ -35,8 +35,9 @@ class TestProgramFreeze:
         cold = executor.simulate(program)
         warm = executor.simulate(program)
         copied = executor.simulate(program.copy())
-        reference = TaskGraphSimulator(program.machine).run_reference(
-            program.tasks, peak_memory=program.per_device_memory
+        reference = run_reference(
+            program.machine, program.tasks,
+            peak_memory=program.per_device_memory,
         )
         for result in (warm, copied, reference):
             assert result.iteration_time == cold.iteration_time

@@ -5,6 +5,8 @@ machine boundary's cheap layer, and beats topology-blind placement)."""
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 import repro
@@ -27,6 +29,7 @@ from repro.sim.device import (
     ClusterSpec, cluster_of, k80_8gpu_machine, v100_machine,
 )
 from repro.sim.engine import HOST_DEVICE, Task, TaskGraphBuilder, TaskGraphSimulator
+from tests.support.sim_oracle import run_reference
 
 
 def build_bottleneck_mlp(widths, *, batch_size=64, input_dim=1024):
@@ -143,7 +146,7 @@ class TestEnginePerLinkQueues:
                     dst_device=99)
         for topology in (v100_machine(4), cluster_of(v100_machine(4), 2)):
             simulator = TaskGraphSimulator(topology)
-            for run in (simulator.run, simulator.run_reference):
+            for run in (simulator.run, functools.partial(run_reference, topology)):
                 with pytest.raises(
                     SimulationError, match="'t'.*index 99 out of range"
                 ):

@@ -23,6 +23,7 @@ from repro.planner import Planner, PlannerConfig
 from repro.runtime import Executor, ExecutorConfig
 from repro.sim.device import k80_8gpu_machine
 from repro.sim.engine import TaskGraphSimulator
+from tests.support.sim_oracle import run_reference
 
 MACHINE = k80_8gpu_machine(4)
 
@@ -80,7 +81,8 @@ def compile_rnn(rnn_bundle):
 
 def _reference(program, check_memory=True):
     """An uncached simulation of ``program`` (the per-dict reference loop)."""
-    return TaskGraphSimulator(program.machine).run_reference(
+    return run_reference(
+        program.machine,
         dict(program.tasks),
         peak_memory=program.per_device_memory,
         check_memory=check_memory,
@@ -141,7 +143,8 @@ def test_each_simulation_gets_its_own_memory_verdict(compile_rnn, calls):
     slow_links = dataclasses.replace(MACHINE, p2p_bandwidth=MACHINE.p2p_bandwidth / 4)
     result = executor.simulate(program, slow_links, check_memory=False)
     assert calls["run_compiled"] == 1
-    assert result == TaskGraphSimulator(slow_links).run_reference(
+    assert result == run_reference(
+        slow_links,
         dict(program.tasks),
         peak_memory=program.per_device_memory,
         check_memory=False,

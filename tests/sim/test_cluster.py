@@ -7,13 +7,13 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.device import (
+    HOST_DEVICE,
     MACHINE_PAYLOAD_VERSION,
     TOPOLOGY_PRESETS,
     ClusterSpec,
     DeviceSpec,
     Link,
     MachineSpec,
-    as_cluster,
     cluster_of,
     k80_8gpu_machine,
     link_from_dict,
@@ -53,7 +53,7 @@ class TestClusterStructure:
             with pytest.raises(SimulationError, match="out of range"):
                 k80_8gpu_machine(2).device(index)
 
-    @pytest.mark.parametrize("device", ["-2", "5"])
+    @pytest.mark.parametrize("device", ["-2", "-1", "5"])
     def test_simulating_a_budget_for_a_missing_device_raises(self, device):
         from repro.models.mlp import build_mlp
         from repro.runtime import Executor, ExecutorConfig
@@ -73,14 +73,21 @@ class TestClusterStructure:
     def test_machinespec_surface_mirrored(self, cluster):
         machine = cluster.machines[0]
         assert cluster.kernel_launch_overhead == machine.kernel_launch_overhead
-        assert cluster.p2p_bandwidth == machine.p2p_bandwidth
-        assert cluster.cpu_bandwidth == machine.cpu_bandwidth
-        assert cluster.cpu_memory == machine.cpu_memory
+        assert cluster.devices == machine.devices + cluster.machines[1].devices
+        assert cluster.num_devices == 2 * machine.num_devices
         assert cluster.device(5).name == machine.device(1).name
 
     def test_empty_cluster_rejected(self):
         with pytest.raises(SimulationError, match="at least one machine"):
             ClusterSpec(machines=[])
+
+    def test_a_cluster_is_not_a_machine_of_a_cluster(self, cluster):
+        # Nested, the inner cluster's network would be priced as one box's
+        # PCI-e: link_between(0, 3) would be p2p:3 instead of net:m1.
+        with pytest.raises(SimulationError, match="machine 0 is a ClusterSpec"):
+            ClusterSpec(machines=[cluster_of(k80_8gpu_machine(2), 2)])
+        with pytest.raises(SimulationError, match="machine 1 is a ClusterSpec"):
+            ClusterSpec(machines=[k80_8gpu_machine(2), cluster])
 
     def test_heterogeneous_machine_sizes(self):
         cluster = ClusterSpec(
@@ -118,12 +125,31 @@ class TestLinkResolution:
         )
 
     def test_bare_machine_mirrors_single_machine_cluster(self):
-        machine = k80_8gpu_machine(4)
-        wrapped = as_cluster(machine)
-        assert wrapped.num_machines == 1
-        for dst in range(4):
-            assert machine.link_between(0, dst) == wrapped.link_between(0, dst)
-        assert machine.host_link(2) == wrapped.host_link(2)
+        for num_gpus in (1, 2, 8):
+            machine = k80_8gpu_machine(num_gpus)
+            wrapped = ClusterSpec(machines=[machine])
+            assert machine.num_machines == wrapped.num_machines == 1
+            assert machine.machines == (machine,)
+            devices = list(range(num_gpus))
+            assert machine.devices_of_machine(0) == devices
+            assert wrapped.devices_of_machine(0) == devices
+            for src in [*devices, None, HOST_DEVICE]:
+                for dst in devices:
+                    assert machine.link_between(src, dst) == (
+                        wrapped.link_between(src, dst)
+                    )
+            for device in devices:
+                assert machine.machine_of(device) == 0
+                assert wrapped.machine_of(device) == 0
+                assert machine.host_link(device) == wrapped.host_link(device)
+            for topology in (machine, wrapped):
+                for bad in (-2, HOST_DEVICE, num_gpus):
+                    with pytest.raises(SimulationError, match="out of range"):
+                        topology.machine_of(bad)
+                    with pytest.raises(SimulationError, match="out of range"):
+                        topology.link_between(0, bad)
+                with pytest.raises(SimulationError, match="out of range"):
+                    topology.link_between(num_gpus, 0)
 
     def test_transfer_time_includes_latency(self, cluster):
         net = cluster.link_between(0, 4)

@@ -10,8 +10,9 @@ two-machine cluster:
 * the lowered dense form equals :func:`compile_task_graph` fed the
   program's tasks as a plain dict — field by field, name order included;
 * the array-based replay is **exactly equal** — dataclass equality over
-  every SimResult field, floats included — to :meth:`run_reference`, the
-  pre-compilation per-dict loop kept verbatim as the oracle;
+  every SimResult field, floats included — to ``run_reference``
+  (``tests/support/sim_oracle.py``), the pre-compilation per-dict loop kept
+  verbatim as the oracle;
 * programs decoded from a program-cache directory written by an earlier
   version of the codec (``tests/data/program_cache_v1``) do the same.
 """
@@ -19,6 +20,7 @@ two-machine cluster:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import sys
 import threading
@@ -43,6 +45,7 @@ from repro.sim.engine import (
     TaskGraphSimulator,
     compile_task_graph,
 )
+from tests.support.sim_oracle import run_reference, topo_order
 
 MACHINE = k80_8gpu_machine(4)
 CLUSTER = ClusterSpec(machines=[MACHINE])
@@ -89,8 +92,8 @@ def test_compiled_matches_reference_exactly(bundle, backend, topology):
     program = _lower(bundle.graph, backend, topology)
     simulator = TaskGraphSimulator(topology)
 
-    reference = simulator.run_reference(
-        program.tasks, peak_memory=program.per_device_memory
+    reference = run_reference(
+        topology, program.tasks, peak_memory=program.per_device_memory
     )
     compiled = simulator.run_compiled(
         program.dense_form(), peak_memory=program.per_device_memory
@@ -129,8 +132,8 @@ def test_v1_decoded_program_simulates_bit_identically(path):
     # The codec keeps emission order: re-encoding lists the stored tasks.
     assert list(program.tasks) == [t["name"] for t in entry["program"]["tasks"]]
     simulator = TaskGraphSimulator(machine)
-    reference = simulator.run_reference(
-        program.tasks, peak_memory=program.per_device_memory
+    reference = run_reference(
+        machine, program.tasks, peak_memory=program.per_device_memory
     )
     assert simulator.run_compiled(
         dense, peak_memory=program.per_device_memory
@@ -180,9 +183,9 @@ def test_mutated_program_recompiles(rnn_bundle):
     assert edited.task_graph is not program.task_graph
     assert list(edited.tasks) == list(program.tasks)
     assert after.iteration_time > before.iteration_time
-    simulator = TaskGraphSimulator(MACHINE)
-    assert after == simulator.run_reference(
-        edited.tasks, peak_memory=edited.per_device_memory, check_memory=False
+    assert after == run_reference(
+        MACHINE, edited.tasks, peak_memory=edited.per_device_memory,
+        check_memory=False,
     )
     assert executor.simulate(program, check_memory=False) == before
 
@@ -194,8 +197,8 @@ def test_concurrent_simulations_share_one_dense_form(rnn_bundle):
     program = _lower(rnn_bundle.graph, "pipeline", MACHINE)
     machines = [MACHINE, CLUSTER]
     expected = [
-        TaskGraphSimulator(machine).run_reference(
-            program.tasks, peak_memory=program.per_device_memory
+        run_reference(
+            machine, program.tasks, peak_memory=program.per_device_memory
         )
         for machine in machines
     ]
@@ -234,7 +237,7 @@ def test_idle_time_covers_every_topology_device():
     }
     for simulate in (
         TaskGraphSimulator(MACHINE).run,
-        TaskGraphSimulator(MACHINE).run_reference,
+        functools.partial(run_reference, MACHINE),
     ):
         result = simulate(tasks, check_memory=False)
         assert set(result.per_device_idle_time) == {0, 1, 2, 3}
@@ -254,7 +257,7 @@ class TestTaskGraphBuilder:
         builder.add("b", 1, duration=1.0)
         builder.add("d", 1, duration=1.0, after=("a",))
         compiled = builder.build(MACHINE)
-        order = TaskGraphSimulator._topo_order(dict(builder.tasks))
+        order = topo_order(dict(builder.tasks))
         assert compiled.names == order == ["a", "b", "d", "e"]
         assert compiled.deps == [(), (), (0,), (0, 1)]
 
