@@ -6,6 +6,8 @@ ratio* (compiled-vs-reference simulation, warm-vs-cold lowering) regresses
 by more than the tolerance.  Ratios — not absolute throughput — are gated:
 both sides of each ratio run on the same host in the same process, so the
 ratio is machine-independent while raw simulations/sec are not.
+``lower_speedup`` is warm ÷ cold lowerings/sec, so making cold lowering
+faster lowers it even though nothing got slower.
 
 Usage::
 

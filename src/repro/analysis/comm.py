@@ -48,16 +48,17 @@ def check_comm_validity(context: CheckContext) -> List[Finding]:
             Finding(code=code, check=CHECK_NAME, message=message, task=name)
         )
 
-    for name, task in program.tasks.items():
-        if machine is not None and not _device_in_range(task.device, machine):
+    # Only devices and endpoints matter here: read the rows, not the tasks
+    # (whose dependency names a read would rebuild).
+    for name, device, kind, _, _, _, _, src, dst in program.task_graph.rows:
+        if machine is not None and not _device_in_range(device, machine):
             finding(
                 "ANA009_DEVICE_RANGE", name,
-                f"task {name!r} runs on device {task.device}, outside a "
+                f"task {name!r} runs on device {device}, outside a "
                 f"topology with {machine.num_devices} device(s)",
             )
-        if task.kind != "comm":
+        if kind != "comm":
             continue
-        src, dst = task.src_device, task.dst_device
         if dst is None:
             finding(
                 "ANA007_BAD_LINK", name,

@@ -160,9 +160,9 @@ def check_memory_plan(context: CheckContext) -> List[Finding]:
 
     if program.check_memory:
         compute_devices = {
-            task.device
-            for task in program.tasks.values()
-            if task.kind == "compute"
+            device
+            for _, device, kind, *_ in program.task_graph.rows
+            if kind == "compute"
         }
         for device in sorted(compute_devices - set(memory)):
             findings.append(

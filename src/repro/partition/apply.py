@@ -156,24 +156,30 @@ def generate_partitioned_graph(
     launch_penalty = 0.0 if fuse_remote_fetch else 3 * machine.kernel_launch_overhead
 
     # Everything about a node that does not depend on the device is derived
-    # once and shared by its k tasks: the producer list, the fetch
-    # dependency tuple, and the node's features (priced on every device).
+    # once and shared by its k tasks: its producers (as node indices), its
+    # fetch and reduction bytes, and its features (priced on every device).
     device_specs = [machine.device(d) for d in range(num_devices)]
-    lowered_nodes = []
+    names: List[str] = []
+    producers_of: List[List[int]] = []
+    durations_of: List[List[float]] = []
+    node_index: Dict[str, int] = {}
     for node in scheduled_nodes(graph):
         name = node.name
-        producers = producer_deps(graph, node)
-        lowered_nodes.append((
-            name,
-            producers,
-            # Remote regions come from every peer: the fetch waits for the
-            # producers on all devices (a conservative synchronisation).
-            tuple(f"{p}@{d}" for p in producers for d in range(num_devices)),
-            fetch_bytes[name] / num_devices,
-            reduce_bytes[name],
-            node_kernel_times(graph, name, device_specs, machine, scale=scale),
-        ))
+        node_index[name] = len(names)
+        names.append(name)
+        producers_of.append([node_index[p] for p in producer_deps(graph, node)])
+        durations_of.append(
+            node_kernel_times(graph, name, device_specs, machine, scale=scale)
+        )
+    node_fetch = [fetch_bytes[name] / num_devices for name in names]
 
+    # Row layout: per device, per node, an optional local fetch, an optional
+    # network fetch, then the compute task.  Working out every device's
+    # fetch volumes first gives each compute task its id before any row is
+    # emitted, so a fetch can name the producers on later devices by id.
+    layouts: List[Tuple[Optional[int], List[Tuple[float, float]]]] = []
+    compute_ids: List[List[int]] = []
+    next_id = 0
     for device in range(num_devices):
         # Shards are spread uniformly over all workers, so the share of a
         # device's traffic staying on its machine is the fraction of workers
@@ -191,39 +197,53 @@ def generate_partitioned_graph(
             (d for d in range(num_devices) if machine.machine_of(d) != machine_index),
             None,
         )
-        for name, producers, fetch_deps, node_fetch, node_reduce, durations in (
-            lowered_nodes
-        ):
-            compute_name = f"{name}@{device}"
-            deps: List[str] = []
-
+        volumes: List[Tuple[float, float]] = []
+        ids: List[int] = []
+        for name, fetch, producers in zip(names, node_fetch, producers_of):
             if spread_reduction:
-                node_reduce_dev = node_reduce / num_devices
+                node_reduce_dev = reduce_bytes[name] / num_devices
             else:
-                node_reduce_dev = node_reduce if device == 0 else 0.0
-
-            comm_total = node_fetch + node_reduce_dev
+                node_reduce_dev = reduce_bytes[name] if device == 0 else 0.0
+            comm_total = fetch + node_reduce_dev
+            local_bytes = remote_bytes = 0.0
             if comm_total > 0.0 and producers:
-                fetch_name = f"{name}@{device}:fetch"
                 local_bytes = comm_total * local_fraction
-                if local_bytes > 0.0:
-                    make_comm_task(
-                        builder, fetch_name, device, local_bytes, src=None,
-                        deps=fetch_deps,
-                    )
-                    deps.append(fetch_name)
-                remote_bytes = comm_total - local_bytes
-                if remote_bytes > 0.0 and remote_peer is not None:
-                    net_name = f"{name}@{device}:netfetch"
-                    make_comm_task(
-                        builder, net_name, device, remote_bytes,
-                        src=remote_peer, deps=fetch_deps,
-                    )
-                    deps.append(net_name)
-            deps.extend(f"{p}@{device}" for p in producers)
+                if remote_peer is not None:
+                    remote_bytes = comm_total - local_bytes
+                next_id += (local_bytes > 0.0) + (remote_bytes > 0.0)
+            volumes.append((local_bytes, remote_bytes))
+            ids.append(next_id)
+            next_id += 1
+        layouts.append((remote_peer, volumes))
+        compute_ids.append(ids)
 
+    # Remote regions come from every peer: a fetch waits for the producers
+    # on all devices (a conservative synchronisation), one id tuple per node
+    # shared by its k fetches.
+    fetch_deps = [
+        tuple([ids[p] for p in producers for ids in compute_ids])
+        for producers in producers_of
+    ]
+
+    for device, (remote_peer, volumes) in enumerate(layouts):
+        local_id = compute_ids[device].__getitem__
+        for name, producers, durations, deps_of_fetch, (
+            local_bytes, remote_bytes
+        ) in zip(names, producers_of, durations_of, fetch_deps, volumes):
+            deps: List[int] = []
+            if local_bytes > 0.0:
+                deps.append(make_comm_task(
+                    builder, f"{name}@{device}:fetch", device, local_bytes,
+                    src=None, deps=deps_of_fetch,
+                ))
+            if remote_bytes > 0.0:
+                deps.append(make_comm_task(
+                    builder, f"{name}@{device}:netfetch", device,
+                    remote_bytes, src=remote_peer, deps=deps_of_fetch,
+                ))
+            deps.extend(map(local_id, producers))
             builder.add(
-                compute_name, device, "compute",
+                f"{name}@{device}", device, "compute",
                 durations[device] + launch_penalty, deps=deps,
             )
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError
@@ -49,7 +50,7 @@ from repro.runtime.passes import (
 from repro.runtime.program import LoweredProgram
 from repro.sim.costmodel import node_kernel_time
 from repro.sim.device import MachineSpec, Topology, slice_topology_range
-from repro.sim.engine import HOST_DEVICE, TaskGraphBuilder
+from repro.sim.engine import HOST_DEVICE, Dep, TaskGraphBuilder
 from repro.sim.swap import swap_residency_schedule
 
 
@@ -132,7 +133,7 @@ def _ring_reduce_task(
     neighbour: int,
     reduce_bytes: float,
     *,
-    deps: Sequence[str],
+    deps: Sequence[Dep],
 ) -> None:
     """Emit one device's share of a ring all-reduce.
 
@@ -660,30 +661,32 @@ def lower_hybrid(
         if multi_machine:
             total_comm += group_program.total_comm_bytes * scale
 
-        def shifted(device: Optional[int]) -> Optional[int]:
-            if device is None or device == HOST_DEVICE:
-                return device
-            return device + offset
-
-        rows = group_program.task_graph.rows
-        referenced = set()
-        for row in rows:
-            referenced.update(row.deps)
-            referenced.update(row.after)
-        group_sinks = [
-            f"{row.name}@grp{group}" for row in rows if row.name not in referenced
-        ]
-
-        for row in rows:
-            # The group program numbers devices locally: shift its devices
-            # and endpoints onto the group's slice.
-            tasks.add(
-                f"{row.name}@grp{group}", shifted(row.device), row.kind,
-                row.duration * scale, row.comm_bytes * scale,
-                tuple(f"{dep}@grp{group}" for dep in row.deps),
-                tuple(f"{dep}@grp{group}" for dep in row.after),
-                shifted(row.src_device), shifted(row.dst_device),
+        # The group program numbers tasks and devices locally: its rows are
+        # appended after everything emitted so far, so a dependency id
+        # shifts by the group's base, and each device onto the group's slice.
+        rows = group_program.task_graph.resolved_rows()
+        base = len(tasks.rows)
+        shift_ids = base.__add__
+        shift = {device: device + offset for device in range(group_devices)}
+        shift[None] = None
+        shift[HOST_DEVICE] = HOST_DEVICE
+        tasks.extend([
+            (
+                f"{name}@grp{group}", shift[device], kind, duration * scale,
+                comm_bytes * scale, tuple(map(shift_ids, deps)),
+                tuple(map(shift_ids, after)) if after else (),
+                shift[src], shift[dst],
             )
+            for name, device, kind, duration, comm_bytes, deps, after, src, dst
+            in rows
+        ])
+        # The group's sinks: rows no other row of the group depends on.
+        referenced = set(chain.from_iterable(
+            deps + after for _, _, _, _, _, deps, after, _, _ in rows
+        ))
+        group_sinks = [
+            base + i for i in range(len(rows)) if i not in referenced
+        ]
         neighbour_offset = ((group + 1) % groups) * group_devices
         for local_device in range(group_devices):
             reduce_name = f"allreduce@d{local_device}@grp{group}"

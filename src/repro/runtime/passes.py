@@ -45,7 +45,7 @@ from repro.graph.node import OpNode
 from repro.graph.scheduler import liveness, topo_schedule  # noqa: F401  (re-export)
 from repro.sim.costmodel import node_kernel_time
 from repro.sim.device import DeviceSpec, MachineSpec, Topology
-from repro.sim.engine import TaskGraphBuilder
+from repro.sim.engine import Dep, TaskGraphBuilder
 
 
 @perf.timed("pass.scheduled_nodes")
@@ -72,13 +72,13 @@ def make_compute_task(
     device_spec: DeviceSpec,
     machine: MachineSpec,
     *,
-    deps: Sequence[str] = (),
+    deps: Sequence[Dep] = (),
     scale: float = 1.0,
     extra_duration: float = 0.0,
     task_name: Optional[str] = None,
-) -> None:
+) -> int:
     """Kernel-time costing pass: emit one compute task into ``builder``,
-    priced by the roofline model.
+    priced by the roofline model, and return its id.
 
     ``scale`` shrinks the node's work to its per-device shard (1/k under
     partitioned or data-parallel execution); ``extra_duration`` adds fixed
@@ -88,7 +88,9 @@ def make_compute_task(
         node_kernel_time(graph, node_name, device_spec, machine, scale=scale)
         + extra_duration
     )
-    builder.add(task_name or node_name, device, "compute", duration, deps=deps)
+    return builder.add(
+        task_name or node_name, device, "compute", duration, deps=deps
+    )
 
 
 def make_comm_task(
@@ -99,10 +101,10 @@ def make_comm_task(
     *,
     src: Optional[int],
     dst: Optional[int] = None,
-    deps: Sequence[str] = (),
-) -> None:
+    deps: Sequence[Dep] = (),
+) -> int:
     """Comm-task emission pass: emit one ``src -> dst`` transfer into
-    ``builder``.
+    ``builder`` and return its id.
 
     ``src`` is the sending device, ``None`` for a gather from every peer, or
     :data:`repro.sim.device.HOST_DEVICE` for a host copy; ``dst`` defaults
@@ -111,7 +113,7 @@ def make_comm_task(
     (``link_between``) on the machine it simulates, and prices the transfer
     there.
     """
-    builder.add(
+    return builder.add(
         name, device, "comm", comm_bytes=float(comm_bytes), deps=deps,
         src_device=src, dst_device=device if dst is None else dst,
     )

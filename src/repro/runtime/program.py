@@ -179,9 +179,13 @@ def _copied(mapping: Optional[Mapping]) -> Optional[Dict]:
 # ---------------------------------------------------------------------------
 # Serialization — what the lowered-program cache stores
 # ---------------------------------------------------------------------------
-def _row_to_dict(row: TaskRow) -> Dict:
-    entry = row._asdict()
-    entry.update(deps=list(row.deps), after=list(row.after))
+def _row_to_dict(graph: TaskGraphBuilder, row: tuple) -> Dict:
+    """One task row as a payload entry, its dependencies by name."""
+    entry = TaskRow._make(row)._asdict()
+    entry.update(
+        deps=list(graph.names_of(entry["deps"])),
+        after=list(graph.names_of(entry["after"])),
+    )
     return entry
 
 
@@ -273,11 +277,12 @@ def program_to_dict(program: LoweredProgram) -> Dict:
     from repro.partition.plan import plan_to_dict
     from repro.sim.device import machine_to_dict
 
+    graph = program.task_graph
     payload: Dict = {
         "version": PROGRAM_PAYLOAD_VERSION,
         "backend": program.backend,
         "num_devices": program.num_devices,
-        "tasks": [_row_to_dict(row) for row in program.task_graph.rows],
+        "tasks": [_row_to_dict(graph, row) for row in graph.rows],
         "per_device_memory": {
             str(device): int(required)
             for device, required in program.per_device_memory.items()

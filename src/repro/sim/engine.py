@@ -19,10 +19,12 @@ program simulated on another machine re-prices every transfer.  On a single
 machine the link set is per-device ``p2p`` queues plus one shared ``cpu``
 queue.
 
-Lowering passes emit rows into a :class:`TaskGraphBuilder`, whose
-:meth:`~TaskGraphBuilder.build` interns task names to dense integer ids
-(topological order, dependency id lists, resource slots, pre-priced transfer
-times) and :meth:`TaskGraphSimulator.run_compiled` replays the arrays.  A
+Lowering passes emit rows into a :class:`TaskGraphBuilder`.  A task's id is
+its emission index and its dependencies are ids: a dependency given by name
+is resolved once, and names are kept for reading only.
+:meth:`~TaskGraphBuilder.build` sorts the integer graph into the dense form
+(topological order, dependency positions, resource slots, pre-priced
+transfer times) and :meth:`TaskGraphSimulator.run_compiled` replays it.  A
 built graph caches its compiled form and that form's replay, so repeat
 simulations of one program — and of every program-cache copy sharing its
 graph — neither sort nor replay it again; only the memory verdicts are
@@ -107,9 +109,17 @@ def _task_link(
         raise SimulationError(f"comm task {name!r}: {exc}") from None
 
 
-#: One task as lowering emits it: :class:`Task`'s fields, in order, in a
-#: plain tuple (``Task(*row)`` rebuilds the task).
+#: The fields of one task as lowering emits it: :class:`Task`'s fields, in
+#: order.  A builder keeps each row as a plain tuple in this order, with
+#: ``deps`` and ``after`` as task ids (``TaskRow._make(row)`` names the
+#: fields).  The collector stops tracking a plain tuple of plain values
+#: once it has seen it, so a graph of a few hundred thousand rows is not
+#: walked again by every later full collection; a named tuple would be.
 TaskRow = namedtuple("TaskRow", [f.name for f in fields(Task)])
+
+#: A dependency as :meth:`TaskGraphBuilder.add` takes it: a task id (its
+#: emission index) or a task name.
+Dep = Union[int, str]
 
 
 @dataclass
@@ -211,28 +221,41 @@ class CompiledTaskGraph:
 
 
 class TaskGraphBuilder:
-    """A task graph as lowering emits it: one :class:`TaskRow` per task, in
-    emission order.
+    """A task graph as lowering emits it: one row per task (a tuple in
+    :data:`TaskRow` field order), in emission order.  A task's id is its
+    emission index.
 
     Lowering passes :meth:`add` rows instead of constructing ``Task``
-    objects.  :meth:`build` interns names to ids in emission order, resolves
-    each dependency edge with one dict lookup, sorts the integer graph with
-    Kahn's algorithm (FIFO, the reference loop's tie-breaking), and
-    permutes the rows into a :class:`CompiledTaskGraph` for one machine.
+    objects; :meth:`add` returns the new row's id.  A row's ``deps`` and
+    ``after`` hold ids: a dependency may be given as an id or as a task
+    name, and a name is resolved to its id once — at :meth:`add` when the
+    named task is already there, at the sort when it is added later (a
+    forward reference).  Names are for reading: the task view and the
+    payload codec turn ids back into names.  :meth:`build` sorts the
+    integer graph with Kahn's algorithm (FIFO, the reference loop's
+    tie-breaking) and permutes the rows into a :class:`CompiledTaskGraph`
+    for one machine.
 
     The first sort seals the builder: from then on it is an immutable dense
     form that caches its topological sort, and its compiled form and that
     form's replay for the last machine it was built for, so every program
     sharing one builder — program-cache copies included — shares all
-    three.  Adding a name twice replaces the earlier row in place, like
-    assigning into a dict.
+    three.  Adding a name twice replaces the earlier row in place and keeps
+    its id, like assigning into a dict.
     """
 
-    __slots__ = ("rows", "_index", "_sorted", "_compiled", "_replayed")
+    __slots__ = (
+        "rows", "_index", "_forward", "_names", "_sorted", "_compiled",
+        "_replayed",
+    )
 
     def __init__(self) -> None:
-        self.rows: List[TaskRow] = []
+        self.rows: List[tuple] = []
         self._index: Dict[str, int] = {}
+        #: Ids of rows that may still hold a forward name reference.
+        self._forward: List[int] = []
+        #: Task names by id, built on the first read after a new name.
+        self._names: Optional[List[str]] = None
         self._sorted: Optional[Tuple[Sequence[int], List[Tuple[int, ...]]]] = None
         self._compiled: Optional[Tuple[Topology, CompiledTaskGraph]] = None
         self._replayed: Optional[Tuple[CompiledTaskGraph, SimResult]] = None
@@ -255,30 +278,84 @@ class TaskGraphBuilder:
         kind: str = "compute",
         duration: float = 0.0,
         comm_bytes: float = 0.0,
-        deps: Sequence[str] = (),
-        after: Sequence[str] = (),
+        deps: Sequence[Dep] = (),
+        after: Sequence[Dep] = (),
         src_device: Optional[int] = None,
         dst_device: Optional[int] = None,
-    ) -> None:
-        """Append one task; the arguments are :class:`Task`'s fields."""
+    ) -> int:
+        """Append one task and return its id.  The arguments are
+        :class:`Task`'s fields, except that ``deps`` and ``after`` may give
+        each dependency by id as well as by name.  Ids are checked by the
+        sort: an id past the last row may still be added later."""
         if self._sorted is not None:
             raise SimulationError(
                 f"cannot add task {name!r}: the task graph is already built"
             )
-        row = TaskRow._make((
-            name, device, kind, duration, comm_bytes, tuple(deps),
-            tuple(after), src_device, dst_device,
-        ))
         rows = self.rows
-        index = self._index.setdefault(name, len(rows))
+        index_of = self._index
+        index = index_of.setdefault(name, len(rows))
+        deps = tuple(deps)
+        if deps and str in map(type, deps):
+            try:  # names of tasks already added, the common case
+                deps = tuple(map(index_of.__getitem__, deps))
+            except KeyError:
+                deps = self._resolve_names(index, deps)
+        after = tuple(after)
+        if after and str in map(type, after):
+            try:
+                after = tuple(map(index_of.__getitem__, after))
+            except KeyError:
+                after = self._resolve_names(index, after)
+        row = (
+            name, device, kind, duration, comm_bytes, deps, after,
+            src_device, dst_device,
+        )
         if index == len(rows):
             rows.append(row)
+            self._names = None
         else:
             rows[index] = row
+        return index
 
-    def add_task(self, task: Task, name: Optional[str] = None) -> None:
-        """Append ``task``, under ``name`` when given (its dict key)."""
-        self.add(**{**vars(task), "name": task.name if name is None else name})
+    def extend(self, rows: Sequence[tuple]) -> None:
+        """Append ``rows``, the bulk form of :meth:`add` for rows copied from
+        another graph: each is a tuple in :data:`TaskRow` field order, with
+        a name no other task has and its dependencies as ids only (checked
+        by the sort, like any other)."""
+        if self._sorted is not None:
+            raise SimulationError(
+                "cannot add tasks: the task graph is already built"
+            )
+        start = len(self.rows)
+        ids = dict(zip([row[0] for row in rows], range(start, start + len(rows))))
+        if len(ids) != len(rows) or not self._index.keys().isdisjoint(ids):
+            seen = set(self._index)
+            for row in rows:
+                if row[0] in seen:
+                    raise SimulationError(
+                        f"cannot copy task {row[0]!r}: the name is taken"
+                    )
+                seen.add(row[0])
+        self._index.update(ids)
+        self.rows.extend(rows)
+        self._names = None
+
+    def _resolve_names(self, index: int, deps: Tuple[Dep, ...]) -> Tuple[Dep, ...]:
+        """``deps`` of row ``index``, ids and names mixed or a name of no
+        task yet among them, with each name of a task already added
+        replaced by its id; the others stay names for the sort."""
+        index_of = self._index
+        ids = tuple([
+            index_of.get(dep, dep) if type(dep) is str else dep for dep in deps
+        ])
+        if str in map(type, ids):
+            self._forward.append(index)
+        return ids
+
+    def add_task(self, task: Task, name: Optional[str] = None) -> int:
+        """Append ``task``, under ``name`` when given (its dict key), and
+        return its id."""
+        return self.add(**{**vars(task), "name": task.name if name is None else name})
 
     def edited(self, tasks: Mapping[str, Task]) -> "TaskGraphBuilder":
         """A new builder with this graph's rows, each of ``tasks`` replacing
@@ -286,6 +363,7 @@ class TaskGraphBuilder:
         builder = TaskGraphBuilder()
         builder.rows = list(self.rows)
         builder._index = dict(self._index)
+        builder._forward = list(self._forward)
         for name, task in tasks.items():
             builder.add_task(task, name)
         return builder
@@ -294,6 +372,59 @@ class TaskGraphBuilder:
     def tasks(self) -> "TaskView":
         """Read-only ``name -> Task`` view, in emission order."""
         return TaskView(self)
+
+    def names_of(self, ids: Sequence[Dep]) -> Tuple[Dep, ...]:
+        """Dependency ``ids`` as task names, for reading.  A forward name
+        not resolved yet stays as given, and so does an id of no row."""
+        if not ids:
+            return ()
+        names = self._names
+        if names is None:
+            # The index lists names in first-add order, which is id order.
+            names = self._names = list(self._index)
+        try:
+            if min(ids) >= 0:
+                return tuple(map(names.__getitem__, ids))
+        except (TypeError, IndexError):  # a name, or an id past the end
+            pass
+        n = len(names)
+        return tuple([
+            names[dep] if type(dep) is not str and 0 <= dep < n else dep
+            for dep in ids
+        ])
+
+    def resolved_rows(self) -> List[tuple]:
+        """The rows with every forward name reference resolved to its id.
+
+        Raises :class:`SimulationError` when a dependency names no task."""
+        forward = self._forward
+        if forward:
+            rows = self.rows
+            for i in sorted(set(forward)):
+                (name, device, kind, duration, comm_bytes, deps, after,
+                 src, dst) = rows[i]
+                rows[i] = (
+                    name, device, kind, duration, comm_bytes,
+                    self._resolve_forward(name, deps),
+                    self._resolve_forward(name, after),
+                    src, dst,
+                )
+            forward.clear()
+        return self.rows
+
+    def _resolve_forward(self, name: str, ids: Tuple[Dep, ...]) -> Tuple[int, ...]:
+        """Task ``name``'s ``ids`` with every name replaced by its id."""
+        if str not in map(type, ids):
+            return ids
+        index = self._index
+        for dep in ids:
+            if type(dep) is str and dep not in index:
+                raise SimulationError(
+                    f"task {name!r} depends on missing task {dep!r}"
+                )
+        return tuple([
+            index[dep] if type(dep) is str else dep for dep in ids
+        ])
 
     # ----------------------------------------------------------------- build
     def build(self, machine: Topology) -> CompiledTaskGraph:
@@ -333,30 +464,37 @@ class TaskGraphBuilder:
         """Row indices in topological order, and each sorted task's ordering
         dependencies as positions in that order (computed once, cached).
 
-        Raises :class:`SimulationError` when a dependency names no task or
-        the ordering edges contain a cycle."""
+        Raises :class:`SimulationError` when a dependency names no task, an
+        id is past the last row, or the ordering edges contain a cycle."""
         if self._sorted is not None:
             return self._sorted
-        lookup = self._index.__getitem__
-        rows = self.rows
+        rows = self.resolved_rows()
         n = len(rows)
         indegree = [0] * n
         consumers: List[List[int]] = [[] for _ in range(n)]
         dep_ids: List[Tuple[int, ...]] = [()] * n
-        for i, row in enumerate(rows):
-            deps = row.deps + row.after if row.after else row.deps
-            if not deps:
-                continue
-            try:
-                ids = dep_ids[i] = tuple(map(lookup, deps))
-            except KeyError:
-                missing = next(dep for dep in deps if dep not in self._index)
-                raise SimulationError(
-                    f"task {row.name!r} depends on missing task {missing!r}"
-                ) from None
-            indegree[i] = len(ids)
-            for j in ids:
-                consumers[j].append(i)
+        try:
+            for i, row in enumerate(rows):
+                # The task's ordering dependencies: its deps (row field 5),
+                # then its after (field 6).
+                ids = row[5] + row[6] if row[6] else row[5]
+                if ids:
+                    dep_ids[i] = ids
+                    indegree[i] = len(ids)
+                    for j in ids:
+                        consumers[j].append(i)
+            if min(map(min, filter(None, dep_ids)), default=0) < 0:
+                raise IndexError
+        except (IndexError, TypeError):  # an id of no row, or a name
+            name, dep = next(
+                (row[0], dep)
+                for row in rows
+                for dep in row[5] + row[6]
+                if type(dep) is str or not 0 <= dep < n
+            )
+            raise SimulationError(
+                f"task {name!r} depends on {dep!r}, but the ids run 0..{n - 1}"
+            ) from None
         order = [i for i in range(n) if not indegree[i]]
         for i in order:  # FIFO: the list grows while it is walked
             for consumer in consumers[i]:
@@ -364,7 +502,10 @@ class TaskGraphBuilder:
                 if not indegree[consumer]:
                     order.append(consumer)
         if len(order) != n:
-            raise SimulationError("task graph contains a cycle")
+            looped = [row[0] for i, row in enumerate(rows) if i in dep_ids[i]]
+            raise SimulationError("task graph contains a cycle" + (
+                f": task {looped[0]!r} depends on itself" if looped else ""
+            ))
         position = [0] * n
         for k, i in enumerate(order):
             position[i] = k
@@ -451,11 +592,12 @@ class TaskView(abc.Mapping):
     emission order — what ``LoweredProgram.tasks`` is.
 
     Length, iteration and membership read the builder's name index; an item
-    read builds the ``Task`` from its row.  Tasks are values, not storage:
-    a program holds only its rows and compiled form, so reading tasks (the
-    verifier, debugging) costs time on access instead of memory for the
-    program's lifetime.  There is no item assignment: edit a program with
-    ``LoweredProgram.replace_tasks``.
+    read builds the ``Task`` from its row, its dependency ids turned back
+    into names (:meth:`TaskGraphBuilder.names_of`).  Tasks are values, not
+    storage: a program holds only its rows and compiled form, so reading
+    tasks (debugging, the verifier's schedule check) costs time on access
+    instead of memory for the program's lifetime.  There is no item
+    assignment: edit a program with ``LoweredProgram.replace_tasks``.
     """
 
     __slots__ = ("graph",)
@@ -474,7 +616,15 @@ class TaskView(abc.Mapping):
 
     def __getitem__(self, name: str) -> Task:
         graph = self.graph
-        return Task(*graph.rows[graph._index[name]])
+        name, device, kind, duration, comm_bytes, deps, after, src, dst = (
+            graph.rows[graph._index[name]]
+        )
+        return Task(
+            name, device, kind, duration, comm_bytes,
+            graph.names_of(deps) if deps else (),
+            graph.names_of(after) if after else (),
+            src, dst,
+        )
 
 
 def task_view(tasks: Union[TaskGraphBuilder, Mapping[str, Task]]) -> TaskView:

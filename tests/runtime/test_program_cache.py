@@ -569,8 +569,8 @@ def test_v1_rows_decode_to_endpoints():
     assert "cpu:m0" in result.per_link_busy_time
 
     pipeline = program_from_dict(_v1_payloads()["pipeline"])
-    rows = [row for row in pipeline.task_graph.rows if row.kind == "comm"]
-    assert {(row.src_device, row.dst_device) for row in rows} == {(0, 1), (1, 0)}
+    comms = [task for task in pipeline.tasks.values() if task.kind == "comm"]
+    assert {(t.src_device, t.dst_device) for t in comms} == {(0, 1), (1, 0)}
     encoded = program_to_dict(pipeline)
     assert encoded["version"] == 2
     assert all(

@@ -9,6 +9,9 @@ two-machine cluster:
 
 * the lowered dense form equals :func:`compile_task_graph` fed the
   program's tasks as a plain dict — field by field, name order included;
+* lowering that emits dependency ids (tofu, hybrid over tofu and over
+  pipeline) gives the same dense form, payload bytes and simulation as the
+  graph rebuilt from its tasks by name, on one 4-GPU machine and on two;
 * the array-based replay is **exactly equal** — dataclass equality over
   every SimResult field, floats included — to ``run_reference``
   (``tests/support/sim_oracle.py``), the pre-compilation per-dict loop kept
@@ -36,6 +39,7 @@ from repro.runtime import (
     ExecutorConfig,
     available_execution_backends,
     program_from_dict,
+    program_to_dict,
 )
 from repro.runtime.passes import round_robin_layer_placement
 from repro.sim.device import ClusterSpec, cluster_of, k80_8gpu_machine
@@ -117,7 +121,78 @@ def test_dense_form_matches_compile_task_graph(bundle, backend, topology):
     for field in dataclasses.fields(dense):
         name = field.name
         assert getattr(dense, name) == getattr(rebuilt, name), name
-    assert list(program.tasks) == [row.name for row in program.task_graph.rows]
+    assert list(program.tasks) == [row[0] for row in program.task_graph.rows]
+
+
+#: Two 4-GPU boxes: eight devices, every group boundary of a 2-group
+#: hybrid on the NIC.
+CLUSTER8 = cluster_of(k80_8gpu_machine(4), 2)
+#: Per case: the backend, and its (options, plan) for a graph on ``n``
+#: devices.
+ID_CASES = {
+    "single-device": ("single-device", lambda graph, n: ({}, None)),
+    "placement": ("placement", lambda graph, n: (
+        {"device_of_node": round_robin_layer_placement(graph, n)}, None,
+    )),
+    "data-parallel": ("data-parallel", lambda graph, n: ({}, None)),
+    "swap": ("swap", lambda graph, n: ({}, None)),
+    "pipeline": ("pipeline", lambda graph, n: (
+        {"num_stages": 2, "num_microbatches": 4}, None,
+    )),
+    "tofu": ("tofu-partitioned", lambda graph, n: (
+        {}, recursive_partition(graph, n),
+    )),
+    "hybrid-tofu": ("hybrid", lambda graph, n: (
+        {"replica_groups": 2, "inner": "tofu-partitioned"},
+        recursive_partition(graph, n // 2),
+    )),
+    "hybrid-pipeline": ("hybrid", lambda graph, n: (
+        {
+            "replica_groups": 2,
+            "inner": "pipeline",
+            "inner_options": {"num_stages": 2, "num_microbatches": 4},
+        },
+        None,
+    )),
+}
+
+
+def test_id_cases_cover_every_builtin_backend():
+    assert {backend for backend, _ in ID_CASES.values()} == set(
+        available_execution_backends()
+    )
+
+
+@pytest.mark.parametrize(
+    "topology", [MACHINE, CLUSTER8], ids=["machine4", "cluster2x4"]
+)
+@pytest.mark.parametrize("case", sorted(ID_CASES))
+def test_lowered_ids_match_the_graph_built_by_name(bundle, case, topology):
+    """Lowering emits dependencies as ids; the same program fed back by
+    name (``dict(program.tasks)``) must give the same dense form — order,
+    dependency positions, slots, durations and comm accounting — the same
+    payload bytes, and the reference loop's result."""
+    graph = bundle.graph
+    backend, setup = ID_CASES[case]
+    options, plan = setup(graph, topology.num_devices)
+    program = Executor(ExecutorConfig(cache_programs=False)).lower(
+        graph, plan=plan, machine=topology,
+        backend=backend, backend_options=options,
+    )
+    by_name = dataclasses.replace(program, tasks=dict(program.tasks))
+    assert by_name.task_graph is not program.task_graph
+
+    dense = program.dense_form()
+    assert dense == by_name.dense_form()
+    assert json.dumps(program_to_dict(program)) == json.dumps(
+        program_to_dict(by_name)
+    )
+    reference = run_reference(
+        topology, program.tasks, peak_memory=program.per_device_memory
+    )
+    assert TaskGraphSimulator(topology).run_compiled(
+        dense, peak_memory=program.per_device_memory
+    ) == reference
 
 
 @pytest.mark.parametrize(
