@@ -4,14 +4,14 @@ sort per program, and full-topology idle accounting.
 Lowering emits every program straight into a :class:`TaskGraphBuilder`;
 the program's dense form (:meth:`LoweredProgram.dense_form`) is what
 ``Executor.simulate`` replays.  This suite pins, across every registered
-execution backend on a bare machine, a one-machine cluster and a
-two-machine cluster:
+execution backend (hybrid over tofu and over pipeline) on a bare machine,
+a one-machine cluster and two two-machine clusters:
 
-* the lowered dense form equals :func:`compile_task_graph` fed the
-  program's tasks as a plain dict — field by field, name order included;
-* lowering that emits dependency ids (tofu, hybrid over tofu and over
-  pipeline) gives the same dense form, payload bytes and simulation as the
-  graph rebuilt from its tasks by name, on one 4-GPU machine and on two;
+* the lowered dense form, whose dependencies lowering emitted as ids (tofu
+  and hybrid work them out from the row layout), equals
+  :func:`compile_task_graph` fed the program's tasks by name as a plain
+  dict — field by field, name order included — and encodes to the same
+  payload bytes;
 * the array-based replay is **exactly equal** — dataclass equality over
   every SimResult field, floats included — to ``run_reference``
   (``tests/support/sim_oracle.py``), the pre-compilation per-dict loop kept
@@ -55,31 +55,55 @@ MACHINE = k80_8gpu_machine(4)
 CLUSTER = ClusterSpec(machines=[MACHINE])
 #: Two 2-GPU boxes: the same 4 devices, half of every ring over the NIC.
 CLUSTER2 = cluster_of(k80_8gpu_machine(2), 2)
-TOPOLOGIES = [MACHINE, CLUSTER, CLUSTER2]
-TOPOLOGY_IDS = ["machine", "cluster", "cluster2"]
+#: Two 4-GPU boxes: eight devices, every group boundary of a 2-group
+#: hybrid on the NIC.
+CLUSTER8 = cluster_of(k80_8gpu_machine(4), 2)
+TOPOLOGIES = [MACHINE, CLUSTER, CLUSTER2, CLUSTER8]
+TOPOLOGY_IDS = ["machine", "cluster", "cluster2", "cluster2x4"]
 V1_DIR = Path(__file__).resolve().parents[1] / "data" / "program_cache_v1"
 
+#: Per case: the backend, and its (options, plan) for a graph on ``n``
+#: devices.
+CASES = {
+    "single-device": ("single-device", lambda graph, n: ({}, None)),
+    "placement": ("placement", lambda graph, n: (
+        {"device_of_node": round_robin_layer_placement(graph, n)}, None,
+    )),
+    "data-parallel": ("data-parallel", lambda graph, n: ({}, None)),
+    "swap": ("swap", lambda graph, n: ({}, None)),
+    "pipeline": ("pipeline", lambda graph, n: (
+        {"num_stages": 2, "num_microbatches": 4}, None,
+    )),
+    "tofu-partitioned": ("tofu-partitioned", lambda graph, n: (
+        {}, recursive_partition(graph, n),
+    )),
+    "hybrid": ("hybrid", lambda graph, n: (
+        {"replica_groups": 2, "inner": "tofu-partitioned"},
+        recursive_partition(graph, n // 2),
+    )),
+    "hybrid-pipeline": ("hybrid", lambda graph, n: (
+        {
+            "replica_groups": 2,
+            "inner": "pipeline",
+            "inner_options": {"num_stages": 2, "num_microbatches": 4},
+        },
+        None,
+    )),
+}
 
-def _backend_setup(name, graph):
-    """(options, plan) each registered backend needs on the 4-GPU fixture."""
-    if name == "placement":
-        return {"device_of_node": round_robin_layer_placement(graph, 4)}, None
-    if name == "tofu-partitioned":
-        return {}, recursive_partition(graph, 4)
-    if name == "hybrid":
-        return {"replica_groups": 2, "inner": "tofu-partitioned"}, (
-            recursive_partition(graph, 2)
-        )
-    if name == "pipeline":
-        return {"num_stages": 2, "num_microbatches": 4}, None
-    return {}, None
 
-
-def _lower(graph, backend, topology):
-    options, plan = _backend_setup(backend, graph)
+def _lower(graph, case, topology):
+    backend, setup = CASES[case]
+    options, plan = setup(graph, topology.num_devices)
     return Executor(ExecutorConfig(cache_programs=False)).lower(
         graph, plan=plan, machine=topology,
         backend=backend, backend_options=options,
+    )
+
+
+def test_cases_cover_every_builtin_backend():
+    assert {backend for backend, _ in CASES.values()} == set(
+        available_execution_backends()
     )
 
 
@@ -91,9 +115,9 @@ def bundle(request):
 
 
 @pytest.mark.parametrize("topology", TOPOLOGIES, ids=TOPOLOGY_IDS)
-@pytest.mark.parametrize("backend", sorted(available_execution_backends()))
-def test_compiled_matches_reference_exactly(bundle, backend, topology):
-    program = _lower(bundle.graph, backend, topology)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_compiled_matches_reference_exactly(bundle, case, topology):
+    program = _lower(bundle.graph, case, topology)
     simulator = TaskGraphSimulator(topology)
 
     reference = run_reference(
@@ -110,11 +134,13 @@ def test_compiled_matches_reference_exactly(bundle, backend, topology):
 
 
 @pytest.mark.parametrize("topology", TOPOLOGIES, ids=TOPOLOGY_IDS)
-@pytest.mark.parametrize("backend", sorted(available_execution_backends()))
-def test_dense_form_matches_compile_task_graph(bundle, backend, topology):
-    """What lowering emitted is exactly what feeding its tasks, as a plain
-    dict, through the builder produces — names order included."""
-    program = _lower(bundle.graph, backend, topology)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_dense_form_matches_compile_task_graph(bundle, case, topology):
+    """What lowering emitted, dependencies as ids, is exactly what feeding
+    its tasks by name, as a plain dict, through the builder produces —
+    order, dependency positions, slots, durations and comm accounting —
+    and it encodes to the same payload bytes."""
+    program = _lower(bundle.graph, case, topology)
     assert program.machine == topology
     rebuilt = compile_task_graph(dict(program.tasks), topology)
     dense = program.dense_form()
@@ -122,77 +148,11 @@ def test_dense_form_matches_compile_task_graph(bundle, backend, topology):
         name = field.name
         assert getattr(dense, name) == getattr(rebuilt, name), name
     assert list(program.tasks) == [row[0] for row in program.task_graph.rows]
-
-
-#: Two 4-GPU boxes: eight devices, every group boundary of a 2-group
-#: hybrid on the NIC.
-CLUSTER8 = cluster_of(k80_8gpu_machine(4), 2)
-#: Per case: the backend, and its (options, plan) for a graph on ``n``
-#: devices.
-ID_CASES = {
-    "single-device": ("single-device", lambda graph, n: ({}, None)),
-    "placement": ("placement", lambda graph, n: (
-        {"device_of_node": round_robin_layer_placement(graph, n)}, None,
-    )),
-    "data-parallel": ("data-parallel", lambda graph, n: ({}, None)),
-    "swap": ("swap", lambda graph, n: ({}, None)),
-    "pipeline": ("pipeline", lambda graph, n: (
-        {"num_stages": 2, "num_microbatches": 4}, None,
-    )),
-    "tofu": ("tofu-partitioned", lambda graph, n: (
-        {}, recursive_partition(graph, n),
-    )),
-    "hybrid-tofu": ("hybrid", lambda graph, n: (
-        {"replica_groups": 2, "inner": "tofu-partitioned"},
-        recursive_partition(graph, n // 2),
-    )),
-    "hybrid-pipeline": ("hybrid", lambda graph, n: (
-        {
-            "replica_groups": 2,
-            "inner": "pipeline",
-            "inner_options": {"num_stages": 2, "num_microbatches": 4},
-        },
-        None,
-    )),
-}
-
-
-def test_id_cases_cover_every_builtin_backend():
-    assert {backend for backend, _ in ID_CASES.values()} == set(
-        available_execution_backends()
-    )
-
-
-@pytest.mark.parametrize(
-    "topology", [MACHINE, CLUSTER8], ids=["machine4", "cluster2x4"]
-)
-@pytest.mark.parametrize("case", sorted(ID_CASES))
-def test_lowered_ids_match_the_graph_built_by_name(bundle, case, topology):
-    """Lowering emits dependencies as ids; the same program fed back by
-    name (``dict(program.tasks)``) must give the same dense form — order,
-    dependency positions, slots, durations and comm accounting — the same
-    payload bytes, and the reference loop's result."""
-    graph = bundle.graph
-    backend, setup = ID_CASES[case]
-    options, plan = setup(graph, topology.num_devices)
-    program = Executor(ExecutorConfig(cache_programs=False)).lower(
-        graph, plan=plan, machine=topology,
-        backend=backend, backend_options=options,
-    )
     by_name = dataclasses.replace(program, tasks=dict(program.tasks))
     assert by_name.task_graph is not program.task_graph
-
-    dense = program.dense_form()
-    assert dense == by_name.dense_form()
     assert json.dumps(program_to_dict(program)) == json.dumps(
         program_to_dict(by_name)
     )
-    reference = run_reference(
-        topology, program.tasks, peak_memory=program.per_device_memory
-    )
-    assert TaskGraphSimulator(topology).run_compiled(
-        dense, peak_memory=program.per_device_memory
-    ) == reference
 
 
 @pytest.mark.parametrize(
