@@ -244,18 +244,13 @@ class TaskGraphBuilder:
     its id, like assigning into a dict.
     """
 
-    __slots__ = (
-        "rows", "_index", "_forward", "_names", "_sorted", "_compiled",
-        "_replayed",
-    )
+    __slots__ = ("rows", "_index", "_forward", "_sorted", "_compiled", "_replayed")
 
     def __init__(self) -> None:
         self.rows: List[tuple] = []
         self._index: Dict[str, int] = {}
         #: Ids of rows that may still hold a forward name reference.
         self._forward: List[int] = []
-        #: Task names by id, built on the first read after a new name.
-        self._names: Optional[List[str]] = None
         self._sorted: Optional[Tuple[Sequence[int], List[Tuple[int, ...]]]] = None
         self._compiled: Optional[Tuple[Topology, CompiledTaskGraph]] = None
         self._replayed: Optional[Tuple[CompiledTaskGraph, SimResult]] = None
@@ -312,7 +307,6 @@ class TaskGraphBuilder:
         )
         if index == len(rows):
             rows.append(row)
-            self._names = None
         else:
             rows[index] = row
         return index
@@ -338,7 +332,6 @@ class TaskGraphBuilder:
                 seen.add(row[0])
         self._index.update(ids)
         self.rows.extend(rows)
-        self._names = None
 
     def _resolve_names(self, index: int, deps: Tuple[Dep, ...]) -> Tuple[Dep, ...]:
         """``deps`` of row ``index``, ids and names mixed or a name of no
@@ -376,20 +369,10 @@ class TaskGraphBuilder:
     def names_of(self, ids: Sequence[Dep]) -> Tuple[Dep, ...]:
         """Dependency ``ids`` as task names, for reading.  A forward name
         not resolved yet stays as given, and so does an id of no row."""
-        if not ids:
-            return ()
-        names = self._names
-        if names is None:
-            # The index lists names in first-add order, which is id order.
-            names = self._names = list(self._index)
-        try:
-            if min(ids) >= 0:
-                return tuple(map(names.__getitem__, ids))
-        except (TypeError, IndexError):  # a name, or an id past the end
-            pass
-        n = len(names)
+        rows = self.rows
+        n = len(rows)
         return tuple([
-            names[dep] if type(dep) is not str and 0 <= dep < n else dep
+            rows[dep][0] if type(dep) is not str and 0 <= dep < n else dep
             for dep in ids
         ])
 
@@ -621,9 +604,7 @@ class TaskView(abc.Mapping):
         )
         return Task(
             name, device, kind, duration, comm_bytes,
-            graph.names_of(deps) if deps else (),
-            graph.names_of(after) if after else (),
-            src, dst,
+            graph.names_of(deps), graph.names_of(after), src, dst,
         )
 
 
