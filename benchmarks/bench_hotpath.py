@@ -313,8 +313,8 @@ def bench_hotpath_verify_overhead(benchmark):
 
 
 def bench_hotpath_cache_key_stability(benchmark):
-    """The content address is deterministic across processes — the property
-    the on-disk program store depends on; cheap enough to pin here."""
+    """The content address is deterministic across processes and fresh
+    builds of one model; cheap enough to pin here."""
     bundle = _rnn_bundle()
     machine = k80_8gpu_machine(4)
 

@@ -2,12 +2,13 @@
 
 Both content-addressed stores of the pipeline — the partition-plan cache
 (:mod:`repro.planner.cache`) and the lowered-program cache
-(:mod:`repro.runtime.cache`) — need exactly the same machinery: an in-memory
-LRU, an optional on-disk store of JSON payloads (one file per key) with size
-accounting and least-recently-used eviction under a byte budget, hit/miss
-bookkeeping, and ``export``/``import`` bundles for moving a store between
-machines.  :class:`TwoTierCache` is that machinery, factored out once; the
-two caches subclass it with their entry codec and bundle format name.
+(:mod:`repro.runtime.cache`) — need an in-memory LRU with hit/miss
+bookkeeping; the plan cache also needs an optional on-disk store of JSON
+payloads (one file per key) with size accounting and least-recently-used
+eviction under a byte budget, and ``export``/``import`` bundles for moving
+a store between machines.  :class:`TwoTierCache` is that machinery,
+factored out once; the plan cache subclasses it with its entry codec and
+bundle format name, the program cache uses its memory tier only.
 
 Content-address helpers (:func:`graph_signature`, :func:`machine_signature`,
 :func:`content_key`) also live here so both key schemes hash identical
@@ -97,18 +98,16 @@ class TwoTierCache:
 
     Subclasses set three class attributes: ``export_format`` (the bundle
     format marker), ``export_version``, and ``payload_field`` (the JSON key
-    a disk entry stores its payload under — ``"plan"`` for plans,
-    ``"program"`` for lowered programs, which keeps the plan cache's
-    pre-refactor on-disk layout byte-compatible), plus ``description`` for
-    error messages.
+    a disk entry stores its payload under — ``"plan"`` for plans, which
+    keeps the plan cache's pre-refactor on-disk layout byte-compatible),
+    plus ``description`` for error messages.
 
     The memory tier holds *entries*; the disk tier and export bundles
-    carry their JSON *payloads*.  :meth:`encode` and
-    :meth:`decode` convert between the two at that boundary only — the
-    default is the identity (entries are payload dicts); plans and
-    programs keep their objects.  What a subclass hands out from an entry
-    — the same frozen object per hit, or a fresh one sharing immutable
-    parts — is its own contract.
+    carry their JSON *payloads*.  :meth:`encode` and :meth:`decode` convert
+    between the two at that boundary only — the default is the identity
+    (entries are payload dicts); plans keep their objects.  What a subclass
+    hands out from an entry — the same frozen object per hit, or a fresh
+    one sharing immutable parts — is its own contract.
 
     An instance is used from one thread.  Processes share a store through
     its directory: every disk entry is written to a tempfile and moved into

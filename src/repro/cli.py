@@ -39,12 +39,11 @@ Examples::
     tofu-repro compile --model rnn --strategy pipeline:2:1f1b:4 --workers 4 \\
         --save model.json
     tofu-repro verify model.json
-    tofu-repro verify <cache-key> --program-cache-dir ~/.cache/tofu-programs
 
-``verify`` statically checks a saved compiled model (or a cached lowered
-program, addressed by its cache key) with the ``repro.analysis`` checkers
-and exits non-zero on findings; every finding and error carries a stable
-code (``ANA003_CYCLIC_SCHEDULE`` style — see ``docs/verifier.md``).
+``verify`` statically checks a saved compiled model with the
+``repro.analysis`` checkers and exits non-zero on findings; every finding
+and error carries a stable code (``ANA003_CYCLIC_SCHEDULE`` style — see
+``docs/verifier.md``).
 
 Every model-building command accepts ``--machines N`` (a cluster of N
 identical K80 boxes over a 10 Gb/s network) or ``--preset <name>`` (a named
@@ -68,11 +67,7 @@ from repro.models.resnet import WRESNET_BLOCKS, build_wide_resnet
 from repro.models.rnn import build_rnn
 from repro.ops.catalog import mxnet_catalog_counts
 from repro.planner import Planner, PlannerConfig, available_backends, get_backend
-from repro.runtime import (
-    ProgramCache,
-    available_execution_backends,
-    get_execution_backend,
-)
+from repro.runtime import available_execution_backends, get_execution_backend
 from repro.sim.device import (
     TOPOLOGY_PRESETS,
     cluster_of,
@@ -325,25 +320,23 @@ def _existing_dir(flag: str, path: str) -> str:
     return path
 
 
-def _open_store(kind: str, cache_dir: str):
-    """The on-disk store of one cache kind (``plan`` or ``program``)."""
-    if kind == "program":
-        return ProgramCache(cache_dir=cache_dir)
+def _plan_store(cache_dir: str):
+    """The on-disk plan store rooted at ``cache_dir``."""
     return Planner(PlannerConfig(cache_dir=cache_dir)).cache
 
 
 def cmd_cache_export(args) -> int:
-    cache = _open_store(args.kind, _existing_dir("--cache-dir", args.cache_dir))
+    cache = _plan_store(_existing_dir("--cache-dir", args.cache_dir))
     count = cache.export_to(args.output)
-    print(f"exported {count} {args.kind}(s) from {args.cache_dir} to {args.output}")
+    print(f"exported {count} plan(s) from {args.cache_dir} to {args.output}")
     return 0
 
 
 def cmd_cache_import(args) -> int:
-    cache = _open_store(args.kind, args.cache_dir)
+    cache = _plan_store(args.cache_dir)
     stats = cache.import_from(args.input, replace=args.replace)
     print(
-        f"imported {stats['imported']} {args.kind}(s) into {args.cache_dir} "
+        f"imported {stats['imported']} plan(s) into {args.cache_dir} "
         f"({stats['skipped']} already present"
         f"{'' if args.replace else ', use --replace to overwrite'})"
     )
@@ -357,17 +350,10 @@ def cmd_cache_stats(args) -> int:
     stores = [
         (
             "plan cache",
-            _open_store("plan", _existing_dir("--cache-dir", args.cache_dir))
+            _plan_store(_existing_dir("--cache-dir", args.cache_dir))
             if args.cache_dir else default_planner().cache,
         ),
-        (
-            "program cache",
-            _open_store(
-                "program",
-                _existing_dir("--program-cache-dir", args.program_cache_dir),
-            )
-            if args.program_cache_dir else default_program_cache(),
-        ),
+        ("program cache", default_program_cache()),
     ]
     for name, cache in stores:
         info = cache.info()
@@ -391,35 +377,19 @@ def cmd_cache_stats(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from repro.analysis import verify_model, verify_program
+    from repro.analysis import verify_model
     from repro.compiler import CompiledModel
     from repro.errors import AnalysisError
 
     artifact = args.artifact
-    if os.path.exists(artifact):
-        model = CompiledModel.load(artifact)
-        report = verify_model(model)
-        what = f"saved model {artifact}"
-    else:
-        cache_dir = args.program_cache_dir
-        if cache_dir:
-            _existing_dir("--program-cache-dir", cache_dir)
-        program = ProgramCache(cache_dir=cache_dir).get(artifact)
-        if program is None:
-            hint = (
-                ""
-                if args.program_cache_dir
-                else " (pass --program-cache-dir to search an on-disk store)"
-            )
-            raise AnalysisError(
-                f"{artifact!r} is neither a saved-model file nor a cached "
-                f"program key{hint}",
-                code="ANA014_UNKNOWN_ARTIFACT",
-            )
-        report = verify_program(program)
-        what = f"cached program {artifact}"
+    if not os.path.exists(artifact):
+        raise AnalysisError(
+            f"{artifact!r} is not a saved-model file",
+            code="ANA014_UNKNOWN_ARTIFACT",
+        )
+    report = verify_model(CompiledModel.load(artifact))
     print(
-        f"{what}: {len(report.checks_run)} check(s), "
+        f"saved model {artifact}: {len(report.checks_run)} check(s), "
         f"{len(report.findings)} finding(s)"
     )
     for finding in report.findings:
@@ -547,17 +517,11 @@ def main(argv=None) -> int:
     p_partition.set_defaults(func=cmd_partition)
 
     p_cache = sub.add_parser(
-        "cache", help="inspect and share the on-disk plan/program caches"
+        "cache", help="inspect the caches and share the on-disk plan store"
     )
     cache_sub = p_cache.add_subparsers(dest="cache_command", required=True)
     p_cache_export = cache_sub.add_parser(
         "export", help="bundle a --cache-dir store into one JSON file"
-    )
-    p_cache_export.add_argument(
-        "--kind",
-        choices=["plan", "program"],
-        default="plan",
-        help="which store the directory holds (default: plan)",
     )
     p_cache_export.add_argument(
         "--cache-dir", required=True, help="cache directory to export"
@@ -568,12 +532,6 @@ def main(argv=None) -> int:
     p_cache_export.set_defaults(func=cmd_cache_export)
     p_cache_import = cache_sub.add_parser(
         "import", help="merge an exported bundle into a --cache-dir store"
-    )
-    p_cache_import.add_argument(
-        "--kind",
-        choices=["plan", "program"],
-        default="plan",
-        help="which store the directory holds (default: plan)",
     )
     p_cache_import.add_argument(
         "--cache-dir", required=True, help="cache directory to import into"
@@ -596,29 +554,13 @@ def main(argv=None) -> int:
         default=None,
         help="on-disk plan store to report (default: the in-process cache)",
     )
-    p_cache_stats.add_argument(
-        "--program-cache-dir",
-        default=None,
-        help="on-disk program store to report (default: the in-process cache)",
-    )
     p_cache_stats.set_defaults(func=cmd_cache_stats)
 
     p_coverage = sub.add_parser("coverage", help="TDL operator coverage statistics")
     p_coverage.set_defaults(func=cmd_coverage)
 
-    p_verify = sub.add_parser(
-        "verify",
-        help="statically verify a saved model file or cached program key",
-    )
-    p_verify.add_argument(
-        "artifact",
-        help="path of a --save'd compiled model, or a program-cache key",
-    )
-    p_verify.add_argument(
-        "--program-cache-dir",
-        default=None,
-        help="on-disk program store to resolve cache keys against",
-    )
+    p_verify = sub.add_parser("verify", help="statically verify a saved model file")
+    p_verify.add_argument("artifact", help="path of a --save'd compiled model")
     p_verify.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)

@@ -10,9 +10,9 @@ on-disk store is configured — is a hit.
 
 The two-tier machinery (in-memory LRU + on-disk JSON store with size
 accounting, LRU eviction under a byte budget, and ``export``/``import``
-bundles) is shared with the lowered-program cache — see
-:class:`repro.caching.TwoTierCache`; this module adds the plan payload codec
-and the plan key scheme.
+bundles) is :class:`repro.caching.TwoTierCache`, whose memory tier the
+lowered-program cache shares; this module adds the plan payload codec and
+the plan key scheme.
 
 The memory tier holds plan objects, not their JSON: :meth:`PlanCache.put`
 freezes the plan (:meth:`PartitionPlan.freeze`) and keeps it by reference,

@@ -51,11 +51,7 @@ from repro.runtime.core import (
     ExecutorConfig,
     SimulationReport,
 )
-from repro.runtime.program import (
-    LoweredProgram,
-    program_from_dict,
-    program_to_dict,
-)
+from repro.runtime.program import LoweredProgram
 
 __all__ = [
     "ExecutionBackend",
@@ -69,8 +65,6 @@ __all__ = [
     "default_program_cache",
     "get_execution_backend",
     "lowered_cache_key",
-    "program_from_dict",
-    "program_to_dict",
     "register_execution_backend",
     "unregister_execution_backend",
 ]

@@ -11,34 +11,30 @@ so a warm ``compile()`` (plan-cache hit + program-cache hit) skips every
 lowering pass — the ``--profile`` snapshot of a warm compile shows cache-hit
 counters and no ``pass.*``/``lower.*`` stages at all.
 
-The two-tier machinery (in-memory LRU + on-disk JSON store with size
-accounting, LRU eviction under a byte budget, ``export``/``import`` bundles)
-is shared with the plan cache — see :class:`repro.caching.TwoTierCache`;
-this module adds the program codec
-(:func:`repro.runtime.program.program_to_dict`) and the program key scheme.
+The cache lives in memory only: it uses the in-memory LRU of
+:class:`repro.caching.TwoTierCache`, shared with the plan cache, and adds
+the program key scheme.  Programs are never put on disk — only plans are
+(Sec 5–6: the runtime regenerates the partitioned graph from the plan), and
+re-lowering a cached plan is faster than decoding its program would be.
 
 The plan enters the key as its signature
 (:func:`repro.partition.plan.plan_signature`), stored on the frozen plan
 like the graph's, so a warm key serialises neither.
 
-The memory tier holds lowered programs, not their JSON: a program's dense
-task graph (:class:`repro.sim.engine.TaskGraphBuilder`) is immutable once
-built, so the cache keeps it by reference and every hit returns
-:meth:`LoweredProgram.copy` — a fresh program (its own memory report and
-stats) around the shared dense form, together with the compiled form and
-its replay cached on it for the program's machine.  A warm hit therefore
-neither copies, re-sorts nor replays a task graph.  Only the disk tier and
-``export``/``import`` bundles encode programs (the version-2 payload of
-:func:`~repro.runtime.program.program_to_dict`; version-1 entries still
-decode).  Callers edit a returned program with
-:meth:`LoweredProgram.replace_tasks`, which builds a new dense form (the
-Table 3 ablation rescales durations this way); nothing done to a returned
-program reaches the cache.
+A program's dense task graph (:class:`repro.sim.engine.TaskGraphBuilder`)
+is immutable once built, so the cache keeps it by reference and every hit
+returns :meth:`LoweredProgram.copy` — a fresh program (its own memory report
+and stats) around the shared dense form, together with the compiled form
+and its replay cached on it for the program's machine.  A warm hit
+therefore neither copies, re-sorts nor replays a task graph.  Callers edit
+a returned program with :meth:`LoweredProgram.replace_tasks`, which builds
+a new dense form (the Table 3 ablation rescales durations this way);
+nothing done to a returned program reaches the cache.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
 from repro.caching import (
     TwoTierCache,
@@ -47,11 +43,7 @@ from repro.caching import (
     machine_signature,
 )
 from repro.graph.graph import Graph
-from repro.runtime.program import (
-    LoweredProgram,
-    program_from_dict,
-    program_to_dict,
-)
+from repro.runtime.program import LoweredProgram
 from repro.sim.device import Topology
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -77,9 +69,7 @@ KEY_COVERED_CONFIG_FIELDS: tuple = ()
 #: what a lowering produces.
 NON_SEMANTIC_CONFIG_FIELDS = (
     "cache_programs",
-    "program_cache_dir",
     "program_cache_capacity",
-    "program_cache_max_bytes",
     "verify",
 )
 
@@ -97,9 +87,9 @@ def lowered_cache_key(
     The plan is folded in as its signature (:func:`plan_signature`): the
     same graph, machine, backend, and options lower to different programs
     under different plans.  The signature leaves out the plan's wall-clock
-    search time, so two processes that each search the same plan share one
-    program entry.  Like the graph's, the plan's signature is computed once
-    and stored on the (then frozen) plan, so a warm key hashes nothing.
+    search time, so searching the same plan twice hits one program entry.
+    Like the graph's, the plan's signature is computed once and stored on
+    the (then frozen) plan, so a warm key hashes nothing.
 
     Raises ``TypeError`` when a backend option is not JSON-serialisable
     (e.g. a pre-built ``coarse=CoarsenedGraph``).  Such requests have no
@@ -119,26 +109,13 @@ def lowered_cache_key(
     return content_key(fields)
 
 
-EXPORT_FORMAT = "tofu-program-cache"
-EXPORT_VERSION = 1
-
-
 class ProgramCache(TwoTierCache):
-    """In-memory LRU over lowered programs, with an optional disk tier of
-    program payloads."""
+    """In-memory LRU over lowered programs (no disk tier)."""
 
-    export_format = EXPORT_FORMAT
-    export_version = EXPORT_VERSION
-    payload_field = "program"
     description = "program cache"
 
-    def encode(self, entry: LoweredProgram) -> Dict:
-        """The JSON payload of a program (:func:`program_to_dict`)."""
-        return program_to_dict(entry)
-
-    def decode(self, payload: Dict) -> LoweredProgram:
-        """The program a payload encodes (:func:`program_from_dict`)."""
-        return program_from_dict(payload)
+    def __init__(self, capacity: int = 128):
+        super().__init__(capacity)
 
     # ------------------------------------------------------------------ get
     def get(self, key: str) -> Optional[LoweredProgram]:
@@ -151,8 +128,8 @@ class ProgramCache(TwoTierCache):
 
     # ------------------------------------------------------------------ put
     def put(self, key: str, program: LoweredProgram) -> None:
-        """Store a copy of ``program`` under ``key`` in every enabled tier;
-        later edits to ``program``'s containers never reach the cache."""
+        """Store a copy of ``program`` under ``key``; later edits to
+        ``program``'s containers never reach the cache."""
         self.put_entry(key, program.copy())
 
 

@@ -44,13 +44,9 @@ class ExecutorConfig:
             skips every lowering pass and returns a fresh program, sharing
             the cached immutable tasks, that simulates bit-identically to a
             cold lowering.
-        program_cache_dir: Directory of an on-disk program store.  Unset,
-            the executor shares the in-memory process-wide cache
-            (:func:`repro.runtime.cache.default_program_cache`); set, it
-            owns a private two-tier store rooted there.
-        program_cache_capacity: In-memory LRU entries of a private store.
-        program_cache_max_bytes: Byte budget of the private on-disk store
-            (least-recently-used entries are evicted beyond it).
+        program_cache_capacity: LRU entries of a private in-memory program
+            cache.  Unset, the executor shares the process-wide cache
+            (:func:`repro.runtime.cache.default_program_cache`).
         verify: Static verification of freshly lowered programs
             (:mod:`repro.analysis`): ``"off"`` (the default) runs nothing,
             ``"warn"`` emits a ``UserWarning`` per report, ``"strict"``
@@ -61,9 +57,7 @@ class ExecutorConfig:
     """
 
     cache_programs: bool = True
-    program_cache_dir: Optional[str] = None
     program_cache_capacity: Optional[int] = None
-    program_cache_max_bytes: Optional[int] = None
     verify: str = "off"
 
 
@@ -160,20 +154,9 @@ class Executor:
             from repro.analysis.verify import validate_verify_mode
 
             validate_verify_mode(self.config.verify)
-        if (
-            self.config.program_cache_dir is not None
-            or self.config.program_cache_capacity is not None
-            or self.config.program_cache_max_bytes is not None
-        ):
-            capacity = self.config.program_cache_capacity
-            if capacity is None:
-                from repro.runtime.cache import DEFAULT_PROGRAM_CACHE_CAPACITY
-
-                capacity = DEFAULT_PROGRAM_CACHE_CAPACITY
+        if self.config.program_cache_capacity is not None:
             self.program_cache: ProgramCache = ProgramCache(
-                capacity=capacity,
-                cache_dir=self.config.program_cache_dir,
-                max_bytes=self.config.program_cache_max_bytes,
+                capacity=self.config.program_cache_capacity
             )
         else:
             self.program_cache = default_program_cache()
@@ -259,13 +242,7 @@ class Executor:
                 mode=self.config.verify,
             )
         if key is not None:
-            try:
-                self.program_cache.put(key, program)
-            except (TypeError, ValueError):
-                # A backend outside this library may attach payloads the
-                # program codec cannot express; such programs simply are
-                # not cached.
-                pass
+            self.program_cache.put(key, program)
         return program
 
     # -------------------------------------------------------------- simulate

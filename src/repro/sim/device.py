@@ -469,7 +469,6 @@ _MACHINE_KEYS = (
     "p2p_bandwidth", "cpu_bandwidth", "cpu_memory", "kernel_launch_overhead"
 )
 _DEVICE_KEYS = ("name", "memory_bytes", "peak_flops", "memory_bandwidth")
-_LINK_KEYS = ("kind", "key", "bandwidth", "latency")
 
 
 def is_finite_number(value: object) -> bool:
@@ -524,27 +523,6 @@ def _load_machine(payload: dict) -> MachineSpec:
             f"(known: devices, {', '.join(_MACHINE_KEYS)})"
         )
     return MachineSpec(devices=devices, **kwargs)
-
-
-def link_from_dict(payload: dict) -> Link:
-    """Rebuild a :class:`Link` from its field dump (a program task row's
-    ``link``), with the bandwidth and latency checks of
-    :func:`machine_from_dict`."""
-    if not isinstance(payload, dict):
-        raise SimulationError(
-            f"link payload must be a mapping, got {type(payload).__name__}"
-        )
-    unknown = sorted(set(payload) - set(_LINK_KEYS))
-    if unknown:
-        raise SimulationError(
-            f"link payload has unknown field(s) {unknown} "
-            f"(known: {', '.join(_LINK_KEYS)})"
-        )
-    _check_numbers(
-        "link payload", payload,
-        positive=("bandwidth",), non_negative=("latency",),
-    )
-    return Link(**payload)
 
 
 def machine_from_dict(payload: dict) -> Topology:

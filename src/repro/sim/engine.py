@@ -40,8 +40,8 @@ backend, and the hot-path benchmark measures one against the other.
 from __future__ import annotations
 
 from array import array
-from collections import abc, namedtuple
-from dataclasses import dataclass, field, fields
+from collections import abc
+from dataclasses import dataclass, field
 from typing import (
     Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
 )
@@ -108,14 +108,6 @@ def _task_link(
     except SimulationError as exc:
         raise SimulationError(f"comm task {name!r}: {exc}") from None
 
-
-#: The fields of one task as lowering emits it: :class:`Task`'s fields, in
-#: order.  A builder keeps each row as a plain tuple in this order, with
-#: ``deps`` and ``after`` as task ids (``TaskRow._make(row)`` names the
-#: fields).  The collector stops tracking a plain tuple of plain values
-#: once it has seen it, so a graph of a few hundred thousand rows is not
-#: walked again by every later full collection; a named tuple would be.
-TaskRow = namedtuple("TaskRow", [f.name for f in fields(Task)])
 
 #: A dependency as :meth:`TaskGraphBuilder.add` takes it: a task id (its
 #: emission index) or a task name.
@@ -222,16 +214,19 @@ class CompiledTaskGraph:
 
 class TaskGraphBuilder:
     """A task graph as lowering emits it: one row per task (a tuple in
-    :data:`TaskRow` field order), in emission order.  A task's id is its
-    emission index.
+    :class:`Task` field order), in emission order.  A task's id is its
+    emission index.  Rows are plain tuples because the collector stops
+    tracking a plain tuple of plain values once it has seen it, so a graph
+    of a few hundred thousand rows is not walked again by every later full
+    collection; a named tuple would be.
 
     Lowering passes :meth:`add` rows instead of constructing ``Task``
     objects; :meth:`add` returns the new row's id.  A row's ``deps`` and
     ``after`` hold ids: a dependency may be given as an id or as a task
     name, and a name is resolved to its id once — at :meth:`add` when the
     named task is already there, at the sort when it is added later (a
-    forward reference).  Names are for reading: the task view and the
-    payload codec turn ids back into names.  :meth:`build` sorts the
+    forward reference).  Names are for reading: the task view turns ids
+    back into names.  :meth:`build` sorts the
     integer graph with Kahn's algorithm (FIFO, the reference loop's
     tie-breaking) and permutes the rows into a :class:`CompiledTaskGraph`
     for one machine.
@@ -313,7 +308,7 @@ class TaskGraphBuilder:
 
     def extend(self, rows: Sequence[tuple]) -> None:
         """Append ``rows``, the bulk form of :meth:`add` for rows copied from
-        another graph: each is a tuple in :data:`TaskRow` field order, with
+        another graph: each is a tuple in :class:`Task` field order, with
         a name no other task has and its dependencies as ids only (checked
         by the sort, like any other)."""
         if self._sorted is not None:

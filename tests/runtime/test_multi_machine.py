@@ -10,7 +10,7 @@ import functools
 import pytest
 
 import repro
-from repro.errors import ExecutionError, SimulationError
+from repro.errors import SimulationError
 from repro.graph.autodiff import build_backward, build_optimizer
 from repro.graph.builder import GraphBuilder
 from repro.models.layers import ModelBundle, dense_layer
@@ -24,7 +24,6 @@ from repro.runtime.passes import (
     pipeline_stage_devices,
 )
 from repro.sim.costmodel import node_kernel_time
-from repro.runtime.program import program_from_dict, program_to_dict
 from repro.sim.device import (
     ClusterSpec, cluster_of, k80_8gpu_machine, v100_machine,
 )
@@ -151,21 +150,6 @@ class TestEnginePerLinkQueues:
                     SimulationError, match="'t'.*index 99 out of range"
                 ):
                     run({"t": task}, check_memory=False)
-
-    def test_net_channel_requires_resolved_link(self, mlp_bundle):
-        # A version-1 payload's bare 'net' channel names no endpoints.
-        program = Executor().lower(
-            mlp_bundle.graph, machine=cluster_of(k80_8gpu_machine(2), 2),
-            backend="data-parallel",
-        )
-        payload = program_to_dict(program)
-        payload["version"] = 1
-        for row in payload["tasks"]:
-            row.update(channel="p2p", link=None)
-        row = next(row for row in payload["tasks"] if row["kind"] == "comm")
-        row["channel"] = "net"
-        with pytest.raises(ExecutionError, match="without a resolved link"):
-            program_from_dict(payload)
 
 
 class TestStagePlacement:

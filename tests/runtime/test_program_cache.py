@@ -1,11 +1,13 @@
 """Lowered-program cache: hits are bit-identical to fresh lowering, the
-content address invalidates on every semantic input, and the two-tier store
-accounts for eviction and round-trips export bundles.
+content address invalidates on every semantic input, and the memory LRU
+accounts for eviction.  The programs live in memory only; the plan store's
+disk tier, which the program cache shares its LRU with, must round-trip
+export bundles and treat a corrupt entry as a miss.
 
 The parity half mirrors ``test_cluster_parity``: every registered execution
 backend, on the bare machine and the one-machine cluster, must simulate a
-cache-hit program to *exactly* the result of the freshly lowered one —
-JSON round-trips floats through ``repr`` (shortest-exact), so no tolerance.
+cache-hit program to *exactly* the result of the freshly lowered one — no
+tolerance.
 
 The aliasing half pins the memory tier's sharing contract: hits share the
 cached program's immutable dense task graph (and the compiled form cached
@@ -17,15 +19,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import shutil
 from pathlib import Path
 
 import pytest
 
-from repro.models.mlp import build_mlp
 from repro.partition.recursive import recursive_partition
-from repro.partition.plan import plan_from_dict
-from repro.errors import ExecutionError, ReproError
+from repro.errors import ReproError
 from repro.planner import Planner, PlannerConfig
 from repro.runtime import (
     Executor,
@@ -33,16 +32,13 @@ from repro.runtime import (
     ProgramCache,
     available_execution_backends,
     lowered_cache_key,
-    program_from_dict,
-    program_to_dict,
 )
 from repro.runtime.passes import round_robin_layer_placement
 from repro.sim.device import ClusterSpec, cluster_of, k80_8gpu_machine
-from repro.sim.engine import HOST_DEVICE, Task
+from repro.sim.engine import Task
 
 MACHINE = k80_8gpu_machine(4)
 CLUSTER = ClusterSpec(machines=[MACHINE])
-DATA = Path(__file__).resolve().parents[1] / "data"
 
 
 def _backend_setup(name, graph):
@@ -101,24 +97,6 @@ def test_cache_hit_simulates_bit_identically(bundle, backend, topology):
     )
 
 
-def test_codec_round_trip_preserves_program(bundle):
-    options, plan = _backend_setup("tofu-partitioned", bundle.graph)
-    program = Executor(ExecutorConfig(cache_programs=False)).lower(
-        bundle.graph, plan=plan, machine=MACHINE,
-        backend="tofu-partitioned", backend_options=options,
-    )
-    clone = program_from_dict(program_to_dict(program))
-    assert set(clone.tasks) == set(program.tasks)
-    for name, task in program.tasks.items():
-        twin = clone.tasks[name]
-        assert twin.duration == task.duration
-        assert twin.comm_bytes == task.comm_bytes
-        assert tuple(twin.deps) == tuple(task.deps)
-    assert clone.sharded_graph is not None
-    assert clone.fetch_bytes_per_node == program.fetch_bytes_per_node
-    assert clone.reduce_bytes_per_node == program.reduce_bytes_per_node
-
-
 # ----------------------------------------------------------- invalidation
 
 
@@ -153,7 +131,7 @@ def test_key_invalidates_on_cluster_change(mlp_bundle):
     assert _key(graph, machine=MACHINE) != _key(graph, machine=CLUSTER)
 
 
-# ------------------------------------------------- eviction and round trip
+# ---------------------------------------- eviction and the plan disk tier
 
 
 def test_memory_lru_eviction_accounting(mlp_bundle):
@@ -180,58 +158,50 @@ def test_memory_lru_eviction_accounting(mlp_bundle):
 
 
 def test_disk_eviction_under_byte_budget(tmp_path, mlp_bundle):
-    executor = Executor(
-        ExecutorConfig(
-            program_cache_dir=str(tmp_path / "store"),
-            program_cache_capacity=8,
-            program_cache_max_bytes=1,  # everything but the newest evicts
+    planner = Planner(
+        PlannerConfig(
+            cache_dir=str(tmp_path / "store"),
+            cache_max_bytes=1,  # everything but the newest evicts
         )
     )
-    for stages in (2, 4):
-        executor.lower(
-            mlp_bundle.graph, machine=MACHINE, backend="pipeline",
-            backend_options={"num_stages": stages, "num_microbatches": 4},
-        )
-    info = executor.program_cache.info()
+    for workers in (2, 4):
+        planner.plan(mlp_bundle.graph, workers, machine=MACHINE)
+    info = planner.cache.info()
     assert info["disk_entries"] == 1
     assert info["disk_evictions"] >= 1
 
 
 def test_export_import_round_trip(tmp_path, mlp_bundle):
-    source = ProgramCache(cache_dir=str(tmp_path / "src"))
-    executor = Executor()
-    executor.program_cache = source
-    fresh = executor.lower(
-        mlp_bundle.graph, machine=MACHINE, backend="single-device"
-    )
+    source = Planner(PlannerConfig(cache_dir=str(tmp_path / "src")))
+    fresh = source.plan(mlp_bundle.graph, 4, machine=MACHINE)
     bundle_path = str(tmp_path / "bundle.json")
-    assert source.export_to(bundle_path) == 1
+    assert source.cache.export_to(bundle_path) == 1
 
-    target = ProgramCache(cache_dir=str(tmp_path / "dst"))
-    stats = target.import_from(bundle_path)
+    target = Planner(PlannerConfig(cache_dir=str(tmp_path / "dst")))
+    stats = target.cache.import_from(bundle_path)
     assert stats["imported"] == 1
 
-    key = lowered_cache_key(mlp_bundle.graph, MACHINE, "single-device", {})
-    restored = target.get(key)
-    assert restored is not None
-    assert restored.tasks == fresh.tasks
+    restored = target.plan(mlp_bundle.graph, 4, machine=MACHINE)
+    assert target.cache.hits == 1 and target.cache.misses == 0
+    assert restored.steps == fresh.steps
     simulator = Executor(ExecutorConfig(cache_programs=False))
-    assert (
-        simulator.simulate(restored, MACHINE)
-        == simulator.simulate(fresh, MACHINE)
-    )
+    assert simulator.run(
+        mlp_bundle.graph, plan=restored, machine=MACHINE
+    ).result == simulator.run(
+        mlp_bundle.graph, plan=fresh, machine=MACHINE
+    ).result
 
 
 @pytest.mark.parametrize(
     "bundle",
     [
         [],
-        {"format": "tofu-program-cache", "version": 1, "entries": []},
-        {"format": "tofu-program-cache", "version": 1,
+        {"format": "tofu-plan-cache", "version": 1, "entries": []},
+        {"format": "tofu-plan-cache", "version": 1,
          "entries": {"../escaped": {}}},
-        {"format": "tofu-program-cache", "version": 1,
+        {"format": "tofu-plan-cache", "version": 1,
          "entries": {"A" * 64: {}}},
-        {"format": "tofu-program-cache", "version": 1,
+        {"format": "tofu-plan-cache", "version": 1,
          "entries": {"0" * 64: {}, "1" * 64: "notadict"}},
     ],
     ids=["top-level-list", "entries-list", "escaping-key", "uppercase-key",
@@ -239,7 +209,7 @@ def test_export_import_round_trip(tmp_path, mlp_bundle):
 )
 def test_import_rejects_malformed_bundle_and_writes_nothing(tmp_path, bundle):
     cache_dir = tmp_path / "store"
-    cache = ProgramCache(cache_dir=str(cache_dir))
+    cache = Planner(PlannerConfig(cache_dir=str(cache_dir))).cache
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(bundle))
     with pytest.raises(ReproError):
@@ -248,32 +218,19 @@ def test_import_rejects_malformed_bundle_and_writes_nothing(tmp_path, bundle):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bundle.json", "store"]
 
 
-#: Disk entries a lookup must treat as a miss; ``{field}`` is the cache's
-#: payload field.
+#: Plan disk entries a lookup must treat as a miss.
 CORRUPT_ENTRIES = {
     "not-json": "not json",
     "top-level-list": "[]",
-    "payload-list": '{{"{field}": []}}',
-    "payload-undecodable": '{{"{field}": {{"garbage": 1}}}}',
+    "payload-list": '{"plan": []}',
+    "payload-undecodable": '{"plan": {"garbage": 1}}',
 }
-
-
-def _assert_corrupt_entry_misses(cache_dir, field, lookup, corrupt):
-    """Corrupt the one entry ``lookup`` stored, then check the next lookup
-    misses, rebuilds the same result and overwrites the entry."""
-    fresh = lookup()[1]
-    (entry_path,) = Path(cache_dir).glob("*.json")
-    entry_path.write_text(CORRUPT_ENTRIES[corrupt].format(field=field))
-    cache, rebuilt = lookup()
-    assert (cache.hits, cache.misses) == (0, 1)
-    assert rebuilt == fresh
-    assert json.loads(entry_path.read_text())["key"] == entry_path.stem
-    cache, _ = lookup()
-    assert (cache.hits, cache.misses) == (1, 0)
 
 
 @pytest.mark.parametrize("corrupt", sorted(CORRUPT_ENTRIES))
 def test_corrupt_plan_entry_is_a_miss(tmp_path, mlp_bundle, corrupt):
+    """Corrupt the one entry a compile stored, then check the next compile
+    misses, plans the same steps and overwrites the entry."""
     import repro
 
     cache_dir = str(tmp_path / "plans")
@@ -284,83 +241,15 @@ def test_corrupt_plan_entry_is_a_miss(tmp_path, mlp_bundle, corrupt):
                               planner=planner, simulate=False)
         return planner.cache, model.plan.steps
 
-    _assert_corrupt_entry_misses(cache_dir, "plan", compile_once, corrupt)
-
-
-@pytest.mark.parametrize("corrupt", sorted(CORRUPT_ENTRIES))
-def test_corrupt_program_entry_is_a_miss(tmp_path, mlp_bundle, corrupt):
-    cache_dir = str(tmp_path / "programs")
-
-    def lower_once():
-        executor = Executor(ExecutorConfig(program_cache_dir=cache_dir))
-        program = executor.lower(
-            mlp_bundle.graph, machine=MACHINE, backend="single-device"
-        )
-        return executor.program_cache, program.tasks
-
-    _assert_corrupt_entry_misses(cache_dir, "program", lower_once, corrupt)
-
-
-#: One tampered field each: (where, field, value), ``where`` being the
-#: first task row or the payload itself.
-TAMPERED_PROGRAMS = [
-    ("task", "kind", "gpu"),
-    ("task", "duration", float("nan")),
-    ("task", "duration", float("inf")),
-    ("task", "duration", -1e-3),
-    ("task", "duration", "1e-3"),
-    ("task", "duration", True),
-    ("task", "comm_bytes", float("nan")),
-    ("task", "comm_bytes", -1.0),
-    ("task", "comm_bytes", "x"),
-    ("task", "comm_bytes", False),
-    ("task", "comm_time", 1e-3),
-    ("program", "cost_model", "scaled-roofline:0"),
-]
-
-
-@pytest.fixture(scope="module")
-def tofu_program(mlp_bundle):
-    options, plan = _backend_setup("tofu-partitioned", mlp_bundle.graph)
-    return Executor(ExecutorConfig(cache_programs=False)).lower(
-        mlp_bundle.graph, plan=plan, machine=MACHINE,
-        backend="tofu-partitioned", backend_options=options,
-    )
-
-
-@pytest.mark.parametrize(
-    "where,field,value", TAMPERED_PROGRAMS,
-    ids=[f"{field}={value!r}" for _, field, value in TAMPERED_PROGRAMS],
-)
-def test_tampered_program_entry_is_rejected_and_misses(
-    tmp_path, mlp_bundle, tofu_program, where, field, value
-):
-    """A payload the simulator could not price (or priced by something
-    other than the roofline and the links) never decodes; on disk it is a
-    cache miss."""
-    payload = program_to_dict(tofu_program)
-    (payload["tasks"][0] if where == "task" else payload)[field] = value
-    with pytest.raises(ExecutionError):
-        program_from_dict(payload)
-
-    cache_dir = str(tmp_path / "programs")
-    key = _key(mlp_bundle.graph)
-    ProgramCache(cache_dir=cache_dir).put(key, tofu_program)
+    fresh = compile_once()[1]
     (entry_path,) = Path(cache_dir).glob("*.json")
-    entry_path.write_text(json.dumps({"key": key, "program": payload}))
-    cache = ProgramCache(cache_dir=cache_dir)
-    assert cache.get(key) is None
-    assert cache.misses == 1
-
-
-def test_null_pricing_fields_of_old_payloads_still_decode(tofu_program):
-    payload = program_to_dict(tofu_program)
-    assert "cost_model" not in payload
-    assert all("comm_time" not in row for row in payload["tasks"])
-    payload["cost_model"] = None
-    for row in payload["tasks"]:
-        row["comm_time"] = None
-    assert program_from_dict(payload).tasks == tofu_program.tasks
+    entry_path.write_text(CORRUPT_ENTRIES[corrupt])
+    cache, rebuilt = compile_once()
+    assert (cache.hits, cache.misses) == (0, 1)
+    assert rebuilt == fresh
+    assert json.loads(entry_path.read_text())["key"] == entry_path.stem
+    cache, _ = compile_once()
+    assert (cache.hits, cache.misses) == (1, 0)
 
 
 # ---------------------------------------------------------------- aliasing
@@ -437,142 +326,3 @@ def test_task_fields_cannot_be_assigned(mlp_bundle):
     task = next(iter(program.tasks.values()))
     with pytest.raises(dataclasses.FrozenInstanceError):
         task.duration = 0.0
-
-
-@pytest.mark.parametrize("backend", sorted(available_execution_backends()))
-def test_disk_tier_decodes_bit_identically(tmp_path, mlp_bundle, backend):
-    store = str(tmp_path / "store")
-    lower = _lowerer(mlp_bundle.graph, backend)
-    fresh = lower(Executor(ExecutorConfig(program_cache_dir=store)))
-    # A second executor over the same directory starts with an empty memory
-    # tier, so its hit decodes the disk payload.
-    reader = Executor(ExecutorConfig(program_cache_dir=store))
-    decoded = lower(reader)
-    assert reader.program_cache.info()["hits"] == 1
-    assert decoded.tasks == fresh.tasks
-    assert list(decoded.tasks) == list(fresh.tasks)
-    assert reader.simulate(decoded) == reader.simulate(fresh)
-    # The decoded program now lives in the memory tier: the next hit shares
-    # its dense form instead of decoding again.
-    again = lower(reader)
-    assert again.task_graph is decoded.task_graph
-
-
-def test_directory_written_by_the_v1_codec_still_hits(tmp_path):
-    """``tests/data/program_cache_v1`` holds two entries for a small MLP on
-    two K80s (a tofu-partitioned program and a 2-stage pipeline), written
-    when the memory tier still stored JSON payloads.  Their keys must still
-    address them, and they must decode to the programs a fresh lowering
-    produces.  A plan's key covers its signature, not its recorded search
-    time; the tofu entry was re-keyed once when program keys moved from
-    the plan's dictionary to its signature, its payload left byte-identical."""
-    store = tmp_path / "store"
-    shutil.copytree(DATA / "program_cache_v1", store)
-    graph = build_mlp(
-        batch_size=8, input_dim=32, hidden_dim=64, num_layers=2, num_classes=16
-    ).graph
-    machine = k80_8gpu_machine(2)
-    payloads = [
-        json.loads(path.read_text(encoding="utf-8"))["program"]
-        for path in sorted(store.glob("*.json"))
-    ]
-    plan = next(
-        plan_from_dict(payload["plan"]) for payload in payloads
-        if payload["backend"] == "tofu-partitioned"
-    )
-    requests = [
-        {"plan": plan, "backend": "tofu-partitioned"},
-        {
-            "backend": "pipeline",
-            "backend_options": {"num_stages": 2, "num_microbatches": 2},
-        },
-    ]
-    reader = Executor(ExecutorConfig(program_cache_dir=str(store)))
-    cold = Executor(ExecutorConfig(cache_programs=False))
-    for request in requests:
-        hit = reader.lower(graph, machine=machine, **request)
-        fresh = cold.lower(graph, machine=machine, **request)
-        assert hit.tasks == fresh.tasks
-        assert cold.simulate(hit) == cold.simulate(fresh)
-    info = reader.program_cache.info()
-    assert info["hits"] == 2 and info["misses"] == 0
-
-
-V1_MLP_MACHINE = k80_8gpu_machine(2)
-
-
-def _v1_payloads():
-    """``backend -> payload`` of the version-1 entries in
-    ``tests/data/program_cache_v1``."""
-    payloads = [
-        json.loads(path.read_text(encoding="utf-8"))["program"]
-        for path in sorted((DATA / "program_cache_v1").glob("*.json"))
-    ]
-    return {payload["backend"]: payload for payload in payloads}
-
-
-def test_v1_entry_whose_link_the_machine_does_not_resolve_misses(tmp_path):
-    """A version-1 row stores its priced link; decoding checks it against
-    what the payload's machine resolves for the row's endpoints, so a
-    pipeline entry whose link bandwidth was raised by 1 is a counted miss."""
-    store = tmp_path / "store"
-    shutil.copytree(DATA / "program_cache_v1", store)
-    (path,) = [
-        path for path in store.glob("*.json")
-        if json.loads(path.read_text())["program"]["backend"] == "pipeline"
-    ]
-    entry = json.loads(path.read_text())
-    row = next(row for row in entry["program"]["tasks"] if row["link"])
-    row["link"]["bandwidth"] += 1
-    path.write_text(json.dumps(entry))
-    with pytest.raises(ExecutionError, match="does not resolve"):
-        program_from_dict(entry["program"])
-
-    graph = build_mlp(
-        batch_size=8, input_dim=32, hidden_dim=64, num_layers=2, num_classes=16
-    ).graph
-    reader = Executor(ExecutorConfig(program_cache_dir=str(store)))
-    reader.lower(
-        graph, machine=V1_MLP_MACHINE, backend="pipeline",
-        backend_options={"num_stages": 2, "num_microbatches": 2},
-    )
-    info = reader.program_cache.info()
-    assert info["hits"] == 0 and info["misses"] == 1
-
-
-@pytest.mark.parametrize(
-    "channel,match",
-    [("nvlink", "unknown channel 'nvlink'"), ("net", "without a resolved link")],
-)
-def test_v1_row_with_a_channel_that_names_no_link_is_rejected(channel, match):
-    payload = _v1_payloads()["tofu-partitioned"]
-    row = next(row for row in payload["tasks"] if row["kind"] == "comm")
-    assert row["link"] is None
-    row["channel"] = channel
-    with pytest.raises(ExecutionError, match=match):
-        program_from_dict(payload)
-
-
-def test_v1_rows_decode_to_endpoints():
-    """Bare ``p2p`` rows become gathers into their device, bare ``cpu`` rows
-    host copies, and link rows keep their endpoints; the version-2 payload
-    carries neither channel nor link."""
-    tofu = _v1_payloads()["tofu-partitioned"]
-    fetch = next(row for row in tofu["tasks"] if row["kind"] == "comm")
-    copy = dict(fetch, name="host-copy", channel="cpu", deps=[])
-    tofu["tasks"].append(copy)
-    program = program_from_dict(tofu)
-    gather, host = program.tasks[fetch["name"]], program.tasks["host-copy"]
-    assert (gather.src_device, gather.dst_device) == (None, fetch["device"])
-    assert (host.src_device, host.dst_device) == (HOST_DEVICE, copy["device"])
-    result = Executor().simulate(program, V1_MLP_MACHINE)
-    assert "cpu:m0" in result.per_link_busy_time
-
-    pipeline = program_from_dict(_v1_payloads()["pipeline"])
-    comms = [task for task in pipeline.tasks.values() if task.kind == "comm"]
-    assert {(t.src_device, t.dst_device) for t in comms} == {(0, 1), (1, 0)}
-    encoded = program_to_dict(pipeline)
-    assert encoded["version"] == 2
-    assert all(
-        "channel" not in row and "link" not in row for row in encoded["tasks"]
-    )

@@ -3,6 +3,8 @@ slicing, presets, and the versioned machine/cluster serialization."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.errors import SimulationError
@@ -16,7 +18,6 @@ from repro.sim.device import (
     MachineSpec,
     cluster_of,
     k80_8gpu_machine,
-    link_from_dict,
     machine_from_dict,
     machine_to_dict,
     slice_machines,
@@ -57,7 +58,6 @@ class TestClusterStructure:
     def test_simulating_a_budget_for_a_missing_device_raises(self, device):
         from repro.models.mlp import build_mlp
         from repro.runtime import Executor, ExecutorConfig
-        from repro.runtime.program import program_from_dict, program_to_dict
 
         graph = build_mlp(batch_size=8, input_dim=16, hidden_dim=16,
                           num_layers=2, num_classes=4).graph
@@ -65,10 +65,12 @@ class TestClusterStructure:
         program = executor.lower(
             graph, machine=k80_8gpu_machine(2), backend="single-device"
         )
-        payload = program_to_dict(program)
-        payload["per_device_memory"][device] = 1
+        budgeted = dataclasses.replace(
+            program,
+            per_device_memory={**program.per_device_memory, int(device): 1},
+        )
         with pytest.raises(SimulationError, match="out of range"):
-            executor.simulate(program_from_dict(payload))
+            executor.simulate(budgeted)
 
     def test_machinespec_surface_mirrored(self, cluster):
         machine = cluster.machines[0]
@@ -291,22 +293,14 @@ NUMERIC_FIELDS = [
     ("cluster", (), "network_bandwidth", False),
     ("cluster", (), "network_latency", True),
     ("cluster", ("machines", 1), "p2p_bandwidth", False),
-    ("link", (), "bandwidth", False),
-    ("link", (), "latency", True),
 ]
 BAD_NUMBERS = [float("nan"), float("inf"), -1, "x", True]
 
 
 def _numeric_payload(kind):
-    if kind == "link":
-        return {"kind": "net", "key": "net:1", "bandwidth": 5e9, "latency": 1e-5}
     if kind == "cluster":
         return machine_to_dict(cluster_of(k80_8gpu_machine(2), 2))
     return machine_to_dict(k80_8gpu_machine(2))
-
-
-def _load_numeric_payload(kind, payload):
-    return (link_from_dict if kind == "link" else machine_from_dict)(payload)
 
 
 @pytest.mark.parametrize("bad", BAD_NUMBERS, ids=repr)
@@ -321,13 +315,13 @@ def test_payload_numbers_must_be_finite_and_in_range(kind, path, field, zero_ok,
         target = target[step]
     target[field] = 0
     if zero_ok:
-        _load_numeric_payload(kind, payload)
+        machine_from_dict(payload)
     else:
         with pytest.raises(SimulationError, match=field):
-            _load_numeric_payload(kind, payload)
+            machine_from_dict(payload)
     target[field] = bad
     with pytest.raises(SimulationError, match=field):
-        _load_numeric_payload(kind, payload)
+        machine_from_dict(payload)
 
 
 def _device(**fields):

@@ -10,24 +10,19 @@ a one-machine cluster and two two-machine clusters:
 * the lowered dense form, whose dependencies lowering emitted as ids (tofu
   and hybrid work them out from the row layout), equals
   :func:`compile_task_graph` fed the program's tasks by name as a plain
-  dict — field by field, name order included — and encodes to the same
-  payload bytes;
+  dict — field by field, name order included;
 * the array-based replay is **exactly equal** — dataclass equality over
   every SimResult field, floats included — to ``run_reference``
   (``tests/support/sim_oracle.py``), the pre-compilation per-dict loop kept
-  verbatim as the oracle;
-* programs decoded from a program-cache directory written by an earlier
-  version of the codec (``tests/data/program_cache_v1``) do the same.
+  verbatim as the oracle.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import sys
 import threading
-from pathlib import Path
 
 import pytest
 
@@ -38,8 +33,6 @@ from repro.runtime import (
     Executor,
     ExecutorConfig,
     available_execution_backends,
-    program_from_dict,
-    program_to_dict,
 )
 from repro.runtime.passes import round_robin_layer_placement
 from repro.sim.device import ClusterSpec, cluster_of, k80_8gpu_machine
@@ -60,7 +53,6 @@ CLUSTER2 = cluster_of(k80_8gpu_machine(2), 2)
 CLUSTER8 = cluster_of(k80_8gpu_machine(4), 2)
 TOPOLOGIES = [MACHINE, CLUSTER, CLUSTER2, CLUSTER8]
 TOPOLOGY_IDS = ["machine", "cluster", "cluster2", "cluster2x4"]
-V1_DIR = Path(__file__).resolve().parents[1] / "data" / "program_cache_v1"
 
 #: Per case: the backend, and its (options, plan) for a graph on ``n``
 #: devices.
@@ -138,8 +130,7 @@ def test_compiled_matches_reference_exactly(bundle, case, topology):
 def test_dense_form_matches_compile_task_graph(bundle, case, topology):
     """What lowering emitted, dependencies as ids, is exactly what feeding
     its tasks by name, as a plain dict, through the builder produces —
-    order, dependency positions, slots, durations and comm accounting —
-    and it encodes to the same payload bytes."""
+    order, dependency positions, slots, durations and comm accounting."""
     program = _lower(bundle.graph, case, topology)
     assert program.machine == topology
     rebuilt = compile_task_graph(dict(program.tasks), topology)
@@ -148,32 +139,6 @@ def test_dense_form_matches_compile_task_graph(bundle, case, topology):
         name = field.name
         assert getattr(dense, name) == getattr(rebuilt, name), name
     assert list(program.tasks) == [row[0] for row in program.task_graph.rows]
-    by_name = dataclasses.replace(program, tasks=dict(program.tasks))
-    assert by_name.task_graph is not program.task_graph
-    assert json.dumps(program_to_dict(program)) == json.dumps(
-        program_to_dict(by_name)
-    )
-
-
-@pytest.mark.parametrize(
-    "path", sorted(V1_DIR.glob("*.json")), ids=lambda path: path.stem[:8]
-)
-def test_v1_decoded_program_simulates_bit_identically(path):
-    entry = json.loads(path.read_text(encoding="utf-8"))
-    program = program_from_dict(entry["program"])
-    machine = program.machine
-    dense = program.dense_form()
-    assert dense == compile_task_graph(dict(program.tasks), machine)
-    # The codec keeps emission order: re-encoding lists the stored tasks.
-    assert list(program.tasks) == [t["name"] for t in entry["program"]["tasks"]]
-    simulator = TaskGraphSimulator(machine)
-    reference = run_reference(
-        machine, program.tasks, peak_memory=program.per_device_memory
-    )
-    assert simulator.run_compiled(
-        dense, peak_memory=program.per_device_memory
-    ) == reference
-    assert Executor().simulate(program) == reference
 
 
 def test_one_topo_sort_per_unique_program(rnn_bundle):

@@ -388,12 +388,9 @@ class TestCacheCLI:
 
     @pytest.mark.parametrize("argv", [
         ["cache", "export", "--cache-dir", "{missing}", "--output", "{out}"],
-        ["cache", "export", "--kind", "program", "--cache-dir", "{missing}",
-         "--output", "{out}"],
         ["cache", "stats", "--cache-dir", "{missing}"],
-        ["cache", "stats", "--program-cache-dir", "{missing}"],
-        ["verify", "0" * 64, "--program-cache-dir", "{missing}"],
-    ], ids=["export", "export-program", "stats", "stats-program", "verify"])
+        ["verify", "{missing}/model.json"],
+    ], ids=["export", "stats", "verify"])
     def test_read_only_commands_do_not_create_a_missing_directory(
         self, tmp_path, capsys, argv
     ):

@@ -117,8 +117,6 @@ RUNTIME_EXPORTS = [
     "default_program_cache",
     "get_execution_backend",
     "lowered_cache_key",
-    "program_from_dict",
-    "program_to_dict",
     "register_execution_backend",
     "unregister_execution_backend",
 ]
@@ -252,8 +250,7 @@ KNOB_SNAPSHOT = {
         "jobs", "expand_jobs", "cache_capacity", "cache_dir", "cache_max_bytes",
     ),
     "ExecutorConfig": (
-        "cache_programs", "program_cache_dir", "program_cache_capacity",
-        "program_cache_max_bytes", "verify",
+        "cache_programs", "program_cache_capacity", "verify",
     ),
     "TunerBudget": ("max_candidates", "max_seconds"),
     "Tuner": (
@@ -299,4 +296,4 @@ def test_knob_surface_matches_snapshot():
         "knob needs a caller outside the tests; update KNOB_SNAPSHOT in "
         "tests/test_public_api.py if this change is intentional"
     )
-    assert sum(len(knobs) for knobs in surface.values()) == 38
+    assert sum(len(knobs) for knobs in surface.values()) == 36
