@@ -255,63 +255,6 @@ def bench_hotpath(benchmark):
         )
 
 
-def bench_hotpath_verify_overhead(benchmark):
-    """``verify="strict"`` is free on the warm path: program-cache hits
-    return before the post-lowering verify pass, so a strict executor's warm
-    lowerings/sec match an unverified one's.  The assertion bound is loose
-    (the mechanism guarantees parity — hits never run checkers — so any gap
-    is pure timing noise); the cold ratio is printed for the record."""
-    bundle = _rnn_bundle()
-    machine = k80_8gpu_machine(4)
-    options = {"num_stages": 4, "num_microbatches": 8}
-
-    def lower_rate(verify, cache_programs=True):
-        executor = Executor(
-            ExecutorConfig(
-                cache_programs=cache_programs,
-                program_cache_capacity=8,
-                verify=verify,
-            )
-        )
-        executor.program_cache = ProgramCache(capacity=8)  # isolate counters
-        prime = lambda: executor.lower(  # noqa: E731
-            bundle.graph,
-            plan=None,
-            machine=machine,
-            backend="pipeline",
-            backend_options=options,
-        )
-        prime()
-        rate = _rate(prime, LOWER_REPEATS)
-        if cache_programs:
-            info = executor.program_cache.info()
-            assert info["hits"] >= LOWER_REPEATS, (
-                f"verify={verify}: warm lowerings were not cache hits ({info})"
-            )
-        return rate
-
-    def run():
-        return {
-            "warm_off_per_sec": lower_rate("off"),
-            "warm_strict_per_sec": lower_rate("strict"),
-            "cold_off_per_sec": lower_rate("off", cache_programs=False),
-            "cold_strict_per_sec": lower_rate("strict", cache_programs=False),
-        }
-
-    rates = once(benchmark, run)
-    warm_ratio = rates["warm_strict_per_sec"] / rates["warm_off_per_sec"]
-    cold_ratio = rates["cold_strict_per_sec"] / rates["cold_off_per_sec"]
-    print_header("Verify-pass overhead: strict vs off lowerings/sec")
-    print(
-        f"warm (cache hit, verify skipped): strict/off = {warm_ratio:.3f}\n"
-        f"cold (every pass + checkers):     strict/off = {cold_ratio:.3f}"
-    )
-    assert warm_ratio >= 0.80, (
-        "strict must not slow the warm compile path (verify is skipped on "
-        f"program-cache hits), got strict/off = {warm_ratio:.3f}"
-    )
-
-
 def bench_hotpath_cache_key_stability(benchmark):
     """The content address is deterministic across processes and fresh
     builds of one model; cheap enough to pin here."""

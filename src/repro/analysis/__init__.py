@@ -7,10 +7,11 @@ and pipeline deadlock-freedom, comm-link validity, memory-plan
 reproducibility, and cache-key completeness.  The checkers back two
 surfaces:
 
-* ``ExecutorConfig(verify="off"|"warn"|"strict")`` — a post-lowering pass
-  in ``Executor.lower`` (skipped on program-cache hits);
-* ``tofu-repro verify <saved-model-or-cache-key>`` — offline verification
-  of saved artifacts.
+* :func:`verify_program` (a lowered program, with its graph and plan when
+  available) and :func:`verify_model` (a ``CompiledModel``) — library
+  calls returning a :class:`VerifyReport`;
+* ``tofu-repro verify <saved-model>`` — offline verification of a model
+  saved with ``compile --save``.
 
 Each finding carries a stable error code (``ANA003_CYCLIC_SCHEDULE``
 style); the catalogue lives in :data:`ERROR_CODES` and ``docs/verifier.md``.
@@ -25,13 +26,7 @@ from repro.analysis.registry import (
     register_checker,
     unregister_checker,
 )
-from repro.analysis.verify import (
-    VERIFY_MODES,
-    run_verify_pass,
-    validate_verify_mode,
-    verify_model,
-    verify_program,
-)
+from repro.analysis.verify import verify_model, verify_program
 from repro.errors import AnalysisError
 
 __all__ = [
@@ -40,15 +35,12 @@ __all__ = [
     "CheckerSpec",
     "ERROR_CODES",
     "Finding",
-    "VERIFY_MODES",
     "VerifyReport",
     "available_checkers",
     "describe_code",
     "get_checker_spec",
     "register_checker",
-    "run_verify_pass",
     "unregister_checker",
-    "validate_verify_mode",
     "verify_model",
     "verify_program",
 ]

@@ -1,12 +1,12 @@
 """Data model of the static verifier: findings, reports, check contexts.
 
 A checker is a plain function ``(CheckContext) -> List[Finding]``.  It never
-raises on a bad artifact — it *returns* findings, and the driver
-(:mod:`repro.analysis.verify`) decides whether to warn or raise depending on
-the configured mode.  Checkers degrade gracefully: when the context lacks an
-input a check needs (no graph, no machine model), that check is skipped
-rather than failed, so the same checkers run on a freshly lowered program,
-a cached program, and a metadata-only saved model.
+raises on a bad artifact — it *returns* findings, and the caller decides
+what to do with the report (:meth:`VerifyReport.raise_first` raises the
+first).  Checkers degrade gracefully: when the context lacks an input a
+check needs (no graph, no machine model), that check is skipped rather than
+failed, so the same checkers run on a freshly lowered program, a cached
+program, and a metadata-only saved model.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ __all__ = ["ERROR_CODES", "describe_code"]
 
 #: code -> one-line description, mirrored in docs/verifier.md.
 ERROR_CODES: Dict[str, str] = {
-    "ANA000_ANALYSIS": "generic analysis failure (bad verify mode, driver errors)",
+    "ANA000_ANALYSIS": "generic analysis failure (driver errors)",
     "ANA001_SHARD_TILING": (
         "a partition step splits a tensor dimension that is out of range "
         "(the split drops — a gap) or into more parts than the dimension "
@@ -64,12 +64,8 @@ ERROR_CODES: Dict[str, str] = {
         "an ExecutorConfig/PlannerConfig field is neither covered by the "
         "cache key nor declared non-semantic"
     ),
-    "ANA013_BAD_VERIFY_MODE": (
-        "ExecutorConfig.verify is not one of off | warn | strict"
-    ),
     "ANA014_UNKNOWN_ARTIFACT": (
-        "tofu-repro verify's argument is neither a saved-model file nor a "
-        "cached program key"
+        "tofu-repro verify's argument is not a saved-model file"
     ),
 }
 

@@ -1,13 +1,11 @@
-"""The verification driver: run checkers, report, warn, or raise.
+"""The verification driver: run checkers and report.
 
 :func:`verify_program` runs the registered checkers over one lowered
 program (plus whatever context is available) and returns a
-:class:`~repro.analysis.base.VerifyReport`; :func:`run_verify_pass` is the
-post-lowering hook ``Executor.lower`` calls under
-``ExecutorConfig(verify="warn"|"strict")`` — it is never reached on a
-program-cache hit, so warm compiles pay nothing.  :func:`verify_model`
-covers the CLI's other artifact: a saved ``CompiledModel``, which after a
-``load()`` carries the plan and metadata but no task graph.
+:class:`~repro.analysis.base.VerifyReport`; callers raise its first finding
+with :meth:`~repro.analysis.base.VerifyReport.raise_first`.
+:func:`verify_model` covers the CLI's artifact: a ``CompiledModel``, which
+after a ``load()`` carries the plan and metadata but no task graph.
 
 Built-in checkers register here at import time, mirroring how
 ``repro.runtime.backends`` registers its built-in execution backends.
@@ -15,10 +13,8 @@ Built-in checkers register here at import time, mirroring how
 
 from __future__ import annotations
 
-import warnings
 from typing import List, Optional, Sequence
 
-from repro import perf
 from repro.analysis.base import CheckContext, Finding, VerifyReport
 from repro.analysis.cachekey import check_cache_key_completeness
 from repro.analysis.comm import check_comm_validity
@@ -31,33 +27,8 @@ from repro.analysis.registry import (
 )
 from repro.analysis.schedule import check_schedule_soundness
 from repro.analysis.shards import check_shard_conservation
-from repro.errors import AnalysisError
 
-__all__ = [
-    "VERIFY_MODES",
-    "run_verify_pass",
-    "validate_verify_mode",
-    "verify_model",
-    "verify_program",
-]
-
-#: The accepted ``ExecutorConfig.verify`` settings, weakest first.
-VERIFY_MODES = ("off", "warn", "strict")
-
-
-def validate_verify_mode(mode: str) -> str:
-    """Return ``mode`` unchanged if it is a known verify mode.
-
-    Raises:
-        AnalysisError: (``ANA013_BAD_VERIFY_MODE``) for anything else.
-    """
-    if mode not in VERIFY_MODES:
-        raise AnalysisError(
-            f"unknown verify mode {mode!r} "
-            f"(known: {', '.join(VERIFY_MODES)})",
-            code="ANA013_BAD_VERIFY_MODE",
-        )
-    return mode
+__all__ = ["verify_model", "verify_program"]
 
 
 def _run_checkers(
@@ -164,45 +135,6 @@ def _check_metadata_memory(model) -> List[Finding]:
                 )
             )
     return findings
-
-
-def run_verify_pass(
-    program,
-    *,
-    graph=None,
-    machine=None,
-    plan=None,
-    mode: str = "strict",
-    checkers: Optional[Sequence[str]] = None,
-) -> Optional[VerifyReport]:
-    """The post-lowering verification hook.
-
-    ``mode="off"`` returns ``None`` without running anything;
-    ``mode="warn"`` runs the checkers and emits one ``UserWarning`` per
-    report with every finding; ``mode="strict"`` raises a structured
-    :class:`repro.errors.AnalysisError` for the first finding.  The pass
-    shows up as ``pass.verify`` in profiling snapshots.
-
-    Raises:
-        AnalysisError: Under ``strict`` with findings, or for an unknown
-            ``mode`` (``ANA013_BAD_VERIFY_MODE``).
-    """
-    validate_verify_mode(mode)
-    if mode == "off":
-        return None
-    with perf.stage("pass.verify"):
-        report = verify_program(
-            program, graph=graph, machine=machine, plan=plan, checkers=checkers
-        )
-    if report.findings:
-        if mode == "strict":
-            report.raise_first()
-        warnings.warn(
-            f"program verification found problems:\n{report.summary()}",
-            UserWarning,
-            stacklevel=2,
-        )
-    return report
 
 
 # ---------------------------------------------------------------- built-ins

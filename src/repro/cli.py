@@ -367,8 +367,7 @@ def cmd_cache_stats(args) -> int:
             line += (
                 f"; disk: {info['disk_entries']} entr"
                 f"{'y' if info['disk_entries'] == 1 else 'ies'}, "
-                f"{info['disk_bytes']} bytes, "
-                f"{info['disk_evictions']} eviction(s)"
+                f"{info['disk_bytes']} bytes"
             )
         else:
             line += "; disk: not configured"

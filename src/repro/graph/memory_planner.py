@@ -46,18 +46,34 @@ class MemoryPlan:
         )
 
 
+def inplace_aliases(graph: Graph) -> Dict[str, str]:
+    """``output -> input`` for every in-place update: the output of a node
+    declaring ``attrs["inplace"] = <input pos>`` shares that input's buffer
+    when it fits in it."""
+    alias_of: Dict[str, str] = {}
+    for node in graph.nodes.values():
+        pos = node.attrs.get("inplace")
+        if pos is None:
+            continue
+        source = node.inputs[int(pos)]
+        for out in node.outputs:
+            if graph.tensor(out).size_bytes() <= graph.tensor(source).size_bytes():
+                alias_of[out] = source
+    return alias_of
+
+
 def plan_memory(
     graph: Graph,
     schedule: Optional[List[str]] = None,
     *,
-    allow_inplace: bool = True,
     allow_reuse: bool = True,
 ) -> MemoryPlan:
     """Plan buffers for every tensor in ``graph`` under ``schedule``.
 
-    ``allow_inplace=False`` and ``allow_reuse=False`` exist for ablations (the
-    TensorFlow comparison in Table 3 disables in-place gradient aggregation;
-    the control-dependency ablation disables cross-operator reuse).
+    ``allow_reuse=False`` gives every transient tensor its own buffer: the
+    plan a shard graph gets without the partitioned-graph generator's
+    control dependencies, and the second memory figure the static verifier
+    re-derives.
     """
     if schedule is None:
         schedule = topo_schedule(graph)
@@ -68,17 +84,7 @@ def plan_memory(
     buffer_sizes: Dict[int, int] = {}
     next_buffer = 0
 
-    # In-place aliases: output tensor shares the buffer of one input.
-    alias_of: Dict[str, str] = {}
-    if allow_inplace:
-        for node in graph.nodes.values():
-            pos = node.attrs.get("inplace")
-            if pos is None:
-                continue
-            source = node.inputs[int(pos)]
-            for out in node.outputs:
-                if graph.tensor(out).size_bytes() <= graph.tensor(source).size_bytes():
-                    alias_of[out] = source
+    alias_of = inplace_aliases(graph)
 
     persistent_bytes = 0
     for name, spec in graph.tensors.items():

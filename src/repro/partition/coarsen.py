@@ -91,9 +91,6 @@ class CoarsenedGraph:
     def tensor_group(self, gid: int) -> TensorGroup:
         return self.tensor_groups[gid]
 
-    def op_group(self, gid: int) -> OpGroup:
-        return self.op_groups[gid]
-
     def is_linear(self) -> bool:
         """Whether the operator-group graph is a chain (fork-join counts)."""
         succ: Dict[int, Set[int]] = {g.gid: set() for g in self.op_groups}

@@ -123,10 +123,11 @@ class PlannerConfig:
         expand_jobs: Must be 1.  The search runs on one thread; any other
             value raises :class:`~repro.errors.PartitionError`.
         cache_capacity: In-memory LRU size; 0 disables the memory tier.
-        cache_dir: Optional directory for the persistent plan store.
-        cache_max_bytes: Byte budget for the on-disk store; when the stored
-            plans exceed it the least-recently-used entries are evicted.
-            ``None`` means unbounded.
+        cache_dir: Optional directory for the persistent plan store, one
+            ``<content key>.json`` file per plan.  The store is unbounded:
+            remove plans with :meth:`Planner.clear_cache` or
+            ``tofu-repro cache`` (other files in the directory are never
+            touched).
     """
 
     # jobs and expand_jobs are kept only because benchmarks/e2e/harness.py
@@ -135,7 +136,6 @@ class PlannerConfig:
     expand_jobs: int = 1
     cache_capacity: int = 128
     cache_dir: Optional[str] = None
-    cache_max_bytes: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.jobs != 1:
@@ -164,7 +164,6 @@ class Planner:
         self.cache = cache or PlanCache(
             capacity=self.config.cache_capacity,
             cache_dir=self.config.cache_dir,
-            max_bytes=self.config.cache_max_bytes,
         )
 
     # ------------------------------------------------------------------ plan

@@ -41,7 +41,6 @@ from repro.runtime.passes import (
     full_layer_assignment,
     make_comm_task,
     make_compute_task,
-    memory_plan_of,
     pipeline_schedule,
     producer_deps,
     scheduled_nodes,
@@ -170,35 +169,6 @@ def lower_single_device(
     )
 
 
-def placement_memory_report(
-    graph: Graph,
-    device_of_node: Mapping[str, int],
-    num_devices: int,
-) -> Dict[int, int]:
-    """Per-device memory under operator placement.
-
-    Buffers are charged to the device of the producing node (graph inputs are
-    charged to the device of their first consumer); transient buffers reuse
-    the global memory plan so the estimate stays consistent with the
-    single-device accounting.
-    """
-    plan = memory_plan_of(graph)
-    device_of_buffer: Dict[int, int] = {}
-    per_device: Dict[int, int] = {d: 0 for d in range(num_devices)}
-    for tensor_name, buffer_id in plan.buffer_of.items():
-        spec = graph.tensor(tensor_name)
-        if spec.producer is not None:
-            device = device_of_node.get(spec.producer, 0)
-        else:
-            consumers = graph.consumers_of(tensor_name)
-            device = device_of_node.get(consumers[0].name, 0) if consumers else 0
-        if buffer_id in device_of_buffer:
-            continue
-        device_of_buffer[buffer_id] = device
-        per_device[device] = per_device.get(device, 0) + plan.buffer_sizes[buffer_id]
-    return per_device
-
-
 def lower_placement(
     graph: Graph,
     machine: Topology,
@@ -240,7 +210,9 @@ def lower_placement(
         make_compute_task(
             tasks, graph, node.name, device, device_spec, machine, deps=deps
         )
-    memory = placement_memory_report(graph, device_of_node, machine.num_devices)
+    # One micro-batch, no schedule: each device is a "stage" holding its
+    # placed nodes' buffers.
+    memory = stage_memory_report(graph, device_of_node, machine.num_devices)
     return LoweredProgram(
         backend="placement",
         num_devices=machine.num_devices,

@@ -11,9 +11,9 @@ so a warm ``compile()`` (plan-cache hit + program-cache hit) skips every
 lowering pass — the ``--profile`` snapshot of a warm compile shows cache-hit
 counters and no ``pass.*``/``lower.*`` stages at all.
 
-The cache lives in memory only: it uses the in-memory LRU of
-:class:`repro.caching.TwoTierCache`, shared with the plan cache, and adds
-the program key scheme.  Programs are never put on disk — only plans are
+The cache lives in memory only: it is :class:`repro.caching.LRUCache`,
+the LRU the plan cache's memory tier also builds on, plus the program key
+scheme.  Programs are never put on disk — only plans are
 (Sec 5–6: the runtime regenerates the partitioned graph from the plan), and
 re-lowering a cached plan is faster than decoding its program would be.
 
@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from repro.caching import (
-    TwoTierCache,
+    LRUCache,
     content_key,
     graph_signature,
     machine_signature,
@@ -65,12 +65,11 @@ __all__ = [
 KEY_COVERED_CONFIG_FIELDS: tuple = ()
 
 #: ExecutorConfig fields that deliberately do NOT contribute to program
-#: cache keys: cache plumbing and the verify mode, which never change
-#: what a lowering produces.
+#: cache keys: cache plumbing, which never changes what a lowering
+#: produces.
 NON_SEMANTIC_CONFIG_FIELDS = (
     "cache_programs",
     "program_cache_capacity",
-    "verify",
 )
 
 
@@ -109,19 +108,14 @@ def lowered_cache_key(
     return content_key(fields)
 
 
-class ProgramCache(TwoTierCache):
+class ProgramCache(LRUCache):
     """In-memory LRU over lowered programs (no disk tier)."""
-
-    description = "program cache"
-
-    def __init__(self, capacity: int = 128):
-        super().__init__(capacity)
 
     # ------------------------------------------------------------------ get
     def get(self, key: str) -> Optional[LoweredProgram]:
         """A copy of the cached program under ``key`` (sharing its dense
         task graph), or ``None`` on a miss."""
-        program = self.get_entry(key)
+        program = self._count(self._recall(key))
         if program is None:
             return None
         return program.copy()
@@ -130,7 +124,7 @@ class ProgramCache(TwoTierCache):
     def put(self, key: str, program: LoweredProgram) -> None:
         """Store a copy of ``program`` under ``key``; later edits to
         ``program``'s containers never reach the cache."""
-        self.put_entry(key, program.copy())
+        self._remember(key, program.copy())
 
 
 #: 64 in-memory programs comfortably cover an `auto` sweep over both

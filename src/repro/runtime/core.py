@@ -47,18 +47,13 @@ class ExecutorConfig:
         program_cache_capacity: LRU entries of a private in-memory program
             cache.  Unset, the executor shares the process-wide cache
             (:func:`repro.runtime.cache.default_program_cache`).
-        verify: Static verification of freshly lowered programs
-            (:mod:`repro.analysis`): ``"off"`` (the default) runs nothing,
-            ``"warn"`` emits a ``UserWarning`` per report, ``"strict"``
-            raises a structured :class:`repro.errors.AnalysisError`.  The
-            pass runs after lowering and before the program is cached;
-            program-cache hits skip it entirely.  Non-semantic for cache
-            keys.
+
+    Lowering does not verify its output: callers run
+    :func:`repro.analysis.verify_program` on the program they lowered.
     """
 
     cache_programs: bool = True
     program_cache_capacity: Optional[int] = None
-    verify: str = "off"
 
 
 @dataclass
@@ -149,11 +144,6 @@ class Executor:
 
     def __init__(self, config: Optional[ExecutorConfig] = None):
         self.config = config or ExecutorConfig()
-        if self.config.verify != "off":
-            # Lazy: repro.analysis sits above the runtime in the layering.
-            from repro.analysis.verify import validate_verify_mode
-
-            validate_verify_mode(self.config.verify)
         if self.config.program_cache_capacity is not None:
             self.program_cache: ProgramCache = ProgramCache(
                 capacity=self.config.program_cache_capacity
@@ -191,8 +181,6 @@ class Executor:
         Raises:
             ExecutionError: For an unknown backend, invalid options, or a
                 plan-requiring backend invoked without a plan.
-            AnalysisError: Under ``config.verify="strict"`` when a freshly
-                lowered program fails a static check.
         """
         spec = get_execution_backend(backend)
         options = dict(backend_options or {})
@@ -228,19 +216,6 @@ class Executor:
             program = spec.lower(graph, machine, plan, **options)
         if program.machine is None:
             program.machine = machine
-        if self.config.verify != "off":
-            # Verify before the cache put so strict mode never caches
-            # (or serves) a program that fails its invariants; cache
-            # hits above return early, so warm paths never pay this.
-            from repro.analysis.verify import run_verify_pass
-
-            run_verify_pass(
-                program,
-                graph=graph,
-                machine=machine,
-                plan=plan,
-                mode=self.config.verify,
-            )
         if key is not None:
             self.program_cache.put(key, program)
         return program

@@ -121,10 +121,7 @@ def make_comm_task(
 
 @perf.timed("pass.device_memory_report")
 def device_memory_report(
-    graph: Graph,
-    devices: Sequence[int] = (0,),
-    *,
-    allow_reuse: bool = True,
+    graph: Graph, devices: Sequence[int] = (0,)
 ) -> Dict[int, int]:
     """Memory-planning pass: planned peak bytes, replicated per device.
 
@@ -132,7 +129,7 @@ def device_memory_report(
     (single-device execution, data parallelism, the per-worker shard graph of
     partitioned execution).
     """
-    peak = plan_memory(graph, allow_reuse=allow_reuse).peak_bytes
+    peak = plan_memory(graph).peak_bytes
     return {device: peak for device in devices}
 
 
@@ -520,8 +517,9 @@ def stage_memory_report(
     """Per-stage peak bytes under micro-batched pipeline execution.
 
     Buffers from the global memory plan are charged to the stage of their
-    producing node (graph inputs to their first consumer's stage), exactly
-    like operator placement.  Persistent buffers (weights, optimiser state)
+    producing node (graph inputs to their first consumer's stage).
+    Operator placement is the one-micro-batch case, with devices as
+    stages.  Persistent buffers (weights, optimiser state)
     are charged once; transient buffers (activations, gradients, data) shrink
     to one micro-batch (``1/M``) but must be stashed for every in-flight
     micro-batch of the stage's schedule, so they scale by ``inflight / M``.

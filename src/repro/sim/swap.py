@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from repro.graph.graph import Graph
+from repro.graph.memory_planner import inplace_aliases
 from repro.graph.scheduler import liveness, topo_schedule
 from repro.sim.costmodel import node_kernel_time
 from repro.sim.device import MachineSpec
@@ -97,15 +98,7 @@ def swap_residency_schedule(graph: Graph, machine: MachineSpec) -> SwapSchedule:
     # In-place updates (optimiser steps, fused gradient accumulation) alias
     # their source buffer; track residency per buffer root so an updated
     # weight does not occupy memory twice.
-    alias_of = {}
-    for node in graph.nodes.values():
-        pos = node.attrs.get("inplace")
-        if pos is None:
-            continue
-        source = node.inputs[int(pos)]
-        for out in node.outputs:
-            if graph.tensor(out).size_bytes() <= graph.tensor(source).size_bytes():
-                alias_of[out] = source
+    alias_of = inplace_aliases(graph)
 
     def root_of(name: str) -> str:
         seen = set()

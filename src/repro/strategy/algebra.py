@@ -101,11 +101,6 @@ class Strategy:
             node = node.inner
         return nodes
 
-    def leaf(self) -> Optional["Strategy"]:
-        """The innermost *leaf* node, or ``None`` for an open wrapper chain."""
-        last = self.chain()[-1]
-        return None if last.is_wrapper else last
-
     # ------------------------------------------------------------ rendering
     def _segment(self) -> str:
         return self.kind

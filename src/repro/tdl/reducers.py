@@ -48,7 +48,3 @@ REDUCER_IDENTITY = {
     "max": float("-inf"),
     "min": float("inf"),
 }
-
-#: Reducers whose aggregation operator is supported by the all-reduce spread
-#: optimisation in Sec 6.
-ALL_REDUCERS = tuple(REDUCER_IDENTITY)

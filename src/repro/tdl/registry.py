@@ -9,7 +9,7 @@ up here.  The registry also powers the Sec 4.1 coverage statistics
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import TDLError
 from repro.tdl.lang import TDLOperator
@@ -92,9 +92,6 @@ class DescriptionRegistry:
 
     def names(self) -> List[str]:
         return sorted(self._entries)
-
-    def entries(self) -> Iterable[DescriptionEntry]:
-        return list(self._entries.values())
 
     # ------------------------------------------------------------ statistics
     def coverage_report(self) -> Dict[str, int]:

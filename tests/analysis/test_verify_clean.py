@@ -1,10 +1,12 @@
-"""Strict verification is a no-op on healthy lowerings: every built-in
-execution backend, on a flat machine and a 2-machine cluster, lowers under
-``verify="strict"`` with zero findings (acceptance gate of the verifier:
-it must never reject what the compiler actually produces)."""
+"""Strict verification is a no-op on healthy lowerings: what every built-in
+execution backend lowers, on a flat machine and a 2-machine cluster, gets
+zero findings from ``verify_program`` given its graph and plan (acceptance
+gate of the verifier: it must never reject what the compiler actually
+produces)."""
 
 import pytest
 
+from repro.analysis import verify_program
 from repro.models.mlp import build_mlp
 from repro.planner import Planner, PlannerConfig
 from repro.runtime import (
@@ -58,12 +60,14 @@ def _backend_inputs(backend, bundle, machine, schedule="1f1b"):
 def test_strict_verify_passes_on_every_backend(backend, machine_kind, bundle):
     machine = MACHINES[machine_kind]()
     plan, options = _backend_inputs(backend, bundle, machine)
-    executor = Executor(ExecutorConfig(verify="strict", cache_programs=False))
+    executor = Executor(ExecutorConfig(cache_programs=False))
     program = executor.lower(
         bundle.graph, plan=plan, machine=machine, backend=backend,
         backend_options=options,
-    )  # strict mode: any finding raises AnalysisError
+    )
     assert program.tasks
+    report = verify_program(program, graph=bundle.graph, plan=plan)
+    assert report.findings == []
 
 
 @pytest.mark.parametrize("schedule", ["gpipe", "1f1b"])
@@ -71,9 +75,11 @@ def test_strict_verify_passes_on_both_pipeline_schedules(schedule, bundle):
     machine = k80_8gpu_machine(4)
     plan, options = _backend_inputs("pipeline", bundle, machine,
                                     schedule=schedule)
-    executor = Executor(ExecutorConfig(verify="strict", cache_programs=False))
+    executor = Executor(ExecutorConfig(cache_programs=False))
     program = executor.lower(
         bundle.graph, plan=plan, machine=machine, backend="pipeline",
         backend_options=options,
     )
     assert program.schedule is not None and program.schedule.style == schedule
+    report = verify_program(program, graph=bundle.graph, plan=plan)
+    assert report.findings == []

@@ -1,27 +1,20 @@
-"""Wiring of the verify pass: cold runs verify, cache hits skip, strict
-raises, warn warns, and off does nothing."""
+"""Wiring of the verifier to the executor's output: lowering itself runs no
+checker, and a registered checker's finding on a freshly lowered program
+comes back from ``verify_program`` as a structured error."""
 
 import pytest
 
-from repro import perf
 from repro.analysis import (
     AnalysisError,
     CheckerSpec,
     Finding,
     register_checker,
     unregister_checker,
-    validate_verify_mode,
+    verify_program,
 )
 from repro.models.mlp import build_mlp
-from repro.runtime import Executor, ExecutorConfig, ProgramCache
+from repro.runtime import Executor, ExecutorConfig
 from repro.sim.device import k80_8gpu_machine
-
-
-def _fresh(executor):
-    """Swap in a private program cache — the process-wide default cache is
-    shared across tests, which would pollute hit counters here."""
-    executor.program_cache = ProgramCache()
-    return executor
 
 
 @pytest.fixture
@@ -59,53 +52,22 @@ def always_fail():
 
 
 class TestExecutorWiring:
-    def test_cold_lower_verifies_and_cache_hit_skips(self, bundle, spy):
-        machine = k80_8gpu_machine(2)
-        executor = _fresh(Executor(ExecutorConfig(verify="strict")))
-        timer = perf.StageTimer()
-        with perf.activation(timer):
-            executor.lower(bundle.graph, machine=machine, backend="single-device")
-        assert len(spy) == 1  # cold path ran the pass
-        assert "pass.verify" in timer.snapshot()["stages"]
-
-        executor.lower(bundle.graph, machine=machine, backend="single-device")
-        assert len(spy) == 1  # program-cache hit skipped it
-
     def test_verify_off_never_runs_checkers(self, bundle, spy):
-        executor = Executor(ExecutorConfig(verify="off", cache_programs=False))
-        executor.lower(bundle.graph, machine=k80_8gpu_machine(2),
-                       backend="single-device")
+        """Lowering does not verify: only an explicit call runs checkers."""
+        executor = Executor(ExecutorConfig(cache_programs=False))
+        program = executor.lower(bundle.graph, machine=k80_8gpu_machine(2),
+                                 backend="single-device")
         assert spy == []
+        verify_program(program)
+        assert len(spy) == 1
 
     def test_strict_raises_structured_error(self, bundle, always_fail):
-        executor = Executor(
-            ExecutorConfig(verify="strict", cache_programs=False))
+        executor = Executor(ExecutorConfig(cache_programs=False))
+        program = executor.lower(bundle.graph, machine=k80_8gpu_machine(2),
+                                 backend="single-device")
+        report = verify_program(program, graph=bundle.graph)
+        assert [f.check for f in report.findings] == ["test-always-fail"]
         with pytest.raises(AnalysisError) as excinfo:
-            executor.lower(bundle.graph, machine=k80_8gpu_machine(2),
-                           backend="single-device")
+            report.raise_first()
         assert excinfo.value.code == "ANA000_ANALYSIS"
         assert excinfo.value.check == "test-always-fail"
-
-    def test_strict_failure_is_not_cached(self, bundle, always_fail):
-        executor = _fresh(Executor(ExecutorConfig(verify="strict")))
-        for _ in range(2):  # a failing program must never become a hit
-            with pytest.raises(AnalysisError):
-                executor.lower(bundle.graph, machine=k80_8gpu_machine(2),
-                               backend="single-device")
-        assert executor.program_cache.hits == 0
-
-    def test_warn_mode_warns_and_returns(self, bundle, always_fail):
-        executor = Executor(ExecutorConfig(verify="warn", cache_programs=False))
-        with pytest.warns(UserWarning, match="seeded failure"):
-            program = executor.lower(bundle.graph,
-                                     machine=k80_8gpu_machine(2),
-                                     backend="single-device")
-        assert program.tasks
-
-    def test_bad_verify_mode_rejected_at_construction(self):
-        with pytest.raises(AnalysisError) as excinfo:
-            Executor(ExecutorConfig(verify="nope"))
-        assert excinfo.value.code == "ANA013_BAD_VERIFY_MODE"
-        with pytest.raises(AnalysisError):
-            validate_verify_mode("loud")
-

@@ -5,6 +5,8 @@ from repro.graph.builder import GraphBuilder
 from repro.graph.memory_planner import plan_memory
 from repro.graph.scheduler import liveness, peak_live_bytes, topo_schedule
 
+from .memory_oracle import sort_and_scan_plan_memory
+
 
 def _chain_graph(length=6, size=256):
     b = GraphBuilder("chain")
@@ -70,8 +72,8 @@ class TestMemoryPlanner:
 
     def test_inplace_reduces_footprint(self, mlp_bundle):
         graph = mlp_bundle.graph
-        with_inplace = plan_memory(graph, allow_inplace=True).peak_bytes
-        without = plan_memory(graph, allow_inplace=False).peak_bytes
+        with_inplace = plan_memory(graph).peak_bytes
+        without = sort_and_scan_plan_memory(graph, allow_inplace=False).peak_bytes
         assert with_inplace <= without
 
     def test_weight_memory_roughly_3x(self, mlp_bundle):

@@ -1,14 +1,13 @@
-"""Tests for the two-tier cache's bookkeeping: hit rate, on-disk size
-accounting, LRU eviction, and disk entries shared between instances."""
+"""Tests for the plan cache's bookkeeping: hit rate, on-disk size
+accounting, disk entries shared between instances, and the two on-disk
+layouts (entry files and export bundles) a store must keep reading."""
 
 from __future__ import annotations
 
-import os
-import time
+import json
 
-from repro.caching import TwoTierCache
-from repro.partition.plan import PartitionPlan, StepAssignment
-from repro.planner import PlanCache, Planner, PlannerConfig
+from repro.partition.plan import PartitionPlan, StepAssignment, plan_to_dict
+from repro.planner import PlanCache
 
 
 def _plan(tag: int) -> PartitionPlan:
@@ -26,19 +25,19 @@ def _plan(tag: int) -> PartitionPlan:
     return plan
 
 
-def _touch_older(path, seconds):
-    """Backdate a cache file's mtime (the LRU recency signal)."""
-    stamp = time.time() - seconds
-    os.utime(path, (stamp, stamp))
+def _key(tag: int) -> str:
+    """A content key (64 hex digits), the only name a store file may have."""
+    return f"{tag:064x}"
 
 
 class TestTwoTierCache:
     def test_hit_rate_reporting(self):
-        cache = TwoTierCache(capacity=4)
+        cache = PlanCache(capacity=4)
         assert cache.hit_rate() == 0.0
-        cache.put_entry("a", {"x": 1})
-        assert cache.get_entry("a") == {"x": 1}
-        assert cache.get_entry("b") is None
+        plan = _plan(1)
+        cache.put("a", plan)
+        assert cache.get("a") is plan
+        assert cache.get("b") is None
         assert cache.hit_rate() == 0.5
         info = cache.info()
         assert info["hits"] == 1 and info["misses"] == 1
@@ -47,25 +46,25 @@ class TestTwoTierCache:
     def test_fresh_reader_hits_every_spilled_entry(self, tmp_path):
         """A writer's memory tier holds 2 of its 6 entries; all 6 reach the
         disk, so a fresh instance on the same directory hits every one."""
-        writer = TwoTierCache(capacity=2, cache_dir=str(tmp_path))
+        writer = PlanCache(capacity=2, cache_dir=str(tmp_path))
         for i in range(6):
-            writer.put_entry(f"k{i}", {"i": i})
+            writer.put(_key(i), _plan(i))
         assert len(writer) == 2
-        reader = TwoTierCache(capacity=2, cache_dir=str(tmp_path))
-        assert [reader.get_entry(f"k{i}") for i in range(6)] == [
-            {"i": i} for i in range(6)
+        reader = PlanCache(capacity=2, cache_dir=str(tmp_path))
+        assert [reader.get(_key(i)).algorithm for i in range(6)] == [
+            f"test-{i}" for i in range(6)
         ]
         assert reader.info()["hits"] == 6 and reader.info()["misses"] == 0
 
 
-class TestDiskBudget:
+class TestDiskStore:
     def test_size_accounting(self, tmp_path):
         cache = PlanCache(capacity=0, cache_dir=str(tmp_path))
         assert cache.disk_bytes() == 0
-        cache.put("a", _plan(1))
+        cache.put(_key(1), _plan(1))
         first = cache.disk_bytes()
         assert first > 0
-        cache.put("b", _plan(2))
+        cache.put(_key(2), _plan(2))
         assert cache.disk_bytes() > first
         info = cache.info()
         assert info["disk_entries"] == 2
@@ -74,68 +73,70 @@ class TestDiskBudget:
     def test_unbounded_by_default(self, tmp_path):
         cache = PlanCache(capacity=0, cache_dir=str(tmp_path))
         for i in range(20):
-            cache.put(f"k{i}", _plan(i))
+            cache.put(_key(i), _plan(i))
         assert cache.info()["disk_entries"] == 20
-        assert cache.disk_evictions == 0
+        assert all(cache.get(_key(i)) is not None for i in range(20))
 
-    def test_lru_eviction_under_budget(self, tmp_path):
-        cache = PlanCache(capacity=0, cache_dir=str(tmp_path))
-        cache.put("old", _plan(1))
-        entry_bytes = cache.disk_bytes()
-
-        budget = int(entry_bytes * 2.5)  # room for two entries, not three
-        cache = PlanCache(capacity=0, cache_dir=str(tmp_path), max_bytes=budget)
-        _touch_older(tmp_path / "old.json", 60)
-        cache.put("mid", _plan(2))
-        _touch_older(tmp_path / "mid.json", 30)
-        cache.put("new", _plan(3))
-
-        assert cache.disk_bytes() <= budget
-        assert cache.get("old") is None, "least-recently-used entry evicted"
-        assert cache.get("new") is not None
-        assert cache.disk_evictions >= 1
-
-    def test_get_refreshes_recency(self, tmp_path):
-        cache = PlanCache(capacity=0, cache_dir=str(tmp_path))
-        cache.put("a", _plan(1))
-        entry_bytes = cache.disk_bytes()
-
-        budget = int(entry_bytes * 2.5)
-        cache = PlanCache(capacity=0, cache_dir=str(tmp_path), max_bytes=budget)
-        cache.put("b", _plan(2))
-        _touch_older(tmp_path / "a.json", 60)
-        _touch_older(tmp_path / "b.json", 30)
-        assert cache.get("a") is not None  # refreshes a's mtime to now
-        cache.put("c", _plan(3))
-
-        assert cache.get("a") is not None, "recently-hit entry must survive"
-        assert cache.get("b") is None, "stale entry evicted instead"
-
-    def test_just_written_entry_survives_tiny_budget(self, tmp_path):
-        cache = PlanCache(capacity=0, cache_dir=str(tmp_path), max_bytes=1)
-        cache.put("only", _plan(1))
-        # A hit must still be possible straight after a put, even when the
-        # entry alone exceeds the budget.
-        assert cache.get("only") is not None
-
-    def test_planner_config_plumbs_budget(self, tmp_path, mlp_bundle):
-        planner = Planner(
-            PlannerConfig(
-                cache_dir=str(tmp_path), cache_capacity=0, cache_max_bytes=10,
-            )
-        )
-        assert planner.cache.max_bytes == 10
-        planner.plan(mlp_bundle.graph, 2)
-        # The planner's own plan survives (protected write), budget holds
-        # against everything else.
-        assert planner.cache.info()["disk_entries"] == 1
-
-    def test_eviction_counter_resets_on_clear(self, tmp_path):
-        cache = PlanCache(capacity=0, cache_dir=str(tmp_path), max_bytes=1)
-        cache.put("a", _plan(1))
-        _touch_older(tmp_path / "a.json", 60)
-        cache.put("b", _plan(2))
-        assert cache.disk_evictions >= 1
+    def test_clear_resets_counters_and_empties_the_store(self, tmp_path):
+        cache = PlanCache(capacity=4, cache_dir=str(tmp_path))
+        cache.put(_key(1), _plan(1))
+        assert cache.get(_key(1)) is not None
+        assert cache.get(_key(2)) is None
         cache.clear()
-        assert cache.disk_evictions == 0
-        assert cache.info()["disk_entries"] == 0
+        assert cache.info() == {
+            "hits": 0, "misses": 0, "hit_rate": 0.0, "size": 0,
+            "disk_bytes": 0, "disk_entries": 0,
+        }
+        assert cache.get(_key(1)) is None
+
+    def test_files_not_named_by_a_content_key_are_not_the_stores(self, tmp_path):
+        """A model saved next to the plans is neither counted, exported nor
+        cleared."""
+        store = tmp_path / "store"
+        store.mkdir()
+        model = store / "model.json"
+        model.write_text(json.dumps({"key": _key(9), "plan": plan_to_dict(_plan(9))}))
+        (store / "notes.txt").write_text("kept")
+        cache = PlanCache(capacity=0, cache_dir=str(store))
+        cache.put(_key(1), _plan(1))
+        info = cache.info()
+        assert info["disk_entries"] == 1
+        assert info["disk_bytes"] == (store / f"{_key(1)}.json").stat().st_size
+
+        bundle = tmp_path / "bundle.json"
+        assert cache.export_to(str(bundle)) == 1
+        assert list(json.loads(bundle.read_text())["entries"]) == [_key(1)]
+
+        cache.clear()
+        assert sorted(p.name for p in store.iterdir()) == ["model.json", "notes.txt"]
+
+
+class TestStoreLayout:
+    """The on-disk layouts stay readable: a hand-written file hits."""
+
+    def test_hand_written_entry_file_hits(self, tmp_path):
+        plan = _plan(3)
+        (tmp_path / f"{_key(3)}.json").write_text(
+            json.dumps({"key": _key(3), "plan": plan_to_dict(plan)})
+        )
+        cache = PlanCache(cache_dir=str(tmp_path))
+        hit = cache.get(_key(3))
+        assert hit is not None and plan_to_dict(hit) == plan_to_dict(plan)
+        assert (cache.hits, cache.misses) == (1, 0)
+
+    def test_hand_written_bundle_imports_and_hits(self, tmp_path):
+        plans = {_key(i): _plan(i) for i in (4, 5)}
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(json.dumps({
+            "format": "tofu-plan-cache",
+            "version": 1,
+            "entries": {key: plan_to_dict(p) for key, p in plans.items()},
+        }))
+        cache = PlanCache(cache_dir=str(tmp_path / "store"))
+        assert cache.import_from(str(bundle)) == {"imported": 2, "skipped": 0}
+        fresh = PlanCache(cache_dir=str(tmp_path / "store"))
+        for key, plan in plans.items():
+            assert plan_to_dict(fresh.get(key)) == plan_to_dict(plan)
+        assert (fresh.hits, fresh.misses) == (2, 0)
+        stored = json.loads((tmp_path / "store" / f"{_key(4)}.json").read_text())
+        assert stored == {"key": _key(4), "plan": plan_to_dict(plans[_key(4)])}

@@ -1,8 +1,8 @@
 """Lowered-program cache: hits are bit-identical to fresh lowering, the
 content address invalidates on every semantic input, and the memory LRU
 accounts for eviction.  The programs live in memory only; the plan store's
-disk tier, which the program cache shares its LRU with, must round-trip
-export bundles and treat a corrupt entry as a miss.
+disk tier must round-trip export bundles and treat a corrupt entry as a
+miss.
 
 The parity half mirrors ``test_cluster_parity``: every registered execution
 backend, on the bare machine and the one-machine cluster, must simulate a
@@ -155,20 +155,6 @@ def test_memory_lru_eviction_accounting(mlp_bundle):
     )
     info = cache.info()
     assert info["hits"] == 1 and info["misses"] == 3
-
-
-def test_disk_eviction_under_byte_budget(tmp_path, mlp_bundle):
-    planner = Planner(
-        PlannerConfig(
-            cache_dir=str(tmp_path / "store"),
-            cache_max_bytes=1,  # everything but the newest evicts
-        )
-    )
-    for workers in (2, 4):
-        planner.plan(mlp_bundle.graph, workers, machine=MACHINE)
-    info = planner.cache.info()
-    assert info["disk_entries"] == 1
-    assert info["disk_evictions"] >= 1
 
 
 def test_export_import_round_trip(tmp_path, mlp_bundle):

@@ -8,7 +8,6 @@ from repro.runtime.backends import (
     lower_data_parallel,
     lower_placement,
     lower_single_device,
-    placement_memory_report,
 )
 from repro.runtime.passes import device_memory_report
 from repro.sim.device import k80_8gpu_machine
@@ -50,7 +49,9 @@ class TestPlacement:
             node: mlp_bundle.layer_of_node.get(node, 0) % 4
             for node in mlp_bundle.graph.nodes
         }
-        memory = placement_memory_report(mlp_bundle.graph, device_of_node, 4)
+        memory = lower_placement(
+            mlp_bundle.graph, machine, device_of_node=device_of_node
+        ).per_device_memory
         assert sum(memory.values()) == pytest.approx(
             plan_memory(mlp_bundle.graph).peak_bytes, rel=0.01
         )

@@ -127,15 +127,12 @@ ANALYSIS_EXPORTS = [
     "CheckerSpec",
     "ERROR_CODES",
     "Finding",
-    "VERIFY_MODES",
     "VerifyReport",
     "available_checkers",
     "describe_code",
     "get_checker_spec",
     "register_checker",
-    "run_verify_pass",
     "unregister_checker",
-    "validate_verify_mode",
     "verify_model",
     "verify_program",
 ]
@@ -246,12 +243,8 @@ KNOB_SNAPSHOT = {
     "execution:swap": (),
     "execution:pipeline": ("num_stages", "num_microbatches", "schedule"),
     "execution:hybrid": ("replica_groups", "inner", "inner_options"),
-    "PlannerConfig": (
-        "jobs", "expand_jobs", "cache_capacity", "cache_dir", "cache_max_bytes",
-    ),
-    "ExecutorConfig": (
-        "cache_programs", "program_cache_capacity", "verify",
-    ),
+    "PlannerConfig": ("jobs", "expand_jobs", "cache_capacity", "cache_dir"),
+    "ExecutorConfig": ("cache_programs", "program_cache_capacity"),
     "TunerBudget": ("max_candidates", "max_seconds"),
     "Tuner": (
         "budget", "jobs", "microbatches", "schedules", "search_backends",
@@ -296,4 +289,4 @@ def test_knob_surface_matches_snapshot():
         "knob needs a caller outside the tests; update KNOB_SNAPSHOT in "
         "tests/test_public_api.py if this change is intentional"
     )
-    assert sum(len(knobs) for knobs in surface.values()) == 36
+    assert sum(len(knobs) for knobs in surface.values()) == 34
