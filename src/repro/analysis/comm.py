@@ -9,7 +9,7 @@ the transfer crosses an edge the topology actually has.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.base import CheckContext, Finding
 from repro.errors import ReproError
@@ -42,6 +42,9 @@ def check_comm_validity(context: CheckContext) -> List[Finding]:
         return []
     machine = context.resolved_machine
     findings: List[Finding] = []
+    # link_between's error for each distinct (src, dst) pair, None when it
+    # resolves: a pair is resolved once, however many tasks cross it.
+    link_errors: Dict[Tuple[Optional[int], int], Optional[ReproError]] = {}
 
     def finding(code: str, name: str, message: str) -> None:
         findings.append(
@@ -80,12 +83,17 @@ def check_comm_validity(context: CheckContext) -> List[Finding]:
                 f"topology with {machine.num_devices} device(s)",
             )
         else:
-            try:
-                machine.link_between(src, dst)
-            except ReproError as exc:
+            if (src, dst) not in link_errors:
+                try:
+                    machine.link_between(src, dst)
+                    link_errors[src, dst] = None
+                except ReproError as exc:
+                    link_errors[src, dst] = exc
+            error = link_errors[src, dst]
+            if error is not None:
                 finding(
                     "ANA007_BAD_LINK", name,
                     f"comm task {name!r}: the topology cannot resolve a "
-                    f"{src}->{dst} link ({exc})",
+                    f"{src}->{dst} link ({error})",
                 )
     return findings

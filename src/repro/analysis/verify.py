@@ -27,6 +27,7 @@ from repro.analysis.registry import (
 )
 from repro.analysis.schedule import check_schedule_soundness
 from repro.analysis.shards import check_shard_conservation
+from repro.graph.memo import memo_suspended
 
 __all__ = ["verify_model", "verify_program"]
 
@@ -36,9 +37,12 @@ def _run_checkers(
 ) -> VerifyReport:
     names = list(checkers) if checkers is not None else available_checkers()
     findings: List[Finding] = []
-    for name in names:
-        spec = get_checker_spec(name)
-        findings.extend(spec.check(context))
+    # Checks re-derive what lowering computed, never read it back from the
+    # compile memo, also when verification runs inside a compile.
+    with memo_suspended():
+        for name in names:
+            spec = get_checker_spec(name)
+            findings.extend(spec.check(context))
     return VerifyReport(findings=findings, checks_run=tuple(names))
 
 

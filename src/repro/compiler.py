@@ -28,6 +28,8 @@ A compile allocates millions of short-lived containers but leaves almost no
 reference cycles behind, so it runs with CPython's cyclic collector paused
 (:func:`collector_paused`): reference counting still frees everything the
 compile drops, and the collector resumes when the last compile returns.
+The same scope holds the compile memo (:mod:`repro.graph.memo`), so the
+autotuner's candidates derive each fact about the frozen graph once.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, Mapping, Optional, Union
 
 from repro.errors import ReproError, StrategyError
 from repro.graph.graph import Graph
+from repro.graph.memo import close_memo, open_memo
 from repro.partition.plan import PartitionPlan, plan_from_dict, plan_to_dict
 from repro.runtime.core import Executor, SimulationReport
 from repro.runtime.program import LoweredProgram
@@ -313,30 +316,35 @@ _pause_disabled = False
 
 @contextmanager
 def collector_paused() -> Iterator[None]:
-    """Pause CPython's cyclic garbage collector while any compile runs.
+    """The compile scope: pause CPython's cyclic garbage collector and open
+    the compile memo (:mod:`repro.graph.memo`) while any compile runs.
 
     The scope is process-wide and reference-counted.  The first compile to
-    enter disables the collector, but only if it is enabled; the last to
-    leave re-enables it, but only if this scope disabled it, also when the
-    compile raises.  So a caller's own ``gc.disable()`` survives a compile,
-    and nested compiles (the autotuner's candidates) share the outer pause.
-    Reference counting is untouched: everything a compile drops is freed as
-    before; only the collector's scans of the growing heap stop.  Also
-    usable as a decorator.
+    enter disables the collector, but only if it is enabled, and opens an
+    empty memo; the last to leave re-enables the collector, but only if
+    this scope disabled it, and empties the memo, also when the compile
+    raises.  So a caller's own ``gc.disable()`` survives a compile, and
+    nested compiles (the autotuner's candidates) share the outer pause and
+    the outer memo.  Reference counting is untouched: everything a compile
+    drops is freed as before; only the collector's scans of the growing
+    heap stop.  Also usable as a decorator.
     """
     global _pause_depth, _pause_disabled
     if _pause_depth == 0:
         _pause_disabled = gc.isenabled()
         if _pause_disabled:
             gc.disable()
+        open_memo()
     _pause_depth += 1
     try:
         yield
     finally:
         _pause_depth -= 1
-        if _pause_depth == 0 and _pause_disabled:
-            _pause_disabled = False
-            gc.enable()
+        if _pause_depth == 0:
+            close_memo()
+            if _pause_disabled:
+                _pause_disabled = False
+                gc.enable()
 
 
 @collector_paused()

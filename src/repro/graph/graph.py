@@ -14,6 +14,7 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.errors import GraphError
 from repro.graph.frozen import FrozenDict, freeze_value, read_only
+from repro.graph.memo import memoized
 from repro.graph.node import OpNode
 from repro.graph.tensor import TensorSpec
 
@@ -165,7 +166,14 @@ class Graph:
 
     # ------------------------------------------------------------- traversal
     def topo_order(self) -> List[OpNode]:
-        """Topological order of nodes (Kahn's algorithm, deterministic)."""
+        """Topological order of nodes (Kahn's algorithm, deterministic).
+
+        A frozen graph's order is sorted once per compile
+        (:mod:`repro.graph.memo`); every caller gets its own list.
+        """
+        return list(memoized(self, "topo_order", self._kahn_order))
+
+    def _kahn_order(self) -> List[OpNode]:
         indegree: Dict[str, int] = {}
         for node in self.nodes.values():
             deg = 0

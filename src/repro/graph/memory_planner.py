@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.graph.graph import Graph
+from repro.graph.memo import memoized
 from repro.graph.scheduler import liveness, topo_schedule
 
 
@@ -73,9 +74,16 @@ def plan_memory(
     ``allow_reuse=False`` gives every transient tensor its own buffer: the
     plan a shard graph gets without the partitioned-graph generator's
     control dependencies, and the second memory figure the static verifier
-    re-derives.
+    re-derives.  The default plan (no ``schedule``, reuse allowed) of a
+    frozen graph is planned once per compile (:mod:`repro.graph.memo`) and
+    shared by its readers, which must not edit it.
     """
     if schedule is None:
+        if allow_reuse:
+            return memoized(
+                graph, "memory_plan",
+                lambda: plan_memory(graph, topo_schedule(graph)),
+            )
         schedule = topo_schedule(graph)
     intervals = liveness(graph, schedule)
     order = sorted(graph.tensors, key=lambda t: intervals[t][0])

@@ -11,11 +11,13 @@ good fit for hierarchical interconnects.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import PartitionError
 from repro.graph.graph import Graph
+from repro.graph.memo import memoized
 from repro.graph.tensor import split_dim
 from repro.partition.coarsen import CoarsenedGraph, coarsen
 from repro.partition.cost import CommunicationCostModel
@@ -36,7 +38,8 @@ def recursive_partition(
     Args:
         graph: A training graph carrying autodiff metadata.
         num_workers: Total number of workers (any integer >= 1).
-        coarse: Optionally a pre-computed coarsened graph (reused across calls).
+        coarse: Optionally a pre-computed coarsened graph (reused across
+            calls).  A search given one shares no steps with other searches.
         allow_reduction: ``False`` reproduces the ICML18 baseline that misses
             output-reduction strategies (the ``icml18`` search backend).
         factors: Optional explicit factorisation ``k1, ..., km`` overriding
@@ -57,13 +60,31 @@ def recursive_partition(
             raise PartitionError(
                 f"factors {factors} do not multiply to {num_workers} workers"
             )
-    if coarse is None:
-        coarse = coarsen(graph)
-    cost_model = CommunicationCostModel(graph, allow_reduction=allow_reduction)
-
+    # Step i reads only the shapes steps 1..i-1 left, so a search on its own
+    # coarse graph shares each step, keyed by its factor prefix, with every
+    # search of the same frozen graph in this compile (repro.graph.memo):
+    # the plan for 2 workers is the first step of the plan for 8.
+    share_steps = coarse is None
     shapes: Dict[str, Tuple[int, ...]] = {
         name: spec.shape for name, spec in graph.tensors.items()
     }
+    cost_model = CommunicationCostModel(graph, allow_reduction=allow_reduction)
+    searched: Optional[StepAssignment] = None
+
+    def search_step(
+        parts: int, group_count: int
+    ) -> Tuple[StepAssignment, Dict[str, NodePrice]]:
+        nonlocal coarse, searched
+        if coarse is None:
+            coarse = coarsen(graph)
+        cost_model.set_shapes(shapes)
+        prices: Dict[str, NodePrice] = {}
+        step = dp_partition_step(graph, coarse, cost_model, parts, prices=prices)
+        step.group_count = group_count
+        step.weighted_bytes = step.comm_bytes * group_count
+        searched = step
+        return step, prices
+
     steps: List[StepAssignment] = []
     # Every node's cluster-wide bytes as the search priced it, summed over
     # the steps in the order (and with the group weights) lowering would
@@ -71,15 +92,26 @@ def recursive_partition(
     fetch_bytes = {name: 0.0 for name in graph.nodes}
     reduce_bytes = {name: 0.0 for name in graph.nodes}
     group_count = 1
-    for parts in factors:
-        cost_model.set_shapes(shapes)
-        prices: Dict[str, NodePrice] = {}
-        step = dp_partition_step(graph, coarse, cost_model, parts, prices=prices)
+    for depth, parts in enumerate(factors, 1):
+        if share_steps:
+            step, prices = memoized(
+                graph,
+                ("dp_step", allow_reduction, tuple(factors[:depth])),
+                lambda: search_step(parts, group_count),
+            )
+        else:
+            step, prices = search_step(parts, group_count)
+        if step is not searched:
+            # An earlier search's step (same prefix, so same group count):
+            # this plan owns a copy, since a cached plan freezes its steps.
+            step = dataclasses.replace(
+                step,
+                tensor_dims=dict(step.tensor_dims),
+                op_strategies=dict(step.op_strategies),
+            )
         for name, (_, fetch, redistribute) in prices.items():
             fetch_bytes[name] += fetch * group_count
             reduce_bytes[name] += redistribute * group_count
-        step.group_count = group_count
-        step.weighted_bytes = step.comm_bytes * group_count
         steps.append(step)
         shapes = _shrink_shapes(shapes, step)
         group_count *= parts

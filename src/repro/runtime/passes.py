@@ -51,7 +51,7 @@ from repro.sim.engine import Dep, TaskGraphBuilder
 @perf.timed("pass.scheduled_nodes")
 def scheduled_nodes(graph: Graph) -> List[OpNode]:
     """Topo-scheduling pass: the deterministic execution order of ``graph``."""
-    return list(graph.topo_order())
+    return graph.topo_order()
 
 
 def producer_deps(graph: Graph, node: OpNode) -> List[str]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.graph.graph import Graph
+from repro.graph.memo import memoized
 from repro.graph.shape_inference import node_bytes, node_flops
 from repro.ops.registry import get_op
 from repro.sim.device import DeviceSpec, MachineSpec
@@ -69,6 +70,23 @@ def kernel_time(
     return max(compute_time, memory_time) + machine.kernel_launch_overhead
 
 
+def _roofline_inputs(
+    graph: Graph, node_name: str
+) -> Optional[Tuple[str, float, float, float]]:
+    """``(category, flops, bytes, output elements)`` of one node, unscaled;
+    ``None`` when its kernel fuses into its producer's."""
+    node = graph.node(node_name)
+    if node.attrs.get("fused_accumulation"):
+        return None
+    out_elements = sum(graph.tensor(t).num_elements() for t in node.outputs)
+    return (
+        category_of(node.op),
+        node_flops(graph, node_name),
+        node_bytes(graph, node_name),
+        out_elements,
+    )
+
+
 def node_kernel_times(
     graph: Graph,
     node_name: str,
@@ -84,19 +102,22 @@ def node_kernel_times(
     runs on every worker (or in every micro-batch) without repeating the
     shape arithmetic per emitted task.  The roofline reads only a device's
     peak FLOPs and memory bandwidth, so it prices each distinct pair once
-    (eight identical K80s cost one pricing).
+    (eight identical K80s cost one pricing).  A frozen graph's per-node
+    inputs are derived once per compile (:mod:`repro.graph.memo`) and
+    scaled at each use.
     """
-    node = graph.node(node_name)
-    if node.attrs.get("fused_accumulation"):
+    table = memoized(graph, "roofline_inputs", dict)
+    if node_name not in table:
+        table[node_name] = _roofline_inputs(graph, node_name)
+    inputs = table[node_name]
+    if inputs is None:
         # Gradient accumulation rides on the producing kernel's output write
         # (GEMM with beta=1); only the launch overhead remains.
         return [machine.kernel_launch_overhead] * len(devices)
-    category = category_of(node.op)
-    flops = node_flops(graph, node_name) * scale
-    mem_bytes = node_bytes(graph, node_name) * scale
-    out_elements = sum(
-        graph.tensor(t).num_elements() for t in node.outputs
-    ) * scale
+    category, flops, mem_bytes, out_elements = inputs
+    flops *= scale
+    mem_bytes *= scale
+    out_elements *= scale
     priced: Dict[Tuple[float, float], float] = {}
     times = []
     for device in devices:

@@ -66,19 +66,20 @@ def _machines_used(strategy: Strategy, machine: Topology) -> int:
 
 
 def static_screen(
-    graph: Graph,
+    weight_bytes: int,
     index: int,
     strategy: Strategy,
     machine: Topology,
 ) -> Optional[CandidateOutcome]:
     """Stage 1a: static persistent-footprint estimate — no search, no
     lowering.  Returns the ``"screened"`` outcome when the candidate cannot
-    fit, ``None`` when it passes on to plan-and-lower.
+    fit, ``None`` when it passes on to plan-and-lower.  ``weight_bytes`` is
+    the graph's, read once per sweep.
     """
     capacity = max(
         machine.device(i).memory_bytes for i in range(machine.num_devices)
     )
-    persistent = persistent_bytes(graph.weight_bytes(), strategy, machine)
+    persistent = persistent_bytes(weight_bytes, strategy, machine)
     if persistent <= capacity:
         return None
     perf.count("tuner.screened")
@@ -104,6 +105,7 @@ def evaluate_candidate(
     strategy: Strategy,
     machine: Topology,
     *,
+    weight_bytes: int,
     planner: Planner,
     executor: Executor,
 ) -> Tuple[CandidateOutcome, Optional["compiler.CompiledModel"]]:
@@ -119,7 +121,7 @@ def evaluate_candidate(
 
     with perf.stage("tuner.screen"):
         # Stage 1a: static footprint estimate — no search, no lowering.
-        screened = static_screen(graph, index, strategy, machine)
+        screened = static_screen(weight_bytes, index, strategy, machine)
         if screened is not None:
             return (screened, None)
         # Stage 1b: plan + lower (no simulation) and check the per-device
@@ -360,6 +362,7 @@ class Tuner:
         outcomes: List[CandidateOutcome] = []
         best_model: Optional["compiler.CompiledModel"] = None
         best_key: Optional[Tuple[float, int]] = None
+        weight_bytes = graph.weight_bytes()
         for index, candidate in enumerate(admitted):
             if deadline is not None and time.monotonic() >= deadline:
                 outcomes.append(
@@ -380,6 +383,7 @@ class Tuner:
                 index,
                 candidate,
                 machine,
+                weight_bytes=weight_bytes,
                 planner=planner,
                 executor=executor,
             )

@@ -13,6 +13,8 @@ import dataclasses
 import pytest
 
 from repro.analysis import CheckContext, get_checker_spec, verify_program
+from repro.errors import SimulationError
+from repro.sim.device import k80_8gpu_machine
 from tests.support.invalid_programs import (
     CASES,
     NUM_DEVICES,
@@ -72,6 +74,33 @@ def test_a_gather_without_destination_is_a_bad_link_not_a_self_transfer():
         CheckContext(program=gather)
     )
     assert {finding.code for finding in findings} == {"ANA007_BAD_LINK"}
+
+
+def test_comm_validity_resolves_each_pair_once_and_flags_every_task(monkeypatch):
+    program = healthy_tofu()
+    machine = k80_8gpu_machine(NUM_DEVICES)
+    transfers = [
+        (src, dst)
+        for _, _, kind, _, _, _, _, src, dst in program.task_graph.rows
+        if kind == "comm"
+    ]
+    resolved = []
+
+    def unresolvable(self, src, dst):
+        resolved.append((src, dst))
+        raise SimulationError(f"no {src}->{dst} link")
+
+    monkeypatch.setattr(type(machine), "link_between", unresolvable)
+    findings = get_checker_spec("comm-validity").check(
+        CheckContext(program=program, machine=machine)
+    )
+    assert len(set(transfers)) < len(transfers)
+    # One resolution per distinct pair, one finding per task.
+    assert len(resolved) == len(set(resolved))
+    assert set(resolved) == set(transfers)
+    assert [finding.code for finding in findings] == (
+        ["ANA007_BAD_LINK"] * len(transfers)
+    )
 
 
 @pytest.mark.parametrize("device", [-1, NUM_DEVICES], ids=["host", "past-the-end"])

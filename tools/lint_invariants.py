@@ -39,7 +39,9 @@ the code under analysis, no third-party dependencies):
    planner's factor-order search, the autotuner and everything else run in
    the calling process and thread, and no state hides in an ambient
    context: what a result depends on is an argument or lives on its object
-   (a graph carries its own signature).
+   (a graph carries its own signature).  The one process-wide store a
+   compile reads, the compile memo (``repro.graph.memo``), caches only pure
+   functions of frozen inputs, so no result depends on whether it is open.
 
 Run from the repository root::
 
