@@ -4,8 +4,8 @@ Both content-addressed stores of the pipeline — the partition-plan cache
 (:mod:`repro.planner.cache`) and the lowered-program cache
 (:mod:`repro.runtime.cache`) — keep entries in an in-memory LRU with
 hit/miss bookkeeping, :class:`LRUCache`.  Only plans persist: the plan
-cache adds its own on-disk store (one ``<content key>.json`` file per plan)
-and ``export``/``import`` bundles; programs live in memory only.
+cache adds its own on-disk store (one ``<content key>.json`` file per
+plan); programs live in memory only.
 
 Content-address helpers (:func:`graph_signature`, :func:`machine_signature`,
 :func:`content_key`, :func:`is_content_key`) also live here so both key

@@ -33,8 +33,6 @@ Examples::
     tofu-repro compile --model rnn --machines 2 --workers 4 \\
         --strategy machines:2/pipeline:2:1f1b:4/tofu
     tofu-repro compile --model rnn --preset p2_8xlarge_x4 --strategy auto
-    tofu-repro cache export --cache-dir ~/.cache/tofu-plans --output plans.json
-    tofu-repro cache import --cache-dir ~/.cache/tofu-plans --input plans.json
     tofu-repro coverage
     tofu-repro compile --model rnn --strategy pipeline:2:1f1b:4 --workers 4 \\
         --save model.json
@@ -48,9 +46,9 @@ and error carries a stable code (``ANA003_CYCLIC_SCHEDULE`` style — see
 Every model-building command accepts ``--machines N`` (a cluster of N
 identical K80 boxes over a 10 Gb/s network) or ``--preset <name>`` (a named
 topology such as ``p2_8xlarge_x4``); ``--workers`` is the GPU count per
-machine.  ``cache export``/``cache import`` move the on-disk plan store
-between machines — content addresses are host-independent, so bundles import
-losslessly.
+machine.  To move the on-disk plan store between machines, copy the
+``--cache-dir`` directory (content addresses are host-independent); to see
+what it holds, list the directory.
 """
 
 from __future__ import annotations
@@ -312,69 +310,6 @@ def cmd_tune(args) -> int:
     return 0
 
 
-def _existing_dir(flag: str, path: str) -> str:
-    """``path`` if it is a directory; commands that only read a cache must
-    not create one, so a mistyped path is an error."""
-    if not os.path.isdir(path):
-        raise ReproError(f"{flag} {path!r} is not a directory")
-    return path
-
-
-def _plan_store(cache_dir: str):
-    """The on-disk plan store rooted at ``cache_dir``."""
-    return Planner(PlannerConfig(cache_dir=cache_dir)).cache
-
-
-def cmd_cache_export(args) -> int:
-    cache = _plan_store(_existing_dir("--cache-dir", args.cache_dir))
-    count = cache.export_to(args.output)
-    print(f"exported {count} plan(s) from {args.cache_dir} to {args.output}")
-    return 0
-
-
-def cmd_cache_import(args) -> int:
-    cache = _plan_store(args.cache_dir)
-    stats = cache.import_from(args.input, replace=args.replace)
-    print(
-        f"imported {stats['imported']} plan(s) into {args.cache_dir} "
-        f"({stats['skipped']} already present"
-        f"{'' if args.replace else ', use --replace to overwrite'})"
-    )
-    return 0
-
-
-def cmd_cache_stats(args) -> int:
-    from repro.planner.core import default_planner
-    from repro.runtime.cache import default_program_cache
-
-    stores = [
-        (
-            "plan cache",
-            _plan_store(_existing_dir("--cache-dir", args.cache_dir))
-            if args.cache_dir else default_planner().cache,
-        ),
-        ("program cache", default_program_cache()),
-    ]
-    for name, cache in stores:
-        info = cache.info()
-        line = (
-            f"{name}: {info['size']} in-memory entr"
-            f"{'y' if info['size'] == 1 else 'ies'}, "
-            f"{info['hits']} hit(s), {info['misses']} miss(es), "
-            f"{info['hit_rate']:.1%} hit rate"
-        )
-        if "disk_entries" in info:
-            line += (
-                f"; disk: {info['disk_entries']} entr"
-                f"{'y' if info['disk_entries'] == 1 else 'ies'}, "
-                f"{info['disk_bytes']} bytes"
-            )
-        else:
-            line += "; disk: not configured"
-        print(line)
-    return 0
-
-
 def cmd_verify(args) -> int:
     from repro.analysis import verify_model
     from repro.compiler import CompiledModel
@@ -514,46 +449,6 @@ def main(argv=None) -> int:
         help="partition-search backend (see the `backends` command)",
     )
     p_partition.set_defaults(func=cmd_partition)
-
-    p_cache = sub.add_parser(
-        "cache", help="inspect the caches and share the on-disk plan store"
-    )
-    cache_sub = p_cache.add_subparsers(dest="cache_command", required=True)
-    p_cache_export = cache_sub.add_parser(
-        "export", help="bundle a --cache-dir store into one JSON file"
-    )
-    p_cache_export.add_argument(
-        "--cache-dir", required=True, help="cache directory to export"
-    )
-    p_cache_export.add_argument(
-        "--output", required=True, help="bundle file to write"
-    )
-    p_cache_export.set_defaults(func=cmd_cache_export)
-    p_cache_import = cache_sub.add_parser(
-        "import", help="merge an exported bundle into a --cache-dir store"
-    )
-    p_cache_import.add_argument(
-        "--cache-dir", required=True, help="cache directory to import into"
-    )
-    p_cache_import.add_argument(
-        "--input", required=True, help="bundle file written by `cache export`"
-    )
-    p_cache_import.add_argument(
-        "--replace",
-        action="store_true",
-        help="overwrite entries already present in the store",
-    )
-    p_cache_import.set_defaults(func=cmd_cache_import)
-    p_cache_stats = cache_sub.add_parser(
-        "stats",
-        help="entry counts, bytes, and hit/miss counters of both caches",
-    )
-    p_cache_stats.add_argument(
-        "--cache-dir",
-        default=None,
-        help="on-disk plan store to report (default: the in-process cache)",
-    )
-    p_cache_stats.set_defaults(func=cmd_cache_stats)
 
     p_coverage = sub.add_parser("coverage", help="TDL operator coverage statistics")
     p_coverage.set_defaults(func=cmd_coverage)

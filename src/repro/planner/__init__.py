@@ -1,10 +1,11 @@
 """Unified planner subsystem.
 
-One pipeline — build → autodiff → coarsen → search → plan → apply → simulate —
-behind the :class:`Planner` facade, with pluggable search backends
+The :class:`Planner` facade searches and caches partition plans — coarsen →
+search → plan — with pluggable search backends
 (:mod:`repro.planner.backends`), a content-addressed plan cache
 (:mod:`repro.planner.cache`) and a search over the orders of the worker
-factorisation (:func:`search_candidates`).
+factorisation (:func:`search_candidates`).  Applying a plan and simulating
+it belong to :mod:`repro.runtime`.
 """
 
 from repro.planner.backends import (

@@ -11,11 +11,10 @@ on-disk store is configured — is a hit.
 The memory tier is :class:`repro.caching.LRUCache`, the LRU the
 lowered-program cache also builds on.  The disk tier is this module's own:
 a directory of ``<content key>.json`` files, each ``{"key": ..., "plan":
-...}``, plus ``export``/``import`` bundles (``{"format":
-"tofu-plan-cache", "version": 1, "entries": {key: plan payload}}``) for
-moving a store between machines.  Files in the directory that are not
-named by a content key are not the store's: listing, clearing and
-exporting leave them alone.  The store is unbounded.
+...}``.  Content keys are host-independent, so a store moves between
+machines by copying its directory; ``ls``/``du`` on it list and size its
+entries.  Files in the directory that are not named by a content key are
+not the store's: clearing leaves them alone.  The store is unbounded.
 
 The memory tier holds plan objects, not their JSON: :meth:`PlanCache.put`
 freezes the plan (:meth:`PartitionPlan.freeze`) and keeps it by reference,
@@ -23,9 +22,8 @@ and every hit returns that same object.  A frozen plan cannot be edited, so
 sharing it cannot corrupt the cache, and the signature the program key
 hashes (:func:`repro.partition.plan.plan_signature`) is computed once per
 plan, not once per compile.  :func:`plan_to_dict` and
-:func:`plan_from_dict` run only at the disk tier and ``export``/``import``
-bundles, whose payload format is unchanged.  To edit a cached plan, edit a
-copy: ``plan_from_dict(plan_to_dict(plan))``.
+:func:`plan_from_dict` run only at the disk tier.  To edit a cached plan,
+edit a copy: ``plan_from_dict(plan_to_dict(plan))``.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ import glob
 import json
 import os
 import tempfile
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 from repro.caching import (
     LRUCache,
@@ -122,9 +120,6 @@ def plan_cache_key(
     return content_key(fields)
 
 
-EXPORT_FORMAT = "tofu-plan-cache"
-EXPORT_VERSION = 1
-
 #: What :func:`plan_from_dict` raises for a malformed payload.
 _DECODE_ERRORS = (ReproError, AttributeError, IndexError, KeyError, TypeError,
                   ValueError)
@@ -154,33 +149,15 @@ class PlanCache(LRUCache):
         """Whether any tier (memory or disk) stores plans."""
         return self.capacity > 0 or self.cache_dir is not None
 
-    def info(self) -> Dict[str, object]:
-        """The counters of :meth:`LRUCache.info`, plus ``disk_entries`` and
-        ``disk_bytes`` when a disk tier is configured."""
-        info = super().info()
-        if self.cache_dir:
-            info["disk_bytes"] = self.disk_bytes()
-            info["disk_entries"] = len(self._entry_paths())
-        return info
-
-    def disk_bytes(self) -> int:
-        """Total size of the on-disk store (0 without a disk tier)."""
-        total = 0
-        for path in self._entry_paths():
-            try:
-                total += os.path.getsize(path)
-            except OSError:
-                continue
-        return total
-
     # ------------------------------------------------------------------ get
     def get(self, key: str) -> Optional[PartitionPlan]:
         """The cached (frozen) plan under ``key`` (memory first, then the
         disk store), or ``None`` on a miss; every hit returns the same
         object.
 
-        An entry file that fails to decode counts as a miss; the next
-        :meth:`put` under ``key`` overwrites it.
+        An entry file that fails to decode, or whose ``"key"`` is not
+        ``key``, counts as a miss; the next :meth:`put` under ``key``
+        overwrites it.
         """
         plan = self._recall(key)
         if plan is None and self.cache_dir:
@@ -198,105 +175,36 @@ class PlanCache(LRUCache):
         if self.cache_dir:
             self._write(key, plan_to_dict(plan))
 
-    # --------------------------------------------------------- export/import
-    def export_to(self, path: str) -> int:
-        """Bundle every on-disk entry into one JSON file at ``path``.
-
-        Content addresses are host-independent (every key input is
-        canonically encoded), so a bundle exported on one machine imports
-        losslessly on another.  Returns the number of exported entries;
-        requires a disk tier.  An unwritable ``path`` raises
-        :class:`ReproError` and leaves no temporary file behind.
-        """
-        if not self.cache_dir:
-            raise ReproError(
-                "plan cache export needs a disk tier (configure cache_dir)"
-            )
-        entries: Dict[str, Dict] = {}
-        for file_path in self._entry_paths():
-            entry = self._read_entry(file_path)
-            # Unreadable/corrupt entries are skipped, not fatal.
-            if entry is not None and is_content_key(entry.get("key")):
-                entries[entry["key"]] = entry["plan"]
-        bundle = {
-            "format": EXPORT_FORMAT,
-            "version": EXPORT_VERSION,
-            "entries": entries,
-        }
-        directory = os.path.dirname(os.path.abspath(path))
-        tmp = None
-        try:
-            fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(bundle, fh)
-            os.replace(tmp, path)
-        except OSError as exc:
-            if tmp is not None:
-                os.unlink(tmp)
-            raise ReproError(
-                f"cannot export the plan cache to {path!r}: {exc}"
-            ) from exc
-        return len(entries)
-
-    def import_from(self, path: str, *, replace: bool = False) -> Dict[str, int]:
-        """Merge a bundle written by :meth:`export_to` into the disk store.
-
-        Existing entries are kept unless ``replace=True`` (content addresses
-        make key collisions equal-payload collisions, so keeping is safe).
-        Returns ``{"imported": ..., "skipped": ...}``; requires a disk tier.
-        The whole bundle is validated first: a malformed one raises
-        :class:`ReproError` and writes nothing.
-        """
-        if not self.cache_dir:
-            raise ReproError(
-                "plan cache import needs a disk tier (configure cache_dir)"
-            )
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                bundle = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise ReproError(
-                f"plan cache bundle {path!r} is not readable JSON: {exc}"
-            ) from exc
-        entries = _bundle_entries(bundle, path)
-        imported = skipped = 0
-        for key, payload in entries.items():
-            if not replace and os.path.exists(self._path(key)):
-                skipped += 1
-                continue
-            self._write(key, payload)
-            imported += 1
-        return {"imported": imported, "skipped": skipped}
-
     def clear(self) -> None:
         """Empty both tiers (memory and, when configured, the disk store)."""
         super().clear()
-        for path in self._entry_paths():
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+        if not self.cache_dir:
+            return
+        for path in glob.glob(os.path.join(self.cache_dir, "*.json")):
+            # Only ``<content key>.json`` files are the store's.
+            if is_content_key(os.path.basename(path)[: -len(".json")]):
+                try:
+                    os.unlink(path)
+                except OSError:
+                    pass
 
     # ------------------------------------------------------------- internals
     def _path(self, key: str) -> str:
         return os.path.join(self.cache_dir, f"{key}.json")
 
-    def _entry_paths(self) -> List[str]:
-        """Every ``<content key>.json`` file of the store; other files in
-        the directory are not the store's."""
-        if not self.cache_dir:
-            return []
-        return [
-            path
-            for path in glob.glob(os.path.join(self.cache_dir, "*.json"))
-            if is_content_key(os.path.basename(path)[: -len(".json")])
-        ]
-
     def _read(self, key: str) -> Optional[PartitionPlan]:
         """The frozen plan stored under ``key``, or ``None`` when its file
-        is missing or does not decode."""
-        entry = self._read_entry(self._path(key))
-        if entry is None:
+        is missing, does not decode, or is an entry of another key."""
+        try:
+            with open(self._path(key), "r", encoding="utf-8") as fh:
+                entry = json.load(fh)
+        except (OSError, ValueError):
+            return None
+        if (
+            not isinstance(entry, dict)
+            or entry.get("key") != key
+            or not isinstance(entry.get("plan"), dict)
+        ):
             return None
         try:
             plan = plan_from_dict(entry["plan"])
@@ -304,19 +212,6 @@ class PlanCache(LRUCache):
         except _DECODE_ERRORS:
             return None
         return plan
-
-    @staticmethod
-    def _read_entry(path: str) -> Optional[Dict]:
-        """The entry file at ``path``, or ``None`` when it is unreadable or
-        not an object holding a plan object."""
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                entry = json.load(fh)
-        except (OSError, ValueError):
-            return None
-        if not isinstance(entry, dict) or not isinstance(entry.get("plan"), dict):
-            return None
-        return entry
 
     def _write(self, key: str, payload: Dict) -> None:
         entry = json.dumps({"key": key, "plan": payload})
@@ -331,41 +226,3 @@ class PlanCache(LRUCache):
             except OSError:
                 pass
 
-
-def _bundle_entries(bundle: Any, path: str) -> Dict[str, Dict]:
-    """The ``key -> payload`` entries of a bundle, or :class:`ReproError`
-    naming the first thing :meth:`PlanCache.export_to` would never write."""
-    if not isinstance(bundle, dict):
-        raise ReproError(
-            f"{path!r} is not a {EXPORT_FORMAT} bundle (expected a JSON "
-            f"object, got {type(bundle).__name__})"
-        )
-    if bundle.get("format") != EXPORT_FORMAT:
-        raise ReproError(
-            f"{path!r} is not a {EXPORT_FORMAT} bundle "
-            f"(format={bundle.get('format')!r})"
-        )
-    if bundle.get("version") != EXPORT_VERSION:
-        raise ReproError(
-            f"unsupported plan cache bundle version "
-            f"{bundle.get('version')!r} (this library reads version "
-            f"{EXPORT_VERSION})"
-        )
-    entries = bundle.get("entries", {})
-    if not isinstance(entries, dict):
-        raise ReproError(
-            f"plan cache bundle {path!r}: 'entries' must be an object, got "
-            f"{type(entries).__name__}"
-        )
-    for key, payload in entries.items():
-        if not is_content_key(key):
-            raise ReproError(
-                f"plan cache bundle {path!r}: entry key {key!r} is not a "
-                f"content key (64 lowercase hex digits)"
-            )
-        if not isinstance(payload, dict):
-            raise ReproError(
-                f"plan cache bundle {path!r}: the payload of entry {key} "
-                f"must be an object, got {type(payload).__name__}"
-            )
-    return entries

@@ -1,9 +1,9 @@
-"""The :class:`Planner` facade — one entry point for the whole pipeline.
+"""The :class:`Planner` facade — the entry point for searching plans.
 
-``Planner`` owns the end-to-end flow the paper describes: take a built
-training graph (already carrying autodiff metadata), coarsen it, search a
-partition plan with a pluggable backend, and optionally apply the plan and
-simulate the per-device execution.  Around the search it adds the two things
+``Planner`` takes a built training graph (already carrying autodiff
+metadata) and searches a partition plan for it with a pluggable backend; it
+neither applies the plan nor simulates it (lowering and simulation belong to
+:class:`repro.runtime.Executor`).  Around the search it adds the two things
 a production planner needs:
 
 * a content-addressed plan cache (:mod:`repro.planner.cache`) keyed by
@@ -125,9 +125,9 @@ class PlannerConfig:
         cache_capacity: In-memory LRU size; 0 disables the memory tier.
         cache_dir: Optional directory for the persistent plan store, one
             ``<content key>.json`` file per plan.  The store is unbounded:
-            remove plans with :meth:`Planner.clear_cache` or
-            ``tofu-repro cache`` (other files in the directory are never
-            touched).
+            remove plans with :meth:`Planner.clear_cache` (other files in
+            the directory are never touched); copy or list the directory
+            to move or inspect it.
     """
 
     # jobs and expand_jobs are kept only because benchmarks/e2e/harness.py
@@ -152,7 +152,8 @@ class PlannerConfig:
 
 
 class Planner:
-    """Facade over search backends, the plan cache, and the simulator."""
+    """Facade over search backends and the plan cache: it searches and
+    caches plans; it does not apply or simulate them."""
 
     def __init__(
         self,

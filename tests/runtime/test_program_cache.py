@@ -1,8 +1,8 @@
 """Lowered-program cache: hits are bit-identical to fresh lowering, the
 content address invalidates on every semantic input, and the memory LRU
 accounts for eviction.  The programs live in memory only; the plan store's
-disk tier must round-trip export bundles and treat a corrupt entry as a
-miss.
+disk tier must serve hits from a copied directory and treat a corrupt entry
+as a miss.
 
 The parity half mirrors ``test_cluster_parity``: every registered execution
 backend, on the bare machine and the one-machine cluster, must simulate a
@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
+from repro.partition.plan import plan_to_dict
 from repro.partition.recursive import recursive_partition
-from repro.errors import ReproError
 from repro.planner import Planner, PlannerConfig
 from repro.runtime import (
     Executor,
@@ -157,59 +158,28 @@ def test_memory_lru_eviction_accounting(mlp_bundle):
     assert info["hits"] == 1 and info["misses"] == 3
 
 
-def test_export_import_round_trip(tmp_path, mlp_bundle):
+def test_copied_store_hits(tmp_path, mlp_bundle):
+    """A store moves between hosts by copying its directory."""
     source = Planner(PlannerConfig(cache_dir=str(tmp_path / "src")))
     fresh = source.plan(mlp_bundle.graph, 4, machine=MACHINE)
-    bundle_path = str(tmp_path / "bundle.json")
-    assert source.cache.export_to(bundle_path) == 1
+    shutil.copytree(tmp_path / "src", tmp_path / "dst")
 
     target = Planner(PlannerConfig(cache_dir=str(tmp_path / "dst")))
-    stats = target.cache.import_from(bundle_path)
-    assert stats["imported"] == 1
-
     restored = target.plan(mlp_bundle.graph, 4, machine=MACHINE)
-    assert target.cache.hits == 1 and target.cache.misses == 0
-    assert restored.steps == fresh.steps
-    simulator = Executor(ExecutorConfig(cache_programs=False))
-    assert simulator.run(
-        mlp_bundle.graph, plan=restored, machine=MACHINE
-    ).result == simulator.run(
-        mlp_bundle.graph, plan=fresh, machine=MACHINE
-    ).result
-
-
-@pytest.mark.parametrize(
-    "bundle",
-    [
-        [],
-        {"format": "tofu-plan-cache", "version": 1, "entries": []},
-        {"format": "tofu-plan-cache", "version": 1,
-         "entries": {"../escaped": {}}},
-        {"format": "tofu-plan-cache", "version": 1,
-         "entries": {"A" * 64: {}}},
-        {"format": "tofu-plan-cache", "version": 1,
-         "entries": {"0" * 64: {}, "1" * 64: "notadict"}},
-    ],
-    ids=["top-level-list", "entries-list", "escaping-key", "uppercase-key",
-         "payload-not-object"],
-)
-def test_import_rejects_malformed_bundle_and_writes_nothing(tmp_path, bundle):
-    cache_dir = tmp_path / "store"
-    cache = Planner(PlannerConfig(cache_dir=str(cache_dir))).cache
-    path = tmp_path / "bundle.json"
-    path.write_text(json.dumps(bundle))
-    with pytest.raises(ReproError):
-        cache.import_from(str(path))
-    assert list(cache_dir.iterdir()) == []
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["bundle.json", "store"]
+    assert (target.cache.hits, target.cache.misses) == (1, 0)
+    assert plan_to_dict(restored) == plan_to_dict(fresh)
 
 
 #: Plan disk entries a lookup must treat as a miss.
+#: Each maps the stored entry to the text written over it; the last two
+#: hold a sound plan but were not written under this file's key.
 CORRUPT_ENTRIES = {
-    "not-json": "not json",
-    "top-level-list": "[]",
-    "payload-list": '{"plan": []}',
-    "payload-undecodable": '{"plan": {"garbage": 1}}',
+    "not-json": lambda entry: "not json",
+    "top-level-list": lambda entry: "[]",
+    "payload-list": lambda entry: '{"plan": []}',
+    "payload-undecodable": lambda entry: '{"plan": {"garbage": 1}}',
+    "key-missing": lambda entry: json.dumps({"plan": entry["plan"]}),
+    "key-differs": lambda entry: json.dumps({**entry, "key": "0" * 64}),
 }
 
 
@@ -229,7 +199,9 @@ def test_corrupt_plan_entry_is_a_miss(tmp_path, mlp_bundle, corrupt):
 
     fresh = compile_once()[1]
     (entry_path,) = Path(cache_dir).glob("*.json")
-    entry_path.write_text(CORRUPT_ENTRIES[corrupt])
+    entry_path.write_text(
+        CORRUPT_ENTRIES[corrupt](json.loads(entry_path.read_text()))
+    )
     cache, rebuilt = compile_once()
     assert (cache.hits, cache.misses) == (0, 1)
     assert rebuilt == fresh

@@ -273,13 +273,22 @@ class TestBadInputs:
         (["partition", "--jobs", "2"], "unrecognized arguments: --jobs"),
         (["compile", "--model", "wresnet", "--depth", "7"],
          "invalid choice: 7 (choose from 50, 101, 152)"),
-    ], ids=["jobs-compile", "jobs-tune", "jobs-partition", "depth"])
+        (["cache", "stats"], "invalid choice: 'cache'"),
+    ], ids=["jobs-compile", "jobs-tune", "jobs-partition", "depth", "cache"])
     def test_usage_errors_exit_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             cli_main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+    def test_verify_does_not_create_a_missing_directory(self, tmp_path,
+                                                         capsys):
+        missing = tmp_path / "missing"
+        assert cli_main(["verify", str(missing / "model.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(missing) in err
+        assert not missing.exists()
 
     def test_tune_rejects_non_integer_microbatches(self, capsys):
         assert cli_main(["tune", *self.MLP, "--workers", "2",
@@ -338,80 +347,3 @@ class TestClusterCLI:
                          "--strategy", "machines:2/tofu"]) == 1
         err = capsys.readouterr().err
         assert "error:" in err and "at least 2 machine" in err
-
-
-class TestCacheCLI:
-    ARGS = ["--model", "mlp", "--batch", "32", "--hidden", "128",
-            "--layers", "2", "--workers", "4"]
-
-    def test_export_import_round_trip(self, tmp_path, capsys):
-        source = tmp_path / "source"
-        target = tmp_path / "target"
-        bundle = tmp_path / "plans.json"
-        assert cli_main(["partition", *self.ARGS,
-                         "--cache-dir", str(source)]) == 0
-        capsys.readouterr()
-        assert cli_main(["cache", "export", "--cache-dir", str(source),
-                         "--output", str(bundle)]) == 0
-        assert "exported 1 plan(s)" in capsys.readouterr().out
-        assert cli_main(["cache", "import", "--cache-dir", str(target),
-                         "--input", str(bundle)]) == 0
-        assert "imported 1 plan(s)" in capsys.readouterr().out
-        # The imported store hits where the source store would.
-        assert cli_main(["partition", *self.ARGS,
-                         "--cache-dir", str(target)]) == 0
-        assert "1 hits" in capsys.readouterr().out
-
-    def test_import_skips_existing_unless_replace(self, tmp_path, capsys):
-        store = tmp_path / "store"
-        bundle = tmp_path / "plans.json"
-        assert cli_main(["partition", *self.ARGS,
-                         "--cache-dir", str(store)]) == 0
-        capsys.readouterr()
-        assert cli_main(["cache", "export", "--cache-dir", str(store),
-                         "--output", str(bundle)]) == 0
-        capsys.readouterr()
-        assert cli_main(["cache", "import", "--cache-dir", str(store),
-                         "--input", str(bundle)]) == 0
-        assert "0 already present" not in capsys.readouterr().out
-        assert cli_main(["cache", "import", "--cache-dir", str(store),
-                         "--input", str(bundle), "--replace"]) == 0
-        assert "imported 1 plan(s)" in capsys.readouterr().out
-
-    def test_import_rejects_garbage_bundle(self, tmp_path, capsys):
-        bundle = tmp_path / "bad.json"
-        bundle.write_text('{"format": "something-else"}')
-        assert cli_main(["cache", "import", "--cache-dir", str(tmp_path / "s"),
-                         "--input", str(bundle)]) == 1
-        err = capsys.readouterr().err
-        assert "error:" in err and "tofu-plan-cache" in err
-
-    @pytest.mark.parametrize("argv", [
-        ["cache", "export", "--cache-dir", "{missing}", "--output", "{out}"],
-        ["cache", "stats", "--cache-dir", "{missing}"],
-        ["verify", "{missing}/model.json"],
-    ], ids=["export", "stats", "verify"])
-    def test_read_only_commands_do_not_create_a_missing_directory(
-        self, tmp_path, capsys, argv
-    ):
-        missing = tmp_path / "missing"
-        out = tmp_path / "bundle.json"
-        argv = [a.format(missing=missing, out=out) for a in argv]
-        assert cli_main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and str(missing) in err
-        assert not missing.exists()
-        assert not out.exists()
-
-    def test_export_into_a_missing_directory_is_an_error(self, tmp_path, capsys):
-        store = tmp_path / "store"
-        assert cli_main(["partition", *self.ARGS,
-                         "--cache-dir", str(store)]) == 0
-        capsys.readouterr()
-        missing = tmp_path / "missing"
-        assert cli_main(["cache", "export", "--cache-dir", str(store),
-                         "--output", str(missing / "plans.json")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
-        assert not missing.exists()
-        assert not list(tmp_path.rglob("*.tmp"))
