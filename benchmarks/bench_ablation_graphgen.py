@@ -32,12 +32,12 @@ def bench_ablation_graph_generation(benchmark):
     def run():
         out = {}
         for name, opts in variants.items():
-            report = executor.run(
+            program = executor.lower(
                 bundle.graph, plan=plan, machine=machine, backend_options=opts
             )
             out[name] = (
-                report.program.per_device_peak_bytes,
-                report.result.iteration_time,
+                program.per_device_peak_bytes,
+                executor.simulate(program, machine).iteration_time,
             )
         return out
 

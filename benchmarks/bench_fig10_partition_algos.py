@@ -31,12 +31,12 @@ def _run_algorithms(bundle):
     results = {}
     for name in ORDER:
         plan = planner.plan(bundle.graph, 8, machine=machine, backend=name)
-        report = executor.run(bundle.graph, plan=plan, machine=machine)
-        program = report.program
+        program = executor.lower(bundle.graph, plan=plan, machine=machine)
+        result = executor.simulate(program, machine)
         oom = program.per_device_peak_bytes > capacity
         results[name] = {
-            "time": report.result.iteration_time,
-            "comm_fraction": report.result.comm_fraction(),
+            "time": result.iteration_time,
+            "comm_fraction": result.comm_fraction(),
             "oom": oom,
             "comm_gib": program.total_comm_bytes / 2**30,
         }

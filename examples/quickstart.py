@@ -6,7 +6,7 @@ a strategy expression — ``tofu``, ``single``, ``swap``, ``dp:<groups>``,
 lowered onto the planner (search backends + content-addressed plan cache)
 and the runtime (pluggable execution backends), and the returned
 :class:`repro.CompiledModel` bundles the plan, the lowered program and the
-simulated iteration report.  ``strategy="auto"`` sweeps composed strategies
+simulated iteration result.  ``strategy="auto"`` sweeps composed strategies
 and keeps the fastest.
 
 Run with::

@@ -2,7 +2,7 @@
 
 Reproduction of "Supporting Very Large Models using Automatic Dataflow Graph
 Partitioning" (Wang, Huang, Li — EuroSys 2019).  See README.md for a guided
-tour and DESIGN.md for the system inventory.
+tour and docs/architecture.md for the system inventory.
 
 The public surface is ``repro.compile(graph, strategy=..., machine=...)``
 plus the :mod:`repro.strategy` combinator algebra (``machines``, ``dp``,
@@ -28,7 +28,6 @@ from repro.runtime import (
     Executor,
     ExecutorConfig,
     LoweredProgram,
-    SimulationReport,
     available_execution_backends,
     register_execution_backend,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "ReproError",
     "ShapeError",
     "SimulationError",
-    "SimulationReport",
     "Strategy",
     "StrategyError",
     "TDLError",

@@ -1,7 +1,6 @@
 """Baselines and alternative systems compared against Tofu (Sec 7)."""
 
 from repro.baselines.evaluation import (
-    EVALUATORS,
     SystemResult,
     evaluate_hybrid,
     evaluate_ideal,
@@ -19,7 +18,6 @@ from repro.baselines.partition_algos import (
 )
 
 __all__ = [
-    "EVALUATORS",
     "SystemResult",
     "allrow_greedy_plan",
     "equalchop_plan",

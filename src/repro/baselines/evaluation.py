@@ -24,7 +24,7 @@ from typing import Callable, Dict, Optional, Union
 from repro.errors import StrategyError
 from repro.graph.memory_planner import plan_memory
 from repro.models.layers import ModelBundle
-from repro.runtime import Executor, LoweredProgram, SimulationReport
+from repro.runtime import Executor, LoweredProgram
 from repro.runtime.passes import full_layer_assignment
 from repro.sim.device import MachineSpec, k80_8gpu_machine
 from repro.sim.engine import SimResult
@@ -131,12 +131,9 @@ def _report(
     ``batch`` samples each."""
     extras: Dict[str, float] = {"comm_gib_per_iter": program.total_comm_bytes / GiB}
     if program.schedule is not None:
-        report = SimulationReport(
-            plan=program.plan, result=result, program=program
-        )
         extras["num_stages"] = float(program.num_stages)
         extras["num_microbatches"] = float(program.num_microbatches)
-        extras["bubble_fraction"] = report.bubble_fraction()
+        extras["bubble_fraction"] = program.bubble_fraction(result)
     if "replica_groups" in program.stats:
         extras["replica_groups"] = program.stats["replica_groups"]
     if program.plan is not None:
@@ -548,15 +545,3 @@ def evaluate_hybrid(
         model=build_fn(_probe_batch(global_batch, machine)).name,
         notes=f"hybrid inner {inner}",
     )
-
-
-EVALUATORS = {
-    "ideal": evaluate_ideal,
-    "smallbatch": evaluate_smallbatch,
-    "swap": evaluate_swapping,
-    "op-placement": evaluate_opplacement,
-    "tofu": evaluate_tofu,
-    "pipeline": evaluate_pipeline,
-    "hybrid": evaluate_hybrid,
-    "strategy": evaluate_strategy,
-}

@@ -6,7 +6,7 @@ built training graph, a :class:`repro.strategy.Strategy` (tree, canonical
 string, or ``"auto"``) and a machine model, and return a
 :class:`CompiledModel` bundling everything the strategy produced — the
 partition plan (when one was searched), the lowered per-device program, and
-the simulated iteration report — with ``save()``/``load()`` for the plan and
+the simulated iteration result — with ``save()``/``load()`` for the plan and
 program metadata.
 
 The strategy tree lowers onto the existing subsystems
@@ -46,7 +46,7 @@ from repro.errors import ReproError, StrategyError
 from repro.graph.graph import Graph
 from repro.graph.memo import close_memo, open_memo
 from repro.partition.plan import PartitionPlan, plan_from_dict, plan_to_dict
-from repro.runtime.core import Executor, SimulationReport
+from repro.runtime.core import Executor
 from repro.runtime.program import LoweredProgram
 from repro.sim.device import (
     Topology,
@@ -55,6 +55,7 @@ from repro.sim.device import (
     machine_from_dict,
     machine_to_dict,
 )
+from repro.sim.engine import SimResult
 from repro.strategy.algebra import Machines, Strategy, parse
 from repro.strategy.lowering import lower_strategy
 
@@ -68,7 +69,7 @@ SAVE_FORMAT = "repro-compiled-model"
 SAVE_VERSION = 1
 
 # The metadata split of one save payload; _program_metadata emits exactly
-# these keys (program ones always, result ones when a report exists).
+# these keys (program ones always, result ones once simulated).
 _PROGRAM_META_KEYS = (
     "backend", "num_devices", "num_tasks", "total_comm_bytes",
     "per_device_memory", "num_microbatches", "stats",
@@ -80,8 +81,8 @@ _RESULT_META_KEYS = ("iteration_time", "comm_fraction", "oom")
 class CompiledModel:
     """Everything one strategy produced for one graph on one machine.
 
-    ``program`` and ``report`` hold the full lowered tasks and simulation
-    verdict right after :func:`compile`, and ``metadata`` only what they
+    ``program`` and ``result`` hold the full lowered tasks and simulated
+    iteration right after :func:`compile`, and ``metadata`` only what they
     cannot (``"tuner"``); a model reloaded with :meth:`load`
     keeps the plan and the program/result *metadata* (backend, devices,
     memory report, iteration time) without the task graph, which is cheap
@@ -92,7 +93,7 @@ class CompiledModel:
     machine: Topology
     plan: Optional[PartitionPlan] = None
     program: Optional[LoweredProgram] = None
-    report: Optional[SimulationReport] = None
+    result: Optional[SimResult] = None
     metadata: Dict[str, object] = field(default_factory=dict)
 
     # ------------------------------------------------------------- queries
@@ -111,67 +112,81 @@ class CompiledModel:
     @property
     def iteration_time(self) -> float:
         """Simulated seconds per training iteration."""
-        if self.report is not None:
-            return self.report.result.iteration_time
+        if self.result is not None:
+            return self.result.iteration_time
         return float(self.metadata.get("iteration_time", 0.0))
 
     @property
     def oom(self) -> bool:
         """Whether the simulated execution exceeded any device's memory."""
-        if self.report is not None:
-            return self.report.result.oom
+        if self.result is not None:
+            return self.result.oom
         return bool(self.metadata.get("oom", False))
 
     def throughput(self, batch_size: int) -> float:
-        """Samples per second at ``batch_size`` samples per iteration."""
-        if self.iteration_time <= 0:
+        """Samples per second at ``batch_size`` samples per iteration
+        (0.0 when the model does not fit in memory)."""
+        if self.oom or self.iteration_time <= 0:
             return 0.0
         return batch_size / self.iteration_time
 
-    def simulate(self, executor: Optional[Executor] = None) -> SimulationReport:
-        """Simulate the lowered program and fill :attr:`report`.
+    def simulate(self, executor: Optional[Executor] = None) -> SimResult:
+        """Simulate the lowered program and fill :attr:`result`.
 
         A no-op when the model is already simulated.  Only a model holding
         its lowered program can be simulated — i.e. one from
         :func:`compile` (``lower_only=True`` defers exactly this step); a
         model reloaded from disk carries metadata only.
         """
-        if self.report is not None:
-            return self.report
+        if self.result is not None:
+            return self.result
         if self.program is None:
             raise StrategyError(
                 "cannot simulate: this model carries no lowered program "
                 "(compile it again; save()/load() keeps metadata only)"
             )
-        executor = executor or Executor()
-        result = executor.simulate(self.program)
-        self.report = SimulationReport(
-            plan=self.plan, result=result, program=self.program
-        )
-        return self.report
+        self.result = (executor or Executor()).simulate(self.program)
+        return self.result
 
     def summary(self) -> str:
-        """One human-readable block: strategy, devices, timing, memory."""
-        if self.report is not None:
-            text = self.report.summary()
-            if not text.startswith("strategy:"):
-                text = f"strategy: {self.strategy_text}\n{text}"
-            return text
-        return (
-            f"strategy: {self.strategy_text}\n"
-            f"backend: {self.backend}, iteration time: "
-            f"{self.iteration_time * 1e3:.1f} ms (loaded metadata)"
+        """One human-readable block: strategy, plan, program, pipeline
+        bubble, timing and memory verdict."""
+        lines = [f"strategy: {self.strategy_text}"]
+        if self.result is None:
+            lines.append(
+                f"backend: {self.backend}, iteration time: "
+                f"{self.iteration_time * 1e3:.1f} ms (loaded metadata)"
+            )
+            return "\n".join(lines)
+        if self.plan is not None:
+            lines.append(self.plan.summary())
+        program = self.program
+        if program is not None:
+            lines.append(program.summary())
+            schedule = program.schedule
+            if schedule is not None:
+                lines.append(
+                    f"pipeline: {schedule.num_stages} stages x "
+                    f"{schedule.num_microbatches} micro-batches "
+                    f"({schedule.style}), bubble "
+                    f"{program.bubble_fraction(self.result):.1%}"
+                )
+        lines.append(
+            f"iteration time: {self.result.iteration_time * 1e3:.1f} ms, "
+            f"comm fraction: {self.result.comm_fraction():.1%}, "
+            f"oom: {self.result.oom}"
         )
+        return "\n".join(lines)
 
     # -------------------------------------------------------------- save/load
     def to_dict(self) -> Dict[str, object]:
         """JSON-serialisable form: strategy + machine + plan + program and
         result metadata (the task graph itself is not persisted)."""
-        # One authority for the metadata shape: a live program/report is
+        # One authority for the metadata shape: a live program/result is
         # re-snapshotted through _program_metadata, a loaded model re-emits
         # the metadata it was loaded with.
         source = (
-            _program_metadata(self.program, self.report)
+            _program_metadata(self.program, self.result)
             if self.program is not None
             else self.metadata
         )
@@ -264,30 +279,18 @@ class CompiledModel:
 
 
 def _resolve_machine(
-    machine: Optional[Topology],
-    num_workers: Optional[int],
-    strategy: Optional[Strategy] = None,
+    machine: Optional[Topology], strategy: Optional[Strategy] = None
 ) -> Topology:
-    if num_workers is not None and num_workers < 1:
-        raise StrategyError(f"num_workers must be >= 1, got {num_workers}")
     if machine is None:
         # A machines(M)-rooted strategy defaults to M of the paper's boxes
-        # over the default network fabric; num_workers sizes each box.
-        count = 1
-        if strategy is not None and isinstance(strategy, Machines):
-            count = strategy.count
-        base = k80_8gpu_machine(8 if num_workers is None else num_workers)
-        return cluster_of(base, count)
-    if num_workers is not None and num_workers != machine.num_devices:
-        raise StrategyError(
-            f"num_workers={num_workers} contradicts the machine's "
-            f"{machine.num_devices} devices; pass one or the other"
-        )
+        # over the default network fabric.
+        count = strategy.count if isinstance(strategy, Machines) else 1
+        return cluster_of(k80_8gpu_machine(), count)
     return machine
 
 
 def _program_metadata(
-    program: LoweredProgram, report: Optional[SimulationReport]
+    program: LoweredProgram, result: Optional[SimResult]
 ) -> Dict[str, object]:
     metadata: Dict[str, object] = {
         "backend": program.backend,
@@ -301,10 +304,10 @@ def _program_metadata(
         "num_microbatches": program.num_microbatches,
         "stats": dict(program.stats),
     }
-    if report is not None:
-        metadata["iteration_time"] = report.result.iteration_time
-        metadata["comm_fraction"] = report.result.comm_fraction()
-        metadata["oom"] = report.result.oom
+    if result is not None:
+        metadata["iteration_time"] = result.iteration_time
+        metadata["comm_fraction"] = result.comm_fraction()
+        metadata["oom"] = result.oom
     return metadata
 
 
@@ -353,11 +356,8 @@ def compile(
     strategy: Union[Strategy, str] = "tofu",
     machine: Optional[Topology] = None,
     *,
-    num_workers: Optional[int] = None,
-    plan: Optional[PartitionPlan] = None,
     planner: Optional["Planner"] = None,
     executor: Optional[Executor] = None,
-    simulate: bool = True,
     lower_only: bool = False,
     tuner: Optional["Tuner"] = None,
 ) -> CompiledModel:
@@ -369,22 +369,15 @@ def compile(
             (``"dp:2/pipeline:4:1f1b:8/tofu"``), or ``"auto"`` to sweep
             composed strategies and keep the fastest.  The strategy and the
             machine are the whole description of a compile: a bare ``tofu``
-            always runs the ``tofu`` search.  ``"auto"`` rejects ``plan=...``
-            and ``simulate=False`` (they are single-strategy concerns).
+            always runs the ``tofu`` search.  ``"auto"`` rejects
+            ``lower_only=True`` (it picks by simulated time).
         machine: Machine or cluster model (:class:`MachineSpec` /
-            :class:`ClusterSpec`); defaults to the paper's 8×K80 box, sized
-            to ``num_workers`` when given — or, for a ``machines(M)``-rooted
-            strategy, a cluster of ``M`` such boxes.
-        num_workers: Shorthand for the default machine's device count (per
-            machine, under a ``machines(M)`` root); rejected if below 1 or
-            if it contradicts an explicit ``machine``.
-        plan: Pre-searched partition plan for the strategy's ``tofu`` leaf
-            (skips planning).
+            :class:`ClusterSpec`); defaults to the paper's 8×K80 box — or,
+            for a ``machines(M)``-rooted strategy, a cluster of ``M`` such
+            boxes.
         planner: Planner to search (and cache) plans with; defaults to the
             process-wide planner, so repeated compiles share one cache.
         executor: Executor to lower/simulate with (defaults to a fresh one).
-        simulate: When false, stop after planning — ``CompiledModel.plan``
-            is filled, ``program``/``report`` stay ``None``.
         lower_only: Plan and lower but defer the simulation; the returned
             model holds its ``program`` (memory report included) and
             :meth:`CompiledModel.simulate` completes it on demand.  The
@@ -399,8 +392,8 @@ def compile(
             ``Tuner().tune(graph, machine, candidates=...)``.
 
     Returns:
-        A :class:`CompiledModel`; its ``report`` carries the simulated
-        iteration verdict unless ``simulate=False``.
+        A :class:`CompiledModel`; its ``result`` carries the simulated
+        iteration unless ``lower_only=True``.
 
     Raises:
         StrategyError: For malformed strategies or contradictory arguments.
@@ -408,19 +401,14 @@ def compile(
     from repro.planner.core import default_planner
 
     if isinstance(strategy, str) and strategy.strip().lower() == "auto":
-        machine = _resolve_machine(machine, num_workers)
-        if plan is not None:
-            raise StrategyError(
-                "strategy='auto' searches its own plans; pass an explicit "
-                "strategy to compile with a pre-searched plan"
-            )
-        if not simulate or lower_only:
+        if lower_only:
             raise StrategyError(
                 "strategy='auto' picks by simulated iteration time and "
-                "cannot run with simulate=False or lower_only=True"
+                "cannot run with lower_only=True"
             )
         return _compile_auto(
-            graph, machine, planner=planner, executor=executor, tuner=tuner
+            graph, _resolve_machine(machine), planner=planner,
+            executor=executor, tuner=tuner,
         )
     if tuner is not None:
         raise StrategyError(
@@ -432,63 +420,38 @@ def compile(
         raise StrategyError(
             f"strategy must be a Strategy or string, got {type(strategy).__name__}"
         )
-    machine = _resolve_machine(machine, num_workers, strategy)
+    machine = _resolve_machine(machine, strategy)
     executor = executor or Executor()
     lowering = lower_strategy(strategy, machine, graph=graph)
     # machines(M) narrows the topology; everything below executes on the
     # slice.
     exec_machine = lowering.machine if lowering.machine is not None else machine
 
-    if plan is None and lowering.plan_workers:
-        planner = planner or default_planner()
-        plan = planner.plan(
+    plan = None
+    if lowering.plan_workers:
+        plan = (planner or default_planner()).plan(
             graph,
             lowering.plan_workers,
             machine=lowering.plan_machine or exec_machine,
             backend=lowering.plan_backend,
             strategy=lowering.strategy,
         )
-
-    if not simulate:
-        return CompiledModel(
-            strategy=lowering.strategy,
-            machine=machine,
-            plan=plan,
-            metadata={"backend": lowering.backend},
-        )
-
-    if lower_only:
-        program = executor.lower(
-            graph,
-            plan=plan,
-            machine=exec_machine,
-            backend=lowering.backend,
-            backend_options=lowering.options,
-        )
-        program.strategy = str(lowering.strategy)
-        return CompiledModel(
-            strategy=lowering.strategy,
-            machine=machine,
-            plan=program.plan if program.plan is not None else plan,
-            program=program,
-        )
-    report = executor.run(
+    program = executor.lower(
         graph,
         plan=plan,
         machine=exec_machine,
         backend=lowering.backend,
         backend_options=lowering.options,
     )
-    program = report.program
-    if program is not None:
-        program.strategy = str(lowering.strategy)
-    return CompiledModel(
+    model = CompiledModel(
         strategy=lowering.strategy,
         machine=machine,
-        plan=report.plan if report.plan is not None else plan,
+        plan=program.plan if program.plan is not None else plan,
         program=program,
-        report=report,
     )
+    if not lower_only:
+        model.result = executor.simulate(program, exec_machine)
+    return model
 
 
 # How many candidates the default (no ``tuner=``) auto sweep admits from

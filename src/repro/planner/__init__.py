@@ -25,7 +25,6 @@ from repro.planner.cache import (
 from repro.planner.core import (
     Planner,
     PlannerConfig,
-    SimulationReport,
     candidate_factorizations,
     default_planner,
     search_candidates,
@@ -37,7 +36,6 @@ __all__ = [
     "Planner",
     "PlannerConfig",
     "SearchBackend",
-    "SimulationReport",
     "available_backends",
     "candidate_factorizations",
     "default_planner",

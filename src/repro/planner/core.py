@@ -28,13 +28,11 @@ from repro.graph.graph import Graph
 from repro.partition.plan import PartitionPlan, factorize_workers
 from repro.planner.backends import BackendSpec, get_backend
 from repro.planner.cache import PlanCache, plan_cache_key
-from repro.runtime.core import SimulationReport
 from repro.sim.device import Topology
 
 __all__ = [
     "Planner",
     "PlannerConfig",
-    "SimulationReport",
     "candidate_factorizations",
     "default_planner",
     "search_candidates",

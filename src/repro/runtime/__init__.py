@@ -2,9 +2,10 @@
 
 One staged lowering pipeline — ``Graph`` (+ optional ``PartitionPlan``) →
 :class:`LoweredProgram` of device-assigned compute/comm tasks + memory report
-→ :class:`SimulationReport` — behind the :class:`Executor` facade, with
-pluggable execution backends (:mod:`repro.runtime.backends`) selected by
-string key, mirroring the planner's search-backend registry.
+→ simulated :class:`repro.sim.engine.SimResult` — behind the
+:class:`Executor` facade, with pluggable execution backends
+(:mod:`repro.runtime.backends`) selected by string key, mirroring the
+planner's search-backend registry.
 
 Stages and where they come from in the paper:
 
@@ -29,8 +30,10 @@ Simulation                   Sec 7 — one training iteration under per-link
 Built-in execution backends: ``tofu-partitioned`` (Sec 6), ``single-device``
 (Ideal/SmallBatch, Sec 7.1), ``placement`` (operator placement, Sec 7.1),
 ``data-parallel`` (reference + swapping accounting), ``swap`` (the LRU
-swapping baseline, Sec 7.1/7.2).  Further backends register in-process
-with :func:`register_execution_backend`.
+swapping baseline, Sec 7.1/7.2), ``pipeline`` (GPipe/1F1B micro-batch
+pipelining) and ``hybrid`` (data-parallel replica groups over any inner
+backend).  Further backends register in-process with
+:func:`register_execution_backend`.
 """
 
 from repro.runtime.backends import (
@@ -46,11 +49,7 @@ from repro.runtime.cache import (
     default_program_cache,
     lowered_cache_key,
 )
-from repro.runtime.core import (
-    Executor,
-    ExecutorConfig,
-    SimulationReport,
-)
+from repro.runtime.core import Executor, ExecutorConfig
 from repro.runtime.program import LoweredProgram
 
 __all__ = [
@@ -60,7 +59,6 @@ __all__ = [
     "ExecutorConfig",
     "LoweredProgram",
     "ProgramCache",
-    "SimulationReport",
     "available_execution_backends",
     "default_program_cache",
     "get_execution_backend",

@@ -1,7 +1,7 @@
 """Content-addressed lowered-program cache.
 
-Lowering is the second hot path after planning: every ``repro.compile`` and
-``Executor.run`` walks the graph through the backend's pass pipeline —
+Lowering is the second hot path after planning: every ``repro.compile``
+walks the graph through the backend's pass pipeline —
 scheduling, costing, comm emission, memory planning — even when the exact
 same request was lowered moments ago.  The inputs that determine the answer
 are small and hashable: the dataflow graph, the machine model, the backend

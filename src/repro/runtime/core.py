@@ -6,11 +6,10 @@ take a built graph (plus, for partitioned execution, a plan from the
 to a :class:`LoweredProgram` of device-assigned tasks and a memory report,
 and simulate that program under link contention on the modelled machine.
 
-The three stages are individually exposed (``lower`` → ``simulate`` → or
-``run`` for both), so callers can inspect or adjust the lowered program —
-e.g. the framework-overhead ablation of Table 3 swaps in rescaled copies of
-every task (``LoweredProgram.replace_tasks``) between lowering and
-simulation.
+The two stages are exposed separately (``lower`` then ``simulate``), so
+callers can inspect or adjust the lowered program between them — e.g. the
+framework-overhead ablation of Table 3 swaps in rescaled copies of every
+task (``LoweredProgram.replace_tasks``).
 """
 
 from __future__ import annotations
@@ -54,89 +53,6 @@ class ExecutorConfig:
 
     cache_programs: bool = True
     program_cache_capacity: Optional[int] = None
-
-
-@dataclass
-class SimulationReport:
-    """Plan (if any), lowered execution, and simulated timing for one graph."""
-
-    plan: Optional["PartitionPlan"]
-    result: SimResult
-    program: Optional[LoweredProgram] = None
-
-    @property
-    def backend(self) -> str:
-        """Name of the execution backend that produced this report."""
-        return self.program.backend if self.program is not None else ""
-
-    @property
-    def strategy(self) -> Optional[str]:
-        """Canonical strategy string the execution was compiled from, when
-        it came through ``repro.compile`` (``None`` for direct Executor use)."""
-        return self.program.strategy if self.program is not None else None
-
-    def throughput(self, batch_size: int) -> float:
-        """Training throughput in samples/s for ``batch_size``."""
-        return self.result.throughput(batch_size)
-
-    # ------------------------------------------------- pipeline introspection
-    @property
-    def per_stage_peak_memory(self) -> Mapping[int, int]:
-        """Planned peak bytes per pipeline stage (device-keyed memory report
-        of a staged program; empty for unstaged execution)."""
-        if self.program is None or self.program.schedule is None:
-            return {}
-        return self.program.per_device_memory
-
-    @property
-    def bubble_time(self) -> float:
-        """Summed per-stage idle time of a pipelined iteration (seconds).
-
-        Only the devices the staged program occupies count: the simulator
-        reports idle time for *every* topology device, and a device the
-        pipeline never placed a stage on is spare capacity, not bubble.
-        """
-        if self.program is None or self.program.schedule is None:
-            return 0.0
-        stage_devices = set(self.program.per_device_memory)
-        return sum(
-            idle
-            for device, idle in self.result.per_device_idle_time.items()
-            if device in stage_devices
-        )
-
-    def bubble_fraction(self) -> float:
-        """Fraction of aggregate stage time spent idle (the pipeline bubble)."""
-        if self.program is None or self.program.schedule is None:
-            return 0.0
-        stages = self.program.schedule.num_stages
-        total = stages * self.result.iteration_time
-        if total <= 0:
-            return 0.0
-        return min(1.0, self.bubble_time / total)
-
-    def summary(self) -> str:
-        """One human-readable block: timing, memory, and comm volume."""
-        lines = []
-        if self.strategy:
-            lines.append(f"strategy: {self.strategy}")
-        if self.plan is not None:
-            lines.append(self.plan.summary())
-        if self.program is not None:
-            lines.append(self.program.summary())
-        if self.program is not None and self.program.schedule is not None:
-            schedule = self.program.schedule
-            lines.append(
-                f"pipeline: {schedule.num_stages} stages x "
-                f"{schedule.num_microbatches} micro-batches "
-                f"({schedule.style}), bubble {self.bubble_fraction():.1%}"
-            )
-        lines.append(
-            f"iteration time: {self.result.iteration_time * 1e3:.1f} ms, "
-            f"comm fraction: {self.result.comm_fraction():.1%}, "
-            f"oom: {self.result.oom}"
-        )
-        return "\n".join(lines)
 
 
 class Executor:
@@ -249,30 +165,3 @@ class Executor:
             peak_memory=program.per_device_memory,
             check_memory=check_memory,
         )
-
-    # -------------------------------------------------------------------- run
-    def run(
-        self,
-        graph: Graph,
-        *,
-        plan: Optional["PartitionPlan"] = None,
-        machine: Optional[Topology] = None,
-        backend: str = "tofu-partitioned",
-        backend_options: Optional[Mapping[str, object]] = None,
-    ) -> SimulationReport:
-        """Lower ``graph`` with the selected backend and simulate it."""
-        machine = self._resolve_machine(machine, plan)
-        program = self.lower(
-            graph,
-            plan=plan,
-            machine=machine,
-            backend=backend,
-            backend_options=backend_options,
-        )
-        result = self.simulate(program, machine)
-        return SimulationReport(
-            plan=program.plan if program.plan is not None else plan,
-            result=result,
-            program=program,
-        )
-

@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Dict, Mapping, Optional
 from repro.sim.device import Topology
 from repro.sim.engine import (
     CompiledTaskGraph,
+    SimResult,
     Task,
     TaskGraphBuilder,
     TaskView,
@@ -69,9 +70,6 @@ class LoweredProgram:
         schedule: The per-stage slot order the lowering encoded as
             stage-ordering control dependencies, when the program is
             micro-batch pipelined.
-        strategy: Canonical string of the :class:`repro.strategy.Strategy`
-            the program was compiled from, when it came through
-            ``repro.compile`` (provenance; empty for direct Executor use).
     """
 
     backend: str
@@ -89,7 +87,6 @@ class LoweredProgram:
     num_microbatches: int = 1
     stage_of_node: Optional[Mapping[str, int]] = None
     schedule: Optional["PipelineSchedule"] = None
-    strategy: Optional[str] = None
 
     def __post_init__(self) -> None:
         self.tasks = task_view(self.tasks)
@@ -141,6 +138,26 @@ class LoweredProgram:
         if self.schedule is not None:
             return self.schedule.num_stages
         return 1
+
+    def bubble_fraction(self, result: SimResult) -> float:
+        """Fraction of aggregate stage time ``result`` spent idle (the
+        pipeline bubble); 0.0 for an unstaged program.
+
+        Only the devices the staged program occupies count: the simulator
+        reports idle time for *every* topology device, and a device the
+        pipeline never placed a stage on is spare capacity, not bubble.
+        """
+        if self.schedule is None:
+            return 0.0
+        total = self.schedule.num_stages * result.iteration_time
+        if total <= 0:
+            return 0.0
+        bubble = sum(
+            idle
+            for device, idle in result.per_device_idle_time.items()
+            if device in self.per_device_memory
+        )
+        return min(1.0, bubble / total)
 
     def summary(self) -> str:
         """One human-readable line per headline stat of the lowering."""

@@ -72,24 +72,8 @@ class TunerBudget:
         return list(pool[: self.max_candidates]), list(pool[self.max_candidates:])
 
     def to_dict(self) -> dict:
-        """JSON-serialisable form (used in results and wire requests)."""
+        """JSON-serialisable form (recorded in :class:`TunerResult`)."""
         return {
             "max_candidates": self.max_candidates,
             "max_seconds": self.max_seconds,
         }
-
-    @classmethod
-    def from_dict(cls, payload: Optional[dict]) -> "TunerBudget":
-        """Rebuild a budget from :meth:`to_dict` output (``None`` → unbounded)."""
-        payload = payload or {}
-        known = {"max_candidates", "max_seconds"}
-        unknown = set(payload) - known
-        if unknown:
-            raise StrategyError(
-                f"unknown TunerBudget field(s): {sorted(unknown)} "
-                f"(expected {sorted(known)})"
-            )
-        return cls(
-            max_candidates=payload.get("max_candidates"),
-            max_seconds=payload.get("max_seconds"),
-        )

@@ -338,9 +338,11 @@ class TestCandidateSearch:
 # ---------------------------------------------------------------------------
 class TestPlannerFacade:
     def test_plan_and_simulate(self, mlp_bundle):
-        report = repro.compile(mlp_bundle.graph, num_workers=4, planner=Planner()).report
-        assert report.result.iteration_time > 0
-        assert report.throughput(mlp_bundle.batch_size) > 0
+        model = repro.compile(
+            mlp_bundle.graph, machine=k80_8gpu_machine(4), planner=Planner()
+        )
+        assert model.result.iteration_time > 0
+        assert model.throughput(mlp_bundle.batch_size) > 0
 
     def test_plan_and_simulate_reuses_cached_plan(self, mlp_bundle, counting_backend):
         planner = Planner()

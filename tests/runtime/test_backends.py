@@ -48,7 +48,7 @@ class TestRegistry:
 
     def test_unsupported_option_rejected_cleanly(self, mlp_bundle):
         with pytest.raises(ExecutionError, match="does not accept option"):
-            Executor().run(
+            Executor().lower(
                 mlp_bundle.graph,
                 backend="single-device",
                 backend_options={"bogus": 1},
@@ -56,8 +56,8 @@ class TestRegistry:
 
     def test_plan_requirement_enforced(self, mlp_bundle):
         with pytest.raises(ExecutionError, match="requires a partition plan"):
-            Executor().run(mlp_bundle.graph, backend="tofu-partitioned")
+            Executor().lower(mlp_bundle.graph, backend="tofu-partitioned")
 
     def test_placement_without_mapping_rejected(self, mlp_bundle):
         with pytest.raises(ExecutionError, match="device_of_node"):
-            Executor().run(mlp_bundle.graph, backend="placement")
+            Executor().lower(mlp_bundle.graph, backend="placement")

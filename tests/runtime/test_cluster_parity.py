@@ -47,48 +47,42 @@ def test_single_machine_cluster_matches_bare_machine(bundle, backend):
     options, plan = _backend_setup(backend, bundle.graph)
     executor = Executor()
 
-    on_machine = executor.run(
+    on_machine = executor.lower(
         bundle.graph, plan=plan, machine=MACHINE,
         backend=backend, backend_options=options,
     )
-    on_cluster = executor.run(
+    on_cluster = executor.lower(
         bundle.graph, plan=plan, machine=CLUSTER,
         backend=backend, backend_options=options,
     )
+    result_on_machine = executor.simulate(on_machine)
+    result_on_cluster = executor.simulate(on_cluster)
 
     # Byte-identical LoweredProgram metadata...
-    assert on_cluster.program.backend == on_machine.program.backend
-    assert on_cluster.program.num_devices == on_machine.program.num_devices
-    assert (
-        on_cluster.program.per_device_memory
-        == on_machine.program.per_device_memory
-    )
-    assert (
-        on_cluster.program.total_comm_bytes
-        == on_machine.program.total_comm_bytes
-    )
-    assert on_cluster.program.stats == on_machine.program.stats
-    assert set(on_cluster.program.tasks) == set(on_machine.program.tasks)
-    for name, task in on_machine.program.tasks.items():
-        twin = on_cluster.program.tasks[name]
+    assert on_cluster.backend == on_machine.backend
+    assert on_cluster.num_devices == on_machine.num_devices
+    assert on_cluster.per_device_memory == on_machine.per_device_memory
+    assert on_cluster.total_comm_bytes == on_machine.total_comm_bytes
+    assert on_cluster.stats == on_machine.stats
+    assert set(on_cluster.tasks) == set(on_machine.tasks)
+    for name, task in on_machine.tasks.items():
+        twin = on_cluster.tasks[name]
         assert twin.device == task.device
         assert twin.duration == task.duration
         assert twin.comm_bytes == task.comm_bytes
 
     # ... and identical simulated timing, exactly (not approximately).
+    assert result_on_cluster.iteration_time == result_on_machine.iteration_time
     assert (
-        on_cluster.result.iteration_time == on_machine.result.iteration_time
+        result_on_cluster.per_device_compute_time
+        == result_on_machine.per_device_compute_time
     )
     assert (
-        on_cluster.result.per_device_compute_time
-        == on_machine.result.per_device_compute_time
+        result_on_cluster.per_device_comm_time
+        == result_on_machine.per_device_comm_time
     )
-    assert (
-        on_cluster.result.per_device_comm_time
-        == on_machine.result.per_device_comm_time
-    )
-    assert on_cluster.result.oom == on_machine.result.oom
-    assert on_cluster.result.network_busy_time() == 0.0
+    assert result_on_cluster.oom == result_on_machine.oom
+    assert result_on_cluster.network_busy_time() == 0.0
 
 
 def test_compile_parity_on_degenerate_cluster(mlp_bundle):

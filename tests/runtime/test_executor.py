@@ -15,7 +15,8 @@ MACHINE = k80_8gpu_machine(4)
 
 class TestExecutorFacade:
     def test_all_five_styles_run_through_executor(self, mlp_bundle):
-        """Acceptance: every execution style goes through ``Executor.run``."""
+        """Acceptance: every execution style lowers and simulates through
+        the :class:`Executor`."""
         plan = Planner().plan(mlp_bundle.graph, 4, machine=MACHINE)
         device_of_node = {
             node: mlp_bundle.layer_of_node.get(node, 0) % 4
@@ -33,34 +34,35 @@ class TestExecutorFacade:
             "tofu-partitioned", "single-device", "placement",
             "data-parallel", "swap",
         ):
-            report = executor.run(
+            program = executor.lower(
                 mlp_bundle.graph,
                 plan=plan,
                 machine=MACHINE,
                 backend=backend,
                 backend_options=options[backend],
             )
-            assert report.result.iteration_time > 0, backend
-            assert report.program.backend == backend
-            assert report.program.tasks
-            assert report.program.per_device_memory
-            assert "LoweredProgram" in report.program.summary()
+            result = executor.simulate(program)
+            assert result.iteration_time > 0, backend
+            assert program.backend == backend
+            assert program.tasks
+            assert program.per_device_memory
+            assert "LoweredProgram" in program.summary()
 
     def test_lower_then_simulate_equals_run(self, mlp_bundle):
+        """Lowering then simulating is all a one-call run (now
+        ``repro.compile``) does."""
         executor = Executor()
         program = executor.lower(
             mlp_bundle.graph, machine=MACHINE, backend="single-device"
         )
         result = executor.simulate(program, MACHINE)
-        report = executor.run(
-            mlp_bundle.graph, machine=MACHINE, backend="single-device"
-        )
-        assert result.iteration_time == report.result.iteration_time
+        model = repro.compile(mlp_bundle.graph, "single", MACHINE)
+        assert result.iteration_time == model.result.iteration_time
 
     def test_machine_defaults_to_plan_worker_count(self, mlp_bundle):
         plan = Planner().plan(mlp_bundle.graph, 2)
-        report = Executor().run(mlp_bundle.graph, plan=plan)
-        assert report.program.num_devices == 2
+        program = Executor().lower(mlp_bundle.graph, plan=plan)
+        assert program.num_devices == 2
 
     def test_simulate_defaults_to_lowering_machine(self, mlp_bundle):
         """A program priced for one machine must not silently simulate on
@@ -98,20 +100,17 @@ class TestExecutorFacade:
         assert k80.comm_time > v100.comm_time
 
     def test_report_summary_mentions_execution(self, mlp_bundle):
-        report = Executor().run(
-            mlp_bundle.graph, machine=MACHINE, backend="data-parallel"
-        )
-        summary = report.summary()
+        summary = repro.compile(mlp_bundle.graph, "single", MACHINE).summary()
         assert "iteration time" in summary
         assert "LoweredProgram" in summary
 
     def test_planner_report_unchanged_shape(self, mlp_bundle):
-        """A planned compile's report still yields plan + sharded program."""
-        report = repro.compile(mlp_bundle.graph, "tofu", MACHINE, planner=Planner()).report
-        assert report.plan is not None
-        assert report.program.sharded_graph is not None
-        assert "PartitionPlan" in report.summary()
-        assert report.backend == "tofu-partitioned"
+        """A planned compile still yields plan + sharded program."""
+        model = repro.compile(mlp_bundle.graph, "tofu", MACHINE, planner=Planner())
+        assert model.plan is not None
+        assert model.program.sharded_graph is not None
+        assert "PartitionPlan" in model.summary()
+        assert model.backend == "tofu-partitioned"
 
 
 class TestCLI:

@@ -17,6 +17,7 @@ from repro import compile as repro_compile
 from repro import perf
 from repro.models.mlp import build_mlp
 from repro.runtime.core import Executor
+from repro.sim.device import k80_8gpu_machine
 from tests.support.sim_oracle import run_reference
 
 
@@ -25,7 +26,7 @@ def compiled_mlp():
     graph = build_mlp(
         batch_size=8, input_dim=32, hidden_dim=64, num_layers=2, num_classes=16
     ).graph
-    return repro_compile(graph, "tofu", num_workers=4)
+    return repro_compile(graph, "tofu", k80_8gpu_machine(4))
 
 
 class TestProgramFreeze:

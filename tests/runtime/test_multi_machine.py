@@ -212,42 +212,46 @@ class TestStagePlacement:
 class TestClusterBackends:
     def test_data_parallel_ring_crosses_the_network(self, mlp_bundle):
         cluster = cluster_of(k80_8gpu_machine(2), 2)
-        report = Executor().run(
+        executor = Executor()
+        program = executor.lower(
             mlp_bundle.graph, machine=cluster, backend="data-parallel"
         )
+        result = executor.simulate(program)
         net_tasks = [
-            t for t in report.program.tasks.values()
-            if t.kind == "comm" and _link(report.program, t).kind == "net"
+            t for t in program.tasks.values()
+            if t.kind == "comm" and _link(program, t).kind == "net"
         ]
         # Devices 1 and 3 have their ring neighbour on the other machine.
         assert {t.device for t in net_tasks} == {1, 3}
-        assert report.result.network_busy_time() > 0
+        assert result.network_busy_time() > 0
 
     def test_hybrid_all_reduce_prices_inter_machine_hops(self, mlp_bundle):
         cluster = cluster_of(k80_8gpu_machine(2), 2)
         plan = repro.Planner().plan(mlp_bundle.graph, 2)
-        report = Executor().run(
+        executor = Executor()
+        program = executor.lower(
             mlp_bundle.graph, plan=plan, machine=cluster,
             backend="hybrid",
             backend_options={"replica_groups": 2, "inner": "tofu-partitioned"},
         )
+        result = executor.simulate(program)
         reduce_tasks = [
-            t for name, t in report.program.tasks.items()
+            t for name, t in program.tasks.items()
             if name.startswith("allreduce")
         ]
         assert len(reduce_tasks) == 4
         # Groups align with machines: every cross-group hop is a net hop.
         assert all(
-            _link(report.program, t).kind == "net" for t in reduce_tasks
+            _link(program, t).kind == "net" for t in reduce_tasks
         )
         # A faster network shrinks the iteration, all else equal.
         fast = cluster_of(k80_8gpu_machine(2), 2, network_bandwidth=100e9)
-        faster = Executor().run(
+        faster = executor.lower(
             mlp_bundle.graph, plan=plan, machine=fast,
             backend="hybrid",
             backend_options={"replica_groups": 2, "inner": "tofu-partitioned"},
         )
-        assert faster.result.iteration_time < report.result.iteration_time
+        assert executor.simulate(faster).iteration_time < result.iteration_time
 
     def test_hybrid_mixes_intra_and_inter_machine_hops(self, mlp_bundle):
         # 4 groups of 2 on a 2x4 cluster: the group ring 0->1->2->3->0 hops
@@ -311,26 +315,25 @@ class TestClusterBackends:
     def test_tofu_partitioned_splits_fetch_across_links(self, mlp_bundle):
         cluster = cluster_of(k80_8gpu_machine(2), 2)
         plan = repro.Planner().plan(mlp_bundle.graph, 4)
-        report = Executor().run(
+        executor = Executor()
+        program = executor.lower(
             mlp_bundle.graph, plan=plan, machine=cluster,
             backend="tofu-partitioned",
         )
-        names = set(report.program.tasks)
+        names = set(program.tasks)
         net_fetches = [n for n in names if n.endswith(":netfetch")]
         assert net_fetches, "cross-machine shards must fetch over the network"
         # Half the workers are remote, so local and net shares are equal.
         some = net_fetches[0].replace(":netfetch", "")
-        local = report.program.tasks[f"{some}:fetch"]
-        remote = report.program.tasks[f"{some}:netfetch"]
+        local = program.tasks[f"{some}:fetch"]
+        remote = program.tasks[f"{some}:netfetch"]
         assert local.comm_bytes == pytest.approx(remote.comm_bytes)
         # Aggregate volume matches the flat model's accounting.
-        flat = Executor().run(
+        flat = executor.lower(
             mlp_bundle.graph, plan=plan,
             machine=k80_8gpu_machine(4), backend="tofu-partitioned",
         )
-        assert report.program.total_comm_bytes == pytest.approx(
-            flat.program.total_comm_bytes
-        )
+        assert program.total_comm_bytes == pytest.approx(flat.total_comm_bytes)
 
     def test_placement_copies_cross_machines_over_net(self, mlp_bundle):
         cluster = cluster_of(k80_8gpu_machine(2), 2)

@@ -1,7 +1,7 @@
 """Parity of the :class:`Executor` facade with the hand-wired lowering paths.
 
-Every execution style routed through ``Executor.run`` (or ``repro.compile``)
-must reproduce the simulated iteration time and the peak-memory report of
+Every execution style lowered and simulated through the :class:`Executor`
+(or ``repro.compile``) must reproduce the simulated iteration time and the peak-memory report of
 calling its lowering function and the simulator directly, on both the MLP
 and the RNN fixtures.
 """
@@ -54,25 +54,29 @@ class TestBackendParity:
         program = lower_placement(bundle.graph, MACHINE, device_of_node=device_of_node)
         tasks, memory = program.tasks, program.per_device_memory
         direct = TaskGraphSimulator(MACHINE).run(tasks, peak_memory=memory)
-        report = Executor().run(
+        executor = Executor()
+        program = executor.lower(
             bundle.graph,
             machine=MACHINE,
             backend="placement",
             backend_options={"device_of_node": device_of_node},
         )
-        assert report.result.iteration_time == direct.iteration_time
-        assert report.program.per_device_memory == memory
-        assert report.result.total_comm_bytes == direct.total_comm_bytes
+        result = executor.simulate(program)
+        assert result.iteration_time == direct.iteration_time
+        assert program.per_device_memory == memory
+        assert result.total_comm_bytes == direct.total_comm_bytes
 
     def test_data_parallel(self, bundle):
         program = lower_data_parallel(bundle.graph, MACHINE)
         tasks, memory = program.tasks, program.per_device_memory
         direct = TaskGraphSimulator(MACHINE).run(tasks, peak_memory=memory)
-        report = Executor().run(
+        executor = Executor()
+        program = executor.lower(
             bundle.graph, machine=MACHINE, backend="data-parallel"
         )
-        assert report.result.iteration_time == direct.iteration_time
-        assert report.program.per_device_memory == memory
+        result = executor.simulate(program)
+        assert result.iteration_time == direct.iteration_time
+        assert program.per_device_memory == memory
 
     def test_tofu_partitioned(self, bundle):
         plan = recursive_partition(bundle.graph, 4)
@@ -80,29 +84,33 @@ class TestBackendParity:
         direct = TaskGraphSimulator(MACHINE).run(
             dist.tasks, peak_memory=dist.per_device_memory
         )
-        report = Executor().run(bundle.graph, plan=plan, machine=MACHINE)
-        assert report.result.iteration_time == direct.iteration_time
-        assert report.program.per_device_memory == dist.per_device_memory
-        assert report.program.total_comm_bytes == dist.total_comm_bytes
-        assert report.program.sharded_graph is not None
-        assert report.plan is plan
+        executor = Executor()
+        program = executor.lower(bundle.graph, plan=plan, machine=MACHINE)
+        result = executor.simulate(program)
+        assert result.iteration_time == direct.iteration_time
+        assert program.per_device_memory == dist.per_device_memory
+        assert program.total_comm_bytes == dist.total_comm_bytes
+        assert program.sharded_graph is not None
+        assert program.plan is plan
 
     def test_swap(self, bundle):
         old = simulate_with_swapping(bundle.graph, MACHINE)
-        report = Executor().run(bundle.graph, machine=MACHINE, backend="swap")
-        assert report.result.iteration_time == pytest.approx(
+        executor = Executor()
+        program = executor.lower(bundle.graph, machine=MACHINE, backend="swap")
+        result = executor.simulate(program)
+        assert result.iteration_time == pytest.approx(
             old.iteration_time, rel=1e-9
         )
-        assert report.result.compute_time == pytest.approx(
+        assert result.compute_time == pytest.approx(
             old.compute_time, rel=1e-9
         )
-        assert report.program.stats["swapped_in_bytes"] == pytest.approx(
+        assert program.stats["swapped_in_bytes"] == pytest.approx(
             old.swapped_in_bytes
         )
-        assert report.program.stats["swapped_out_bytes"] == pytest.approx(
+        assert program.stats["swapped_out_bytes"] == pytest.approx(
             old.swapped_out_bytes
         )
-        assert report.result.oom == old.oom
+        assert result.oom == old.oom
 
 
 class TestSwapContention:
@@ -112,9 +120,11 @@ class TestSwapContention:
         machine = k80_8gpu_machine()
         old = simulate_with_swapping(bundle.graph, machine, concurrent_gpus=8)
         # Every GPU of the 8-GPU machine swaps over the shared host link.
-        report = Executor().run(bundle.graph, machine=machine, backend="swap")
+        executor = Executor()
+        program = executor.lower(bundle.graph, machine=machine, backend="swap")
+        result = executor.simulate(program)
         assert old.swapped_in_bytes > 0, "fixture must actually swap"
-        assert report.result.iteration_time == pytest.approx(
+        assert result.iteration_time == pytest.approx(
             old.iteration_time, rel=1e-9
         )
 
@@ -124,22 +134,23 @@ class TestSwapContention:
                            num_layers=1, num_classes=16)
         machine = k80_8gpu_machine()
         old = simulate_with_swapping(bundle.graph, machine)
-        report = Executor().run(bundle.graph, machine=machine, backend="swap")
+        executor = Executor()
+        program = executor.lower(bundle.graph, machine=machine, backend="swap")
+        result = executor.simulate(program)
         assert old.oom
-        assert report.result.oom
-        assert report.program.per_device_peak_bytes > machine.device(0).memory_bytes
+        assert result.oom
+        assert program.per_device_peak_bytes > machine.device(0).memory_bytes
 
 
 class TestFacadeParity:
     def test_api_partition_and_simulate_matches_manual_pipeline(self, bundle):
-        plan = recursive_partition(bundle.graph, 4)
-        dist = generate_partitioned_graph(bundle.graph, plan, MACHINE)
+        model = repro.compile(bundle.graph, "tofu", MACHINE)
+        dist = generate_partitioned_graph(bundle.graph, model.plan, MACHINE)
         direct = TaskGraphSimulator(MACHINE).run(
             dist.tasks, peak_memory=dist.per_device_memory
         )
-        report = repro.compile(bundle.graph, "tofu", MACHINE, plan=plan).report
-        assert report.result.iteration_time == direct.iteration_time
-        assert report.result.peak_memory == dist.per_device_memory
+        assert model.result.iteration_time == direct.iteration_time
+        assert model.result.peak_memory == dist.per_device_memory
 
     def test_evaluators_match_legacy_numbers(self, bundle):
         """evaluate_ideal / evaluate_swapping reproduce the pre-refactor

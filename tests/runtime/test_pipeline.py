@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro
 from repro.errors import ExecutionError
 from repro.models.rnn import build_rnn
 from repro.partition.recursive import recursive_partition
@@ -175,7 +176,8 @@ class TestControlDependencies:
 class TestPipelineExecution:
     @pytest.mark.parametrize("style", ["gpipe", "1f1b"])
     def test_runs_on_fixtures(self, bundle, style):
-        report = Executor().run(
+        executor = Executor()
+        program = executor.lower(
             bundle.graph,
             machine=MACHINE,
             backend="pipeline",
@@ -183,44 +185,43 @@ class TestPipelineExecution:
                 "num_stages": 2, "num_microbatches": 3, "schedule": style,
             },
         )
-        assert report.result.iteration_time > 0
-        assert not report.result.oom
-        assert report.program.num_stages == 2
-        assert report.program.num_microbatches == 3
+        result = executor.simulate(program)
+        assert result.iteration_time > 0
+        assert not result.oom
+        assert program.num_stages == 2
+        assert program.num_microbatches == 3
         # Every stage device ran compute.
-        assert set(report.result.per_device_compute_time) == {0, 1}
+        assert set(result.per_device_compute_time) == {0, 1}
 
     def test_report_exposes_bubble_and_per_stage_memory(self, big_rnn_bundle):
-        report = Executor().run(
-            big_rnn_bundle.graph,
-            machine=MACHINE,
-            backend="pipeline",
-            backend_options={"num_stages": 4, "num_microbatches": 4},
-        )
-        assert set(report.per_stage_peak_memory) == {0, 1, 2, 3}
-        assert all(v > 0 for v in report.per_stage_peak_memory.values())
-        assert report.bubble_time > 0
-        assert 0 < report.bubble_fraction() < 1
-        assert "bubble" in report.summary()
+        model = repro.compile(big_rnn_bundle.graph, "pipeline:4:1f1b:4", MACHINE)
+        per_stage_peak_memory = model.program.per_device_memory
+        assert set(per_stage_peak_memory) == {0, 1, 2, 3}
+        assert all(v > 0 for v in per_stage_peak_memory.values())
+        assert 0 < model.program.bubble_fraction(model.result) < 1
+        assert "bubble" in model.summary()
 
     def test_pipeline_beats_single_device_on_rnn(self, big_rnn_bundle):
         executor = Executor()
-        single = executor.run(
+        single = executor.lower(
             big_rnn_bundle.graph, machine=MACHINE, backend="single-device"
         )
-        pipe = executor.run(
+        pipe = executor.lower(
             big_rnn_bundle.graph,
             machine=MACHINE,
             backend="pipeline",
             backend_options={"num_stages": 4, "num_microbatches": 4},
         )
-        assert pipe.result.iteration_time < single.result.iteration_time
+        assert (
+            executor.simulate(pipe).iteration_time
+            < executor.simulate(single).iteration_time
+        )
 
     def test_more_microbatches_shrink_the_bubble(self, big_rnn_bundle):
         executor = Executor()
 
         def bubble(microbatches: int) -> float:
-            report = executor.run(
+            program = executor.lower(
                 big_rnn_bundle.graph,
                 machine=MACHINE,
                 backend="pipeline",
@@ -228,7 +229,7 @@ class TestPipelineExecution:
                     "num_stages": 4, "num_microbatches": microbatches,
                 },
             )
-            return report.bubble_fraction()
+            return program.bubble_fraction(executor.simulate(program))
 
         assert bubble(8) < bubble(2)
 
@@ -236,20 +237,20 @@ class TestPipelineExecution:
         executor = Executor()
 
         def peak(style: str) -> int:
-            return executor.run(
+            return executor.lower(
                 big_rnn_bundle.graph,
                 machine=MACHINE,
                 backend="pipeline",
                 backend_options={
                     "num_stages": 4, "num_microbatches": 4, "schedule": style,
                 },
-            ).program.per_device_peak_bytes
+            ).per_device_peak_bytes
 
         assert peak("1f1b") <= peak("gpipe")
 
     def test_too_many_stages_rejected(self, bundle):
         with pytest.raises(ExecutionError, match="stages"):
-            Executor().run(
+            Executor().lower(
                 bundle.graph,
                 machine=MACHINE,
                 backend="pipeline",
@@ -258,7 +259,7 @@ class TestPipelineExecution:
 
     def test_zero_microbatches_rejected(self, bundle):
         with pytest.raises(ExecutionError, match="micro-batch"):
-            Executor().run(
+            Executor().lower(
                 bundle.graph,
                 machine=MACHINE,
                 backend="pipeline",
@@ -272,39 +273,42 @@ class TestPipelineExecution:
 class TestDegenerateParity:
     def test_pipeline_one_stage_matches_single_device(self, bundle):
         executor = Executor()
-        single = executor.run(
+        single = executor.lower(
             bundle.graph, machine=MACHINE, backend="single-device"
         )
-        pipe = executor.run(
+        pipe = executor.lower(
             bundle.graph,
             machine=MACHINE,
             backend="pipeline",
             backend_options={"num_stages": 1, "num_microbatches": 1},
         )
-        assert pipe.result.iteration_time == pytest.approx(
-            single.result.iteration_time, rel=1e-12
+        assert executor.simulate(pipe).iteration_time == pytest.approx(
+            executor.simulate(single).iteration_time, rel=1e-12
         )
-        assert pipe.program.per_device_memory == single.program.per_device_memory
-        assert pipe.program.total_comm_bytes == 0.0
-        assert len(pipe.program.tasks) == len(single.program.tasks)
+        assert pipe.per_device_memory == single.per_device_memory
+        assert pipe.total_comm_bytes == 0.0
+        assert len(pipe.tasks) == len(single.tasks)
 
     def test_hybrid_one_group_matches_tofu_partitioned(self, bundle):
         executor = Executor()
         plan = recursive_partition(bundle.graph, 4)
-        tofu = executor.run(
+        tofu = executor.lower(
             bundle.graph, plan=plan, machine=MACHINE, backend="tofu-partitioned"
         )
-        hybrid = executor.run(
+        hybrid = executor.lower(
             bundle.graph,
             plan=plan,
             machine=MACHINE,
             backend="hybrid",
             backend_options={"replica_groups": 1},
         )
-        assert hybrid.result.iteration_time == tofu.result.iteration_time
-        assert hybrid.program.per_device_memory == tofu.program.per_device_memory
-        assert hybrid.program.total_comm_bytes == tofu.program.total_comm_bytes
-        assert hybrid.program.backend == "hybrid"
+        assert (
+            executor.simulate(hybrid).iteration_time
+            == executor.simulate(tofu).iteration_time
+        )
+        assert hybrid.per_device_memory == tofu.per_device_memory
+        assert hybrid.total_comm_bytes == tofu.total_comm_bytes
+        assert hybrid.backend == "hybrid"
 
 
 # ---------------------------------------------------------------------------
@@ -313,23 +317,26 @@ class TestDegenerateParity:
 class TestHybridExecution:
     def test_hybrid_tofu_groups_run_end_to_end(self, bundle):
         plan = recursive_partition(bundle.graph, 2)
-        report = Executor().run(
+        executor = Executor()
+        program = executor.lower(
             bundle.graph,
             plan=plan,
             machine=MACHINE,
             backend="hybrid",
             backend_options={"replica_groups": 2},
         )
-        assert not report.result.oom
-        assert report.program.num_devices == 4
-        assert report.program.stats["replica_groups"] == 2.0
-        assert report.program.stats["allreduce_bytes"] > 0
+        result = executor.simulate(program)
+        assert not result.oom
+        assert program.num_devices == 4
+        assert program.stats["replica_groups"] == 2.0
+        assert program.stats["allreduce_bytes"] > 0
         # Both groups' devices actually computed.
-        busy = set(report.result.per_device_compute_time)
+        busy = set(result.per_device_compute_time)
         assert busy & {0, 1} and busy & {2, 3}
 
     def test_hybrid_composes_with_pipeline_inner(self, bundle):
-        report = Executor().run(
+        executor = Executor()
+        program = executor.lower(
             bundle.graph,
             machine=MACHINE,
             backend="hybrid",
@@ -339,13 +346,13 @@ class TestHybridExecution:
                 "inner_options": {"num_stages": 2, "num_microbatches": 2},
             },
         )
-        assert not report.result.oom
-        assert report.program.schedule is not None
-        assert report.program.num_microbatches == 2
+        assert not executor.simulate(program).oom
+        assert program.schedule is not None
+        assert program.num_microbatches == 2
 
     def test_indivisible_groups_rejected(self, bundle):
         with pytest.raises(ExecutionError, match="divisible"):
-            Executor().run(
+            Executor().lower(
                 bundle.graph,
                 machine=MACHINE,
                 backend="hybrid",
@@ -354,7 +361,7 @@ class TestHybridExecution:
 
     def test_nested_hybrid_rejected(self, bundle):
         with pytest.raises(ExecutionError, match="nest"):
-            Executor().run(
+            Executor().lower(
                 bundle.graph,
                 machine=MACHINE,
                 backend="hybrid",
@@ -364,7 +371,7 @@ class TestHybridExecution:
     def test_plan_for_wrong_worker_count_rejected(self, bundle):
         plan = recursive_partition(bundle.graph, 4)  # groups need 2 workers
         with pytest.raises(ExecutionError, match="workers"):
-            Executor().run(
+            Executor().lower(
                 bundle.graph,
                 plan=plan,
                 machine=MACHINE,
@@ -374,7 +381,7 @@ class TestHybridExecution:
 
     def test_missing_plan_names_group_size(self, bundle):
         with pytest.raises(ExecutionError, match="2 workers"):
-            Executor().run(
+            Executor().lower(
                 bundle.graph,
                 machine=MACHINE,
                 backend="hybrid",

@@ -194,7 +194,7 @@ def test_corrupt_plan_entry_is_a_miss(tmp_path, mlp_bundle, corrupt):
     def compile_once():
         planner = Planner(PlannerConfig(cache_dir=cache_dir))
         model = repro.compile(mlp_bundle.graph, "tofu", MACHINE,
-                              planner=planner, simulate=False)
+                              planner=planner, lower_only=True)
         return planner.cache, model.plan.steps
 
     fresh = compile_once()[1]

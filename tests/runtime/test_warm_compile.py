@@ -96,17 +96,17 @@ def test_a_warm_compile_does_no_work(compile_rnn, calls):
     warm = compile_rnn()
     assert calls == {"plan_to_dict": 0, "graph_to_dict": 0, "run_compiled": 0}
     assert warm.plan is cold.plan
-    assert warm.report.result == cold.report.result
-    assert warm.report.summary() == cold.report.summary()
+    assert warm.result == cold.result
+    assert warm.summary() == cold.summary()
     assert warm.to_dict() == cold.to_dict()
     assert compile_rnn.executor.program_cache.info()["hits"] == 1
 
 
 def test_editing_a_returned_result_does_not_reach_the_next_compile(compile_rnn):
     cold = compile_rnn()
-    expected = copy.deepcopy(cold.report.result)
+    expected = copy.deepcopy(cold.result)
     for model in (cold, compile_rnn()):
-        result = model.report.result
+        result = model.result
         result.per_device_compute_time.clear()
         result.per_device_comm_time[0] = -1.0
         result.per_link_busy_time.clear()
@@ -114,14 +114,14 @@ def test_editing_a_returned_result_does_not_reach_the_next_compile(compile_rnn):
         result.peak_memory[0] = 0
         result.oom_devices.append(99)
         result.iteration_time = -1.0
-    assert compile_rnn().report.result == expected
+    assert compile_rnn().result == expected
 
 
 def test_each_simulation_gets_its_own_memory_verdict(compile_rnn, calls):
     cold = compile_rnn()
     executor = compile_rnn.executor
     program = compile_rnn().program
-    assert not cold.report.result.oom
+    assert not cold.result.oom
     calls.update(dict.fromkeys(calls, 0))
 
     # A different check_memory, and an edited memory report, on the same
@@ -137,7 +137,7 @@ def test_each_simulation_gets_its_own_memory_verdict(compile_rnn, calls):
     assert calls["run_compiled"] == 0
 
     # The edit stayed on that copy: the next compile's program is intact.
-    assert compile_rnn().report.result == cold.report.result
+    assert compile_rnn().result == cold.result
 
     # Another machine compiles the dense form anew, so it replays anew.
     slow_links = dataclasses.replace(MACHINE, p2p_bandwidth=MACHINE.p2p_bandwidth / 4)
@@ -149,7 +149,7 @@ def test_each_simulation_gets_its_own_memory_verdict(compile_rnn, calls):
         peak_memory=program.per_device_memory,
         check_memory=False,
     )
-    assert result.iteration_time > cold.report.result.iteration_time
+    assert result.iteration_time > cold.result.iteration_time
     assert executor.simulate(program) == overflowing
     assert calls["run_compiled"] == 2
     calls["run_compiled"] = 0
@@ -163,6 +163,6 @@ def test_each_simulation_gets_its_own_memory_verdict(compile_rnn, calls):
     result = executor.simulate(slower, check_memory=False)
     assert calls["run_compiled"] == 1
     assert result == _reference(slower, check_memory=False)
-    assert result.iteration_time > cold.report.result.iteration_time
+    assert result.iteration_time > cold.result.iteration_time
     assert executor.simulate(slower, check_memory=False) == result
     assert calls["run_compiled"] == 1

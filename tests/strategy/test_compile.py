@@ -25,9 +25,9 @@ class TestCompile:
         assert isinstance(model, CompiledModel)
         assert model.backend == "tofu-partitioned"
         assert model.plan is not None and model.plan.num_workers == 4
-        assert model.report is not None and model.iteration_time > 0
+        assert model.result is not None and model.iteration_time > 0
         assert model.throughput(mlp_bundle.batch_size) > 0
-        assert model.program.strategy == "tofu"
+        assert model.strategy_text == "tofu"
         assert "strategy: tofu" in model.summary()
 
     def test_accepts_strategy_objects_and_strings(self, mlp_bundle):
@@ -37,30 +37,61 @@ class TestCompile:
         assert by_text.strategy == by_tree.strategy
 
     def test_num_workers_shorthand(self, mlp_bundle):
-        model = repro.compile(mlp_bundle.graph, "single", num_workers=2)
+        """The old ``num_workers=N`` shorthand is ``k80_8gpu_machine(N)``;
+        with no machine at all, a compile runs on the paper's 8-GPU box."""
+        model = repro.compile(mlp_bundle.graph, "single", k80_8gpu_machine(2))
         assert model.machine.num_devices == 2
-        with pytest.raises(StrategyError, match="contradicts"):
-            repro.compile(mlp_bundle.graph, "single", MACHINE, num_workers=8)
+        assert repro.compile(mlp_bundle.graph, "single").machine.num_devices == 8
 
     def test_simulate_false_stops_after_planning(self, mlp_bundle):
+        """What ``simulate=False`` gave is a ``lower_only`` compile: the
+        plan, and no simulated result."""
         model = repro.compile(
-            mlp_bundle.graph, "tofu", MACHINE, simulate=False
+            mlp_bundle.graph, "tofu", MACHINE, lower_only=True
         )
         assert model.plan is not None
-        assert model.program is None and model.report is None
+        assert model.result is None and model.iteration_time == 0.0
 
     def test_lower_only_defers_simulation(self, mlp_bundle):
         model = repro.compile(
             mlp_bundle.graph, "dp:2/tofu", MACHINE, lower_only=True
         )
-        assert model.program is not None and model.report is None
+        assert model.program is not None and model.result is None
         assert model.program.per_device_peak_bytes > 0  # memory report ready
-        report = model.simulate()
-        assert model.report is report
-        assert model.iteration_time == report.result.iteration_time
+        result = model.simulate()
+        assert model.result is result
+        assert model.iteration_time == result.iteration_time
         full = repro.compile(mlp_bundle.graph, "dp:2/tofu", MACHINE)
         assert model.iteration_time == full.iteration_time
-        assert model.simulate() is report  # idempotent
+        assert model.simulate() is result  # idempotent
+
+    def test_deferred_pipeline_simulation_matches_a_direct_compile(
+        self, rnn_bundle
+    ):
+        """A pipelined ``lower_only`` compile completed by ``simulate()`` is
+        the direct compile: same result, summary (bubble line included) and
+        saved form."""
+        strategy = "pipeline:2:1f1b:4"
+        direct = repro.compile(rnn_bundle.graph, strategy, MACHINE)
+        deferred = repro.compile(
+            rnn_bundle.graph, strategy, MACHINE, lower_only=True
+        )
+        deferred.simulate()
+        assert deferred.result == direct.result
+        assert deferred.summary() == direct.summary()
+        assert "pipeline: 2 stages x 4 micro-batches (1f1b), bubble" in (
+            direct.summary()
+        )
+        assert deferred.to_dict() == direct.to_dict()
+
+    def test_a_model_that_does_not_fit_has_no_throughput(self):
+        from repro.models import build_rnn
+
+        bundle = build_rnn(num_layers=6, hidden_size=4096, batch_size=512)
+        model = repro.compile(bundle.graph, "single", k80_8gpu_machine())
+        assert model.oom and model.iteration_time > 0
+        assert model.throughput(bundle.batch_size) == 0.0
+        assert model.result.throughput(bundle.batch_size) == 0.0
 
     def test_simulate_requires_a_program(self, mlp_bundle, tmp_path):
         model = repro.compile(mlp_bundle.graph, "tofu", MACHINE)
@@ -76,7 +107,8 @@ class TestCompile:
         model = repro.compile(
             rnn_bundle.graph, "dp:2/pipeline:2:1f1b:4/tofu", MACHINE
         )
-        direct = Executor().run(
+        executor = Executor()
+        direct = executor.lower(
             rnn_bundle.graph,
             machine=MACHINE,
             backend="hybrid",
@@ -89,12 +121,13 @@ class TestCompile:
             },
         )
         assert model.backend == "hybrid"
-        assert model.iteration_time == direct.result.iteration_time
-        assert model.program.total_comm_bytes == direct.program.total_comm_bytes
+        assert model.iteration_time == executor.simulate(direct).iteration_time
+        assert model.program.total_comm_bytes == direct.total_comm_bytes
 
     def test_pipeline_parity_with_direct_executor(self, rnn_bundle):
         model = repro.compile(rnn_bundle.graph, "pipeline:2:gpipe:4", MACHINE)
-        direct = Executor().run(
+        executor = Executor()
+        direct = executor.lower(
             rnn_bundle.graph,
             machine=MACHINE,
             backend="pipeline",
@@ -102,7 +135,7 @@ class TestCompile:
                 "num_stages": 2, "num_microbatches": 4, "schedule": "gpipe",
             },
         )
-        assert model.iteration_time == direct.result.iteration_time
+        assert model.iteration_time == executor.simulate(direct).iteration_time
 
     def test_dp_tofu_parity_with_direct_executor(self, mlp_bundle):
         planner = Planner()
@@ -111,9 +144,10 @@ class TestCompile:
         )
         plan = planner.plan(
             mlp_bundle.graph, 2,
-            machine=model.report.program.machine, backend="tofu",
+            machine=model.program.machine, backend="tofu",
         )
-        direct = Executor().run(
+        executor = Executor()
+        direct = executor.lower(
             mlp_bundle.graph,
             plan=model.plan,
             machine=MACHINE,
@@ -121,7 +155,7 @@ class TestCompile:
             backend_options={"replica_groups": 2, "inner": "tofu-partitioned"},
         )
         assert model.plan.num_workers == 2 == plan.num_workers
-        assert model.iteration_time == direct.result.iteration_time
+        assert model.iteration_time == executor.simulate(direct).iteration_time
 
     def test_degenerate_strategy_matches_single_device(self, mlp_bundle):
         collapsed = repro.compile(
@@ -161,12 +195,12 @@ class TestCompile:
         """Execution-backend options beyond the strategy's are an Executor
         concern, not a compile argument."""
         fused = repro.compile(mlp_bundle.graph, "tofu", MACHINE)
-        unfused = Executor().run(
+        unfused = Executor().lower(
             mlp_bundle.graph, plan=fused.plan, machine=MACHINE,
             backend="tofu-partitioned",
             backend_options={"fuse_remote_fetch": False},
         )
-        assert len(unfused.program.tasks) >= len(fused.program.tasks)
+        assert len(unfused.tasks) >= len(fused.program.tasks)
 
 
 class TestAuto:
@@ -205,15 +239,8 @@ class TestAuto:
             )
 
     def test_auto_rejects_single_strategy_arguments(self, mlp_bundle):
-        with pytest.raises(StrategyError, match="simulate=False"):
-            repro.compile(mlp_bundle.graph, "auto", MACHINE, simulate=False)
         with pytest.raises(StrategyError, match="lower_only"):
             repro.compile(mlp_bundle.graph, "auto", MACHINE, lower_only=True)
-        plan = repro.compile(
-            mlp_bundle.graph, "tofu", MACHINE, simulate=False
-        ).plan
-        with pytest.raises(StrategyError, match="searches its own plans"):
-            repro.compile(mlp_bundle.graph, "auto", MACHINE, plan=plan)
 
 
 def _saved(**changes):
@@ -348,8 +375,8 @@ class TestLegacyDeprecation:
     def test_default_call_does_not_warn(self, mlp_bundle):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            report = repro.compile(mlp_bundle.graph, num_workers=4).report
-        assert report.result.iteration_time > 0
+            result = repro.compile(mlp_bundle.graph, machine=MACHINE).result
+        assert result.iteration_time > 0
         assert not hasattr(repro, "partition_and_simulate")
         assert not hasattr(repro, "partition_graph")
 

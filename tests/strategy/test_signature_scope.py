@@ -104,7 +104,7 @@ EDITS = {
 
 @pytest.mark.parametrize("edit", sorted(EDITS))
 def test_every_edit_of_a_compiled_graph_raises(graph, edit):
-    repro.compile(graph, "tofu", MACHINE, simulate=False)
+    repro.compile(graph, "tofu", MACHINE, lower_only=True)
     signature = graph.signature
     assert graph.frozen and signature is not None
     with pytest.raises(GraphError) as info:

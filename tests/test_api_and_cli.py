@@ -5,6 +5,9 @@ import pytest
 import repro
 from repro import describe_operator
 from repro.cli import main as cli_main
+from repro.sim.device import k80_8gpu_machine
+
+FOUR_GPUS = k80_8gpu_machine(4)
 
 
 class TestAPI:
@@ -22,28 +25,31 @@ class TestAPI:
             describe_operator("no_such_operator")
 
     def test_partition_graph(self, mlp_bundle):
-        plan = repro.compile(mlp_bundle.graph, num_workers=4, simulate=False).plan
+        plan = repro.compile(
+            mlp_bundle.graph, machine=FOUR_GPUS, lower_only=True
+        ).plan
         assert plan.num_workers == 4
         assert plan.total_comm_bytes >= 0
 
     def test_partition_and_simulate(self, mlp_bundle):
-        report = repro.compile(mlp_bundle.graph, num_workers=4).report
-        assert report.result.iteration_time > 0
-        assert report.throughput(mlp_bundle.batch_size) > 0
-        assert "PartitionPlan" in report.summary()
+        model = repro.compile(mlp_bundle.graph, machine=FOUR_GPUS)
+        assert model.result.iteration_time > 0
+        assert model.throughput(mlp_bundle.batch_size) > 0
+        assert "PartitionPlan" in model.summary()
 
     def test_partition_and_simulate_with_precomputed_plan(self, mlp_bundle):
-        plan = repro.compile(mlp_bundle.graph, num_workers=4, simulate=False).plan
+        plan = repro.compile(
+            mlp_bundle.graph, machine=FOUR_GPUS, lower_only=True
+        ).plan
         # A program-cache hit would rebuild the plan object; lower afresh.
         executor = repro.Executor(repro.ExecutorConfig(cache_programs=False))
-        report = repro.compile(
-            mlp_bundle.graph, num_workers=4, plan=plan, executor=executor
-        ).report
-        assert report.plan is plan
+        program = executor.lower(mlp_bundle.graph, plan=plan, machine=FOUR_GPUS)
+        assert program.plan is plan
+        assert executor.simulate(program).iteration_time > 0
 
     def test_partition_graph_with_alternative_backend(self, mlp_bundle):
         plan = repro.compile(
-            mlp_bundle.graph, "tofu:spartan", num_workers=4, simulate=False
+            mlp_bundle.graph, "tofu:spartan", FOUR_GPUS, lower_only=True
         ).plan
         assert plan.algorithm == "spartan"
 
@@ -51,8 +57,9 @@ class TestAPI:
         from repro.planner import default_planner
 
         before = default_planner().cache_info()["hits"]
-        repro.compile(mlp_bundle.graph, num_workers=2, simulate=False)
-        repro.compile(mlp_bundle.graph, num_workers=2, simulate=False)
+        two_gpus = k80_8gpu_machine(2)
+        repro.compile(mlp_bundle.graph, machine=two_gpus, lower_only=True)
+        repro.compile(mlp_bundle.graph, machine=two_gpus, lower_only=True)
         assert default_planner().cache_info()["hits"] >= before + 1
 
 
@@ -243,15 +250,18 @@ class TestBadInputs:
     @pytest.mark.parametrize("num_workers", [0, -2])
     def test_compile_rejects_non_positive_num_workers(self, mlp_bundle,
                                                       num_workers):
-        from repro.errors import StrategyError
+        from repro.errors import SimulationError
 
-        with pytest.raises(StrategyError, match="num_workers must be >= 1"):
-            repro.compile(mlp_bundle.graph, "tofu", num_workers=num_workers)
+        # The machine refuses the count before any compile starts.
+        with pytest.raises(SimulationError, match="at least one device"):
+            repro.compile(
+                mlp_bundle.graph, "tofu", k80_8gpu_machine(num_workers)
+            )
 
     def test_save_failure_leaves_no_temp_file(self, mlp_bundle, tmp_path):
         from repro.errors import StrategyError
 
-        model = repro.compile(mlp_bundle.graph, "single", num_workers=1)
+        model = repro.compile(mlp_bundle.graph, "single", k80_8gpu_machine(1))
         target = tmp_path / "taken"
         target.mkdir()
         with pytest.raises(StrategyError, match="cannot save"):

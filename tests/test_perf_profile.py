@@ -99,12 +99,12 @@ def test_warm_compile_skips_every_pass(mlp_bundle, strategy):
     assert "sim.compile" not in warm_stages
     assert "sim.run" not in warm_stages
     assert (
-        warm.report.result.iteration_time == cold.report.result.iteration_time
+        warm.result.iteration_time == cold.result.iteration_time
     )
 
 
 def test_profile_metadata_absent_without_flag(mlp_bundle):
     model = repro.compile(
-        mlp_bundle.graph, "tofu", num_workers=2, executor=Executor()
+        mlp_bundle.graph, "tofu", k80_8gpu_machine(2), executor=Executor()
     )
     assert "profile" not in model.metadata

@@ -42,7 +42,6 @@ REPRO_EXPORTS = [
     "ReproError",
     "ShapeError",
     "SimulationError",
-    "SimulationReport",
     "Strategy",
     "StrategyError",
     "TDLError",
@@ -92,7 +91,6 @@ PLANNER_EXPORTS = [
     "Planner",
     "PlannerConfig",
     "SearchBackend",
-    "SimulationReport",
     "available_backends",
     "candidate_factorizations",
     "default_planner",
@@ -112,7 +110,6 @@ RUNTIME_EXPORTS = [
     "ExecutorConfig",
     "LoweredProgram",
     "ProgramCache",
-    "SimulationReport",
     "available_execution_backends",
     "default_program_cache",
     "get_execution_backend",
@@ -249,10 +246,7 @@ KNOB_SNAPSHOT = {
     "Tuner": (
         "budget", "jobs", "microbatches", "schedules", "search_backends",
     ),
-    "compile": (
-        "num_workers", "plan", "planner", "executor", "simulate",
-        "lower_only", "tuner",
-    ),
+    "compile": ("planner", "executor", "lower_only", "tuner"),
 }
 
 
@@ -289,4 +283,4 @@ def test_knob_surface_matches_snapshot():
         "knob needs a caller outside the tests; update KNOB_SNAPSHOT in "
         "tests/test_public_api.py if this change is intentional"
     )
-    assert sum(len(knobs) for knobs in surface.values()) == 34
+    assert sum(len(knobs) for knobs in surface.values()) == 31
