@@ -37,7 +37,6 @@ from repro.models.rnn import build_rnn
 from repro.partition.recursive import recursive_partition
 from repro.runtime import Executor, ExecutorConfig, ProgramCache
 from repro.runtime.cache import lowered_cache_key
-from repro.runtime.passes import round_robin_layer_placement
 from repro.sim.device import cluster_of, k80_8gpu_machine
 from repro.sim.engine import TaskGraphSimulator
 
@@ -99,7 +98,7 @@ def _scenarios():
             wresnet,
             machine,
             "placement",
-            {"device_of_node": round_robin_layer_placement(wresnet.graph, 4)},
+            {},
             None,
         ),
         (

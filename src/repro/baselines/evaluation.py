@@ -304,10 +304,12 @@ def evaluate_swapping(
         comm_fraction = min(
             1.0, max(0.0, 1.0 - result.compute_time / result.iteration_time)
         )
+    report = _report("swap", bundle, batch, program, result, replicas=num)
     return replace(
-        _report("swap", bundle, batch, program, result, replicas=num),
+        report,
         comm_fraction=comm_fraction,
         extras={
+            **report.extras,
             "swapped_in_gib": program.stats["swapped_in_bytes"] / GiB,
             "swapped_out_gib": program.stats["swapped_out_bytes"] / GiB,
         },

@@ -227,7 +227,7 @@ def cmd_compile(args) -> int:
         strategy = parse_strategy(text)
         if args.dry_run:
             print(f"strategy: {strategy}")
-            lowering = lower_strategy(strategy, machine, graph=bundle.graph)
+            lowering = lower_strategy(strategy, machine)
             print(lowering.describe())
             return 0
     timer = perf.StageTimer() if args.profile else None

@@ -422,7 +422,7 @@ def compile(
         )
     machine = _resolve_machine(machine, strategy)
     executor = executor or Executor()
-    lowering = lower_strategy(strategy, machine, graph=graph)
+    lowering = lower_strategy(strategy, machine)
     # machines(M) narrows the topology; everything below executes on the
     # slice.
     exec_machine = lowering.machine if lowering.machine is not None else machine

@@ -116,10 +116,10 @@ def generate_partitioned_graph(
     fetch/reduce bytes that report was derived from.
 
     ``machine`` may be a :class:`MachineSpec` or a multi-machine
-    :class:`ClusterSpec`; on a cluster each device's fetch/reduce traffic is
-    split into the share gathered from machine-local peers (the device's
-    PCI-e link) and the share crossing machines (the device's machine NIC),
-    since the partition shards tensors over *every* worker uniformly.
+    :class:`ClusterSpec`; each device's fetch/reduce traffic is split the
+    way the topology's ``gather_split`` says (on a cluster, a local gather
+    and a fetch from another machine), since the partition shards tensors
+    over *every* worker uniformly.
     """
     if machine is None:
         machine = k80_8gpu_machine(plan.num_workers)
@@ -181,22 +181,10 @@ def generate_partitioned_graph(
     compute_ids: List[List[int]] = []
     next_id = 0
     for device in range(num_devices):
-        # Shards are spread uniformly over all workers, so the share of a
-        # device's traffic staying on its machine is the fraction of workers
-        # that are machine-local peers (all of them on one machine).
-        machine_index = machine.machine_of(device)
-        local_workers = sum(
-            1
-            for peer in machine.devices_of_machine(machine_index)
-            if peer < num_devices
-        )
-        local_fraction = local_workers / num_devices
-        # Any off-machine worker names the inter-machine edge the remote
-        # share arrives over (this device's machine NIC); none on one machine.
-        remote_peer = next(
-            (d for d in range(num_devices) if machine.machine_of(d) != machine_index),
-            None,
-        )
+        # Shards are spread uniformly over all workers; the topology says
+        # which share of a gather stays on the device's machine and names a
+        # worker the rest is fetched from (none on one machine).
+        home_share, away_src = machine.gather_split(device, num_devices)
         volumes: List[Tuple[float, float]] = []
         ids: List[int] = []
         for name, fetch, producers in zip(names, node_fetch, producers_of):
@@ -207,14 +195,14 @@ def generate_partitioned_graph(
             comm_total = fetch + node_reduce_dev
             local_bytes = remote_bytes = 0.0
             if comm_total > 0.0 and producers:
-                local_bytes = comm_total * local_fraction
-                if remote_peer is not None:
+                local_bytes = comm_total * home_share
+                if away_src is not None:
                     remote_bytes = comm_total - local_bytes
                 next_id += (local_bytes > 0.0) + (remote_bytes > 0.0)
             volumes.append((local_bytes, remote_bytes))
             ids.append(next_id)
             next_id += 1
-        layouts.append((remote_peer, volumes))
+        layouts.append((away_src, volumes))
         compute_ids.append(ids)
 
     # Remote regions come from every peer: a fetch waits for the producers
@@ -225,7 +213,7 @@ def generate_partitioned_graph(
         for producers in producers_of
     ]
 
-    for device, (remote_peer, volumes) in enumerate(layouts):
+    for device, (away_src, volumes) in enumerate(layouts):
         local_id = compute_ids[device].__getitem__
         for name, producers, durations, deps_of_fetch, (
             local_bytes, remote_bytes
@@ -239,7 +227,7 @@ def generate_partitioned_graph(
             if remote_bytes > 0.0:
                 deps.append(make_comm_task(
                     builder, f"{name}@{device}:netfetch", device,
-                    remote_bytes, src=remote_peer, deps=deps_of_fetch,
+                    remote_bytes, src=away_src, deps=deps_of_fetch,
                 ))
             deps.extend(map(local_id, producers))
             builder.add(

@@ -43,13 +43,14 @@ from repro.runtime.passes import (
     make_compute_task,
     pipeline_schedule,
     producer_deps,
+    round_robin_layer_placement,
     scheduled_nodes,
     stage_memory_report,
 )
 from repro.runtime.program import LoweredProgram
 from repro.sim.costmodel import node_kernel_time
 from repro.sim.device import MachineSpec, Topology, slice_topology_range
-from repro.sim.engine import HOST_DEVICE, Dep, TaskGraphBuilder
+from repro.sim.engine import HOST_DEVICE, TaskGraphBuilder
 from repro.sim.swap import swap_residency_schedule
 
 
@@ -124,32 +125,6 @@ def available_execution_backends() -> List[str]:
 # ---------------------------------------------------------------------------
 # Built-in backends
 # ---------------------------------------------------------------------------
-def _ring_reduce_task(
-    builder: TaskGraphBuilder,
-    name: str,
-    topology: Topology,
-    device: int,
-    neighbour: int,
-    reduce_bytes: float,
-    *,
-    deps: Sequence[Dep],
-) -> None:
-    """Emit one device's share of a ring all-reduce.
-
-    In a ring each device sends every step over the same edge — the one
-    towards its neighbour — so the whole per-device volume is priced on that
-    single link: the device's own PCI-e link when the neighbour shares its
-    machine (a gather of every peer's share into the device, the flat
-    model's accounting), the destination machine's network NIC when the
-    ring wraps across machines.
-    """
-    if topology.machine_of(device) != topology.machine_of(neighbour):
-        src, dst = device, neighbour
-    else:
-        src, dst = None, device
-    make_comm_task(builder, name, device, reduce_bytes, src=src, dst=dst, deps=deps)
-
-
 def lower_single_device(
     graph: Graph, machine: Topology, plan=None
 ) -> LoweredProgram:
@@ -170,31 +145,24 @@ def lower_single_device(
 
 
 def lower_placement(
-    graph: Graph,
-    machine: Topology,
-    plan=None,
-    *,
-    device_of_node: Optional[Mapping[str, int]] = None,
+    graph: Graph, machine: Topology, plan=None
 ) -> LoweredProgram:
-    """Operator-placement execution: each node runs on its assigned device and
-    tensors crossing devices are copied over the link between them (PCI-e
-    within a machine, the network across machines)."""
-    if device_of_node is None:
-        raise ExecutionError(
-            "execution backend 'placement' needs a device_of_node mapping "
-            "(node name -> device index)"
-        )
+    """Operator-placement execution: layers are dealt round-robin over the
+    devices (:func:`round_robin_layer_placement`), each node runs on its
+    layer's device, and tensors crossing devices are copied over the link
+    between them (PCI-e within a machine, the network across machines)."""
+    device_of = round_robin_layer_placement(graph, machine.num_devices)
     tasks = TaskGraphBuilder()
     total_comm = 0.0
     for node in scheduled_nodes(graph):
-        device = device_of_node.get(node.name, 0)
+        device = device_of[node.name]
         device_spec = machine.device(device)
         deps = []
         for tensor in node.inputs:
             producer = graph.tensor(tensor).producer
             if producer is None:
                 continue
-            producer_device = device_of_node.get(producer, 0)
+            producer_device = device_of[producer]
             if producer_device == device:
                 deps.append(producer)
             else:
@@ -212,7 +180,7 @@ def lower_placement(
         )
     # One micro-batch, no schedule: each device is a "stage" holding its
     # placed nodes' buffers.
-    memory = stage_memory_report(graph, device_of_node, machine.num_devices)
+    memory = stage_memory_report(graph, device_of, machine.num_devices)
     return LoweredProgram(
         backend="placement",
         num_devices=machine.num_devices,
@@ -226,14 +194,18 @@ def lower_data_parallel(
     graph: Graph, machine: Topology, plan=None
 ) -> LoweredProgram:
     """Data-parallel execution: every device runs the full graph on 1/k of the
-    batch and gradients are ring-all-reduced — over PCI-e within a machine,
-    over the network when a device's ring neighbour sits on another machine."""
+    batch and gradients are ring-all-reduced — each device gathers from its
+    ring neighbour, over whichever link joins the two."""
     num = machine.num_devices
-    weight_bytes = float(graph.weight_bytes())
     tasks = TaskGraphBuilder()
     total_comm = 0.0
     scale = 1.0 / num
     topo = scheduled_nodes(graph)
+    last_node = list(graph.nodes)[-1]
+    # Ring all-reduce of the gradients: 2 * (k-1)/k of the weight bytes
+    # traverse the link from each device's ring neighbour.  One device has
+    # no ring.
+    reduce_bytes = 2.0 * (num - 1) / num * float(graph.weight_bytes())
     for device in range(num):
         device_spec = machine.device(device)
         for node in topo:
@@ -242,15 +214,12 @@ def lower_data_parallel(
                 tasks, graph, node.name, device, device_spec, machine,
                 deps=deps, scale=scale, task_name=f"{node.name}@{device}",
             )
-        # Ring all-reduce of the gradients: 2 * (k-1)/k of the weight bytes
-        # traverse the link towards each device's ring neighbour.
-        last_node = list(graph.nodes)[-1]
-        reduce_bytes = 2.0 * (num - 1) / num * weight_bytes
-        _ring_reduce_task(
-            tasks, f"allreduce@{device}", machine, device, (device + 1) % num,
-            reduce_bytes, deps=[f"{last_node}@{device}"],
-        )
-        total_comm += reduce_bytes
+        if num > 1:
+            make_comm_task(
+                tasks, f"allreduce@{device}", device, reduce_bytes,
+                src=(device + 1) % num, deps=[f"{last_node}@{device}"],
+            )
+            total_comm += reduce_bytes
     memory = device_memory_report(graph, range(num))
     return LoweredProgram(
         backend="data-parallel",
@@ -508,10 +477,8 @@ def lower_pipeline(
         for stage, required in stage_memory.items()
     }
     cross_machine_cuts = sum(
-        1
-        for stage in range(1, num_stages)
-        if machine.machine_of(stage_devices[stage - 1])
-        != machine.machine_of(stage_devices[stage])
+        machine.link_between(stage_devices[s - 1], stage_devices[s]).kind == "net"
+        for s in range(1, num_stages)
     )
     return LoweredProgram(
         backend="pipeline",
@@ -548,11 +515,9 @@ def lower_hybrid(
     The topology's devices split into ``replica_groups`` equal groups; each
     group runs the ``inner`` execution backend (Tofu partitioning, pipeline,
     …) on ``1/G`` of the batch, and the gradients are ring-all-reduced across
-    groups at the end of the iteration (``2 (G-1)/G`` of each device's weight
-    shard traverses the link towards its ring neighbour — its own PCI-e link
-    when the neighbour group shares the machine, the network NIC when the
-    ring hops across machines, so intra- and inter-machine hops are priced
-    separately on a cluster).  On a multi-machine topology each group's
+    groups at the end of the iteration (each device gathers ``2 (G-1)/G`` of
+    its weight shard from the same device of the next group, over whichever
+    link joins the two).  On a multi-machine topology each group's
     inner program is lowered on that group's own machine slice, so a group
     straddling a machine boundary prices its internal traffic over the
     boundary it actually crosses.  Per-group compute and communication are
@@ -662,10 +627,9 @@ def lower_hybrid(
         neighbour_offset = ((group + 1) % groups) * group_devices
         for local_device in range(group_devices):
             reduce_name = f"allreduce@d{local_device}@grp{group}"
-            _ring_reduce_task(
-                tasks, reduce_name, machine,
-                offset + local_device, neighbour_offset + local_device,
-                reduce_bytes, deps=group_sinks,
+            make_comm_task(
+                tasks, reduce_name, offset + local_device, reduce_bytes,
+                src=neighbour_offset + local_device, deps=group_sinks,
             )
             total_comm += reduce_bytes
         for device, required in group_program.per_device_memory.items():
@@ -709,7 +673,6 @@ register_execution_backend(
         name="placement",
         lower=lower_placement,
         description="operator placement with PCI-e activation copies (Sec 7.1)",
-        option_names=("device_of_node",),
     )
 )
 register_execution_backend(

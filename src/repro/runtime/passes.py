@@ -179,9 +179,10 @@ def round_robin_layer_placement(graph: Graph, num_devices: int) -> Dict[str, int
     """Round-robin layers across devices; backward/optimiser nodes follow
     their forward layer (the Operator-Placement policy of Sec 7.1).
 
-    The one authority for the policy: the ``placement`` strategy leaf
-    (which the Operator-Placement baseline and ``compile --strategy
-    placement`` compile) calls it.
+    The one authority for the policy: the ``placement`` execution backend
+    derives its device map with it on whatever topology it lowers onto (the
+    Operator-Placement baseline and ``compile --strategy placement`` lower
+    there), so no caller passes a map.
     """
     layer_of_node = full_layer_assignment(graph)
     return {

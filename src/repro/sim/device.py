@@ -127,36 +127,48 @@ class _TopologyBase:
         )
 
     # -------------------------------------------------------- link resolution
-    def p2p_link(self, dst_device: int) -> Link:
-        """The destination device's PCI-e link within its machine."""
-        machine, _ = self.locate(dst_device)
-        return Link(
-            kind="p2p", key=f"p2p:{dst_device}", bandwidth=machine.p2p_bandwidth
-        )
-
-    def host_link(self, device_index: int = 0) -> Link:
-        """The shared CPU link of the machine holding ``device_index``."""
-        machine_index = self.machine_of(device_index)
-        machine = self.machines[machine_index]
-        return Link(
-            kind="cpu",
-            key=f"cpu:m{machine_index}",
-            bandwidth=machine.cpu_bandwidth,
-        )
-
     def link_between(self, src_device: Optional[int], dst_device: int) -> Link:
         """The link a ``src -> dst`` transfer occupies: the destination
         machine's shared CPU link for a host copy (``src`` is
         :data:`HOST_DEVICE`), the destination's PCI-e link for a gather from
         every peer (``src`` is ``None``) or within one machine, the
-        destination machine's NIC (:meth:`ClusterSpec.network_link`) across
-        machines."""
+        destination machine's NIC across machines.  Every inbound
+        inter-machine transfer to a machine contends on that one NIC queue
+        (the aggregate-link analogue of the shared CPU link)."""
         dst_machine = self.machine_of(dst_device)
+        machine = self.machines[dst_machine]
         if src_device == HOST_DEVICE:
-            return self.host_link(dst_device)
+            return Link(
+                kind="cpu", key=f"cpu:m{dst_machine}",
+                bandwidth=machine.cpu_bandwidth,
+            )
         if src_device is None or self.machine_of(src_device) == dst_machine:
-            return self.p2p_link(dst_device)
-        return self.network_link(dst_machine)
+            return Link(
+                kind="p2p", key=f"p2p:{dst_device}",
+                bandwidth=machine.p2p_bandwidth,
+            )
+        return Link(
+            kind="net", key=f"net:m{dst_machine}",
+            bandwidth=self.network_bandwidth, latency=self.network_latency,
+        )
+
+    def gather_split(
+        self, device: int, num_workers: int
+    ) -> Tuple[float, Optional[int]]:
+        """How a gather into ``device`` from workers ``[0, num_workers)``
+        splits over the links it crosses, for traffic spread uniformly over
+        the workers: the share held by workers on ``device``'s machine
+        (gathered over its PCI-e link, source ``None``), and a worker on
+        another machine to source the rest from (``None`` when every worker
+        shares the machine, so nothing crosses the network)."""
+        home = self.machine_of(device)
+        home_workers = sum(
+            1 for peer in self.devices_of_machine(home) if peer < num_workers
+        )
+        away = next(
+            (d for d in range(num_workers) if self.machine_of(d) != home), None
+        )
+        return home_workers / num_workers, away
 
     def _check_device(self, index: Optional[int]) -> None:
         if index is None or not 0 <= index < self.num_devices:
@@ -264,17 +276,6 @@ class ClusterSpec(_TopologyBase):
     def kernel_launch_overhead(self) -> float:
         """Machine 0's launch overhead (machines are assumed homogeneous)."""
         return self.machines[0].kernel_launch_overhead
-
-    def network_link(self, dst_machine: int) -> Link:
-        """The destination machine's NIC: every inbound inter-machine
-        transfer to that machine contends on one queue (the aggregate-link
-        analogue of the shared CPU link)."""
-        return Link(
-            kind="net",
-            key=f"net:m{dst_machine}",
-            bandwidth=self.network_bandwidth,
-            latency=self.network_latency,
-        )
 
 
 #: Either topology level accepted by the runtime and the simulator.

@@ -83,10 +83,8 @@ class StrategyLowering:
         if self.options:
             rendered = ", ".join(
                 f"{k}={v!r}" for k, v in sorted(self.options.items())
-                if k != "device_of_node"
             )
-            if rendered:
-                parts.append(f"options: {rendered}")
+            parts.append(f"options: {rendered}")
         if self.plan_workers:
             parts.append(
                 f"plan: {self.plan_backend} search for {self.plan_workers} "
@@ -95,9 +93,7 @@ class StrategyLowering:
         return "\n".join(parts)
 
 
-def _lower_node(
-    node: Strategy, machine: Topology, graph: Optional[Graph]
-) -> StrategyLowering:
+def _lower_node(node: Strategy, machine: Topology) -> StrategyLowering:
     """Lower one node onto the devices of ``machine`` (already sliced by any
     enclosing ``machines``/``dp``)."""
     if isinstance(node, Machines):
@@ -110,16 +106,7 @@ def _lower_node(
     if isinstance(node, Swap):
         return StrategyLowering(node, "swap")
     if isinstance(node, Placement):
-        options: Dict[str, object] = {}
-        if graph is not None:
-            # Imported lazily: runtime.passes pulls in the cost model, which
-            # the pure algebra/parser path never needs.
-            from repro.runtime.passes import round_robin_layer_placement
-
-            options["device_of_node"] = round_robin_layer_placement(
-                graph, machine.num_devices
-            )
-        return StrategyLowering(node, "placement", options)
+        return StrategyLowering(node, "placement")
     if isinstance(node, Tofu):
         if machine.num_devices == 1:
             # A one-device partition is the whole graph on that device.
@@ -170,8 +157,9 @@ def lower_strategy(
 ) -> StrategyLowering:
     """Interpret a strategy tree as (execution backend, options, plan needs).
 
-    ``graph`` is only needed by lowerings that embed graph-derived options
-    (the ``placement`` leaf's device map); pass it whenever available.
+    No lowering depends on the graph (the ``placement`` backend derives its
+    device map itself); ``graph`` is accepted and ignored so callers written
+    against the graph-taking signature keep working.
     """
     root = normalize(strategy)
     body = root
@@ -188,7 +176,7 @@ def lower_strategy(
         except SimulationError as exc:  # pragma: no cover - guarded above
             raise StrategyError(str(exc)) from exc
         body = root.inner or Single()
-    lowering = _lower_body(body, machine, graph)
+    lowering = _lower_body(body, machine)
     # Provenance keeps the full tree (machines root included): the plan-cache
     # key and the compiled model's strategy must distinguish machine counts.
     lowering.strategy = root
@@ -196,12 +184,10 @@ def lower_strategy(
     return lowering
 
 
-def _lower_body(
-    body: Strategy, machine: Topology, graph: Optional[Graph]
-) -> StrategyLowering:
+def _lower_body(body: Strategy, machine: Topology) -> StrategyLowering:
     """Lower the sub-machine part of the tree (everything under ``machines``)."""
     if not isinstance(body, DataParallel):
-        return _lower_node(body, machine, graph)
+        return _lower_node(body, machine)
 
     groups = body.groups
     if machine.num_devices % groups:
@@ -211,7 +197,7 @@ def _lower_body(
         )
     group_devices = machine.num_devices // groups
     sub_machine = slice_topology_range(machine, 0, group_devices)
-    inner = _lower_node(body.inner or Single(), sub_machine, graph)
+    inner = _lower_node(body.inner or Single(), sub_machine)
     options: Dict[str, object] = {
         "replica_groups": groups,
         "inner": inner.backend,

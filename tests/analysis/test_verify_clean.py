@@ -15,7 +15,6 @@ from repro.runtime import (
     available_execution_backends,
     get_execution_backend,
 )
-from repro.runtime.passes import round_robin_layer_placement
 from repro.sim.device import cluster_of, k80_8gpu_machine, slice_topology_range
 
 MACHINES = {
@@ -39,9 +38,7 @@ def _backend_inputs(backend, bundle, machine, schedule="1f1b"):
         plan = Planner(PlannerConfig()).plan(
             bundle.graph, num_devices, machine=machine
         )
-    if backend == "placement":
-        options["device_of_node"] = round_robin_layer_placement(bundle.graph, num_devices)
-    elif backend == "pipeline":
+    if backend == "pipeline":
         options = {
             "num_stages": 2, "num_microbatches": 4, "schedule": schedule,
         }
@@ -82,4 +79,16 @@ def test_strict_verify_passes_on_both_pipeline_schedules(schedule, bundle):
     )
     assert program.schedule is not None and program.schedule.style == schedule
     report = verify_program(program, graph=bundle.graph, plan=plan)
+    assert report.findings == []
+
+
+def test_one_device_data_parallel_has_no_ring_to_flag(bundle):
+    """A ring hop is a gather from the ring neighbour; on one device that
+    neighbour is the device itself, so no hop is emitted (a self-transfer
+    would be ``ANA008_SELF_TRANSFER``)."""
+    program = Executor(ExecutorConfig(cache_programs=False)).lower(
+        bundle.graph, machine=k80_8gpu_machine(1), backend="data-parallel"
+    )
+    assert program.total_comm_bytes == 0.0
+    report = verify_program(program, graph=bundle.graph)
     assert report.findings == []

@@ -86,6 +86,12 @@ class TestHugeModel:
         swap = evaluate_swapping(_huge_mlp, 128, MACHINE)
         tofu = evaluate_tofu(_huge_mlp, 128, MACHINE)
         assert tofu.throughput >= swap.throughput
+        # The swap row reports its host traffic like every other system's:
+        # each GPU replays every swap over the shared host link.
+        swapped = swap.extras["swapped_in_gib"] + swap.extras["swapped_out_gib"]
+        assert swap.extras["comm_gib_per_iter"] == pytest.approx(
+            swapped * MACHINE.num_devices
+        )
 
     def test_normalized_helper(self):
         ideal = evaluate_ideal(_huge_mlp, 128, MACHINE)

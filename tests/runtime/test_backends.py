@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro
 from repro.errors import ExecutionError
 from repro.runtime import (
     Executor,
@@ -11,6 +12,7 @@ from repro.runtime import (
     get_execution_backend,
     register_execution_backend,
 )
+from repro.sim.device import k80_8gpu_machine
 
 EXPECTED_BACKENDS = {
     "tofu-partitioned",
@@ -58,6 +60,21 @@ class TestRegistry:
         with pytest.raises(ExecutionError, match="requires a partition plan"):
             Executor().lower(mlp_bundle.graph, backend="tofu-partitioned")
 
-    def test_placement_without_mapping_rejected(self, mlp_bundle):
+    def test_placement_backend_matches_placement_strategy(self, mlp_bundle):
+        machine = k80_8gpu_machine(4)
+        program = Executor().lower(
+            mlp_bundle.graph, machine=machine, backend="placement"
+        )
+        compiled = repro.compile(
+            mlp_bundle.graph, "placement", machine, lower_only=True
+        ).program
+        assert program.task_graph.rows == compiled.task_graph.rows
+        assert program.per_device_memory == compiled.per_device_memory
+
+    def test_placement_rejects_a_device_map(self, mlp_bundle):
         with pytest.raises(ExecutionError, match="device_of_node"):
-            Executor().lower(mlp_bundle.graph, backend="placement")
+            Executor().lower(
+                mlp_bundle.graph,
+                backend="placement",
+                backend_options={"device_of_node": {}},
+            )

@@ -11,7 +11,6 @@ import pytest
 
 from repro.partition.recursive import recursive_partition
 from repro.runtime import Executor, available_execution_backends
-from repro.runtime.passes import round_robin_layer_placement
 from repro.sim.device import ClusterSpec, k80_8gpu_machine
 
 MACHINE = k80_8gpu_machine(4)
@@ -20,10 +19,6 @@ CLUSTER = ClusterSpec(machines=[MACHINE])
 
 def _backend_setup(name, graph):
     """(options, plan) each registered backend needs on the 4-GPU fixture."""
-    if name == "placement":
-        return {
-            "device_of_node": round_robin_layer_placement(graph, 4)
-        }, None
     if name == "tofu-partitioned":
         return {}, recursive_partition(graph, 4)
     if name == "hybrid":

@@ -18,17 +18,6 @@ class TestExecutorFacade:
         """Acceptance: every execution style lowers and simulates through
         the :class:`Executor`."""
         plan = Planner().plan(mlp_bundle.graph, 4, machine=MACHINE)
-        device_of_node = {
-            node: mlp_bundle.layer_of_node.get(node, 0) % 4
-            for node in mlp_bundle.graph.nodes
-        }
-        options = {
-            "tofu-partitioned": {},
-            "single-device": {},
-            "placement": {"device_of_node": device_of_node},
-            "data-parallel": {},
-            "swap": {},
-        }
         executor = Executor()
         for backend in (
             "tofu-partitioned", "single-device", "placement",
@@ -39,7 +28,6 @@ class TestExecutorFacade:
                 plan=plan,
                 machine=MACHINE,
                 backend=backend,
-                backend_options=options[backend],
             )
             result = executor.simulate(program)
             assert result.iteration_time > 0, backend

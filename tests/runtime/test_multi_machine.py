@@ -105,7 +105,7 @@ class TestEnginePerLinkQueues:
         make_comm_task(tasks, "a", 2, gb, src=0)
         make_comm_task(tasks, "b", 4, gb, src=0)
         result = TaskGraphSimulator(cluster).run(tasks, check_memory=False)
-        single = cluster.network_link(1).transfer_time(gb)
+        single = cluster.link_between(0, 2).transfer_time(gb)
         # Different destination NICs: both finish in one transfer time.
         assert result.iteration_time == pytest.approx(single)
         assert set(result.per_link_busy_time) == {"net:m1", "net:m2"}
@@ -117,7 +117,7 @@ class TestEnginePerLinkQueues:
         make_comm_task(tasks, "a", 2, gb, src=0)
         make_comm_task(tasks, "b", 3, gb, src=1)
         result = TaskGraphSimulator(cluster).run(tasks, check_memory=False)
-        single = cluster.network_link(1).transfer_time(gb)
+        single = cluster.link_between(0, 2).transfer_time(gb)
         assert result.iteration_time == pytest.approx(2 * single)
         assert result.network_busy_time() == pytest.approx(2 * single)
 
@@ -337,13 +337,8 @@ class TestClusterBackends:
 
     def test_placement_copies_cross_machines_over_net(self, mlp_bundle):
         cluster = cluster_of(k80_8gpu_machine(2), 2)
-        device_of_node = {
-            node: index % 4
-            for index, node in enumerate(mlp_bundle.graph.nodes)
-        }
         program = Executor().lower(
-            mlp_bundle.graph, machine=cluster, backend="placement",
-            backend_options={"device_of_node": device_of_node},
+            mlp_bundle.graph, machine=cluster, backend="placement"
         )
         kinds = {
             _link(program, t).kind for t in program.tasks.values()

@@ -47,19 +47,12 @@ class TestBackendParity:
         assert result.per_device_compute_time == direct.per_device_compute_time
 
     def test_placement(self, bundle):
-        device_of_node = {
-            node: bundle.layer_of_node.get(node, 0) % 4
-            for node in bundle.graph.nodes
-        }
-        program = lower_placement(bundle.graph, MACHINE, device_of_node=device_of_node)
+        program = lower_placement(bundle.graph, MACHINE)
         tasks, memory = program.tasks, program.per_device_memory
         direct = TaskGraphSimulator(MACHINE).run(tasks, peak_memory=memory)
         executor = Executor()
         program = executor.lower(
-            bundle.graph,
-            machine=MACHINE,
-            backend="placement",
-            backend_options={"device_of_node": device_of_node},
+            bundle.graph, machine=MACHINE, backend="placement"
         )
         result = executor.simulate(program)
         assert result.iteration_time == direct.iteration_time

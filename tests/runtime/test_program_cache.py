@@ -34,7 +34,6 @@ from repro.runtime import (
     available_execution_backends,
     lowered_cache_key,
 )
-from repro.runtime.passes import round_robin_layer_placement
 from repro.sim.device import ClusterSpec, cluster_of, k80_8gpu_machine
 from repro.sim.engine import Task
 
@@ -44,8 +43,6 @@ CLUSTER = ClusterSpec(machines=[MACHINE])
 
 def _backend_setup(name, graph):
     """(options, plan) each registered backend needs on the 4-GPU fixture."""
-    if name == "placement":
-        return {"device_of_node": round_robin_layer_placement(graph, 4)}, None
     if name == "tofu-partitioned":
         return {}, recursive_partition(graph, 4)
     if name == "hybrid":

@@ -120,11 +120,19 @@ class TestLinkResolution:
         assert cluster.link_between(5, 0).key == "net:m0"
 
     def test_host_link_is_per_machine(self, cluster):
-        assert cluster.host_link(0).key == "cpu:m0"
-        assert cluster.host_link(6).key == "cpu:m1"
-        assert cluster.host_link(6).bandwidth == (
-            cluster.machines[1].cpu_bandwidth
-        )
+        assert cluster.link_between(HOST_DEVICE, 0).key == "cpu:m0"
+        link = cluster.link_between(HOST_DEVICE, 6)
+        assert link.key == "cpu:m1"
+        assert link.bandwidth == cluster.machines[1].cpu_bandwidth
+
+    def test_gather_split_names_an_off_machine_source(self, cluster):
+        # Four of the eight workers share device 5's machine; the rest are
+        # fetched from the first worker on the other machine.
+        assert cluster.gather_split(5, 8) == (0.5, 0)
+        assert cluster.gather_split(0, 8) == (0.5, 4)
+        # Workers confined to one machine gather everything over PCI-e.
+        assert cluster.gather_split(1, 4) == (1.0, None)
+        assert k80_8gpu_machine(4).gather_split(2, 4) == (1.0, None)
 
     def test_bare_machine_mirrors_single_machine_cluster(self):
         for num_gpus in (1, 2, 8):
@@ -143,7 +151,6 @@ class TestLinkResolution:
             for device in devices:
                 assert machine.machine_of(device) == 0
                 assert wrapped.machine_of(device) == 0
-                assert machine.host_link(device) == wrapped.host_link(device)
             for topology in (machine, wrapped):
                 for bad in (-2, HOST_DEVICE, num_gpus):
                     with pytest.raises(SimulationError, match="out of range"):

@@ -34,7 +34,6 @@ from repro.runtime import (
     ExecutorConfig,
     available_execution_backends,
 )
-from repro.runtime.passes import round_robin_layer_placement
 from repro.sim.device import ClusterSpec, cluster_of, k80_8gpu_machine
 from repro.sim.engine import (
     Task,
@@ -58,9 +57,7 @@ TOPOLOGY_IDS = ["machine", "cluster", "cluster2", "cluster2x4"]
 #: devices.
 CASES = {
     "single-device": ("single-device", lambda graph, n: ({}, None)),
-    "placement": ("placement", lambda graph, n: (
-        {"device_of_node": round_robin_layer_placement(graph, n)}, None,
-    )),
+    "placement": ("placement", lambda graph, n: ({}, None)),
     "data-parallel": ("data-parallel", lambda graph, n: ({}, None)),
     "swap": ("swap", lambda graph, n: ({}, None)),
     "pipeline": ("pipeline", lambda graph, n: (

@@ -1,7 +1,8 @@
 """The AST invariant linter stays clean on the tree and keeps catching
 seeded violations (layering back-edges, undescribed registry entries,
-collector switches, package-metadata discovery, and multiprocessing,
-concurrent, threading and contextvars imports)."""
+collector switches, package-metadata discovery, multiprocessing,
+concurrent, threading and contextvars imports, and machine lookups outside
+the topology)."""
 
 import ast
 import sys
@@ -169,3 +170,23 @@ def test_lint_fails_on_a_tree_with_a_seeded_import_threading(tmp_path):
     (tmp_path / "caching.py").write_text("import threading\n")
     violations = lint_invariants.lint(tmp_path)
     assert [(v.line, v.rule) for v in violations] == [(1, "banned-import")]
+
+
+def test_machine_locality_catches_a_backend_comparing_machines():
+    tree = ast.parse(
+        "def hop(topology, device, neighbour):\n"
+        "    if topology.machine_of(device) != topology.machine_of(neighbour):\n"
+        "        return topology.locate(device)\n"
+        "    return topology.link_between(neighbour, device)\n"
+    )
+    violations = lint_invariants.check_machine_locality(
+        lint_invariants.SRC / "runtime" / "backends.py", tree)
+    assert [v.line for v in violations] == [2, 2, 3]
+    assert all(v.rule == "machine-locality" for v in violations)
+
+
+def test_machine_locality_allows_the_topology_and_stage_placement():
+    tree = ast.parse("devices = topology.devices_of_machine(0)\n")
+    for allowed in (("sim", "device.py"), ("runtime", "passes.py")):
+        path = lint_invariants.SRC.joinpath(*allowed)
+        assert lint_invariants.check_machine_locality(path, tree) == []

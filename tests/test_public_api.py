@@ -235,7 +235,7 @@ KNOB_SNAPSHOT = {
         "fuse_remote_fetch", "add_control_dependencies", "spread_reduction",
     ),
     "execution:single-device": (),
-    "execution:placement": ("device_of_node",),
+    "execution:placement": (),
     "execution:data-parallel": (),
     "execution:swap": (),
     "execution:pipeline": ("num_stages", "num_microbatches", "schedule"),
@@ -283,4 +283,4 @@ def test_knob_surface_matches_snapshot():
         "knob needs a caller outside the tests; update KNOB_SNAPSHOT in "
         "tests/test_public_api.py if this change is intentional"
     )
-    assert sum(len(knobs) for knobs in surface.values()) == 31
+    assert sum(len(knobs) for knobs in surface.values()) == 30

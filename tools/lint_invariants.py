@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """AST invariant linter: layering, registry hygiene, collector discipline,
-in-process registration, banned imports.
+in-process registration, banned imports, machine locality.
 
-Five structural invariants the test suite cannot cheaply express are
+Six structural invariants the test suite cannot cheaply express are
 checked here over the source tree with nothing but ``ast`` (no imports of
 the code under analysis, no third-party dependencies):
 
@@ -42,6 +42,14 @@ the code under analysis, no third-party dependencies):
    (a graph carries its own signature).  The one process-wide store a
    compile reads, the compile memo (``repro.graph.memo``), caches only pure
    functions of frozen inputs, so no result depends on whether it is open.
+
+6. **Machine locality** — ``machine_of``, ``devices_of_machine`` and
+   ``locate`` (which machine holds a device) are referenced only in
+   ``sim/device.py``, where links are resolved, and ``runtime/passes.py``,
+   where pipeline stages are placed across machines.  Lowering names a
+   transfer's endpoints and the topology prices the link between them
+   (``link_between``); a backend comparing machines itself would hard-code
+   one topology's hierarchy.
 
 Run from the repository root::
 
@@ -353,6 +361,28 @@ def check_banned_imports(path: Path, tree: ast.Module) -> List[Violation]:
 
 
 # ---------------------------------------------------------------------------
+# Rule 6: machine locality
+# ---------------------------------------------------------------------------
+#: Topology methods that map a device to its machine.
+MACHINE_LOOKUPS = {"machine_of", "devices_of_machine", "locate"}
+#: The files (relative to src/repro) allowed to reference them.
+MACHINE_LOOKUP_FILES = {"sim/device.py", "runtime/passes.py"}
+
+
+def check_machine_locality(path: Path, tree: ast.Module,
+                           root: Path = SRC) -> List[Violation]:
+    if path.relative_to(root).as_posix() in MACHINE_LOOKUP_FILES:
+        return []
+    return [
+        Violation(path, node.lineno, "machine-locality",
+                  f"{node.attr} referenced; name the transfer's endpoints "
+                  f"and let the topology resolve the link (link_between)")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in MACHINE_LOOKUPS
+    ]
+
+
+# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 def lint(root: Path = SRC) -> List[Violation]:
@@ -365,6 +395,7 @@ def lint(root: Path = SRC) -> List[Violation]:
         violations.extend(check_collector_discipline(path, tree, root))
         violations.extend(check_in_process_registration(path, tree))
         violations.extend(check_banned_imports(path, tree))
+        violations.extend(check_machine_locality(path, tree, root))
     return violations
 
 
@@ -376,7 +407,8 @@ def main() -> int:
         print(f"{len(violations)} invariant violation(s)", file=sys.stderr)
         return 1
     print("invariants clean: layering, registry hygiene, collector "
-          "discipline, in-process registration, banned imports")
+          "discipline, in-process registration, banned imports, machine "
+          "locality")
     return 0
 
 
