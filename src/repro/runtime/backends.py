@@ -10,8 +10,8 @@ registered execution style without hand-wiring imports:
 
 * ``tofu-partitioned`` — Tofu's per-worker sharded execution (Sec 6);
 * ``single-device`` — the whole graph on one GPU (Ideal / SmallBatch);
-* ``placement`` — whole operators assigned to devices, cross-device
-  activations copied over PCI-e (the Operator-Placement baseline);
+* ``placement`` — layers dealt round-robin over the devices, cross-device
+  activations copied between them (the Operator-Placement baseline);
 * ``data-parallel`` — every device runs the full graph on its batch shard and
   gradients are ring-all-reduced;
 * ``swap`` — single-GPU execution with LRU swapping over the shared CPU link

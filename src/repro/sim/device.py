@@ -17,7 +17,9 @@ source device, every peer (``None``) or the host (:data:`HOST_DEVICE`), and
 a destination device — to the :class:`Link` the transfer actually crosses,
 which is what the simulator's per-link contention queues price against.
 A transfer only reaches the network link when its endpoints sit on two
-different machines.
+different machines.  Lowering never asks which machine holds a device: it
+names endpoints, and ``gather_split`` says how a gather spread over the
+workers divides between the links it crosses.
 """
 
 from __future__ import annotations
