@@ -1,9 +1,9 @@
 """Parallelisation-strategy comparison — pipeline and hybrid vs. Tofu.
 
 The paper's evaluation (Sec 7) argues operator partitioning against the
-alternative parallelisation strategies the related work proposes; the runtime
-now registers those alternatives as first-class execution backends, so this
-benchmark lines them up on the stacked-LSTM workload: single-device (the
+alternative parallelisation strategies the related work proposes.  Each
+alternative is a strategy expression evaluated by ``evaluate_strategy``, and
+this benchmark lines them up on the stacked-LSTM workload: single-device (the
 per-GPU baseline), GPipe/1F1B micro-batch pipelining, hybrid data+model
 parallelism (replica groups x Tofu partitioning), and Tofu itself.
 
@@ -15,15 +15,14 @@ communication-heavy configurations.
 
 from common import grid, once, print_header, print_throughput_table
 from repro.baselines.evaluation import (
-    evaluate_hybrid,
     evaluate_ideal,
-    evaluate_pipeline,
     evaluate_strategy,
     evaluate_tofu,
 )
 from repro.models.rnn import build_rnn
 
 GLOBAL_BATCH = 256
+NUM_GPUS = 8  # the evaluators' default machine
 SYSTEMS = [
     "ideal", "pipeline-gpipe", "pipeline-1f1b", "hybrid", "dp2/pipe2/tofu",
     "tofu",
@@ -37,17 +36,22 @@ def _evaluate(layers: int, hidden: int):
             batch_size=batch_size,
         )
 
+    # One stage per layer, capped at the device count; 4 micro-batches.
+    stages = min(layers, NUM_GPUS)
     return {
         "ideal": evaluate_ideal(build_fn, GLOBAL_BATCH),
-        "pipeline-gpipe": evaluate_pipeline(
-            build_fn, GLOBAL_BATCH, schedule="gpipe",
+        "pipeline-gpipe": evaluate_strategy(
+            build_fn, GLOBAL_BATCH, strategy=f"pipeline:{stages}:gpipe:4",
             system_name="pipeline-gpipe",
         ),
-        "pipeline-1f1b": evaluate_pipeline(
-            build_fn, GLOBAL_BATCH, schedule="1f1b",
+        "pipeline-1f1b": evaluate_strategy(
+            build_fn, GLOBAL_BATCH, strategy=f"pipeline:{stages}:1f1b:4",
             system_name="pipeline-1f1b",
         ),
-        "hybrid": evaluate_hybrid(build_fn, GLOBAL_BATCH, replica_groups=2),
+        # 2 data-parallel replica groups, each partitioned by Tofu.
+        "hybrid": evaluate_strategy(
+            build_fn, GLOBAL_BATCH, strategy="dp:2/tofu", system_name="hybrid",
+        ),
         # The composed strategy expression, routed through repro.compile:
         # 2 replica groups x 2-stage 1F1B pipeline of 4 micro-batches.
         "dp2/pipe2/tofu": evaluate_strategy(

@@ -115,7 +115,7 @@ def _check_metadata_memory(model) -> List[Finding]:
             device = int(raw_device)
         except (TypeError, ValueError):
             device = None
-        if device is None or not -1 <= device < machine.num_devices:
+        if device is None or not 0 <= device < machine.num_devices:
             findings.append(
                 Finding(
                     code="ANA009_DEVICE_RANGE",

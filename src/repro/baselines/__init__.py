@@ -2,10 +2,8 @@
 
 from repro.baselines.evaluation import (
     SystemResult,
-    evaluate_hybrid,
     evaluate_ideal,
     evaluate_opplacement,
-    evaluate_pipeline,
     evaluate_smallbatch,
     evaluate_strategy,
     evaluate_swapping,
@@ -21,10 +19,8 @@ __all__ = [
     "SystemResult",
     "allrow_greedy_plan",
     "equalchop_plan",
-    "evaluate_hybrid",
     "evaluate_ideal",
     "evaluate_opplacement",
-    "evaluate_pipeline",
     "evaluate_smallbatch",
     "evaluate_strategy",
     "evaluate_swapping",

@@ -21,15 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Optional, Union
 
-from repro.errors import StrategyError
 from repro.graph.memory_planner import plan_memory
 from repro.models.layers import ModelBundle
 from repro.runtime import Executor, LoweredProgram
-from repro.runtime.passes import full_layer_assignment
 from repro.sim.device import MachineSpec, k80_8gpu_machine
 from repro.sim.engine import SimResult
-from repro.strategy import Strategy, dp, parse_strategy
-from repro.strategy import pipeline as pipeline_strategy
+from repro.strategy import Strategy, parse_strategy
 from repro.strategy import placement as placement_strategy
 from repro.strategy import single as single_strategy
 from repro.strategy import swap as swap_strategy
@@ -323,7 +320,6 @@ def _evaluate(
     machine: MachineSpec,
     strategy: Strategy,
     *,
-    planner: Optional["Planner"] = None,
     flat_from_global: bool = True,
     adjust: Optional[Callable[[LoweredProgram], LoweredProgram]] = None,
 ) -> SystemResult:
@@ -335,7 +331,7 @@ def _evaluate(
     from repro.planner import Planner
 
     build_fn = _memoized_build_fn(build_fn)
-    lower = _lowering(strategy, machine, planner=planner or Planner())
+    lower = _lowering(strategy, machine, planner=Planner())
 
     def lower_adjusted(bundle: ModelBundle) -> LoweredProgram:
         program = lower(bundle)
@@ -390,21 +386,12 @@ def evaluate_tofu(
     build_fn: BuildFn,
     global_batch: int,
     machine: Optional[MachineSpec] = None,
-    *,
-    planner: Optional["Planner"] = None,
-    backend: Optional[str] = None,
-    system_name: str = "tofu",
 ) -> SystemResult:
-    """Partition the graph across all GPUs with Tofu and simulate it.
-
-    The batch search over ``tofu(backend)``: ``backend`` selects any
-    registered search algorithm (the Figure 10 alternatives included;
-    ``None`` is the ``tofu`` search) and ``planner`` can supply a shared
-    plan cache.
-    """
+    """Partition the graph across all GPUs with Tofu and simulate it: the
+    batch search over ``tofu``."""
     return _evaluate(
-        system_name, build_fn, global_batch, machine or k80_8gpu_machine(),
-        tofu_strategy(backend), planner=planner, flat_from_global=False,
+        "tofu", build_fn, global_batch, machine or k80_8gpu_machine(),
+        tofu_strategy(), flat_from_global=False,
     )
 
 
@@ -414,7 +401,6 @@ def evaluate_strategy(
     machine: Optional[MachineSpec] = None,
     *,
     strategy: Union[Strategy, str] = "tofu",
-    planner: Optional["Planner"] = None,
     system_name: Optional[str] = None,
 ) -> SystemResult:
     """Evaluate any :mod:`repro.strategy` expression end to end.
@@ -427,123 +413,5 @@ def evaluate_strategy(
     strategy = parse_strategy(strategy)
     return _evaluate(
         system_name or str(strategy), build_fn, global_batch,
-        machine or k80_8gpu_machine(), strategy, planner=planner,
-    )
-
-
-def _default_stage_count(
-    build_fn: BuildFn, global_batch: int, devices: int, machine: MachineSpec
-) -> int:
-    """One stage per device, capped by the model's layer count (the pipeline
-    backend's own default, computed up front so it can go in the strategy).
-
-    The probe uses the batch search's probe batch, so a memoized
-    ``build_fn`` shares the bundle with the search's own probe.
-    """
-    probe = build_fn(_probe_batch(global_batch, machine))
-    num_layers = len(set(full_layer_assignment(probe.graph).values()))
-    return max(1, min(devices, num_layers))
-
-
-def evaluate_pipeline(
-    build_fn: BuildFn,
-    global_batch: int,
-    machine: Optional[MachineSpec] = None,
-    *,
-    num_stages: Optional[int] = None,
-    num_microbatches: int = 4,
-    schedule: str = "1f1b",
-    system_name: str = "pipeline",
-) -> SystemResult:
-    """GPipe/1F1B micro-batch pipelining, one stage per device.
-
-    ``evaluate_strategy`` with ``pipeline(stages, schedule, microbatches)``;
-    the whole global batch flows through the pipeline in micro-batches and
-    the largest batch whose bottleneck stage fits device memory wins.
-    """
-    machine = machine or k80_8gpu_machine()
-    build_fn = _memoized_build_fn(build_fn)
-    if num_stages is None:
-        num_stages = _default_stage_count(
-            build_fn, global_batch, machine.num_devices, machine
-        )
-    return evaluate_strategy(
-        build_fn,
-        global_batch,
-        machine,
-        strategy=pipeline_strategy(num_stages, schedule, num_microbatches),
-        system_name=system_name,
-    )
-
-
-_INNER_LEAVES = {
-    "single-device": single_strategy,
-    "placement": placement_strategy,
-    "swap": swap_strategy,
-}
-
-
-def evaluate_hybrid(
-    build_fn: BuildFn,
-    global_batch: int,
-    machine: Optional[MachineSpec] = None,
-    *,
-    replica_groups: int = 2,
-    inner: str = "tofu-partitioned",
-    planner: Optional["Planner"] = None,
-    backend: Optional[str] = None,
-    system_name: str = "hybrid",
-) -> SystemResult:
-    """Data-parallel replica groups, each running Tofu partitioning (or any
-    inner execution backend) on its share of the batch.
-
-    ``evaluate_strategy`` with ``dp(groups) / inner``.  ``inner`` accepts
-    the execution-backend names the CLI exposes (``tofu-partitioned``,
-    ``pipeline``, ``single-device``, ...) or any strategy expression.  An
-    execution backend the strategy algebra cannot spell (``data-parallel``,
-    or one registered with ``register_execution_backend``) is lowered through
-    the ``hybrid`` executor directly, under the same batch search.
-    """
-    machine = machine or k80_8gpu_machine()
-    build_fn = _memoized_build_fn(build_fn)
-    group_devices = max(1, machine.num_devices // max(1, replica_groups))
-    if inner == "pipeline":
-        leaf = pipeline_strategy(
-            _default_stage_count(build_fn, global_batch, group_devices, machine)
-        )
-    elif inner == "tofu-partitioned":
-        leaf = tofu_strategy(backend)
-    elif inner in _INNER_LEAVES:
-        leaf = _INNER_LEAVES[inner]()
-    else:
-        try:
-            leaf = parse_strategy(inner)
-        except StrategyError:
-            leaf = None
-    if leaf is not None:
-        return evaluate_strategy(
-            build_fn, global_batch, machine,
-            strategy=dp(replica_groups) / leaf, planner=planner,
-            system_name=system_name,
-        )
-
-    executor = Executor()
-    options = {"replica_groups": replica_groups, "inner": inner}
-
-    def lower(bundle: ModelBundle) -> LoweredProgram:
-        return executor.lower(
-            bundle.graph, machine=machine, backend="hybrid", backend_options=options,
-        )
-
-    # The inner backend is opaque to the footprint estimate: assume it
-    # shards the weights over its group's devices, like dp(groups) / tofu().
-    return _search_batch(
-        system_name, build_fn,
-        _first_batch(
-            build_fn, global_batch, machine, lower,
-            dp(replica_groups) / tofu_strategy(),
-        ),
-        machine, lower,
-        model=build_fn(_probe_batch(global_batch, machine)).name,
-        notes=f"hybrid inner {inner}",
+        machine or k80_8gpu_machine(), strategy,
     )

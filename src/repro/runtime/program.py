@@ -140,24 +140,26 @@ class LoweredProgram:
         return 1
 
     def bubble_fraction(self, result: SimResult) -> float:
-        """Fraction of aggregate stage time ``result`` spent idle (the
+        """Fraction of aggregate device time ``result`` spent idle (the
         pipeline bubble); 0.0 for an unstaged program.
 
         Only the devices the staged program occupies count: the simulator
         reports idle time for *every* topology device, and a device the
         pipeline never placed a stage on is spare capacity, not bubble.
+        Every device counted adds one iteration to the aggregate, so the
+        G replica groups of ``dp:G/pipeline:S`` weigh G*S devices.
         """
         if self.schedule is None:
             return 0.0
-        total = self.schedule.num_stages * result.iteration_time
-        if total <= 0:
-            return 0.0
-        bubble = sum(
+        idle_times = [
             idle
             for device, idle in result.per_device_idle_time.items()
             if device in self.per_device_memory
-        )
-        return min(1.0, bubble / total)
+        ]
+        total = len(idle_times) * result.iteration_time
+        if total <= 0:
+            return 0.0
+        return min(1.0, sum(idle_times) / total)
 
     def summary(self) -> str:
         """One human-readable line per headline stat of the lowering."""

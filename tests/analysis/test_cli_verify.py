@@ -43,3 +43,18 @@ def test_verify_tampered_model_reports_findings(saved_model, capsys):
     assert rc == 1
     assert "ANA002_WORKER_MISMATCH" in err
     assert "finding(s)" in out
+
+
+@pytest.mark.parametrize("device", ["-1", "2"], ids=["host", "past-the-end"])
+def test_verify_flags_a_saved_budget_outside_the_devices(
+    saved_model, capsys, device
+):
+    """The host (device -1) is no GPU a memory report may budget, just as
+    the live memory-plan check and the simulator reject it."""
+    payload = json.loads(saved_model.read_text())
+    payload["program"]["per_device_memory"][device] = 123
+    saved_model.write_text(json.dumps(payload))
+    rc = main(["verify", str(saved_model)])
+    _, err = capsys.readouterr()
+    assert rc == 1
+    assert "ANA009_DEVICE_RANGE" in err

@@ -3,10 +3,8 @@
 import pytest
 
 from repro.baselines.evaluation import (
-    evaluate_hybrid,
     evaluate_ideal,
     evaluate_opplacement,
-    evaluate_pipeline,
     evaluate_smallbatch,
     evaluate_strategy,
     evaluate_swapping,
@@ -109,8 +107,8 @@ class TestStrategyEvaluator:
         assert result.extras["replica_groups"] == 2.0
 
     def test_pipeline_evaluator_routes_through_strategy(self):
-        result = evaluate_pipeline(
-            _small_rnn, 64, MACHINE, num_stages=2, num_microbatches=4
+        result = evaluate_strategy(
+            _small_rnn, 64, MACHINE, strategy="pipeline:2:1f1b:4"
         )
         assert not result.oom and result.throughput > 0
         assert result.extras["num_stages"] == 2.0
@@ -118,27 +116,20 @@ class TestStrategyEvaluator:
         assert "strategy pipeline:2:1f1b:4" in result.notes
 
     def test_hybrid_evaluator_routes_through_strategy(self):
-        result = evaluate_hybrid(_small_rnn, 64, MACHINE, replica_groups=2)
+        result = evaluate_strategy(
+            _small_rnn, 64, MACHINE, strategy="dp:2/tofu", system_name="hybrid"
+        )
         assert not result.oom and result.throughput > 0
+        assert result.system == "hybrid"
         assert result.extras["replica_groups"] == 2.0
         assert "strategy dp:2/tofu" in result.notes
 
     def test_hybrid_with_pipeline_inner(self):
-        result = evaluate_hybrid(
-            _small_rnn, 64, MACHINE, replica_groups=2, inner="pipeline"
+        result = evaluate_strategy(
+            _small_rnn, 64, MACHINE, strategy="dp:2/pipeline:2"
         )
         assert not result.oom and result.throughput > 0
         assert result.extras["num_microbatches"] >= 1.0
-
-    def test_hybrid_with_unmapped_backend_inner(self):
-        """Inner backends without a strategy spelling (data-parallel,
-        plugins) still evaluate through the hybrid executor directly."""
-        result = evaluate_hybrid(
-            _small_mlp, 64, MACHINE, replica_groups=2, inner="data-parallel"
-        )
-        assert not result.oom and result.throughput > 0
-        assert result.extras["replica_groups"] == 2.0
-        assert "hybrid inner data-parallel" in result.notes
 
     def test_oversized_strategy_reports_oom(self):
         result = evaluate_strategy(

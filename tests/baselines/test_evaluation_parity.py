@@ -7,13 +7,13 @@ search, so any change to how a system picks its batch, lowers its program,
 or simulates it shows up here as an exact mismatch.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.baselines.evaluation import (
-    evaluate_hybrid,
     evaluate_ideal,
     evaluate_opplacement,
-    evaluate_pipeline,
     evaluate_smallbatch,
     evaluate_strategy,
     evaluate_swapping,
@@ -44,15 +44,6 @@ SYSTEMS = {
         f, b, m, overhead_factor=2.0, system_name="tf"
     ),
     "tofu": evaluate_tofu,
-    "pipeline": evaluate_pipeline,
-    "pipeline-gpipe": lambda f, b, m: evaluate_pipeline(f, b, m, schedule="gpipe"),
-    "hybrid": lambda f, b, m: evaluate_hybrid(f, b, m, replica_groups=2),
-    "hybrid-pipe": lambda f, b, m: evaluate_hybrid(
-        f, b, m, replica_groups=2, inner="pipeline"
-    ),
-    "hybrid-dp": lambda f, b, m: evaluate_hybrid(
-        f, b, m, replica_groups=2, inner="data-parallel"
-    ),
     "dp2/pipe2/tofu": lambda f, b, m: evaluate_strategy(
         f, b, m, strategy="dp:2/pipeline:2:1f1b:4/tofu"
     ),
@@ -60,11 +51,28 @@ SYSTEMS = {
     "placement-s": lambda f, b, m: evaluate_strategy(f, b, m, strategy="placement"),
 }
 
+# The composed baselines, each an explicit strategy per model and machine:
+# one pipeline stage per layer (small_mlp has 4, small_rnn 2), capped at the
+# GPUs a stage set runs on (all of them, or one replica group's under dp:2).
+COMPOSED = {
+    ("small_mlp", 8, "pipeline"): "pipeline:4:1f1b:4",
+    ("small_mlp", 8, "pipeline-gpipe"): "pipeline:4:gpipe:4",
+    ("small_mlp", 8, "hybrid"): "dp:2/tofu",
+    ("small_mlp", 8, "hybrid-pipe"): "dp:2/pipeline:4:1f1b:4",
+    ("small_mlp", 4, "pipeline"): "pipeline:4:1f1b:4",
+    ("small_mlp", 4, "pipeline-gpipe"): "pipeline:4:gpipe:4",
+    ("small_mlp", 4, "hybrid"): "dp:2/tofu",
+    ("small_mlp", 4, "hybrid-pipe"): "dp:2/pipeline:2:1f1b:4",
+    ("small_rnn", 4, "pipeline"): "pipeline:2:1f1b:4",
+    ("small_rnn", 4, "pipeline-gpipe"): "pipeline:2:gpipe:4",
+    ("small_rnn", 4, "hybrid"): "dp:2/tofu",
+    ("small_rnn", 4, "hybrid-pipe"): "dp:2/pipeline:2:1f1b:4",
+}
+
 # (model, GPUs, system, batch size, iteration seconds)
 PINNED = [
     ("small_mlp", 8, "dp2/pipe2/tofu", 128, 0.0011512224811531793),
     ("small_mlp", 8, "hybrid", 128, 0.0005377855264926976),
-    ("small_mlp", 8, "hybrid-dp", 128, 0.0005311477407784119),
     ("small_mlp", 8, "hybrid-pipe", 128, 0.0007641180819723994),
     ("small_mlp", 8, "ideal", 128, 0.0009406681966685754),
     ("small_mlp", 8, "op-placement", 128, 0.000979805858938799),
@@ -78,7 +86,6 @@ PINNED = [
     ("small_mlp", 8, "tofu", 8, 0.0004161046018685566),
     ("small_mlp", 4, "dp2/pipe2/tofu", 128, 0.0011903081954388935),
     ("small_mlp", 4, "hybrid", 128, 0.0006098881728239376),
-    ("small_mlp", 4, "hybrid-dp", 128, 0.0006032504109191758),
     ("small_mlp", 4, "hybrid-pipe", 128, 0.0011903081954388935),
     ("small_mlp", 4, "ideal", 128, 0.0010442265878102327),
     ("small_mlp", 4, "op-placement", 128, 0.000979805858938799),
@@ -92,7 +99,6 @@ PINNED = [
     ("small_mlp", 4, "tofu", 8, 0.00046153077087833413),
     ("small_rnn", 4, "dp2/pipe2/tofu", 64, 0.005463475983830373),
     ("small_rnn", 4, "hybrid", 64, 0.0032493113717330067),
-    ("small_rnn", 4, "hybrid-dp", 64, 0.0032485311336377686),
     ("small_rnn", 4, "hybrid-pipe", 64, 0.005463475983830373),
     ("small_rnn", 4, "ideal", 64, 0.005206162680059198),
     ("small_rnn", 4, "op-placement", 64, 0.004899545245880385),
@@ -114,7 +120,12 @@ PINNED = [
 )
 def test_evaluator_verdict_is_pinned(model, gpus, system, batch_size, iteration_time):
     build_fn, global_batch = MODELS[model]
-    result = SYSTEMS[system](build_fn, global_batch, k80_8gpu_machine(gpus))
+    strategy = COMPOSED.get((model, gpus, system))
+    evaluate = (
+        SYSTEMS[system] if strategy is None
+        else partial(evaluate_strategy, strategy=strategy)
+    )
+    result = evaluate(build_fn, global_batch, k80_8gpu_machine(gpus))
     assert not result.oom
     assert result.batch_size == batch_size
     assert result.iteration_time == iteration_time

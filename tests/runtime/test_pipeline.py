@@ -233,6 +233,22 @@ class TestPipelineExecution:
 
         assert bubble(8) < bubble(2)
 
+    def test_replica_groups_bubble_is_the_mean_device_idle_share(self):
+        """dp:2 over pipeline:4 runs 8 stage devices: its bubble is their
+        mean idle share, not twice it (one group's stage count)."""
+        graph = build_rnn(
+            num_layers=4, hidden_size=1024, seq_len=4, batch_size=64
+        ).graph
+        model = repro.compile(
+            graph, "dp:2/pipeline:4:1f1b:4", k80_8gpu_machine(8)
+        )
+        idle = model.result.per_device_idle_time
+        assert set(model.program.per_device_memory) == set(range(8))
+        mean_idle = sum(idle[d] for d in range(8)) / 8
+        assert model.program.bubble_fraction(model.result) == pytest.approx(
+            mean_idle / model.result.iteration_time
+        )
+
     def test_1f1b_uses_no_more_memory_than_gpipe(self, big_rnn_bundle):
         executor = Executor()
 

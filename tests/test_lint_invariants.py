@@ -1,8 +1,8 @@
 """The AST invariant linter stays clean on the tree and keeps catching
 seeded violations (layering back-edges, undescribed registry entries,
 collector switches, package-metadata discovery, multiprocessing,
-concurrent, threading and contextvars imports, and machine lookups outside
-the topology)."""
+concurrent, threading and contextvars imports, machine lookups outside
+the topology, and baselines lowering execution backends by name)."""
 
 import ast
 import sys
@@ -190,3 +190,20 @@ def test_machine_locality_allows_the_topology_and_stage_placement():
     for allowed in (("sim", "device.py"), ("runtime", "passes.py")):
         path = lint_invariants.SRC.joinpath(*allowed)
         assert lint_invariants.check_machine_locality(path, tree) == []
+
+
+def test_strategy_only_baselines_catch_a_backend_lowered_by_name():
+    tree = ast.parse(
+        "def lower(executor, graph, machine):\n"
+        "    return executor.lower(\n"
+        "        graph, machine=machine, backend='hybrid',\n"
+        "        backend_options={'inner': 'data-parallel'},\n"
+        "    )\n"
+    )
+    violations = lint_invariants.check_strategy_only_baselines(
+        lint_invariants.SRC / "baselines" / "evaluation.py", tree)
+    assert [v.line for v in violations] == [3, 4]
+    assert all(v.rule == "strategy-only-baselines" for v in violations)
+    # The same call outside the baselines is an execution backend's business.
+    assert lint_invariants.check_strategy_only_baselines(
+        lint_invariants.SRC / "runtime" / "executor.py", tree) == []

@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """AST invariant linter: layering, registry hygiene, collector discipline,
-in-process registration, banned imports, machine locality.
+in-process registration, banned imports, machine locality, strategy-only
+baselines.
 
-Six structural invariants the test suite cannot cheaply express are
+Seven structural invariants the test suite cannot cheaply express are
 checked here over the source tree with nothing but ``ast`` (no imports of
 the code under analysis, no third-party dependencies):
 
@@ -50,6 +51,11 @@ the code under analysis, no third-party dependencies):
    transfer's endpoints and the topology prices the link between them
    (``link_between``); a backend comparing machines itself would hard-code
    one topology's hierarchy.
+
+7. **Strategy-only baselines** — no call under ``src/repro/baselines``
+   passes ``backend=`` or ``backend_options=``.  A Sec 7 system is a
+   strategy expression that ``repro.compile`` compiles, never an
+   execution backend lowered by name.
 
 Run from the repository root::
 
@@ -383,6 +389,31 @@ def check_machine_locality(path: Path, tree: ast.Module,
 
 
 # ---------------------------------------------------------------------------
+# Rule 7: strategy-only baselines
+# ---------------------------------------------------------------------------
+#: Keywords that lower an execution backend by name.
+BACKEND_KEYWORDS = {"backend", "backend_options"}
+#: The package (relative to src/repro) whose calls may not pass them.
+STRATEGY_ONLY_PACKAGE = "baselines"
+
+
+def check_strategy_only_baselines(path: Path, tree: ast.Module,
+                                  root: Path = SRC) -> List[Violation]:
+    if path.relative_to(root).parts[0] != STRATEGY_ONLY_PACKAGE:
+        return []
+    return [
+        Violation(path, keyword.value.lineno, "strategy-only-baselines",
+                  f"{keyword.arg}= passed; evaluate the system as a "
+                  f"strategy expression (evaluate_strategy) instead of "
+                  f"lowering an execution backend by name")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        for keyword in node.keywords
+        if keyword.arg in BACKEND_KEYWORDS
+    ]
+
+
+# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 def lint(root: Path = SRC) -> List[Violation]:
@@ -396,6 +427,7 @@ def lint(root: Path = SRC) -> List[Violation]:
         violations.extend(check_in_process_registration(path, tree))
         violations.extend(check_banned_imports(path, tree))
         violations.extend(check_machine_locality(path, tree, root))
+        violations.extend(check_strategy_only_baselines(path, tree, root))
     return violations
 
 
@@ -408,7 +440,7 @@ def main() -> int:
         return 1
     print("invariants clean: layering, registry hygiene, collector "
           "discipline, in-process registration, banned imports, machine "
-          "locality")
+          "locality, strategy-only baselines")
     return 0
 
 
