@@ -1,0 +1,94 @@
+"""Golden task rows: lowering must emit bit-identical rows per strategy.
+
+Each digest is the sha256 of ``repr(program.task_graph.resolved_rows())``:
+every task's name, device, kind, duration, bytes, dependency ids and
+endpoints, in emission order (floats round-trip exactly through ``repr``).
+Next to it sit the program's ``total_comm_bytes`` and ``per_device_memory``,
+the report a memory screen reads without the rows.  A change to when or how
+rows are emitted that claims to leave programs alone is held to this table.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+import repro
+from repro.runtime import Executor, ExecutorConfig
+
+
+def _even(num_devices, required):
+    return {device: required for device in range(num_devices)}
+
+
+#: (bundle, strategy) -> (rows digest, total comm bytes, per-device memory).
+GOLDEN = {
+    ("mlp", "tofu"): (
+        "fbdcf0b29f8e0c66cc1a5f88da40d6f711d4d038c51330469cdfc311ebe5bdb8",
+        960056.0, _even(8, 346984),
+    ),
+    ("mlp", "single"): (
+        "6ea44e7045e42ed765014b22bf7912e293cf2ff84091b003a77eb869e419fc73",
+        0.0, {0: 2579208},
+    ),
+    ("mlp", "pipeline:2:1f1b:4"): (
+        "459f5945bf7e3f5003f0895fd8455ce27c0c79e269bcfa79d53ca5e377159983",
+        65536.0, {0: 1265664, 1: 768578},
+    ),
+    ("mlp", "pipeline:2:gpipe:4"): (
+        "c1a457b970cad43932151e41c8756af537e226743ac560c1c690b9c0f3b9b370",
+        65536.0, {0: 1478656, 1: 1100552},
+    ),
+    ("mlp", "dp:2/tofu"): (
+        "fd8b47c3d2368a6cdbe347115035005f402236c78f384ce12f59182ccf4ab918",
+        2350616.0, _even(8, 677576),
+    ),
+    ("mlp", "dp:2/pipeline:2:1f1b:4"): (
+        "cb82326b34c09f5bee1735a622e1584c1a6e1dfb04078b57dba105207a04fc57",
+        1776128.0, {0: 1265664, 1: 768578, 4: 1265664, 5: 768578},
+    ),
+    ("rnn", "tofu"): (
+        "3db979aaf968f7395e52abc2091e42f350055a17f9fbfd82850c1320f74bee7c",
+        1966136.0, _even(8, 601092),
+    ),
+    ("rnn", "single"): (
+        "825541b4950a4cdee8435d7b8007445db6c9617e23b3ad2df4b4c8e1acf7adbd",
+        0.0, {0: 4759556},
+    ),
+    ("rnn", "pipeline:2:1f1b:4"): (
+        "8d9c80eac0bd629921b2abc97563c223e87fc8a90a4c1ae19bc36d2706588357",
+        2170880.0, {0: 1589248, 1: 1447937},
+    ),
+    ("rnn", "pipeline:2:gpipe:4"): (
+        "dba2ea61f35ec868909e0c99d47614940ad2cf55302c61da169a5d74958777e3",
+        2170880.0, {0: 2125824, 1: 2633732},
+    ),
+    ("rnn", "dp:2/tofu"): (
+        "41e41b40860b38bcf9025b69a426688892d74197644b9ca87a88e227fe9ed6da",
+        3416088.0, _even(8, 1198084),
+    ),
+    ("rnn", "dp:2/pipeline:2:1f1b:4"): (
+        "698ef909d4d934734bc1822866479c1c4de7d1cd1a3c565b2c573f1ecd48b885",
+        4276224.0, {0: 1589248, 1: 1447937, 4: 1589248, 5: 1447937},
+    ),
+}
+
+
+def rows_digest(program) -> str:
+    rows = program.task_graph.resolved_rows()
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("model, strategy", sorted(GOLDEN))
+def test_rows_and_memory_report_are_pinned(request, model, strategy):
+    graph = request.getfixturevalue(f"{model}_bundle").graph
+    executor = Executor(ExecutorConfig(cache_programs=False))
+    program = repro.compile(
+        graph, strategy, executor=executor, lower_only=True
+    ).program
+    digest, total_comm_bytes, per_device_memory = GOLDEN[model, strategy]
+    # The memory report first: a screen reads it before any row is needed.
+    assert program.total_comm_bytes == total_comm_bytes
+    assert program.per_device_memory == per_device_memory
+    assert rows_digest(program) == digest
