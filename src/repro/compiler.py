@@ -152,7 +152,8 @@ class CompiledModel:
         """One human-readable block: strategy, plan, program, pipeline
         bubble, timing and memory verdict."""
         lines = [f"strategy: {self.strategy_text}"]
-        if self.result is None:
+        program = self.program
+        if self.result is None and program is None:
             lines.append(
                 f"backend: {self.backend}, iteration time: "
                 f"{self.iteration_time * 1e3:.1f} ms (loaded metadata)"
@@ -160,9 +161,10 @@ class CompiledModel:
             return "\n".join(lines)
         if self.plan is not None:
             lines.append(self.plan.summary())
-        program = self.program
         if program is not None:
             lines.append(program.summary())
+            if self.result is None:  # compiled with lower_only=True
+                return "\n".join(lines + ["not simulated"])
             schedule = program.schedule
             if schedule is not None:
                 lines.append(

@@ -151,94 +151,96 @@ def generate_partitioned_graph(
         d: memory_plan.peak_bytes + comm_buffer_bytes for d in range(num_devices)
     }
 
-    builder = TaskGraphBuilder()
     scale = 1.0 / num_devices
     launch_penalty = 0.0 if fuse_remote_fetch else 3 * machine.kernel_launch_overhead
 
-    # Everything about a node that does not depend on the device is derived
-    # once and shared by its k tasks: its producers (as node indices), its
-    # fetch and reduction bytes, and its features (priced on every device).
-    device_specs = [machine.device(d) for d in range(num_devices)]
-    names: List[str] = []
-    producers_of: List[List[int]] = []
-    durations_of: List[List[float]] = []
-    node_index: Dict[str, int] = {}
-    for node in scheduled_nodes(graph):
-        name = node.name
-        node_index[name] = len(names)
-        names.append(name)
-        producers_of.append([node_index[p] for p in producer_deps(graph, node)])
-        durations_of.append(
-            node_kernel_times(graph, name, device_specs, machine, scale=scale)
-        )
-    node_fetch = [fetch_bytes[name] / num_devices for name in names]
-
-    # Row layout: per device, per node, an optional local fetch, an optional
-    # network fetch, then the compute task.  Working out every device's
-    # fetch volumes first gives each compute task its id before any row is
-    # emitted, so a fetch can name the producers on later devices by id.
-    layouts: List[Tuple[Optional[int], List[Tuple[float, float]]]] = []
-    compute_ids: List[List[int]] = []
-    next_id = 0
-    for device in range(num_devices):
-        # Shards are spread uniformly over all workers; the topology says
-        # which share of a gather stays on the device's machine and names a
-        # worker the rest is fetched from (none on one machine).
-        home_share, away_src = machine.gather_split(device, num_devices)
-        volumes: List[Tuple[float, float]] = []
-        ids: List[int] = []
-        for name, fetch, producers in zip(names, node_fetch, producers_of):
-            if spread_reduction:
-                node_reduce_dev = reduce_bytes[name] / num_devices
-            else:
-                node_reduce_dev = reduce_bytes[name] if device == 0 else 0.0
-            comm_total = fetch + node_reduce_dev
-            local_bytes = remote_bytes = 0.0
-            if comm_total > 0.0 and producers:
-                local_bytes = comm_total * home_share
-                if away_src is not None:
-                    remote_bytes = comm_total - local_bytes
-                next_id += (local_bytes > 0.0) + (remote_bytes > 0.0)
-            volumes.append((local_bytes, remote_bytes))
-            ids.append(next_id)
-            next_id += 1
-        layouts.append((away_src, volumes))
-        compute_ids.append(ids)
-
-    # Remote regions come from every peer: a fetch waits for the producers
-    # on all devices (a conservative synchronisation), one id tuple per node
-    # shared by its k fetches.
-    fetch_deps = [
-        tuple([ids[p] for p in producers for ids in compute_ids])
-        for producers in producers_of
-    ]
-
-    for device, (away_src, volumes) in enumerate(layouts):
-        local_id = compute_ids[device].__getitem__
-        for name, producers, durations, deps_of_fetch, (
-            local_bytes, remote_bytes
-        ) in zip(names, producers_of, durations_of, fetch_deps, volumes):
-            deps: List[int] = []
-            if local_bytes > 0.0:
-                deps.append(make_comm_task(
-                    builder, f"{name}@{device}:fetch", device, local_bytes,
-                    src=None, deps=deps_of_fetch,
-                ))
-            if remote_bytes > 0.0:
-                deps.append(make_comm_task(
-                    builder, f"{name}@{device}:netfetch", device,
-                    remote_bytes, src=away_src, deps=deps_of_fetch,
-                ))
-            deps.extend(map(local_id, producers))
-            builder.add(
-                f"{name}@{device}", device, "compute",
-                durations[device] + launch_penalty, deps=deps,
+    def emit() -> TaskGraphBuilder:
+        builder = TaskGraphBuilder()
+        # Everything about a node that does not depend on the device is derived
+        # once and shared by its k tasks: its producers (as node indices), its
+        # fetch and reduction bytes, and its features (priced on every device).
+        device_specs = [machine.device(d) for d in range(num_devices)]
+        names: List[str] = []
+        producers_of: List[List[int]] = []
+        durations_of: List[List[float]] = []
+        node_index: Dict[str, int] = {}
+        for node in scheduled_nodes(graph):
+            name = node.name
+            node_index[name] = len(names)
+            names.append(name)
+            producers_of.append([node_index[p] for p in producer_deps(graph, node)])
+            durations_of.append(
+                node_kernel_times(graph, name, device_specs, machine, scale=scale)
             )
+        node_fetch = [fetch_bytes[name] / num_devices for name in names]
+
+        # Row layout: per device, per node, an optional local fetch, an optional
+        # network fetch, then the compute task.  Working out every device's
+        # fetch volumes first gives each compute task its id before any row is
+        # emitted, so a fetch can name the producers on later devices by id.
+        layouts: List[Tuple[Optional[int], List[Tuple[float, float]]]] = []
+        compute_ids: List[List[int]] = []
+        next_id = 0
+        for device in range(num_devices):
+            # Shards are spread uniformly over all workers; the topology says
+            # which share of a gather stays on the device's machine and names a
+            # worker the rest is fetched from (none on one machine).
+            home_share, away_src = machine.gather_split(device, num_devices)
+            volumes: List[Tuple[float, float]] = []
+            ids: List[int] = []
+            for name, fetch, producers in zip(names, node_fetch, producers_of):
+                if spread_reduction:
+                    node_reduce_dev = reduce_bytes[name] / num_devices
+                else:
+                    node_reduce_dev = reduce_bytes[name] if device == 0 else 0.0
+                comm_total = fetch + node_reduce_dev
+                local_bytes = remote_bytes = 0.0
+                if comm_total > 0.0 and producers:
+                    local_bytes = comm_total * home_share
+                    if away_src is not None:
+                        remote_bytes = comm_total - local_bytes
+                    next_id += (local_bytes > 0.0) + (remote_bytes > 0.0)
+                volumes.append((local_bytes, remote_bytes))
+                ids.append(next_id)
+                next_id += 1
+            layouts.append((away_src, volumes))
+            compute_ids.append(ids)
+
+        # Remote regions come from every peer: a fetch waits for the producers
+        # on all devices (a conservative synchronisation), one id tuple per node
+        # shared by its k fetches.
+        fetch_deps = [
+            tuple([ids[p] for p in producers for ids in compute_ids])
+            for producers in producers_of
+        ]
+
+        for device, (away_src, volumes) in enumerate(layouts):
+            local_id = compute_ids[device].__getitem__
+            for name, producers, durations, deps_of_fetch, (
+                local_bytes, remote_bytes
+            ) in zip(names, producers_of, durations_of, fetch_deps, volumes):
+                deps: List[int] = []
+                if local_bytes > 0.0:
+                    deps.append(make_comm_task(
+                        builder, f"{name}@{device}:fetch", device, local_bytes,
+                        src=None, deps=deps_of_fetch,
+                    ))
+                if remote_bytes > 0.0:
+                    deps.append(make_comm_task(
+                        builder, f"{name}@{device}:netfetch", device,
+                        remote_bytes, src=away_src, deps=deps_of_fetch,
+                    ))
+                deps.extend(map(local_id, producers))
+                builder.add(
+                    f"{name}@{device}", device, "compute",
+                    durations[device] + launch_penalty, deps=deps,
+                )
+        return builder
 
     return LoweredProgram(
         backend="tofu-partitioned",
         num_devices=num_devices,
-        tasks=builder,
+        tasks=emit,
         per_device_memory=per_device_memory,
         total_comm_bytes=total_comm,
         plan=plan,
@@ -246,3 +248,4 @@ def generate_partitioned_graph(
         fetch_bytes_per_node=fetch_bytes,
         reduce_bytes_per_node=reduce_bytes,
     )
+

@@ -130,16 +130,20 @@ def lower_single_device(
 ) -> LoweredProgram:
     """One compute task per node, all on device 0."""
     device_spec = machine.device(0)
-    tasks = TaskGraphBuilder()
-    for node in scheduled_nodes(graph):
-        make_compute_task(
-            tasks, graph, node.name, 0, device_spec, machine,
-            deps=producer_deps(graph, node),
-        )
+
+    def emit() -> TaskGraphBuilder:
+        tasks = TaskGraphBuilder()
+        for node in scheduled_nodes(graph):
+            make_compute_task(
+                tasks, graph, node.name, 0, device_spec, machine,
+                deps=producer_deps(graph, node),
+            )
+        return tasks
+
     return LoweredProgram(
         backend="single-device",
         num_devices=1,
-        tasks=tasks,
+        tasks=emit,
         per_device_memory=device_memory_report(graph, [0]),
     )
 
@@ -359,7 +363,7 @@ def lower_pipeline(
             f"{machine.num_devices} devices"
         )
     stages = assign_pipeline_stages(graph, machine, num_stages, layer_of=layer_of)
-    stage_devices = stages.stage_devices
+    stage_devices, stage_of_node = stages.stage_devices, stages.stage_of_node
     sched = pipeline_schedule(num_stages, num_microbatches, style=schedule)
 
     topo = scheduled_nodes(graph)
@@ -374,7 +378,7 @@ def lower_pipeline(
     bwd_of_stage: List[List] = [[] for _ in range(num_stages)]
     opt_of_stage: List[List] = [[] for _ in range(num_stages)]
     for node in topo:
-        stage = stages.stage_of_node[node.name]
+        stage = stage_of_node[node.name]
         if node.name in optimizer_set:
             opt_of_stage[stage].append(node)
         elif node.name in fwd_set:
@@ -383,89 +387,105 @@ def lower_pipeline(
             bwd_of_stage[stage].append(node)
 
     scale = 1.0 / num_microbatches
-    tasks = TaskGraphBuilder()
-    comm_total = [0.0]
-
-    # A node's input producers and its kernel price are the same in every
-    # micro-batch: derive them once per node, not once per emitted task.
-    # Optimiser nodes run once, on the accumulated full-batch gradient.
-    producers_of: Dict[str, List[Tuple[str, str]]] = {}
-    duration_of: Dict[str, float] = {}
-    for node in topo:
-        producers_of[node.name] = [
+    # A node's input producers are the same in every micro-batch: derive
+    # them once per node, not once per emitted task.
+    producers_of: Dict[str, List[Tuple[str, str]]] = {
+        node.name: [
             (tensor, graph.tensor(tensor).producer)
             for tensor in node.inputs
             if graph.tensor(tensor).producer is not None
         ]
-        device = stage_devices[stages.stage_of_node[node.name]]
-        duration_of[node.name] = node_kernel_time(
-            graph, node.name, machine.device(device), machine,
-            scale=1.0 if node.name in optimizer_set else scale,
-        )
+        for node in topo
+    }
 
-    def task_ref(producer: str, microbatch: int) -> str:
-        if producer in optimizer_set:
-            return producer
-        return f"{producer}#mb{microbatch}"
+    # Cross-stage tensors are per-micro-batch activations/gradients; one
+    # copy serves every consumer of (tensor, stage, micro-batch), so a
+    # backward task reuses the activation its forward copy stashed.  The
+    # copies are keyed, and their volume summed, in emission order.
+    copy_bytes: Dict[Tuple[str, int, int], float] = {
+        (tensor, stage, microbatch): float(graph.tensor(tensor).size_bytes()) * scale
+        for stage in range(num_stages)
+        for phase, microbatch in sched.slots_of_stage[stage]
+        for node in (fwd_of_stage if phase == "fwd" else bwd_of_stage)[stage]
+        for tensor, producer in producers_of[node.name]
+        if stage_of_node[producer] != stage
+    }
+    comm_total = 0.0
+    for size in copy_bytes.values():
+        comm_total += size
 
-    def dep_for_input(
-        tensor: str, producer: str, stage: int, microbatch: int
-    ) -> str:
-        ref = task_ref(producer, microbatch)
-        producer_stage = stages.stage_of_node[producer]
-        if producer_stage == stage:
-            return ref
-        # Cross-stage tensors are per-micro-batch activations/gradients; the
-        # copy is shared by every consumer of (tensor, stage, micro-batch),
-        # so a backward task reuses the activation its forward copy stashed.
-        copy_name = f"{tensor}@s{stage}#mb{microbatch}"
-        if copy_name not in tasks:
-            copy_bytes = float(graph.tensor(tensor).size_bytes()) * scale
-            make_comm_task(
-                tasks, copy_name, stage_devices[stage], copy_bytes,
-                src=stage_devices[producer_stage], deps=[ref],
+    def emit() -> TaskGraphBuilder:
+        tasks = TaskGraphBuilder()
+        prev_of_stage: List[Optional[str]] = [None] * num_stages
+        # A node's kernel price is the same in every micro-batch; optimiser
+        # nodes run once, on the accumulated full-batch gradient.
+        duration_of = {
+            node.name: node_kernel_time(
+                graph, node.name,
+                machine.device(stage_devices[stage_of_node[node.name]]), machine,
+                scale=1.0 if node.name in optimizer_set else scale,
             )
-            comm_total[0] += copy_bytes
-        return copy_name
+            for node in topo
+        }
 
-    prev_of_stage: List[Optional[str]] = [None] * num_stages
+        def task_ref(producer: str, microbatch: int) -> str:
+            if producer in optimizer_set:
+                return producer
+            return f"{producer}#mb{microbatch}"
 
-    def emit_compute(node, stage: int, microbatch: int) -> None:
-        name = task_ref(node.name, microbatch)
-        deps: List[str] = []
-        for tensor, producer in producers_of[node.name]:
-            if microbatch < 0:
-                # Optimiser nodes consume the accumulated gradient: depend on
-                # every micro-batch's producer task.
-                if producer in optimizer_set:
-                    deps.append(producer)
-                else:
-                    deps.extend(
-                        task_ref(producer, m) for m in range(num_microbatches)
-                    )
-                continue
-            deps.append(dep_for_input(tensor, producer, stage, microbatch))
-        prev = prev_of_stage[stage]
-        tasks.add(
-            name, stage_devices[stage], "compute", duration_of[node.name],
-            deps=deps, after=() if prev is None else (prev,),
-        )
-        prev_of_stage[stage] = name
+        def dep_for_input(
+            tensor: str, producer: str, stage: int, microbatch: int
+        ) -> str:
+            ref = task_ref(producer, microbatch)
+            producer_stage = stage_of_node[producer]
+            if producer_stage == stage:
+                return ref
+            copy_name = f"{tensor}@s{stage}#mb{microbatch}"
+            if copy_name not in tasks:
+                make_comm_task(
+                    tasks, copy_name, stage_devices[stage],
+                    copy_bytes[tensor, stage, microbatch],
+                    src=stage_devices[producer_stage], deps=[ref],
+                )
+            return copy_name
 
-    for stage in range(num_stages):
-        for phase, microbatch in sched.slots_of_stage[stage]:
-            group = fwd_of_stage if phase == "fwd" else bwd_of_stage
-            for node in group[stage]:
-                emit_compute(node, stage, microbatch)
-        # Weight update runs once per iteration, after the last backward
-        # micro-batch of the stage (gradient accumulation rides on the
-        # backward kernels' output writes, as the cost model assumes).
-        for node in opt_of_stage[stage]:
-            emit_compute(node, stage, -1)
+        def emit_compute(node, stage: int, microbatch: int) -> None:
+            name = task_ref(node.name, microbatch)
+            deps: List[str] = []
+            for tensor, producer in producers_of[node.name]:
+                if microbatch < 0:
+                    # Optimiser nodes consume the accumulated gradient:
+                    # depend on every micro-batch's producer task.
+                    if producer in optimizer_set:
+                        deps.append(producer)
+                    else:
+                        deps.extend(
+                            task_ref(producer, m) for m in range(num_microbatches)
+                        )
+                    continue
+                deps.append(dep_for_input(tensor, producer, stage, microbatch))
+            prev = prev_of_stage[stage]
+            tasks.add(
+                name, stage_devices[stage], "compute", duration_of[node.name],
+                deps=deps, after=() if prev is None else (prev,),
+            )
+            prev_of_stage[stage] = name
+
+        for stage in range(num_stages):
+            for phase, microbatch in sched.slots_of_stage[stage]:
+                group = fwd_of_stage if phase == "fwd" else bwd_of_stage
+                for node in group[stage]:
+                    emit_compute(node, stage, microbatch)
+            # Weight update runs once per iteration, after the last backward
+            # micro-batch of the stage (gradient accumulation rides on the
+            # backward kernels' output writes, as the cost model assumes).
+            for node in opt_of_stage[stage]:
+                emit_compute(node, stage, -1)
+        return tasks
 
     stage_memory = stage_memory_report(
         graph,
-        stages.stage_of_node,
+        stage_of_node,
         num_stages,
         num_microbatches=num_microbatches,
         schedule=sched,
@@ -483,9 +503,9 @@ def lower_pipeline(
     return LoweredProgram(
         backend="pipeline",
         num_devices=num_stages,
-        tasks=tasks,
+        tasks=emit,
         per_device_memory=memory,
-        total_comm_bytes=comm_total[0],
+        total_comm_bytes=comm_total,
         stats={
             "num_stages": float(num_stages),
             "num_microbatches": float(num_microbatches),
@@ -496,7 +516,7 @@ def lower_pipeline(
             "cross_machine_boundaries": float(cross_machine_cuts),
         },
         num_microbatches=num_microbatches,
-        stage_of_node=stages.stage_of_node,
+        stage_of_node=stage_of_node,
         schedule=sched,
     )
 
@@ -569,7 +589,6 @@ def lower_hybrid(
         )
 
     scale = 1.0 / groups
-    tasks = TaskGraphBuilder()
     memory: Dict[int, int] = {}
     multi_machine = machine.num_machines > 1
     # On one machine every group runs group 0's program at 1/G, so the
@@ -580,6 +599,7 @@ def lower_hybrid(
     reduce_bytes = (
         2.0 * (groups - 1) / groups * float(graph.weight_bytes()) / group_devices
     )
+    group_programs: List[LoweredProgram] = []
     for group in range(groups):
         offset = group * group_devices
         if group == 0 or not multi_machine:
@@ -595,51 +615,54 @@ def lower_hybrid(
                 machine, offset, group_devices
             )
             group_program = inner_spec.lower(graph, group_machine, plan, **options)
+        group_programs.append(group_program)
         if multi_machine:
             total_comm += group_program.total_comm_bytes * scale
-
-        # The group program numbers tasks and devices locally: its rows are
-        # appended after everything emitted so far, so a dependency id
-        # shifts by the group's base, and each device onto the group's slice.
-        rows = group_program.task_graph.resolved_rows()
-        base = len(tasks.rows)
-        shift_ids = base.__add__
-        shift = {device: device + offset for device in range(group_devices)}
-        shift[None] = None
-        shift[HOST_DEVICE] = HOST_DEVICE
-        tasks.extend([
-            (
-                f"{name}@grp{group}", shift[device], kind, duration * scale,
-                comm_bytes * scale, tuple(map(shift_ids, deps)),
-                tuple(map(shift_ids, after)) if after else (),
-                shift[src], shift[dst],
-            )
-            for name, device, kind, duration, comm_bytes, deps, after, src, dst
-            in rows
-        ])
-        # The group's sinks: rows no other row of the group depends on.
-        referenced = set(chain.from_iterable(
-            deps + after for _, _, _, _, _, deps, after, _, _ in rows
-        ))
-        group_sinks = [
-            base + i for i in range(len(rows)) if i not in referenced
-        ]
-        neighbour_offset = ((group + 1) % groups) * group_devices
-        for local_device in range(group_devices):
-            reduce_name = f"allreduce@d{local_device}@grp{group}"
-            make_comm_task(
-                tasks, reduce_name, offset + local_device, reduce_bytes,
-                src=neighbour_offset + local_device, deps=group_sinks,
-            )
+        for _ in range(group_devices):  # one all-reduce per device
             total_comm += reduce_bytes
         for device, required in group_program.per_device_memory.items():
             memory[device + offset] = required
+
+    def emit() -> TaskGraphBuilder:
+        tasks = TaskGraphBuilder()
+        for group, group_program in enumerate(group_programs):
+            offset = group * group_devices
+            # The group program numbers tasks and devices locally: its rows are
+            # appended after everything emitted so far, so a dependency id
+            # shifts by the group's base, and each device onto the group's slice.
+            rows = group_program.task_graph.resolved_rows()
+            base = len(tasks.rows)
+            shift_ids = base.__add__
+            shift = {device: device + offset for device in range(group_devices)}
+            shift.update({None: None, HOST_DEVICE: HOST_DEVICE})
+            tasks.extend([
+                (
+                    f"{name}@grp{group}", shift[device], kind, duration * scale,
+                    nbytes * scale, tuple(map(shift_ids, deps)),
+                    tuple(map(shift_ids, after)) if after else (),
+                    shift[src], shift[dst],
+                )
+                for name, device, kind, duration, nbytes, deps, after, src, dst in rows
+            ])
+            # The group's sinks: rows no other row of the group depends on.
+            referenced = set(chain.from_iterable(
+                deps + after for _, _, _, _, _, deps, after, _, _ in rows
+            ))
+            group_sinks = [base + i for i in range(len(rows)) if i not in referenced]
+            neighbour_offset = ((group + 1) % groups) * group_devices
+            for local_device in range(group_devices):
+                make_comm_task(
+                    tasks, f"allreduce@d{local_device}@grp{group}",
+                    offset + local_device, reduce_bytes,
+                    src=neighbour_offset + local_device, deps=group_sinks,
+                )
+        return tasks
 
     stats["allreduce_bytes"] = reduce_bytes * groups * group_devices
     return LoweredProgram(
         backend="hybrid",
         num_devices=machine.num_devices,
-        tasks=tasks,
+        tasks=emit,
         per_device_memory=memory,
         total_comm_bytes=total_comm,
         check_memory=program.check_memory,

@@ -41,9 +41,10 @@ class LoweredProgram:
         tasks: Simulator task graph (compute tasks and comm tasks): a
             read-only ``name -> Task`` view, in emission order, of the
             program's dense form (:attr:`task_graph`).  Backends pass a
-            :class:`repro.sim.engine.TaskGraphBuilder`; any other mapping is
-            fed through one.  The dense form is shared with the program
-            cache; edit a program with :meth:`replace_tasks`.
+            :class:`repro.sim.engine.TaskGraphBuilder` or an emitter of one,
+            called on the first read (a memory screen never pays for rows);
+            any other mapping is fed through one.  The dense form is shared
+            with the program cache; edit a program with :meth:`replace_tasks`.
         per_device_memory: Planned peak bytes per device index (the memory
             report the simulator checks against device capacity).
         total_comm_bytes: Aggregate communication volume of one iteration.

@@ -43,7 +43,7 @@ from array import array
 from collections import abc
 from dataclasses import dataclass, field
 from typing import (
-    Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
+    Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
 )
 
 from repro import perf
@@ -575,13 +575,23 @@ class TaskView(abc.Mapping):
     storage: a program holds only its rows and compiled form, so reading
     tasks (debugging, the verifier's schedule check) costs time on access
     instead of memory for the program's lifetime.  There is no item
-    assignment: edit a program with ``LoweredProgram.replace_tasks``.
+    assignment: edit a program with ``LoweredProgram.replace_tasks``.  A
+    view may hold a zero-argument emitter instead of a builder: the first
+    read of :attr:`graph` (so of anything above) calls it once, under
+    ``perf.stage("lower.emit")``, and keeps the builder it returns.
     """
 
-    __slots__ = ("graph",)
+    __slots__ = ("_graph",)
 
-    def __init__(self, graph: TaskGraphBuilder):
-        self.graph = graph
+    def __init__(self, graph: Union[TaskGraphBuilder, Callable[[], TaskGraphBuilder]]):
+        self._graph = graph
+
+    @property
+    def graph(self) -> TaskGraphBuilder:
+        if not isinstance(self._graph, TaskGraphBuilder):
+            with perf.stage("lower.emit"):
+                self._graph = self._graph()
+        return self._graph
 
     def __len__(self) -> int:
         return len(self.graph.rows)
@@ -603,12 +613,12 @@ class TaskView(abc.Mapping):
         )
 
 
-def task_view(tasks: Union[TaskGraphBuilder, Mapping[str, Task]]) -> TaskView:
-    """``tasks`` as a :class:`TaskView`: a view as is, a builder's own view,
-    any other mapping fed through a new builder."""
+def task_view(tasks: Union[TaskGraphBuilder, Mapping[str, Task], Callable]) -> TaskView:
+    """``tasks`` as a :class:`TaskView`: a view as is, a builder's or an
+    emitter's own view, any other mapping fed through a new builder."""
     if isinstance(tasks, TaskView):
         return tasks
-    if isinstance(tasks, TaskGraphBuilder):
+    if isinstance(tasks, TaskGraphBuilder) or callable(tasks):
         return TaskView(tasks)
     return TaskView(TaskGraphBuilder.from_tasks(tasks))
 

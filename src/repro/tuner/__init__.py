@@ -5,10 +5,10 @@ by one, this package searches the whole strategy algebra — machine scopes ×
 replica groups × pipeline stages × micro-batch counts × schedules × search
 backends — in three stages: cheap memory **screening** (a static footprint
 estimate plus a ``lower_only`` compile whose per-device memory report is
-checked against capacity), budgeted **search** (survivors fully simulated
-in-process, through the caller's planner and executor caches), and
-**ranking** (a Pareto frontier
-over iteration time, peak device memory, and machine count).
+checked against capacity; a screened candidate's task rows are never
+emitted), budgeted **search** (survivors fully simulated in-process,
+through the caller's planner and executor caches), and **ranking** (a
+Pareto frontier over iteration time, peak device memory, machine count).
 
 Entry points: :class:`Tuner` / :class:`TunerBudget` programmatically,
 ``repro.compile(graph, "auto", tuner=Tuner(...))`` on the compile path, and

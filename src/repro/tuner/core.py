@@ -6,7 +6,8 @@ One :meth:`Tuner.tune` call runs three stages per candidate:
    same footprint model the batch-search evaluators use) followed by a
    ``lower_only=True`` compile whose per-device memory report is checked
    against each device's capacity.  A candidate that cannot fit is decided
-   *before any full simulation*, with its rejection reason recorded.
+   *before any full simulation*, with its rejection reason recorded, and
+   its task rows are never emitted (lowering emits them on first read).
 2. **Search** — survivors are fully simulated in-process, through the
    caller's planner and executor, so every candidate's plan and program
    land in those caches and the winner comes back as the model the sweep

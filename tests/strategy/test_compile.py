@@ -84,6 +84,24 @@ class TestCompile:
         )
         assert deferred.to_dict() == direct.to_dict()
 
+    def test_lower_only_summary_says_not_simulated(self):
+        """A ``lower_only`` model holds its program but no result: its
+        summary shows the program and says it was not simulated, rather
+        than claiming loaded metadata."""
+        from repro.models import build_rnn
+
+        graph = build_rnn(
+            num_layers=2, hidden_size=256, seq_len=4, batch_size=16
+        ).graph
+        model = repro.compile(graph, "pipeline:2:1f1b:4", lower_only=True)
+        lines = model.summary().splitlines()
+        assert lines[0] == "strategy: pipeline:2:1f1b:4/single"
+        assert lines[1] == model.program.summary()
+        assert lines[2:] == ["not simulated"]
+        assert "loaded metadata" not in model.summary()
+        loaded = CompiledModel.from_dict(model.to_dict())
+        assert loaded.summary().endswith("ms (loaded metadata)")
+
     def test_a_model_that_does_not_fit_has_no_throughput(self):
         from repro.models import build_rnn
 

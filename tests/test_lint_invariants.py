@@ -2,7 +2,8 @@
 seeded violations (layering back-edges, undescribed registry entries,
 collector switches, package-metadata discovery, multiprocessing,
 concurrent, threading and contextvars imports, machine lookups outside
-the topology, and baselines lowering execution backends by name)."""
+the topology, baselines lowering execution backends by name, and the tuner
+reading a program's tasks)."""
 
 import ast
 import sys
@@ -207,3 +208,20 @@ def test_strategy_only_baselines_catch_a_backend_lowered_by_name():
     # The same call outside the baselines is an execution backend's business.
     assert lint_invariants.check_strategy_only_baselines(
         lint_invariants.SRC / "runtime" / "executor.py", tree) == []
+
+
+def test_memory_only_screening_catches_the_tuner_reading_tasks():
+    tree = ast.parse(
+        "def screen(model, machine):\n"
+        "    program = model.program\n"
+        "    if len(program.tasks) > 10 ** 6:\n"
+        "        return program.task_graph.rows\n"
+        "    return program.dense_form(machine), program.per_device_memory\n"
+    )
+    violations = lint_invariants.check_memory_only_screening(
+        lint_invariants.SRC / "tuner" / "core.py", tree)
+    assert [v.line for v in violations] == [3, 4, 5]
+    assert all(v.rule == "memory-only-screening" for v in violations)
+    # Reading tasks is the simulator's and the verifier's business.
+    assert lint_invariants.check_memory_only_screening(
+        lint_invariants.SRC / "runtime" / "core.py", tree) == []

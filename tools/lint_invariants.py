@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """AST invariant linter: layering, registry hygiene, collector discipline,
 in-process registration, banned imports, machine locality, strategy-only
-baselines.
+baselines, memory-only screening.
 
-Seven structural invariants the test suite cannot cheaply express are
+Eight structural invariants the test suite cannot cheaply express are
 checked here over the source tree with nothing but ``ast`` (no imports of
 the code under analysis, no third-party dependencies):
 
@@ -56,6 +56,12 @@ the code under analysis, no third-party dependencies):
    passes ``backend=`` or ``backend_options=``.  A Sec 7 system is a
    strategy expression that ``repro.compile`` compiles, never an
    execution backend lowered by name.
+
+8. **Memory-only screening** — no code under ``src/repro/tuner`` reads
+   ``.tasks``, ``.task_graph`` or ``.dense_form``.  A lowering emits its
+   task rows only when something first reads them, so a screen must decide
+   from the memory report; a read here would bring back full lowering of
+   every candidate the tuner rejects.
 
 Run from the repository root::
 
@@ -414,6 +420,28 @@ def check_strategy_only_baselines(path: Path, tree: ast.Module,
 
 
 # ---------------------------------------------------------------------------
+# Rule 8: memory-only screening
+# ---------------------------------------------------------------------------
+#: Program attributes that force a lowering to emit its task rows.
+TASK_READS = {"tasks", "task_graph", "dense_form"}
+#: The package (relative to src/repro) that may not read them.
+SCREENING_PACKAGE = "tuner"
+
+
+def check_memory_only_screening(path: Path, tree: ast.Module,
+                                root: Path = SRC) -> List[Violation]:
+    if path.relative_to(root).parts[0] != SCREENING_PACKAGE:
+        return []
+    return [
+        Violation(path, node.lineno, "memory-only-screening",
+                  f".{node.attr} read; decide a candidate from its memory "
+                  f"report, so a rejected one never emits its task rows")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in TASK_READS
+    ]
+
+
+# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 def lint(root: Path = SRC) -> List[Violation]:
@@ -428,6 +456,7 @@ def lint(root: Path = SRC) -> List[Violation]:
         violations.extend(check_banned_imports(path, tree))
         violations.extend(check_machine_locality(path, tree, root))
         violations.extend(check_strategy_only_baselines(path, tree, root))
+        violations.extend(check_memory_only_screening(path, tree, root))
     return violations
 
 
@@ -440,7 +469,7 @@ def main() -> int:
         return 1
     print("invariants clean: layering, registry hygiene, collector "
           "discipline, in-process registration, banned imports, machine "
-          "locality, strategy-only baselines")
+          "locality, strategy-only baselines, memory-only screening")
     return 0
 
 
