@@ -17,7 +17,6 @@ stores the hash on it (a plan does the same,
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import re
@@ -26,7 +25,7 @@ from typing import Any, Dict, Optional
 
 from repro.graph.graph import Graph
 from repro.graph.serialization import graph_to_dict
-from repro.sim.device import Topology
+from repro.sim.device import Topology, machine_to_dict
 
 
 # ---------------------------------------------------------------------------
@@ -42,24 +41,19 @@ def graph_signature(graph: Graph) -> str:
     """
     if graph.signature is None:
         graph.freeze()
-        payload = json.dumps(
-            graph_to_dict(graph), sort_keys=True, separators=(",", ":")
-        )
-        graph.signature = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        graph.signature = content_key(graph_to_dict(graph))
     return graph.signature
 
 
 def machine_signature(machine: Optional[Topology]) -> str:
     """Content hash of a machine or cluster model (``"no-machine"`` when
-    unspecified) — a one-machine cluster and its bare machine hash
-    differently, as do clusters differing only in machine count or network
-    parameters."""
+    unspecified) over the payload a saved model stores
+    (:func:`repro.sim.device.machine_to_dict`) — a one-machine cluster and
+    its bare machine hash differently, as do clusters differing only in
+    machine count or network parameters."""
     if machine is None:
         return "no-machine"
-    payload = json.dumps(
-        dataclasses.asdict(machine), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return content_key(machine_to_dict(machine))
 
 
 def content_key(fields: Dict) -> str:

@@ -66,7 +66,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["CompiledModel", "collector_paused", "compile"]
 
 SAVE_FORMAT = "repro-compiled-model"
-SAVE_VERSION = 1
+SAVE_VERSION = 2
 
 # The metadata split of one save payload; _program_metadata emits exactly
 # these keys (program ones always, result ones once simulated).
@@ -197,8 +197,7 @@ class CompiledModel:
         payload: Dict[str, object] = {
             "format": SAVE_FORMAT,
             "version": SAVE_VERSION,
-            "strategy": self.strategy.to_dict(),
-            "strategy_text": self.strategy_text,
+            "strategy": self.strategy_text,
             "machine": machine_to_dict(self.machine),
             "plan": plan_to_dict(self.plan) if self.plan is not None else None,
             "program": program_meta,
@@ -236,7 +235,7 @@ class CompiledModel:
                 metadata["tuner"] = payload["tuner"]
             plan_payload = payload.get("plan")
             return cls(
-                strategy=Strategy.from_dict(payload["strategy"]),
+                strategy=parse(payload["strategy"]),
                 machine=machine_from_dict(payload["machine"]),
                 plan=plan_from_dict(plan_payload) if plan_payload else None,
                 metadata=metadata,

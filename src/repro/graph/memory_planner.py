@@ -108,14 +108,8 @@ def plan_memory(
     # fits, lowest id on ties.  The free list stays sorted, so a release is
     # an insort and an allocation one bisection.
     free_buffers: List[Tuple[int, int]] = []  # sorted (size, buffer id)
-    releases: Dict[int, List[str]] = {}
-    for name in order:
-        death = intervals[name][1]
-        releases.setdefault(death, []).append(name)
-
     pool_bytes = 0
     horizon = len(schedule)
-    events = sorted(set(intervals[name][0] for name in order))
     tensors_by_birth: Dict[int, List[str]] = {}
     for name in order:
         tensors_by_birth.setdefault(intervals[name][0], []).append(name)

@@ -86,8 +86,8 @@ def plan_cache_key(
     """The content address of one planning request.
 
     ``strategy`` is the full :class:`repro.strategy.Strategy` the plan is
-    searched for (or its dict form), when the request came through
-    ``repro.compile``.  Folding the whole tree into the key means two
+    searched for, when the request came through ``repro.compile``; the key
+    folds in its canonical string.  Folding the whole tree into the key means two
     strategies that differ anywhere — replica-group count, stage count,
     schedule, micro-batches — can never collide on one cache entry, even
     when their ``tofu`` leaves would search identical plans.
@@ -115,8 +115,7 @@ def plan_cache_key(
     if strategy is not None:
         # Only present for strategy-routed requests; a direct Planner.plan
         # call (the CLI's `partition` command) is keyed without one.
-        to_dict = getattr(strategy, "to_dict", None)
-        fields["strategy"] = to_dict() if callable(to_dict) else strategy
+        fields["strategy"] = str(strategy)
     return content_key(fields)
 
 

@@ -29,10 +29,10 @@ Simulation                   Sec 7 — one training iteration under per-link
 
 Built-in execution backends: ``tofu-partitioned`` (Sec 6), ``single-device``
 (Ideal/SmallBatch, Sec 7.1), ``placement`` (operator placement, Sec 7.1),
-``data-parallel`` (reference + swapping accounting), ``swap`` (the LRU
-swapping baseline, Sec 7.1/7.2), ``pipeline`` (GPipe/1F1B micro-batch
-pipelining) and ``hybrid`` (data-parallel replica groups over any inner
-backend).  Further backends register in-process with
+``data-parallel`` (a full replica per device, ring all-reduce), ``swap``
+(the LRU swapping baseline, Sec 7.1/7.2), ``pipeline`` (GPipe/1F1B
+micro-batch pipelining) and ``hybrid`` (data-parallel replica groups over
+any inner backend).  Further backends register in-process with
 :func:`register_execution_backend`.
 """
 

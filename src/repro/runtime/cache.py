@@ -91,9 +91,9 @@ def lowered_cache_key(
     the (then frozen) plan, so a warm key hashes nothing.
 
     Raises ``TypeError`` when a backend option is not JSON-serialisable
-    (e.g. a pre-built ``coarse=CoarsenedGraph``).  Such requests have no
-    stable content address, so the executor bypasses the cache for them —
-    mirroring the planner.
+    (e.g. an object-valued option of a registered third-party backend).
+    Such requests have no stable content address, so the executor bypasses
+    the cache for them — mirroring the planner.
     """
     from repro.partition.plan import plan_signature
 

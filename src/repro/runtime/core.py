@@ -91,8 +91,8 @@ class Executor:
         With ``config.cache_programs`` (the default), a content-addressed
         hit returns a fresh program sharing the cached (immutable) tasks
         without running any lowering pass; requests whose options have no
-        stable content address (e.g. a pre-built coarsened graph) bypass
-        the cache.
+        stable content address (an option value that is not
+        JSON-serialisable) bypass the cache.
 
         Raises:
             ExecutionError: For an unknown backend, invalid options, or a

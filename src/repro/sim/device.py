@@ -25,7 +25,7 @@ workers divides between the links it crosses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.errors import SimulationError
@@ -35,11 +35,6 @@ GiB = 1 << 30
 #: The source of a host copy: the transfer crosses the destination machine's
 #: shared CPU link.  It names no device, so no memory report may budget it.
 HOST_DEVICE = -1
-
-#: Serialization version emitted by :func:`machine_to_dict`; payloads without
-#: a ``version`` field are the pre-cluster format and still load.
-MACHINE_PAYLOAD_VERSION = 2
-
 
 @dataclass(frozen=True)
 class DeviceSpec:
@@ -431,41 +426,29 @@ def topology_preset(name: str) -> Topology:
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-def _device_to_dict(device: DeviceSpec) -> dict:
-    import dataclasses
-
-    return dataclasses.asdict(device)
-
-
 def _machine_fields(machine: MachineSpec) -> dict:
-    return {
-        "devices": [_device_to_dict(d) for d in machine.devices],
-        "p2p_bandwidth": machine.p2p_bandwidth,
-        "cpu_bandwidth": machine.cpu_bandwidth,
-        "cpu_memory": machine.cpu_memory,
-        "kernel_launch_overhead": machine.kernel_launch_overhead,
-    }
+    payload = {k: getattr(machine, k) for k in _MACHINE_KEYS}
+    payload["devices"] = [asdict(d) for d in machine.devices]
+    return payload
 
 
 def machine_to_dict(topology: Topology) -> dict:
     """JSON-serialisable form of a machine or cluster model; inverse of
-    :func:`machine_from_dict`.  Backs ``CompiledModel.save``.
+    :func:`machine_from_dict`.  Backs ``CompiledModel.save`` and
+    :func:`repro.caching.machine_signature`, so every field a cache key
+    covers is also saved.
 
-    The payload carries ``version`` (currently ``2``) and ``kind``
-    (``"machine"`` or ``"cluster"``); version-1 payloads — plain
-    ``MachineSpec`` field dumps without either key — still load.
+    The payload carries ``kind`` (``"machine"`` or ``"cluster"``) and no
+    version of its own: the saved model's ``version`` covers it.
     """
     if isinstance(topology, ClusterSpec):
         return {
-            "version": MACHINE_PAYLOAD_VERSION,
             "kind": "cluster",
             "machines": [_machine_fields(m) for m in topology.machines],
             "network_bandwidth": topology.network_bandwidth,
             "network_latency": topology.network_latency,
         }
-    payload = {"version": MACHINE_PAYLOAD_VERSION, "kind": "machine"}
-    payload.update(_machine_fields(topology))
-    return payload
+    return {"kind": "machine", **_machine_fields(topology)}
 
 
 _MACHINE_KEYS = (
@@ -532,9 +515,8 @@ def machine_from_dict(payload: dict) -> Topology:
     """Rebuild a :class:`MachineSpec` or :class:`ClusterSpec` from
     :func:`machine_to_dict` output.
 
-    Payloads without a ``version`` field are the pre-cluster format and load
-    as plain machines; a payload declaring a version this library does not
-    understand is rejected with a clear :class:`SimulationError` (never a
+    A payload that is not a mapping, names no known ``kind`` or carries an
+    unknown field is rejected with a clear :class:`SimulationError` (never a
     ``TypeError`` from unexpected keyword arguments), and so is a bandwidth,
     FLOP rate or memory size that is not a finite number > 0, or a launch
     overhead or latency that is not a finite number >= 0 (the checks of the
@@ -545,18 +527,8 @@ def machine_from_dict(payload: dict) -> Topology:
         raise SimulationError(
             f"machine payload must be a mapping, got {type(payload).__name__}"
         )
-    version = payload.get("version")
-    if version is None:
-        # Version-1 payload: a bare MachineSpec field dump.
-        return _load_machine(payload)
-    if version != MACHINE_PAYLOAD_VERSION:
-        raise SimulationError(
-            f"unsupported machine payload version {version!r} (this library "
-            f"reads versions: 1 [no 'version' field], "
-            f"{MACHINE_PAYLOAD_VERSION})"
-        )
-    kind = payload.get("kind", "machine")
-    body = {k: v for k, v in payload.items() if k not in ("version", "kind")}
+    body = dict(payload)
+    kind = body.pop("kind", None)
     if kind == "machine":
         return _load_machine(body)
     if kind == "cluster":

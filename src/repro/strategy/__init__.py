@@ -2,10 +2,9 @@
 
 ``repro.strategy`` is the public face of the partitioning abstraction: a
 small immutable tree of combinators (``machines``, ``dp``, ``pipeline``,
-``tofu``, ``single``, ``placement``, ``swap``) composable with ``/``, with a canonical
-string form (:func:`parse` / ``str``), dict serialization
-(:meth:`Strategy.to_dict` / :meth:`Strategy.from_dict`) and a content
-address (:meth:`Strategy.signature`).  :func:`repro.compile` interprets a
+``tofu``, ``single``, ``placement``, ``swap``) composable with ``/``, with one
+encoding: the canonical string form (:func:`parse` / ``str``), which saved
+models store and plan-cache keys fold in.  :func:`repro.compile` interprets a
 strategy onto the planner + runtime machinery via
 :func:`lower_strategy`; ``strategy="auto"`` hands the choice to the
 autotuner (:mod:`repro.tuner`).

@@ -31,10 +31,9 @@ gives every pipeline stage exactly one device, so a ``tofu`` leaf under
 ``pipeline`` degenerates to single-device stages (the one-worker partition
 *is* the whole stage on its device) — the same collapse ``tofu`` performs on
 any one-device machine.  Every
-strategy has a canonical string form (``"dp:2/pipeline:4:1f1b:8/tofu"``)
-that :func:`parse` round-trips, a dictionary form
-(:meth:`Strategy.to_dict` / :meth:`Strategy.from_dict`) for storage, and a
-content address (:meth:`Strategy.signature`) the plan cache keys on.
+strategy has one encoding, its canonical string form
+(``"dp:2/pipeline:4:1f1b:8/tofu"``), which :func:`parse` round-trips: a
+saved model stores it and the plan cache keys on it.
 
 Degenerate wrappers collapse at composition time: ``dp(1) / s == s``,
 ``pipeline(1, sched, 1) / s == s`` and ``machines(1) / s == s``, so
@@ -44,10 +43,8 @@ form (and one cache entry).
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, fields, replace
-from typing import ClassVar, Dict, List, Mapping, Optional, Tuple, Type
+from dataclasses import dataclass, replace
+from typing import ClassVar, Dict, List, Optional, Tuple, Type
 
 from repro.errors import StrategyError
 
@@ -111,52 +108,6 @@ class Strategy:
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"Strategy({str(self)!r})"
 
-    # -------------------------------------------------------- serialization
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable form; inverse of :meth:`from_dict`."""
-        payload: Dict[str, object] = {"kind": self.kind}
-        for f in fields(self):
-            if f.name == "inner":
-                continue
-            payload[f.name] = getattr(self, f.name)
-        if self.inner is not None:
-            payload["inner"] = self.inner.to_dict()
-        return payload
-
-    @staticmethod
-    def from_dict(payload: Mapping[str, object]) -> "Strategy":
-        """Rebuild a strategy from :meth:`to_dict` output (degenerate
-        wrappers collapse exactly as they do under ``/``)."""
-        if not isinstance(payload, Mapping):
-            raise StrategyError(
-                f"strategy payload must be a mapping, got {type(payload).__name__}"
-            )
-        kind = payload.get("kind")
-        cls = _NODE_TYPES.get(kind)  # type: ignore[arg-type]
-        if cls is None:
-            known = ", ".join(sorted(_NODE_TYPES))
-            raise StrategyError(
-                f"unknown strategy combinator {kind!r} (known: {known})"
-            )
-        kwargs = {}
-        for f in fields(cls):
-            if f.name == "inner":
-                continue
-            if f.name in payload:
-                kwargs[f.name] = payload[f.name]
-        node = cls(**kwargs)  # type: ignore[arg-type]
-        node._validate()
-        inner_payload = payload.get("inner")
-        if inner_payload is not None:
-            node = compose(node, Strategy.from_dict(inner_payload))
-        return node
-
-    def signature(self) -> str:
-        """Content address of the full strategy tree (SHA-256 over the
-        canonical JSON encoding of :meth:`to_dict`)."""
-        text = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
     # ----------------------------------------------------------- validation
     def _validate(self) -> None:
         """Checked at construction by the combinator helpers and the parser."""
@@ -192,11 +143,22 @@ class Tofu(Strategy):
     backend: Optional[str] = None
 
     def _validate(self) -> None:
-        if self.backend is not None and (
-            not isinstance(self.backend, str) or not self.backend
-        ):
+        if self.backend is None:
+            return
+        if not isinstance(self.backend, str) or not self.backend:
             raise StrategyError(
                 f"tofu needs a search-backend name, got {self.backend!r}"
+            )
+        # The canonical string must spell the name back: no separator the
+        # parser splits on, no whitespace it strips.
+        if (
+            ":" in self.backend
+            or "/" in self.backend
+            or self.backend != self.backend.strip()
+        ):
+            raise StrategyError(
+                f"tofu search-backend name {self.backend!r} cannot be spelled "
+                f"in a strategy string (no ':', '/' or surrounding whitespace)"
             )
 
     def _segment(self) -> str:

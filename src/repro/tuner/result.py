@@ -129,7 +129,7 @@ class TunerResult:
             return ""
         return content_key(
             {
-                "strategy": self.best.strategy.signature(),
+                "strategy": str(self.best.strategy),
                 "machine": machine_signature(self.best.machine),
             }
         )

@@ -1,5 +1,5 @@
 """The hierarchical topology model: ClusterSpec structure, link resolution,
-slicing, presets, and the versioned machine/cluster serialization."""
+slicing, presets, and the machine/cluster serialization."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim.device import (
     HOST_DEVICE,
-    MACHINE_PAYLOAD_VERSION,
     TOPOLOGY_PRESETS,
     ClusterSpec,
     DeviceSpec,
@@ -223,10 +222,9 @@ class TestPresets:
 
 
 class TestSerialization:
-    def test_machine_round_trip_is_versioned(self):
+    def test_machine_round_trip(self):
         machine = v100_machine(2)
         payload = machine_to_dict(machine)
-        assert payload["version"] == MACHINE_PAYLOAD_VERSION
         assert payload["kind"] == "machine"
         assert machine_from_dict(payload) == machine
 
@@ -237,27 +235,44 @@ class TestSerialization:
         restored = machine_from_dict(machine_to_dict(cluster))
         assert restored == cluster
 
-    def test_legacy_payload_without_version_still_loads(self):
-        # The exact shape machine_to_dict emitted before versioning.
-        payload = {
-            "devices": [
-                {"name": "gpu0", "memory_bytes": 1 << 30,
-                 "peak_flops": 1e12, "memory_bandwidth": 100e9},
-            ],
-            "p2p_bandwidth": 21e9,
-            "cpu_bandwidth": 10e9,
-            "cpu_memory": 4 << 30,
-            "kernel_launch_overhead": 8e-6,
-        }
-        machine = machine_from_dict(payload)
-        assert isinstance(machine, MachineSpec)
-        assert machine.num_devices == 1
-        assert machine.device(0).memory_bytes == 1 << 30
+    @pytest.mark.parametrize(
+        "topology",
+        [factory() for _, factory in sorted(TOPOLOGY_PRESETS.items())]
+        + [ClusterSpec([k80_8gpu_machine(2), v100_machine(4)],
+                       network_bandwidth=5e9, network_latency=1e-5)],
+        ids=sorted(TOPOLOGY_PRESETS) + ["asymmetric"],
+    )
+    def test_payload_round_trips_and_covers_every_field(self, topology):
+        """The payload is also what a machine's cache key hashes, so a
+        dataclass field it left out would be keyed but never saved."""
+        def names(cls):
+            return {f.name for f in dataclasses.fields(cls)}
+
+        payload = machine_to_dict(topology)
+        assert machine_from_dict(payload) == topology
+        if payload["kind"] == "cluster":
+            assert names(ClusterSpec) <= set(payload)
+            machine_payloads = payload["machines"]
+        else:
+            machine_payloads = [payload]
+        for machine in machine_payloads:
+            assert names(MachineSpec) <= set(machine)
+            for device in machine["devices"]:
+                assert set(device) == names(DeviceSpec)
+
+    def test_payload_without_kind_is_rejected(self):
+        # The pre-cluster shape: a bare MachineSpec field dump.
+        payload = machine_to_dict(k80_8gpu_machine(1))
+        del payload["kind"]
+        with pytest.raises(SimulationError, match="unknown machine payload kind"):
+            machine_from_dict(payload)
 
     def test_unknown_version_rejected_cleanly(self):
+        # The saved model's version covers the machine payload; a nested
+        # one is an unknown field.
         payload = machine_to_dict(k80_8gpu_machine(1))
-        payload["version"] = 99
-        with pytest.raises(SimulationError, match="unsupported machine payload"):
+        payload["version"] = 2
+        with pytest.raises(SimulationError, match="unknown field"):
             machine_from_dict(payload)
 
     def test_unknown_kind_rejected(self):

@@ -1,12 +1,15 @@
 """Tests for the strategy mini-language: round-trips, degenerate parity,
 invalid-input diagnostics, and the lowering interpreter."""
 
+import json
+
 import pytest
 
+from repro.compiler import CompiledModel
 from repro.errors import StrategyError
+from repro.planner import plan_cache_key
 from repro.sim.device import k80_8gpu_machine
 from repro.strategy import (
-    Strategy,
     dp,
     lower_strategy,
     normalize,
@@ -38,6 +41,8 @@ SAMPLE_STRATEGIES = [
     dp(8) / tofu("icml18"),
 ]
 
+MACHINE = k80_8gpu_machine(4)
+
 
 class TestRoundTrips:
     @pytest.mark.parametrize(
@@ -50,16 +55,27 @@ class TestRoundTrips:
         "strategy", SAMPLE_STRATEGIES, ids=[str(s) for s in SAMPLE_STRATEGIES]
     )
     def test_dict_round_trip(self, strategy):
-        payload = strategy.to_dict()
-        assert Strategy.from_dict(payload) == strategy
+        """The one dict a strategy lives in is a saved model's payload,
+        which stores the canonical string and parses it back."""
+        payload = CompiledModel(strategy=strategy, machine=MACHINE).to_dict()
+        assert payload["strategy"] == str(strategy)
+        loaded = CompiledModel.from_dict(json.loads(json.dumps(payload)))
+        assert loaded.strategy == strategy
 
     @pytest.mark.parametrize(
         "strategy", SAMPLE_STRATEGIES, ids=[str(s) for s in SAMPLE_STRATEGIES]
     )
-    def test_signature_is_stable_and_distinct(self, strategy):
-        assert strategy.signature() == parse(str(strategy)).signature()
+    def test_signature_is_stable_and_distinct(self, strategy, mlp_bundle):
+        """The plan-cache key folds in the canonical string: equal for a
+        reparsed strategy, distinct across the sample."""
+        def key(s):
+            return plan_cache_key(
+                mlp_bundle.graph, (2,), MACHINE, "tofu", {}, strategy=s
+            )
+
+        assert key(strategy) == key(parse(str(strategy)))
         others = [s for s in SAMPLE_STRATEGIES if s != strategy]
-        assert strategy.signature() not in {s.signature() for s in others}
+        assert key(strategy) not in {key(s) for s in others}
 
     def test_canonical_string_form(self):
         s = dp(2) / pipeline(4, "1f1b", 8) / tofu()
@@ -126,12 +142,6 @@ class TestInvalidInputs:
         with pytest.raises(StrategyError, match="leaf combinator"):
             dp(2) / single() / tofu()
 
-    def test_from_dict_rejects_unknown_kind(self):
-        with pytest.raises(StrategyError, match="unknown strategy combinator"):
-            Strategy.from_dict({"kind": "nope"})
-        with pytest.raises(StrategyError, match="must be a mapping"):
-            Strategy.from_dict("dp:2")
-
     def test_combinators_validate_arguments(self):
         with pytest.raises(StrategyError, match="positive integer group count"):
             dp(0)
@@ -141,6 +151,10 @@ class TestInvalidInputs:
             pipeline(2, "interleaved")
         with pytest.raises(StrategyError, match="search-backend name"):
             tofu("")
+        # Names the canonical string cannot spell back.
+        for name in ("a:b", "x/y", " spartan"):
+            with pytest.raises(StrategyError, match="cannot be spelled"):
+                tofu(name)
 
 
 class TestLowering:
@@ -197,21 +211,12 @@ class TestLowering:
             lower_strategy(pipeline(16), self.MACHINE)
 
     def test_dp_cannot_nest_dp(self):
-        # Construct the nested form via from_dict (the '/' operator attaches
-        # at the deepest wrapper, so dp/dp is expressible only explicitly).
-        nested = Strategy.from_dict(
-            {"kind": "dp", "groups": 2,
-             "inner": {"kind": "dp", "groups": 2,
-                       "inner": {"kind": "tofu", "backend": "tofu"}}}
-        )
+        nested = parse("dp:2/dp:2/tofu")
         with pytest.raises(StrategyError, match="cannot nest"):
             lower_strategy(nested, self.MACHINE)
 
     def test_multi_device_strategy_inside_pipeline_rejected(self):
-        bad = Strategy.from_dict(
-            {"kind": "pipeline", "stages": 2, "schedule": "1f1b",
-             "microbatches": 4, "inner": {"kind": "swap"}}
-        )
+        bad = parse("pipeline:2:1f1b:4/swap")
         with pytest.raises(StrategyError, match="single device"):
             lower_strategy(bad, self.MACHINE)
 

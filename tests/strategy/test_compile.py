@@ -7,7 +7,7 @@ import warnings
 import pytest
 
 import repro
-from repro.compiler import CompiledModel
+from repro.compiler import SAVE_VERSION, CompiledModel
 from repro.errors import StrategyError, TDLError, UnknownOperatorError
 from repro.planner import Planner, PlannerConfig, plan_cache_key
 from repro.partition.plan import factorize_workers
@@ -282,13 +282,17 @@ MALFORMED_MODEL_FILES = {
     "truncated-json": lambda payload: json.dumps(payload)[:40],
     "top-level-list": lambda payload: "[]",
     "header-only": lambda payload: json.dumps(
-        {"format": "repro-compiled-model", "version": 1}
+        {"format": "repro-compiled-model", "version": SAVE_VERSION}
     ),
-    "future-version": _saved(version=2),
+    "future-version": _saved(version=SAVE_VERSION + 1),
+    "version-1-dict-strategy": _saved(
+        version=1, strategy={"kind": "dp", "groups": 2,
+                             "inner": {"kind": "tofu", "backend": None}},
+    ),
     "no-version": _saved(version=...),
     "no-machine": _saved(machine=...),
     "strategy-not-an-object": _saved(strategy=[]),
-    "unknown-combinator": _saved(strategy={"kind": "bogus"}),
+    "unknown-combinator": _saved(strategy="bogus"),
     "machine-not-an-object": _saved(machine="k80"),
     "plan-without-steps": _saved(plan={"num_workers": 4}),
     "program-metadata-a-list": _saved(program=[1, 2]),

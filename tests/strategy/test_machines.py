@@ -13,7 +13,6 @@ from repro.partition.plan import factorize_workers
 from repro.planner import Planner, plan_cache_key
 from repro.sim.device import ClusterSpec, cluster_of, k80_8gpu_machine
 from repro.strategy import (
-    Strategy,
     dp,
     lower_strategy,
     machines,
@@ -41,19 +40,6 @@ class TestAlgebra:
     def test_construction_matches_parse(self):
         assert machines(2) / dp(2) / tofu() == parse("machines:2/dp:2/tofu")
         assert machines(2, dp(2) / tofu()) == parse("machines:2/dp:2/tofu")
-
-    def test_dict_round_trip(self):
-        strategy = machines(2) / pipeline(2, "1f1b", 4) / tofu("spartan")
-        payload = strategy.to_dict()
-        assert payload["kind"] == "machines" and payload["count"] == 2
-        assert Strategy.from_dict(payload) == strategy
-
-    def test_signature_distinguishes_machine_counts(self):
-        two = machines(2) / tofu()
-        four = machines(4) / tofu()
-        assert two.signature() != four.signature()
-        assert two.signature() != tofu().signature()
-        assert two.signature() == (machines(2) / tofu()).signature()
 
     def test_degenerate_collapse(self):
         assert machines(1) / tofu() == tofu()
