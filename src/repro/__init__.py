@@ -54,7 +54,6 @@ from repro.errors import (
     GraphError,
     NoStrategyError,
     NonAffineError,
-    OutOfMemoryError,
     PartitionError,
     ReproError,
     ShapeError,
@@ -77,7 +76,6 @@ __all__ = [
     "MachineSpec",
     "NoStrategyError",
     "NonAffineError",
-    "OutOfMemoryError",
     "PartitionError",
     "Planner",
     "PlannerConfig",

@@ -5,10 +5,13 @@
 expression of the combinator mini-language (``tofu``, ``single``,
 ``placement``, ``swap``, ``dp:<groups>``,
 ``pipeline:<stages>[:<schedule>[:<microbatches>]]``, composed with ``/``) or
-``auto`` for the bounded sweep; ``--dry-run`` shows the lowering without
-planning or simulating, and ``--save`` persists the compiled model as JSON.
+``auto`` for the autotuner's sweep (the default 16-candidate budget, the
+same as ``repro.compile(graph, "auto")``); ``--dry-run`` shows the lowering
+(or the auto candidates) without planning or simulating, ``--save``
+persists the compiled model as JSON, and ``--profile`` prints the stage
+table (``tuner.screen`` / ``tuner.search`` / ``tuner.rank`` under ``auto``).
 
-``compile``, ``tune`` and ``partition`` share a ``--cache-dir`` for the
+``compile`` and ``partition`` share a ``--cache-dir`` for the
 persistent plan store.  ``partition`` takes a ``--backend`` (any registered
 search backend — see ``tofu-repro backends``); ``compile`` names the search
 in its strategy (``--strategy tofu:spartan``).
@@ -21,8 +24,7 @@ Examples::
     tofu-repro compile --model rnn --strategy dp:2/pipeline:2:1f1b:4/tofu \\
         --workers 8
     tofu-repro compile --model mlp --strategy auto --workers 8
-    tofu-repro tune --model rnn --workers 8 --max-candidates 24
-    tofu-repro tune --model rnn --preset p2_8xlarge_x4 --max-seconds 30 \\
+    tofu-repro compile --model rnn --preset p2_8xlarge_x4 --strategy auto \\
         --profile
     tofu-repro compile --model mlp --strategy dp:2/tofu --dry-run
     tofu-repro partition --model wresnet --depth 50 --widen 4 --batch 32 --workers 8
@@ -32,7 +34,6 @@ Examples::
     tofu-repro compile --model mlp --strategy swap --workers 8
     tofu-repro compile --model rnn --machines 2 --workers 4 \\
         --strategy machines:2/pipeline:2:1f1b:4/tofu
-    tofu-repro compile --model rnn --preset p2_8xlarge_x4 --strategy auto
     tofu-repro coverage
     tofu-repro compile --model rnn --strategy pipeline:2:1f1b:4 --workers 4 \\
         --save model.json
@@ -58,7 +59,7 @@ import os
 import sys
 
 from repro import compiler, perf
-from repro.errors import ReproError, StrategyError
+from repro.errors import ReproError
 from repro.interval.strategies import describe_operator
 from repro.models.mlp import build_mlp
 from repro.models.resnet import WRESNET_BLOCKS, build_wide_resnet
@@ -257,59 +258,6 @@ def cmd_compile(args) -> int:
     return 0
 
 
-def _csv(text: str) -> list:
-    return [item.strip() for item in text.split(",") if item.strip()]
-
-
-def cmd_tune(args) -> int:
-    from repro.tuner import Tuner, TunerBudget
-
-    bundle = _build_model(args)
-    machine = _build_topology(args)
-    if machine.num_machines > 1:
-        print(
-            f"topology: {machine.num_machines} machines, "
-            f"{machine.num_devices} devices"
-        )
-    print(f"model: {bundle.name} ({bundle.graph.num_nodes()} operators)")
-    try:
-        microbatches = tuple(int(m) for m in _csv(args.microbatches))
-    except ValueError:
-        raise StrategyError(
-            f"--microbatches takes comma-separated integers, got "
-            f"{args.microbatches!r}"
-        ) from None
-    budget = TunerBudget(
-        max_candidates=args.max_candidates, max_seconds=args.max_seconds
-    )
-    tuner = Tuner(
-        budget=budget,
-        microbatches=microbatches,
-        schedules=tuple(_csv(args.schedules)),
-        search_backends=tuple(_csv(args.search_backends)),
-    )
-    timer = perf.StageTimer() if args.profile else None
-    with perf.activation(timer):
-        result = tuner.tune(bundle.graph, machine, planner=_make_planner(args))
-    print(result.summary())
-    rejected = [o for o in result.outcomes if o.status in ("screened", "error")]
-    if rejected:
-        print("rejected candidates:")
-        for outcome in rejected:
-            print(f"  {outcome.strategy:<36} {outcome.status}: {outcome.reason}")
-    best = result.best
-    print(
-        f"throughput: {best.throughput(bundle.batch_size):.1f} samples/s "
-        f"({best.strategy})"
-    )
-    if args.save:
-        best.save(args.save)
-        print(f"saved: {args.save}")
-    if timer is not None:
-        print(timer.summary())
-    return 0
-
-
 def cmd_verify(args) -> int:
     from repro.analysis import verify_model
     from repro.compiler import CompiledModel
@@ -390,54 +338,6 @@ def main(argv=None) -> int:
         help="print per-stage timings and cache counters of the compile",
     )
     p_compile.set_defaults(func=cmd_compile)
-
-    p_tune = sub.add_parser(
-        "tune", help="autotune a strategy under an explicit search budget"
-    )
-    _add_model_args(p_tune)
-    _add_planner_args(p_tune)
-    p_tune.add_argument(
-        "--max-candidates",
-        type=int,
-        default=None,
-        help="candidate budget: at most this many strategies are screened "
-        "and evaluated (default: the whole generated grid)",
-    )
-    p_tune.add_argument(
-        "--max-seconds",
-        type=float,
-        default=None,
-        help="wall-clock budget: candidates not started by the deadline are "
-        "reported as skipped",
-    )
-    p_tune.add_argument(
-        "--microbatches",
-        default="2,4,8",
-        help="comma-separated micro-batch counts for pipeline candidates",
-    )
-    p_tune.add_argument(
-        "--schedules",
-        default="1f1b,gpipe",
-        help="comma-separated pipeline schedules to sweep",
-    )
-    p_tune.add_argument(
-        "--search-backends",
-        default="",
-        help="comma-separated extra partition-search backends to sweep as "
-        "tofu:<name> candidates",
-    )
-    p_tune.add_argument(
-        "--save",
-        default=None,
-        help="write the winning compiled model to this path",
-    )
-    p_tune.add_argument(
-        "--profile",
-        action="store_true",
-        help="print per-stage timings (tuner.screen / tuner.search / "
-        "tuner.rank included) and cache counters",
-    )
-    p_tune.set_defaults(func=cmd_tune)
 
     p_partition = sub.add_parser("partition", help="search a partition plan")
     _add_model_args(p_partition)

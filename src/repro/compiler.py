@@ -18,11 +18,11 @@ parameters to the ``pipeline`` backend, and a ``tofu`` leaf first runs the
 entry).
 
 ``strategy="auto"`` runs the budgeted autotuner (:mod:`repro.tuner`): a
-full-algebra candidate grid is screened for memory fit before any full
-simulation, survivors are simulated in-process, and the fastest viable
-candidate wins; plain ``tofu()`` always leads the grid, so ``auto`` is never
-slower than it.  Pass ``tuner=Tuner(...)`` to control the budget and grid
-axes; the default keeps the historical 16-candidate sweep size.
+fixed candidate grid over the strategy algebra is screened for memory fit
+before any full simulation, survivors are simulated in-process, and the
+fastest viable candidate wins; plain ``tofu()`` always leads the grid, so
+``auto`` is never slower than it.  Pass ``tuner=Tuner(...)`` to control the
+budget; the default keeps the historical 16-candidate sweep size.
 
 A compile allocates millions of short-lived containers but leaves almost no
 reference cycles behind, so it runs with CPython's cyclic collector paused
@@ -385,7 +385,7 @@ def compile(
             batch-search evaluators use this to price only programs that
             fit device memory.
         tuner: A configured :class:`repro.tuner.Tuner` driving the
-            ``"auto"`` sweep — budget and grid axes.
+            ``"auto"`` sweep under its budget.
             ``None`` keeps the default bounded sweep
             (``TunerBudget(max_candidates=16)`` over the generated grid).
             Rejected for explicit strategies.  To sweep an explicit

@@ -68,8 +68,8 @@ class SimulationError(ReproError):
     """Raised for malformed simulator inputs.
 
     :attr:`code` is a stable, greppable identifier (``SIM000_SIMULATION``
-    unless a more specific subclass or raise site narrows it); the CLI
-    surfaces it as ``error: [CODE] message``.
+    unless a raise site narrows it); the CLI surfaces it as
+    ``error: [CODE] message``.
     """
 
     code: str = "SIM000_SIMULATION"
@@ -117,17 +117,3 @@ class AnalysisError(ReproError):
         self.check = check
         self.task = task
         self.node = node
-
-
-class OutOfMemoryError(SimulationError):
-    """Raised (or recorded) when a simulated device exceeds its memory capacity."""
-
-    code = "SIM001_OUT_OF_MEMORY"
-
-    def __init__(self, device: str, required: int, capacity: int):
-        super().__init__(
-            f"device {device} requires {required} bytes but only has {capacity}"
-        )
-        self.device = device
-        self.required = required
-        self.capacity = capacity

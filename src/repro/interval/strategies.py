@@ -22,7 +22,6 @@ from repro.errors import NoStrategyError, TDLError
 from repro.interval.analysis import AccessSummary, analyze_cached
 from repro.ops.registry import get_op
 from repro.tdl.lang import TDLOperator
-from repro.tdl.registry import get_description
 
 
 @dataclass(frozen=True)
@@ -124,15 +123,14 @@ def discover_strategies(
 def describe_operator(op_name: str) -> List[PartitionStrategy]:
     """Partition strategies of a registered operator, from its TDL description.
 
-    Raises :class:`TDLError` naming the operator when it has no TDL
-    description — whether it is an undescribable operator class (Sec 4.1) or
-    an element-wise operator registered without one — and
+    The description is the operator definition's own ``tdl`` (the one the
+    cost model prices), so re-registering an operator replaces what this
+    returns.  Raises :class:`TDLError` naming the operator when it has no
+    TDL description — whether it is an undescribable operator class
+    (Sec 4.1) or an element-wise operator registered without one — and
     :class:`UnknownOperatorError` when the name is not registered at all.
     """
-    op = get_op(op_name)
-    description = get_description(op_name)
-    if description is None and op.elementwise:
-        description = op.tdl
+    description = get_op(op_name).tdl
     if description is None:
         raise TDLError(f"operator {op_name!r} has no TDL description")
     return discover_strategies(description)

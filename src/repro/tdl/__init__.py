@@ -33,7 +33,6 @@ from repro.tdl.registry import (
     DescriptionRegistry,
     GLOBAL_REGISTRY,
     get_description,
-    register_description,
 )
 
 __all__ = [
@@ -62,6 +61,5 @@ __all__ = [
     "find_tensor_accesses",
     "get_description",
     "op",
-    "register_description",
     "walk",
 ]

@@ -123,11 +123,5 @@ class DescriptionRegistry:
 GLOBAL_REGISTRY = DescriptionRegistry()
 
 
-def register_description(description: TDLOperator, name: Optional[str] = None):
-    """Register ``description`` in the global registry and return it."""
-    GLOBAL_REGISTRY.register(description, name=name)
-    return description
-
-
 def get_description(name: str) -> Optional[TDLOperator]:
     return GLOBAL_REGISTRY.get(name)

@@ -1,9 +1,9 @@
 """The budgeted strategy autotuner (what ``strategy="auto"`` runs on).
 
 Where the original auto sweep fully simulated a fixed 16-candidate list one
-by one, this package searches the whole strategy algebra — machine scopes ×
-replica groups × pipeline stages × micro-batch counts × schedules × search
-backends — in three stages: cheap memory **screening** (a static footprint
+by one, this package searches a fixed grid over the strategy algebra —
+machine scopes × replica groups × pipeline stages × micro-batch counts ×
+schedules — in three stages: cheap memory **screening** (a static footprint
 estimate plus a ``lower_only`` compile whose per-device memory report is
 checked against capacity; a screened candidate's task rows are never
 emitted), budgeted **search** (survivors fully simulated in-process,
@@ -12,7 +12,8 @@ Pareto frontier over iteration time, peak device memory, machine count).
 
 Entry points: :class:`Tuner` / :class:`TunerBudget` programmatically,
 ``repro.compile(graph, "auto", tuner=Tuner(...))`` on the compile path, and
-``tofu-repro tune`` on the command line.
+``tofu-repro compile --strategy auto`` on the command line.  To sweep other
+axes, pass ``Tuner().tune(..., candidates=[...])``.
 """
 
 from repro.tuner.budget import TunerBudget

@@ -1,16 +1,14 @@
 """Search budgets for the autotuner.
 
-A budget bounds the design-space sweep two ways: **candidates** (how many
-strategies may be screened and evaluated — deterministic: the same budget on
-the same machine always decides the same candidate set) and **wall-clock**
-(a soft deadline checked between candidates — best-effort: what finishes in
-time depends on the host).  Both may be combined; an unbounded budget
-evaluates the full generated grid.
+A budget bounds the design-space sweep in **candidates**: how many
+strategies may be screened and evaluated.  The generated grid is truncated
+in its deterministic order, so the same budget on the same machine always
+decides the same candidate set and every sweep reruns bit-identically.  An
+unbounded budget evaluates the full generated grid.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, TypeVar
 
@@ -25,19 +23,15 @@ T = TypeVar("T")
 class TunerBudget:
     """How much searching the tuner may do.
 
-    ``max_candidates`` caps how many strategies enter the staged evaluation
-    (the generated grid is truncated in its deterministic order, so a
-    candidate budget alone keeps reruns bit-identical).
-    ``max_seconds`` is a wall-clock deadline checked between candidates:
-    candidates not started by the deadline are reported as skipped, never
-    silently dropped.  ``None`` means unbounded on that axis.
+    ``max_candidates`` caps how many strategies enter the staged evaluation;
+    the rest of the grid is reported as skipped, never silently dropped.
+    ``None`` means unbounded.
     """
 
     max_candidates: Optional[int] = None
-    max_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
-        candidates, seconds = self.max_candidates, self.max_seconds
+        candidates = self.max_candidates
         if candidates is not None and (
             isinstance(candidates, bool)
             or not isinstance(candidates, int)
@@ -47,22 +41,6 @@ class TunerBudget:
                 f"TunerBudget.max_candidates must be an integer >= 1, got "
                 f"{candidates!r}"
             )
-        if seconds is not None and (
-            isinstance(seconds, bool)
-            or not isinstance(seconds, (int, float))
-            or not math.isfinite(seconds)
-            or seconds <= 0
-        ):
-            raise StrategyError(
-                f"TunerBudget.max_seconds must be a finite number > 0, got "
-                f"{seconds!r}"
-            )
-
-    @property
-    def deterministic(self) -> bool:
-        """Whether the budget decides the same candidates on every run
-        (true exactly when no wall-clock deadline is set)."""
-        return self.max_seconds is None
 
     def split(self, pool: Sequence[T]) -> Tuple[List[T], List[T]]:
         """``(admitted, cut)``: the candidates inside and beyond the
@@ -73,7 +51,4 @@ class TunerBudget:
 
     def to_dict(self) -> dict:
         """JSON-serialisable form (recorded in :class:`TunerResult`)."""
-        return {
-            "max_candidates": self.max_candidates,
-            "max_seconds": self.max_seconds,
-        }
+        return {"max_candidates": self.max_candidates}

@@ -1,9 +1,12 @@
-"""Candidate generation over the full strategy algebra.
+"""Candidate generation over the strategy algebra.
 
-The grid spans every axis the strategy algebra exposes — machine scopes ×
-replica groups × pipeline stage counts × micro-batch counts × schedules ×
-partition-search backends — and relies on the tuner's staged screening plus
-an explicit :class:`repro.tuner.TunerBudget` to keep the sweep affordable.
+The grid is one fixed set per machine: machine scopes × replica groups ×
+pipeline stage counts × the micro-batch counts :data:`MICROBATCHES` × the
+schedules :data:`SCHEDULES`, all over the default ``tofu`` search.  It
+relies on the tuner's staged screening plus a
+:class:`repro.tuner.TunerBudget` to keep the sweep affordable; to sweep
+other axes (or ``tofu:<backend>`` variants), pass an explicit candidate list
+to :meth:`repro.tuner.Tuner.tune`.
 
 The grid is *heterogeneity-aware*: generation reads the per-machine device
 counts and aggregate speeds from the :class:`repro.sim.device.ClusterSpec`
@@ -22,7 +25,7 @@ dedup by canonical string.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.sim.device import Topology
 from repro.strategy.algebra import (
@@ -40,8 +43,8 @@ __all__ = [
     "tuner_candidates",
 ]
 
-DEFAULT_MICROBATCHES: Tuple[int, ...] = (2, 4, 8)
-DEFAULT_SCHEDULES: Tuple[str, ...] = ("1f1b", "gpipe")
+MICROBATCHES: Tuple[int, ...] = (2, 4, 8)
+SCHEDULES: Tuple[str, ...] = ("1f1b", "gpipe")
 
 
 def _divisors(value: int) -> List[int]:
@@ -81,22 +84,15 @@ def aligned_replica_groups(machine: Topology) -> List[int]:
     return aligned
 
 
-def tuner_candidates(
-    machine: Topology,
-    *,
-    microbatches: Sequence[int] = DEFAULT_MICROBATCHES,
-    schedules: Sequence[str] = DEFAULT_SCHEDULES,
-    search_backends: Sequence[str] = (),
-) -> List[Strategy]:
-    """The full-algebra candidate grid for ``machine``, promising-first.
+def tuner_candidates(machine: Topology) -> List[Strategy]:
+    """The candidate grid for ``machine``, promising-first.
 
     ``tofu()`` and ``single()`` always lead (so any candidate budget keeps
-    the paper's own strategy in the sweep), followed by partition-search
-    backend variants (``search_backends`` names registered planner
-    backends), machine-count scopes on a cluster, replica-group counts
-    (boundary-aligned counts first — see :func:`aligned_replica_groups`),
-    and the pipeline grid over stage counts × ``schedules`` ×
-    ``microbatches``, alone and under each replica-group count.
+    the paper's own strategy in the sweep), followed by machine-count scopes
+    on a cluster, replica-group counts (boundary-aligned counts first — see
+    :func:`aligned_replica_groups`), and the pipeline grid over stage counts
+    × :data:`SCHEDULES` × :data:`MICROBATCHES`, alone and under each
+    replica-group count.
 
     The grid is *not* bounded here; pass the result through a
     :class:`repro.tuner.TunerBudget` (what :meth:`repro.tuner.Tuner.tune`
@@ -104,15 +100,13 @@ def tuner_candidates(
     """
     devices = machine.num_devices
     candidates: List[Strategy] = [tofu(), single()]
-    for backend in search_backends:
-        candidates.append(tofu(backend))
 
     if machine.num_machines > 1:
         for count in range(machine.num_machines, 1, -1):
             candidates.append(machines(count) / tofu())
             candidates.append(machines(count) / dp(count) / tofu())
-            for schedule in schedules:
-                for micro in microbatches:
+            for schedule in SCHEDULES:
+                for micro in MICROBATCHES:
                     candidates.append(
                         machines(count)
                         / pipeline(count, schedule, micro)
@@ -135,8 +129,8 @@ def tuner_candidates(
         stage_counts.append(machine.num_machines)
         stage_counts.sort()
     for stages in stage_counts:
-        for schedule in schedules:
-            for micro in microbatches:
+        for schedule in SCHEDULES:
+            for micro in MICROBATCHES:
                 candidates.append(pipeline(stages, schedule, micro))
 
     for groups in group_counts:
@@ -145,8 +139,8 @@ def tuner_candidates(
         for stages in _divisors(devices // groups):
             if stages <= 1:
                 continue
-            for schedule in schedules:
-                for micro in microbatches:
+            for schedule in SCHEDULES:
+                for micro in MICROBATCHES:
                     candidates.append(
                         dp(groups) / pipeline(stages, schedule, micro) / tofu()
                     )

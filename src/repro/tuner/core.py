@@ -15,9 +15,9 @@ One :meth:`Tuner.tune` call runs three stages per candidate:
 3. **Rank** — outcomes reduce to a Pareto frontier over (iteration time,
    peak device memory, machine count) under the :class:`TunerBudget`.
 
-Determinism: given a budget in candidates only (no wall-clock deadline),
-reruns decide the same candidates with the same tie-breaks and return
-identical frontiers and winner keys.
+Determinism: a budget counts candidates only, so reruns decide the same
+candidates with the same tie-breaks and return identical frontiers and
+winner keys.
 """
 
 from __future__ import annotations
@@ -40,12 +40,7 @@ from repro.sim.device import Topology
 from repro.strategy.algebra import Machines, Strategy, normalize, parse
 from repro.strategy.lowering import persistent_bytes, weight_shards
 from repro.tuner.budget import TunerBudget
-from repro.tuner.candidates import (
-    DEFAULT_MICROBATCHES,
-    DEFAULT_SCHEDULES,
-    machine_compute_profile,
-    tuner_candidates,
-)
+from repro.tuner.candidates import machine_compute_profile, tuner_candidates
 from repro.tuner.result import (
     STATUS_ERROR,
     STATUS_EVALUATED,
@@ -223,9 +218,9 @@ class Tuner:
         jobs: Must be 1.  Candidates are evaluated in-process, sharing the
             caller's planner and executor caches; any other value raises
             :class:`~repro.errors.StrategyError`.
-        microbatches / schedules / search_backends: Grid axes forwarded to
-            :func:`repro.tuner.tuner_candidates` when no explicit candidate
-            list is given.
+
+    The candidate grid is :func:`repro.tuner.tuner_candidates`; pass
+    ``candidates=`` to :meth:`tune` to sweep any other set.
     """
 
     def __init__(
@@ -233,10 +228,6 @@ class Tuner:
         budget: Optional[TunerBudget] = None,
         # Kept only because benchmarks/e2e/harness.py spells jobs=1.
         jobs: int = 1,
-        *,
-        microbatches: Sequence[int] = DEFAULT_MICROBATCHES,
-        schedules: Sequence[str] = DEFAULT_SCHEDULES,
-        search_backends: Sequence[str] = (),
     ):
         if jobs != 1:
             raise StrategyError(
@@ -244,9 +235,6 @@ class Tuner:
                 "candidates are evaluated in-process"
             )
         self.budget = budget or TunerBudget()
-        self.microbatches = tuple(microbatches)
-        self.schedules = tuple(schedules)
-        self.search_backends = tuple(search_backends)
 
     # ----------------------------------------------------------------- tune
     # Like compile(..., "auto"): one collector pause spans the whole sweep,
@@ -272,12 +260,7 @@ class Tuner:
         planner = planner or default_planner()
         executor = executor or Executor()
         if candidates is None:
-            pool = tuner_candidates(
-                machine,
-                microbatches=self.microbatches,
-                schedules=self.schedules,
-                search_backends=self.search_backends,
-            )
+            pool = tuner_candidates(machine)
         else:
             pool = [parse(c) if isinstance(c, str) else c for c in candidates]
         if not pool:
@@ -357,28 +340,11 @@ class Tuner:
         planner: Planner,
         executor: Executor,
     ) -> Tuple[List[CandidateOutcome], Optional["compiler.CompiledModel"]]:
-        deadline = None
-        if self.budget.max_seconds is not None:
-            deadline = time.monotonic() + self.budget.max_seconds
         outcomes: List[CandidateOutcome] = []
         best_model: Optional["compiler.CompiledModel"] = None
         best_key: Optional[Tuple[float, int]] = None
         weight_bytes = graph.weight_bytes()
         for index, candidate in enumerate(admitted):
-            if deadline is not None and time.monotonic() >= deadline:
-                outcomes.append(
-                    CandidateOutcome(
-                        index=index,
-                        strategy=str(candidate),
-                        status=STATUS_SKIPPED,
-                        reason=(
-                            f"budget: max_seconds={self.budget.max_seconds} "
-                            f"deadline reached"
-                        ),
-                        machine_count=_machines_used(candidate, machine),
-                    )
-                )
-                continue
             outcome, model = evaluate_candidate(
                 graph,
                 index,

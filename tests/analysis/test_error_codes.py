@@ -10,21 +10,12 @@ import re
 from pathlib import Path
 
 from repro.analysis import ERROR_CODES
-from repro.errors import (
-    AnalysisError,
-    OutOfMemoryError,
-    SimulationError,
-)
+from repro.errors import AnalysisError, SimulationError
 
 
 class TestDefaultCodes:
     def test_simulation_error(self):
         assert SimulationError("boom").code == "SIM000_SIMULATION"
-
-    def test_out_of_memory_error(self):
-        error = OutOfMemoryError(1, 4, 2)
-        assert error.code == "SIM001_OUT_OF_MEMORY"
-        assert isinstance(error, SimulationError)
 
     def test_analysis_error_default_and_override(self):
         assert AnalysisError("x").code == "ANA000_ANALYSIS"

@@ -436,3 +436,26 @@ class TestDescribeOperatorErrors:
                 repro.describe_operator("_strategy_test_elementwise")
         finally:
             OPS.pop("_strategy_test_elementwise", None)
+
+    def test_re_registration_replaces_the_described_strategies(self):
+        """``describe_operator`` reads the description the cost model
+        prices: re-registering an operator without a TDL description
+        leaves it nothing to describe."""
+        from repro.ops.registry import OPS, get_op, register_op
+
+        original = OPS["matmul"]
+        assert len(repro.describe_operator("matmul")) == 3
+        register_op(
+            "matmul",
+            original.infer_shape,
+            flops=original.flops,
+            gradient=original.gradient,
+            category=original.category,
+        )
+        try:
+            assert get_op("matmul").tdl is None
+            with pytest.raises(TDLError, match="matmul"):
+                repro.describe_operator("matmul")
+        finally:
+            OPS["matmul"] = original
+        assert len(repro.describe_operator("matmul")) == 3

@@ -153,28 +153,25 @@ class TestCLI:
         assert "candidate sweep" in out
         assert "dp:2/tofu" in out
 
+    # The autotuner runs from the CLI as ``compile --strategy auto``.
+    AUTO = ["compile", "--model", "mlp", "--batch", "16", "--hidden", "128",
+            "--layers", "2", "--workers", "4", "--strategy", "auto"]
+
     def test_tune_command(self, capsys):
-        assert cli_main(["tune", "--model", "mlp", "--batch", "16",
-                         "--hidden", "128", "--layers", "2", "--workers", "4",
-                         "--max-candidates", "4"]) == 0
+        assert cli_main(self.AUTO) == 0
         out = capsys.readouterr().out
-        assert "winner:" in out
-        assert "pareto frontier" in out
+        assert "auto sweep:" in out
         assert "throughput" in out
 
     def test_tune_command_profile_prints_tuner_stages(self, capsys):
-        assert cli_main(["tune", "--model", "mlp", "--batch", "16",
-                         "--hidden", "128", "--layers", "2", "--workers", "4",
-                         "--max-candidates", "4", "--profile"]) == 0
+        assert cli_main([*self.AUTO, "--profile"]) == 0
         out = capsys.readouterr().out
         assert "tuner.screen" in out
         assert "tuner.rank" in out
 
     def test_tune_command_save_round_trips(self, tmp_path, capsys):
         path = tmp_path / "best.json"
-        assert cli_main(["tune", "--model", "mlp", "--batch", "16",
-                         "--hidden", "128", "--layers", "2", "--workers", "4",
-                         "--max-candidates", "4", "--save", str(path)]) == 0
+        assert cli_main([*self.AUTO, "--save", str(path)]) == 0
         assert "saved:" in capsys.readouterr().out
         from repro.compiler import CompiledModel
 
@@ -279,12 +276,12 @@ class TestBadInputs:
 
     @pytest.mark.parametrize("argv, message", [
         (["compile", "--jobs", "2"], "unrecognized arguments: --jobs"),
-        (["tune", "--jobs", "2"], "unrecognized arguments: --jobs"),
         (["partition", "--jobs", "2"], "unrecognized arguments: --jobs"),
         (["compile", "--model", "wresnet", "--depth", "7"],
          "invalid choice: 7 (choose from 50, 101, 152)"),
         (["cache", "stats"], "invalid choice: 'cache'"),
-    ], ids=["jobs-compile", "jobs-tune", "jobs-partition", "depth", "cache"])
+        (["tune"], "invalid choice: 'tune'"),
+    ], ids=["jobs-compile", "jobs-partition", "depth", "cache", "tune"])
     def test_usage_errors_exit_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             cli_main(argv)
@@ -300,18 +297,11 @@ class TestBadInputs:
         assert err.startswith("error:") and str(missing) in err
         assert not missing.exists()
 
-    def test_tune_rejects_non_integer_microbatches(self, capsys):
-        assert cli_main(["tune", *self.MLP, "--workers", "2",
-                         "--microbatches", "x"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "--microbatches" in err
-
-    @pytest.mark.parametrize("command", ["compile", "tune"])
     def test_save_into_a_missing_directory_exits_cleanly(
-        self, tmp_path, capsys, command
+        self, tmp_path, capsys
     ):
         path = tmp_path / "missing" / "model.json"
-        assert cli_main([command, *self.MLP, "--workers", "2",
+        assert cli_main(["compile", *self.MLP, "--workers", "2",
                          "--save", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "cannot save" in err

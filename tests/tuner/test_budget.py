@@ -1,4 +1,4 @@
-"""TunerBudget semantics: validation, determinism, the admit/cut split."""
+"""TunerBudget semantics: validation, the admit/cut split, the dict form."""
 
 from __future__ import annotations
 
@@ -12,24 +12,14 @@ class TestValidation:
     def test_unbounded_by_default(self):
         budget = TunerBudget()
         assert budget.max_candidates is None
-        assert budget.max_seconds is None
-        assert budget.deterministic
 
     def test_rejects_zero_candidates(self):
         with pytest.raises(StrategyError, match="max_candidates"):
             TunerBudget(max_candidates=0)
 
-    def test_rejects_non_positive_seconds(self):
-        with pytest.raises(StrategyError, match="max_seconds"):
-            TunerBudget(max_seconds=0.0)
-
     @pytest.mark.parametrize(
         "fields",
         [
-            {"max_seconds": float("nan")},
-            {"max_seconds": float("inf")},
-            {"max_seconds": "3"},
-            {"max_seconds": True},
             {"max_candidates": "3"},
             {"max_candidates": True},
             {"max_candidates": 2.0},
@@ -40,10 +30,6 @@ class TestValidation:
         field = next(iter(fields))
         with pytest.raises(StrategyError, match=field):
             TunerBudget(**fields)
-
-    def test_wall_clock_budget_is_not_deterministic(self):
-        assert not TunerBudget(max_seconds=10.0).deterministic
-        assert TunerBudget(max_candidates=4).deterministic
 
 
 class TestSplit:
@@ -60,7 +46,7 @@ class TestSplit:
 
 class TestRoundTrip:
     def test_dict_round_trip(self):
-        budget = TunerBudget(max_candidates=8, max_seconds=1.5)
+        budget = TunerBudget(max_candidates=8)
         assert TunerBudget(**budget.to_dict()) == budget
 
     def test_from_dict_rejects_unknown_fields(self):
@@ -71,4 +57,4 @@ class TestRoundTrip:
 
     def test_from_none_is_unbounded(self):
         unbounded = TunerBudget(**TunerBudget().to_dict())
-        assert unbounded == TunerBudget() and unbounded.deterministic
+        assert unbounded == TunerBudget()

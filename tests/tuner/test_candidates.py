@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.sim.device import (
+    TOPOLOGY_PRESETS,
     ClusterSpec,
     cluster_of,
     k80_8gpu_machine,
+    topology_preset,
     v100_machine,
 )
 from repro.tuner import (
@@ -50,15 +54,6 @@ class TestGrid:
 
         machine = k80_8gpu_machine(8)
         assert len(tuner_candidates(machine)) > AUTO_MAX_CANDIDATES
-
-    def test_search_backend_axis(self):
-        pool = [
-            str(c)
-            for c in tuner_candidates(
-                k80_8gpu_machine(4), search_backends=("equalchop",)
-            )
-        ]
-        assert "tofu:equalchop" in pool
 
     def test_machines_scopes_on_a_cluster(self):
         cluster = cluster_of(k80_8gpu_machine(4), 2)
@@ -108,3 +103,148 @@ class TestHeterogeneity:
         )
         profile = machine_compute_profile(mixed)
         assert profile[0][1] != profile[1][1]
+
+
+# The default grid of each machine, in order.  The order decides which
+# candidates a truncating budget admits, so a change here changes what
+# ``strategy="auto"`` sweeps and must be deliberate.
+GRID_K80_4 = """
+    tofu single dp:2/tofu dp:4/tofu pipeline:2:1f1b:2 pipeline:2:1f1b:4
+    pipeline:2:1f1b:8 pipeline:2:gpipe:2 pipeline:2:gpipe:4
+    pipeline:2:gpipe:8 pipeline:4:1f1b:2 pipeline:4:1f1b:4
+    pipeline:4:1f1b:8 pipeline:4:gpipe:2 pipeline:4:gpipe:4
+    pipeline:4:gpipe:8 dp:2/pipeline:2:1f1b:2/tofu
+    dp:2/pipeline:2:1f1b:4/tofu dp:2/pipeline:2:1f1b:8/tofu
+    dp:2/pipeline:2:gpipe:2/tofu dp:2/pipeline:2:gpipe:4/tofu
+    dp:2/pipeline:2:gpipe:8/tofu
+""".split()
+GRID_K80_8 = """
+    tofu single dp:2/tofu dp:4/tofu dp:8/tofu pipeline:2:1f1b:2
+    pipeline:2:1f1b:4 pipeline:2:1f1b:8 pipeline:2:gpipe:2
+    pipeline:2:gpipe:4 pipeline:2:gpipe:8 pipeline:4:1f1b:2
+    pipeline:4:1f1b:4 pipeline:4:1f1b:8 pipeline:4:gpipe:2
+    pipeline:4:gpipe:4 pipeline:4:gpipe:8 pipeline:8:1f1b:2
+    pipeline:8:1f1b:4 pipeline:8:1f1b:8 pipeline:8:gpipe:2
+    pipeline:8:gpipe:4 pipeline:8:gpipe:8 dp:2/pipeline:2:1f1b:2/tofu
+    dp:2/pipeline:2:1f1b:4/tofu dp:2/pipeline:2:1f1b:8/tofu
+    dp:2/pipeline:2:gpipe:2/tofu dp:2/pipeline:2:gpipe:4/tofu
+    dp:2/pipeline:2:gpipe:8/tofu dp:2/pipeline:4:1f1b:2/tofu
+    dp:2/pipeline:4:1f1b:4/tofu dp:2/pipeline:4:1f1b:8/tofu
+    dp:2/pipeline:4:gpipe:2/tofu dp:2/pipeline:4:gpipe:4/tofu
+    dp:2/pipeline:4:gpipe:8/tofu dp:4/pipeline:2:1f1b:2/tofu
+    dp:4/pipeline:2:1f1b:4/tofu dp:4/pipeline:2:1f1b:8/tofu
+    dp:4/pipeline:2:gpipe:2/tofu dp:4/pipeline:2:gpipe:4/tofu
+    dp:4/pipeline:2:gpipe:8/tofu
+""".split()
+GRID_X2 = """
+    tofu single machines:2/tofu machines:2/dp:2/tofu
+    machines:2/pipeline:2:1f1b:2/tofu machines:2/pipeline:2:1f1b:4/tofu
+    machines:2/pipeline:2:1f1b:8/tofu machines:2/pipeline:2:gpipe:2/tofu
+    machines:2/pipeline:2:gpipe:4/tofu
+    machines:2/pipeline:2:gpipe:8/tofu dp:2/tofu dp:4/tofu dp:8/tofu
+    dp:16/tofu pipeline:2:1f1b:2 pipeline:2:1f1b:4 pipeline:2:1f1b:8
+    pipeline:2:gpipe:2 pipeline:2:gpipe:4 pipeline:2:gpipe:8
+    pipeline:4:1f1b:2 pipeline:4:1f1b:4 pipeline:4:1f1b:8
+    pipeline:4:gpipe:2 pipeline:4:gpipe:4 pipeline:4:gpipe:8
+    pipeline:8:1f1b:2 pipeline:8:1f1b:4 pipeline:8:1f1b:8
+    pipeline:8:gpipe:2 pipeline:8:gpipe:4 pipeline:8:gpipe:8
+    pipeline:16:1f1b:2 pipeline:16:1f1b:4 pipeline:16:1f1b:8
+    pipeline:16:gpipe:2 pipeline:16:gpipe:4 pipeline:16:gpipe:8
+    dp:2/pipeline:2:1f1b:2/tofu dp:2/pipeline:2:1f1b:4/tofu
+    dp:2/pipeline:2:1f1b:8/tofu dp:2/pipeline:2:gpipe:2/tofu
+    dp:2/pipeline:2:gpipe:4/tofu dp:2/pipeline:2:gpipe:8/tofu
+    dp:2/pipeline:4:1f1b:2/tofu dp:2/pipeline:4:1f1b:4/tofu
+    dp:2/pipeline:4:1f1b:8/tofu dp:2/pipeline:4:gpipe:2/tofu
+    dp:2/pipeline:4:gpipe:4/tofu dp:2/pipeline:4:gpipe:8/tofu
+    dp:2/pipeline:8:1f1b:2/tofu dp:2/pipeline:8:1f1b:4/tofu
+    dp:2/pipeline:8:1f1b:8/tofu dp:2/pipeline:8:gpipe:2/tofu
+    dp:2/pipeline:8:gpipe:4/tofu dp:2/pipeline:8:gpipe:8/tofu
+    dp:4/pipeline:2:1f1b:2/tofu dp:4/pipeline:2:1f1b:4/tofu
+    dp:4/pipeline:2:1f1b:8/tofu dp:4/pipeline:2:gpipe:2/tofu
+    dp:4/pipeline:2:gpipe:4/tofu dp:4/pipeline:2:gpipe:8/tofu
+    dp:4/pipeline:4:1f1b:2/tofu dp:4/pipeline:4:1f1b:4/tofu
+    dp:4/pipeline:4:1f1b:8/tofu dp:4/pipeline:4:gpipe:2/tofu
+    dp:4/pipeline:4:gpipe:4/tofu dp:4/pipeline:4:gpipe:8/tofu
+    dp:8/pipeline:2:1f1b:2/tofu dp:8/pipeline:2:1f1b:4/tofu
+    dp:8/pipeline:2:1f1b:8/tofu dp:8/pipeline:2:gpipe:2/tofu
+    dp:8/pipeline:2:gpipe:4/tofu dp:8/pipeline:2:gpipe:8/tofu
+""".split()
+GRID_X4 = """
+    tofu single machines:4/tofu machines:4/dp:4/tofu
+    machines:4/pipeline:4:1f1b:2/tofu machines:4/pipeline:4:1f1b:4/tofu
+    machines:4/pipeline:4:1f1b:8/tofu machines:4/pipeline:4:gpipe:2/tofu
+    machines:4/pipeline:4:gpipe:4/tofu
+    machines:4/pipeline:4:gpipe:8/tofu machines:3/tofu
+    machines:3/dp:3/tofu machines:3/pipeline:3:1f1b:2/tofu
+    machines:3/pipeline:3:1f1b:4/tofu machines:3/pipeline:3:1f1b:8/tofu
+    machines:3/pipeline:3:gpipe:2/tofu
+    machines:3/pipeline:3:gpipe:4/tofu
+    machines:3/pipeline:3:gpipe:8/tofu machines:2/tofu
+    machines:2/dp:2/tofu machines:2/pipeline:2:1f1b:2/tofu
+    machines:2/pipeline:2:1f1b:4/tofu machines:2/pipeline:2:1f1b:8/tofu
+    machines:2/pipeline:2:gpipe:2/tofu
+    machines:2/pipeline:2:gpipe:4/tofu
+    machines:2/pipeline:2:gpipe:8/tofu dp:4/tofu dp:8/tofu dp:16/tofu
+    dp:32/tofu dp:2/tofu pipeline:2:1f1b:2 pipeline:2:1f1b:4
+    pipeline:2:1f1b:8 pipeline:2:gpipe:2 pipeline:2:gpipe:4
+    pipeline:2:gpipe:8 pipeline:4:1f1b:2 pipeline:4:1f1b:4
+    pipeline:4:1f1b:8 pipeline:4:gpipe:2 pipeline:4:gpipe:4
+    pipeline:4:gpipe:8 pipeline:8:1f1b:2 pipeline:8:1f1b:4
+    pipeline:8:1f1b:8 pipeline:8:gpipe:2 pipeline:8:gpipe:4
+    pipeline:8:gpipe:8 pipeline:16:1f1b:2 pipeline:16:1f1b:4
+    pipeline:16:1f1b:8 pipeline:16:gpipe:2 pipeline:16:gpipe:4
+    pipeline:16:gpipe:8 pipeline:32:1f1b:2 pipeline:32:1f1b:4
+    pipeline:32:1f1b:8 pipeline:32:gpipe:2 pipeline:32:gpipe:4
+    pipeline:32:gpipe:8 dp:4/pipeline:2:1f1b:2/tofu
+    dp:4/pipeline:2:1f1b:4/tofu dp:4/pipeline:2:1f1b:8/tofu
+    dp:4/pipeline:2:gpipe:2/tofu dp:4/pipeline:2:gpipe:4/tofu
+    dp:4/pipeline:2:gpipe:8/tofu dp:4/pipeline:4:1f1b:2/tofu
+    dp:4/pipeline:4:1f1b:4/tofu dp:4/pipeline:4:1f1b:8/tofu
+    dp:4/pipeline:4:gpipe:2/tofu dp:4/pipeline:4:gpipe:4/tofu
+    dp:4/pipeline:4:gpipe:8/tofu dp:4/pipeline:8:1f1b:2/tofu
+    dp:4/pipeline:8:1f1b:4/tofu dp:4/pipeline:8:1f1b:8/tofu
+    dp:4/pipeline:8:gpipe:2/tofu dp:4/pipeline:8:gpipe:4/tofu
+    dp:4/pipeline:8:gpipe:8/tofu dp:8/pipeline:2:1f1b:2/tofu
+    dp:8/pipeline:2:1f1b:4/tofu dp:8/pipeline:2:1f1b:8/tofu
+    dp:8/pipeline:2:gpipe:2/tofu dp:8/pipeline:2:gpipe:4/tofu
+    dp:8/pipeline:2:gpipe:8/tofu dp:8/pipeline:4:1f1b:2/tofu
+    dp:8/pipeline:4:1f1b:4/tofu dp:8/pipeline:4:1f1b:8/tofu
+    dp:8/pipeline:4:gpipe:2/tofu dp:8/pipeline:4:gpipe:4/tofu
+    dp:8/pipeline:4:gpipe:8/tofu dp:16/pipeline:2:1f1b:2/tofu
+    dp:16/pipeline:2:1f1b:4/tofu dp:16/pipeline:2:1f1b:8/tofu
+    dp:16/pipeline:2:gpipe:2/tofu dp:16/pipeline:2:gpipe:4/tofu
+    dp:16/pipeline:2:gpipe:8/tofu dp:2/pipeline:2:1f1b:2/tofu
+    dp:2/pipeline:2:1f1b:4/tofu dp:2/pipeline:2:1f1b:8/tofu
+    dp:2/pipeline:2:gpipe:2/tofu dp:2/pipeline:2:gpipe:4/tofu
+    dp:2/pipeline:2:gpipe:8/tofu dp:2/pipeline:4:1f1b:2/tofu
+    dp:2/pipeline:4:1f1b:4/tofu dp:2/pipeline:4:1f1b:8/tofu
+    dp:2/pipeline:4:gpipe:2/tofu dp:2/pipeline:4:gpipe:4/tofu
+    dp:2/pipeline:4:gpipe:8/tofu dp:2/pipeline:8:1f1b:2/tofu
+    dp:2/pipeline:8:1f1b:4/tofu dp:2/pipeline:8:1f1b:8/tofu
+    dp:2/pipeline:8:gpipe:2/tofu dp:2/pipeline:8:gpipe:4/tofu
+    dp:2/pipeline:8:gpipe:8/tofu dp:2/pipeline:16:1f1b:2/tofu
+    dp:2/pipeline:16:1f1b:4/tofu dp:2/pipeline:16:1f1b:8/tofu
+    dp:2/pipeline:16:gpipe:2/tofu dp:2/pipeline:16:gpipe:4/tofu
+    dp:2/pipeline:16:gpipe:8/tofu
+""".split()
+
+
+PINNED_GRIDS = {
+    "k80_8gpu_machine(4)": (lambda: k80_8gpu_machine(4), GRID_K80_4),
+    "k80_8gpu_machine(8)": (lambda: k80_8gpu_machine(8), GRID_K80_8),
+    "p2_8xlarge": (lambda: topology_preset("p2_8xlarge"), GRID_K80_8),
+    "p2_8xlarge_x2": (lambda: topology_preset("p2_8xlarge_x2"), GRID_X2),
+    "p2_8xlarge_x4": (lambda: topology_preset("p2_8xlarge_x4"), GRID_X4),
+    "v100_x2": (lambda: topology_preset("v100_x2"), GRID_X2),
+    "v100_x4": (lambda: topology_preset("v100_x4"), GRID_X4),
+}
+
+
+def test_pinned_grids_cover_every_topology_preset():
+    assert set(TOPOLOGY_PRESETS) <= set(PINNED_GRIDS)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_GRIDS))
+def test_default_grid_is_pinned(name):
+    build, expected = PINNED_GRIDS[name]
+    assert [str(c) for c in tuner_candidates(build())] == expected
