@@ -16,6 +16,7 @@ import pytest
 
 import repro
 from repro.runtime import Executor, ExecutorConfig
+from repro.sim.device import ClusterSpec, cluster_of, k80_8gpu_machine
 
 
 def _even(num_devices, required):
@@ -75,6 +76,54 @@ GOLDEN = {
 }
 
 
+#: Tofu setups whose devices do not all emit alike: machine, backend options.
+TOFU_SETUPS = {
+    "k80x4_x2": (lambda: cluster_of(k80_8gpu_machine(4), 2), {}),
+    "k80_6+2": (
+        lambda: ClusterSpec(machines=[k80_8gpu_machine(6), k80_8gpu_machine(2)]),
+        {},
+    ),
+    "k80x8_unfused": (lambda: k80_8gpu_machine(8), {"fuse_remote_fetch": False}),
+    "k80x8_funnelled": (lambda: k80_8gpu_machine(8), {"spread_reduction": False}),
+}
+
+#: (bundle, tofu setup) -> (rows digest, total comm bytes, per-device memory).
+TOFU_GOLDEN = {
+    ("mlp", "k80x4_x2"): (
+        "128f0ad91b0cf7aa0f9401bec40421724dc43f6dce6d5ff71f4a6a135ccdd658",
+        960056.0, _even(8, 346984),
+    ),
+    ("mlp", "k80_6+2"): (
+        "7988589633009c2673cfbff0ea33eb590b039c6a54aa26c8e737ce67b875109f",
+        960056.0, _even(8, 346984),
+    ),
+    ("mlp", "k80x8_unfused"): (
+        "e591a5c622a8e9da173283e1cf17177c2cdf37c3c6391dd97e9cd84cd78c3ca4",
+        960056.0, _even(8, 383848),
+    ),
+    ("mlp", "k80x8_funnelled"): (
+        "2bedf14bb49a9698cfa2519d56101664c8bfb2b1cbe479be8bdd5cde6b822c73",
+        960056.0, _even(8, 346984),
+    ),
+    ("rnn", "k80x4_x2"): (
+        "0b6ec336aaa54e3aaeb7806a150eef4e91e5eb344f4e0743af00a4f705b5e4a7",
+        1966136.0, _even(8, 601092),
+    ),
+    ("rnn", "k80_6+2"): (
+        "28f8f38c273ccb14c392521398caf99a8e6577352ecfdbcb031c82a42ec1790a",
+        1966136.0, _even(8, 601092),
+    ),
+    ("rnn", "k80x8_unfused"): (
+        "55249ebf07f141cf9c69a2c7fcfa1897b36aa6bec2b157a42711f839dcbb97bb",
+        1966136.0, _even(8, 610308),
+    ),
+    ("rnn", "k80x8_funnelled"): (
+        "058e2c2b78d1cd4b8b72c1c041f92009ecf99c9020e557aa221a6f4ce28d3517",
+        1966136.0, _even(8, 601092),
+    ),
+}
+
+
 def rows_digest(program) -> str:
     rows = program.task_graph.resolved_rows()
     return hashlib.sha256(repr(rows).encode()).hexdigest()
@@ -89,6 +138,27 @@ def test_rows_and_memory_report_are_pinned(request, model, strategy):
     ).program
     digest, total_comm_bytes, per_device_memory = GOLDEN[model, strategy]
     # The memory report first: a screen reads it before any row is needed.
+    assert program.total_comm_bytes == total_comm_bytes
+    assert program.per_device_memory == per_device_memory
+    assert rows_digest(program) == digest
+
+
+@pytest.mark.parametrize("model, setup", sorted(TOFU_GOLDEN))
+def test_tofu_rows_are_pinned_where_devices_differ(request, model, setup):
+    """Clusters split a device's gather by where it sits, and the unfused
+    fetch and the funnelled reduction treat devices apart."""
+    graph = request.getfixturevalue(f"{model}_bundle").graph
+    make_machine, options = TOFU_SETUPS[setup]
+    machine = make_machine()
+    executor = Executor(ExecutorConfig(cache_programs=False))
+    plan = repro.compile(
+        graph, "tofu", machine, executor=executor, lower_only=True
+    ).plan
+    program = executor.lower(
+        graph, plan=plan, machine=machine, backend="tofu-partitioned",
+        backend_options=options,
+    )
+    digest, total_comm_bytes, per_device_memory = TOFU_GOLDEN[model, setup]
     assert program.total_comm_bytes == total_comm_bytes
     assert program.per_device_memory == per_device_memory
     assert rows_digest(program) == digest
