@@ -13,10 +13,15 @@ reduce tasks.  The three optimisations of Sec 6 are modelled explicitly:
   (extra memory) and pays one extra launch per fetched input.
 * **Spread-out reduction (all-reduce)** distributes output-reduction traffic
   over all workers; disabling it funnels the reduction through worker 0.
+
+The program is SPMD: devices with the same gather split, reduction share and
+kernel prices emit the same rows but for their device id.  Each such lane
+class builds one template lane, stamped once per device with its id offset.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
 from repro.graph.graph import Graph
@@ -25,12 +30,7 @@ from repro.graph.tensor import TensorSpec
 from repro.partition.cost import CommunicationCostModel
 from repro.partition.plan import PartitionPlan
 from repro.partition.recursive import _shrink_shapes
-from repro.runtime.passes import (
-    make_comm_task,
-    memory_plan_of,
-    producer_deps,
-    scheduled_nodes,
-)
+from repro.runtime.passes import memory_plan_of, producer_deps, scheduled_nodes
 from repro.runtime.program import LoweredProgram
 from repro.sim.costmodel import node_kernel_times
 from repro.sim.device import Topology, k80_8gpu_machine
@@ -155,86 +155,107 @@ def generate_partitioned_graph(
     launch_penalty = 0.0 if fuse_remote_fetch else 3 * machine.kernel_launch_overhead
 
     def emit() -> TaskGraphBuilder:
-        builder = TaskGraphBuilder()
-        # Everything about a node that does not depend on the device is derived
-        # once and shared by its k tasks: its producers (as node indices), its
-        # fetch and reduction bytes, and its features (priced on every device).
-        device_specs = [machine.device(d) for d in range(num_devices)]
+        # Everything about a node that does not depend on the device is
+        # derived once: its producers, as node indices.
         names: List[str] = []
         producers_of: List[List[int]] = []
-        durations_of: List[List[float]] = []
         node_index: Dict[str, int] = {}
         for node in scheduled_nodes(graph):
-            name = node.name
-            node_index[name] = len(names)
-            names.append(name)
+            node_index[node.name] = len(names)
+            names.append(node.name)
             producers_of.append([node_index[p] for p in producer_deps(graph, node)])
-            durations_of.append(
-                node_kernel_times(graph, name, device_specs, machine, scale=scale)
-            )
-        node_fetch = [fetch_bytes[name] / num_devices for name in names]
 
-        # Row layout: per device, per node, an optional local fetch, an optional
-        # network fetch, then the compute task.  Working out every device's
-        # fetch volumes first gives each compute task its id before any row is
-        # emitted, so a fetch can name the producers on later devices by id.
-        layouts: List[Tuple[Optional[int], List[Tuple[float, float]]]] = []
-        compute_ids: List[List[int]] = []
-        next_id = 0
-        for device in range(num_devices):
-            # Shards are spread uniformly over all workers; the topology says
-            # which share of a gather stays on the device's machine and names a
-            # worker the rest is fetched from (none on one machine).
-            home_share, away_src = machine.gather_split(device, num_devices)
-            volumes: List[Tuple[float, float]] = []
-            ids: List[int] = []
-            for name, fetch, producers in zip(names, node_fetch, producers_of):
+        # A gather split is the share of the shards on the device's machine,
+        # and a worker on another machine to fetch the rest from (if any).
+        splits = [machine.gather_split(d, num_devices) for d in range(num_devices)]
+        specs = [machine.device(d) for d in range(num_devices)]
+        class_ids: Dict[tuple, int] = {}
+        class_of = [
+            class_ids.setdefault((
+                home_share, away_src is not None, spread_reduction or device == 0,
+                specs[device].peak_flops, specs[device].memory_bandwidth,
+            ), len(class_ids))
+            for device, (home_share, away_src) in enumerate(splits)
+        ]
+        leads = [class_of.index(cls) for cls in range(len(class_ids))]
+        durations_of = [
+            node_kernel_times(
+                graph, name, [specs[d] for d in leads], machine, scale=scale
+            )
+            for name in names
+        ]
+
+        # One template lane per class, built for its first device: per node,
+        # an optional local fetch, an optional network fetch, then the compute
+        # task.  A compute row's dependencies are lane-relative ids; a fetch
+        # row holds its node's index until every device's id offset is known.
+        lanes: List[List[tuple]] = []
+        compute_of: List[List[int]] = []
+        for cls, device in enumerate(leads):
+            home_share, away_src = splits[device]
+            lane: List[tuple] = []
+            compute: List[int] = []
+            for index, (name, producers, durations) in enumerate(
+                zip(names, producers_of, durations_of)
+            ):
                 if spread_reduction:
                     node_reduce_dev = reduce_bytes[name] / num_devices
                 else:
                     node_reduce_dev = reduce_bytes[name] if device == 0 else 0.0
-                comm_total = fetch + node_reduce_dev
-                local_bytes = remote_bytes = 0.0
+                comm_total = fetch_bytes[name] / num_devices + node_reduce_dev
+                deps: List[int] = []
                 if comm_total > 0.0 and producers:
                     local_bytes = comm_total * home_share
-                    if away_src is not None:
-                        remote_bytes = comm_total - local_bytes
-                    next_id += (local_bytes > 0.0) + (remote_bytes > 0.0)
-                volumes.append((local_bytes, remote_bytes))
-                ids.append(next_id)
-                next_id += 1
-            layouts.append((away_src, volumes))
-            compute_ids.append(ids)
+                    remote_bytes = 0.0 if away_src is None else comm_total - local_bytes
+                    for suffix, nbytes, net in (
+                        (":fetch", local_bytes, False),
+                        (":netfetch", remote_bytes, True),
+                    ):
+                        if nbytes > 0.0:
+                            deps.append(len(lane))
+                            lane.append((name, suffix, "comm", nbytes, index, net))
+                deps.extend(map(compute.__getitem__, producers))
+                compute.append(len(lane))
+                lane.append((
+                    name, "", "compute", durations[cls] + launch_penalty,
+                    tuple(deps), False,
+                ))
+            lanes.append(lane)
+            compute_of.append(compute)
 
-        # Remote regions come from every peer: a fetch waits for the producers
-        # on all devices (a conservative synchronisation), one id tuple per node
-        # shared by its k fetches.
+        # Rows are device-major: a device's lane starts where the lanes of the
+        # devices before it end.  Remote regions come from every peer: a fetch
+        # waits for the producers on all devices (a conservative
+        # synchronisation), one id tuple per node shared by its k fetches.
+        offsets = list(accumulate([len(lanes[cls]) for cls in class_of], initial=0))
+        compute_ids = [
+            (offset, compute_of[cls]) for offset, cls in zip(offsets, class_of)
+        ]
         fetch_deps = [
-            tuple([ids[p] for p in producers for ids in compute_ids])
+            tuple([offset + ids[p] for p in producers for offset, ids in compute_ids])
             for producers in producers_of
         ]
 
-        for device, (away_src, volumes) in enumerate(layouts):
-            local_id = compute_ids[device].__getitem__
-            for name, producers, durations, deps_of_fetch, (
-                local_bytes, remote_bytes
-            ) in zip(names, producers_of, durations_of, fetch_deps, volumes):
-                deps: List[int] = []
-                if local_bytes > 0.0:
-                    deps.append(make_comm_task(
-                        builder, f"{name}@{device}:fetch", device, local_bytes,
-                        src=None, deps=deps_of_fetch,
-                    ))
-                if remote_bytes > 0.0:
-                    deps.append(make_comm_task(
-                        builder, f"{name}@{device}:netfetch", device,
-                        remote_bytes, src=away_src, deps=deps_of_fetch,
-                    ))
-                deps.extend(map(local_id, producers))
-                builder.add(
-                    f"{name}@{device}", device, "compute",
-                    durations[device] + launch_penalty, deps=deps,
+        # Stamp each device's lane with its name tag, device id, id offset and
+        # the worker its network fetches come from.
+        rows: List[tuple] = []
+        for device, (cls, offset, (_, away_src)) in enumerate(
+            zip(class_of, offsets, splits)
+        ):
+            tag = f"@{device}"
+            shift = offset.__add__
+            rows.extend([
+                (
+                    name + tag, device, kind, value, 0.0,
+                    tuple(map(shift, deps)), (), None, None,
+                ) if kind == "compute" else (
+                    name + tag + suffix, device, kind, 0.0, value,
+                    fetch_deps[deps], (), away_src if net else None, device,
                 )
+                for name, suffix, kind, value, deps, net in lanes[cls]
+            ])
+        builder = TaskGraphBuilder()
+        builder.extend(rows)
         return builder
 
     return LoweredProgram(

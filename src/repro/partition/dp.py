@@ -15,7 +15,7 @@ comparison point: every tensor group chooses a full multi-step configuration
 (a tuple of dimensions) at once, which blows up the per-group search space
 exactly as the paper describes.
 
-The inner loop rests on three facts.
+The inner loop rests on four facts.
 
 * **A step-invariant frontier layout.**  Which tensor groups cross the
   frontier before an op group depends neither on the state nor on the
@@ -24,12 +24,11 @@ The inner loop rests on three facts.
   :class:`_GroupFrontier` per op group once per coarsened graph, and keeps
   it there for every later step and search.  It fixes the decided, carried
   and dropped groups, ``operator.itemgetter`` gathers over ``state key +
-  combo``, and each member's ``(slot, rank - 1)`` spec.  A state key is
-  then a plain tuple of configs in tensor-group order, and a back-pointer
-  is ``(previous key, combo index)``.  Each step derives only what the
-  shrunk shapes change into a :class:`_GroupLayout`: the candidate combos,
-  the reference slot that internal temporaries copy (the largest local
-  group, each group's bytes read once per step), and the member classes.
+  combo``, and each member's ``(slot, rank - 1)`` spec.  Each step derives
+  only what the shrunk shapes change into a :class:`_GroupLayout`: the
+  candidate combos, the reference slot that internal temporaries copy (the
+  largest local group, each group's bytes read once per step), and the
+  member classes.
 * **Profile-keyed node costs.**  A node's cost depends only on its shared
   :class:`~repro.partition.cost.NodeProfile` and its dims, so members of an
   op group fall into classes of equal ``(profile, spec)``.  A group-cost
@@ -40,8 +39,15 @@ The inner loop rests on three facts.
   of equal structure share one ``costs`` table, so each structure is priced
   once per step (WResNet-152: 467 op groups, 59 structures).  The tables
   key profiles by identity, so they live and die with the solve.
+* **Interned flat keys.**  Each candidate config is interned once as a
+  small int, so a state key, a combo and a cost-table key are flat int
+  tuples in tensor-group order, cheap to hash.  Configs are decoded only
+  where they are read: a group-cost miss, and plan recovery (which the node
+  prices read).
+  One dict per expansion holds each next key's cost and back-pointer
+  ``(cost, previous key, combo index)``, so the key is hashed once.
 
-All three are pure refactorings of the original dict-keyed walk and must
+All four are pure refactorings of the original dict-keyed walk and must
 keep its plans bit-identical: costs are still summed steps outer, members
 inner, in member order; a state is replaced only on a strictly lower cost,
 so the first-encountered state wins ties; keys enter the next frontier in
@@ -67,7 +73,9 @@ from repro.partition.cost import CommunicationCostModel, NodeProfile
 from repro.partition.plan import PartitionPlan, StepAssignment, factorize_workers
 
 Config = Tuple[int, ...]  # one dimension per step
-StateKey = Tuple[Config, ...]  # frontier configs in tensor-group order
+StateKey = Tuple[int, ...]  # interned frontier configs in tensor-group order
+#: A next-frontier state: its cost, and the state and combo index it came from.
+Entry = Tuple[float, StateKey, int]
 NodePrice = Tuple[str, float, float]  # (axis, fetch bytes, redistribute bytes)
 #: A member's ``(slot, rank - 1)`` per input, then per output tensor.
 Spec = Tuple[Tuple[int, int], ...]
@@ -121,7 +129,7 @@ class _GroupFrontier:
 class _GroupLayout:
     """One op group's DP transition at the current shapes.
 
-    ``combos`` are the decision groups' candidate configs.  ``reference``
+    ``combos`` are the decision groups' interned candidates.  ``reference``
     indexes the local key at the largest local group, whose config internal
     temporaries copy (``None``: the all-zero config).  ``classes`` are the
     member classes per step.  ``costs`` memoises group costs by local key;
@@ -130,7 +138,7 @@ class _GroupLayout:
     """
 
     frontier: _GroupFrontier
-    combos: List[Tuple[Config, ...]]
+    combos: List[StateKey]
     reference: Optional[int]
     classes: MemberClasses
     costs: Dict[StateKey, float]
@@ -232,10 +240,13 @@ class _FrontierDP:
         self.num_steps = len(self.parts_per_step)
         self._zero: Config = tuple([0] * self.num_steps)
         self._group_bytes: Dict[int, float] = {}
+        #: Every candidate config met so far, numbered in first-met order: a
+        #: state key holds the numbers (:meth:`_decode`).
+        self._config_ids: Dict[Config, int] = {}
         #: The last :meth:`solve`'s layouts in visit order, and each one's
-        #: chosen local key plus reference config.
+        #: chosen local configs plus reference config.
         self.layouts: List[_GroupLayout] = []
-        self._chosen: List[StateKey] = []
+        self._chosen: List[Tuple[Config, ...]] = []
 
     # ------------------------------------------------------------ candidates
     def group_candidates(self, tg: int) -> List[Config]:
@@ -251,6 +262,11 @@ class _FrontierDP:
                 dims = {0}
             per_step.append(sorted(dims))
         return [tuple(c) for c in itertools.product(*per_step)]
+
+    def _decode(self, key: StateKey) -> List[Config]:
+        """The configs an interned key holds."""
+        configs = list(self._config_ids)
+        return [configs[cfg] for cfg in key]
 
     # --------------------------------------------------------------- layouts
     def _layout(
@@ -275,13 +291,13 @@ class _FrontierDP:
             if reference is None or size > sizes[reference]:
                 reference = i
         classes, structure = self._member_classes(group)
+        ids = self._config_ids
         return _GroupLayout(
             frontier=group,
-            combos=list(
-                itertools.product(
-                    *(self.group_candidates(tg) for tg in group.decision)
-                )
-            ),
+            combos=list(itertools.product(*(
+                [ids.setdefault(cfg, len(ids)) for cfg in self.group_candidates(tg)]
+                for tg in group.decision
+            ))),
             reference=reference,
             classes=classes,
             costs=tables.setdefault((reference, structure), {}),
@@ -324,41 +340,38 @@ class _FrontierDP:
         """
         tables: Dict[tuple, Dict[StateKey, float]] = {}
         self.layouts = layouts = []
-        states: Dict[StateKey, float] = {(): 0.0}
-        backptr: List[Dict[StateKey, Tuple[StateKey, int]]] = []
+        states: Dict[StateKey, Entry] = {(): (0.0, (), -1)}
+        frontiers: List[Dict[StateKey, Entry]] = []
         for group in frontier_layout(self.coarse):
             layout = self._layout(group, tables)
             layouts.append(layout)
-            new_states, pointers = self._expand(states, layout)
-            if not new_states:
+            states = self._expand(states, layout)
+            if not states:
                 raise PartitionError(f"DP produced no states at group {group.gid}")
-            if len(new_states) > MAX_STATES:
-                perf.count("partition.dp_pruned_states", len(new_states) - MAX_STATES)
-                kept = sorted(new_states.items(), key=lambda kv: kv[1])[
-                    :MAX_STATES
-                ]
-                new_states = dict(kept)
-                pointers = {k: pointers[k] for k, _ in kept}
-            states = new_states
-            backptr.append(pointers)
+            if len(states) > MAX_STATES:
+                perf.count("partition.dp_pruned_states", len(states) - MAX_STATES)
+                states = dict(
+                    sorted(states.items(), key=lambda kv: kv[1][0])[:MAX_STATES]
+                )
+            frontiers.append(states)
 
         # ------------------------------------------------------------ recover
-        best_key = min(states, key=lambda k: states[k])
-        best_cost = states[best_key]
+        best_key = min(states, key=lambda k: states[k][0])
+        best_cost = states[best_key][0]
         tg_config: Dict[int, Config] = {}
-        chosen: List[StateKey] = []
+        chosen: List[Tuple[Config, ...]] = []
         key = best_key
-        for layout, pointers in zip(reversed(layouts), reversed(backptr)):
+        for layout, entries in zip(reversed(layouts), reversed(frontiers)):
             group = layout.frontier
-            prev_key, index = pointers[key]
+            _, prev_key, index = entries[key]
             combo = layout.combos[index]
-            for tg, cfg in zip(group.decision, combo):
+            for tg, cfg in zip(group.decision, self._decode(combo)):
                 tg_config.setdefault(tg, cfg)
-            local = group.local_key(prev_key + combo)
+            local = self._decode(group.local_key(prev_key + combo))
             ref_cfg = self._reference(layout, local)
             for tg in group.internal:
                 tg_config.setdefault(tg, ref_cfg)
-            chosen.append(local + (ref_cfg,))
+            chosen.append((*local, ref_cfg))
             key = prev_key
         self._chosen = chosen[::-1]
 
@@ -374,12 +387,12 @@ class _FrontierDP:
     # ------------------------------------------------------------- expansion
     def _expand(
         self,
-        states: Dict[StateKey, float],
+        states: Dict[StateKey, Entry],
         layout: _GroupLayout,
-    ) -> Tuple[Dict[StateKey, float], Dict[StateKey, Tuple[StateKey, int]]]:
+    ) -> Dict[StateKey, Entry]:
         """Expand the frontier states through one op group.
 
-        Returns the best cost per next-frontier key plus the back-pointers,
+        Returns each next-frontier key's best cost with its back-pointer,
         with keys in first-encounter order (what the stable
         :data:`MAX_STATES` pruning sort relies on).
         """
@@ -387,32 +400,32 @@ class _FrontierDP:
         local_key = layout.frontier.local_key
         next_key = layout.frontier.next_key
         costs = layout.costs
-        new_states: Dict[StateKey, float] = {}
-        pointers: Dict[StateKey, Tuple[StateKey, int]] = {}
-        for state_key, cost_so_far in states.items():
+        entries: Dict[StateKey, Entry] = {}
+        keep = entries.setdefault
+        for state_key, (cost_so_far, _, _) in states.items():
             for index, combo in enumerate(combos):
                 values = state_key + combo
                 local = local_key(values)
                 group_cost = costs.get(local)
                 if group_cost is None:
                     group_cost = self._group_cost(layout, local)
-                total = cost_so_far + group_cost
+                entry = (cost_so_far + group_cost, state_key, index)
                 key = next_key(values)
-                best = new_states.get(key)
-                if best is None or total < best:
-                    new_states[key] = total
-                    pointers[key] = (state_key, index)
-        return new_states, pointers
+                best = keep(key, entry)
+                if entry[0] < best[0]:
+                    entries[key] = entry
+        return entries
 
     # ------------------------------------------------------------ group cost
-    def _reference(self, layout: _GroupLayout, local: StateKey) -> Config:
+    def _reference(self, layout: _GroupLayout, local: Sequence[Config]) -> Config:
         return self._zero if layout.reference is None else local[layout.reference]
 
     def _group_cost(self, layout: _GroupLayout, local: StateKey) -> float:
-        """Communication of one op group given its local configs (a miss of
-        ``layout.costs``): each member class is priced once per step, then
-        the costs are added steps outer, members inner, in member order."""
-        values = local + (self._reference(layout, local),)
+        """Communication of one op group given its interned local configs (a
+        miss of ``layout.costs``): each member class is priced once per step,
+        then the costs are added steps outer, members inner, in member order."""
+        values = self._decode(local)
+        values.append(self._reference(layout, values))
         total = 0.0
         for step, (classes, member_classes) in enumerate(layout.classes):
             class_costs = []

@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import functools
 import time
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, Optional
+from contextlib import contextmanager, nullcontext
+from typing import Callable, ContextManager, Dict, Iterator, Optional, Set
 
 __all__ = [
     "StageTimer",
@@ -51,6 +51,7 @@ class StageTimer:
         self.seconds: Dict[str, float] = {}
         self.calls: Dict[str, int] = {}
         self.counters: Dict[str, float] = {}
+        self._open: Set[str] = set()
 
     # ---------------------------------------------------------------- record
     def record(self, name: str, seconds: float) -> None:
@@ -64,10 +65,17 @@ class StageTimer:
 
     @contextmanager
     def stage(self, name: str) -> Iterator[None]:
+        """Time the block as one call of ``name``; inside an open stage of
+        the same name (a hybrid's inner emission) it records nothing."""
+        if name in self._open:
+            yield
+            return
+        self._open.add(name)
         start = time.perf_counter()
         try:
             yield
         finally:
+            self._open.discard(name)
             self.record(name, time.perf_counter() - start)
 
     # --------------------------------------------------------------- queries
@@ -140,18 +148,10 @@ def activation(timer: Optional[StageTimer]) -> Iterator[Optional[StageTimer]]:
         _ACTIVE = previous
 
 
-@contextmanager
-def stage(name: str) -> Iterator[None]:
+def stage(name: str) -> ContextManager[None]:
     """Time a section under ``name`` when a timer is active (no-op otherwise)."""
     timer = _ACTIVE
-    if timer is None:
-        yield
-        return
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        timer.record(name, time.perf_counter() - start)
+    return nullcontext() if timer is None else timer.stage(name)
 
 
 def count(name: str, value: float = 1.0) -> None:
@@ -170,11 +170,8 @@ def timed(name: str) -> Callable:
             timer = _ACTIVE
             if timer is None:
                 return fn(*args, **kwargs)
-            start = time.perf_counter()
-            try:
+            with timer.stage(name):
                 return fn(*args, **kwargs)
-            finally:
-                timer.record(name, time.perf_counter() - start)
 
         return wrapper
 

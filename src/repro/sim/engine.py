@@ -307,10 +307,10 @@ class TaskGraphBuilder:
         return index
 
     def extend(self, rows: Sequence[tuple]) -> None:
-        """Append ``rows``, the bulk form of :meth:`add` for rows copied from
-        another graph: each is a tuple in :class:`Task` field order, with
-        a name no other task has and its dependencies as ids only (checked
-        by the sort, like any other)."""
+        """Append ``rows``, the bulk form of :meth:`add` for rows built whole
+        (copied from another graph, or a lane stamped once per device): each
+        is a tuple in :class:`Task` field order, with a name no other task
+        has and its dependencies as ids only (checked by the sort)."""
         if self._sorted is not None:
             raise SimulationError(
                 "cannot add tasks: the task graph is already built"

@@ -11,6 +11,7 @@ proportional to the model — the profile shows nothing from ``pass.*`` /
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -31,6 +32,36 @@ def test_stage_timer_records_and_snapshots():
     assert timer.counter("demo.counter") == 3
     snapshot = timer.snapshot()
     assert json.loads(json.dumps(snapshot)) == snapshot  # JSON-serialisable
+
+
+def test_a_stage_nested_in_itself_records_once():
+    """Every spelling of a stage opened inside an open stage of the same name
+    records nothing: the outer call already counts that time."""
+    timer = perf.StageTimer()
+
+    @perf.timed("pass.demo")
+    def inner():
+        with perf.stage("pass.demo"):
+            pass
+
+    with perf.activation(timer):
+        with timer.stage("pass.demo"):
+            inner()
+        inner()
+    assert timer.stage_calls("pass.demo") == 2
+
+
+def test_hybrid_emission_is_one_lower_emit_call(mlp_bundle):
+    """A hybrid program emits its inner program's rows inside its own
+    ``lower.emit``; the stage counts that once, within the wall time."""
+    timer = perf.StageTimer()
+    executor = Executor(ExecutorConfig(cache_programs=False))
+    start = time.perf_counter()
+    with perf.activation(timer):
+        repro.compile(mlp_bundle.graph, "dp:2/tofu", executor=executor)
+    wall = time.perf_counter() - start
+    assert timer.stage_calls("lower.emit") == 1
+    assert timer.seconds["lower.emit"] <= wall
 
 
 def test_inactive_by_default():
