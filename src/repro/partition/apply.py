@@ -155,15 +155,13 @@ def generate_partitioned_graph(
     launch_penalty = 0.0 if fuse_remote_fetch else 3 * machine.kernel_launch_overhead
 
     def emit() -> TaskGraphBuilder:
-        # Everything about a node that does not depend on the device is
-        # derived once: its producers, as node indices.
-        names: List[str] = []
-        producers_of: List[List[int]] = []
-        node_index: Dict[str, int] = {}
-        for node in scheduled_nodes(graph):
-            node_index[node.name] = len(names)
-            names.append(node.name)
-            producers_of.append([node_index[p] for p in producer_deps(graph, node)])
+        # A node's producers, as node indices in schedule order.
+        order = scheduled_nodes(graph)
+        node_index = {node.name: index for index, node in enumerate(order)}
+        names = list(node_index)
+        producers_of = [
+            [node_index[p] for p in producer_deps(graph, node)] for node in order
+        ]
 
         # A gather split is the share of the shards on the device's machine,
         # and a worker on another machine to fetch the rest from (if any).
@@ -178,10 +176,9 @@ def generate_partitioned_graph(
             for device, (home_share, away_src) in enumerate(splits)
         ]
         leads = [class_of.index(cls) for cls in range(len(class_ids))]
+        lead_specs = [specs[d] for d in leads]
         durations_of = [
-            node_kernel_times(
-                graph, name, [specs[d] for d in leads], machine, scale=scale
-            )
+            node_kernel_times(graph, name, lead_specs, machine, scale=scale)
             for name in names
         ]
 
