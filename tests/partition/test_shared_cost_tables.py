@@ -90,17 +90,22 @@ def test_frontier_layout_is_built_once_per_coarse_graph(cnn_bundle, monkeypatch)
     assert coarse.frontier is dp.frontier_layout(coarse)
 
 
+#: Exact counts: a change to how states are keyed that merges or splits
+#: frontier states moves them even when the plan survives.
+PRUNED_STATES = {"rnn_bundle": 1912, "cnn_bundle": 0}
+
+
 @pytest.mark.parametrize(
-    "bundle_name, pruned", [("rnn_bundle", 1912), ("cnn_bundle", 0)]
+    "bundle_name, prunes", [("rnn_bundle", True), ("cnn_bundle", False)]
 )
-def test_pruned_states_are_counted(request, bundle_name, pruned):
-    """Exact counts: a change to how states are keyed that merges or splits
-    frontier states moves them even when the plan survives."""
+def test_pruned_states_are_counted(request, bundle_name, prunes):
     graph = request.getfixturevalue(bundle_name).graph
     timer = perf.StageTimer()
     with perf.activation(timer):
         recursive_partition(graph, 8)
-    assert timer.counter("partition.dp_pruned_states") == pruned
+    pruned = timer.counter("partition.dp_pruned_states")
+    assert (pruned > 0) == prunes
+    assert pruned == PRUNED_STATES[bundle_name]
 
 
 def test_tables_split_on_reference_and_member_index(cnn_bundle):
