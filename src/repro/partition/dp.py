@@ -43,9 +43,9 @@ The inner loop rests on four facts.
   small int, so a state key, a combo and a cost-table key are flat int
   tuples in tensor-group order, cheap to hash.  Configs are decoded only
   where they are read: a group-cost miss, and plan recovery (which the node
-  prices read).
-  One dict per expansion holds each next key's cost and back-pointer
-  ``(cost, previous key, combo index)``, so the key is hashed once.
+  prices read).  One dict per expansion holds each next key's cost and
+  back-pointer ``(cost, previous key, combo index)``, so a step hashes its
+  next key once unless it improves on an earlier one.
 
 All four are pure refactorings of the original dict-keyed walk and must
 keep its plans bit-identical: costs are still summed steps outer, members
