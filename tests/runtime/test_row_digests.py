@@ -124,6 +124,117 @@ TOFU_GOLDEN = {
 }
 
 
+#: Machines the other lowerings are pinned on: one box, and a cluster.
+MACHINES = {
+    "k80x8": lambda: k80_8gpu_machine(8),
+    "k80x4_x2": lambda: cluster_of(k80_8gpu_machine(4), 2),
+}
+
+#: (bundle, strategy, machine) -> (rows digest, total comm bytes, per-device
+#: memory), for the placement, swap and single leaves, data parallelism over
+#: them, and the ``data-parallel`` backend, which no strategy names and is
+#: lowered by its backend name.  Rows name endpoints, not links, so both
+#: machines emit the same rows.
+LOWERING_GOLDEN = {
+    ("mlp", "data-parallel", "k80x4_x2"): (
+        "715fc0175fe54684e3f645d83cdf9d11eaa57c7abb275ae73cd5512d99124a5c",
+        11974144.0, _even(8, 2579208),
+    ),
+    ("mlp", "data-parallel", "k80x8"): (
+        "715fc0175fe54684e3f645d83cdf9d11eaa57c7abb275ae73cd5512d99124a5c",
+        11974144.0, _even(8, 2579208),
+    ),
+    ("mlp", "dp:2/placement", "k80x4_x2"): (
+        "22a2426d7bb6279c384bcf8d0dbc6b53c41f031f8606e4cae5bcc8d8b1c581b5",
+        1907200.0, {0: 624640, 1: 854016, 2: 854016, 3: 246536, 4: 624640, 5: 854016, 6: 854016, 7: 246536},
+    ),
+    ("mlp", "dp:2/placement", "k80x8"): (
+        "22a2426d7bb6279c384bcf8d0dbc6b53c41f031f8606e4cae5bcc8d8b1c581b5",
+        1907200.0, {0: 624640, 1: 854016, 2: 854016, 3: 246536, 4: 624640, 5: 854016, 6: 854016, 7: 246536},
+    ),
+    ("mlp", "dp:2/swap", "k80x4_x2"): (
+        "3708c1118a50b112ead4d10206b60ea10d3fb6d40a047eb820b70917f20817e8",
+        1710592.0, {0: 2432644, 4: 2432644},
+    ),
+    ("mlp", "dp:2/swap", "k80x8"): (
+        "3708c1118a50b112ead4d10206b60ea10d3fb6d40a047eb820b70917f20817e8",
+        1710592.0, {0: 2432644, 4: 2432644},
+    ),
+    ("mlp", "dp:4/single", "k80x4_x2"): (
+        "6ecdfbfc61aef355462c7cb8e082ea51c378616e1922348521c4c9a708d4f6b9",
+        5131776.0, {0: 2579208, 2: 2579208, 4: 2579208, 6: 2579208},
+    ),
+    ("mlp", "dp:4/single", "k80x8"): (
+        "6ecdfbfc61aef355462c7cb8e082ea51c378616e1922348521c4c9a708d4f6b9",
+        5131776.0, {0: 2579208, 2: 2579208, 4: 2579208, 6: 2579208},
+    ),
+    ("mlp", "placement", "k80x4_x2"): (
+        "043ee3cd9139260c727ba070e29e33b99a444330351af0dec2f67b3a3a78f505",
+        196608.0, {0: 624640, 1: 854016, 2: 854016, 3: 246536, 4: 0, 5: 0, 6: 0, 7: 0},
+    ),
+    ("mlp", "placement", "k80x8"): (
+        "043ee3cd9139260c727ba070e29e33b99a444330351af0dec2f67b3a3a78f505",
+        196608.0, {0: 624640, 1: 854016, 2: 854016, 3: 246536, 4: 0, 5: 0, 6: 0, 7: 0},
+    ),
+    ("mlp", "swap", "k80x4_x2"): (
+        "8c5c1a6deb7f2074a4e8feb935a8a0a0cf6432ee685e86970103045dc08c8fcd",
+        0.0, {0: 2432644},
+    ),
+    ("mlp", "swap", "k80x8"): (
+        "8c5c1a6deb7f2074a4e8feb935a8a0a0cf6432ee685e86970103045dc08c8fcd",
+        0.0, {0: 2432644},
+    ),
+    ("rnn", "data-parallel", "k80x4_x2"): (
+        "09241adce6b4d87e8d889673bdbd1d20c17d99f1c57a9479533339b7b1528a18",
+        14737408.0, _even(8, 4759556),
+    ),
+    ("rnn", "data-parallel", "k80x8"): (
+        "09241adce6b4d87e8d889673bdbd1d20c17d99f1c57a9479533339b7b1528a18",
+        14737408.0, _even(8, 4759556),
+    ),
+    ("rnn", "dp:2/placement", "k80x4_x2"): (
+        "fafd7df16c9ce69428420bb975a53b254b6d033021163d6aa9fdb8efb3ca5d9d",
+        4802560.0, {0: 2125824, 1: 2633732, 2: 0, 3: 0, 4: 2125824, 5: 2633732, 6: 0, 7: 0},
+    ),
+    ("rnn", "dp:2/placement", "k80x8"): (
+        "fafd7df16c9ce69428420bb975a53b254b6d033021163d6aa9fdb8efb3ca5d9d",
+        4802560.0, {0: 2125824, 1: 2633732, 2: 0, 3: 0, 4: 2125824, 5: 2633732, 6: 0, 7: 0},
+    ),
+    ("rnn", "dp:2/swap", "k80x4_x2"): (
+        "9e34aaa252e79f322e1083e83f342695525d202c5e9184443ab2ea78b30ad37e",
+        2105344.0, {0: 4558852, 4: 4558852},
+    ),
+    ("rnn", "dp:2/swap", "k80x8"): (
+        "9e34aaa252e79f322e1083e83f342695525d202c5e9184443ab2ea78b30ad37e",
+        2105344.0, {0: 4558852, 4: 4558852},
+    ),
+    ("rnn", "dp:4/single", "k80x4_x2"): (
+        "17d07c882c7414f46529ba25f67aa0f063dc5467a445aaea802cc7f8d2dea9ea",
+        6316032.0, {0: 4759556, 2: 4759556, 4: 4759556, 6: 4759556},
+    ),
+    ("rnn", "dp:4/single", "k80x8"): (
+        "17d07c882c7414f46529ba25f67aa0f063dc5467a445aaea802cc7f8d2dea9ea",
+        6316032.0, {0: 4759556, 2: 4759556, 4: 4759556, 6: 4759556},
+    ),
+    ("rnn", "placement", "k80x4_x2"): (
+        "45888f93520637e746e62999a97b14cbe00416899af053436804b3f19fabfd90",
+        2697216.0, {0: 2125824, 1: 2633732, 2: 0, 3: 0, 4: 0, 5: 0, 6: 0, 7: 0},
+    ),
+    ("rnn", "placement", "k80x8"): (
+        "45888f93520637e746e62999a97b14cbe00416899af053436804b3f19fabfd90",
+        2697216.0, {0: 2125824, 1: 2633732, 2: 0, 3: 0, 4: 0, 5: 0, 6: 0, 7: 0},
+    ),
+    ("rnn", "swap", "k80x4_x2"): (
+        "e6b34c28b37f4b107ac05c7aa62e45e26bf1f069c0ea16db9cc9e887bf0fd65e",
+        0.0, {0: 4558852},
+    ),
+    ("rnn", "swap", "k80x8"): (
+        "e6b34c28b37f4b107ac05c7aa62e45e26bf1f069c0ea16db9cc9e887bf0fd65e",
+        0.0, {0: 4558852},
+    ),
+}
+
+
 def rows_digest(program) -> str:
     rows = program.task_graph.resolved_rows()
     return hashlib.sha256(repr(rows).encode()).hexdigest()
@@ -159,6 +270,25 @@ def test_tofu_rows_are_pinned_where_devices_differ(request, model, setup):
         backend_options=options,
     )
     digest, total_comm_bytes, per_device_memory = TOFU_GOLDEN[model, setup]
+    assert program.total_comm_bytes == total_comm_bytes
+    assert program.per_device_memory == per_device_memory
+    assert rows_digest(program) == digest
+
+
+@pytest.mark.parametrize("model, strategy, machine", sorted(LOWERING_GOLDEN))
+def test_lowering_rows_are_pinned_per_machine(request, model, strategy, machine):
+    graph = request.getfixturevalue(f"{model}_bundle").graph
+    topology = MACHINES[machine]()
+    executor = Executor(ExecutorConfig(cache_programs=False))
+    if strategy == "data-parallel":
+        program = executor.lower(graph, machine=topology, backend=strategy)
+    else:
+        program = repro.compile(
+            graph, strategy, topology, executor=executor, lower_only=True
+        ).program
+    digest, total_comm_bytes, per_device_memory = LOWERING_GOLDEN[
+        model, strategy, machine
+    ]
     assert program.total_comm_bytes == total_comm_bytes
     assert program.per_device_memory == per_device_memory
     assert rows_digest(program) == digest
