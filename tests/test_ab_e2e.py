@@ -14,12 +14,19 @@ import ab_e2e  # noqa: E402
 BETTER = {"compile_cold_s": "lower", "sim_throughput": "higher"}
 
 
+def _side(cold, sim, failed=0):
+    return {
+        "compile_cold_s": cold, "sim_throughput": sim,
+        "correct": not failed, "attempted": 4, "failed": failed,
+    }
+
+
 def _sample(seed, base_cold, head_cold, base_sim=30.0, head_sim=30.0):
     return {
         "seed": seed,
         "order": ["base", "head"],
-        "base": {"compile_cold_s": base_cold, "sim_throughput": base_sim},
-        "head": {"compile_cold_s": head_cold, "sim_throughput": head_sim},
+        "base": _side(base_cold, base_sim),
+        "head": _side(head_cold, head_sim),
     }
 
 
@@ -60,6 +67,22 @@ def test_any_moved_simulated_metric_is_flagged():
     assert ab_e2e.summarize(still, BETTER)["moved"] == []
     moved = still + [_sample(2, 1.7, 1.4, 30.0, 30.000001)]
     assert ab_e2e.summarize(moved, BETTER)["moved"] == ["sim_throughput"]
+
+
+def test_a_pair_with_a_failed_config_is_flagged():
+    """``run.py`` exits 0 when a config fails, so a pair is clean only when
+    both sides are correct and the head failed no more than the base."""
+    clean = [_sample(0, 1.7, 1.4), _sample(1, 1.6, 1.5)]
+    assert ab_e2e.summarize(clean, BETTER)["broken"] == []
+    head_broke = _sample(2, 1.7, 1.4)
+    head_broke["head"] = _side(1.4, 30.0, failed=1)
+    both_broke = _sample(3, 1.7, 1.4)
+    both_broke["base"] = _side(1.7, 30.0, failed=2)
+    both_broke["head"] = _side(1.4, 30.0, failed=1)
+    summary = ab_e2e.summarize(clean + [head_broke, both_broke], BETTER)
+    assert summary["broken"] == [2, 3]
+    # The failures leave the timing statistics alone.
+    assert summary["metrics"]["compile_cold_s"]["pairs"] == 4
 
 
 def test_a_result_replaces_its_label_and_keeps_the_others(tmp_path):

@@ -29,7 +29,11 @@ metric of ``BENCHMARK.json``:
 
 A simulated metric (:data:`SIMULATED`) must not move at all between two
 checkouts of the same search: any pair where one differs is listed under
-``moved``, and the exit status is then 1.  Running a revision against
+``moved``.  Every side of a pair also records the run's ``correct``,
+``attempted`` and ``failed``, since ``run.py`` exits 0 even when a config
+fails: a pair where either side is not correct, or where the head failed
+more operations than the base, is listed under ``broken``.  The exit
+status is 1 when either list is not empty.  Running a revision against
 itself is the null experiment; its widest paired-ratio interquartile range
 is the resolution of the method on that host.
 """
@@ -51,8 +55,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = REPO_ROOT / "BENCHMARK.json"
 SIMULATED = ("sim_throughput", "peak_device_gib", "comm_gib_per_iter", "fidelity_gap")
 SIDES = ("base", "head")
-
-Metrics = Dict[str, float]
 
 
 def pair_plan(pairs: int, first_seed: int) -> List[Tuple[int, Tuple[str, str]]]:
@@ -80,7 +82,8 @@ def summarize(samples: List[Dict], better: Dict[str, str]) -> Dict:
     """Per-metric statistics of one workload's pairs.
 
     ``samples`` holds one ``{"seed", "order", "base", "head"}`` record per
-    pair, each side a ``metric -> value`` dict; ``better`` maps each
+    pair, each side a ``metric -> value`` dict that also holds the run's
+    ``correct``, ``attempted`` and ``failed``; ``better`` maps each
     end-to-end metric to ``"lower"`` or ``"higher"``.
     """
     metrics: Dict[str, Dict] = {}
@@ -110,7 +113,12 @@ def summarize(samples: List[Dict], better: Dict[str, str]) -> Dict:
         name for s in samples for name in SIMULATED
         if s["base"].get(name) != s["head"].get(name)
     })
-    return {"metrics": metrics, "moved": moved}
+    broken = [
+        s["seed"] for s in samples
+        if not (s["base"]["correct"] and s["head"]["correct"])
+        or s["head"]["failed"] > s["base"]["failed"]
+    ]
+    return {"metrics": metrics, "moved": moved, "broken": broken}
 
 
 def record_result(out: Path, label: str, result: Dict) -> Dict:
@@ -130,8 +138,9 @@ def declared_directions() -> Dict[str, str]:
     return {m["name"]: m["better"] for m in declared["end_to_end"]}
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> Metrics:
-    """One plain benchmark run in ``checkout``: its metrics by name."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> Dict:
+    """One plain benchmark run in ``checkout``: its metrics by name, and
+    its ``correct``, ``attempted`` and ``failed``."""
     command = [
         sys.executable, "benchmarks/e2e/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
@@ -140,7 +149,10 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> Metric
     if done.returncode != 0:
         raise RuntimeError(f"{' '.join(command)} in {checkout}: {done.stderr}")
     result = json.loads(done.stdout.strip().splitlines()[-1])
-    return {name: metric["value"] for name, metric in result["metrics"].items()}
+    return {
+        **{name: metric["value"] for name, metric in result["metrics"].items()},
+        **{key: result[key] for key in ("correct", "attempted", "failed")},
+    }
 
 
 @contextlib.contextmanager
@@ -209,6 +221,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     record_result(args.out, args.label, result)
     moved = {w: s["moved"] for w, s in workloads.items() if s["moved"]}
+    broken = {w: s["broken"] for w, s in workloads.items() if s["broken"]}
     for workload, summary in workloads.items():
         for name, stats in summary["metrics"].items():
             print(
@@ -219,7 +232,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
     if moved:
         print(f"simulated metrics moved: {moved}", file=sys.stderr)
-    return 1 if moved else 0
+    if broken:
+        print(f"pairs with a failed config (seeds): {broken}", file=sys.stderr)
+    return 1 if moved or broken else 0
 
 
 if __name__ == "__main__":
