@@ -29,10 +29,7 @@ ERROR_CODES: Dict[str, str] = {
         "the task graph's deps + after edges contain a cycle, so no "
         "execution order exists"
     ),
-    "ANA004_DANGLING_DEP": (
-        "a task depends on (or is ordered after) a task name that is not in "
-        "the program"
-    ),
+    "ANA004_DANGLING_DEP": "a dependency that is not a task of the program",
     "ANA005_SLOT_MULTIPLICITY": (
         "a pipeline stage's slot order does not run every (phase, "
         "micro-batch) slot exactly once"

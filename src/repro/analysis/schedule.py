@@ -181,8 +181,8 @@ def _check_pipeline_schedule(program) -> List[Finding]:
 def check_schedule_soundness(context: CheckContext) -> List[Finding]:
     """Verify the program's task ordering admits an execution.
 
-    Emits ``ANA004_DANGLING_DEP`` for deps/``after`` edges naming unknown
-    tasks, ``ANA003_CYCLIC_SCHEDULE`` when the ordering edges contain a
+    Emits ``ANA004_DANGLING_DEP`` for deps/``after`` edges to no task of
+    the program, ``ANA003_CYCLIC_SCHEDULE`` when the ordering edges contain a
     cycle, ``ANA005_SLOT_MULTIPLICITY`` when a pipeline stage's slot order
     does not run every (phase, micro-batch) exactly once, and
     ``ANA006_SCHEDULE_DEADLOCK`` when the slot order conflicts with the

@@ -365,15 +365,17 @@ def evaluate_opplacement(
     """
 
     def add_overhead(program: LoweredProgram) -> LoweredProgram:
-        edited = program.replace_tasks({
-            name: replace(task, duration=task.duration * overhead_factor)
-            for name, task in program.tasks.items()
-        })
-        edited.per_device_memory = {
-            d: int(m * min(overhead_factor, 1.5))
-            for d, m in program.per_device_memory.items()
-        }
-        return edited
+        return replace(
+            program.copy(),
+            tasks={
+                name: replace(task, duration=task.duration * overhead_factor)
+                for name, task in program.tasks.items()
+            },
+            per_device_memory={
+                d: int(m * min(overhead_factor, 1.5))
+                for d, m in program.per_device_memory.items()
+            },
+        )
 
     return _evaluate(
         system_name, build_fn, global_batch, machine or k80_8gpu_machine(),

@@ -133,10 +133,11 @@ def lower_single_device(
 
     def emit() -> TaskGraphBuilder:
         tasks = TaskGraphBuilder()
+        id_of: Dict[str, int] = {}
         for node in scheduled_nodes(graph):
-            make_compute_task(
+            id_of[node.name] = make_compute_task(
                 tasks, graph, node.name, 0, device_spec, machine,
-                deps=producer_deps(graph, node),
+                deps=[id_of[p] for p in producer_deps(graph, node)],
             )
         return tasks
 
@@ -157,6 +158,7 @@ def lower_placement(
     between them (PCI-e within a machine, the network across machines)."""
     device_of = round_robin_layer_placement(graph, machine.num_devices)
     tasks = TaskGraphBuilder()
+    id_of: Dict[str, int] = {}
     total_comm = 0.0
     for node in scheduled_nodes(graph):
         device = device_of[node.name]
@@ -168,18 +170,19 @@ def lower_placement(
                 continue
             producer_device = device_of[producer]
             if producer_device == device:
-                deps.append(producer)
-            else:
-                copy_name = f"{tensor}@copy_to{device}"
-                if copy_name not in tasks:
-                    copy_bytes = float(graph.tensor(tensor).size_bytes())
-                    make_comm_task(
-                        tasks, copy_name, device, copy_bytes,
-                        src=producer_device, deps=[producer],
-                    )
-                    total_comm += copy_bytes
-                deps.append(copy_name)
-        make_compute_task(
+                deps.append(id_of[producer])
+                continue
+            copy_name = f"{tensor}@copy_to{device}"
+            copy = id_of.get(copy_name)
+            if copy is None:
+                copy_bytes = float(graph.tensor(tensor).size_bytes())
+                copy = id_of[copy_name] = make_comm_task(
+                    tasks, copy_name, device, copy_bytes,
+                    src=producer_device, deps=[id_of[producer]],
+                )
+                total_comm += copy_bytes
+            deps.append(copy)
+        id_of[node.name] = make_compute_task(
             tasks, graph, node.name, device, device_spec, machine, deps=deps
         )
     # One micro-batch, no schedule: each device is a "stage" holding its
@@ -212,16 +215,17 @@ def lower_data_parallel(
     reduce_bytes = 2.0 * (num - 1) / num * float(graph.weight_bytes())
     for device in range(num):
         device_spec = machine.device(device)
+        id_of: Dict[str, int] = {}
         for node in topo:
-            deps = [f"{p}@{device}" for p in producer_deps(graph, node)]
-            make_compute_task(
+            id_of[node.name] = make_compute_task(
                 tasks, graph, node.name, device, device_spec, machine,
-                deps=deps, scale=scale, task_name=f"{node.name}@{device}",
+                deps=[id_of[p] for p in producer_deps(graph, node)],
+                scale=scale, task_name=f"{node.name}@{device}",
             )
         if num > 1:
             make_comm_task(
                 tasks, f"allreduce@{device}", device, reduce_bytes,
-                src=(device + 1) % num, deps=[f"{last_node}@{device}"],
+                src=(device + 1) % num, deps=[id_of[last_node]],
             )
             total_comm += reduce_bytes
     memory = device_memory_report(graph, range(num))
@@ -254,27 +258,24 @@ def lower_swap(graph: Graph, machine: Topology, plan=None) -> LoweredProgram:
 
     tasks = TaskGraphBuilder()
     total_comm = 0.0
-    prev_compute: Optional[str] = None
-    prev_transfer: Optional[str] = None
+    prev_compute: Optional[int] = None
+    prev_transfer: Optional[int] = None
     for step in schedule.steps:
         barrier = [t for t in (prev_compute, prev_transfer) if t is not None]
-        transfer_name = None
+        prev_transfer = None
         moved = step.moved_in_bytes + step.moved_out_bytes
         if moved > 0:
-            transfer_name = f"{step.node}:swap"
             # All concurrent GPUs replay this transfer over the one shared
             # host link, so the aggregate link carries k times the bytes.
             link_bytes = moved * concurrent_gpus
-            make_comm_task(
-                tasks, transfer_name, 0, link_bytes, src=HOST_DEVICE,
+            prev_transfer = make_comm_task(
+                tasks, f"{step.node}:swap", 0, link_bytes, src=HOST_DEVICE,
                 deps=barrier,
             )
             total_comm += link_bytes
-        make_compute_task(
-            tasks, graph, step.node, 0, device_spec, machine, deps=list(barrier)
+        prev_compute = make_compute_task(
+            tasks, graph, step.node, 0, device_spec, machine, deps=barrier
         )
-        prev_compute = step.node
-        prev_transfer = transfer_name
 
     # The memory report is the LRU's resident-set peak; on OOM it is the
     # working set that did not fit, so the simulator's capacity check fails.
@@ -416,7 +417,11 @@ def lower_pipeline(
 
     def emit() -> TaskGraphBuilder:
         tasks = TaskGraphBuilder()
-        prev_of_stage: List[Optional[str]] = [None] * num_stages
+        id_of: Dict[str, int] = {}
+        # A copy into an earlier stage can wait on a later stage's backward
+        # task: (copy id, that task's name), filled in after the stage loop.
+        waiting: List[Tuple[int, str]] = []
+        prev_of_stage: List[Optional[int]] = [None] * num_stages
         # A node's kernel price is the same in every micro-batch; optimiser
         # nodes run once, on the accumulated full-batch gradient.
         duration_of = {
@@ -435,41 +440,46 @@ def lower_pipeline(
 
         def dep_for_input(
             tensor: str, producer: str, stage: int, microbatch: int
-        ) -> str:
+        ) -> int:
             ref = task_ref(producer, microbatch)
             producer_stage = stage_of_node[producer]
             if producer_stage == stage:
-                return ref
+                return id_of[ref]
             copy_name = f"{tensor}@s{stage}#mb{microbatch}"
-            if copy_name not in tasks:
-                make_comm_task(
+            copy = id_of.get(copy_name)
+            if copy is None:
+                source = id_of.get(ref)
+                copy = id_of[copy_name] = make_comm_task(
                     tasks, copy_name, stage_devices[stage],
                     copy_bytes[tensor, stage, microbatch],
-                    src=stage_devices[producer_stage], deps=[ref],
+                    src=stage_devices[producer_stage],
+                    deps=() if source is None else (source,),
                 )
-            return copy_name
+                if source is None:
+                    waiting.append((copy, ref))
+            return copy
 
         def emit_compute(node, stage: int, microbatch: int) -> None:
             name = task_ref(node.name, microbatch)
-            deps: List[str] = []
+            deps: List[int] = []
             for tensor, producer in producers_of[node.name]:
                 if microbatch < 0:
                     # Optimiser nodes consume the accumulated gradient:
                     # depend on every micro-batch's producer task.
                     if producer in optimizer_set:
-                        deps.append(producer)
+                        deps.append(id_of[producer])
                     else:
                         deps.extend(
-                            task_ref(producer, m) for m in range(num_microbatches)
+                            id_of[task_ref(producer, m)]
+                            for m in range(num_microbatches)
                         )
                     continue
                 deps.append(dep_for_input(tensor, producer, stage, microbatch))
             prev = prev_of_stage[stage]
-            tasks.add(
+            prev_of_stage[stage] = id_of[name] = tasks.add(
                 name, stage_devices[stage], "compute", duration_of[node.name],
                 deps=deps, after=() if prev is None else (prev,),
             )
-            prev_of_stage[stage] = name
 
         for stage in range(num_stages):
             for phase, microbatch in sched.slots_of_stage[stage]:
@@ -481,6 +491,10 @@ def lower_pipeline(
             # backward kernels' output writes, as the cost model assumes).
             for node in opt_of_stage[stage]:
                 emit_compute(node, stage, -1)
+        rows = tasks.rows
+        for copy, ref in waiting:
+            row = rows[copy]
+            rows[copy] = row[:5] + ((id_of[ref],),) + row[6:]
         return tasks
 
     stage_memory = stage_memory_report(
@@ -630,7 +644,7 @@ def lower_hybrid(
             # The group program numbers tasks and devices locally: its rows are
             # appended after everything emitted so far, so a dependency id
             # shifts by the group's base, and each device onto the group's slice.
-            rows = group_program.task_graph.resolved_rows()
+            rows = group_program.task_graph.rows
             base = len(tasks.rows)
             shift_ids = base.__add__
             shift = {device: device + offset for device in range(group_devices)}

@@ -27,9 +27,10 @@ returns :meth:`LoweredProgram.copy` — a fresh program (its own memory report
 and stats) around the shared dense form, together with the compiled form
 and its replay cached on it for the program's machine.  A warm hit
 therefore neither copies, re-sorts nor replays a task graph.  Callers edit
-a returned program with :meth:`LoweredProgram.replace_tasks`, which builds
-a new dense form (the Table 3 ablation rescales durations this way);
-nothing done to a returned program reaches the cache.
+a returned program by giving a copy a new task dict
+(``dataclasses.replace(program.copy(), tasks={**program.tasks, **edits})``),
+which builds a new dense form (the Table 3 ablation rescales durations this
+way); nothing done to a returned program reaches the cache.
 """
 
 from __future__ import annotations

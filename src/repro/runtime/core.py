@@ -8,8 +8,8 @@ and simulate that program under link contention on the modelled machine.
 
 The two stages are exposed separately (``lower`` then ``simulate``), so
 callers can inspect or adjust the lowered program between them — e.g. the
-framework-overhead ablation of Table 3 swaps in rescaled copies of every
-task (``LoweredProgram.replace_tasks``).
+framework-overhead ablation of Table 3 gives a copy of the program a dict of
+rescaled tasks (``dataclasses.replace(program.copy(), tasks=...)``).
 """
 
 from __future__ import annotations

@@ -45,7 +45,7 @@ from repro.graph.node import OpNode
 from repro.graph.scheduler import liveness, topo_schedule  # noqa: F401  (re-export)
 from repro.sim.costmodel import node_kernel_time
 from repro.sim.device import DeviceSpec, MachineSpec, Topology
-from repro.sim.engine import Dep, TaskGraphBuilder
+from repro.sim.engine import TaskGraphBuilder
 
 
 @perf.timed("pass.scheduled_nodes")
@@ -72,7 +72,7 @@ def make_compute_task(
     device_spec: DeviceSpec,
     machine: MachineSpec,
     *,
-    deps: Sequence[Dep] = (),
+    deps: Sequence[int] = (),
     scale: float = 1.0,
     extra_duration: float = 0.0,
     task_name: Optional[str] = None,
@@ -101,7 +101,7 @@ def make_comm_task(
     *,
     src: Optional[int],
     dst: Optional[int] = None,
-    deps: Sequence[Dep] = (),
+    deps: Sequence[int] = (),
 ) -> int:
     """Comm-task emission pass: emit one ``src -> dst`` transfer into
     ``builder`` and return its id.

@@ -21,7 +21,6 @@ from repro.sim.engine import (
     SimResult,
     Task,
     TaskGraphBuilder,
-    TaskView,
     task_view,
 )
 
@@ -43,8 +42,11 @@ class LoweredProgram:
             program's dense form (:attr:`task_graph`).  Backends pass a
             :class:`repro.sim.engine.TaskGraphBuilder` or an emitter of one,
             called on the first read (a memory screen never pays for rows);
-            any other mapping is fed through one.  The dense form is shared
-            with the program cache; edit a program with :meth:`replace_tasks`.
+            any other mapping goes through ``TaskGraphBuilder.from_tasks``,
+            which turns its dependency names into ids.  The dense form is
+            shared with the program cache; edit a program by giving a copy
+            a new dict: ``dataclasses.replace(program.copy(),
+            tasks={**program.tasks, **edits})``.
         per_device_memory: Planned peak bytes per device index (the memory
             report the simulator checks against device capacity).
         total_comm_bytes: Aggregate communication volume of one iteration.
@@ -102,12 +104,6 @@ class LoweredProgram:
         program was priced for).  Compiled once per machine and cached on
         the shared dense form, so program-cache copies reuse it."""
         return self.task_graph.build(machine or self.machine)
-
-    def replace_tasks(self, tasks: Mapping[str, Task]) -> "LoweredProgram":
-        """A copy whose task graph has each of ``tasks`` in place of the
-        task of the same name (new names are appended), rebuilt through the
-        :class:`TaskGraphBuilder`.  This program is left unchanged."""
-        return replace(self.copy(), tasks=TaskView(self.task_graph.edited(tasks)))
 
     def copy(self) -> "LoweredProgram":
         """A copy that shares every immutable value and owns every container.

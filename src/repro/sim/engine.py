@@ -20,16 +20,16 @@ machine the link set is per-device ``p2p`` queues plus one shared ``cpu``
 queue.
 
 Lowering passes emit rows into a :class:`TaskGraphBuilder`.  A task's id is
-its emission index and its dependencies are ids: a dependency given by name
-is resolved once, and names are kept for reading only.
-:meth:`~TaskGraphBuilder.build` sorts the integer graph into the dense form
+its emission index and its dependencies are ids; names are kept for reading
+only.  :meth:`~TaskGraphBuilder.build` sorts the integer graph into the dense form
 (topological order, dependency positions, resource slots, pre-priced
 transfer times) and :meth:`TaskGraphSimulator.run_compiled` replays it.  A
 built graph caches its compiled form and that form's replay, so repeat
 simulations of one program — and of every program-cache copy sharing its
 graph — neither sort nor replay it again; only the memory verdicts are
-worked out per call.  :func:`compile_task_graph` feeds a plain task dict to
-the same builder.
+worked out per call.  A plain ``name -> Task`` dict enters through
+:meth:`TaskGraphBuilder.from_tasks`, the one place a dependency name becomes
+an id.
 
 The original string-keyed per-dict event loop lives outside the package, in
 ``tests/support/sim_oracle.py`` (``run_reference``): the parity suite pins
@@ -58,9 +58,10 @@ class Task:
 
     Lowering emits task rows into a :class:`TaskGraphBuilder`; ``Task``
     objects are what a program's read-only task view builds from those
-    rows, and what callers hand to :func:`compile_task_graph`.  To edit a
-    program, replace tasks:
-    ``program.replace_tasks({name: dataclasses.replace(task, ...)})``.
+    rows, and what callers hand to :func:`compile_task_graph`.  A task's
+    dependencies are task names.  To edit a program, give a copy a new
+    task dict: ``dataclasses.replace(program.copy(), tasks={**program.tasks,
+    name: dataclasses.replace(task, ...)})``.
 
     ``kind`` is ``"compute"`` (duration given directly) or ``"comm"``
     (duration derived from ``comm_bytes`` and the link bandwidth, plus the
@@ -107,11 +108,6 @@ def _task_link(
         return machine.link_between(src, dst)
     except SimulationError as exc:
         raise SimulationError(f"comm task {name!r}: {exc}") from None
-
-
-#: A dependency as :meth:`TaskGraphBuilder.add` takes it: a task id (its
-#: emission index) or a task name.
-Dep = Union[int, str]
 
 
 @dataclass
@@ -222,44 +218,57 @@ class TaskGraphBuilder:
 
     Lowering passes :meth:`add` rows instead of constructing ``Task``
     objects; :meth:`add` returns the new row's id.  A row's ``deps`` and
-    ``after`` hold ids: a dependency may be given as an id or as a task
-    name, and a name is resolved to its id once — at :meth:`add` when the
-    named task is already there, at the sort when it is added later (a
-    forward reference).  Names are for reading: the task view turns ids
-    back into names.  :meth:`build` sorts the
-    integer graph with Kahn's algorithm (FIFO, the reference loop's
-    tie-breaking) and permutes the rows into a :class:`CompiledTaskGraph`
-    for one machine.
+    ``after`` are ids, as :meth:`add` returned them; a lowering that must
+    wait on a row it has not emitted yet fills that id in itself.  Names
+    are for reading: the task view turns ids back into names, and each name
+    is one row's.  :meth:`build` sorts the integer graph with Kahn's
+    algorithm (FIFO, the reference loop's tie-breaking) and permutes the
+    rows into a :class:`CompiledTaskGraph` for one machine.
 
     The first sort seals the builder: from then on it is an immutable dense
     form that caches its topological sort, and its compiled form and that
     form's replay for the last machine it was built for, so every program
     sharing one builder — program-cache copies included — shares all
-    three.  Adding a name twice replaces the earlier row in place and keeps
-    its id, like assigning into a dict.
+    three.
     """
 
-    __slots__ = ("rows", "_index", "_forward", "_sorted", "_compiled", "_replayed")
+    __slots__ = ("rows", "_index", "_sorted", "_compiled", "_replayed")
 
     def __init__(self) -> None:
         self.rows: List[tuple] = []
         self._index: Dict[str, int] = {}
-        #: Ids of rows that may still hold a forward name reference.
-        self._forward: List[int] = []
         self._sorted: Optional[Tuple[Sequence[int], List[Tuple[int, ...]]]] = None
         self._compiled: Optional[Tuple[Topology, CompiledTaskGraph]] = None
         self._replayed: Optional[Tuple[CompiledTaskGraph, SimResult]] = None
 
     @classmethod
     def from_tasks(cls, tasks: Mapping[str, Task]) -> "TaskGraphBuilder":
-        """A builder holding ``tasks`` under their keys, in iteration order."""
-        builder = cls()
-        for name, task in tasks.items():
-            builder.add_task(task, name)
-        return builder
+        """A builder holding ``tasks`` under their keys, in iteration order.
 
-    def __contains__(self, name: object) -> bool:
-        return name in self._index
+        The keys are numbered first, then every dependency name is mapped
+        through that numbering.  Raises :class:`SimulationError` when a
+        dependency names no task of ``tasks``."""
+        id_of = {name: index for index, name in enumerate(tasks)}
+
+        def ids(name: str, deps: Sequence[str]) -> Tuple[int, ...]:
+            try:
+                return tuple(map(id_of.__getitem__, deps))
+            except KeyError:
+                missing = next(dep for dep in deps if dep not in id_of)
+                raise SimulationError(
+                    f"task {name!r} depends on missing task {missing!r}"
+                ) from None
+
+        builder = cls()
+        builder.extend([
+            (
+                name, task.device, task.kind, task.duration, task.comm_bytes,
+                ids(name, task.deps), ids(name, task.after),
+                task.src_device, task.dst_device,
+            )
+            for name, task in tasks.items()
+        ])
+        return builder
 
     def add(
         self,
@@ -268,42 +277,27 @@ class TaskGraphBuilder:
         kind: str = "compute",
         duration: float = 0.0,
         comm_bytes: float = 0.0,
-        deps: Sequence[Dep] = (),
-        after: Sequence[Dep] = (),
+        deps: Sequence[int] = (),
+        after: Sequence[int] = (),
         src_device: Optional[int] = None,
         dst_device: Optional[int] = None,
     ) -> int:
         """Append one task and return its id.  The arguments are
-        :class:`Task`'s fields, except that ``deps`` and ``after`` may give
-        each dependency by id as well as by name.  Ids are checked by the
-        sort: an id past the last row may still be added later."""
+        :class:`Task`'s fields, except that ``deps`` and ``after`` are ids.
+        Ids are checked by the sort: an id past the last row may still be
+        added later."""
         if self._sorted is not None:
             raise SimulationError(
                 f"cannot add task {name!r}: the task graph is already built"
             )
         rows = self.rows
-        index_of = self._index
-        index = index_of.setdefault(name, len(rows))
-        deps = tuple(deps)
-        if deps and str in map(type, deps):
-            try:  # names of tasks already added, the common case
-                deps = tuple(map(index_of.__getitem__, deps))
-            except KeyError:
-                deps = self._resolve_names(index, deps)
-        after = tuple(after)
-        if after and str in map(type, after):
-            try:
-                after = tuple(map(index_of.__getitem__, after))
-            except KeyError:
-                after = self._resolve_names(index, after)
-        row = (
-            name, device, kind, duration, comm_bytes, deps, after,
+        index = self._index.setdefault(name, len(rows))
+        if index != len(rows):
+            raise SimulationError(f"cannot add task {name!r}: the name is taken")
+        rows.append((
+            name, device, kind, duration, comm_bytes, tuple(deps), tuple(after),
             src_device, dst_device,
-        )
-        if index == len(rows):
-            rows.append(row)
-        else:
-            rows[index] = row
+        ))
         return index
 
     def extend(self, rows: Sequence[tuple]) -> None:
@@ -328,81 +322,17 @@ class TaskGraphBuilder:
         self._index.update(ids)
         self.rows.extend(rows)
 
-    def _resolve_names(self, index: int, deps: Tuple[Dep, ...]) -> Tuple[Dep, ...]:
-        """``deps`` of row ``index``, ids and names mixed or a name of no
-        task yet among them, with each name of a task already added
-        replaced by its id; the others stay names for the sort."""
-        index_of = self._index
-        ids = tuple([
-            index_of.get(dep, dep) if type(dep) is str else dep for dep in deps
-        ])
-        if str in map(type, ids):
-            self._forward.append(index)
-        return ids
-
-    def add_task(self, task: Task, name: Optional[str] = None) -> int:
-        """Append ``task``, under ``name`` when given (its dict key), and
-        return its id."""
-        return self.add(**{**vars(task), "name": task.name if name is None else name})
-
-    def edited(self, tasks: Mapping[str, Task]) -> "TaskGraphBuilder":
-        """A new builder with this graph's rows, each of ``tasks`` replacing
-        the row of the same name in place or appended after the rest."""
-        builder = TaskGraphBuilder()
-        builder.rows = list(self.rows)
-        builder._index = dict(self._index)
-        builder._forward = list(self._forward)
-        for name, task in tasks.items():
-            builder.add_task(task, name)
-        return builder
-
     @property
     def tasks(self) -> "TaskView":
         """Read-only ``name -> Task`` view, in emission order."""
         return TaskView(self)
 
-    def names_of(self, ids: Sequence[Dep]) -> Tuple[Dep, ...]:
-        """Dependency ``ids`` as task names, for reading.  A forward name
-        not resolved yet stays as given, and so does an id of no row."""
+    def names_of(self, ids: Sequence[int]) -> Tuple[object, ...]:
+        """Dependency ``ids`` as task names, for reading.  An id of no row
+        stays as given."""
         rows = self.rows
-        n = len(rows)
-        return tuple([
-            rows[dep][0] if type(dep) is not str and 0 <= dep < n else dep
-            for dep in ids
-        ])
-
-    def resolved_rows(self) -> List[tuple]:
-        """The rows with every forward name reference resolved to its id.
-
-        Raises :class:`SimulationError` when a dependency names no task."""
-        forward = self._forward
-        if forward:
-            rows = self.rows
-            for i in sorted(set(forward)):
-                (name, device, kind, duration, comm_bytes, deps, after,
-                 src, dst) = rows[i]
-                rows[i] = (
-                    name, device, kind, duration, comm_bytes,
-                    self._resolve_forward(name, deps),
-                    self._resolve_forward(name, after),
-                    src, dst,
-                )
-            forward.clear()
-        return self.rows
-
-    def _resolve_forward(self, name: str, ids: Tuple[Dep, ...]) -> Tuple[int, ...]:
-        """Task ``name``'s ``ids`` with every name replaced by its id."""
-        if str not in map(type, ids):
-            return ids
-        index = self._index
-        for dep in ids:
-            if type(dep) is str and dep not in index:
-                raise SimulationError(
-                    f"task {name!r} depends on missing task {dep!r}"
-                )
-        return tuple([
-            index[dep] if type(dep) is str else dep for dep in ids
-        ])
+        valid = range(len(rows))
+        return tuple([rows[dep][0] if dep in valid else dep for dep in ids])
 
     # ----------------------------------------------------------------- build
     def build(self, machine: Topology) -> CompiledTaskGraph:
@@ -442,11 +372,11 @@ class TaskGraphBuilder:
         """Row indices in topological order, and each sorted task's ordering
         dependencies as positions in that order (computed once, cached).
 
-        Raises :class:`SimulationError` when a dependency names no task, an
-        id is past the last row, or the ordering edges contain a cycle."""
+        Raises :class:`SimulationError` when a dependency is not the id of a
+        row, or the ordering edges contain a cycle."""
         if self._sorted is not None:
             return self._sorted
-        rows = self.resolved_rows()
+        rows = self.rows
         n = len(rows)
         indegree = [0] * n
         consumers: List[List[int]] = [[] for _ in range(n)]
@@ -463,12 +393,13 @@ class TaskGraphBuilder:
                         consumers[j].append(i)
             if min(map(min, filter(None, dep_ids)), default=0) < 0:
                 raise IndexError
-        except (IndexError, TypeError):  # an id of no row, or a name
+        except (IndexError, TypeError):  # an id of no row, or not an id
+            valid = range(n)
             name, dep = next(
                 (row[0], dep)
                 for row in rows
                 for dep in row[5] + row[6]
-                if type(dep) is str or not 0 <= dep < n
+                if dep not in valid
             )
             raise SimulationError(
                 f"task {name!r} depends on {dep!r}, but the ids run 0..{n - 1}"
@@ -575,8 +506,8 @@ class TaskView(abc.Mapping):
     storage: a program holds only its rows and compiled form, so reading
     tasks (debugging, the verifier's schedule check) costs time on access
     instead of memory for the program's lifetime.  There is no item
-    assignment: edit a program with ``LoweredProgram.replace_tasks``.  A
-    view may hold a zero-argument emitter instead of a builder: the first
+    assignment: edit a program by giving a copy a new task dict.  A view
+    may hold a zero-argument emitter instead of a builder: the first
     read of :attr:`graph` (so of anything above) calls it once, under
     ``perf.stage("lower.emit")``, and keeps the builder it returns.
     """
@@ -615,7 +546,8 @@ class TaskView(abc.Mapping):
 
 def task_view(tasks: Union[TaskGraphBuilder, Mapping[str, Task], Callable]) -> TaskView:
     """``tasks`` as a :class:`TaskView`: a view as is, a builder's or an
-    emitter's own view, any other mapping fed through a new builder."""
+    emitter's own view, any other mapping through
+    :meth:`TaskGraphBuilder.from_tasks`."""
     if isinstance(tasks, TaskView):
         return tasks
     if isinstance(tasks, TaskGraphBuilder) or callable(tasks):
@@ -626,10 +558,9 @@ def task_view(tasks: Union[TaskGraphBuilder, Mapping[str, Task], Callable]) -> T
 def compile_task_graph(
     tasks: Union[TaskGraphBuilder, Mapping[str, Task]], machine: Topology
 ) -> CompiledTaskGraph:
-    """Feed ``tasks`` to a :class:`TaskGraphBuilder` and build it for
-    ``machine``.  A builder or a program's task view builds its own (cached)
-    dense form; any other mapping is fed to a new builder in iteration
-    order."""
+    """Build ``tasks`` for ``machine``.  A builder or a program's task view
+    builds its own (cached) dense form; any other mapping goes through
+    :meth:`TaskGraphBuilder.from_tasks`, in iteration order."""
     return task_view(tasks).graph.build(machine)
 
 

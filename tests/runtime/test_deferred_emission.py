@@ -57,10 +57,7 @@ def test_deferred_simulation_matches_a_direct_compile(rnn_bundle, strategy):
     )
     deferred.simulate()
     assert deferred.result == direct.result
-    assert (
-        deferred.program.task_graph.resolved_rows()
-        == direct.program.task_graph.resolved_rows()
-    )
+    assert deferred.program.task_graph.rows == direct.program.task_graph.rows
 
 
 def test_cache_hits_share_the_one_emission(mlp_bundle):

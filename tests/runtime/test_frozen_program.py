@@ -4,7 +4,7 @@ A lowered program's dense task graph is immutable once built and compiles
 once per machine, so there is no explicit freeze step any more: repeat
 simulations reuse the cached compiled form and its replay with no per-call
 content work, give results identical to the first run, and an edited
-program (through ``replace_tasks``) never replays the stale graph of the
+program (a copy given a new task dict) never replays the stale graph of the
 one it came from."""
 
 from __future__ import annotations
@@ -62,12 +62,13 @@ class TestProgramFreeze:
         assert timer.stage_calls("sim.fingerprint") == 0
 
     def test_reassigned_tasks_bypass_a_stale_handle(self, compiled_mlp):
-        """``replace_tasks`` is how a program is edited; the edited program
-        must not replay the compiled form cached for the original."""
+        """A copy given a new task dict is how a program is edited; the
+        edited program must not replay the compiled form cached for the
+        original."""
         program = compiled_mlp.program
         executor = Executor()
         before = executor.simulate(program)
-        edited = program.replace_tasks({
+        edited = dataclasses.replace(program.copy(), tasks={
             name: dataclasses.replace(task, duration=task.duration * 2)
             for name, task in program.tasks.items()
         })

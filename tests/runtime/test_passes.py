@@ -115,7 +115,7 @@ class TestCommEmission:
         for src, link in ((None, "p2p:1"), (0, "p2p:1"), (HOST_DEVICE, "cpu:m0")):
             builder = TaskGraphBuilder()
             builder.add("a", 0, "compute", 1.0)
-            make_comm_task(builder, "b", 1, 8.0, src=src, deps=["a"])
+            make_comm_task(builder, "b", 1, 8.0, src=src, deps=[0])
             result = TaskGraphSimulator(machine).run(builder)
             assert result.iteration_time > 1.0
             assert set(result.per_link_busy_time) == {link}

@@ -12,7 +12,7 @@ tolerance.
 The aliasing half pins the memory tier's sharing contract: hits share the
 cached program's immutable dense task graph (and the compiled form cached
 on it), and no edit of a returned program — its containers, or its tasks
-through ``replace_tasks`` — ever reaches a later hit.
+through a copy given a new task dict — ever reaches a later hit.
 """
 
 from __future__ import annotations
@@ -243,7 +243,8 @@ def test_edits_to_a_returned_program_never_reach_a_later_hit(mlp_bundle):
     for program in (fresh, lower(executor)):
         first = next(iter(program.tasks))
         task = program.tasks[first]
-        edited = program.replace_tasks({
+        edited = dataclasses.replace(program.copy(), tasks={
+            **program.tasks,
             first: dataclasses.replace(task, duration=task.duration * 2),
             "extra": Task(name="extra", device=0, duration=1.0),
         })

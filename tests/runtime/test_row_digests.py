@@ -1,6 +1,6 @@
 """Golden task rows: lowering must emit bit-identical rows per strategy.
 
-Each digest is the sha256 of ``repr(program.task_graph.resolved_rows())``:
+Each digest is the sha256 of ``repr(program.task_graph.rows)``:
 every task's name, device, kind, duration, bytes, dependency ids and
 endpoints, in emission order (floats round-trip exactly through ``repr``).
 Next to it sit the program's ``total_comm_bytes`` and ``per_device_memory``,
@@ -236,7 +236,7 @@ LOWERING_GOLDEN = {
 
 
 def rows_digest(program) -> str:
-    rows = program.task_graph.resolved_rows()
+    rows = program.task_graph.rows
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 

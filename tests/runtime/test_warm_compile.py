@@ -155,10 +155,13 @@ def test_each_simulation_gets_its_own_memory_verdict(compile_rnn, calls):
     calls["run_compiled"] = 0
 
     # An edited copy has its own dense form, replayed once.
-    slower = program.replace_tasks({
-        name: dataclasses.replace(task, duration=task.duration * 2)
-        for name, task in program.tasks.items()
-        if task.kind == "compute"
+    slower = dataclasses.replace(program.copy(), tasks={
+        **program.tasks,
+        **{
+            name: dataclasses.replace(task, duration=task.duration * 2)
+            for name, task in program.tasks.items()
+            if task.kind == "compute"
+        },
     })
     result = executor.simulate(slower, check_memory=False)
     assert calls["run_compiled"] == 1

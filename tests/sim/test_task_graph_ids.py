@@ -1,11 +1,13 @@
 """Task dependencies are ids: seeded random task graphs, and bad ids.
 
 :class:`TaskGraphBuilder` keeps every dependency as the id (emission index)
-of the task it names.  A dependency may be given by id or by name, before
-or after the task it names is added, and a name may be added twice.  Over
-seeded random DAGs mixing all of these, the builder must read back the
-graph its caller meant — the same tasks by name, sorted in the reference
-loop's order and simulated to the reference loop's result.
+of the task it depends on, given before or after that task is added.  A
+``name -> Task`` dict enters through :meth:`TaskGraphBuilder.from_tasks`,
+which numbers the names and maps every dependency through that numbering.
+Over seeded random DAGs, the builder must read back the graph its caller
+meant — the same tasks by name, the same rows whether emitted by id or fed
+by name, sorted in the reference loop's order and simulated to the
+reference loop's result.
 """
 
 from __future__ import annotations
@@ -51,18 +53,15 @@ def _random_task(rng: random.Random, v: int, earlier, devices: int) -> Task:
     )
 
 
-def _emit(builder: TaskGraphBuilder, rng: random.Random, task: Task) -> int:
-    """Add ``task``, giving each dependency by id or by name at random —
-    an id past the last row or a name not added yet is a forward
-    reference."""
-    def mixed(deps):
-        return tuple(
-            int(dep[1:]) if rng.random() < 0.5 else dep for dep in deps
-        )
+def _emit(builder: TaskGraphBuilder, task: Task) -> int:
+    """Add ``task``, each dependency ``t{u}`` given as its id ``u``; an id
+    past the last row is a forward reference."""
+    def ids(deps):
+        return tuple(int(dep[1:]) for dep in deps)
 
     return builder.add(
         task.name, task.device, task.kind, task.duration, task.comm_bytes,
-        mixed(task.deps), mixed(task.after), task.src_device, task.dst_device,
+        ids(task.deps), ids(task.after), task.src_device, task.dst_device,
     )
 
 
@@ -85,14 +84,11 @@ def test_random_graph_reads_back_as_meant(seed):
     builder = TaskGraphBuilder()
     for v in range(n):
         meant[f"t{v}"] = _random_task(rng, v, earlier(v), devices)
-        assert _emit(builder, rng, meant[f"t{v}"]) == v
-    # Re-add some names with new fields and dependencies: each keeps its id
-    # and its place, like assigning into a dict.
-    for v in rng.sample(range(n), rng.randint(0, min(n, 3))):
-        meant[f"t{v}"] = _random_task(rng, v, earlier(v), devices)
-        assert _emit(builder, rng, meant[f"t{v}"]) == v
+        assert _emit(builder, meant[f"t{v}"]) == v
 
     assert dict(builder.tasks) == meant
+    # The same graph fed by name numbers its keys the way ids were emitted.
+    assert TaskGraphBuilder.from_tasks(meant).rows == builder.rows
     compiled = builder.build(machine)
     assert compiled.names == topo_order(meant)
     simulator = TaskGraphSimulator(machine)
@@ -114,6 +110,15 @@ class TestBadDependencies:
         builder.add("b", 0)
         assert builder.build(MACHINE).names == ["b", "a"]
 
+    def test_a_failed_build_leaves_the_graph_open(self):
+        builder = TaskGraphBuilder()
+        builder.add("a", 0, deps=(2,))
+        builder.add("b", 0, deps=(0,))
+        with pytest.raises(SimulationError, match=r"task 'a' depends on 2\b"):
+            builder.build(MACHINE)
+        builder.add("c", 1)
+        assert builder.build(MACHINE).names == ["c", "a", "b"]
+
     def test_a_task_depending_on_its_own_id_is_a_named_cycle(self):
         builder = TaskGraphBuilder()
         builder.add("a", 0)
@@ -124,16 +129,26 @@ class TestBadDependencies:
             builder.build(MACHINE)
 
     def test_a_missing_name_keeps_its_message(self):
-        builder = TaskGraphBuilder()
-        builder.add("a", 0, deps=("ghost",))
-        builder.add("b", 0, deps=("a",))
+        tasks = {
+            "a": Task("a", 0, deps=("ghost",)),
+            "b": Task("b", 0, deps=("a",)),
+        }
         with pytest.raises(
             SimulationError, match="task 'a' depends on missing task 'ghost'"
         ):
+            TaskGraphBuilder.from_tasks(tasks)
+        tasks["ghost"] = Task("ghost", 1)
+        assert TaskGraphBuilder.from_tasks(tasks).build(MACHINE).names == [
+            "ghost", "a", "b",
+        ]
+
+    @pytest.mark.parametrize("field", ["deps", "after"])
+    def test_a_name_handed_to_add_fails_the_build_naming_the_task(self, field):
+        builder = TaskGraphBuilder()
+        builder.add("a", 0)
+        builder.add("b", 0, **{field: (0, "a")})
+        with pytest.raises(SimulationError, match="task 'b' depends on 'a'"):
             builder.build(MACHINE)
-        # A failed build leaves the graph open: add the task and build.
-        builder.add("ghost", 1)
-        assert builder.build(MACHINE).names == ["ghost", "a", "b"]
 
     def test_extend_takes_new_names_and_ids_only(self):
         builder = TaskGraphBuilder()

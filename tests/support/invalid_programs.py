@@ -5,9 +5,12 @@ RNN pipeline (:func:`healthy_pipeline`) or the 4-worker tofu-partitioned
 MLP (:func:`healthy_tofu`) — and makes one named edit that breaks one
 invariant:
 
-* task edits go through :meth:`LoweredProgram.replace_tasks` with
-  ``dataclasses.replace(task, ...)`` (the builder keeps a dependency on an
-  unknown name for the sort to report, so a dangling dependency survives);
+* task edits give a copy of the program a new task dict
+  (``dataclasses.replace(program.copy(), tasks={**program.tasks, ...})``)
+  of ``dataclasses.replace(task, ...)`` values;
+* the dangling dependency, which a task dict cannot spell (its names become
+  ids, and an unknown name is an error there), edits the rows instead: a
+  row gains the id of no row, which the sort reports;
 * schedule and memory-report edits go through
   ``dataclasses.replace(program, ...)``;
 * plan edits round-trip the plan through an edited :func:`plan_to_dict`;
@@ -37,7 +40,7 @@ from repro.partition.plan import (
 from repro.planner import Planner, PlannerConfig
 from repro.runtime import Executor, ExecutorConfig, LoweredProgram
 from repro.sim.device import k80_8gpu_machine
-from repro.sim.engine import Task
+from repro.sim.engine import Task, TaskGraphBuilder
 
 #: Devices of the machine both healthy programs are lowered for.
 NUM_DEVICES = 4
@@ -99,7 +102,17 @@ def device_copies(program: LoweredProgram) -> List[Task]:
 
 def with_tasks(program: LoweredProgram, *tasks: Task) -> LoweredProgram:
     """``program`` with each of ``tasks`` in place of its namesake."""
-    return program.replace_tasks({task.name: task for task in tasks})
+    return dataclasses.replace(
+        program.copy(),
+        tasks={**program.tasks, **{task.name: task for task in tasks}},
+    )
+
+
+def with_rows(program: LoweredProgram, rows: List[tuple]) -> LoweredProgram:
+    """``program`` with ``rows`` as its task rows, taken as they are."""
+    builder = TaskGraphBuilder()
+    builder.extend(rows)
+    return dataclasses.replace(program.copy(), tasks=builder)
 
 
 def with_memory(program: LoweredProgram, memory: Dict[int, int]) -> LoweredProgram:
@@ -123,12 +136,13 @@ def _cyclic_after() -> LoweredProgram:
 
 
 def _dangling_dep() -> LoweredProgram:
+    """The first compute task also depends on the id one past the last row."""
     program = healthy_pipeline()
-    victim = compute_tasks(program)[0]
-    return with_tasks(
-        program,
-        dataclasses.replace(victim, deps=tuple(victim.deps) + ("no-such-task",)),
-    )
+    rows = list(program.task_graph.rows)
+    first = next(i for i, row in enumerate(rows) if row[2] == "compute")
+    row = rows[first]
+    rows[first] = row[:5] + (row[5] + (len(rows),),) + row[6:]
+    return with_rows(program, rows)
 
 
 def _with_slots(program: LoweredProgram, slots) -> LoweredProgram:
