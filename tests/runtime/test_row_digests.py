@@ -146,11 +146,15 @@ LOWERING_GOLDEN = {
     ),
     ("mlp", "dp:2/placement", "k80x4_x2"): (
         "22a2426d7bb6279c384bcf8d0dbc6b53c41f031f8606e4cae5bcc8d8b1c581b5",
-        1907200.0, {0: 624640, 1: 854016, 2: 854016, 3: 246536, 4: 624640, 5: 854016, 6: 854016, 7: 246536},
+        1907200.0,
+        {0: 624640, 1: 854016, 2: 854016, 3: 246536,
+         4: 624640, 5: 854016, 6: 854016, 7: 246536},
     ),
     ("mlp", "dp:2/placement", "k80x8"): (
         "22a2426d7bb6279c384bcf8d0dbc6b53c41f031f8606e4cae5bcc8d8b1c581b5",
-        1907200.0, {0: 624640, 1: 854016, 2: 854016, 3: 246536, 4: 624640, 5: 854016, 6: 854016, 7: 246536},
+        1907200.0,
+        {0: 624640, 1: 854016, 2: 854016, 3: 246536,
+         4: 624640, 5: 854016, 6: 854016, 7: 246536},
     ),
     ("mlp", "dp:2/swap", "k80x4_x2"): (
         "3708c1118a50b112ead4d10206b60ea10d3fb6d40a047eb820b70917f20817e8",
@@ -194,11 +198,13 @@ LOWERING_GOLDEN = {
     ),
     ("rnn", "dp:2/placement", "k80x4_x2"): (
         "fafd7df16c9ce69428420bb975a53b254b6d033021163d6aa9fdb8efb3ca5d9d",
-        4802560.0, {0: 2125824, 1: 2633732, 2: 0, 3: 0, 4: 2125824, 5: 2633732, 6: 0, 7: 0},
+        4802560.0,
+        {0: 2125824, 1: 2633732, 2: 0, 3: 0, 4: 2125824, 5: 2633732, 6: 0, 7: 0},
     ),
     ("rnn", "dp:2/placement", "k80x8"): (
         "fafd7df16c9ce69428420bb975a53b254b6d033021163d6aa9fdb8efb3ca5d9d",
-        4802560.0, {0: 2125824, 1: 2633732, 2: 0, 3: 0, 4: 2125824, 5: 2633732, 6: 0, 7: 0},
+        4802560.0,
+        {0: 2125824, 1: 2633732, 2: 0, 3: 0, 4: 2125824, 5: 2633732, 6: 0, 7: 0},
     ),
     ("rnn", "dp:2/swap", "k80x4_x2"): (
         "9e34aaa252e79f322e1083e83f342695525d202c5e9184443ab2ea78b30ad37e",
