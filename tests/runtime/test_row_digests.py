@@ -131,10 +131,12 @@ MACHINES = {
 }
 
 #: (bundle, strategy, machine) -> (rows digest, total comm bytes, per-device
-#: memory), for the placement, swap and single leaves, data parallelism over
-#: them, and the ``data-parallel`` backend, which no strategy names and is
-#: lowered by its backend name.  Rows name endpoints, not links, so both
-#: machines emit the same rows.
+#: memory), for the placement, swap, single and pipeline leaves, data
+#: parallelism over them, and the ``data-parallel`` backend, which no strategy
+#: names and is lowered by its backend name.  Rows name endpoints, not links,
+#: so both machines emit the same rows, except where a bare pipeline spreads
+#: its stages over both boxes of the cluster.  On the cluster each replica
+#: group of a hybrid is lowered on its own slice.
 LOWERING_GOLDEN = {
     ("mlp", "data-parallel", "k80x4_x2"): (
         "715fc0175fe54684e3f645d83cdf9d11eaa57c7abb275ae73cd5512d99124a5c",
@@ -143,6 +145,22 @@ LOWERING_GOLDEN = {
     ("mlp", "data-parallel", "k80x8"): (
         "715fc0175fe54684e3f645d83cdf9d11eaa57c7abb275ae73cd5512d99124a5c",
         11974144.0, _even(8, 2579208),
+    ),
+    ("mlp", "dp:2/pipeline:2:1f1b:4", "k80x4_x2"): (
+        "cb82326b34c09f5bee1735a622e1584c1a6e1dfb04078b57dba105207a04fc57",
+        1776128.0, {0: 1265664, 1: 768578, 4: 1265664, 5: 768578},
+    ),
+    ("mlp", "dp:2/pipeline:2:1f1b:4", "k80x8"): (
+        "cb82326b34c09f5bee1735a622e1584c1a6e1dfb04078b57dba105207a04fc57",
+        1776128.0, {0: 1265664, 1: 768578, 4: 1265664, 5: 768578},
+    ),
+    ("mlp", "dp:2/pipeline:3:gpipe:4", "k80x4_x2"): (
+        "199c51e8de39f4f72541cc63988ccb579842c912526480b2680075f09b95987a",
+        1841664.0, {0: 624640, 1: 854016, 2: 1100552, 4: 624640, 5: 854016, 6: 1100552},
+    ),
+    ("mlp", "dp:2/pipeline:3:gpipe:4", "k80x8"): (
+        "199c51e8de39f4f72541cc63988ccb579842c912526480b2680075f09b95987a",
+        1841664.0, {0: 624640, 1: 854016, 2: 1100552, 4: 624640, 5: 854016, 6: 1100552},
     ),
     ("mlp", "dp:2/placement", "k80x4_x2"): (
         "22a2426d7bb6279c384bcf8d0dbc6b53c41f031f8606e4cae5bcc8d8b1c581b5",
@@ -164,6 +182,18 @@ LOWERING_GOLDEN = {
         "3708c1118a50b112ead4d10206b60ea10d3fb6d40a047eb820b70917f20817e8",
         1710592.0, {0: 2432644, 4: 2432644},
     ),
+    ("mlp", "dp:4/pipeline:2:1f1b:4", "k80x4_x2"): (
+        "8ee6f14680d96d84594246f0e7cfd54b587003f71762e6c7af98d6cf44bc5914",
+        5197312.0,
+        {0: 1265664, 1: 768578, 2: 1265664, 3: 768578,
+         4: 1265664, 5: 768578, 6: 1265664, 7: 768578},
+    ),
+    ("mlp", "dp:4/pipeline:2:1f1b:4", "k80x8"): (
+        "8ee6f14680d96d84594246f0e7cfd54b587003f71762e6c7af98d6cf44bc5914",
+        5197312.0,
+        {0: 1265664, 1: 768578, 2: 1265664, 3: 768578,
+         4: 1265664, 5: 768578, 6: 1265664, 7: 768578},
+    ),
     ("mlp", "dp:4/single", "k80x4_x2"): (
         "6ecdfbfc61aef355462c7cb8e082ea51c378616e1922348521c4c9a708d4f6b9",
         5131776.0, {0: 2579208, 2: 2579208, 4: 2579208, 6: 2579208},
@@ -171,6 +201,14 @@ LOWERING_GOLDEN = {
     ("mlp", "dp:4/single", "k80x8"): (
         "6ecdfbfc61aef355462c7cb8e082ea51c378616e1922348521c4c9a708d4f6b9",
         5131776.0, {0: 2579208, 2: 2579208, 4: 2579208, 6: 2579208},
+    ),
+    ("mlp", "pipeline:2:1f1b:4", "k80x4_x2"): (
+        "4d2da75e8f3a742f38e6875cd4b1be3ad1419b1ada211f2723e7ce226daa6919",
+        65536.0, {0: 1265664, 4: 768578},
+    ),
+    ("mlp", "pipeline:2:1f1b:4", "k80x8"): (
+        "459f5945bf7e3f5003f0895fd8455ce27c0c79e269bcfa79d53ca5e377159983",
+        65536.0, {0: 1265664, 1: 768578},
     ),
     ("mlp", "placement", "k80x4_x2"): (
         "043ee3cd9139260c727ba070e29e33b99a444330351af0dec2f67b3a3a78f505",
@@ -196,6 +234,14 @@ LOWERING_GOLDEN = {
         "09241adce6b4d87e8d889673bdbd1d20c17d99f1c57a9479533339b7b1528a18",
         14737408.0, _even(8, 4759556),
     ),
+    ("rnn", "dp:2/pipeline:2:1f1b:4", "k80x4_x2"): (
+        "698ef909d4d934734bc1822866479c1c4de7d1cd1a3c565b2c573f1ecd48b885",
+        4276224.0, {0: 1589248, 1: 1447937, 4: 1589248, 5: 1447937},
+    ),
+    ("rnn", "dp:2/pipeline:2:1f1b:4", "k80x8"): (
+        "698ef909d4d934734bc1822866479c1c4de7d1cd1a3c565b2c573f1ecd48b885",
+        4276224.0, {0: 1589248, 1: 1447937, 4: 1589248, 5: 1447937},
+    ),
     ("rnn", "dp:2/placement", "k80x4_x2"): (
         "fafd7df16c9ce69428420bb975a53b254b6d033021163d6aa9fdb8efb3ca5d9d",
         4802560.0,
@@ -214,6 +260,18 @@ LOWERING_GOLDEN = {
         "9e34aaa252e79f322e1083e83f342695525d202c5e9184443ab2ea78b30ad37e",
         2105344.0, {0: 4558852, 4: 4558852},
     ),
+    ("rnn", "dp:4/pipeline:2:1f1b:4", "k80x4_x2"): (
+        "430a9ff38be64877a658d72c5fb15d66c7c7b368633d98d919e0febe01325af8",
+        8486912.0,
+        {0: 1589248, 1: 1447937, 2: 1589248, 3: 1447937,
+         4: 1589248, 5: 1447937, 6: 1589248, 7: 1447937},
+    ),
+    ("rnn", "dp:4/pipeline:2:1f1b:4", "k80x8"): (
+        "430a9ff38be64877a658d72c5fb15d66c7c7b368633d98d919e0febe01325af8",
+        8486912.0,
+        {0: 1589248, 1: 1447937, 2: 1589248, 3: 1447937,
+         4: 1589248, 5: 1447937, 6: 1589248, 7: 1447937},
+    ),
     ("rnn", "dp:4/single", "k80x4_x2"): (
         "17d07c882c7414f46529ba25f67aa0f063dc5467a445aaea802cc7f8d2dea9ea",
         6316032.0, {0: 4759556, 2: 4759556, 4: 4759556, 6: 4759556},
@@ -221,6 +279,14 @@ LOWERING_GOLDEN = {
     ("rnn", "dp:4/single", "k80x8"): (
         "17d07c882c7414f46529ba25f67aa0f063dc5467a445aaea802cc7f8d2dea9ea",
         6316032.0, {0: 4759556, 2: 4759556, 4: 4759556, 6: 4759556},
+    ),
+    ("rnn", "pipeline:2:1f1b:4", "k80x4_x2"): (
+        "37c9b030d4ad8886432cdc1a03e2f2c2bc57bd9e0b5663c2385b9cb10324b746",
+        2170880.0, {0: 1589248, 4: 1447937},
+    ),
+    ("rnn", "pipeline:2:1f1b:4", "k80x8"): (
+        "8d9c80eac0bd629921b2abc97563c223e87fc8a90a4c1ae19bc36d2706588357",
+        2170880.0, {0: 1589248, 1: 1447937},
     ),
     ("rnn", "placement", "k80x4_x2"): (
         "45888f93520637e746e62999a97b14cbe00416899af053436804b3f19fabfd90",
