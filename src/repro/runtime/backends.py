@@ -388,13 +388,14 @@ def lower_pipeline(
             bwd_of_stage[stage].append(node)
 
     scale = 1.0 / num_microbatches
-    # A node's input producers are the same in every micro-batch: derive
-    # them once per node, not once per emitted task.
-    producers_of: Dict[str, List[Tuple[str, str]]] = {
+    # A node's inputs are the same in every micro-batch: resolve them once
+    # per node, not once per emitted task, to (tensor, producer, producer's
+    # stage, whether the producer is an optimiser node).
+    inputs_of: Dict[str, List[Tuple[str, str, int, bool]]] = {
         node.name: [
-            (tensor, graph.tensor(tensor).producer)
+            (tensor, producer, stage_of_node[producer], producer in optimizer_set)
             for tensor in node.inputs
-            if graph.tensor(tensor).producer is not None
+            if (producer := graph.tensor(tensor).producer) is not None
         ]
         for node in topo
     }
@@ -408,20 +409,14 @@ def lower_pipeline(
         for stage in range(num_stages)
         for phase, microbatch in sched.slots_of_stage[stage]
         for node in (fwd_of_stage if phase == "fwd" else bwd_of_stage)[stage]
-        for tensor, producer in producers_of[node.name]
-        if stage_of_node[producer] != stage
+        for tensor, _, source_stage, _ in inputs_of[node.name]
+        if source_stage != stage
     }
     comm_total = 0.0
     for size in copy_bytes.values():
         comm_total += size
 
     def emit() -> TaskGraphBuilder:
-        tasks = TaskGraphBuilder()
-        id_of: Dict[str, int] = {}
-        # A copy into an earlier stage can wait on a later stage's backward
-        # task: (copy id, that task's name), filled in after the stage loop.
-        waiting: List[Tuple[int, str]] = []
-        prev_of_stage: List[Optional[int]] = [None] * num_stages
         # A node's kernel price is the same in every micro-batch; optimiser
         # nodes run once, on the accumulated full-batch gradient.
         duration_of = {
@@ -432,69 +427,71 @@ def lower_pipeline(
             )
             for node in topo
         }
-
-        def task_ref(producer: str, microbatch: int) -> str:
-            if producer in optimizer_set:
-                return producer
-            return f"{producer}#mb{microbatch}"
-
-        def dep_for_input(
-            tensor: str, producer: str, stage: int, microbatch: int
-        ) -> int:
-            ref = task_ref(producer, microbatch)
-            producer_stage = stage_of_node[producer]
-            if producer_stage == stage:
-                return id_of[ref]
-            copy_name = f"{tensor}@s{stage}#mb{microbatch}"
-            copy = id_of.get(copy_name)
-            if copy is None:
-                source = id_of.get(ref)
-                copy = id_of[copy_name] = make_comm_task(
-                    tasks, copy_name, stage_devices[stage],
-                    copy_bytes[tensor, stage, microbatch],
-                    src=stage_devices[producer_stage],
-                    deps=() if source is None else (source,),
-                )
-                if source is None:
-                    waiting.append((copy, ref))
-            return copy
-
-        def emit_compute(node, stage: int, microbatch: int) -> None:
-            name = task_ref(node.name, microbatch)
-            deps: List[int] = []
-            for tensor, producer in producers_of[node.name]:
-                if microbatch < 0:
-                    # Optimiser nodes consume the accumulated gradient:
-                    # depend on every micro-batch's producer task.
-                    if producer in optimizer_set:
-                        deps.append(id_of[producer])
-                    else:
-                        deps.extend(
-                            id_of[task_ref(producer, m)]
-                            for m in range(num_microbatches)
-                        )
-                    continue
-                deps.append(dep_for_input(tensor, producer, stage, microbatch))
-            prev = prev_of_stage[stage]
-            prev_of_stage[stage] = id_of[name] = tasks.add(
-                name, stage_devices[stage], "compute", duration_of[node.name],
-                deps=deps, after=() if prev is None else (prev,),
-            )
-
+        # Row ids (a row's index in ``rows``) of the tasks, one table per
+        # micro-batch and one of the optimiser nodes, and of the copies, by
+        # the key of ``copy_bytes``.
+        rows: List[tuple] = []
+        ids_of_mb: List[Dict[str, int]] = [{} for _ in range(num_microbatches)]
+        opt_ids: Dict[str, int] = {}
+        copies: Dict[Tuple[str, int, int], int] = {}
+        # A copy into an earlier stage can wait on a later stage's backward
+        # task: (copy id, producer's id table, producer), filled in at the end.
+        waiting: List[Tuple[int, Dict[str, int], str]] = []
         for stage in range(num_stages):
+            device = stage_devices[stage]
+            after: Tuple[int, ...] = ()
             for phase, microbatch in sched.slots_of_stage[stage]:
-                group = fwd_of_stage if phase == "fwd" else bwd_of_stage
-                for node in group[stage]:
-                    emit_compute(node, stage, microbatch)
+                ids = ids_of_mb[microbatch]
+                tag = f"#mb{microbatch}"
+                for node in (fwd_of_stage if phase == "fwd" else bwd_of_stage)[stage]:
+                    deps: List[int] = []
+                    for tensor, producer, source_stage, is_opt in inputs_of[node.name]:
+                        table = opt_ids if is_opt else ids
+                        if source_stage == stage:
+                            deps.append(table[producer])
+                            continue
+                        key = (tensor, stage, microbatch)
+                        copy = copies.get(key)
+                        if copy is None:
+                            copy = copies[key] = len(rows)
+                            source = table.get(producer)
+                            if source is None:
+                                waiting.append((copy, table, producer))
+                            rows.append((
+                                f"{tensor}@s{stage}{tag}", device, "comm", 0.0,
+                                copy_bytes[key], () if source is None else (source,),
+                                (), stage_devices[source_stage], device,
+                            ))
+                        deps.append(copy)
+                    ids[node.name] = task = len(rows)
+                    rows.append((
+                        node.name + tag, device, "compute", duration_of[node.name],
+                        0.0, tuple(deps), after, None, None,
+                    ))
+                    after = (task,)
             # Weight update runs once per iteration, after the last backward
             # micro-batch of the stage (gradient accumulation rides on the
-            # backward kernels' output writes, as the cost model assumes).
+            # backward kernels' output writes, as the cost model assumes): it
+            # consumes the accumulated gradient, so it depends on every
+            # micro-batch's producer task.
             for node in opt_of_stage[stage]:
-                emit_compute(node, stage, -1)
-        rows = tasks.rows
-        for copy, ref in waiting:
+                deps = []
+                for _, producer, _, is_opt in inputs_of[node.name]:
+                    if is_opt:
+                        deps.append(opt_ids[producer])
+                    else:
+                        deps.extend([ids[producer] for ids in ids_of_mb])
+                opt_ids[node.name] = task = len(rows)
+                rows.append((
+                    node.name, device, "compute", duration_of[node.name], 0.0,
+                    tuple(deps), after, None, None,
+                ))
+                after = (task,)
+        for copy, table, producer in waiting:
             row = rows[copy]
-            rows[copy] = row[:5] + ((id_of[ref],),) + row[6:]
+            rows[copy] = row[:5] + ((table[producer],),) + row[6:]
+        tasks = TaskGraphBuilder()
+        tasks.extend(rows)
         return tasks
 
     stage_memory = stage_memory_report(
@@ -638,31 +635,44 @@ def lower_hybrid(
             memory[device + offset] = required
 
     def emit() -> TaskGraphBuilder:
+        # A group program numbers tasks and devices locally.  Each distinct
+        # one (group 0's for every group on one machine) is unzipped into
+        # columns once, its durations and bytes scaled by 1/G, and its sinks
+        # found: the rows no other row of the group depends on.
+        columns: Dict[int, tuple] = {}
+        for group_program in group_programs:
+            rows = group_program.task_graph.rows
+            if id(group_program) not in columns:
+                names, devices, kinds, durations, nbytes, deps, after, srcs, dsts = (
+                    zip(*rows) if rows else [()] * 9
+                )
+                referenced = set(chain.from_iterable(deps + after))
+                columns[id(group_program)] = (
+                    names, devices, kinds, [value * scale for value in durations],
+                    [value * scale for value in nbytes], deps, after, srcs, dsts,
+                    [i for i in range(len(rows)) if i not in referenced],
+                )
         tasks = TaskGraphBuilder()
         for group, group_program in enumerate(group_programs):
+            names, devices, kinds, durations, nbytes, deps, after, srcs, dsts, sinks = (
+                columns[id(group_program)]
+            )
+            # The rows go after everything emitted so far: dependency ids shift
+            # by the group's base, and devices onto the group's slice.
             offset = group * group_devices
-            # The group program numbers tasks and devices locally: its rows are
-            # appended after everything emitted so far, so a dependency id
-            # shifts by the group's base, and each device onto the group's slice.
-            rows = group_program.task_graph.rows
             base = len(tasks.rows)
-            shift_ids = base.__add__
+            if base:
+                shift_ids = base.__add__
+                deps = [tuple(map(shift_ids, ids)) for ids in deps]
+                after = [tuple(map(shift_ids, ids)) if ids else () for ids in after]
             shift = {device: device + offset for device in range(group_devices)}
-            shift.update({None: None, HOST_DEVICE: HOST_DEVICE})
-            tasks.extend([
-                (
-                    f"{name}@grp{group}", shift[device], kind, duration * scale,
-                    nbytes * scale, tuple(map(shift_ids, deps)),
-                    tuple(map(shift_ids, after)) if after else (),
-                    shift[src], shift[dst],
-                )
-                for name, device, kind, duration, nbytes, deps, after, src, dst in rows
-            ])
-            # The group's sinks: rows no other row of the group depends on.
-            referenced = set(chain.from_iterable(
-                deps + after for _, _, _, _, _, deps, after, _, _ in rows
-            ))
-            group_sinks = [base + i for i in range(len(rows)) if i not in referenced]
+            move = {**shift, None: None, HOST_DEVICE: HOST_DEVICE}.__getitem__
+            suffix = f"@grp{group}"
+            tasks.extend(list(zip(
+                [name + suffix for name in names], map(move, devices), kinds,
+                durations, nbytes, deps, after, map(move, srcs), map(move, dsts),
+            )))
+            group_sinks = [base + i for i in sinks]
             neighbour_offset = ((group + 1) % groups) * group_devices
             for local_device in range(group_devices):
                 make_comm_task(
