@@ -10,6 +10,8 @@ inner backend exactly.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 import repro
@@ -24,8 +26,8 @@ from repro.runtime.passes import (
     pipeline_schedule,
     stage_memory_report,
 )
-from repro.sim.device import k80_8gpu_machine
-from repro.sim.engine import Task, TaskGraphSimulator
+from repro.sim.device import MachineSpec, k80_8gpu_machine
+from repro.sim.engine import HOST_DEVICE, Task, TaskGraphSimulator
 
 MACHINE = k80_8gpu_machine(4)
 
@@ -365,6 +367,55 @@ class TestHybridExecution:
         assert not executor.simulate(program).oom
         assert program.schedule is not None
         assert program.num_microbatches == 2
+
+    @pytest.mark.parametrize("strategy, device_memory", [
+        ("dp:2/pipeline:2:1f1b:4", None), ("dp:4/pipeline:2:1f1b:4", None),
+        ("dp:2/tofu", None), ("dp:2/swap", None), ("dp:4/single", None),
+        # 2 MiB devices make the swap groups copy from the host.
+        ("dp:2/swap", 2 * 2**20),
+    ])
+    def test_every_group_stamps_group_zero_onto_its_slice(
+        self, rnn_bundle, strategy, device_memory
+    ):
+        """On one machine group g's rows are group 0's with ids shifted by
+        the group's base, devices and endpoints by g times the group's device
+        count (a gather from every peer and a host copy kept), and the name
+        suffix ``@grp{g}``; each group is followed by its all-reduce rows."""
+        machine = k80_8gpu_machine(8)
+        if device_memory is not None:
+            machine = MachineSpec(devices=[
+                dataclasses.replace(device, memory_bytes=device_memory)
+                for device in machine.devices
+            ])
+        program = repro.compile(
+            rnn_bundle.graph, strategy, machine, lower_only=True
+        ).program
+        groups = int(program.stats["replica_groups"])
+        group_devices = 8 // groups
+        rows = program.task_graph.rows
+        stride = len(rows) // groups
+        size = stride - group_devices
+        assert stride * groups == len(rows)
+        first = rows[:size]
+        assert all(row[0].endswith("@grp0") for row in first)
+
+        for group in range(groups):
+            base = group * stride
+
+            def move(device, offset=group * group_devices):
+                return device if device in (None, HOST_DEVICE) else device + offset
+
+            assert rows[base:base + size] == [
+                (
+                    name[:-len("@grp0")] + f"@grp{group}", move(device), kind,
+                    duration, nbytes, tuple(base + i for i in deps),
+                    tuple(base + i for i in after), move(src), move(dst),
+                )
+                for name, device, kind, duration, nbytes, deps, after, src, dst in first
+            ]
+            assert [row[0] for row in rows[base + size:base + stride]] == [
+                f"allreduce@d{device}@grp{group}" for device in range(group_devices)
+            ]
 
     def test_indivisible_groups_rejected(self, bundle):
         with pytest.raises(ExecutionError, match="divisible"):
