@@ -1,6 +1,7 @@
 """The end-to-end A/B tool's pairing and summary logic, on synthetic
 records (no checkout and no benchmark run)."""
 
+import contextlib
 import json
 import statistics
 import sys
@@ -12,6 +13,7 @@ sys.path.insert(0, str(REPO_ROOT / "tools"))
 import ab_e2e  # noqa: E402
 
 BETTER = {"compile_cold_s": "lower", "sim_throughput": "higher"}
+BOUNDS = {"compile_cold_s": 0.25, "sim_throughput": 1e-06}
 
 
 def _side(cold, sim, failed=0):
@@ -42,7 +44,7 @@ def test_summary_counts_wins_and_pairs_the_ratios():
     base = [1.70, 1.64, 1.80, 1.66, 1.72]
     head = [1.40, 1.42, 1.85, 1.38, 1.36]
     samples = [_sample(i, b, h) for i, (b, h) in enumerate(zip(base, head))]
-    cold = ab_e2e.summarize(samples, BETTER)["metrics"]["compile_cold_s"]
+    cold = ab_e2e.summarize(samples, BETTER, BOUNDS)["metrics"]["compile_cold_s"]
     assert cold["pairs"] == 5
     assert cold["wins"] == 4  # the third pair is a loss
     ratios = [h / b for b, h in zip(base, head)]
@@ -56,7 +58,7 @@ def test_summary_counts_wins_and_pairs_the_ratios():
 
 def test_a_higher_is_better_metric_wins_upwards_and_ties_do_not_win():
     samples = [_sample(0, 1.0, 1.0, 30.0, 31.0), _sample(1, 1.0, 1.0, 30.0, 30.0)]
-    metrics = ab_e2e.summarize(samples, BETTER)["metrics"]
+    metrics = ab_e2e.summarize(samples, BETTER, BOUNDS)["metrics"]
     assert metrics["sim_throughput"]["wins"] == 1
     assert metrics["compile_cold_s"]["wins"] == 0
     assert not metrics["compile_cold_s"]["median_shift_exceeds_base_iqr"]
@@ -64,25 +66,99 @@ def test_a_higher_is_better_metric_wins_upwards_and_ties_do_not_win():
 
 def test_any_moved_simulated_metric_is_flagged():
     still = [_sample(0, 1.7, 1.4), _sample(1, 1.6, 1.5)]
-    assert ab_e2e.summarize(still, BETTER)["moved"] == []
+    assert ab_e2e.summarize(still, BETTER, BOUNDS)["moved"] == []
     moved = still + [_sample(2, 1.7, 1.4, 30.0, 30.000001)]
-    assert ab_e2e.summarize(moved, BETTER)["moved"] == ["sim_throughput"]
+    assert ab_e2e.summarize(moved, BETTER, BOUNDS)["moved"] == ["sim_throughput"]
 
 
 def test_a_pair_with_a_failed_config_is_flagged():
     """``run.py`` exits 0 when a config fails, so a pair is clean only when
     both sides are correct and the head failed no more than the base."""
     clean = [_sample(0, 1.7, 1.4), _sample(1, 1.6, 1.5)]
-    assert ab_e2e.summarize(clean, BETTER)["broken"] == []
+    assert ab_e2e.summarize(clean, BETTER, BOUNDS)["broken"] == []
     head_broke = _sample(2, 1.7, 1.4)
     head_broke["head"] = _side(1.4, 30.0, failed=1)
     both_broke = _sample(3, 1.7, 1.4)
     both_broke["base"] = _side(1.7, 30.0, failed=2)
     both_broke["head"] = _side(1.4, 30.0, failed=1)
-    summary = ab_e2e.summarize(clean + [head_broke, both_broke], BETTER)
+    summary = ab_e2e.summarize(clean + [head_broke, both_broke], BETTER, BOUNDS)
     assert summary["broken"] == [2, 3]
     # The failures leave the timing statistics alone.
     assert summary["metrics"]["compile_cold_s"]["pairs"] == 4
+
+
+def test_only_pairs_where_both_sides_report_a_metric_are_paired():
+    """A metric missing from one side of one pair and from the other side of
+    another leaves equally long base and head lists: they must not be zipped
+    into pairs of unrelated runs."""
+    samples = [_sample(0, 1.0, 0.5), _sample(1, 2.0, 2.5), _sample(2, 4.0, 3.0)]
+    del samples[1]["head"]["compile_cold_s"]
+    del samples[2]["base"]["compile_cold_s"]
+    cold = ab_e2e.summarize(samples, BETTER, BOUNDS)["metrics"]["compile_cold_s"]
+    assert cold["pairs"] == 1
+    assert cold["wins"] == 1
+    assert cold["paired_ratio_median"] == 0.5
+    assert (cold["base"]["median"], cold["head"]["median"]) == (1.0, 0.5)
+
+
+def test_a_gain_needs_nine_wins_in_ten_and_a_shift_past_the_base_iqr():
+    base = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+
+    def cold(head):
+        samples = [_sample(i, b, h) for i, (b, h) in enumerate(zip(base, head))]
+        return ab_e2e.summarize(samples, BETTER, BOUNDS)["metrics"]["compile_cold_s"]
+
+    faster = [b - 0.2 for b in base]
+    assert cold(faster)["wins"] == 10 and cold(faster)["gain"]
+    # Nine wins in ten still count; eight do not.
+    assert cold(faster[:9] + [1.5])["gain"]
+    assert not cold(faster[:8] + [1.5, 1.5])["gain"]
+    # Every pair won, but by less than the base's own spread.
+    barely = [b - 0.001 for b in base]
+    assert cold(barely)["wins"] == 10 and not cold(barely)["gain"]
+    # A shift past the spread in the worse direction is no gain.
+    assert not cold([b + 0.2 for b in base])["gain"]
+
+
+def test_a_higher_is_better_metric_gains_upwards():
+    samples = [_sample(i, 1.0, 1.0, 30.0 + i % 2, 32.0 + i % 2) for i in range(10)]
+    sim = ab_e2e.summarize(samples, BETTER, BOUNDS)["metrics"]["sim_throughput"]
+    assert sim["gain"] and not sim["regressed"]
+
+
+def test_regressed_when_the_head_median_is_worse_by_more_than_the_bound():
+    def verdicts(head_cold, head_sim):
+        samples = [_sample(i, 1.0, head_cold, 30.0, head_sim) for i in range(3)]
+        metrics = ab_e2e.summarize(samples, BETTER, BOUNDS)["metrics"]
+        return tuple(metrics[name]["regressed"] for name in BETTER)
+
+    assert verdicts(1.2, 30.0) == (False, False)
+    assert verdicts(1.3, 30.0) == (True, False)
+    assert verdicts(0.5, 30.0 * (1 - 2e-6)) == (False, True)
+    assert verdicts(0.5, 31.0) == (False, False)
+
+
+def test_a_regressed_metric_fails_the_run(tmp_path, monkeypatch, capsys):
+    """``main`` prints each verdict and exits 1 when a metric regressed, even
+    with nothing moved or broken."""
+    @contextlib.contextmanager
+    def worktree(revision, directory):
+        yield revision
+
+    def run_once(checkout, workload, seed, seconds):
+        return _side(1.0 if checkout == "base" else 1.5, 30.0)
+
+    monkeypatch.setattr(ab_e2e, "resolve", lambda revision: revision)
+    monkeypatch.setattr(ab_e2e, "worktree", worktree)
+    monkeypatch.setattr(ab_e2e, "run_once", run_once)
+    argv = ["base", "head", "--workload", "w", "--pairs", "2", "--label", "x"]
+    assert ab_e2e.main(argv + ["--out", str(tmp_path / "out.json")]) == 1
+    out = capsys.readouterr()
+    assert "compile_cold_s" in out.out and "gain False regressed True" in out.out
+    assert "metrics past their bound: {'w': ['compile_cold_s']}" in out.err
+    recorded = json.loads((tmp_path / "out.json").read_text())
+    cold = recorded["experiments"]["x"]["workloads"]["w"]["metrics"]["compile_cold_s"]
+    assert cold["regressed"] and not cold["gain"]
 
 
 def test_a_result_replaces_its_label_and_keeps_the_others(tmp_path):

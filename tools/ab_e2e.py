@@ -25,7 +25,14 @@ metric of ``BENCHMARK.json``:
 * the median and interquartile range of the paired ratios head / base, and
   the number of pairs the head won (strictly better, in the metric's
   ``better`` direction);
-* whether the medians differ by more than the base's interquartile range.
+* whether the medians differ by more than the base's interquartile range;
+* the verdicts the benchmark applies: ``regressed`` when the head median is
+  worse than the base median by more than the metric's relative ``bound``,
+  and ``gain`` when the head won at least nine pairs in ten and its median
+  is better than the base median by more than the base's interquartile
+  range.
+
+Only pairs where both sides report a metric enter its statistics.
 
 A simulated metric (:data:`SIMULATED`) must not move at all between two
 checkouts of the same search: any pair where one differs is listed under
@@ -33,9 +40,9 @@ checkouts of the same search: any pair where one differs is listed under
 ``attempted`` and ``failed``, since ``run.py`` exits 0 even when a config
 fails: a pair where either side is not correct, or where the head failed
 more operations than the base, is listed under ``broken``.  The exit
-status is 1 when either list is not empty.  Running a revision against
-itself is the null experiment; its widest paired-ratio interquartile range
-is the resolution of the method on that host.
+status is 1 when either list is not empty or a metric regressed.  Running
+a revision against itself is the null experiment; its widest paired-ratio
+interquartile range is the resolution of the method on that host.
 """
 
 from __future__ import annotations
@@ -78,36 +85,46 @@ def wins(base: float, head: float, better: str) -> bool:
     return head < base if better == "lower" else head > base
 
 
-def summarize(samples: List[Dict], better: Dict[str, str]) -> Dict:
+def summarize(
+    samples: List[Dict], better: Dict[str, str], bounds: Dict[str, float]
+) -> Dict:
     """Per-metric statistics of one workload's pairs.
 
     ``samples`` holds one ``{"seed", "order", "base", "head"}`` record per
     pair, each side a ``metric -> value`` dict that also holds the run's
     ``correct``, ``attempted`` and ``failed``; ``better`` maps each
-    end-to-end metric to ``"lower"`` or ``"higher"``.
+    end-to-end metric to ``"lower"`` or ``"higher"``, and ``bounds`` to the
+    relative worsening of its median that counts as a regression.
     """
     metrics: Dict[str, Dict] = {}
     for name, direction in better.items():
-        base = [s["base"][name] for s in samples if name in s["base"]]
-        head = [s["head"][name] for s in samples if name in s["head"]]
-        if not base or len(base) != len(head):
+        pairs = [
+            (s["base"][name], s["head"][name]) for s in samples
+            if name in s["base"] and name in s["head"]
+        ]
+        if not pairs:
             continue
+        base, head = (list(side) for side in zip(*pairs))
         sides = {}
         for side, values in (("base", base), ("head", head)):
             q1, median, q3 = quartiles(values)
             sides[side] = {"median": median, "iqr": q3 - q1}
-        ratios = [h / b for b, h in zip(base, head) if b]
+        ratios = [h / b for b, h in pairs if b]
         q1, median, q3 = quartiles(ratios)
+        won = sum(wins(b, h, direction) for b, h in pairs)
+        # The head median's shift in the better direction (negative: worse).
+        gained = sides["head"]["median"] - sides["base"]["median"]
+        if direction == "lower":
+            gained = -gained
         metrics[name] = {
             **sides,
             "paired_ratio_median": median,
             "paired_ratio_iqr": q3 - q1,
-            "wins": sum(wins(b, h, direction) for b, h in zip(base, head)),
-            "pairs": len(base),
-            "median_shift_exceeds_base_iqr": (
-                abs(sides["head"]["median"] - sides["base"]["median"])
-                > sides["base"]["iqr"]
-            ),
+            "wins": won,
+            "pairs": len(pairs),
+            "median_shift_exceeds_base_iqr": abs(gained) > sides["base"]["iqr"],
+            "regressed": -gained > bounds[name] * abs(sides["base"]["median"]),
+            "gain": won * 10 >= 9 * len(pairs) and gained > sides["base"]["iqr"],
         }
     moved = sorted({
         name for s in samples for name in SIMULATED
@@ -136,6 +153,12 @@ def declared_directions() -> Dict[str, str]:
     """End-to-end metric -> ``better`` direction, from ``BENCHMARK.json``."""
     declared = json.loads(BENCHMARK.read_text(encoding="utf-8"))
     return {m["name"]: m["better"] for m in declared["end_to_end"]}
+
+
+def declared_bounds() -> Dict[str, float]:
+    """End-to-end metric -> relative ``bound``, from ``BENCHMARK.json``."""
+    declared = json.loads(BENCHMARK.read_text(encoding="utf-8"))
+    return {m["name"]: m["bound"] for m in declared["end_to_end"]}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> Dict:
@@ -191,7 +214,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--out", type=Path, default=REPO_ROOT / "BENCH_e2e.json")
     args = parser.parse_args(argv)
 
-    better = declared_directions()
+    better, bounds = declared_directions(), declared_bounds()
     revisions = {"base": resolve(args.base), "head": resolve(args.head)}
     workloads: Dict[str, Dict] = {}
     with tempfile.TemporaryDirectory(prefix="ab_e2e-") as tmp, \
@@ -209,7 +232,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 samples.append(sample)
                 cold = [sample[s].get("compile_cold_s") for s in SIDES]
                 print(f"{workload} seed {seed}: compile_cold_s {cold}", flush=True)
-            workloads[workload] = {**summarize(samples, better), "samples": samples}
+            workloads[workload] = {
+                **summarize(samples, better, bounds), "samples": samples
+            }
 
     result = {
         "revisions": revisions,
@@ -222,19 +247,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     record_result(args.out, args.label, result)
     moved = {w: s["moved"] for w, s in workloads.items() if s["moved"]}
     broken = {w: s["broken"] for w, s in workloads.items() if s["broken"]}
+    regressed = {
+        w: [name for name, stats in s["metrics"].items() if stats["regressed"]]
+        for w, s in workloads.items()
+    }
+    regressed = {w: names for w, names in regressed.items() if names}
     for workload, summary in workloads.items():
         for name, stats in summary["metrics"].items():
             print(
                 f"{workload:<14} {name:<18} base {stats['base']['median']:.6g} "
                 f"head {stats['head']['median']:.6g} "
                 f"ratio {stats['paired_ratio_median']:.4f} "
-                f"wins {stats['wins']}/{stats['pairs']}"
+                f"wins {stats['wins']}/{stats['pairs']} "
+                f"gain {stats['gain']} regressed {stats['regressed']}"
             )
     if moved:
         print(f"simulated metrics moved: {moved}", file=sys.stderr)
     if broken:
         print(f"pairs with a failed config (seeds): {broken}", file=sys.stderr)
-    return 1 if moved or broken else 0
+    if regressed:
+        print(f"metrics past their bound: {regressed}", file=sys.stderr)
+    return 1 if moved or broken or regressed else 0
 
 
 if __name__ == "__main__":
