@@ -641,8 +641,8 @@ def lower_hybrid(
         # found: the rows no other row of the group depends on.
         columns: Dict[int, tuple] = {}
         for group_program in group_programs:
-            rows = group_program.task_graph.rows
             if id(group_program) not in columns:
+                rows = group_program.task_graph.rows
                 names, devices, kinds, durations, nbytes, deps, after, srcs, dsts = (
                     zip(*rows) if rows else [()] * 9
                 )

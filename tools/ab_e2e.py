@@ -248,10 +248,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     moved = {w: s["moved"] for w, s in workloads.items() if s["moved"]}
     broken = {w: s["broken"] for w, s in workloads.items() if s["broken"]}
     regressed = {
-        w: [name for name, stats in s["metrics"].items() if stats["regressed"]]
-        for w, s in workloads.items()
+        w: names for w, s in workloads.items()
+        if (names := [n for n, stats in s["metrics"].items() if stats["regressed"]])
     }
-    regressed = {w: names for w, names in regressed.items() if names}
     for workload, summary in workloads.items():
         for name, stats in summary["metrics"].items():
             print(
