@@ -140,7 +140,7 @@ def _report(
         model=bundle.name,
         batch_size=replicas * batch,
         iteration_time=result.iteration_time,
-        throughput=0.0 if result.oom else replicas * batch / result.iteration_time,
+        throughput=result.throughput(replicas * batch),
         oom=result.oom,
         comm_fraction=result.comm_fraction(),
         per_device_memory_gib=program.per_device_peak_bytes / GiB,
@@ -202,15 +202,15 @@ def _search_batch(
     notes: str = "",
 ) -> SystemResult:
     """The largest batch that fits: halve ``batch`` until the program
-    ``lower`` builds for it fits device memory, then simulate that program.
+    ``lower`` builds for it fits every device's memory
+    (``machine.over_capacity``), then simulate that program.
 
     ``model`` names the result when no batch fits.
     """
-    capacity = machine.device(0).memory_bytes
     while batch >= 1:
         bundle = build_fn(batch)
         program = lower(bundle)
-        if program.per_device_peak_bytes <= capacity:
+        if not machine.over_capacity(program.per_device_memory):
             result = Executor().simulate(program)
             return _report(
                 system, bundle, batch, program, result,

@@ -8,6 +8,10 @@ from typing import Dict, List, Optional
 from repro.graph.builder import GraphBuilder
 from repro.graph.graph import Graph
 
+#: Persistent bytes per weight byte: the weight, its gradient and the
+#: optimiser history (the paper's 3W rule).
+PERSISTENT_FACTOR = 3.0
+
 
 @dataclass
 class ModelBundle:
@@ -36,9 +40,9 @@ class ModelBundle:
     def weight_bytes(self) -> int:
         return sum(self.graph.tensor(w).size_bytes() for w in self.weights)
 
-    def weight_memory_bytes(self, multiplier: float = 3.0) -> float:
+    def weight_memory_bytes(self) -> float:
         """Weight + gradient + optimiser-history bytes (the paper's 3W rule)."""
-        return multiplier * self.weight_bytes()
+        return PERSISTENT_FACTOR * self.weight_bytes()
 
 
 def conv_bn_relu(

@@ -13,7 +13,7 @@ from typing import Dict, List
 
 from repro.graph.autodiff import build_backward, build_optimizer
 from repro.graph.builder import GraphBuilder
-from repro.models.layers import ModelBundle, conv_bn_relu
+from repro.models.layers import PERSISTENT_FACTOR, ModelBundle, conv_bn_relu
 
 #: Residual blocks per stage for each supported depth (Fig. 11 describes the
 #: 152-layer layout: 3, 8, 36, 3).
@@ -136,7 +136,7 @@ def build_wide_resnet(
     )
 
 
-def wresnet_weight_gib(depth: int, widen: int, *, multiplier: float = 3.0) -> float:
+def wresnet_weight_gib(depth: int, widen: int) -> float:
     """Analytic weight-memory footprint in GiB (weight + grad + history).
 
     Used by the Table 2 benchmark without having to build the (large) graph.
@@ -158,4 +158,4 @@ def wresnet_weight_gib(depth: int, widen: int, *, multiplier: float = 3.0) -> fl
                 params += in_channels * out_channels + 2 * out_channels
             in_channels = out_channels
     params += in_channels * 1000 + 1000
-    return multiplier * params * 4 / (1 << 30)
+    return PERSISTENT_FACTOR * params * 4 / (1 << 30)

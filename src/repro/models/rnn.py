@@ -14,7 +14,7 @@ from typing import Dict, List
 
 from repro.graph.autodiff import build_backward, build_optimizer
 from repro.graph.builder import GraphBuilder
-from repro.models.layers import ModelBundle, lstm_cell
+from repro.models.layers import PERSISTENT_FACTOR, ModelBundle, lstm_cell
 
 
 def build_rnn(
@@ -104,10 +104,8 @@ def build_rnn(
     )
 
 
-def rnn_weight_gib(
-    num_layers: int, hidden_size: int, *, multiplier: float = 3.0
-) -> float:
+def rnn_weight_gib(num_layers: int, hidden_size: int) -> float:
     """Analytic weight-memory footprint in GiB (weight + grad + history)."""
     per_layer = 2 * hidden_size * 4 * hidden_size + 4 * hidden_size
     params = num_layers * per_layer
-    return multiplier * params * 4 / (1 << 30)
+    return PERSISTENT_FACTOR * params * 4 / (1 << 30)

@@ -31,7 +31,7 @@ from repro.graph.graph import Graph
 from repro.partition.dp import joint_partition
 from repro.partition.plan import PartitionPlan
 from repro.partition.recursive import recursive_partition
-from repro.plugins import BackendRegistry
+from repro.plugins import BackendRegistry, reject_unknown_options
 
 
 class SearchBackend(Protocol):
@@ -67,13 +67,10 @@ class BackendSpec:
 
     def validate_options(self, options: dict) -> None:
         """Reject unknown keyword options early (raises PartitionError)."""
-        unknown = sorted(set(options) - set(self.option_names))
-        if unknown:
-            supported = ", ".join(sorted(self.option_names)) or "none"
-            raise PartitionError(
-                f"backend {self.name!r} does not accept option(s) {unknown} "
-                f"(supported: {supported})"
-            )
+        reject_unknown_options(
+            options, self.option_names,
+            owner=f"backend {self.name!r}", error_cls=PartitionError,
+        )
 
     def search(
         self,

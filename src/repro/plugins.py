@@ -4,12 +4,13 @@ Search backends (:mod:`repro.planner.backends`), execution backends
 (:mod:`repro.runtime.backends`) and analysis checkers
 (:mod:`repro.analysis.registry`) are all filled the same way: an in-process
 ``register_*`` call with a spec.  Built-ins register at import time;
-anything else registers by calling the same function.
+anything else registers by calling the same function.  A spec's unknown
+options are rejected by :func:`reject_unknown_options`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Collection, Dict, Iterable, List
 
 
 class BackendRegistry:
@@ -47,3 +48,21 @@ class BackendRegistry:
 
     def available(self) -> List[str]:
         return sorted(self.specs)
+
+
+def reject_unknown_options(
+    options: Iterable[str],
+    accepted: Collection[str],
+    *,
+    owner: str,
+    error_cls: type,
+) -> None:
+    """Raise ``error_cls`` naming ``owner`` when an option name is not in
+    ``accepted`` (the supported names are listed, or ``none``)."""
+    unknown = sorted(set(options) - set(accepted))
+    if unknown:
+        supported = ", ".join(sorted(accepted)) or "none"
+        raise error_cls(
+            f"{owner} does not accept option(s) {unknown} "
+            f"(supported: {supported})"
+        )

@@ -34,7 +34,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError
 from repro.graph.graph import Graph
-from repro.plugins import BackendRegistry
+from repro.plugins import BackendRegistry, reject_unknown_options
 from repro.runtime.passes import (
     assign_pipeline_stages,
     device_memory_report,
@@ -88,13 +88,10 @@ class ExecutionBackendSpec:
 
     def validate_options(self, options: Mapping[str, object]) -> None:
         """Reject unknown keyword options early (raises ExecutionError)."""
-        unknown = sorted(set(options) - set(self.option_names))
-        if unknown:
-            supported = ", ".join(sorted(self.option_names)) or "none"
-            raise ExecutionError(
-                f"execution backend {self.name!r} does not accept option(s) "
-                f"{unknown} (supported: {supported})"
-            )
+        reject_unknown_options(
+            options, self.option_names,
+            owner=f"execution backend {self.name!r}", error_cls=ExecutionError,
+        )
 
 
 _REGISTRY = BackendRegistry(kind="execution", error_cls=ExecutionError)

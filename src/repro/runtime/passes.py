@@ -46,6 +46,7 @@ from repro.graph.scheduler import liveness, topo_schedule  # noqa: F401  (re-exp
 from repro.sim.costmodel import node_kernel_time
 from repro.sim.device import DeviceSpec, MachineSpec, Topology
 from repro.sim.engine import TaskGraphBuilder
+from repro.strategy import PIPELINE_SCHEDULES
 
 
 @perf.timed("pass.scheduled_nodes")
@@ -74,19 +75,16 @@ def make_compute_task(
     *,
     deps: Sequence[int] = (),
     scale: float = 1.0,
-    extra_duration: float = 0.0,
     task_name: Optional[str] = None,
 ) -> int:
     """Kernel-time costing pass: emit one compute task into ``builder``,
     priced by the roofline model, and return its id.
 
     ``scale`` shrinks the node's work to its per-device shard (1/k under
-    partitioned or data-parallel execution); ``extra_duration`` adds fixed
-    overhead such as unfused-fetch launch penalties (Sec 6).
+    partitioned or data-parallel execution).
     """
-    duration = (
-        node_kernel_time(graph, node_name, device_spec, machine, scale=scale)
-        + extra_duration
+    duration = node_kernel_time(
+        graph, node_name, device_spec, machine, scale=scale
     )
     return builder.add(
         task_name or node_name, device, "compute", duration, deps=deps
@@ -446,9 +444,6 @@ def _partition_dp(
 # ---------------------------------------------------------------------------
 # Micro-batch scheduling (GPipe / 1F1B)
 # ---------------------------------------------------------------------------
-SCHEDULE_STYLES = ("gpipe", "1f1b")
-
-
 @dataclass(frozen=True)
 class PipelineSchedule:
     """Per-stage slot order of a micro-batched pipeline.
@@ -477,10 +472,10 @@ def pipeline_schedule(
 ) -> PipelineSchedule:
     """Emit the slot order of a GPipe (all-forward-then-all-backward) or
     1F1B (one-forward-one-backward, PipeDream-flush style) schedule."""
-    if style not in SCHEDULE_STYLES:
+    if style not in PIPELINE_SCHEDULES:
         raise ExecutionError(
             f"unknown pipeline schedule {style!r} "
-            f"(known: {', '.join(SCHEDULE_STYLES)})"
+            f"(known: {', '.join(PIPELINE_SCHEDULES)})"
         )
     slots_of_stage: List[List[Tuple[str, int]]] = []
     for stage in range(num_stages):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import SimulationError
 
@@ -121,6 +121,21 @@ class _TopologyBase:
         offset = sum(m.num_devices for m in self.machines[:machine_index])
         return list(
             range(offset, offset + self.machines[machine_index].num_devices)
+        )
+
+    def over_capacity(self, per_device_memory: Mapping[int, int]) -> List[int]:
+        """Sorted devices whose required bytes do not fit their capacity
+        (:meth:`DeviceSpec.fits`); empty when the whole report fits.
+
+        The one place a memory report meets device capacity: the
+        simulator's OOM verdict, the autotuner's screen and the evaluators'
+        batch search all ask here.  A device index the topology lacks raises
+        :class:`SimulationError`.
+        """
+        return sorted(
+            device
+            for device, required in per_device_memory.items()
+            if not self.device(device).fits(required)
         )
 
     # -------------------------------------------------------- link resolution

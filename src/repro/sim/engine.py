@@ -697,12 +697,9 @@ class TaskGraphSimulator:
                 idle_time[device] = max(0.0, iteration_time - busy)
 
         peak_memory = dict(peak_memory or {})
-        oom_devices: List[int] = []
-        if check_memory:
-            for device_index, required in peak_memory.items():
-                capacity = self.machine.device(device_index).memory_bytes
-                if required > capacity:
-                    oom_devices.append(device_index)
+        oom_devices = (
+            self.machine.over_capacity(peak_memory) if check_memory else []
+        )
 
         return SimResult(
             iteration_time=iteration_time,
@@ -711,7 +708,7 @@ class TaskGraphSimulator:
             total_comm_bytes=total_comm_bytes,
             peak_memory=peak_memory,
             oom=bool(oom_devices),
-            oom_devices=sorted(oom_devices),
+            oom_devices=oom_devices,
             num_tasks=num_tasks,
             per_device_idle_time=idle_time,
             per_link_busy_time=link_busy,

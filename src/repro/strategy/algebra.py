@@ -195,14 +195,7 @@ class DataParallel(Strategy):
     inner: Optional[Strategy] = None
 
     def _validate(self) -> None:
-        if (
-            not isinstance(self.groups, int)
-            or isinstance(self.groups, bool)
-            or self.groups < 1
-        ):
-            raise StrategyError(
-                f"dp needs a positive integer group count, got {self.groups!r}"
-            )
+        _check_positive_int(self, "group count", self.groups)
 
     def _segment(self) -> str:
         return f"dp:{self.groups}"
@@ -228,26 +221,13 @@ class Machines(Strategy):
     inner: Optional[Strategy] = None
 
     def _validate(self) -> None:
-        if (
-            not isinstance(self.count, int)
-            or isinstance(self.count, bool)
-            or self.count < 1
-        ):
-            raise StrategyError(
-                f"machines needs a positive integer machine count, got "
-                f"{self.count!r}"
-            )
+        _check_positive_int(self, "machine count", self.count)
 
     def _segment(self) -> str:
         return f"machines:{self.count}"
 
     def _attach(self, child: Strategy) -> Strategy:
-        if isinstance(child, Machines):
-            raise StrategyError(
-                f"{child._segment()!r} cannot nest inside "
-                f"{self._segment()!r}; machines(...) is the outermost "
-                f"(topology) level of a strategy"
-            )
+        _reject_machines_inside(self, child)
         if self.count == 1:  # degenerate: one machine scopes nothing
             return child
         return replace(self, inner=child)
@@ -266,24 +246,8 @@ class Pipeline(Strategy):
     inner: Optional[Strategy] = None
 
     def _validate(self) -> None:
-        if (
-            not isinstance(self.stages, int)
-            or isinstance(self.stages, bool)
-            or self.stages < 1
-        ):
-            raise StrategyError(
-                f"pipeline needs a positive integer stage count, got "
-                f"{self.stages!r}"
-            )
-        if (
-            not isinstance(self.microbatches, int)
-            or isinstance(self.microbatches, bool)
-            or self.microbatches < 1
-        ):
-            raise StrategyError(
-                f"pipeline needs a positive integer micro-batch count, got "
-                f"{self.microbatches!r}"
-            )
+        _check_positive_int(self, "stage count", self.stages)
+        _check_positive_int(self, "micro-batch count", self.microbatches)
         if self.schedule not in PIPELINE_SCHEDULES:
             known = ", ".join(PIPELINE_SCHEDULES)
             raise StrategyError(
@@ -298,6 +262,15 @@ class Pipeline(Strategy):
         if self.stages == 1 and self.microbatches == 1:
             return child  # degenerate: an unstaged, unsplit pipeline is a no-op
         return replace(self, inner=child)
+
+
+def _check_positive_int(node: Strategy, what: str, value: object) -> None:
+    """Reject a wrapper parameter that is not an ``int`` >= 1 (a bool is
+    not an integer here)."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise StrategyError(
+            f"{node.kind} needs a positive integer {what}, got {value!r}"
+        )
 
 
 def _reject_machines_inside(parent: Strategy, child: Strategy) -> None:

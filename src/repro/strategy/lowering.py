@@ -31,8 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.errors import SimulationError, StrategyError
+from repro.errors import StrategyError
 from repro.graph.graph import Graph
+from repro.models.layers import PERSISTENT_FACTOR
 from repro.sim.device import Topology, slice_machines, slice_topology_range
 from repro.strategy.algebra import (
     DataParallel,
@@ -96,11 +97,6 @@ class StrategyLowering:
 def _lower_node(node: Strategy, machine: Topology) -> StrategyLowering:
     """Lower one node onto the devices of ``machine`` (already sliced by any
     enclosing ``machines``/``dp``)."""
-    if isinstance(node, Machines):
-        raise StrategyError(
-            f"{node._segment()!r} must be the outermost combinator of a "
-            f"strategy (it scopes the cluster the rest executes on)"
-        )
     if isinstance(node, Single):
         return StrategyLowering(node, "single-device")
     if isinstance(node, Swap):
@@ -171,10 +167,7 @@ def lower_strategy(
                 f"{machine.num_machines} (build one with "
                 f"repro.sim.device.ClusterSpec or cluster_of)"
             )
-        try:
-            machine = slice_machines(machine, root.count)
-        except SimulationError as exc:  # pragma: no cover - guarded above
-            raise StrategyError(str(exc)) from exc
+        machine = slice_machines(machine, root.count)
         body = root.inner or Single()
     lowering = _lower_body(body, machine)
     # Provenance keeps the full tree (machines root included): the plan-cache
@@ -239,11 +232,6 @@ def weight_shards(strategy: Strategy, machine: Topology) -> int:
             shards *= max(1, devices)
             devices = 1
     return max(1, shards)
-
-
-#: Persistent bytes per weight byte: the weight, its gradient and the
-#: optimiser history (the paper's 3W rule).
-PERSISTENT_FACTOR = 3.0
 
 
 def persistent_bytes(weight_bytes: float, strategy: Strategy, machine: Topology) -> float:

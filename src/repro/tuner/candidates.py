@@ -2,8 +2,8 @@
 
 The grid is one fixed set per machine: machine scopes × replica groups ×
 pipeline stage counts × the micro-batch counts :data:`MICROBATCHES` × the
-schedules :data:`SCHEDULES`, all over the default ``tofu`` search.  It
-relies on the tuner's staged screening plus a
+schedules :data:`repro.strategy.PIPELINE_SCHEDULES`, all over the default
+``tofu`` search.  It relies on the tuner's staged screening plus a
 :class:`repro.tuner.TunerBudget` to keep the sweep affordable; to sweep
 other axes (or ``tofu:<backend>`` variants), pass an explicit candidate list
 to :meth:`repro.tuner.Tuner.tune`.
@@ -29,6 +29,7 @@ from typing import List, Tuple
 
 from repro.sim.device import Topology
 from repro.strategy.algebra import (
+    PIPELINE_SCHEDULES,
     Strategy,
     dp,
     machines,
@@ -44,7 +45,6 @@ __all__ = [
 ]
 
 MICROBATCHES: Tuple[int, ...] = (2, 4, 8)
-SCHEDULES: Tuple[str, ...] = ("1f1b", "gpipe")
 
 
 def _divisors(value: int) -> List[int]:
@@ -91,8 +91,8 @@ def tuner_candidates(machine: Topology) -> List[Strategy]:
     the paper's own strategy in the sweep), followed by machine-count scopes
     on a cluster, replica-group counts (boundary-aligned counts first — see
     :func:`aligned_replica_groups`), and the pipeline grid over stage counts
-    × :data:`SCHEDULES` × :data:`MICROBATCHES`, alone and under each
-    replica-group count.
+    × :data:`~repro.strategy.PIPELINE_SCHEDULES` × :data:`MICROBATCHES`,
+    alone and under each replica-group count.
 
     The grid is *not* bounded here; pass the result through a
     :class:`repro.tuner.TunerBudget` (what :meth:`repro.tuner.Tuner.tune`
@@ -105,7 +105,7 @@ def tuner_candidates(machine: Topology) -> List[Strategy]:
         for count in range(machine.num_machines, 1, -1):
             candidates.append(machines(count) / tofu())
             candidates.append(machines(count) / dp(count) / tofu())
-            for schedule in SCHEDULES:
+            for schedule in PIPELINE_SCHEDULES:
                 for micro in MICROBATCHES:
                     candidates.append(
                         machines(count)
@@ -129,7 +129,7 @@ def tuner_candidates(machine: Topology) -> List[Strategy]:
         stage_counts.append(machine.num_machines)
         stage_counts.sort()
     for stages in stage_counts:
-        for schedule in SCHEDULES:
+        for schedule in PIPELINE_SCHEDULES:
             for micro in MICROBATCHES:
                 candidates.append(pipeline(stages, schedule, micro))
 
@@ -139,7 +139,7 @@ def tuner_candidates(machine: Topology) -> List[Strategy]:
         for stages in _divisors(devices // groups):
             if stages <= 1:
                 continue
-            for schedule in SCHEDULES:
+            for schedule in PIPELINE_SCHEDULES:
                 for micro in MICROBATCHES:
                     candidates.append(
                         dp(groups) / pipeline(stages, schedule, micro) / tofu()

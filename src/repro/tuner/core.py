@@ -145,14 +145,11 @@ def evaluate_candidate(
             )
         program = model.program
         assert program is not None  # lower_only fills it
-        over = [
-            (device, required)
-            for device, required in sorted(program.per_device_memory.items())
-            if required > machine.device(device).memory_bytes
-        ]
+        over = machine.over_capacity(program.per_device_memory)
         if over:
             perf.count("tuner.screened")
-            device, required = over[0]
+            device = over[0]
+            required = program.per_device_memory[device]
             gib = 1024.0**3
             return (
                 CandidateOutcome(

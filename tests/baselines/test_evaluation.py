@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import compile as repro_compile
 from repro.baselines.evaluation import (
     evaluate_ideal,
     evaluate_opplacement,
@@ -12,7 +13,7 @@ from repro.baselines.evaluation import (
 )
 from repro.models.mlp import build_mlp
 from repro.models.rnn import build_rnn
-from repro.sim.device import k80_8gpu_machine
+from repro.sim.device import DeviceSpec, GiB, MachineSpec, k80_8gpu_machine
 
 
 def _small_mlp(batch_size: int):
@@ -136,3 +137,34 @@ class TestStrategyEvaluator:
             _huge_mlp, 128, MACHINE, strategy="single"
         )
         assert result.oom and result.throughput == 0.0
+
+
+class TestUnequalDevices:
+    """The batch search asks every device, not device 0 alone."""
+
+    @staticmethod
+    def _rnn(batch_size: int):
+        return build_rnn(
+            num_layers=4, hidden_size=2048, seq_len=8, batch_size=batch_size
+        )
+
+    def test_batch_search_fits_every_device(self):
+        machine = MachineSpec(
+            devices=[DeviceSpec("gpu0")]
+            + [
+                DeviceSpec(f"gpu{i}", memory_bytes=int(0.6 * GiB))
+                for i in (1, 2, 3)
+            ]
+        )
+        result = evaluate_strategy(
+            self._rnn, 256, machine, strategy="placement"
+        )
+        assert not result.oom and result.throughput > 0
+        assert result.batch_size == 64
+        # 64 is the largest halving of 256 that fits: 128 overflows a
+        # small device though it fits device 0.
+        lowered = repro_compile(
+            self._rnn(128).graph, "placement", machine, lower_only=True
+        ).program
+        over = machine.over_capacity(lowered.per_device_memory)
+        assert over and 0 not in over

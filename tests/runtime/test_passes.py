@@ -60,7 +60,7 @@ class TestCosting:
         )
         assert tuple(task.deps) == ("x",)
 
-    def test_scale_and_extra_duration(self, mlp_bundle):
+    def test_scale_prices_the_shard(self, mlp_bundle):
         graph = mlp_bundle.graph
         machine = k80_8gpu_machine()
         node = scheduled_nodes(graph)[0]
@@ -69,13 +69,12 @@ class TestCosting:
         )
         shard = _emitted(
             make_compute_task, graph, node.name, 0, machine.device(0), machine,
-            scale=0.125, extra_duration=1.0,
+            scale=0.125,
         )
         assert shard.duration == pytest.approx(
             node_kernel_time(graph, node.name, machine.device(0), machine, scale=0.125)
-            + 1.0
         )
-        assert shard.duration - 1.0 <= base.duration
+        assert shard.duration <= base.duration
 
     def test_task_name_override(self, mlp_bundle):
         graph = mlp_bundle.graph

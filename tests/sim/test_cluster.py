@@ -413,3 +413,37 @@ def test_devicespec_defaults_are_k80():
     device = DeviceSpec(name="gpu0")
     assert device.fits(device.memory_bytes)
     assert not device.fits(device.memory_bytes + 1)
+
+
+class TestOverCapacity:
+    """``over_capacity``: the one verdict of a memory report against device
+    capacity."""
+
+    def test_returns_the_failing_devices_sorted(self):
+        machine = k80_8gpu_machine(4)
+        cap = machine.device(0).memory_bytes
+        report = {3: cap + 1, 0: cap + 5, 1: cap, 2: 0}
+        assert machine.over_capacity(report) == [0, 3]
+
+    def test_a_requirement_equal_to_capacity_fits(self):
+        machine = k80_8gpu_machine(2)
+        cap = machine.device(1).memory_bytes
+        assert machine.over_capacity({0: cap, 1: cap}) == []
+        assert machine.over_capacity({}) == []
+
+    def test_reads_each_device_of_a_cluster_by_global_index(self):
+        small = MachineSpec(
+            devices=[DeviceSpec("a", memory_bytes=1000), DeviceSpec("b")]
+        )
+        cluster = ClusterSpec(machines=[k80_8gpu_machine(2), small])
+        report = {device: 1001 for device in range(cluster.num_devices)}
+        assert cluster.over_capacity(report) == [2]
+
+    @pytest.mark.parametrize(
+        "topology",
+        [k80_8gpu_machine(2), cluster_of(k80_8gpu_machine(2), 2)],
+        ids=["machine", "cluster"],
+    )
+    def test_an_index_past_the_topology_raises(self, topology):
+        with pytest.raises(SimulationError, match="out of range"):
+            topology.over_capacity({topology.num_devices: 1})
