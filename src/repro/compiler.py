@@ -126,9 +126,9 @@ class CompiledModel:
     def throughput(self, batch_size: int) -> float:
         """Samples per second at ``batch_size`` samples per iteration
         (0.0 when the model does not fit in memory)."""
-        if self.oom or self.iteration_time <= 0:
-            return 0.0
-        return batch_size / self.iteration_time
+        # A loaded model has no result: price its saved metadata alike.
+        result = self.result or SimResult(self.iteration_time, {}, {}, 0, oom=self.oom)
+        return result.throughput(batch_size)
 
     def simulate(self, executor: Optional[Executor] = None) -> SimResult:
         """Simulate the lowered program and fill :attr:`result`.

@@ -52,9 +52,8 @@ class DimAccess:
         """Concrete number of indices needed along this dimension."""
         if self.full or not self.intervals:
             return float(dim_size)
-        low = min(i.evaluate(extents)[0] for i in self.intervals)
-        high = max(i.evaluate(extents)[1] for i in self.intervals)
-        length = max(1.0, high - low)
+        lows, highs = zip(*[i.evaluate(extents) for i in self.intervals])
+        length = max(1.0, max(highs) - min(lows))
         return min(float(dim_size), length)
 
 

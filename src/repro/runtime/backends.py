@@ -50,7 +50,7 @@ from repro.runtime.passes import (
 from repro.runtime.program import LoweredProgram
 from repro.sim.costmodel import node_kernel_time
 from repro.sim.device import MachineSpec, Topology, slice_topology_range
-from repro.sim.engine import HOST_DEVICE, TaskGraphBuilder
+from repro.sim.engine import HOST_DEVICE, TaskGraphBuilder, TaskView
 from repro.sim.swap import swap_residency_schedule
 
 
@@ -631,13 +631,13 @@ def lower_hybrid(
         for device, required in group_program.per_device_memory.items():
             memory[device + offset] = required
 
-    def emit() -> TaskGraphBuilder:
+    def emit(count: int) -> TaskGraphBuilder:  # the first ``count`` groups
         # A group program numbers tasks and devices locally.  Each distinct
         # one (group 0's for every group on one machine) is unzipped into
         # columns once, its durations and bytes scaled by 1/G, and its sinks
         # found: the rows no other row of the group depends on.
         columns: Dict[int, tuple] = {}
-        for group_program in group_programs:
+        for group_program in group_programs[:count]:
             if id(group_program) not in columns:
                 rows = group_program.task_graph.rows
                 names, devices, kinds, durations, nbytes, deps, after, srcs, dsts = (
@@ -650,7 +650,7 @@ def lower_hybrid(
                     [i for i in range(len(rows)) if i not in referenced],
                 )
         tasks = TaskGraphBuilder()
-        for group, group_program in enumerate(group_programs):
+        for group, group_program in enumerate(group_programs[:count]):
             names, devices, kinds, durations, nbytes, deps, after, srcs, dsts, sinks = (
                 columns[id(group_program)]
             )
@@ -680,10 +680,12 @@ def lower_hybrid(
         return tasks
 
     stats["allreduce_bytes"] = reduce_bytes * groups * group_devices
+    # One machine: every group runs group 0's program, so may replay as one.
+    replica = None if multi_machine else (groups, group_devices, lambda: emit(1))
     return LoweredProgram(
         backend="hybrid",
         num_devices=machine.num_devices,
-        tasks=emit,
+        tasks=TaskView(lambda: emit(groups), replica),
         per_device_memory=memory,
         total_comm_bytes=total_comm,
         check_memory=program.check_memory,

@@ -24,8 +24,8 @@ like the graph's, so a warm key serialises neither.
 A program's dense task graph (:class:`repro.sim.engine.TaskGraphBuilder`)
 is immutable once built, so the cache keeps it by reference and every hit
 returns :meth:`LoweredProgram.copy` — a fresh program (its own memory report
-and stats) around the shared dense form, together with the compiled form
-and its replay cached on it for the program's machine.  A warm hit
+and stats) around the shared task view, with the compiled form and the
+replay cached on it for the program's machine.  A warm hit
 therefore neither copies, re-sorts nor replays a task graph.  Callers edit
 a returned program by giving a copy a new task dict
 (``dataclasses.replace(program.copy(), tasks={**program.tasks, **edits})``),

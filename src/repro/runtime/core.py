@@ -148,18 +148,18 @@ class Executor:
 
         ``machine`` defaults to the machine the program was lowered for —
         kernel durations and the memory report were priced on it, so
-        simulating on a different machine is an explicit choice.  The
-        program's dense form is compiled and replayed for a machine once
-        and both are cached on it (:meth:`LoweredProgram.dense_form`), so
-        repeat simulations — including of program-cache copies — only work
-        out the memory verdicts from this program's own memory report.
+        simulating on a different machine is an explicit choice.  A
+        program is replayed once per machine and the result cached on its
+        task view (:meth:`repro.sim.engine.TaskView.replay`: a hybrid's
+        replica groups replay as one where that is exact), so repeat
+        simulations — including of program-cache copies — only work out the
+        memory verdicts from this program's own memory report.
         """
         if machine is None:
             machine = program.machine
         machine = self._resolve_machine(machine, program.plan)
         if check_memory is None:
             check_memory = program.check_memory
-        # A program's task view compiles to its own cached dense form.
         return TaskGraphSimulator(machine).run(
             program.tasks,
             peak_memory=program.per_device_memory,

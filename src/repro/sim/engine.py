@@ -24,10 +24,10 @@ its emission index and its dependencies are ids; names are kept for reading
 only.  :meth:`~TaskGraphBuilder.build` sorts the integer graph into the dense form
 (topological order, dependency positions, resource slots, pre-priced
 transfer times) and :meth:`TaskGraphSimulator.run_compiled` replays it.  A
-built graph caches its compiled form and that form's replay, so repeat
-simulations of one program — and of every program-cache copy sharing its
-graph — neither sort nor replay it again; only the memory verdicts are
-worked out per call.  A plain ``name -> Task`` dict enters through
+built graph caches its compiled form, and a program's task view the
+replay, so repeat simulations of one program — and of every program-cache
+copy sharing its view — neither sort nor replay it again; only the memory
+verdicts are worked out per call.  A plain ``name -> Task`` dict enters through
 :meth:`TaskGraphBuilder.from_tasks`, the one place a dependency name becomes
 an id.
 
@@ -40,8 +40,10 @@ backend, and the hot-path benchmark measures one against the other.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from collections import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import groupby
 from typing import (
     Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
 )
@@ -226,20 +228,18 @@ class TaskGraphBuilder:
     rows into a :class:`CompiledTaskGraph` for one machine.
 
     The first sort seals the builder: from then on it is an immutable dense
-    form that caches its topological sort, and its compiled form and that
-    form's replay for the last machine it was built for, so every program
-    sharing one builder — program-cache copies included — shares all
-    three.
+    form that caches its topological sort, and its compiled form for the
+    last machine it was built for, so every program sharing one builder —
+    program-cache copies included — shares both.
     """
 
-    __slots__ = ("rows", "_index", "_sorted", "_compiled", "_replayed")
+    __slots__ = ("rows", "_index", "_sorted", "_compiled")
 
     def __init__(self) -> None:
         self.rows: List[tuple] = []
         self._index: Dict[str, int] = {}
         self._sorted: Optional[Tuple[Sequence[int], List[Tuple[int, ...]]]] = None
         self._compiled: Optional[Tuple[Topology, CompiledTaskGraph]] = None
-        self._replayed: Optional[Tuple[CompiledTaskGraph, SimResult]] = None
 
     @classmethod
     def from_tasks(cls, tasks: Mapping[str, Task]) -> "TaskGraphBuilder":
@@ -351,22 +351,6 @@ class TaskGraphBuilder:
             compiled = self._compile(machine)
         self._compiled = (machine, compiled)
         return compiled
-
-    def replay(self, simulator: "TaskGraphSimulator") -> SimResult:
-        """The event-loop result of this graph on ``simulator``'s machine,
-        without memory verdicts.
-
-        The graph is replayed (:meth:`TaskGraphSimulator.run_compiled`) once
-        per compiled form and the result cached next to it, so callers must
-        copy what they hand out instead of editing it.
-        """
-        compiled = compile_task_graph(self, simulator.machine)
-        replayed = self._replayed
-        if replayed is not None and replayed[0] is compiled:
-            return replayed[1]
-        result = simulator.run_compiled(compiled, check_memory=False)
-        self._replayed = (compiled, result)
-        return result
 
     def sort(self) -> Tuple[Sequence[int], List[Tuple[int, ...]]]:
         """Row indices in topological order, and each sorted task's ordering
@@ -510,22 +494,50 @@ class TaskView(abc.Mapping):
     may hold a zero-argument emitter instead of a builder: the first
     read of :attr:`graph` (so of anything above) calls it once, under
     ``perf.stage("lower.emit")``, and keeps the builder it returns.
+
+    A hybrid's view may hold a replica form ``(groups, width, emit)``: its
+    rows are ``groups`` copies of the rows ``emit`` returns (a group on
+    devices below ``width`` plus its all-reduce), copy ``g`` shifted ``g *
+    width`` devices modulo ``groups * width``, which :meth:`replay` may use.
     """
 
-    __slots__ = ("_graph",)
+    __slots__ = ("_graph", "replica", "_replayed")
 
-    def __init__(self, graph: Union[TaskGraphBuilder, Callable[[], TaskGraphBuilder]]):
+    def __init__(
+        self,
+        graph: Union[TaskGraphBuilder, Callable[[], TaskGraphBuilder]],
+        replica: Optional[Tuple[int, int, Callable[[], TaskGraphBuilder]]] = None,
+    ):
         self._graph = graph
+        self.replica = replica
+        self._replayed: Optional[Tuple[Topology, SimResult]] = None
 
     @property
     def graph(self) -> TaskGraphBuilder:
         if not isinstance(self._graph, TaskGraphBuilder):
             with perf.stage("lower.emit"):
                 self._graph = self._graph()
+            self.replica = None  # its emitter would only keep group programs alive
         return self._graph
 
     def __len__(self) -> int:
+        if self._replayed is not None:  # a replay counts the rows
+            return self._replayed[1].num_tasks
         return len(self.graph.rows)
+
+    def replay(self, simulator: "TaskGraphSimulator") -> SimResult:
+        """The event-loop result on ``simulator``'s machine, without memory
+        verdicts, cached on the view for the last machine: callers copy what
+        they hand out instead of editing it."""
+        machine = simulator.machine
+        cached = self._replayed
+        if cached is None or not (cached[0] is machine or cached[0] == machine):
+            result = self.replica and _replica_replay(simulator, *self.replica)
+            if result is None:
+                compiled = compile_task_graph(self.graph, machine)
+                result = simulator.run_compiled(compiled, check_memory=False)
+            cached = self._replayed = (machine, result)
+        return cached[1]
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.graph._index)
@@ -542,6 +554,72 @@ class TaskView(abc.Mapping):
             name, device, kind, duration, comm_bytes,
             graph.names_of(deps), graph.names_of(after), src, dst,
         )
+
+
+def _replica_replay(
+    simulator: "TaskGraphSimulator", groups: int, width: int, emit: Callable
+) -> Optional[SimResult]:
+    """A replica form's replay (see :class:`TaskView`) from one replay of the
+    rows ``emit`` returns, or ``None`` unless every copy replays alike: on a
+    machine of ``groups * width`` devices, each on its own devices and link
+    queues, priced as group 0's.  No copy depends on another, so Kahn's FIFO
+    sort of all rows visits them by level (longest-path depth), copies in
+    turn within a level: the order all rows' replay sums the bytes in."""
+    machine, total = simulator.machine, groups * width
+    if machine.num_devices != total:
+        return None
+    graph = TaskView(emit).graph  # one group's rows, dropped after the replay
+    compiled = compile_task_graph(graph, machine)
+    # (copy, group 0's device or link key) -> the copy's.
+    rename = {(g, d): d + g * width for g in range(groups) for d in range(width)}
+    for src, dst in {(row[7], row[8]) for row in graph.rows if row[2] == "comm"}:
+        link = machine.link_between(src, dst)
+        for group in range(groups):
+            moved = machine.link_between(*[
+                end if end is None or end < 0 else (end + group * width) % total
+                for end in (src, dst)
+            ])
+            if (replace(moved, key=link.key) != link
+                    or rename.setdefault((group, link.key), moved.key) != moved.key):
+                return None
+    if len(set(rename.values())) != len(rename):
+        return None
+
+    timing = simulator.run_compiled(compiled, check_memory=False)
+    perf.count("sim.replica")
+    # The sort lists rows by level, so a row starts a new level exactly when
+    # it depends on a row of the current one.
+    starts = [0]
+    for i, deps in enumerate(compiled.deps):
+        if deps and max(deps) >= starts[-1]:
+            starts.append(i)
+    order, rows = graph.sort()[0], graph.rows
+    comm_at = [i for i, j in enumerate(compiled.comm_index) if j >= 0]
+    total_comm_bytes = 0.0
+    for _, chunk in groupby(comm_at, lambda i: bisect_right(starts, i)):
+        for nbytes in [rows[order[i]][4] for i in chunk] * groups:
+            total_comm_bytes += nbytes
+
+    def spread(values: Dict, firsts: List[int]) -> Dict:
+        # ``one`` first met the keys of ``values`` at ``firsts``.
+        ranked = sorted(
+            (bisect_right(starts, i), g, i, key)
+            for g in range(groups) for key, i in zip(values, firsts)
+        )
+        return {rename[g, key]: values[key] for _, g, _, key in ranked}
+
+    # Each slot is first used where its device's compute or its link key is.
+    firsts = [compiled.slots.index(slot) for slot in range(compiled.num_slots)]
+    links = [i for i in firsts if compiled.comm_index[i] >= 0]
+    comm = timing.per_device_comm_time
+    return SimResult(
+        timing.iteration_time,
+        spread(timing.per_device_compute_time, [i for i in firsts if i not in links]),
+        spread(comm, [comm_at[compiled.comm_devices.index(d)] for d in comm]),
+        total_comm_bytes,
+        num_tasks=groups * timing.num_tasks,
+        per_link_busy_time=spread(timing.per_link_busy_time, links),
+    )
 
 
 def task_view(tasks: Union[TaskGraphBuilder, Mapping[str, Task], Callable]) -> TaskView:
@@ -576,7 +654,7 @@ class TaskGraphSimulator:
     :meth:`run` — the entry point ``Executor.simulate`` uses — compiles its
     tasks (:func:`compile_task_graph`; a program's task view reuses the
     dense form cached on it) and replays them with :meth:`run_compiled`,
-    once per dense form (:meth:`TaskGraphBuilder.replay`).
+    once per task view and machine (:meth:`TaskView.replay`).
     """
 
     def __init__(self, machine: Topology):
@@ -592,11 +670,11 @@ class TaskGraphSimulator:
         """Compile ``tasks`` for this machine and simulate them: timing
         plus memory verdicts.
 
-        The timing is replayed once per dense form and machine; every call
+        The timing is replayed once per task view and machine; every call
         works out its own memory verdicts from ``peak_memory`` and
         ``check_memory`` and returns a fresh result.
         """
-        timing = task_view(tasks).graph.replay(self)
+        timing = task_view(tasks).replay(self)
         return self._finish_result(
             iteration_time=timing.iteration_time,
             compute_busy=dict(timing.per_device_compute_time),

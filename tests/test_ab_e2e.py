@@ -138,6 +138,34 @@ def test_regressed_when_the_head_median_is_worse_by_more_than_the_bound():
     assert verdicts(0.5, 31.0) == (False, False)
 
 
+def test_unresolved_when_the_base_spreads_wider_than_the_bound():
+    """A base interquartile range wider than the bound, relative to the base
+    median, cannot tell a move within the bound from none, unless every head
+    run beats every base run."""
+    wide = [1.0, 1.6, 0.7, 1.5, 0.8, 1.4, 0.9, 1.3, 0.6, 1.2]  # IQR 0.65
+    narrow = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+
+    def unresolved(base, head):
+        samples = [_sample(i, b, h) for i, (b, h) in enumerate(zip(base, head))]
+        metrics = ab_e2e.summarize(samples, BETTER, BOUNDS)["metrics"]
+        return metrics["compile_cold_s"]["unresolved"]
+
+    assert unresolved(wide, wide)
+    assert not unresolved(narrow, narrow)
+    # Every head run below the fastest base run settles it.
+    assert not unresolved(wide, [0.55] * 10)
+    # One head run that does not beat every base run leaves it open.
+    assert unresolved(wide, [0.55] * 9 + [0.65])
+    # Higher-is-better metrics beat upwards.
+    samples = [_sample(i, 1.0, 1.0, 30.0 + i, 50.0) for i in range(10)]
+    sim = ab_e2e.summarize(samples, BETTER, BOUNDS)["metrics"]["sim_throughput"]
+    assert not sim["unresolved"]
+    samples = [_sample(i, 1.0, 1.0, 30.0 + i, 35.0) for i in range(10)]
+    assert ab_e2e.summarize(samples, BETTER, BOUNDS)["metrics"]["sim_throughput"][
+        "unresolved"
+    ]
+
+
 def test_a_regressed_metric_fails_the_run(tmp_path, monkeypatch, capsys):
     """``main`` prints each verdict and exits 1 when a metric regressed, even
     with nothing moved or broken."""

@@ -28,9 +28,12 @@ metric of ``BENCHMARK.json``:
 * whether the medians differ by more than the base's interquartile range;
 * the verdicts the benchmark applies: ``regressed`` when the head median is
   worse than the base median by more than the metric's relative ``bound``,
-  and ``gain`` when the head won at least nine pairs in ten and its median
+  ``gain`` when the head won at least nine pairs in ten and its median
   is better than the base median by more than the base's interquartile
-  range.
+  range, and ``unresolved`` when the base's interquartile range, relative
+  to its median, is wider than the bound, so the runs spread too widely
+  to call the metric unchanged — unless every head run beats every base
+  run (choosing-metrics §6.5).
 
 Only pairs where both sides report a metric enter its statistics.
 
@@ -125,6 +128,10 @@ def summarize(
             "median_shift_exceeds_base_iqr": abs(gained) > sides["base"]["iqr"],
             "regressed": -gained > bounds[name] * abs(sides["base"]["median"]),
             "gain": won * 10 >= 9 * len(pairs) and gained > sides["base"]["iqr"],
+            "unresolved": (
+                sides["base"]["iqr"] > bounds[name] * abs(sides["base"]["median"])
+                and not all(wins(b, h, direction) for b in base for h in head)
+            ),
         }
     moved = sorted({
         name for s in samples for name in SIMULATED
@@ -259,6 +266,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"ratio {stats['paired_ratio_median']:.4f} "
                 f"wins {stats['wins']}/{stats['pairs']} "
                 f"gain {stats['gain']} regressed {stats['regressed']}"
+                f"{' unresolved' if stats['unresolved'] else ''}"
             )
     if moved:
         print(f"simulated metrics moved: {moved}", file=sys.stderr)
