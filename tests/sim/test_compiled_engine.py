@@ -188,11 +188,13 @@ def test_mutated_program_recompiles(rnn_bundle):
     assert executor.simulate(program, check_memory=False) == before
 
 
-def test_concurrent_simulations_share_one_dense_form(rnn_bundle):
-    """Program-cache copies of one program share one immutable dense form:
-    simulating them on two machines, interleaved as finely as threads allow,
-    must still give every result exactly."""
-    program = _lower(rnn_bundle.graph, "pipeline", MACHINE)
+@pytest.mark.parametrize("case", ["pipeline", "hybrid-pipeline"])
+def test_concurrent_simulations_share_one_dense_form(rnn_bundle, case):
+    """Program-cache copies of one program share one immutable dense form
+    and task view (a hybrid's replays one replica group): simulating them on
+    two machines, interleaved as finely as threads allow, must still give
+    every result exactly."""
+    program = _lower(rnn_bundle.graph, case, MACHINE)
     machines = [MACHINE, CLUSTER]
     expected = [
         run_reference(
